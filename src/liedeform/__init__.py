@@ -25,8 +25,9 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        subalgebra_defect, subalgebra_witness, validate_bracket,
                        validate_homomorphism)
 from .cecomplex import (CEComplex, CohomologyReport, CohomologyUndefinedError,
-                        adjoint_cohomology, cohomology, euler_characteristic,
-                        induced_map_on_h, les_subalgebra, pullback_cochain_map)
+                        Problem, adjoint_cohomology, cohomology,
+                        euler_characteristic, induced_map_on_h, les_subalgebra,
+                        pullback_cochain_map)
 from .cochains import AltMap
 from .deformlab import (ChartError, ContinuationResult, FloatBracket,
                         InputDefectError, NewtonConfig, PreconditionError,

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
 from .exactlin import (Matrix, Subspace, _subspace, image_basis, kernel_basis,
-                       rank, rref, solve_particular)
+                       kernel_and_pivots, rank, rref, solve_particular)
 
 
 class CohomologyUndefinedError(ValueError):
@@ -172,9 +172,11 @@ def _h_representatives(cob: Subspace, coc: Subspace):
     return tuple(coc.basis[p - nb] for p in pivots if p >= nb)
 
 
-def cohomology(rep: RepSpec, degrees=None) -> CohomologyReport:
+def cohomology(rep: RepSpec) -> CohomologyReport:
     """Exact cohomology of a coefficient system, all degrees 0..n.
 
+    Each differential is row-reduced once: its pivots give the cocycles of
+    its own degree and, as pivot columns, the coboundaries of the next.
     Refuses (CohomologyUndefinedError) when the composed differentials are
     not identically zero, which happens exactly when the bracket or the
     action fails its identity.
@@ -184,14 +186,11 @@ def cohomology(rep: RepSpec, degrees=None) -> CohomologyReport:
     if bad is not None:
         raise CohomologyUndefinedError(
             f"d o d is nonzero at degree {bad}; cohomology undefined")
-    wanted = range(0, cx.n + 1) if degrees is None else degrees
     out = []
+    cob = _subspace(cx.dim_cochains(0), [])
     for k in range(0, cx.n + 1):
-        coc = kernel_basis(cx.d(k))
-        if k == 0:
-            cob = _subspace(cx.dim_cochains(0), [])
-        else:
-            cob = image_basis(cx.d(k - 1))
+        d = cx.d(k)
+        coc, pivots = kernel_and_pivots(d)
         reps = _h_representatives(cob, coc)
         data = DegreeData(
             k=k,
@@ -205,10 +204,10 @@ def cohomology(rep: RepSpec, degrees=None) -> CohomologyReport:
         )
         assert len(reps) == data.dim_h
         out.append(data)
-    selected = tuple(d for d in out if d.k in wanted)
+        cob = _subspace(d.rows, [d.column(j) for j in pivots])
     return CohomologyReport(label=rep.label or rep.variant,
                             acting_dim=cx.n, carrier_dim=cx.carrier_dim,
-                            degrees=selected, complex=cx)
+                            degrees=tuple(out), complex=cx)
 
 
 def euler_characteristic(report: CohomologyReport) -> int:
@@ -220,6 +219,68 @@ def euler_characteristic(report: CohomologyReport) -> int:
 
 def adjoint_cohomology(g: LieAlgebra) -> CohomologyReport:
     return cohomology(adjoint_rep(g))
+
+
+# wrapped object type -> kind name, coefficient system, tangent degree
+_PROBLEM_KINDS = {LieAlgebra: ("bracket", adjoint_rep, 2),
+                  Homomorphism: ("hom", pullback_rep, 1),
+                  SubalgebraWitness: ("sub", quotient_rep, 1)}
+
+
+class Problem:
+    """One deformation problem: a bracket (LieAlgebra), a homomorphism or a
+    subalgebra witness, with its coefficient system (adjoint, pullback or
+    quotient) and its tangent degree (2, 1 or 1).
+
+    The coefficient system and its cohomology report are built on first use
+    and kept, so every verdict and Newton seed asked of one problem shares
+    one report.  For a homomorphism, ``target`` is the bracket problem of the
+    target algebra, which holds the adjoint report the induced maps need.
+    """
+
+    def __init__(self, obj):
+        for cls, (kind, rep_of, degree) in _PROBLEM_KINDS.items():
+            if isinstance(obj, cls):
+                break
+        else:
+            raise TypeError("expected a Lie algebra, a homomorphism or a "
+                            "subalgebra witness")
+        self.obj = obj
+        self.kind = kind
+        self.tangent_degree = degree
+        self._rep_of = rep_of
+
+    @classmethod
+    def of(cls, obj, kind: str | None = None) -> "Problem":
+        """``obj`` itself when it is a problem, else a new problem for it;
+        refuses (TypeError) a problem of another kind than ``kind``."""
+        problem = obj if isinstance(obj, cls) else cls(obj)
+        if kind is not None and problem.kind != kind:
+            raise TypeError(f"expected a {kind} problem, got a "
+                            f"{problem.kind} problem")
+        return problem
+
+    @cached_property
+    def rep(self) -> RepSpec:
+        return self._rep_of(self.obj)
+
+    @cached_property
+    def report(self) -> CohomologyReport:
+        return cohomology(self.rep)
+
+    @cached_property
+    def target(self) -> "Problem":
+        return Problem(self.obj.target)
+
+    def h_dim(self, k: int) -> int:
+        """dim H^k; 0 above the acting dimension, where C^k = 0."""
+        report = self.report
+        return report.degree(k).dim_h if k <= report.acting_dim else 0
+
+    def z_dim(self, k: int) -> int:
+        """dim Z^k; 0 above the acting dimension, where C^k = 0."""
+        report = self.report
+        return report.degree(k).dim_cocycles if k <= report.acting_dim else 0
 
 
 # ---------------------------------------------------------------------------

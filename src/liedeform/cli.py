@@ -14,17 +14,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .algebras import (Homomorphism, LieAlgebra, SubalgebraWitness,
-                       ValidationError, catalog_names, hom_preset_names,
-                       sub_preset_names)
-from .cecomplex import (CohomologyUndefinedError, adjoint_cohomology,
-                        cohomology, les_subalgebra, pullback_rep, quotient_rep)
+from .algebras import (LieAlgebra, ValidationError, catalog_names,
+                       hom_preset_names, sub_preset_names)
+from .cecomplex import CohomologyUndefinedError, Problem, les_subalgebra
 from .cochains import AltMap, cochain_dim
-from .deformlab import (ChartError, InputDefectError, PreconditionError,
-                        run_experiment)
+from .deformlab import (EXPERIMENTS, ChartError, InputDefectError,
+                        PreconditionError, run_experiment)
 from .documents import (MalformedDocumentError, load_json_file,
-                        parse_experiment_doc, resolve_algebra, resolve_hom,
-                        resolve_sub)
+                        parse_experiment_doc, resolve_object, resolve_sub)
 from .exactlin import Matrix
 from . import kuranishi as K
 from . import verdicts as V
@@ -47,19 +44,17 @@ def _one_of(args, *names):
 
 
 def _resolve_object(args):
+    """The object flag given and the problem of the object it names."""
     which = _one_of(args, "algebra", "hom", "sub")
-    if which == "algebra":
-        return "algebra", resolve_algebra(args.algebra)
-    if which == "hom":
-        return "hom", resolve_hom(args.hom)
-    return "sub", resolve_sub(args.sub)
+    return which, Problem(resolve_object(which, getattr(args, which)))
 
 
 # ---------------------------------------------------------------------------
 # verbs
 
 def _cmd_verify(args) -> int:
-    kind, obj = _resolve_object(args)
+    kind, problem = _resolve_object(args)
+    obj = problem.obj
     if kind == "algebra":
         payload = {"valid": True, "kind": "algebra", "name": obj.name,
                    "dim": obj.dim}
@@ -81,21 +76,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _report_for(kind, obj, rep_choice):
-    if kind == "algebra":
-        if rep_choice != "adjoint":
-            raise MalformedDocumentError(
-                "--rep adjoint is the only coefficient choice for a bare "
-                "algebra; use --hom or --sub for the other systems")
-        return adjoint_cohomology(obj)
-    if kind == "hom":
-        return cohomology(pullback_rep(obj))
-    return cohomology(quotient_rep(obj))
-
-
 def _cmd_cohomology(args) -> int:
-    kind, obj = _resolve_object(args)
-    report = _report_for(kind, obj, args.rep)
+    _, problem = _resolve_object(args)
+    report = problem.report
     payload = {"label": report.label, "acting_dim": report.acting_dim,
                "carrier_dim": report.carrier_dim, **report.to_json_dict()}
     lines = [f"coefficients: {report.label} "
@@ -130,9 +113,9 @@ def _verdict_line(v) -> str:
 
 
 def _cmd_verdict(args) -> int:
-    kind, obj = _resolve_object(args)
+    kind, problem = _resolve_object(args)
     if args.question == "kuranishi-model-dims":
-        dims = V.kuranishi_model_dims(obj)
+        dims = V.kuranishi_model_dims(problem)
         payload = dims.to_json_dict()
         lines = [f"kuranishi model ({dims.kind}): tangent dim "
                  f"{dims.tangent_dim}, obstruction dim {dims.obstruction_dim}"]
@@ -152,7 +135,7 @@ def _cmd_verdict(args) -> int:
             raise MalformedDocumentError(
                 f"question {args.question!r} needs --{want}")
         questions = [args.question]
-    verdicts = [_QUESTIONS[q][1](obj) for q in sorted(questions)]
+    verdicts = [_QUESTIONS[q][1](problem) for q in sorted(questions)]
     payload = {"verdicts": [v.to_json_dict() for v in verdicts]}
     _emit(payload, args.json, [_verdict_line(v) for v in verdicts])
     return 0
@@ -207,7 +190,8 @@ def _random_rational_matrix(rows: int, cols: int, seed: int) -> Matrix:
 
 
 def _cmd_kuranishi(args) -> int:
-    kind, obj = _resolve_object(args)
+    kind, problem = _resolve_object(args)
+    obj = problem.obj
     doc = load_json_file(args.direction) if args.direction else None
     if kind == "algebra":
         if doc is None:
@@ -242,7 +226,7 @@ def _cmd_kuranishi(args) -> int:
         if doc is None:
             shift = _random_rational_matrix(obj.dim, obj.quotient_dim,
                                             args.seed)
-            eta = _first_quotient_cocycle(obj)
+            eta = _first_quotient_cocycle(problem)
             cmp = K.splitting_independence_check(
                 sp, K.shifted_splitting(sp, shift), eta)
             payload = {"check": "splitting-independence", "ok": cmp.ok,
@@ -260,12 +244,11 @@ def _cmd_kuranishi(args) -> int:
     return 0
 
 
-def _first_quotient_cocycle(w: SubalgebraWitness) -> AltMap:
+def _first_quotient_cocycle(problem: Problem) -> AltMap:
     """A deterministic element of Z^1(h, g/h): the first cocycle-basis
     vector, or zero when the space is trivial."""
-    report = cohomology(quotient_rep(w), degrees=(1,))
-    coc = report.degree(1).cocycles
-    k, q = w.dim, w.quotient_dim
+    coc = problem.report.degree(1).cocycles
+    k, q = problem.obj.dim, problem.obj.quotient_dim
     if coc.dim == 0:
         return AltMap.zero(1, k, q)
     return AltMap.from_flat(1, k, q, list(coc.basis[0]))
@@ -305,8 +288,7 @@ def _cmd_deform(args) -> int:
             doc["sub"] = args.sub
     exp = parse_experiment_doc(doc)
     records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
-                             scale=exp["scale"], cfg=exp["config"],
-                             jobs=args.jobs)
+                             scale=exp["scale"], cfg=exp["config"])
     for record in records:
         print(json.dumps(record, sort_keys=True))
     return 0
@@ -380,14 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--experiment", metavar="PATH",
                    help="experiment document; alternative to the flags below")
-    p.add_argument("--kind", choices=["bracket-recovery", "hom-recovery",
-                                      "sub-recovery", "hom-continuation",
-                                      "sub-continuation"])
+    p.add_argument("--kind", choices=list(EXPERIMENTS))
     p.add_argument("--seeds", type=int, default=10,
                    help="number of seeds (0..N-1)")
     p.add_argument("--scale", type=float, default=0.05)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers; output order stays seed order")
     p.set_defaults(func=_cmd_deform)
     return parser
 

@@ -22,10 +22,11 @@ import numpy as np
 from scipy.linalg import expm, subspace_angles
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
-                       SubalgebraWitness, adjoint_rep, pullback_rep,
-                       quotient_rep)
-from .cecomplex import CEComplex, differential_rows
+                       SubalgebraWitness)
+from .cecomplex import CEComplex, Problem, differential_rows
 from .exactlin import Matrix, invert
+from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
+                       sub_rigidity, sub_stability)
 
 
 class PreconditionError(RuntimeError):
@@ -106,7 +107,7 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
     a = np.asarray(a_matrix, dtype=float)
     det = np.linalg.det(a)
     if abs(det) < 1e-12:
-        raise ValueError("matrix acting on the bracket is singular")
+        raise np.linalg.LinAlgError("matrix acting on the bracket is singular")
     ainv = np.linalg.inv(a)
     c = np.einsum("pi,qj,pqr,kr->ijk", ainv, ainv, mu.c, a)
     prov = dict(mu.provenance)
@@ -245,21 +246,18 @@ def _pairs_flat(c: np.ndarray) -> np.ndarray:
         if n >= 2 else np.zeros(0)
 
 
-def _complex_float_d(cx: CEComplex, k: int) -> np.ndarray:
-    return float_matrix(cx.d(k))
-
-
 # ---------------------------------------------------------------------------
 # orbit recovery
 
-def recover_bracket_orbit(g: LieAlgebra, mu_prime: FloatBracket,
+def recover_bracket_orbit(g: LieAlgebra | Problem, mu_prime: FloatBracket,
                           cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
     """Find A = exp(a) with A . mu ~ mu'.  Requires H^2(g,g) = 0; the Newton
     linearization at a = 0 is minus the adjoint differential C^1 -> C^2."""
-    from .verdicts import bracket_rigidity
-    if not bracket_rigidity(g).holds:
+    p = Problem.of(g, "bracket")
+    if not bracket_rigidity(p).holds:
         raise PreconditionError("bracket rigidity criterion (H2=0) does not "
                                 "hold; orbit recovery is not guaranteed")
+    g = p.obj
     n = g.dim
     if mu_prime.dim != n:
         raise ValueError("dimension mismatch")
@@ -275,7 +273,7 @@ def recover_bracket_orbit(g: LieAlgebra, mu_prime: FloatBracket,
         a = u.reshape(n, n).T
         return _pairs_flat(act_on_bracket(expm(a), mu).c) - target
 
-    jac = -_complex_float_d(CEComplex(adjoint_rep(g)), 1)
+    jac = -float_matrix(p.report.complex.d(1))
     u, res, iters, ok = _chord_newton(residual, np.zeros(n * n), jac, cfg)
     a = u.reshape(n, n).T
     amat = expm(a)
@@ -285,14 +283,15 @@ def recover_bracket_orbit(g: LieAlgebra, mu_prime: FloatBracket,
                           diagnostics={"log_sup": _sup(a)})
 
 
-def recover_hom_orbit(rho: Homomorphism, rho_prime: np.ndarray,
+def recover_hom_orbit(rho: Homomorphism | Problem, rho_prime: np.ndarray,
                       cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
     """Find x with exp(ad_x) o rho ~ rho'.  Requires H^1(h,g) = 0; refuses
     rho' whose curvature exceeds the input tolerance."""
-    from .verdicts import hom_rigidity
-    if not hom_rigidity(rho).holds:
+    p = Problem.of(rho, "hom")
+    if not hom_rigidity(p).holds:
         raise PreconditionError("homomorphism rigidity criterion (H1=0) does "
                                 "not hold; orbit recovery is not guaranteed")
+    rho = p.obj
     h, g = rho.source, rho.target
     kh, ng = h.dim, g.dim
     p_prime = np.asarray(rho_prime, dtype=float)
@@ -310,7 +309,7 @@ def recover_hom_orbit(rho: Homomorphism, rho_prime: np.ndarray,
         m = expm(ad_float(cg.c, x))
         return ((m @ p0) - p_prime).T.ravel()
 
-    jac = -_complex_float_d(CEComplex(pullback_rep(rho)), 0)
+    jac = -float_matrix(p.report.complex.d(0))
     u, res, iters, ok = _chord_newton(residual, np.zeros(ng), jac, cfg)
     amat = expm(ad_float(cg.c, u))
     return RecoveryResult(kind="hom", log_solution=u, group_matrix=amat,
@@ -387,15 +386,16 @@ def chart_defect_flat(frames: SubFrames, eta: np.ndarray,
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def recover_sub_orbit(w: SubalgebraWitness, plane_prime: np.ndarray,
+def recover_sub_orbit(w: SubalgebraWitness | Problem, plane_prime: np.ndarray,
                       cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
     """Find x with exp(ad_x)(h) ~ the given plane, in chart coordinates.
     Requires H^1(h,g/h) = 0; refuses planes that fail the subalgebra-closure
     defect check or fall outside the graph chart."""
-    from .verdicts import sub_rigidity
-    if not sub_rigidity(w).holds:
+    p = Problem.of(w, "sub")
+    if not sub_rigidity(p).holds:
         raise PreconditionError("subalgebra rigidity criterion (H1=0) does "
                                 "not hold; orbit recovery is not guaranteed")
+    w = p.obj
     frames = sub_frames(w)
     n, k, q = w.ambient.dim, w.dim, w.quotient_dim
     mu = FloatBracket.from_exact(w.ambient)
@@ -409,7 +409,7 @@ def recover_sub_orbit(w: SubalgebraWitness, plane_prime: np.ndarray,
         m = expm(ad_float(mu.c, x))
         return (chart_coords(frames, m @ frames.basis) - eta_target).T.ravel()
 
-    d0 = _complex_float_d(CEComplex(quotient_rep(w)), 0)
+    d0 = float_matrix(p.report.complex.d(0))
     proj = float_matrix(w.coords.projection)
     jac = -(d0 @ proj) if q else np.zeros((0, n))
     u, res, iters, ok = _chord_newton(residual, np.zeros(n), jac, cfg)
@@ -439,15 +439,16 @@ def _rows_to_array(rows, n_cols) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in rows])
 
 
-def continue_hom(rho: Homomorphism, mu_prime: FloatBracket,
+def continue_hom(rho: Homomorphism | Problem, mu_prime: FloatBracket,
                  cfg: NewtonConfig = NewtonConfig()) -> ContinuationResult:
     """Deform rho to a homomorphism into the perturbed bracket mu'.
     Requires H^2(h,g) = 0; Newton runs on the curvature map phi -> K_mu'(phi)
     starting at rho, linearized by the differential built from mu' at rho."""
-    from .verdicts import hom_stability
-    if not hom_stability(rho).holds:
+    p = Problem.of(rho, "hom")
+    if not hom_stability(p).holds:
         raise PreconditionError("homomorphism stability criterion (H2=0) does "
                                 "not hold; continuation is not guaranteed")
+    rho = p.obj
     h, g = rho.source, rho.target
     kh, ng = h.dim, g.dim
     if mu_prime.dim != ng:
@@ -475,15 +476,16 @@ def continue_hom(rho: Homomorphism, mu_prime: FloatBracket,
                               distance=_sup(p_new - p0), input_defect=defect)
 
 
-def continue_sub(w: SubalgebraWitness, mu_prime: FloatBracket,
+def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
                  cfg: NewtonConfig = NewtonConfig()) -> ContinuationResult:
     """Deform the subalgebra to one closed under the perturbed bracket mu',
     in the graph chart.  Requires H^2(h,g/h) = 0; Newton runs on the chart
     closure defect, linearized by the quotient-type differential of mu'."""
-    from .verdicts import sub_stability
-    if not sub_stability(w).holds:
+    p = Problem.of(w, "sub")
+    if not sub_stability(p).holds:
         raise PreconditionError("subalgebra stability criterion (H2=0) does "
                                 "not hold; continuation is not guaranteed")
+    w = p.obj
     n, k, q = w.ambient.dim, w.dim, w.quotient_dim
     if mu_prime.dim != n:
         raise ValueError("dimension mismatch")
@@ -588,16 +590,6 @@ def _curve_value_flat(kind: str, base, frames, value) -> np.ndarray:
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-def _curve_complex(kind: str, base) -> CEComplex:
-    if kind == "bracket":
-        return CEComplex(adjoint_rep(base))
-    if kind == "hom":
-        return CEComplex(pullback_rep(base))
-    if kind == "sub":
-        return CEComplex(quotient_rep(base))
-    raise ValueError(f"unknown curve kind {kind!r}")
-
-
 def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     """Central-difference derivative of a curve through the base object at
     t = 0, checked to be a cocycle up to O(h^2).
@@ -611,7 +603,8 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     report also carries the least-squares residual of the derivative against
     the coboundaries (its distance from class zero).
     """
-    degree = {"bracket": 2, "hom": 1, "sub": 1}[kind]
+    p = Problem.of(base, kind)
+    base, degree = p.obj, p.tangent_degree
     frames = sub_frames(base) if kind == "sub" else None
     by_t = {}
     for t, value in samples:
@@ -624,7 +617,7 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     sizes = [x for x in by_t.values()]
     if len({v.size for v in sizes}) != 1:
         raise ValueError("inconsistent sample dimensions")
-    cx = _curve_complex(kind, base)
+    cx = CEComplex(p.rep)
     d_out = float_matrix(cx.d(degree))
     d_in = float_matrix(cx.d(degree - 1))
     defects = []
@@ -695,8 +688,8 @@ def vertical_derivative_fd_check(kind: str, base, direction,
         def value(s):
             return jacobiator_flat(mu.c + s * d_arr)
 
-        d2 = _complex_float_d(CEComplex(adjoint_rep(base)), 2)
-        true_deriv = -(d2 @ _pairs_flat(d_arr))
+        # J(mu + s xi) = J(mu) - s d(xi) + O(s^2)
+        d_flat = -_pairs_flat(d_arr)
     elif kind == "hom":
         hh, g = base.source, base.target
         cg = FloatBracket.from_exact(g)
@@ -707,8 +700,7 @@ def vertical_derivative_fd_check(kind: str, base, direction,
         def value(s):
             return _curvature_flat(cg.c, ch.c, p0 + s * d_mat)
 
-        d1 = _complex_float_d(CEComplex(pullback_rep(base)), 1)
-        true_deriv = d1 @ d_mat.T.ravel()
+        d_flat = d_mat.T.ravel()
     elif kind == "sub":
         frames = sub_frames(base)
         mu = FloatBracket.from_exact(base.ambient)
@@ -717,10 +709,11 @@ def vertical_derivative_fd_check(kind: str, base, direction,
         def value(s):
             return chart_defect_flat(frames, s * d_mat, mu)
 
-        d1 = _complex_float_d(CEComplex(quotient_rep(base)), 1)
-        true_deriv = d1 @ d_mat.T.ravel()
+        d_flat = d_mat.T.ravel()
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    p = Problem.of(base, kind)
+    true_deriv = float_matrix(CEComplex(p.rep).d(p.tangent_degree)) @ d_flat
 
     base_val = value(0.0)
     central_defects = []
@@ -748,38 +741,41 @@ def vertical_derivative_fd_check(kind: str, base, direction,
 # ---------------------------------------------------------------------------
 # seeded experiment driver
 
-def run_single_experiment(kind: str, obj, scale: float, seed: int,
-                          cfg: NewtonConfig) -> dict:
-    if kind == "bracket-recovery":
-        mu_prime, pert = perturbed_bracket(obj, scale, seed)
-        result = recover_bracket_orbit(obj, mu_prime, cfg)
-    elif kind == "hom-recovery":
-        rho_prime, pert = perturbed_hom(obj, scale, seed)
-        result = recover_hom_orbit(obj, rho_prime, cfg)
-    elif kind == "sub-recovery":
-        plane, pert = perturbed_plane(obj, scale, seed)
-        result = recover_sub_orbit(obj, plane, cfg)
-    elif kind == "hom-continuation":
-        mu_prime, pert = perturbed_bracket(obj.target, scale, seed)
-        result = continue_hom(obj, mu_prime, cfg)
-    elif kind == "sub-continuation":
-        mu_prime, pert = perturbed_bracket(obj.ambient, scale, seed)
-        result = continue_sub(obj, mu_prime, cfg)
-    else:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    return {"seed": seed, "perturbation_sup": _sup(pert),
-            **result.to_json_dict()}
+# experiment kind -> (document key of its object, seeded perturbation of the
+# object, solver of the perturbed problem)
+EXPERIMENTS = {
+    "bracket-recovery": ("algebra", perturbed_bracket, recover_bracket_orbit),
+    "hom-recovery": ("hom", perturbed_hom, recover_hom_orbit),
+    "sub-recovery": ("sub", perturbed_plane, recover_sub_orbit),
+    "hom-continuation": (
+        "hom", lambda rho, scale, seed: perturbed_bracket(rho.target, scale, seed),
+        continue_hom),
+    "sub-continuation": (
+        "sub", lambda w, scale, seed: perturbed_bracket(w.ambient, scale, seed),
+        continue_sub),
+}
 
 
 def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
-                   cfg: NewtonConfig = NewtonConfig(), jobs: int = 1) -> list:
-    """Run one recovery/continuation per seed; records return in seed order
-    regardless of scheduling."""
-    seeds = list(seeds)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_single_experiment, kind, obj, scale, s, cfg)
-                       for s in seeds]
-            return [f.result() for f in futures]
-    return [run_single_experiment(kind, obj, scale, s, cfg) for s in seeds]
+                   cfg: NewtonConfig = NewtonConfig()) -> list:
+    """Run one recovery/continuation per seed; records return in seed order.
+
+    The object's cohomology is computed at the first seed and shared by the
+    rest, so the precondition and the base linearization are proved once.
+    """
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    _, perturb, solve = EXPERIMENTS[kind]
+    problem = Problem.of(obj)
+    records = []
+    for seed in seeds:
+        perturbed, pert = perturb(problem.obj, scale, seed)
+        result = solve(problem, perturbed, cfg)
+        records.append({"seed": seed, "perturbation_sup": _sup(pert),
+                        **result.to_json_dict()})
+    return records
+
+
+def run_single_experiment(kind: str, obj, scale: float, seed: int,
+                          cfg: NewtonConfig) -> dict:
+    return run_experiment(kind, obj, [seed], scale, cfg)[0]

@@ -17,7 +17,7 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        hom_preset, hom_preset_names, sub_preset,
                        sub_preset_names, subalgebra_witness, validate_bracket,
                        validate_homomorphism)
-from .deformlab import NewtonConfig
+from .deformlab import EXPERIMENTS, NewtonConfig
 from .exactlin import Matrix, format_scalar, parse_scalar
 
 
@@ -218,11 +218,19 @@ def resolve_sub(spec) -> SubalgebraWitness:
                                  "object")
 
 
+def resolve_object(key: str, spec):
+    """Resolve ``spec`` as the object an "algebra", "hom" or "sub" key names."""
+    if key == "algebra":
+        return resolve_algebra(spec)
+    if key == "hom":
+        return resolve_hom(spec)
+    return resolve_sub(spec)
+
+
 # ---------------------------------------------------------------------------
 # experiment documents
 
-EXPERIMENT_KINDS = ("bracket-recovery", "hom-recovery", "sub-recovery",
-                    "hom-continuation", "sub-continuation")
+EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 
 
 def parse_experiment_doc(doc) -> dict:
@@ -232,15 +240,9 @@ def parse_experiment_doc(doc) -> dict:
     kind = doc["kind"]
     _require(kind in EXPERIMENT_KINDS,
              f"'kind' must be one of {', '.join(EXPERIMENT_KINDS)}", "kind")
-    if kind == "bracket-recovery":
-        _require("algebra" in doc, "bracket experiments need 'algebra'")
-        obj = resolve_algebra(doc["algebra"])
-    elif kind in ("hom-recovery", "hom-continuation"):
-        _require("hom" in doc, "homomorphism experiments need 'hom'")
-        obj = resolve_hom(doc["hom"])
-    else:
-        _require("sub" in doc, "subalgebra experiments need 'sub'")
-        obj = resolve_sub(doc["sub"])
+    key = EXPERIMENTS[kind][0]
+    _require(key in doc, f"{kind} experiments need '{key}'")
+    obj = resolve_object(key, doc[key])
     pert = doc.get("perturbation", {})
     _require(isinstance(pert, dict), "'perturbation' must be an object",
              "perturbation")

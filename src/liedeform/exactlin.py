@@ -205,6 +205,12 @@ def _subspace(ambient_dim: int, vectors) -> Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Exact basis of the null space of m (acting on column vectors)."""
+    return kernel_and_pivots(m)[0]
+
+
+def kernel_and_pivots(m: Matrix):
+    """Null-space basis of m, one vector per free column, and the pivot
+    columns of its reduced row echelon form, from one reduction."""
     r, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
@@ -215,7 +221,7 @@ def kernel_basis(m: Matrix) -> Subspace:
         for row_idx, p in enumerate(pivots):
             v[p] = -r.data[row_idx][f]
         basis.append(v)
-    return _subspace(m.cols, basis)
+    return _subspace(m.cols, basis), pivots
 
 
 def image_basis(m: Matrix) -> Subspace:

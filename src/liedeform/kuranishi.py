@@ -84,6 +84,25 @@ def _interpolate_coefficients(samples, ts):
     return coeffs
 
 
+def _compare_expansion(expected, coeffs, degree: int, n: int,
+                       m: int) -> ExpansionReport:
+    """Match interpolated coefficients against (label, expected) pairs; the
+    coefficients are kept as degree-``degree`` cochains on n with values in
+    an m-dimensional carrier."""
+    max_defect = Fraction(0)
+    first = None
+    alt = []
+    for (label, want), got in zip(expected, coeffs):
+        diff = max((abs(a - b) for a, b in zip(got, want)), default=Fraction(0))
+        if diff > max_defect:
+            max_defect = diff
+        if diff != 0 and first is None:
+            first = label
+        alt.append(AltMap.from_flat(degree, n, m, got))
+    return ExpansionReport(ok=first is None, max_defect=max_defect,
+                           first_mismatch=first, coefficients=tuple(alt))
+
+
 def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
     """Verify the exact quartic expansion of J(mu + t xi + 1/2 t^2 eta).
 
@@ -119,18 +138,7 @@ def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
         ("t^3: B(xi,eta)/2", [Fraction(1, 2) * x for x in b_xi_eta]),
         ("t^4: J(eta)/4", [Fraction(1, 4) * x for x in j_eta]),
     ]
-    max_defect = Fraction(0)
-    first = None
-    alt = []
-    for (label, want), got in zip(expected, coeffs):
-        diff = max((abs(a - b) for a, b in zip(got, want)), default=Fraction(0))
-        if diff > max_defect:
-            max_defect = diff
-        if diff != 0 and first is None:
-            first = label
-        alt.append(AltMap.from_flat(3, n, n, got))
-    return ExpansionReport(ok=first is None, max_defect=max_defect,
-                           first_mismatch=first, coefficients=tuple(alt))
+    return _compare_expansion(expected, coeffs, 3, n, n)
 
 
 def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> ExpansionReport:
@@ -176,18 +184,7 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
         ("t^1: d(xi)", d_xi),
         ("t^2: [xi,xi]/2", half_sq),
     ]
-    max_defect = Fraction(0)
-    first = None
-    alt = []
-    for (label, want), got in zip(expected, coeffs):
-        diff = max((abs(a - b) for a, b in zip(got, want)), default=Fraction(0))
-        if diff > max_defect:
-            max_defect = diff
-        if diff != 0 and first is None:
-            first = label
-        alt.append(AltMap.from_flat(2, kh, ng, got))
-    return ExpansionReport(ok=first is None, max_defect=max_defect,
-                           first_mismatch=first, coefficients=tuple(alt))
+    return _compare_expansion(expected, coeffs, 2, kh, ng)
 
 
 # ---------------------------------------------------------------------------

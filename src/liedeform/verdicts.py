@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
-from .cecomplex import (CohomologyReport, InducedMap, Matrix,
-                        adjoint_cohomology, cohomology, induced_map_on_h,
-                        pullback_cochain_map, pullback_rep, quotient_rep)
+from .cecomplex import (InducedMap, Matrix, Problem, induced_map_on_h,
+                        pullback_cochain_map)
 
 HOLDS = "holds"
 FAILS = "fails-criterion"
@@ -37,69 +36,63 @@ class Verdict:
                 "citation": self.citation, "evidence": self.evidence}
 
 
-def _report_evidence(report: CohomologyReport) -> dict:
-    return report.to_json_dict()
-
-
-def bracket_rigidity(g: LieAlgebra) -> Verdict:
+def bracket_rigidity(g: LieAlgebra | Problem) -> Verdict:
     """H^2(g,g) = 0 forces every nearby bracket into the GL(g)-orbit."""
-    report = adjoint_cohomology(g)
-    h2 = report.degree(2).dim_h if g.dim >= 2 else 0
+    p = Problem.of(g, "bracket")
+    h2 = p.h_dim(2)
     return Verdict(
         criterion="bracket-rigidity",
         conclusion=HOLDS if h2 == 0 else FAILS,
         citation="H2(g,g)=0 => bracket rigid under GL(g)",
-        evidence={"dim_h2": h2, "report": _report_evidence(report)},
+        evidence={"dim_h2": h2, "report": p.report.to_json_dict()},
     )
 
 
-def bracket_smoothness(g: LieAlgebra) -> Verdict:
+def bracket_smoothness(g: LieAlgebra | Problem) -> Verdict:
     """H^3(g,g) = 0 makes the space of brackets a manifold near g of
     dimension dim Z^2(g,g)."""
-    report = adjoint_cohomology(g)
-    h3 = report.degree(3).dim_h if g.dim >= 3 else 0
-    z2 = report.degree(2).dim_cocycles if g.dim >= 2 else 0
+    p = Problem.of(g, "bracket")
+    h3 = p.h_dim(3)
     return Verdict(
         criterion="bracket-smoothness",
         conclusion=HOLDS if h3 == 0 else FAILS,
         citation="H3(g,g)=0 => brackets form a manifold of dim Z2(g,g) near mu",
-        evidence={"dim_h3": h3, "local_manifold_dim": z2,
-                  "report": _report_evidence(report)},
+        evidence={"dim_h3": h3, "local_manifold_dim": p.z_dim(2),
+                  "report": p.report.to_json_dict()},
     )
 
 
-def hom_rigidity(rho: Homomorphism) -> Verdict:
+def hom_rigidity(rho: Homomorphism | Problem) -> Verdict:
     """H^1(h,g) = 0 forces every nearby homomorphism into the Ad G-orbit."""
-    report = cohomology(pullback_rep(rho))
-    h1 = report.degree(1).dim_h if rho.source.dim >= 1 else 0
+    p = Problem.of(rho, "hom")
+    h1 = p.h_dim(1)
     return Verdict(
         criterion="hom-rigidity",
         conclusion=HOLDS if h1 == 0 else FAILS,
         citation="H1(h,g)=0 => rho rigid under Ad G",
-        evidence={"dim_h1": h1, "report": _report_evidence(report)},
+        evidence={"dim_h1": h1, "report": p.report.to_json_dict()},
     )
 
 
-def _induced_pullback_map(rho: Homomorphism, k: int, source: CohomologyReport,
-                          target: CohomologyReport):
+def _induced_pullback_map(p: Problem, k: int) -> InducedMap:
+    """H^k(rho*): H^k(g,g) -> H^k(h,g) for the homomorphism problem ``p``."""
+    rho = p.obj
     if k > rho.source.dim:
         # the receiving cochain space is trivial, so the induced map is the
         # zero map onto a zero-dimensional space
-        src_h = source.degree(k).dim_h if k <= rho.target.dim else 0
+        src_h = p.target.h_dim(k)
         return InducedMap(degree=k, matrix=Matrix.zeros(0, src_h),
                           source_dim=src_h, target_dim=0, rank=0)
     chain_maps = {j: pullback_cochain_map(rho, j) for j in range(max(0, k - 1), k + 2)}
-    return induced_map_on_h(chain_maps, source, target, k)
+    return induced_map_on_h(chain_maps, p.target.report, p.report, k)
 
 
-def hom_aut_rigidity(rho: Homomorphism) -> Verdict:
+def hom_aut_rigidity(rho: Homomorphism | Problem) -> Verdict:
     """Surjectivity of H^1(rho*): H^1(g,g) -> H^1(h,g) forces every nearby
     homomorphism into the Aut(g)-orbit.  Evidence also records dim Z^1(g,g),
     the dimension of the derivation algebra of g."""
-    target_adj = adjoint_cohomology(rho.target)
-    pulled = cohomology(pullback_rep(rho))
-    induced = _induced_pullback_map(rho, 1, target_adj, pulled)
-    z1 = target_adj.degree(1).dim_cocycles if rho.target.dim >= 1 else 0
+    p = Problem.of(rho, "hom")
+    induced = _induced_pullback_map(p, 1)
     return Verdict(
         criterion="hom-aut-rigidity",
         conclusion=HOLDS if induced.surjective else FAILS,
@@ -108,37 +101,36 @@ def hom_aut_rigidity(rho: Homomorphism) -> Verdict:
             "induced_rank": induced.rank,
             "dim_h1_source_system": induced.source_dim,
             "dim_h1_target_system": induced.target_dim,
-            "derivation_algebra_dim": z1,
+            "derivation_algebra_dim": p.target.z_dim(1),
         },
     )
 
 
-def hom_stability(rho: Homomorphism) -> Verdict:
+def hom_stability(rho: Homomorphism | Problem) -> Verdict:
     """H^2(h,g) = 0 lets rho deform along any small change of the target
     bracket; nearby homomorphisms form a manifold of dim Z^1(h,g)."""
-    report = cohomology(pullback_rep(rho))
-    h2 = report.degree(2).dim_h if rho.source.dim >= 2 else 0
-    z1 = report.degree(1).dim_cocycles if rho.source.dim >= 1 else 0
+    p = Problem.of(rho, "hom")
+    h2 = p.h_dim(2)
     return Verdict(
         criterion="hom-stability",
         conclusion=HOLDS if h2 == 0 else FAILS,
         citation="H2(h,g)=0 => rho stable under perturbation of the bracket",
-        evidence={"dim_h2": h2, "local_manifold_dim": z1,
-                  "report": _report_evidence(report)},
+        evidence={"dim_h2": h2, "local_manifold_dim": p.z_dim(1),
+                  "report": p.report.to_json_dict()},
     )
 
 
-def hom_infinitesimal_stability_indicator(rho: Homomorphism) -> Verdict:
+def hom_infinitesimal_stability_indicator(
+        rho: Homomorphism | Problem) -> Verdict:
     """Reports whether H^2(rho*): H^2(g,g) -> H^2(h,g) is the zero map.
 
     A zero map alone settles nothing (its sufficiency for stability is an
     open question), so the conclusion stays inconclusive unless stability is
     already settled by H^2(h,g)=0 or by rigidity of the target bracket."""
-    target_adj = adjoint_cohomology(rho.target)
-    pulled = cohomology(pullback_rep(rho))
-    induced = _induced_pullback_map(rho, 2, target_adj, pulled)
-    h2_target_bracket = target_adj.degree(2).dim_h if rho.target.dim >= 2 else 0
-    h2_pullback = pulled.degree(2).dim_h if rho.source.dim >= 2 else 0
+    p = Problem.of(rho, "hom")
+    induced = _induced_pullback_map(p, 2)
+    h2_target_bracket = p.target.h_dim(2)
+    h2_pullback = p.h_dim(2)
     evidence = {
         "indicator_is_zero_map": induced.is_zero,
         "induced_rank": induced.rank,
@@ -161,31 +153,30 @@ def hom_infinitesimal_stability_indicator(rho: Homomorphism) -> Verdict:
     )
 
 
-def sub_rigidity(w: SubalgebraWitness) -> Verdict:
+def sub_rigidity(w: SubalgebraWitness | Problem) -> Verdict:
     """H^1(h,g/h) = 0 forces every nearby subalgebra into the Ad G-orbit."""
-    report = cohomology(quotient_rep(w))
-    h1 = report.degree(1).dim_h if w.dim >= 1 else 0
+    p = Problem.of(w, "sub")
+    h1 = p.h_dim(1)
     return Verdict(
         criterion="sub-rigidity",
         conclusion=HOLDS if h1 == 0 else FAILS,
         citation="H1(h,g/h)=0 => h rigid under Ad G",
-        evidence={"dim_h1": h1, "report": _report_evidence(report)},
+        evidence={"dim_h1": h1, "report": p.report.to_json_dict()},
     )
 
 
-def sub_stability(w: SubalgebraWitness) -> Verdict:
+def sub_stability(w: SubalgebraWitness | Problem) -> Verdict:
     """H^2(h,g/h) = 0 lets the subalgebra deform along any small change of
     the ambient bracket; nearby subalgebras form a manifold of dim
     Z^1(h,g/h)."""
-    report = cohomology(quotient_rep(w))
-    h2 = report.degree(2).dim_h if w.dim >= 2 else 0
-    z1 = report.degree(1).dim_cocycles if w.dim >= 1 else 0
+    p = Problem.of(w, "sub")
+    h2 = p.h_dim(2)
     return Verdict(
         criterion="sub-stability",
         conclusion=HOLDS if h2 == 0 else FAILS,
         citation="H2(h,g/h)=0 => h stable under perturbation of the bracket",
-        evidence={"dim_h2": h2, "local_manifold_dim": z1,
-                  "report": _report_evidence(report)},
+        evidence={"dim_h2": h2, "local_manifold_dim": p.z_dim(1),
+                  "report": p.report.to_json_dict()},
     )
 
 
@@ -210,17 +201,13 @@ class KuranishiModelDims:
         return out
 
 
-def _degree_dims(report: CohomologyReport, k: int, n: int) -> dict:
-    if k > n:
+def _degree_dims(p: Problem, k: int) -> dict:
+    if k > p.report.acting_dim:
         return {"k": k, "dim_cochains": 0, "dim_cocycles": 0,
                 "dim_coboundaries": 0, "dim_h": 0}
-    d = report.degree(k)
+    d = p.report.degree(k)
     return {"k": k, "dim_cochains": d.dim_cochains, "dim_cocycles": d.dim_cocycles,
             "dim_coboundaries": d.dim_coboundaries, "dim_h": d.dim_h}
-
-
-def _h_dim(report: CohomologyReport, k: int, n: int) -> int:
-    return report.degree(k).dim_h if k <= n else 0
 
 
 def kuranishi_model_dims(problem) -> KuranishiModelDims:
@@ -228,35 +215,15 @@ def kuranishi_model_dims(problem) -> KuranishiModelDims:
     (H^1, H^2) for a homomorphism or a subalgebra, in the matching
     coefficient system.  For homomorphisms the Aut(g)-model domain dimension
     dim H^1(h,g) - rank H^1(rho*) is reported as well."""
-    if isinstance(problem, LieAlgebra):
-        report = adjoint_cohomology(problem)
-        n = problem.dim
-        return KuranishiModelDims(
-            kind="bracket",
-            tangent_dim=_h_dim(report, 2, n),
-            obstruction_dim=_h_dim(report, 3, n),
-            orbit_slice_dims=_degree_dims(report, 2, n),
-        )
-    if isinstance(problem, Homomorphism):
-        report = cohomology(pullback_rep(problem))
-        n = problem.source.dim
-        target_adj = adjoint_cohomology(problem.target)
-        induced = _induced_pullback_map(problem, 1, target_adj, report)
-        return KuranishiModelDims(
-            kind="hom",
-            tangent_dim=_h_dim(report, 1, n),
-            obstruction_dim=_h_dim(report, 2, n),
-            orbit_slice_dims=_degree_dims(report, 1, n),
-            aut_model_dim=_h_dim(report, 1, n) - induced.rank,
-        )
-    if isinstance(problem, SubalgebraWitness):
-        report = cohomology(quotient_rep(problem))
-        n = problem.dim
-        return KuranishiModelDims(
-            kind="sub",
-            tangent_dim=_h_dim(report, 1, n),
-            obstruction_dim=_h_dim(report, 2, n),
-            orbit_slice_dims=_degree_dims(report, 1, n),
-        )
-    raise TypeError("expected a Lie algebra, a homomorphism or a subalgebra "
-                    "witness")
+    p = Problem.of(problem)
+    t = p.tangent_degree
+    aut_model_dim = None
+    if p.kind == "hom":
+        aut_model_dim = p.h_dim(1) - _induced_pullback_map(p, 1).rank
+    return KuranishiModelDims(
+        kind=p.kind,
+        tangent_dim=p.h_dim(t),
+        obstruction_dim=p.h_dim(t + 1),
+        orbit_slice_dims=_degree_dims(p, t),
+        aut_model_dim=aut_model_dim,
+    )

@@ -304,12 +304,5 @@ def test_criterion_13_cli_byte_identical(capsys):
         second = run_captured(argv)
         if first != second or first[0] != 0:
             ok = False
-    seq = run_captured(["deform", "--kind", "sub-recovery", "--sub",
-                        "borel-in-sl2", "--seeds", "4", "--json"])
-    par = run_captured(["deform", "--kind", "sub-recovery", "--sub",
-                        "borel-in-sl2", "--seeds", "4", "--json",
-                        "--jobs", "3"])
-    if seq[1] != par[1]:
-        ok = False
     _verdict_line(13, ok, "byte-identical repeated CLI runs over a command "
-                  "set covering every verb (including parallel deform)")
+                  "set covering every verb")

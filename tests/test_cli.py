@@ -221,13 +221,6 @@ class TestDeform:
         b = run_cli(capsys, *args)
         assert a == b
 
-    def test_jobs_keep_seed_order(self, capsys):
-        base = ("deform", "--kind", "sub-recovery", "--sub", "borel-in-sl2",
-                "--seeds", "4", "--json")
-        seq = run_cli(capsys, *base)
-        par = run_cli(capsys, *base, "--jobs", "3")
-        assert seq[1] == par[1]
-
     def test_experiment_document(self, capsys, tmp_path):
         p = tmp_path / "exp.json"
         p.write_text(json.dumps({

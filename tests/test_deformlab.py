@@ -389,11 +389,13 @@ class TestExperimentDriver:
         with pytest.raises(ValueError):
             run_single_experiment("bracket", SL2, 0.05, 0, NewtonConfig())
 
-    def test_parallel_matches_sequential(self):
-        seeds = range(4)
-        seq = run_experiment("bracket-recovery", SL2, seeds, jobs=1)
-        par = run_experiment("bracket-recovery", SL2, seeds, jobs=3)
-        assert seq == par
+    def test_singular_group_element_ends_newton_not_the_experiment(self):
+        # at scale 0.3 seed 61 diverges until a Jacobian refresh evaluates
+        # the bracket action at a singular exp(a)
+        records = run_experiment("bracket-recovery", SL2, [61], scale=0.3)
+        assert len(records) == 1
+        assert records[0]["seed"] == 61
+        assert records[0]["converged"] is False
 
     def test_all_kinds_run(self):
         assert run_single_experiment("hom-recovery", hom_preset("id-sl2"),

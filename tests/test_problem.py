@@ -1,0 +1,106 @@
+"""One problem object per kind: its cohomology is computed once and shared
+by every verdict, CLI verb and Newton seed that asks for it."""
+
+import sys
+
+import pytest
+
+from liedeform import cecomplex
+from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
+                                hom_preset_names, sub_preset, sub_preset_names)
+from liedeform.cecomplex import Problem
+from liedeform.cli import run
+from liedeform.deformlab import run_experiment
+from liedeform import verdicts as V
+
+VERDICTS = {
+    "bracket": (V.bracket_rigidity, V.bracket_smoothness),
+    "hom": (V.hom_rigidity, V.hom_aut_rigidity, V.hom_stability,
+            V.hom_infinitesimal_stability_indicator),
+    "sub": (V.sub_rigidity, V.sub_stability),
+}
+
+
+def all_objects():
+    return ([catalog_algebra(n) for n in catalog_names()]
+            + [hom_preset(n) for n in hom_preset_names()]
+            + [sub_preset(n) for n in sub_preset_names()])
+
+
+@pytest.fixture
+def cohomology_calls(monkeypatch):
+    """Counts calls of cecomplex.cohomology under every name it is bound to
+    in the package."""
+    calls = []
+    orig = cecomplex.cohomology
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "liedeform" or name.startswith("liedeform."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verdict", "--hom", "borel-incl"], 2),
+    (["verdict", "--algebra", "sl2"], 1),
+    (["verdict", "--sub", "borel-in-sl2"], 1),
+])
+def test_verdict_command_computes_each_report_once(cohomology_calls, capsys,
+                                                   argv, expected):
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(cohomology_calls) == expected
+
+
+def test_experiment_computes_the_report_once(cohomology_calls):
+    records = run_experiment("bracket-recovery", catalog_algebra("sl2"),
+                             range(5))
+    assert [r["seed"] for r in records] == [0, 1, 2, 3, 4]
+    assert len(cohomology_calls) == 1
+
+
+def test_empty_seed_list_computes_nothing(cohomology_calls):
+    # heis3 is not rigid, so any seed would raise PreconditionError
+    assert run_experiment("bracket-recovery", catalog_algebra("heis3"),
+                          []) == []
+    assert cohomology_calls == []
+
+
+def test_verdicts_agree_on_raw_object_and_problem():
+    for obj in all_objects():
+        problem = Problem(obj)
+        for verdict in VERDICTS[problem.kind]:
+            assert (verdict(obj).to_json_dict()
+                    == verdict(problem).to_json_dict()), (obj, verdict)
+        assert (V.kuranishi_model_dims(obj).to_json_dict()
+                == V.kuranishi_model_dims(problem).to_json_dict())
+
+
+def test_kind_and_tangent_degree():
+    cases = [(catalog_algebra("sl2"), "bracket", 2),
+             (hom_preset("borel-incl"), "hom", 1),
+             (sub_preset("borel-in-sl2"), "sub", 1)]
+    for obj, kind, degree in cases:
+        p = Problem(obj)
+        assert (p.kind, p.tangent_degree) == (kind, degree)
+        assert Problem.of(p) is p
+        assert Problem.of(p, kind) is p
+
+
+def test_h_dim_is_zero_above_the_acting_dimension():
+    p = Problem(catalog_algebra("heis3"))
+    assert [p.h_dim(k) for k in range(5)] == p.report.dims_h() + [0]
+    assert p.z_dim(4) == 0
+
+
+def test_wrong_kind_is_refused():
+    with pytest.raises(TypeError):
+        V.bracket_rigidity(hom_preset("id-sl2"))
+    with pytest.raises(TypeError):
+        Problem(42)
