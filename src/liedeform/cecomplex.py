@@ -22,8 +22,8 @@ from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
-from .exactlin import (Matrix, Subspace, _subspace, image_basis, kernel_basis,
-                       kernel_and_pivots, rank, rref, solve_particular)
+from .exactlin import (Matrix, Subspace, _subspace, kernel_and_pivots, rank,
+                       rref, solve_particular)
 
 
 class CohomologyUndefinedError(ValueError):
@@ -172,8 +172,9 @@ def _h_representatives(cob: Subspace, coc: Subspace):
     return tuple(coc.basis[p - nb] for p in pivots if p >= nb)
 
 
-def cohomology(rep: RepSpec) -> CohomologyReport:
-    """Exact cohomology of a coefficient system, all degrees 0..n.
+def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
+    """Exact cohomology of a coefficient system, all degrees 0..n; given a
+    complex, its differentials are the ones reduced and kept in the report.
 
     Each differential is row-reduced once: its pivots give the cocycles of
     its own degree and, as pivot columns, the coboundaries of the next.
@@ -181,7 +182,7 @@ def cohomology(rep: RepSpec) -> CohomologyReport:
     not identically zero, which happens exactly when the bracket or the
     action fails its identity.
     """
-    cx = CEComplex(rep)
+    cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
     bad = cx.d_squared_defect()
     if bad is not None:
         raise CohomologyUndefinedError(
@@ -205,7 +206,7 @@ def cohomology(rep: RepSpec) -> CohomologyReport:
         assert len(reps) == data.dim_h
         out.append(data)
         cob = _subspace(d.rows, [d.column(j) for j in pivots])
-    return CohomologyReport(label=rep.label or rep.variant,
+    return CohomologyReport(label=cx.rep.label or cx.rep.variant,
                             acting_dim=cx.n, carrier_dim=cx.carrier_dim,
                             degrees=tuple(out), complex=cx)
 
@@ -232,10 +233,12 @@ class Problem:
     subalgebra witness, with its coefficient system (adjoint, pullback or
     quotient) and its tangent degree (2, 1 or 1).
 
-    The coefficient system and its cohomology report are built on first use
-    and kept, so every verdict and Newton seed asked of one problem shares
-    one report.  For a homomorphism, ``target`` is the bracket problem of the
-    target algebra, which holds the adjoint report the induced maps need.
+    The coefficient system, its complex and the cohomology report reduced
+    from that complex are built on first use and kept, so every verdict,
+    obstruction class and Newton seed asked of one problem shares one
+    differential per degree.  A homomorphism has ``source`` and ``target``,
+    the bracket problems of its two algebras; a subalgebra has
+    ``inclusion``, the homomorphism problem of h -> g.
     """
 
     def __init__(self, obj):
@@ -265,12 +268,28 @@ class Problem:
         return self._rep_of(self.obj)
 
     @cached_property
+    def complex(self) -> CEComplex:
+        return CEComplex(self.rep)
+
+    @cached_property
     def report(self) -> CohomologyReport:
-        return cohomology(self.rep)
+        return cohomology(self.complex)
+
+    @cached_property
+    def source(self) -> "Problem":
+        return Problem(self.obj.source)
 
     @cached_property
     def target(self) -> "Problem":
         return Problem(self.obj.target)
+
+    @cached_property
+    def inclusion(self) -> "Problem":
+        w = self.obj
+        basis = Matrix.from_columns([w.basis_vector(t) for t in range(w.dim)],
+                                    rows=w.ambient.dim)
+        return Problem(Homomorphism(w.as_subalgebra(), w.ambient, basis,
+                                    name=f"{w.name}-incl"))
 
     def h_dim(self, k: int) -> int:
         """dim H^k; 0 above the acting dimension, where C^k = 0."""
@@ -442,20 +461,20 @@ class LESReport:
         }
 
 
-def _exact_at(incoming: Matrix, outgoing: Matrix, dim_node: int):
+def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode:
     """Exactness of  prev --incoming--> node --outgoing--> next  plus the
-    explicit membership certificate image(in) inside kernel(out)."""
+    explicit membership certificate image(in) inside kernel(out).  Each map
+    is reduced once; its rank is its pivot count."""
+    dim_node = outgoing.cols
     composed_zero = outgoing.mul(incoming).is_zero()
-    r_in, r_out = rank(incoming), rank(outgoing)
+    _, in_pivots = rref(incoming)
+    ker, out_pivots = kernel_and_pivots(outgoing)
+    r_in, r_out = len(in_pivots), len(out_pivots)
     exact = composed_zero and (r_in + r_out == dim_node)
-    ker = kernel_basis(outgoing)
     kmat = Matrix.from_columns([list(v) for v in ker.basis], rows=dim_node)
-    membership = True
-    for v in image_basis(incoming).basis:
-        if solve_particular(kmat, list(v)) is None:
-            membership = False
-            break
-    return r_in, r_out, exact, membership
+    membership = all(solve_particular(kmat, incoming.column(j)) is not None
+                     for j in in_pivots)
+    return LESNode(label, k, dim_node, r_in, r_out, exact, membership)
 
 
 def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
@@ -498,23 +517,18 @@ def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
     return Matrix.from_columns(cols, rows=sdeg.dim_h)
 
 
-def les_subalgebra(w: SubalgebraWitness, max_degree: int) -> LESReport:
+def les_subalgebra(w: SubalgebraWitness | Problem, max_degree: int) -> LESReport:
     """The long exact sequence H^k(h,h) -> H^k(h,g) -> H^k(h,g/h) ->
     H^{k+1}(h,h) -> ..., with exactness certified at every node that has both
-    maps inside the computed window."""
-    sub_alg = w.as_subalgebra()
-    incl = Homomorphism(sub_alg, w.ambient,
-                        Matrix.from_columns([w.basis_vector(t) for t in range(w.dim)],
-                                            rows=w.ambient.dim),
-                        name=f"{w.name}-incl")
-    rep_a = adjoint_rep(sub_alg)
-    rep_b = pullback_rep(incl)
-    rep_c = quotient_rep(w)
-    rA = cohomology(rep_a)
-    rB = cohomology(rep_b)
-    rC = cohomology(rep_c)
+    maps inside the computed window.  The three reports are those of the sub
+    problem, its inclusion and the inclusion's source."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    p = Problem.of(w, "sub")
+    w, incl = p.obj, p.inclusion
+    rA, rB, rC = incl.source.report, incl.report, p.report
     kh = w.dim
-    iota_maps = {k: _post_compose_block(incl.matrix, len(subsets(kh, k)))
+    iota_maps = {k: _post_compose_block(incl.obj.matrix, len(subsets(kh, k)))
                  for k in range(kh + 2)}
     pi_maps = {k: _post_compose_block(w.coords.projection, len(subsets(kh, k)))
                for k in range(kh + 2)}
@@ -526,26 +540,14 @@ def les_subalgebra(w: SubalgebraWitness, max_degree: int) -> LESReport:
     conn = {k: connecting_map_on_h(w, rC, rB, rA, k) for k in range(top + 1)}
 
     nodes = []
-    zero_in = Matrix.zeros(rA.degree(0).dim_h, 0)
     for k in range(top + 1):
-        # node H^k(h,h)
-        incoming = conn[k - 1] if k > 0 else zero_in
-        outgoing = i_on_h[k].matrix
-        r_in, r_out, ex, mem = _exact_at(incoming, outgoing, rA.degree(k).dim_h)
-        nodes.append(LESNode(f"H^{k}(h,h)", k, rA.degree(k).dim_h, r_in, r_out, ex, mem))
-        # node H^k(h,g)
-        r_in, r_out, ex, mem = _exact_at(i_on_h[k].matrix, p_on_h[k].matrix,
-                                         rB.degree(k).dim_h)
-        nodes.append(LESNode(f"H^{k}(h,g)", k, rB.degree(k).dim_h, r_in, r_out, ex, mem))
-        # node H^k(h,g/h)
-        r_in, r_out, ex, mem = _exact_at(p_on_h[k].matrix, conn[k],
-                                         rC.degree(k).dim_h)
-        nodes.append(LESNode(f"H^{k}(h,g/h)", k, rC.degree(k).dim_h, r_in, r_out, ex, mem))
+        incoming = conn[k - 1] if k > 0 else Matrix.zeros(rA.degree(0).dim_h, 0)
+        nodes += [_exact_at(f"H^{k}(h,h)", k, incoming, i_on_h[k].matrix),
+                  _exact_at(f"H^{k}(h,g)", k, i_on_h[k].matrix, p_on_h[k].matrix),
+                  _exact_at(f"H^{k}(h,g/h)", k, p_on_h[k].matrix, conn[k])]
     # closing node H^{top+1}(h,h) when the inclusion map there is available
     if top + 1 <= kh:
-        r_in, r_out, ex, mem = _exact_at(conn[top], i_on_h[top + 1].matrix,
-                                         rA.degree(top + 1).dim_h)
-        nodes.append(LESNode(f"H^{top+1}(h,h)", top + 1, rA.degree(top + 1).dim_h,
-                             r_in, r_out, ex, mem))
+        nodes.append(_exact_at(f"H^{top+1}(h,h)", top + 1, conn[top],
+                               i_on_h[top + 1].matrix))
     return LESReport(sub_report=rA, ambient_report=rB, quotient_report=rC,
                      nodes=tuple(nodes), max_degree=max_degree)

@@ -208,7 +208,7 @@ def _cmd_kuranishi(args) -> int:
             _emit(payload, args.json, [rep.summary()])
             return 0
         xi = _parse_bracket_direction(doc, obj)
-        oc = K.kuranishi_bracket(obj, xi)
+        oc = K.kuranishi_bracket(problem, xi)
     elif kind == "hom":
         if doc is None:
             xi = _random_rational_matrix(obj.target.dim, obj.source.dim,
@@ -220,9 +220,9 @@ def _cmd_kuranishi(args) -> int:
             return 0
         m = _parse_matrix_direction(doc, obj.target.dim, obj.source.dim)
         xi = K.matrix_as_one_cochain(m)
-        oc = K.kuranishi_hom(obj, xi)
+        oc = K.kuranishi_hom(problem, xi)
     else:
-        sp = K.standard_splitting(obj)
+        sp = K.standard_splitting(problem)
         if doc is None:
             shift = _random_rational_matrix(obj.dim, obj.quotient_dim,
                                             args.seed)
@@ -255,6 +255,8 @@ def _first_quotient_cocycle(problem: Problem) -> AltMap:
 
 
 def _cmd_les(args) -> int:
+    if args.max_degree < 0:
+        raise MalformedDocumentError("--max-degree must be >= 0")
     w = resolve_sub(args.sub)
     report = les_subalgebra(w, args.max_degree)
     payload = report.to_json_dict()
@@ -277,6 +279,8 @@ def _cmd_deform(args) -> int:
         if not args.kind:
             raise MalformedDocumentError(
                 "deform needs --experiment FILE or --kind with an object flag")
+        if args.seeds < 0:
+            raise MalformedDocumentError("--seeds must be >= 0")
         doc = {"kind": args.kind,
                "perturbation": {"scale": args.scale,
                                 "seeds": list(range(args.seeds))}}

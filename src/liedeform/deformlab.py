@@ -23,7 +23,7 @@ from scipy.linalg import expm, subspace_angles
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        SubalgebraWitness)
-from .cecomplex import CEComplex, Problem, differential_rows
+from .cecomplex import Problem, differential_rows
 from .exactlin import Matrix, invert
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
@@ -617,9 +617,8 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     sizes = [x for x in by_t.values()]
     if len({v.size for v in sizes}) != 1:
         raise ValueError("inconsistent sample dimensions")
-    cx = CEComplex(p.rep)
-    d_out = float_matrix(cx.d(degree))
-    d_in = float_matrix(cx.d(degree - 1))
+    d_out = float_matrix(p.complex.d(degree))
+    d_in = float_matrix(p.complex.d(degree - 1))
     defects = []
     derivs = []
     for h in hs[:2]:
@@ -713,7 +712,7 @@ def vertical_derivative_fd_check(kind: str, base, direction,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     p = Problem.of(base, kind)
-    true_deriv = float_matrix(CEComplex(p.rep).d(p.tangent_degree)) @ d_flat
+    true_deriv = float_matrix(p.complex.d(p.tangent_degree)) @ d_flat
 
     base_val = value(0.0)
     central_defects = []

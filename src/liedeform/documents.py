@@ -10,6 +10,7 @@ The command line maps these to exit codes 2 and 1 respectively.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
@@ -247,13 +248,17 @@ def parse_experiment_doc(doc) -> dict:
     _require(isinstance(pert, dict), "'perturbation' must be an object",
              "perturbation")
     scale = pert.get("scale", 0.05)
+    # perturbations draw from uniform(-scale, scale), whose width 2 * scale
+    # must be a finite float; seeds seed numpy generators, which refuse
+    # negative integers
     _require(isinstance(scale, (int, float)) and not isinstance(scale, bool)
-             and scale >= 0, "'scale' must be a nonnegative number",
-             "perturbation.scale")
+             and 0 <= scale <= sys.float_info.max / 2,
+             "'scale' must be a finite nonnegative number", "perturbation.scale")
     seeds = pert.get("seeds", list(range(10)))
     _require(isinstance(seeds, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds),
-        "'seeds' must be a list of integers", "perturbation.seeds")
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0
+        for s in seeds),
+        "'seeds' must be a list of nonnegative integers", "perturbation.seeds")
     newton = doc.get("newton", {})
     _require(isinstance(newton, dict), "'newton' must be an object", "newton")
     allowed = {"tol", "max_iter", "damping", "seed"}

@@ -80,11 +80,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -115,12 +110,6 @@ class Matrix:
             out[i] = s
         return out
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols,
-                      [self.data[i] + other.data[i] for i in range(self.rows)])
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
@@ -133,10 +122,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a.mul(b)
 
 
 def rref(m: Matrix):

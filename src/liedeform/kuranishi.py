@@ -21,10 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
-                       SubalgebraWitness, ad_matrix, adjoint_rep,
-                       pullback_rep, quotient_rep)
-from .cecomplex import CEComplex, differential_rows
-from .cochains import AltMap, cochain_dim, subsets
+                       SubalgebraWitness, ad_matrix)
+from .cecomplex import Problem, differential_rows
+from .cochains import AltMap, cochain_dim
 from .exactlin import Matrix, invert, solve_particular
 
 
@@ -212,46 +211,48 @@ class ObstructionClass:
         return out
 
 
-def _class_against(cx: CEComplex, degree: int, rep_flat) -> tuple:
-    primitive = solve_particular(cx.d(degree - 1), rep_flat)
-    if primitive is None:
-        return False, None
-    return True, AltMap.from_flat(degree - 1, cx.n, cx.carrier_dim, primitive)
+def _obstruction(p: Problem, direction: AltMap, representative,
+                 not_cocycle: str, not_closed: str) -> ObstructionClass:
+    """The argument shared by the three kinds: ``direction`` must be a
+    cocycle at the tangent degree t, ``representative(direction)`` is closed
+    in degree t + 1, and its class vanishes iff it is d_t of a primitive."""
+    cx, t = p.complex, p.tangent_degree
+    defect = cx.apply_d(direction)
+    if not defect.is_zero():
+        raise NonCocycleError(not_cocycle, defect)
+    rep = representative(direction)
+    assert cx.apply_d(rep).is_zero(), not_closed
+    primitive = solve_particular(cx.d(t), rep.flat())
+    if primitive is not None:
+        primitive = AltMap.from_flat(t, cx.n, cx.carrier_dim, primitive)
+    return ObstructionClass(p.kind, rep, primitive is not None, primitive)
 
 
-def kuranishi_bracket(g: LieAlgebra, xi: AltMap) -> ObstructionClass:
+def kuranishi_bracket(g: LieAlgebra | Problem, xi: AltMap) -> ObstructionClass:
     """Second-order obstruction of a bracket direction: the class of J(xi)
     against the coboundaries in degree three."""
-    cx = CEComplex(adjoint_rep(g))
-    defect = cx.apply_d(xi)
-    if not defect.is_zero():
-        raise NonCocycleError("direction is not a 2-cocycle", defect)
-    rep = jacobiator(BracketCandidate.from_altmap(xi))
-    closed = cx.d(3).apply(rep.flat())
-    assert all(x == 0 for x in closed), "J(xi) failed to be closed"
-    vanishes, primitive = _class_against(cx, 3, rep.flat())
-    return ObstructionClass("bracket", rep, vanishes, primitive)
+    return _obstruction(
+        Problem.of(g, "bracket"), xi,
+        lambda xi: jacobiator(BracketCandidate.from_altmap(xi)),
+        "direction is not a 2-cocycle", "J(xi) failed to be closed")
 
 
-def kuranishi_hom(rho: Homomorphism, xi: AltMap) -> ObstructionClass:
+def kuranishi_hom(rho: Homomorphism | Problem, xi: AltMap) -> ObstructionClass:
     """Obstruction of a homomorphism direction xi in Z^1(h, g): the class of
     (u,v) -> [xi(u), xi(v)] against the degree-two coboundaries."""
-    cx = CEComplex(pullback_rep(rho))
-    h, g = rho.source, rho.target
+    p = Problem.of(rho, "hom")
+    h, g = p.obj.source, p.obj.target
     if (xi.degree, xi.domain_dim, xi.carrier_dim) != (1, h.dim, g.dim):
         raise ValueError("direction must be a 1-cochain on the source with "
                          "values in the target")
-    defect = cx.apply_d(xi)
-    if not defect.is_zero():
-        raise NonCocycleError("direction is not a 1-cocycle", defect)
-    values = {}
-    for (i, j) in combinations(range(h.dim), 2):
-        values[(i, j)] = g.bracket(xi.value((i,)), xi.value((j,)))
-    rep = AltMap.from_values(2, h.dim, g.dim, values)
-    closed = cx.d(2).apply(rep.flat())
-    assert all(x == 0 for x in closed), "[xi,xi]/2 failed to be closed"
-    vanishes, primitive = _class_against(cx, 2, rep.flat())
-    return ObstructionClass("hom", rep, vanishes, primitive)
+
+    def representative(xi):
+        values = {(i, j): g.bracket(xi.value((i,)), xi.value((j,)))
+                  for (i, j) in combinations(range(h.dim), 2)}
+        return AltMap.from_values(2, h.dim, g.dim, values)
+
+    return _obstruction(p, xi, representative, "direction is not a 1-cocycle",
+                        "[xi,xi]/2 failed to be closed")
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +260,23 @@ def kuranishi_hom(rho: Homomorphism, xi: AltMap) -> ObstructionClass:
 
 @dataclass(frozen=True)
 class Splitting:
-    """A right inverse of the quotient projection for a subalgebra witness."""
+    """A right inverse of the quotient projection for a subalgebra, with the
+    sub problem it splits; a raw witness is wrapped in a new problem."""
 
-    witness: SubalgebraWitness
+    problem: SubalgebraWitness | Problem
     section: Matrix  # ambient_dim x quotient_dim
 
     def __post_init__(self):
+        object.__setattr__(self, "problem", Problem.of(self.problem, "sub"))
         qc = self.witness.coords
         if self.section.rows != qc.ambient_dim or self.section.cols != qc.dim:
             raise ValueError("section has wrong shape")
         if not qc.projection.mul(self.section) == Matrix.identity(qc.dim):
             raise ValueError("section is not a right inverse of the projection")
+
+    @property
+    def witness(self) -> SubalgebraWitness:
+        return self.problem.obj
 
     @property
     def omega_s(self) -> Matrix:
@@ -285,24 +292,24 @@ class Splitting:
         return out
 
 
-def standard_splitting(w: SubalgebraWitness) -> Splitting:
+def standard_splitting(w: SubalgebraWitness | Problem) -> Splitting:
     """The standard-basis complement section from the quotient coordinates."""
-    return Splitting(w, w.coords.section)
+    p = Problem.of(w, "sub")
+    return Splitting(p, p.obj.coords.section)
 
 
 def shifted_splitting(sp: Splitting, shift: Matrix) -> Splitting:
-    """A new splitting section' = section + basis o shift, with ``shift`` a
-    (sub_dim x quotient_dim) matrix into subalgebra coordinates."""
+    """A new splitting of the same problem, section' = section + basis o
+    shift, with ``shift`` a (sub_dim x quotient_dim) matrix into subalgebra
+    coordinates."""
     w = sp.witness
     if shift.rows != w.dim or shift.cols != w.quotient_dim:
         raise ValueError("shift has wrong shape")
-    basis = Matrix.from_columns([w.basis_vector(t) for t in range(w.dim)],
-                                rows=w.ambient.dim)
-    add = basis.mul(shift)
+    add = sp.problem.inclusion.obj.matrix.mul(shift)
     sec = Matrix(sp.section.rows, sp.section.cols,
                  [[sp.section.data[i][j] + add.data[i][j]
                    for j in range(sp.section.cols)] for i in range(sp.section.rows)])
-    return Splitting(w, sec)
+    return Splitting(sp.problem, sec)
 
 
 def eta_matrix(eta: AltMap) -> Matrix:
@@ -320,6 +327,12 @@ def matrix_as_one_cochain(m: Matrix) -> AltMap:
     return AltMap.from_flat(1, m.cols, m.rows, flat)
 
 
+def _check_eta_shape(w: SubalgebraWitness, eta: AltMap):
+    if (eta.degree, eta.domain_dim, eta.carrier_dim) != (1, w.dim, w.quotient_dim):
+        raise ValueError("eta must be a 1-cochain on the subalgebra with "
+                         "values in the quotient")
+
+
 def omega_sigma(sp: Splitting, eta: AltMap) -> AltMap:
     """delta(section o eta) computed in the ambient-valued complex, certified
     to take values in the subalgebra and returned in its coordinates.
@@ -327,39 +340,30 @@ def omega_sigma(sp: Splitting, eta: AltMap) -> AltMap:
     Requires eta in Z^1(h, g/h); for non-cocycles the values provably leave
     the subalgebra and the certification fails.
     """
-    w = sp.witness
-    qc = w.coords
-    kh, q, n = w.dim, w.quotient_dim, w.ambient.dim
-    if (eta.degree, eta.domain_dim, eta.carrier_dim) != (1, kh, q):
-        raise ValueError("eta must be a 1-cochain on the subalgebra with "
-                         "values in the quotient")
-    quot_cx = CEComplex(quotient_rep(w))
-    defect = quot_cx.apply_d(eta)
+    _check_eta_shape(sp.witness, eta)
+    defect = sp.problem.complex.apply_d(eta)
     if not defect.is_zero():
         raise NonCocycleError("eta is not a cocycle; delta(section o eta) "
                               "does not take values in the subalgebra", defect)
-    sub_alg = w.as_subalgebra()
-    incl = Homomorphism(sub_alg, w.ambient,
-                        Matrix.from_columns([w.basis_vector(t) for t in range(kh)],
-                                            rows=n), name="incl")
-    amb_cx = CEComplex(pullback_rep(incl))
-    lift_flat = []
-    em = eta_matrix(eta)
-    for i in range(kh):
-        lift_flat.extend(sp.section.apply(em.column(i)))
-    dval = amb_cx.d(1).apply(lift_flat)
+    return _omega(sp, eta)
+
+
+def _omega(sp: Splitting, eta: AltMap) -> AltMap:
+    """omega_sigma of an eta already known to be a cocycle, in the complexes
+    of the problem's inclusion (values in g) and of its source (in h)."""
+    w, incl = sp.witness, sp.problem.inclusion
+    qc = w.coords
+    lift = matrix_as_one_cochain(sp.section.mul(eta_matrix(eta)))
+    dval = incl.complex.apply_d(lift)
     values = {}
-    pairs = list(combinations(range(kh), 2))
-    for p, pair in enumerate(pairs):
-        block = dval[p * n:(p + 1) * n]
-        certify = qc.projection.apply(block)
-        if any(x != 0 for x in certify):
+    for pair in combinations(range(w.dim), 2):
+        block = dval.value(pair)
+        if any(x != 0 for x in qc.projection.apply(block)):
             raise AssertionError("omega_sigma value left the subalgebra")
         values[pair] = qc.to_sub_coords(block)
-    out = AltMap.from_values(2, kh, kh, values)
-    sub_cx = CEComplex(adjoint_rep(sub_alg))
-    closed = sub_cx.d(2).apply(out.flat())
-    assert all(x == 0 for x in closed), "omega_sigma value is not closed"
+    out = AltMap.from_values(2, w.dim, w.dim, values)
+    assert incl.source.complex.apply_d(out).is_zero(), \
+        "omega_sigma value is not closed"
     return out
 
 
@@ -369,26 +373,23 @@ def kuranishi_sub(sp: Splitting, eta: AltMap) -> ObstructionClass:
     classed against the degree-two coboundaries of the quotient system."""
     w = sp.witness
     qc = w.coords
-    kh = w.dim
-    quot_cx = CEComplex(quotient_rep(w))
-    cocycle_defect = quot_cx.apply_d(eta)
-    if not cocycle_defect.is_zero():
-        raise NonCocycleError("eta is not a 1-cocycle", cocycle_defect)
-    omega = omega_sigma(sp, eta)
-    em = eta_matrix(eta)
-    values = {}
-    for (i, j) in combinations(range(kh), 2):
-        a = sp.section.apply(em.column(i))
-        b = sp.section.apply(em.column(j))
-        term1 = qc.projection.apply(w.ambient.bracket(a, b))
-        wv = omega.value((i, j))
-        eta_of_w = em.apply(wv)
-        values[(i, j)] = [x - y for x, y in zip(term1, eta_of_w)]
-    rep = AltMap.from_values(2, kh, w.quotient_dim, values)
-    closed = quot_cx.d(2).apply(rep.flat())
-    assert all(x == 0 for x in closed), "subalgebra obstruction is not closed"
-    vanishes, primitive = _class_against(quot_cx, 2, rep.flat())
-    return ObstructionClass("sub", rep, vanishes, primitive)
+
+    def representative(eta):
+        _check_eta_shape(w, eta)
+        omega = _omega(sp, eta)
+        em = eta_matrix(eta)
+        lift = sp.section.mul(em)
+        values = {}
+        for (i, j) in combinations(range(w.dim), 2):
+            term1 = qc.projection.apply(
+                w.ambient.bracket(lift.column(i), lift.column(j)))
+            eta_of_w = em.apply(omega.value((i, j)))
+            values[(i, j)] = [x - y for x, y in zip(term1, eta_of_w)]
+        return AltMap.from_values(2, w.dim, w.quotient_dim, values)
+
+    return _obstruction(sp.problem, eta, representative,
+                        "eta is not a 1-cocycle",
+                        "subalgebra obstruction is not closed")
 
 
 @dataclass(frozen=True)
@@ -431,8 +432,7 @@ def splitting_independence_check(sp1: Splitting, sp2: Splitting,
     shift = Matrix.from_columns(shift_cols, rows=w.dim)
     em = eta_matrix(eta)
     psi = em.mul(shift).mul(em)  # quotient values on the subalgebra basis
-    quot_cx = CEComplex(quotient_rep(w))
-    cob = quot_cx.apply_d(matrix_as_one_cochain(psi))
+    cob = sp1.problem.complex.apply_d(matrix_as_one_cochain(psi))
     mismatch = diff.sub(cob)
     return SplittingComparison(ok=mismatch.is_zero(),
                                max_defect=mismatch.sup_abs(),

@@ -10,7 +10,8 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
                                 catalog_names, hom_preset, pullback_rep,
                                 quotient_rep, sub_preset)
 from liedeform.cecomplex import (CEComplex, ChainMapError,
-                                 CohomologyUndefinedError, adjoint_cohomology,
+                                 CohomologyUndefinedError, Problem,
+                                 adjoint_cohomology,
                                  cohomology, connecting_map_on_h,
                                  differential_matrix, euler_characteristic,
                                  identity_chain_maps, induced_map_on_h,
@@ -190,6 +191,17 @@ class TestLongExactSequence:
                                 les.sub_report, 0)
         assert m.rows == les.sub_report.degree(1).dim_h
         assert m.cols == les.quotient_report.degree(0).dim_h
+
+    def test_negative_max_degree_is_refused(self):
+        with pytest.raises(ValueError):
+            les_subalgebra(sub_preset("borel-in-sl2"), -1)
+
+    def test_reports_are_the_sub_problems(self):
+        p = Problem(sub_preset("center-in-heis3"))
+        les = les_subalgebra(p, 2)
+        assert les.sub_report is p.inclusion.source.report
+        assert les.ambient_report is p.inclusion.report
+        assert les.quotient_report is p.report
 
     def test_json_round_trip_fields(self):
         les = les_subalgebra(sub_preset("center-in-heis3"), 2)

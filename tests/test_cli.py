@@ -204,6 +204,12 @@ class TestLes:
         assert code == 0
         assert "exact" in out.lower()
 
+    def test_negative_max_degree_is_malformed(self, capsys):
+        code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
+                               "--max-degree", "-1", "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+
 
 class TestDeform:
     def test_bracket_recovery_runs(self, capsys):
@@ -237,6 +243,27 @@ class TestDeform:
         code, _, err = run_cli(capsys, "deform", "--kind", "bracket-recovery",
                                "--algebra", "heis3", "--seeds", "1")
         assert code == 1
+
+    def test_infinite_scale_is_malformed(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",
+                               "--algebra", "sl2", "--scale", "inf", "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+        p = tmp_path / "exp.json"
+        p.write_text('{"kind": "bracket-recovery", "algebra": "sl2", '
+                     '"perturbation": {"scale": Infinity, "seeds": [0]}}')
+        code, out, _ = run_cli(capsys, "deform", "--experiment", str(p),
+                               "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+
+    def test_seed_count_must_not_be_negative(self, capsys):
+        code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",
+                               "--algebra", "sl2", "--seeds", "-3", "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+        assert run_cli(capsys, "deform", "--kind", "bracket-recovery",
+                       "--algebra", "sl2", "--seeds", "0") == (0, "", "")
 
     def test_text_output_summarizes(self, capsys):
         code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",

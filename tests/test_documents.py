@@ -214,6 +214,22 @@ class TestExperimentDocs:
         with pytest.raises(MalformedDocumentError):
             parse_experiment_doc(doc)
 
+    def test_scale_must_be_finite(self):
+        # json accepts the literal Infinity; no float holds 10**400
+        with pytest.raises(MalformedDocumentError):
+            parse_experiment_doc(json.loads(
+                '{"kind": "bracket-recovery", "algebra": "sl2", '
+                '"perturbation": {"scale": Infinity, "seeds": [0]}}'))
+        for scale in (float("nan"), 10 ** 400, 1e308):
+            with pytest.raises(MalformedDocumentError):
+                parse_experiment_doc(self.doc(perturbation={"scale": scale,
+                                                            "seeds": [0]}))
+
+    def test_negative_seed_is_malformed(self):
+        with pytest.raises(MalformedDocumentError):
+            parse_experiment_doc(self.doc(perturbation={"scale": 0.05,
+                                                        "seeds": [0, -1]}))
+
     def test_bad_newton_settings_are_malformed(self):
         with pytest.raises(MalformedDocumentError):
             parse_experiment_doc(self.doc(newton={"tol": -1.0}))

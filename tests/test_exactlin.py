@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from liedeform.exactlin import (Matrix, format_scalar, image_basis, invert,
-                                kernel_basis, mat_mul, parse_scalar,
-                                quotient_coords, rank, reduced_basis, rref,
-                                solve_particular, Subspace, _subspace)
+                                kernel_basis, parse_scalar, quotient_coords,
+                                rank, reduced_basis, rref, solve_particular,
+                                Subspace, _subspace)
 
 
 def F(x, y=1):
@@ -44,12 +44,6 @@ class TestMatrixBasics:
         m = Matrix.from_columns(cols, rows=3)
         assert m.column(0) == cols[0]
         assert m.column(1) == cols[1]
-        assert m.transpose().transpose() == m
-
-    def test_hstack(self):
-        a = Matrix.from_rows([[1], [2]])
-        b = Matrix.from_rows([[3], [4]])
-        assert a.hstack(b) == Matrix.from_rows([[1, 3], [2, 4]])
 
     def test_empty_shapes(self):
         z = Matrix.zeros(0, 3)
@@ -155,9 +149,3 @@ class TestQuotientCoords:
         assert qc0.dim == 2
         assert qc0.projection == Matrix.identity(2)
         assert qc0.section == Matrix.identity(2)
-
-
-def test_mat_mul_agrees_with_method():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[0, 1], [1, 0]])
-    assert mat_mul(a, b) == a.mul(b)

@@ -1,6 +1,7 @@
 """One problem object per kind: its cohomology is computed once and shared
 by every verdict, CLI verb and Newton seed that asks for it."""
 
+import json
 import sys
 
 import pytest
@@ -10,7 +11,10 @@ from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
                                 hom_preset_names, sub_preset, sub_preset_names)
 from liedeform.cecomplex import Problem
 from liedeform.cli import run
+from liedeform.cochains import AltMap
 from liedeform.deformlab import run_experiment
+from liedeform.exactlin import Matrix
+from liedeform import kuranishi as K
 from liedeform import verdicts as V
 
 VERDICTS = {
@@ -104,3 +108,88 @@ def test_wrong_kind_is_refused():
         V.bracket_rigidity(hom_preset("id-sl2"))
     with pytest.raises(TypeError):
         Problem(42)
+
+
+@pytest.fixture
+def differential_builds(monkeypatch):
+    """Counts builds of an exact differential matrix."""
+    builds = []
+    orig = cecomplex.differential_matrix
+
+    def counted(k, rep):
+        builds.append((k, rep))
+        return orig(k, rep)
+
+    monkeypatch.setattr(cecomplex, "differential_matrix", counted)
+    return builds
+
+
+@pytest.mark.parametrize("argv, builds, reports", [
+    (["kuranishi", "--sub", "borel-in-sl2"], 5, 1),
+    (["kuranishi", "--sub", "center-in-heis3"], 5, 1),
+    (["les", "--sub", "borel-in-sl2"], 9, 3),
+])
+def test_command_builds_each_differential_once(differential_builds,
+                                               cohomology_calls, capsys,
+                                               argv, builds, reports):
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(differential_builds) == builds
+    assert len(cohomology_calls) == reports
+
+
+@pytest.mark.parametrize("flag, name, direction, builds", [
+    # eta(h) = fbar, eta(e) = 0
+    ("--sub", "borel-in-sl2", [["1", "0"]], 4),
+    ("--algebra", "sl2", [{"i": 0, "j": 1, "coeffs": ["0", "0", "0"]}], 2),
+    ("--hom", "borel-incl", [["0", "0"]] * 3, 2),
+])
+def test_direction_builds_each_differential_once(differential_builds,
+                                                 cohomology_calls, capsys,
+                                                 tmp_path, flag, name,
+                                                 direction, builds):
+    doc = tmp_path / "direction.json"
+    doc.write_text(json.dumps(direction))
+    assert run(["kuranishi", flag, name, "--direction", str(doc)]) == 0
+    capsys.readouterr()
+    assert len(differential_builds) == builds
+    assert cohomology_calls == []
+
+
+def cocycle_sum(problem):
+    """The sum of the cocycle basis at the tangent degree."""
+    t, report = problem.tangent_degree, problem.report
+    basis = report.degree(t).cocycles.basis
+    flat = [sum(xs) for xs in zip(*basis)] or [0] * report.complex.dim_cochains(t)
+    return AltMap.from_flat(t, report.acting_dim, report.carrier_dim, flat)
+
+
+OBSTRUCTIONS = {"bracket": K.kuranishi_bracket, "hom": K.kuranishi_hom,
+                "sub": K.kuranishi_sub}
+
+
+def test_obstructions_agree_on_raw_object_and_problem():
+    for obj in all_objects():
+        problem = Problem(obj)
+        direction = cocycle_sum(problem)
+        raw, wrapped = obj, problem
+        if problem.kind == "sub":
+            raw = K.Splitting(obj, obj.coords.section)
+            wrapped = K.standard_splitting(problem)
+            assert (K.omega_sigma(raw, direction).flat()
+                    == K.omega_sigma(wrapped, direction).flat()), obj
+        obstruction = OBSTRUCTIONS[problem.kind]
+        assert (obstruction(raw, direction).to_json_dict()
+                == obstruction(wrapped, direction).to_json_dict()), obj
+
+
+def test_splitting_carries_its_problem():
+    w = sub_preset("borel-in-sl2")
+    raw = K.standard_splitting(w)
+    assert raw.witness is w and raw.problem.obj is w
+    problem = Problem(w)
+    sp = K.standard_splitting(problem)
+    shifted = K.shifted_splitting(sp, Matrix.from_rows([[1], [2]]))
+    assert sp.problem is problem and shifted.problem is problem
+    with pytest.raises(TypeError):
+        K.Splitting(Problem(catalog_algebra("sl2")), w.coords.section)
