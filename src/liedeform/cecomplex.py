@@ -405,11 +405,6 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
                       target_dim=tdeg.dim_h, rank=rank(matrix))
 
 
-def identity_chain_maps(report: CohomologyReport) -> dict:
-    return {k: Matrix.identity(report.complex.dim_cochains(k))
-            for k in range(report.acting_dim + 2)}
-
-
 # ---------------------------------------------------------------------------
 # the long exact sequence of a subalgebra
 

@@ -333,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="exact cohomology of a coefficient "
                                           "system")
     add_common(p)
-    p.add_argument("--rep", default="adjoint", choices=["adjoint"],
-                   help="coefficient system for a bare algebra (pullback and "
-                        "quotient systems come from --hom / --sub)")
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("verdict", help="rigidity/stability verdicts")

@@ -31,10 +31,6 @@ def cochain_dim(n: int, k: int, m: int) -> int:
     return comb(n, k) * m
 
 
-def flat_index(position: int, m: int, a: int) -> int:
-    return position * m + a
-
-
 def insertion_sign(element: int, sorted_rest) -> tuple:
     """Sort (element, *rest) into ascending order.
 

@@ -8,6 +8,11 @@ on homomorphisms and subspaces.  Newton uses a chord iteration: the
 least-squares pseudoinverse of the linearization at the base point is
 computed once and reused, refreshed from a numerical Jacobian only on stall.
 
+Each problem kind has one float chart (``_CHARTS``): its acting bracket and
+base point, flat chart coordinates, structure map, group action and orbit
+linearization.  One recovery skeleton and one continuation skeleton run on
+any chart, and the finite-difference checks read the chart too.
+
 Flattening follows the cochain convention throughout: a k-cochain value
 block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 1-cochain seen as a matrix M (columns = values) flattens to M.T.ravel().
@@ -21,10 +26,9 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import expm, subspace_angles
 
-from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
-                       SubalgebraWitness)
+from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem, differential_rows
-from .exactlin import Matrix, invert
+from .exactlin import Matrix
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
 
@@ -95,9 +99,6 @@ class FloatBracket:
             prov["source"] = g.name
         return cls(cand.dim, c, prov)
 
-    def jacobi_defect(self) -> float:
-        return _sup(jacobiator_flat(self.c))
-
     def bracket(self, x, y) -> np.ndarray:
         return _bracket_eval(self.c, np.asarray(x, float), np.asarray(y, float))
 
@@ -115,20 +116,6 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
     return FloatBracket(mu.dim, c, prov)
 
 
-def act_on_bracket_exact(a_matrix: Matrix, cand: BracketCandidate) -> BracketCandidate:
-    """Exact-arithmetic twin of act_on_bracket for rational matrices."""
-    n = cand.dim
-    ainv = invert(a_matrix)
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            u = ainv.column(i)
-            v = ainv.column(j)
-            w = a_matrix.apply(cand.bracket(u, v))
-            entries[(i, j)] = w
-    return BracketCandidate.from_entries(n, entries)
-
-
 # ---------------------------------------------------------------------------
 # Newton machinery
 
@@ -137,7 +124,6 @@ class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 50
     damping: float = 1.0
-    seed: int = 0
     stall_ratio: float = 0.9
     input_defect_tol: float = 1e-8
 
@@ -246,78 +232,6 @@ def _pairs_flat(c: np.ndarray) -> np.ndarray:
         if n >= 2 else np.zeros(0)
 
 
-# ---------------------------------------------------------------------------
-# orbit recovery
-
-def recover_bracket_orbit(g: LieAlgebra | Problem, mu_prime: FloatBracket,
-                          cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
-    """Find A = exp(a) with A . mu ~ mu'.  Requires H^2(g,g) = 0; the Newton
-    linearization at a = 0 is minus the adjoint differential C^1 -> C^2."""
-    p = Problem.of(g, "bracket")
-    if not bracket_rigidity(p).holds:
-        raise PreconditionError("bracket rigidity criterion (H2=0) does not "
-                                "hold; orbit recovery is not guaranteed")
-    g = p.obj
-    n = g.dim
-    if mu_prime.dim != n:
-        raise ValueError("dimension mismatch")
-    defect = mu_prime.jacobi_defect()
-    if defect > cfg.input_defect_tol:
-        raise InputDefectError("input bracket violates the Jacobi identity "
-                               f"(defect {defect:.3e}); it lies on no orbit "
-                               "of brackets")
-    mu = FloatBracket.from_exact(g)
-    target = _pairs_flat(mu_prime.c)
-
-    def residual(u):
-        a = u.reshape(n, n).T
-        return _pairs_flat(act_on_bracket(expm(a), mu).c) - target
-
-    jac = -float_matrix(p.report.complex.d(1))
-    u, res, iters, ok = _chord_newton(residual, np.zeros(n * n), jac, cfg)
-    a = u.reshape(n, n).T
-    amat = expm(a)
-    return RecoveryResult(kind="bracket", log_solution=a, group_matrix=amat,
-                          residual=res, iterations=iters, converged=ok,
-                          determinant=float(np.linalg.det(amat)),
-                          diagnostics={"log_sup": _sup(a)})
-
-
-def recover_hom_orbit(rho: Homomorphism | Problem, rho_prime: np.ndarray,
-                      cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
-    """Find x with exp(ad_x) o rho ~ rho'.  Requires H^1(h,g) = 0; refuses
-    rho' whose curvature exceeds the input tolerance."""
-    p = Problem.of(rho, "hom")
-    if not hom_rigidity(p).holds:
-        raise PreconditionError("homomorphism rigidity criterion (H1=0) does "
-                                "not hold; orbit recovery is not guaranteed")
-    rho = p.obj
-    h, g = rho.source, rho.target
-    kh, ng = h.dim, g.dim
-    p_prime = np.asarray(rho_prime, dtype=float)
-    if p_prime.shape != (ng, kh):
-        raise ValueError("matrix has wrong shape")
-    cg = FloatBracket.from_exact(g)
-    ch = FloatBracket.from_exact(h.candidate)
-    curv = _curvature_flat(cg.c, ch.c, p_prime)
-    if _sup(curv) > cfg.input_defect_tol:
-        raise InputDefectError("target map is not a homomorphism to round-off "
-                               f"(curvature {_sup(curv):.3e})")
-    p0 = float_matrix(rho.matrix)
-
-    def residual(x):
-        m = expm(ad_float(cg.c, x))
-        return ((m @ p0) - p_prime).T.ravel()
-
-    jac = -float_matrix(p.report.complex.d(0))
-    u, res, iters, ok = _chord_newton(residual, np.zeros(ng), jac, cfg)
-    amat = expm(ad_float(cg.c, u))
-    return RecoveryResult(kind="hom", log_solution=u, group_matrix=amat,
-                          residual=res, iterations=iters, converged=ok,
-                          determinant=float(np.linalg.det(amat)),
-                          diagnostics={"log_sup": _sup(u)})
-
-
 def _curvature_flat(c_target: np.ndarray, c_source: np.ndarray,
                     p: np.ndarray) -> np.ndarray:
     kh = c_source.shape[0]
@@ -386,57 +300,280 @@ def chart_defect_flat(frames: SubFrames, eta: np.ndarray,
     return np.concatenate(out) if out else np.zeros(0)
 
 
+# ---------------------------------------------------------------------------
+# one float chart per problem kind
+
+class _Chart:
+    """A float chart around the base point of one problem.
+
+    It holds the acting bracket ``mu`` of the algebra whose group acts, the
+    base value ``base`` and its chart point ``origin``.  A value (bracket,
+    matrix or plane frame) is read as a float array, then as a chart point,
+    then in flat chart coordinates.  Log coordinates are x in g, acting on
+    matrix values as exp(ad_x); the bracket chart acts by GL(g) instead.
+    """
+
+    # the structure map moves along a direction xi as sign * d_t(xi)
+    sign = 1.0
+
+    def __init__(self, p: Problem, algebra: LieAlgebra):
+        self.p = p
+        self.algebra = algebra
+        self.mu = FloatBracket.from_exact(algebra)
+        self.log_shape = (algebra.dim,)
+
+    def array(self, value) -> np.ndarray:
+        return np.asarray(value, dtype=float)
+
+    def point(self, arr: np.ndarray) -> np.ndarray:
+        return arr
+
+    def flat(self, point: np.ndarray) -> np.ndarray:
+        return point.T.ravel()
+
+    def unflat(self, u: np.ndarray) -> np.ndarray:
+        return u.reshape(self.origin.shape[::-1]).T
+
+    def coords(self, value) -> np.ndarray:
+        return self.flat(self.point(self.array(value)))
+
+    def log(self, u: np.ndarray) -> np.ndarray:
+        return u
+
+    def group(self, x: np.ndarray) -> np.ndarray:
+        return expm(ad_float(self.mu.c, x))
+
+    def act(self, x: np.ndarray, value):
+        return self.group(x) @ value
+
+    def orbit_linearization(self) -> np.ndarray:
+        """Derivative at x = 0 of x -> coords(exp(x) . base)."""
+        return -float_matrix(self.p.complex.d(self.p.tangent_degree - 1))
+
+    def linearization(self, mu: FloatBracket) -> np.ndarray:
+        """Derivative at the origin of the structure map under ``mu``."""
+        c_source, mats = self.action(mu)
+        rows = differential_rows(1, len(mats), self.origin.shape[0],
+                                 c_source, mats)
+        return np.array(rows, dtype=float).reshape(len(rows), self.origin.size)
+
+    def checked(self, value, cfg: NewtonConfig, label: str) -> tuple:
+        """(chart point, structure defect) of an outside value; refuses a
+        non-finite entry and a defect not within the input tolerance."""
+        arr = self.array(value)
+        shape = self.array(self.base).shape
+        if arr.shape != shape:
+            raise ValueError(f"{label} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise InputDefectError(f"{label} has a non-finite entry")
+        point = self.point(arr)
+        defect = _sup(self.structure(point))
+        if not defect <= cfg.input_defect_tol:
+            raise InputDefectError(f"{label} is not a {self.name} to round-off "
+                                   f"({self.defect_name} {defect:.3e})")
+        return point, defect
+
+    def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
+        return {}
+
+    def continuation_diagnostics(self, point: np.ndarray) -> dict:
+        return {}
+
+
+class _BracketChart(_Chart):
+    """GL(g) acting on structure tensors: a value is a FloatBracket or its
+    tensor, the tensor is its own chart point, log coordinates are a in
+    gl(g), and the structure map is the Jacobiator."""
+
+    name, defect_name = "bracket", "Jacobi defect"
+    sign = -1.0  # J(mu + s xi) = J(mu) - s d(xi) + O(s^2)
+
+    def __init__(self, p: Problem):
+        super().__init__(p, p.obj)
+        self.base, self.origin = self.mu, self.mu.c
+        self.log_shape = (p.obj.dim, p.obj.dim)
+
+    def array(self, value) -> np.ndarray:
+        if not isinstance(value, FloatBracket):
+            value = FloatBracket(self.mu.dim, value)
+        return value.c
+
+    def flat(self, point: np.ndarray) -> np.ndarray:
+        return _pairs_flat(point)
+
+    def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
+        return jacobiator_flat(point)
+
+    def log(self, u: np.ndarray) -> np.ndarray:
+        return u.reshape(self.log_shape).T
+
+    def group(self, x: np.ndarray) -> np.ndarray:
+        return expm(x)
+
+    def act(self, x: np.ndarray, value: FloatBracket) -> FloatBracket:
+        return act_on_bracket(self.group(x), value)
+
+
+class _HomChart(_Chart):
+    """Ad G acting on homomorphisms rho: h -> g: a value is the matrix of
+    rho, its own chart point, and the structure map is the curvature."""
+
+    name, defect_name = "homomorphism", "curvature"
+
+    def __init__(self, p: Problem):
+        super().__init__(p, p.obj.target)
+        self.source = FloatBracket.from_exact(p.obj.source.candidate)
+        self.base = self.origin = float_matrix(p.obj.matrix)
+
+    def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
+        return _curvature_flat((mu or self.mu).c, self.source.c, point)
+
+    def action(self, mu: FloatBracket) -> tuple:
+        return self.source.c, [ad_float(mu.c, self.origin[:, j])
+                               for j in range(self.source.dim)]
+
+
+class _SubChart(_Chart):
+    """Ad G acting on k-planes near the subalgebra h, read in the graph
+    chart: a value is a plane frame (n x k), its chart point eta (q x k), and
+    the structure map is the closure defect."""
+
+    name, defect_name = "subalgebra", "closure defect"
+
+    def __init__(self, p: Problem):
+        w = p.obj
+        super().__init__(p, w.ambient)
+        self.frames = sub_frames(w)
+        self.base = self.frames.basis
+        self.origin = np.zeros((w.quotient_dim, w.dim))
+
+    def point(self, arr: np.ndarray) -> np.ndarray:
+        return chart_coords(self.frames, arr)
+
+    def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
+        return chart_defect_flat(self.frames, point, mu or self.mu)
+
+    def orbit_linearization(self) -> np.ndarray:
+        d0 = float_matrix(self.p.complex.d(0))
+        proj = float_matrix(self.p.obj.coords.projection)
+        return -(d0 @ proj)
+
+    def action(self, mu: FloatBracket) -> tuple:
+        # action = quotient part of mu(basis_j, section_c); acting bracket =
+        # subalgebra part of mu(basis_i, basis_j)
+        f, q = self.frames, len(self.origin)
+        mats = [np.array([f.q_reader @ mu.bracket(b, s) for s in f.section.T])
+                .reshape(q, q).T for b in f.basis.T]
+        c_h = np.array([[f.h_reader @ mu.bracket(a, b) for b in f.basis.T]
+                        for a in f.basis.T])
+        return c_h, mats
+
+    def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
+        n, k = self.base.shape
+        recovered = amat @ self.base
+        if not (k and k < n):
+            angles = np.zeros(0)
+        elif np.all(np.isfinite(recovered)):
+            angles = subspace_angles(recovered, np.asarray(value, float))
+        else:
+            # a diverged iterate can overflow the exponential; the plane
+            # distance is then meaningless, not merely large
+            angles = np.array([np.inf])
+        return {"principal_angle_sup": _sup(angles)}
+
+    def continuation_diagnostics(self, point: np.ndarray) -> dict:
+        return {"plane": [list(map(float, row))
+                          for row in graph_basis(self.frames, point)]}
+
+
+_CHARTS = {"bracket": _BracketChart, "hom": _HomChart, "sub": _SubChart}
+
+
+def _chart(obj, kind: str) -> _Chart:
+    """The chart of ``obj`` (raw object or problem) as a ``kind`` problem."""
+    if kind not in _CHARTS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _CHARTS[kind](Problem.of(obj, kind))
+
+
+# ---------------------------------------------------------------------------
+# orbit recovery and zero continuation
+
+def _recover(p: Problem, value, cfg: NewtonConfig,
+             rigidity) -> RecoveryResult:
+    """Find log coordinates x with exp(x) . base ~ value: the ``rigidity``
+    verdict must hold, the value must pass the input check, and chord
+    Newton runs from x = 0 on the orbit-map linearization."""
+    if not rigidity(p).holds:
+        raise PreconditionError(
+            f"{_CHARTS[p.kind].name} rigidity criterion "
+            f"(H{p.tangent_degree}=0) does not hold; orbit recovery is not "
+            "guaranteed")
+    chart = _CHARTS[p.kind](p)
+    target = chart.flat(chart.checked(value, cfg, "input")[0])
+
+    def residual(u):
+        return chart.coords(chart.act(chart.log(u), chart.base)) - target
+
+    jac = chart.orbit_linearization()
+    u, res, iters, ok = _chord_newton(residual, np.zeros(jac.shape[1]), jac, cfg)
+    x = chart.log(u)
+    amat = chart.group(x)
+    return RecoveryResult(kind=p.kind, log_solution=x, group_matrix=amat,
+                          residual=res, iterations=iters, converged=ok,
+                          determinant=float(np.linalg.det(amat)),
+                          diagnostics={"log_sup": _sup(x),
+                                       **chart.recovery_diagnostics(amat, value)})
+
+
+def _continue(p: Problem, mu_prime: FloatBracket, cfg: NewtonConfig,
+              stability) -> ContinuationResult:
+    """Move the base point to a zero of the structure map under the
+    perturbed bracket mu': the ``stability`` verdict must hold, mu' must
+    pass the bracket input check, and chord Newton runs from the base point
+    on the structure map's linearization under mu'."""
+    if not stability(p).holds:
+        raise PreconditionError(
+            f"{_CHARTS[p.kind].name} stability criterion "
+            f"(H{p.tangent_degree + 1}=0) does not hold; continuation is not "
+            "guaranteed")
+    chart = _CHARTS[p.kind](p)
+    _, defect = _BracketChart(Problem(chart.algebra)).checked(
+        mu_prime, cfg, "perturbed bracket")
+
+    def residual(u):
+        return chart.structure(chart.unflat(u), mu_prime)
+
+    u, res, iters, ok = _chord_newton(residual, chart.flat(chart.origin),
+                                      chart.linearization(mu_prime), cfg)
+    point = chart.unflat(u)
+    return ContinuationResult(kind=p.kind, solution=point, residual=res,
+                              iterations=iters, converged=ok,
+                              distance=_sup(point - chart.origin),
+                              input_defect=defect,
+                              diagnostics=chart.continuation_diagnostics(point))
+
+
+def recover_bracket_orbit(g: LieAlgebra | Problem, mu_prime: FloatBracket,
+                          cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
+    """Find A = exp(a) with A . mu ~ mu'.  Requires H^2(g,g) = 0; the Newton
+    linearization at a = 0 is minus the adjoint differential C^1 -> C^2."""
+    return _recover(Problem.of(g, "bracket"), mu_prime, cfg, bracket_rigidity)
+
+
+def recover_hom_orbit(rho: Homomorphism | Problem, rho_prime: np.ndarray,
+                      cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
+    """Find x with exp(ad_x) o rho ~ rho'.  Requires H^1(h,g) = 0; refuses
+    rho' whose curvature exceeds the input tolerance."""
+    return _recover(Problem.of(rho, "hom"), rho_prime, cfg, hom_rigidity)
+
+
 def recover_sub_orbit(w: SubalgebraWitness | Problem, plane_prime: np.ndarray,
                       cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
     """Find x with exp(ad_x)(h) ~ the given plane, in chart coordinates.
     Requires H^1(h,g/h) = 0; refuses planes that fail the subalgebra-closure
     defect check or fall outside the graph chart."""
-    p = Problem.of(w, "sub")
-    if not sub_rigidity(p).holds:
-        raise PreconditionError("subalgebra rigidity criterion (H1=0) does "
-                                "not hold; orbit recovery is not guaranteed")
-    w = p.obj
-    frames = sub_frames(w)
-    n, k, q = w.ambient.dim, w.dim, w.quotient_dim
-    mu = FloatBracket.from_exact(w.ambient)
-    eta_target = chart_coords(frames, plane_prime)
-    closure = chart_defect_flat(frames, eta_target, mu)
-    if _sup(closure) > cfg.input_defect_tol:
-        raise InputDefectError("target plane is not a subalgebra to round-off "
-                               f"(closure defect {_sup(closure):.3e})")
-
-    def residual(x):
-        m = expm(ad_float(mu.c, x))
-        return (chart_coords(frames, m @ frames.basis) - eta_target).T.ravel()
-
-    d0 = float_matrix(p.report.complex.d(0))
-    proj = float_matrix(w.coords.projection)
-    jac = -(d0 @ proj) if q else np.zeros((0, n))
-    u, res, iters, ok = _chord_newton(residual, np.zeros(n), jac, cfg)
-    amat = expm(ad_float(mu.c, u))
-    recovered = amat @ frames.basis
-    if not (k and k < n):
-        angles = np.zeros(0)
-    elif np.all(np.isfinite(recovered)):
-        angles = subspace_angles(recovered, np.asarray(plane_prime, float))
-    else:
-        # a diverged iterate can overflow the exponential; the plane distance
-        # is then meaningless, not merely large
-        angles = np.array([np.inf])
-    return RecoveryResult(kind="sub", log_solution=u, group_matrix=amat,
-                          residual=res, iterations=iters, converged=ok,
-                          determinant=float(np.linalg.det(amat)),
-                          diagnostics={"log_sup": _sup(u),
-                                       "principal_angle_sup": _sup(angles)})
-
-
-# ---------------------------------------------------------------------------
-# zero continuation
-
-def _rows_to_array(rows, n_cols) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, n_cols))
-    return np.array([[float(x) for x in row] for row in rows])
+    return _recover(Problem.of(w, "sub"), plane_prime, cfg, sub_rigidity)
 
 
 def continue_hom(rho: Homomorphism | Problem, mu_prime: FloatBracket,
@@ -444,36 +581,7 @@ def continue_hom(rho: Homomorphism | Problem, mu_prime: FloatBracket,
     """Deform rho to a homomorphism into the perturbed bracket mu'.
     Requires H^2(h,g) = 0; Newton runs on the curvature map phi -> K_mu'(phi)
     starting at rho, linearized by the differential built from mu' at rho."""
-    p = Problem.of(rho, "hom")
-    if not hom_stability(p).holds:
-        raise PreconditionError("homomorphism stability criterion (H2=0) does "
-                                "not hold; continuation is not guaranteed")
-    rho = p.obj
-    h, g = rho.source, rho.target
-    kh, ng = h.dim, g.dim
-    if mu_prime.dim != ng:
-        raise ValueError("dimension mismatch")
-    defect = mu_prime.jacobi_defect()
-    if defect > cfg.input_defect_tol:
-        raise InputDefectError("perturbed bracket violates the Jacobi "
-                               f"identity (defect {defect:.3e})")
-    ch = FloatBracket.from_exact(h.candidate)
-    p0 = float_matrix(rho.matrix)
-
-    def residual(u):
-        return _curvature_flat(mu_prime.c, ch.c, u.reshape(kh, ng).T)
-
-    def linearization(p: np.ndarray) -> np.ndarray:
-        mats = [ad_float(mu_prime.c, p[:, j]) for j in range(kh)]
-        rows = differential_rows(1, kh, ng, ch.c, mats)
-        return _rows_to_array(rows, kh * ng)
-
-    jac = linearization(p0)
-    u, res, iters, ok = _chord_newton(residual, p0.T.ravel(), jac, cfg)
-    p_new = u.reshape(kh, ng).T
-    return ContinuationResult(kind="hom", solution=p_new, residual=res,
-                              iterations=iters, converged=ok,
-                              distance=_sup(p_new - p0), input_defect=defect)
+    return _continue(Problem.of(rho, "hom"), mu_prime, cfg, hom_stability)
 
 
 def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
@@ -481,82 +589,33 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
     """Deform the subalgebra to one closed under the perturbed bracket mu',
     in the graph chart.  Requires H^2(h,g/h) = 0; Newton runs on the chart
     closure defect, linearized by the quotient-type differential of mu'."""
-    p = Problem.of(w, "sub")
-    if not sub_stability(p).holds:
-        raise PreconditionError("subalgebra stability criterion (H2=0) does "
-                                "not hold; continuation is not guaranteed")
-    w = p.obj
-    n, k, q = w.ambient.dim, w.dim, w.quotient_dim
-    if mu_prime.dim != n:
-        raise ValueError("dimension mismatch")
-    defect = mu_prime.jacobi_defect()
-    if defect > cfg.input_defect_tol:
-        raise InputDefectError("perturbed bracket violates the Jacobi "
-                               f"identity (defect {defect:.3e})")
-    frames = sub_frames(w)
-
-    def residual(u):
-        return chart_defect_flat(frames, u.reshape(k, q).T, mu_prime)
-
-    # quotient-type differential under mu': action = quotient part of
-    # mu'(basis_j, section_c); acting bracket = subalgebra part of
-    # mu'(basis_i, basis_j)
-    mats = []
-    for j in range(k):
-        m_j = np.zeros((q, q))
-        for col in range(q):
-            m_j[:, col] = frames.q_reader @ mu_prime.bracket(
-                frames.basis[:, j], frames.section[:, col])
-        mats.append(m_j)
-    c_h = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            c_h[i, j, :] = frames.h_reader @ mu_prime.bracket(
-                frames.basis[:, i], frames.basis[:, j])
-    rows = differential_rows(1, k, q, c_h, mats)
-    jac = _rows_to_array(rows, k * q)
-    u, res, iters, ok = _chord_newton(residual, np.zeros(k * q), jac, cfg)
-    eta = u.reshape(k, q).T
-    plane = graph_basis(frames, eta)
-    return ContinuationResult(kind="sub", solution=eta, residual=res,
-                              iterations=iters, converged=ok,
-                              distance=_sup(eta), input_defect=defect,
-                              diagnostics={"plane": [list(map(float, row))
-                                                     for row in plane]})
+    return _continue(Problem.of(w, "sub"), mu_prime, cfg, sub_stability)
 
 
 # ---------------------------------------------------------------------------
 # seeded perturbations
 
+def _perturbed(chart: _Chart, scale: float, seed: int) -> tuple:
+    x0 = np.random.default_rng(seed).uniform(-scale, scale, chart.log_shape)
+    return chart.act(x0, chart.base), x0
+
+
 def perturbed_bracket(g: LieAlgebra, scale: float, seed: int) -> tuple:
     """mu' = exp(a0) . mu with a0 uniform in [-scale, scale] entrywise.
     Returns (FloatBracket, a0)."""
-    rng = np.random.default_rng(seed)
-    n = g.dim
-    a0 = rng.uniform(-scale, scale, (n, n))
-    mu = FloatBracket.from_exact(g)
-    out = act_on_bracket(expm(a0), mu)
+    out, a0 = _perturbed(_chart(g, "bracket"), scale, seed)
     prov = {"source": g.name, "perturbation": {"scale": scale, "seed": seed}}
-    return FloatBracket(n, out.c, prov), a0
+    return FloatBracket(g.dim, out.c, prov), a0
 
 
 def perturbed_hom(rho: Homomorphism, scale: float, seed: int) -> tuple:
     """rho' = exp(ad_x0) o rho with x0 uniform entrywise.  Returns (rho', x0)."""
-    rng = np.random.default_rng(seed)
-    g = rho.target
-    x0 = rng.uniform(-scale, scale, g.dim)
-    cg = FloatBracket.from_exact(g)
-    p0 = float_matrix(rho.matrix)
-    return expm(ad_float(cg.c, x0)) @ p0, x0
+    return _perturbed(_chart(rho, "hom"), scale, seed)
 
 
 def perturbed_plane(w: SubalgebraWitness, scale: float, seed: int) -> tuple:
     """plane' = exp(ad_x0)(h) with x0 uniform entrywise.  Returns (plane', x0)."""
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(-scale, scale, w.ambient.dim)
-    mu = FloatBracket.from_exact(w.ambient)
-    frames = sub_frames(w)
-    return expm(ad_float(mu.c, x0)) @ frames.basis, x0
+    return _perturbed(_chart(w, "sub"), scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +638,6 @@ class CurveCheckReport:
                 "class_residual": self.class_residual, "ok": self.ok}
 
 
-def _curve_value_flat(kind: str, base, frames, value) -> np.ndarray:
-    if kind == "bracket":
-        arr = value.c if isinstance(value, FloatBracket) else np.asarray(value, float)
-        return _pairs_flat(arr)
-    if kind == "hom":
-        return np.asarray(value, float).T.ravel()
-    if kind == "sub":
-        return chart_coords(frames, value).T.ravel()
-    raise ValueError(f"unknown curve kind {kind!r}")
-
-
 def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     """Central-difference derivative of a curve through the base object at
     t = 0, checked to be a cocycle up to O(h^2).
@@ -603,12 +651,11 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     report also carries the least-squares residual of the derivative against
     the coboundaries (its distance from class zero).
     """
-    p = Problem.of(base, kind)
-    base, degree = p.obj, p.tangent_degree
-    frames = sub_frames(base) if kind == "sub" else None
+    chart = _chart(base, kind)
+    p, degree = chart.p, chart.p.tangent_degree
     by_t = {}
     for t, value in samples:
-        by_t[float(t)] = _curve_value_flat(kind, base, frames, value)
+        by_t[float(t)] = chart.coords(value)
     if len(by_t) < 3 or min(by_t) >= 0 or max(by_t) <= 0:
         raise ValueError("need at least three samples bracketing t = 0")
     hs = sorted({abs(t) for t in by_t if t > 0 and -t in by_t})
@@ -678,41 +725,15 @@ def vertical_derivative_fd_check(kind: str, base, direction,
     is round-off noise, which is why the h^2 assertion rides on the
     remainder.
     """
-    if kind == "bracket":
-        n = base.dim
-        mu = FloatBracket.from_exact(base)
-        d_arr = np.asarray(direction, float)
-        d_arr = (d_arr - d_arr.transpose(1, 0, 2)) / 2.0
+    chart = _chart(base, kind)
+    d = chart.array(direction)
 
-        def value(s):
-            return jacobiator_flat(mu.c + s * d_arr)
+    def value(s):
+        return chart.structure(chart.origin + s * d)
 
-        # J(mu + s xi) = J(mu) - s d(xi) + O(s^2)
-        d_flat = -_pairs_flat(d_arr)
-    elif kind == "hom":
-        hh, g = base.source, base.target
-        cg = FloatBracket.from_exact(g)
-        ch = FloatBracket.from_exact(hh.candidate)
-        p0 = float_matrix(base.matrix)
-        d_mat = np.asarray(direction, float)
-
-        def value(s):
-            return _curvature_flat(cg.c, ch.c, p0 + s * d_mat)
-
-        d_flat = d_mat.T.ravel()
-    elif kind == "sub":
-        frames = sub_frames(base)
-        mu = FloatBracket.from_exact(base.ambient)
-        d_mat = np.asarray(direction, float)
-
-        def value(s):
-            return chart_defect_flat(frames, s * d_mat, mu)
-
-        d_flat = d_mat.T.ravel()
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    p = Problem.of(base, kind)
-    true_deriv = float_matrix(p.complex.d(p.tangent_degree)) @ d_flat
+    p = chart.p
+    true_deriv = float_matrix(p.complex.d(p.tangent_degree)) @ (
+        chart.sign * chart.flat(d))
 
     base_val = value(0.0)
     central_defects = []
@@ -773,8 +794,3 @@ def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
         records.append({"seed": seed, "perturbation_sup": _sup(pert),
                         **result.to_json_dict()})
     return records
-
-
-def run_single_experiment(kind: str, obj, scale: float, seed: int,
-                          cfg: NewtonConfig) -> dict:
-    return run_experiment(kind, obj, [seed], scale, cfg)[0]

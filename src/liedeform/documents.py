@@ -261,7 +261,7 @@ def parse_experiment_doc(doc) -> dict:
         "'seeds' must be a list of nonnegative integers", "perturbation.seeds")
     newton = doc.get("newton", {})
     _require(isinstance(newton, dict), "'newton' must be an object", "newton")
-    allowed = {"tol", "max_iter", "damping", "seed"}
+    allowed = {"tol", "max_iter", "damping"}
     _require(set(newton) <= allowed,
              f"unknown newton keys {sorted(set(newton) - allowed)}", "newton")
     try:

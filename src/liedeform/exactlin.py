@@ -188,11 +188,6 @@ def _subspace(ambient_dim: int, vectors) -> Subspace:
     return Subspace(ambient_dim, tuple(tuple(_frac(x) for x in v) for v in vectors))
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Exact basis of the null space of m (acting on column vectors)."""
-    return kernel_and_pivots(m)[0]
-
-
 def kernel_and_pivots(m: Matrix):
     """Null-space basis of m, one vector per free column, and the pivot
     columns of its reduced row echelon form, from one reduction."""
@@ -207,12 +202,6 @@ def kernel_and_pivots(m: Matrix):
             v[p] = -r.data[row_idx][f]
         basis.append(v)
     return _subspace(m.cols, basis), pivots
-
-
-def image_basis(m: Matrix) -> Subspace:
-    """Column-space basis: the pivot columns of the original matrix."""
-    _, pivots = rref(m)
-    return _subspace(m.rows, [m.column(j) for j in pivots])
 
 
 def solve_particular(m: Matrix, b):

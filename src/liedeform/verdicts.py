@@ -36,42 +36,61 @@ class Verdict:
                 "citation": self.citation, "evidence": self.evidence}
 
 
+# kind -> (criterion prefix, name of the H^(t+1) rule, citation of the H^t
+# rule, citation of the H^(t+1) rule)
+_CRITERIA = {
+    "bracket": ("bracket", "smoothness",
+                "H2(g,g)=0 => bracket rigid under GL(g)",
+                "H3(g,g)=0 => brackets form a manifold of dim Z2(g,g) near mu"),
+    "hom": ("hom", "stability", "H1(h,g)=0 => rho rigid under Ad G",
+            "H2(h,g)=0 => rho stable under perturbation of the bracket"),
+    "sub": ("sub", "stability", "H1(h,g/h)=0 => h rigid under Ad G",
+            "H2(h,g/h)=0 => h stable under perturbation of the bracket"),
+}
+
+
+def _vanishing(p: Problem, k: int, criterion: str, citation: str,
+               **evidence) -> Verdict:
+    h = p.h_dim(k)
+    return Verdict(
+        criterion=criterion,
+        conclusion=HOLDS if h == 0 else FAILS,
+        citation=citation,
+        evidence={f"dim_h{k}": h, **evidence, "report": p.report.to_json_dict()},
+    )
+
+
+def _rigidity(obj, kind: str) -> Verdict:
+    """H^t = 0 at the tangent degree t of the problem."""
+    p = Problem.of(obj, kind)
+    prefix, _, citation, _ = _CRITERIA[kind]
+    return _vanishing(p, p.tangent_degree, f"{prefix}-rigidity", citation)
+
+
+def _stability(obj, kind: str) -> Verdict:
+    """H^(t+1) = 0 one degree above the tangent degree t; nearby solutions
+    then form a manifold of dimension dim Z^t."""
+    p = Problem.of(obj, kind)
+    prefix, rule, _, citation = _CRITERIA[kind]
+    t = p.tangent_degree
+    return _vanishing(p, t + 1, f"{prefix}-{rule}", citation,
+                      local_manifold_dim=p.z_dim(t))
+
+
 def bracket_rigidity(g: LieAlgebra | Problem) -> Verdict:
     """H^2(g,g) = 0 forces every nearby bracket into the GL(g)-orbit."""
-    p = Problem.of(g, "bracket")
-    h2 = p.h_dim(2)
-    return Verdict(
-        criterion="bracket-rigidity",
-        conclusion=HOLDS if h2 == 0 else FAILS,
-        citation="H2(g,g)=0 => bracket rigid under GL(g)",
-        evidence={"dim_h2": h2, "report": p.report.to_json_dict()},
-    )
+    return _rigidity(g, "bracket")
 
 
 def bracket_smoothness(g: LieAlgebra | Problem) -> Verdict:
     """H^3(g,g) = 0 makes the space of brackets a manifold near g of
     dimension dim Z^2(g,g)."""
-    p = Problem.of(g, "bracket")
-    h3 = p.h_dim(3)
-    return Verdict(
-        criterion="bracket-smoothness",
-        conclusion=HOLDS if h3 == 0 else FAILS,
-        citation="H3(g,g)=0 => brackets form a manifold of dim Z2(g,g) near mu",
-        evidence={"dim_h3": h3, "local_manifold_dim": p.z_dim(2),
-                  "report": p.report.to_json_dict()},
-    )
+    return _stability(g, "bracket")
 
 
 def hom_rigidity(rho: Homomorphism | Problem) -> Verdict:
     """H^1(h,g) = 0 forces every nearby homomorphism into the Ad G-orbit."""
-    p = Problem.of(rho, "hom")
-    h1 = p.h_dim(1)
-    return Verdict(
-        criterion="hom-rigidity",
-        conclusion=HOLDS if h1 == 0 else FAILS,
-        citation="H1(h,g)=0 => rho rigid under Ad G",
-        evidence={"dim_h1": h1, "report": p.report.to_json_dict()},
-    )
+    return _rigidity(rho, "hom")
 
 
 def _induced_pullback_map(p: Problem, k: int) -> InducedMap:
@@ -109,15 +128,7 @@ def hom_aut_rigidity(rho: Homomorphism | Problem) -> Verdict:
 def hom_stability(rho: Homomorphism | Problem) -> Verdict:
     """H^2(h,g) = 0 lets rho deform along any small change of the target
     bracket; nearby homomorphisms form a manifold of dim Z^1(h,g)."""
-    p = Problem.of(rho, "hom")
-    h2 = p.h_dim(2)
-    return Verdict(
-        criterion="hom-stability",
-        conclusion=HOLDS if h2 == 0 else FAILS,
-        citation="H2(h,g)=0 => rho stable under perturbation of the bracket",
-        evidence={"dim_h2": h2, "local_manifold_dim": p.z_dim(1),
-                  "report": p.report.to_json_dict()},
-    )
+    return _stability(rho, "hom")
 
 
 def hom_infinitesimal_stability_indicator(
@@ -155,29 +166,14 @@ def hom_infinitesimal_stability_indicator(
 
 def sub_rigidity(w: SubalgebraWitness | Problem) -> Verdict:
     """H^1(h,g/h) = 0 forces every nearby subalgebra into the Ad G-orbit."""
-    p = Problem.of(w, "sub")
-    h1 = p.h_dim(1)
-    return Verdict(
-        criterion="sub-rigidity",
-        conclusion=HOLDS if h1 == 0 else FAILS,
-        citation="H1(h,g/h)=0 => h rigid under Ad G",
-        evidence={"dim_h1": h1, "report": p.report.to_json_dict()},
-    )
+    return _rigidity(w, "sub")
 
 
 def sub_stability(w: SubalgebraWitness | Problem) -> Verdict:
     """H^2(h,g/h) = 0 lets the subalgebra deform along any small change of
     the ambient bracket; nearby subalgebras form a manifold of dim
     Z^1(h,g/h)."""
-    p = Problem.of(w, "sub")
-    h2 = p.h_dim(2)
-    return Verdict(
-        criterion="sub-stability",
-        conclusion=HOLDS if h2 == 0 else FAILS,
-        citation="H2(h,g/h)=0 => h stable under perturbation of the bracket",
-        evidence={"dim_h2": h2, "local_manifold_dim": p.z_dim(1),
-                  "report": p.report.to_json_dict()},
-    )
+    return _stability(w, "sub")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  adjoint_cohomology,
                                  cohomology, connecting_map_on_h,
                                  differential_matrix, euler_characteristic,
-                                 identity_chain_maps, induced_map_on_h,
-                                 les_subalgebra, pullback_cochain_map)
+                                 induced_map_on_h, les_subalgebra,
+                                 pullback_cochain_map)
+from helpers import identity_chain_maps
 from liedeform.cochains import AltMap
 
 

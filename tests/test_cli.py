@@ -271,6 +271,27 @@ class TestDeform:
         assert code == 0
         assert "seed" in out.lower()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_perturbation_is_refused(self, capsys):
+        # at scale 1e300 every perturbed value has an inf or NaN entry; aff1
+        # has no Jacobi triples, so its Jacobi defect reads 0 even then
+        for kind, flag, name in (("bracket-recovery", "--algebra", "aff1"),
+                                 ("bracket-recovery", "--algebra", "sl2"),
+                                 ("hom-recovery", "--hom", "id-sl2"),
+                                 ("sub-recovery", "--sub", "borel-in-sl2"),
+                                 ("hom-continuation", "--hom", "borel-incl"),
+                                 ("hom-continuation", "--hom", "zero-to-sl2"),
+                                 ("sub-continuation", "--sub", "borel-in-sl2"),
+                                 ("sub-continuation", "--sub",
+                                  "center-in-heis3")):
+            code, out, _ = run_cli(capsys, "deform", "--kind", kind, flag,
+                                   name, "--seeds", "2", "--scale", "1e300",
+                                   "--json")
+            assert code == 1, (kind, name)
+            doc = json.loads(out)
+            assert doc["error"] == "validation-failure"
+            assert "non-finite" in doc["message"]
+
 
 class TestArgHandling:
     def test_unknown_verb_exits_two(self, capsys):

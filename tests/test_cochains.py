@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from liedeform.cochains import (AltMap, cochain_dim, flat_index,
-                                insertion_sign, subset_positions, subsets)
+from helpers import flat_index
+from liedeform.cochains import (AltMap, cochain_dim, insertion_sign,
+                                subset_positions, subsets)
 
 
 def test_subsets_lexicographic():

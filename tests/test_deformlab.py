@@ -6,20 +6,19 @@ import pytest
 
 from liedeform.algebras import (Matrix, catalog_algebra, hom_preset,
                                 sub_preset, validate_bracket)
-from liedeform.cecomplex import adjoint_cohomology
+from liedeform.cecomplex import Problem, adjoint_cohomology
 from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  NewtonConfig, PreconditionError,
-                                 _chord_newton, act_on_bracket,
-                                 act_on_bracket_exact,
-                                 ad_float, chart_coords, chart_defect_flat,
+                                 _chord_newton, act_on_bracket, ad_float, chart_coords, chart_defect_flat,
                                  continue_hom, continue_sub,
                                  curve_cocycle_check, graph_basis,
                                  jacobiator_flat, numeric_jacobian,
                                  perturbed_bracket, perturbed_hom,
                                  perturbed_plane, recover_bracket_orbit,
                                  recover_hom_orbit, recover_sub_orbit,
-                                 run_experiment, run_single_experiment,
-                                 sub_frames, vertical_derivative_fd_check)
+                                 run_experiment, sub_frames,
+                                 vertical_derivative_fd_check)
+from helpers import act_on_bracket_exact, run_single_experiment
 
 SL2 = catalog_algebra("sl2")
 AFF1 = catalog_algebra("aff1")
@@ -322,6 +321,21 @@ class TestFDCheck:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             vertical_derivative_fd_check("nope", SL2, np.zeros((3, 3, 3)))
+
+    def test_problem_matches_raw_object(self):
+        d = np.zeros((3, 3, 3))
+        d[0, 1, 0] = 0.4
+        d[1, 0, 0] = -0.4
+        d[0, 2, 2] = -0.7
+        d[2, 0, 2] = 0.7
+        for kind, obj, direction in (
+                ("bracket", SL2, d),
+                ("hom", hom_preset("borel-incl"),
+                 np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.0]])),
+                ("sub", sub_preset("borel-in-sl2"), np.array([[0.8, -0.3]]))):
+            raw = vertical_derivative_fd_check(kind, obj, direction)
+            via = vertical_derivative_fd_check(kind, Problem(obj), direction)
+            assert via.to_json_dict() == raw.to_json_dict()
 
 
 class TestNewtonConfig:

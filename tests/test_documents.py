@@ -231,8 +231,9 @@ class TestExperimentDocs:
                                                         "seeds": [0, -1]}))
 
     def test_bad_newton_settings_are_malformed(self):
-        with pytest.raises(MalformedDocumentError):
-            parse_experiment_doc(self.doc(newton={"tol": -1.0}))
+        for newton in ({"tol": -1.0}, {"seed": 0}):
+            with pytest.raises(MalformedDocumentError):
+                parse_experiment_doc(self.doc(newton=newton))
 
     def test_kind_list_is_frozen(self):
         assert EXPERIMENT_KINDS == ("bracket-recovery", "hom-recovery",

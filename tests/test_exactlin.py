@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from liedeform.exactlin import (Matrix, format_scalar, image_basis, invert,
-                                kernel_basis, parse_scalar, quotient_coords,
-                                rank, reduced_basis, rref, solve_particular,
-                                Subspace, _subspace)
+from helpers import image_basis, kernel_basis
+from liedeform.exactlin import (Matrix, format_scalar, invert, parse_scalar,
+                                quotient_coords, rank, reduced_basis, rref,
+                                solve_particular, Subspace, _subspace)
 
 
 def F(x, y=1):

@@ -10,9 +10,8 @@ from liedeform.algebras import (BracketCandidate, Matrix, catalog_algebra,
                                 catalog_names, validate_bracket)
 from liedeform.cecomplex import CEComplex, adjoint_rep
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
-from liedeform.deformlab import act_on_bracket_exact
-from liedeform.exactlin import (image_basis, invert, kernel_basis, rank,
-                                solve_particular)
+from helpers import act_on_bracket_exact, image_basis, kernel_basis
+from liedeform.exactlin import invert, rank, solve_particular
 from liedeform.kuranishi import jacobiator, jacobiator_expansion_check
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
