@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cochains import AltMap
-from .exactlin import (Matrix, QuotientCoords, Subspace, _subspace,
-                       quotient_coords, rank, solve_particular)
+from .exactlin import (Matrix, QuotientCoords, Subspace, _frac, _subspace,
+                       quotient_coords, rank)
 
 
 class ValidationError(ValueError):
@@ -31,10 +31,6 @@ class ValidationError(ValueError):
     def report(self) -> dict:
         return {"kind": self.kind, "location": list(self.location),
                 "defect": [str(x) for x in self.defect]}
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ serves the exact complexes and the linearizations of the defect maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,8 +22,8 @@ from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
-from .exactlin import (Matrix, Subspace, _subspace, kernel_and_pivots, rank,
-                       rref, solve_particular)
+from .exactlin import (Echelon, Matrix, SparseMatrix, Subspace, _dense, _frac,
+                       rank)
 
 
 class CohomologyUndefinedError(ValueError):
@@ -35,7 +35,8 @@ class ChainMapError(ValueError):
 
 
 def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
-    """Rows of the degree-k differential as nested lists.
+    """Rows of the degree-k differential, each a {column: value} dict of its
+    nonzero entries.
 
     Generic over the entry type: exact with Fraction inputs, floating point
     with float inputs.  ``bracket_c[i][j][l]`` are the structure constants of
@@ -43,9 +44,7 @@ def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
     """
     rows_subsets = subsets(n, k + 1)
     cols_pos = subset_positions(n, k)
-    n_rows = len(rows_subsets) * m
-    n_cols = cochain_dim(n, k, m)
-    out = [[0] * n_cols for _ in range(n_rows)]
+    out = [{} for _ in range(len(rows_subsets) * m)]
     for t_pos, T in enumerate(rows_subsets):
         row_base = t_pos * m
         # action terms
@@ -60,7 +59,7 @@ def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
                 for a in range(m):
                     v = rb[a]
                     if v:
-                        orow[col_base + a] = orow[col_base + a] + sign * v
+                        orow[col_base + a] = orow.get(col_base + a, 0) + sign * v
         # bracket-insertion terms
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
@@ -78,30 +77,39 @@ def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
                     factor = sign_ij * eps * coeff
                     for b in range(m):
                         orow = out[row_base + b]
-                        orow[col_base + b] = orow[col_base + b] + factor
-    return out
+                        orow[col_base + b] = orow.get(col_base + b, 0) + factor
+    return [{j: x for j, x in row.items() if x} for row in out]
 
 
-def differential_matrix(k: int, rep: RepSpec) -> Matrix:
-    """Exact matrix of the degree-k differential for a coefficient system."""
+def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
+    """Exact sparse matrix of the degree-k differential (ints where integral,
+    which elimination works on faster than on Fractions)."""
     n, m = rep.acting.dim, rep.carrier_dim
-    rows = differential_rows(k, n, m, rep.acting.c, rep.matrices)
-    return Matrix(len(rows), cochain_dim(n, k, m), rows)
+    rows = [{j: x.numerator if x.denominator == 1 else x for j, x in r.items()}
+            for r in differential_rows(k, n, m, rep.acting.c, rep.matrices)]
+    return SparseMatrix(len(rows), cochain_dim(n, k, m), rows)
 
 
 class CEComplex:
-    """Caches the exact differentials of one coefficient system."""
+    """Caches each exact differential d_k of a coefficient system and its
+    echelon form."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
         self._d = {}
+        self._forms = {}
 
-    def d(self, k: int) -> Matrix:
+    def d(self, k: int) -> SparseMatrix:
         if k not in self._d:
             self._d[k] = differential_matrix(k, self.rep)
         return self._d[k]
+
+    def form(self, k: int) -> Echelon:
+        if k not in self._forms:
+            self._forms[k] = Echelon(self.d(k).columns())
+        return self._forms[k]
 
     def dim_cochains(self, k: int) -> int:
         return cochain_dim(self.n, k, self.carrier_dim)
@@ -122,6 +130,9 @@ class CEComplex:
 
 @dataclass(frozen=True)
 class DegreeData:
+    """One degree of a report.  A cocycle is fixed by its entries at the
+    ``free`` columns of d_k; ``classes`` is the coboundaries' form there."""
+
     k: int
     dim_cochains: int
     dim_cocycles: int
@@ -130,6 +141,16 @@ class DegreeData:
     cocycles: Subspace
     coboundaries: Subspace
     h_representatives: tuple
+    free: tuple = field(compare=False, repr=False)
+    classes: Echelon = field(compare=False, repr=False)
+
+    def class_coords(self, z) -> list:
+        """Coordinates of the class of the cocycle ``z`` in the classes of
+        ``h_representatives``."""
+        rem, _ = self.classes.reduce({i: z[f] for i, f in enumerate(self.free)
+                                      if z[f]})
+        return [_frac(rem.get(i, 0)) for i in range(len(self.free))
+                if i not in self.classes.pivots]
 
 
 @dataclass(frozen=True)
@@ -160,52 +181,45 @@ class CohomologyReport:
         }
 
 
-def _h_representatives(cob: Subspace, coc: Subspace):
-    """Cocycle basis vectors whose classes form a basis of Z/B: the cocycle
-    columns that are pivots after the coboundary columns."""
-    cols = [list(v) for v in cob.basis] + [list(v) for v in coc.basis]
-    if not cols:
-        return ()
-    m = Matrix.from_columns(cols, rows=cob.ambient_dim)
-    _, pivots = rref(m)
-    nb = cob.dim
-    return tuple(coc.basis[p - nb] for p in pivots if p >= nb)
-
-
 def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
     """Exact cohomology of a coefficient system, all degrees 0..n; given a
     complex, its differentials are the ones reduced and kept in the report.
 
-    Each differential is row-reduced once: its pivots give the cocycles of
-    its own degree and, as pivot columns, the coboundaries of the next.
-    Refuses (CohomologyUndefinedError) when the composed differentials are
-    not identically zero, which happens exactly when the bracket or the
-    action fails its identity.
-    """
+    The kept echelon form of each differential gives the cocycles of its own
+    degree and, as pivot columns, the coboundaries of the next.  Read at the
+    free columns the cocycle basis is the standard one, so the cocycles whose
+    classes are independent of the coboundaries and the cocycles before them
+    (the representatives) sit at the free columns that are no last nonzero
+    position of a coboundary.  Refuses (CohomologyUndefinedError) when the
+    composed differentials are not zero, which happens exactly when the
+    bracket or the action fails its identity."""
     cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
     bad = cx.d_squared_defect()
     if bad is not None:
         raise CohomologyUndefinedError(
             f"d o d is nonzero at degree {bad}; cohomology undefined")
-    out = []
-    cob = _subspace(cx.dim_cochains(0), [])
+    out, cob = [], []
     for k in range(0, cx.n + 1):
-        d = cx.d(k)
-        coc, pivots = kernel_and_pivots(d)
-        reps = _h_representatives(cob, coc)
-        data = DegreeData(
+        n_k, form = cx.dim_cochains(k), cx.form(k)
+        free = tuple(form.relations)
+        coc = [tuple(_dense(v, n_k)) for v in form.kernel()]
+        classes = Echelon({i: b[f] for i, f in enumerate(free) if f in b}
+                          for b in cob)
+        slots = tuple(i for i in range(len(free)) if i not in classes.pivots)
+        out.append(DegreeData(
             k=k,
-            dim_cochains=cx.dim_cochains(k),
-            dim_cocycles=coc.dim,
-            dim_coboundaries=cob.dim,
-            dim_h=coc.dim - cob.dim,
-            cocycles=coc,
-            coboundaries=cob,
-            h_representatives=reps,
-        )
-        assert len(reps) == data.dim_h
-        out.append(data)
-        cob = _subspace(d.rows, [d.column(j) for j in pivots])
+            dim_cochains=n_k,
+            dim_cocycles=len(coc),
+            dim_coboundaries=len(cob),
+            dim_h=len(coc) - len(cob),
+            cocycles=Subspace(n_k, tuple(coc)),
+            coboundaries=Subspace(n_k, tuple(tuple(_dense(b, n_k)) for b in cob)),
+            h_representatives=tuple(coc[i] for i in slots),
+            free=free, classes=classes,
+        ))
+        assert len(slots) == out[-1].dim_h
+        columns = cx.d(k).columns()
+        cob = [columns[j] for j in form.kept]
     return CohomologyReport(label=cx.rep.label or cx.rep.variant,
                             acting_dim=cx.n, carrier_dim=cx.carrier_dim,
                             degrees=tuple(out), complex=cx)
@@ -306,24 +320,24 @@ class Problem:
 # chain maps and induced maps on cohomology
 
 def _det(entries) -> Fraction:
-    k = len(entries)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return entries[0][0]
-    if k == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    total = Fraction(0)
-    for j in range(k):
-        if entries[0][j] == 0:
-            continue
-        minor = [[entries[r][c] for c in range(k) if c != j] for r in range(1, k)]
-        sign = -1 if j % 2 else 1
-        total += sign * entries[0][j] * _det(minor)
-    return total
+    """Determinant by fraction-free (Bareiss) elimination: every division
+    is exact, and each intermediate entry is a minor of ``entries``."""
+    a = [list(r) for r in entries]
+    k, sign, prev = len(a), 1, Fraction(1)
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[i], a[swap], sign = a[swap], a[i], -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) / prev
+        prev = a[i][i]
+    return sign * a[k - 1][k - 1] if k else Fraction(1)
 
 
-def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
+def pullback_cochain_map(hom: Homomorphism, k: int) -> SparseMatrix:
     """Matrix of omega -> omega(rho . , .. , rho .) from target-side
     k-cochains (adjoint carrier) to source-side k-cochains (pullback carrier).
 
@@ -335,17 +349,16 @@ def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
     src_subsets = subsets(g.dim, k)
     dst_subsets = subsets(h.dim, k)
     src_pos = subset_positions(g.dim, k)
-    out = Matrix.zeros(len(dst_subsets) * m, len(src_subsets) * m)
+    out = [{} for _ in range(len(dst_subsets) * m)]
     for d_pos, S in enumerate(dst_subsets):
         for T in src_subsets:
-            minor = [[hom.matrix.data[t][s] for s in S] for t in T]
-            dt = _det(minor)
+            dt = _det([[hom.matrix.data[t][s] for s in S] for t in T])
             if dt == 0:
                 continue
             s_pos = src_pos[T]
             for b in range(m):
-                out.data[d_pos * m + b][s_pos * m + b] = dt
-    return out
+                out[d_pos * m + b][s_pos * m + b] = dt
+    return SparseMatrix(len(out), len(src_subsets) * m, out)
 
 
 @dataclass(frozen=True)
@@ -369,8 +382,8 @@ class InducedMap:
         return self.matrix.is_zero()
 
 
-def _square_commutes(f_k: Matrix, f_k1: Matrix, d_src: Matrix, d_tgt: Matrix) -> bool:
-    return f_k1.mul(d_src) == d_tgt.mul(f_k)
+def _square_commutes(f_k, f_k1, d_src: SparseMatrix, d_tgt: SparseMatrix) -> bool:
+    return SparseMatrix.of(f_k1).mul(d_src).row_maps == d_tgt.mul(f_k).row_maps
 
 
 def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
@@ -388,18 +401,11 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
     sdeg = source.degree(k)
     tdeg = target.degree(k)
     cols = []
-    basis_cols = ([list(v) for v in tdeg.coboundaries.basis]
-                  + [list(v) for v in tdeg.h_representatives])
-    nb = tdeg.coboundaries.dim
-    span = Matrix.from_columns(basis_cols, rows=target.complex.dim_cochains(k))
     for z in sdeg.h_representatives:
         fz = chain_maps[k].apply(list(z))
         if any(x != 0 for x in target.complex.d(k).apply(fz)):
             raise ChainMapError("image of a cocycle is not a cocycle")
-        coords = solve_particular(span, fz)
-        if coords is None:
-            raise ChainMapError("image cocycle not in span of target cocycles")
-        cols.append(coords[nb:])
+        cols.append(tdeg.class_coords(fz))
     matrix = Matrix.from_columns(cols, rows=tdeg.dim_h)
     return InducedMap(degree=k, matrix=matrix, source_dim=sdeg.dim_h,
                       target_dim=tdeg.dim_h, rank=rank(matrix))
@@ -408,16 +414,13 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
 # ---------------------------------------------------------------------------
 # the long exact sequence of a subalgebra
 
-def _post_compose_block(matrix: Matrix, n_subsets: int) -> Matrix:
+def _post_compose_block(matrix: Matrix, n_subsets: int) -> SparseMatrix:
     """Block-diagonal matrix applying ``matrix`` to every value block."""
     r, c = matrix.rows, matrix.cols
-    out = Matrix.zeros(n_subsets * r, n_subsets * c)
-    for p in range(n_subsets):
-        for i in range(r):
-            for j in range(c):
-                if matrix.data[i][j] != 0:
-                    out.data[p * r + i][p * c + j] = matrix.data[i][j]
-    return out
+    rows = SparseMatrix.of(matrix).row_maps
+    out = [{p * c + j: x for j, x in row.items()}
+           for p in range(n_subsets) for row in rows]
+    return SparseMatrix(n_subsets * r, n_subsets * c, out)
 
 
 @dataclass(frozen=True)
@@ -462,13 +465,13 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
     is reduced once; its rank is its pivot count."""
     dim_node = outgoing.cols
     composed_zero = outgoing.mul(incoming).is_zero()
-    _, in_pivots = rref(incoming)
-    ker, out_pivots = kernel_and_pivots(outgoing)
-    r_in, r_out = len(in_pivots), len(out_pivots)
+    e_in = Echelon(SparseMatrix.of(incoming).columns())
+    e_out = Echelon(SparseMatrix.of(outgoing).columns())
+    r_in, r_out = len(e_in.kept), len(e_out.kept)
     exact = composed_zero and (r_in + r_out == dim_node)
-    kmat = Matrix.from_columns([list(v) for v in ker.basis], rows=dim_node)
-    membership = all(solve_particular(kmat, incoming.column(j)) is not None
-                     for j in in_pivots)
+    ker = Echelon(e_out.kernel())
+    membership = all(ker.solve(incoming.column(j)) is not None
+                     for j in e_in.kept)
     return LESNode(label, k, dim_node, r_in, r_out, exact, membership)
 
 
@@ -488,10 +491,6 @@ def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
     lift = _post_compose_block(qc.section, n_sub)
     proj = _post_compose_block(qc.projection, n_sub_up)
     sdeg = sub_report.degree(k + 1)
-    span_cols = ([list(v) for v in sdeg.coboundaries.basis]
-                 + [list(v) for v in sdeg.h_representatives])
-    nb = sdeg.coboundaries.dim
-    span = Matrix.from_columns(span_cols, rows=sub_report.complex.dim_cochains(k + 1))
     cols = []
     for eta in qdeg.h_representatives:
         lifted = lift.apply(list(eta))
@@ -505,10 +504,7 @@ def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
             in_sub.extend(qc.to_sub_coords(block))
         if any(x != 0 for x in sub_report.complex.d(k + 1).apply(in_sub)):
             raise AssertionError("connecting value is not a cocycle")
-        coords = solve_particular(span, in_sub)
-        if coords is None:
-            raise AssertionError("connecting value not in the cocycle span")
-        cols.append(coords[nb:])
+        cols.append(sdeg.class_coords(in_sub))
     return Matrix.from_columns(cols, rows=sdeg.dim_h)
 
 

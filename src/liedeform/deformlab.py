@@ -28,7 +28,7 @@ from scipy.linalg import expm, subspace_angles
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem, differential_rows
-from .exactlin import Matrix
+from .exactlin import Matrix, SparseMatrix
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
 
@@ -51,7 +51,7 @@ def _sup(arr) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def float_matrix(m: Matrix) -> np.ndarray:
+def float_matrix(m: Matrix | SparseMatrix) -> np.ndarray:
     return np.array(m.to_float_rows(), dtype=float).reshape(m.rows, m.cols)
 
 
@@ -343,8 +343,8 @@ class _Chart:
     def group(self, x: np.ndarray) -> np.ndarray:
         return expm(ad_float(self.mu.c, x))
 
-    def act(self, x: np.ndarray, value):
-        return self.group(x) @ value
+    def act(self, a: np.ndarray, value):
+        return a @ value
 
     def orbit_linearization(self) -> np.ndarray:
         """Derivative at x = 0 of x -> coords(exp(x) . base)."""
@@ -355,7 +355,7 @@ class _Chart:
         c_source, mats = self.action(mu)
         rows = differential_rows(1, len(mats), self.origin.shape[0],
                                  c_source, mats)
-        return np.array(rows, dtype=float).reshape(len(rows), self.origin.size)
+        return float_matrix(SparseMatrix(len(rows), self.origin.size, rows))
 
     def checked(self, value, cfg: NewtonConfig, label: str) -> tuple:
         """(chart point, structure defect) of an outside value; refuses a
@@ -410,8 +410,8 @@ class _BracketChart(_Chart):
     def group(self, x: np.ndarray) -> np.ndarray:
         return expm(x)
 
-    def act(self, x: np.ndarray, value: FloatBracket) -> FloatBracket:
-        return act_on_bracket(self.group(x), value)
+    def act(self, a: np.ndarray, value: FloatBracket) -> FloatBracket:
+        return act_on_bracket(a, value)
 
 
 class _HomChart(_Chart):
@@ -513,7 +513,8 @@ def _recover(p: Problem, value, cfg: NewtonConfig,
     target = chart.flat(chart.checked(value, cfg, "input")[0])
 
     def residual(u):
-        return chart.coords(chart.act(chart.log(u), chart.base)) - target
+        value = chart.act(chart.group(chart.log(u)), chart.base)
+        return chart.coords(value) - target
 
     jac = chart.orbit_linearization()
     u, res, iters, ok = _chord_newton(residual, np.zeros(jac.shape[1]), jac, cfg)
@@ -596,8 +597,12 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
 # seeded perturbations
 
 def _perturbed(chart: _Chart, scale: float, seed: int) -> tuple:
+    """exp(x0) . base, x0 uniform entrywise; refuses an overflowed exp(x0)."""
     x0 = np.random.default_rng(seed).uniform(-scale, scale, chart.log_shape)
-    return chart.act(x0, chart.base), x0
+    a0 = chart.group(x0)
+    if not np.all(np.isfinite(a0)):
+        raise InputDefectError("perturbation exp(x0) has a non-finite entry")
+    return chart.act(a0, chart.base), x0
 
 
 def perturbed_bracket(g: LieAlgebra, scale: float, seed: int) -> tuple:

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with ``fractions.Fraction`` entries and Gaussian elimination
-with first-nonzero pivoting.  Everything in this module is exact: ranks,
-kernels, solves and quotient coordinates involve no tolerances, and ranks
-computed here agree with ranks over the reals.
+Dense matrices with ``fractions.Fraction`` entries, sparse ones (a
+{column: value} dict per row) and ``Echelon``, a reduced echelon form kept
+for repeated solves.  Everything in this module is exact: ranks, kernels,
+solves and quotient coordinates involve no tolerances, and ranks computed
+here agree with ranks over the reals.
 
 Conventions: matrices act on column vectors; a vector is a plain list of
 Fractions.  All values are treated as immutable after construction.
@@ -25,10 +26,16 @@ def format_scalar(q: Fraction) -> str:
     return str(q)
 
 
+ZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _dense(vec: dict, n: int) -> list:
+    """Dense Fraction vector of length n from {position: value}."""
+    return [_frac(vec[i]) if i in vec else ZERO for i in range(n)]
 
 
 class Matrix:
@@ -80,35 +87,11 @@ class Matrix:
     def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = Matrix(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a == 0:
-                    continue
-                rk = other.data[k]
-                for j in range(other.cols):
-                    if rk[j] != 0:
-                        oi[j] += a * rk[j]
-        return out
+    def mul(self, other) -> "Matrix":
+        return SparseMatrix.of(self).mul(other).dense()
 
     def apply(self, vec) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        out = [Fraction(0)] * self.rows
-        for i in range(self.rows):
-            ri = self.data[i]
-            s = Fraction(0)
-            for j, v in enumerate(vec):
-                if v != 0 and ri[j] != 0:
-                    s += ri[j] * v
-            out[i] = s
-        return out
+        return SparseMatrix.of(self).apply(vec)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -156,9 +139,139 @@ def rref(m: Matrix):
     return Matrix(m.rows, m.cols, r), pivots
 
 
-def rank(m: Matrix) -> int:
-    _, pivots = rref(m)
-    return len(pivots)
+def rank(m) -> int:
+    return len(Echelon(SparseMatrix.of(m).columns()).kept)
+
+
+class SparseMatrix:
+    """Rational matrix: a {column: value} dict of the nonzeros of each row."""
+
+    __slots__ = ("rows", "cols", "row_maps")
+
+    def __init__(self, rows: int, cols: int, row_maps):
+        self.rows, self.cols, self.row_maps = rows, cols, row_maps
+
+    @classmethod
+    def of(cls, m) -> "SparseMatrix":
+        return m if isinstance(m, cls) else cls(
+            m.rows, m.cols, [{j: x for j, x in enumerate(r) if x} for r in m.data])
+
+    @property
+    def data(self) -> list:
+        """The (column, value) pairs of each row, in column order."""
+        return [sorted(r.items()) for r in self.row_maps]
+
+    def columns(self) -> list:
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.row_maps):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
+
+    def mul(self, other) -> "SparseMatrix":
+        other = SparseMatrix.of(other)
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        out = []
+        for row in self.row_maps:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.row_maps[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return SparseMatrix(self.rows, other.cols, out)
+
+    def apply(self, vec) -> list:
+        if len(vec) != self.cols:
+            raise ValueError("shape mismatch in matrix-vector product")
+        return [sum((x * vec[j] for j, x in row.items() if vec[j]), ZERO)
+                for row in self.row_maps]
+
+    def is_zero(self) -> bool:
+        return not any(self.row_maps)
+
+    def to_float_rows(self):
+        return [[float(row.get(j, 0)) for j in range(self.cols)]
+                for row in self.row_maps]
+
+    def dense(self) -> Matrix:
+        return Matrix(self.rows, self.cols, [_dense(row, self.cols)
+                                             for row in self.row_maps])
+
+
+def _sub_scaled(acc: dict, f, row: dict):
+    """acc -= f * row, dropping the entries that cancel."""
+    for j, x in row.items():
+        y = acc.get(j, 0) - f * x
+        if y:
+            acc[j] = y
+        else:
+            acc.pop(j, None)
+
+
+class Echelon:
+    """Reduced echelon form of the span of {position: value} vectors taken
+    in order.  A vector left nonzero by the rows so far is kept (``kept``
+    lists the input indices): scaled to 1 at its last nonzero position, its
+    pivot, it becomes a row, and the pivot is cleared from the other rows.
+    ``pivots`` maps each pivot to its row and the row's combination of the
+    kept vectors; ``relations`` maps each other input index to its
+    combination.  For the columns of a matrix, ``kept`` are the pivot columns
+    of its RREF, ``kernel()`` the null-space basis read from it and
+    ``solve(b)`` the solution with free variables zero, as Gauss-Jordan
+    elimination gives them: all three are unique."""
+
+    def __init__(self, vectors):
+        self.kept, self.relations, self.pivots = [], {}, {}
+        for i, v in enumerate(vectors):
+            rem, combo = self.reduce(v)
+            if rem:
+                self._keep(i, rem, combo)
+            else:
+                self.relations[i] = combo
+
+    def reduce(self, v: dict):
+        """(v - sum c_t kept_t, c) with the remainder zero at every pivot, so
+        zero exactly when v is in the span."""
+        rem, combo = dict(v), {}
+        for p, f in v.items():
+            row = self.pivots.get(p)
+            if row is not None:
+                _sub_scaled(rem, f, row[0])
+                _sub_scaled(combo, -f, row[1])
+        return rem, combo
+
+    def _keep(self, i: int, rem: dict, combo: dict):
+        slot = len(self.kept)
+        self.kept.append(i)
+        q = max(rem)
+        p = rem[q]
+        inv = 1 if p == 1 else -1 if p == -1 else 1 / _frac(p)
+        row = {j: x * inv for j, x in rem.items()}
+        comb = {t: -c * inv for t, c in combo.items()}
+        comb[slot] = inv
+        for other, other_comb in self.pivots.values():
+            f = other.get(q)
+            if f:
+                _sub_scaled(other, f, row)
+                _sub_scaled(other_comb, f, comb)
+        self.pivots[q] = (row, comb)
+
+    def solve(self, b):
+        """The coefficients x (one per input vector, zero off the kept ones)
+        with sum x_i v_i = b, or None when b is not in the span."""
+        rem, combo = self.reduce({i: x for i, x in enumerate(b) if x})
+        if rem:
+            return None
+        x = [ZERO] * (len(self.kept) + len(self.relations))
+        for t, c in combo.items():
+            x[self.kept[t]] = _frac(c)
+        return x
+
+    def kernel(self) -> list:
+        """e_i - sum c_t e_(kept t) for each vector i that was not kept."""
+        return [{i: 1, **{self.kept[t]: -c for t, c in combo.items()}}
+                for i, combo in self.relations.items()]
 
 
 @dataclass(frozen=True)
@@ -177,31 +290,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vec) -> bool:
-        if self.dim == 0:
-            return all(x == 0 for x in vec)
-        m = Matrix.from_columns([list(v) for v in self.basis], rows=self.ambient_dim)
-        return solve_particular(m, list(vec)) is not None
-
 
 def _subspace(ambient_dim: int, vectors) -> Subspace:
     return Subspace(ambient_dim, tuple(tuple(_frac(x) for x in v) for v in vectors))
-
-
-def kernel_and_pivots(m: Matrix):
-    """Null-space basis of m, one vector per free column, and the pivot
-    columns of its reduced row echelon form, from one reduction."""
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -r.data[row_idx][f]
-        basis.append(v)
-    return _subspace(m.cols, basis), pivots
 
 
 def solve_particular(m: Matrix, b):
@@ -280,14 +371,6 @@ class QuotientCoords:
         checking ``projection.apply(vec)`` is zero first.
         """
         return [_frac(vec[p]) for p in self.pivots]
-
-    def from_sub_coords(self, coords):
-        out = [Fraction(0)] * self.ambient_dim
-        for t, c in enumerate(coords):
-            if c != 0:
-                for j in range(self.ambient_dim):
-                    out[j] += _frac(c) * self.sub_basis[t][j]
-        return out
 
 
 def quotient_coords(sub: Subspace) -> QuotientCoords:

@@ -24,7 +24,7 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        SubalgebraWitness, ad_matrix)
 from .cecomplex import Problem, differential_rows
 from .cochains import AltMap, cochain_dim
-from .exactlin import Matrix, invert, solve_particular
+from .exactlin import Matrix, SparseMatrix, invert
 
 
 class NonCocycleError(ValueError):
@@ -121,8 +121,8 @@ def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
 
     e = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
     ad_mats = [ad_matrix(base, e[i]) for i in range(n)]
-    d2 = Matrix(cochain_dim(n, 3, n), cochain_dim(n, 2, n),
-                differential_rows(2, n, n, base.c, ad_mats))
+    d2 = SparseMatrix(cochain_dim(n, 3, n), cochain_dim(n, 2, n),
+                      differential_rows(2, n, n, base.c, ad_mats))
     d_xi = d2.apply(xi.flat())
     d_eta = d2.apply(eta.flat())
     j_xi = jacobiator(xi_c).flat()
@@ -168,8 +168,8 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
     coeffs = _interpolate_coefficients(samples, ts)
 
     mats = [ad_matrix(g.candidate, rho.image_of_basis(j)) for j in range(kh)]
-    d1 = Matrix(cochain_dim(kh, 2, ng), cochain_dim(kh, 1, ng),
-                differential_rows(1, kh, ng, h.candidate.c, mats))
+    d1 = SparseMatrix(cochain_dim(kh, 2, ng), cochain_dim(kh, 1, ng),
+                      differential_rows(1, kh, ng, h.candidate.c, mats))
     xi_flat = []
     for j in range(kh):
         xi_flat.extend(xi_matrix.column(j))
@@ -222,7 +222,7 @@ def _obstruction(p: Problem, direction: AltMap, representative,
         raise NonCocycleError(not_cocycle, defect)
     rep = representative(direction)
     assert cx.apply_d(rep).is_zero(), not_closed
-    primitive = solve_particular(cx.d(t), rep.flat())
+    primitive = cx.form(t).solve(rep.flat())
     if primitive is not None:
         primitive = AltMap.from_flat(t, cx.n, cx.carrier_dim, primitive)
     return ObstructionClass(p.kind, rep, primitive is not None, primitive)

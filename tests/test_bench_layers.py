@@ -62,3 +62,25 @@ def test_newton_entries_attribute_their_verdict():
                        for s in rec.spans), kind
     finally:
         uninstall()
+
+
+def test_traced_reports_measure_the_differentials():
+    # the traced bench reads the differential build and the d o d check from
+    # spans around differential_matrix and CEComplex.d_squared_defect
+    from liedeform.algebras import (adjoint_rep, catalog_algebra, hom_preset,
+                                    pullback_rep)
+    from liedeform.cecomplex import cohomology
+
+    spans = load_spans()
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        cohomology(adjoint_rep(catalog_algebra("heis3")))
+        cohomology(pullback_rep(hom_preset("borel-incl")))
+        metrics = spans.layer_metrics(rec, 1)
+        assert metrics["cecomplex.differential_cells"] > 0
+        assert metrics["cecomplex.differential_build_s"] > 0
+        assert 0 < metrics["cecomplex.differential_nonzero_frac"] < 1
+        assert any(s[0] == "cecomplex.dd_check" for s in rec.spans)
+    finally:
+        uninstall()

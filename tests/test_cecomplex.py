@@ -16,7 +16,8 @@ from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  differential_matrix, euler_characteristic,
                                  induced_map_on_h, les_subalgebra,
                                  pullback_cochain_map)
-from helpers import identity_chain_maps
+from helpers import (dense_report_tuples, gl_algebra, identity_chain_maps,
+                     sl_algebra)
 from liedeform.cochains import AltMap
 
 
@@ -218,3 +219,27 @@ def test_report_json_shape():
     doc = report.to_json_dict()
     assert [row["dimH"] for row in doc["degrees"]] == [1, 4, 5, 2]
     assert doc["euler"] == 0
+
+
+def test_reports_match_dense_elimination():
+    # cocycle, coboundary and representative bases are the ones dense
+    # Gauss-Jordan elimination gives, vector for vector
+    for rep in all_reps():
+        report = cohomology(rep)
+        got = [(d.cocycles.basis, d.coboundaries.basis, d.h_representatives)
+               for d in report.degrees]
+        assert got == dense_report_tuples(rep), rep.label
+
+
+class TestClosedFormsAtDimensionEightAndNine:
+    def test_sl3_whitehead(self):
+        report = adjoint_cohomology(sl_algebra(3))
+        assert report.dims_h() == [0] * 9
+        assert euler_characteristic(report) == 0
+
+    def test_gl3(self):
+        # H(gl_3, gl_3) = H(gl_3) (x) centre, H(gl_3) = exterior algebra on
+        # generators of degrees 1, 3 and 5
+        report = adjoint_cohomology(gl_algebra(3))
+        assert report.dims_h() == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+        assert euler_characteristic(report) == 0

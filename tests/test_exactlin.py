@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import image_basis, kernel_basis
-from liedeform.exactlin import (Matrix, format_scalar, invert, parse_scalar,
-                                quotient_coords, rank, reduced_basis, rref,
-                                solve_particular, Subspace, _subspace)
+from helpers import contains, from_sub_coords, image_basis, kernel_basis
+from liedeform.exactlin import (Echelon, Matrix, SparseMatrix, format_scalar,
+                                invert, parse_scalar, quotient_coords, rank,
+                                reduced_basis, rref, solve_particular,
+                                Subspace, _subspace)
 
 
 def F(x, y=1):
@@ -108,8 +109,8 @@ class TestElimination:
 class TestSubspaces:
     def test_contains(self):
         s = _subspace(3, [[1, 0, 1], [0, 1, 0]])
-        assert s.contains([F(2), F(3), F(2)])
-        assert not s.contains([F(1), F(0), F(0)])
+        assert contains(s, [F(2), F(3), F(2)])
+        assert not contains(s, [F(1), F(0), F(0)])
 
     def test_reduced_basis_is_canonical(self):
         s1 = _subspace(3, [[1, 0, 1], [0, 1, 0]])
@@ -138,7 +139,7 @@ class TestQuotientCoords:
         v = [F(3), F(5), F(1)]  # 3*(1,0,2) + 5*(0,1,-1) = (3,5,1)
         coords = qc.to_sub_coords(v)
         assert coords == [F(3), F(5)]
-        assert qc.from_sub_coords(coords) == v
+        assert from_sub_coords(qc, coords) == v
 
     def test_full_and_zero_subspace(self):
         full = _subspace(2, [[1, 0], [0, 1]])
@@ -149,3 +150,42 @@ class TestQuotientCoords:
         assert qc0.dim == 2
         assert qc0.projection == Matrix.identity(2)
         assert qc0.section == Matrix.identity(2)
+
+
+class TestSparse:
+    def test_products_match_dense(self):
+        a = Matrix.from_rows([[1, 0, 2], [0, 0, 0], [F(1, 2), 3, 0]])
+        b = Matrix.from_rows([[0, 1], [2, 0], [1, -1]])
+        sa = SparseMatrix.of(a)
+        assert sa.mul(b).dense() == a.mul(b)
+        assert sa.apply([F(1), F(2), F(3)]) == a.apply([F(1), F(2), F(3)])
+        assert sa.data == [[(0, 1), (2, 2)], [], [(0, F(1, 2)), (1, 3)]]
+
+    def test_cancelling_product_is_zero(self):
+        a = SparseMatrix.of(Matrix.from_rows([[1, 1]]))
+        b = SparseMatrix.of(Matrix.from_rows([[1], [-1]]))
+        assert a.mul(b).is_zero() and a.mul(b).row_maps == [{}]
+
+
+class TestEchelon:
+    def test_kept_columns_and_kernel(self):
+        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        form = Echelon(SparseMatrix.of(m).columns())
+        assert form.kept == [0, 1]
+        assert form.kernel() == [{0: 1, 1: -2, 2: 1}]
+
+    def test_solve_sets_free_variables_to_zero(self):
+        m = Matrix.from_rows([[1, 1, 2], [0, 0, 0]])
+        form = Echelon(SparseMatrix.of(m).columns())
+        assert form.solve([F(3), F(0)]) == [F(3), F(0), F(0)]
+        assert form.solve([F(3), F(1)]) is None
+
+    def test_pivots_are_last_nonzero_positions(self):
+        form = Echelon([{0: 1, 1: 1}, {1: 1, 2: 1}])
+        assert sorted(form.pivots) == [1, 2]
+        assert form.reduce({0: 1, 2: 1})[0] == {0: 2}
+
+    def test_empty_span(self):
+        form = Echelon([])
+        assert form.kept == [] and form.solve([F(0), F(0)]) == []
+        assert form.solve([F(1)]) is None

@@ -10,8 +10,12 @@ from liedeform.algebras import (BracketCandidate, Matrix, catalog_algebra,
                                 catalog_names, validate_bracket)
 from liedeform.cecomplex import CEComplex, adjoint_rep
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
-from helpers import act_on_bracket_exact, image_basis, kernel_basis
-from liedeform.exactlin import invert, rank, solve_particular
+from elimination_oracle import bareiss_rank
+from helpers import (_det as laplace_det, act_on_bracket_exact, image_basis,
+                     kernel_basis)
+from liedeform.cecomplex import _det
+from liedeform.exactlin import (Echelon, SparseMatrix, _dense, invert, rank,
+                                rref, solve_particular)
 from liedeform.kuranishi import jacobiator, jacobiator_expansion_check
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -45,6 +49,62 @@ def test_image_vectors_solvable(m):
         sol = solve_particular(m, list(vec))
         assert sol is not None
         assert m.apply(sol) == list(vec)
+
+
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+
+
+def sparse_matrix_strategy(max_side=6):
+    return st.integers(1, max_side).flatmap(
+        lambda r: st.integers(1, max_side).flatmap(
+            lambda c: st.lists(
+                st.lists(sparse_entries, min_size=c, max_size=c),
+                min_size=r, max_size=r).map(Matrix.from_rows)))
+
+
+def form_of(m):
+    return Echelon(SparseMatrix.of(m).columns())
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrix_strategy())
+def test_echelon_matches_dense_elimination(m):
+    form = form_of(m)
+    _, pivots = rref(m)
+    assert form.kept == pivots
+    assert len(form.kept) == bareiss_rank(m.data)
+    kernel = [tuple(_dense(v, m.cols)) for v in form.kernel()]
+    assert kernel == list(kernel_basis(m).basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrix_strategy(), st.data())
+def test_echelon_solve_matches_solve_particular(m, data):
+    x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    b_any = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
+    form = form_of(m)
+    for b in (m.apply(x), b_any):
+        assert form.solve(b) == solve_particular(m, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrix_strategy())
+def test_representatives_are_the_unit_vectors_off_the_pivots(m):
+    # rows of m: coboundaries in the coordinates of a cocycle at the free
+    # columns, where the cocycle basis is the standard one; the dense
+    # reference takes the unit columns that are pivots of [m^T | I]
+    units = [[Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)]
+    _, pivots = rref(Matrix.from_columns(m.data + units, rows=m.cols))
+    form = Echelon(SparseMatrix.of(m).row_maps)
+    slots = [i for i in range(m.cols) if i not in form.pivots]
+    assert slots == [p - m.rows for p in pivots if p >= m.rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.lists(
+    st.lists(sparse_entries, min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_bareiss_det_matches_laplace(entries):
+    assert _det(entries) == laplace_det(entries)
 
 
 @settings(max_examples=40, deadline=None)
