@@ -36,8 +36,9 @@ from .deformlab import (ChartError, ContinuationResult, FloatBracket,
                         recover_hom_orbit, recover_sub_orbit, run_experiment,
                         vertical_derivative_fd_check)
 from .documents import (MalformedDocumentError, parse_algebra_doc,
-                        parse_experiment_doc, parse_hom_doc, parse_sub_doc,
-                        resolve_algebra, resolve_hom, resolve_sub)
+                        parse_direction_doc, parse_experiment_doc,
+                        parse_hom_doc, parse_sub_doc, resolve_algebra,
+                        resolve_hom, resolve_sub)
 from .kuranishi import (NonCocycleError, ObstructionClass, Splitting,
                         curvature_expansion_check, jacobiator,
                         jacobiator_expansion_check, kuranishi_bracket,

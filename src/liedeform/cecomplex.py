@@ -475,36 +475,41 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
     return LESNode(label, k, dim_node, r_in, r_out, exact, membership)
 
 
+def snake_lift(w: SubalgebraWitness, section: Matrix, eta: AltMap,
+               ambient: CEComplex, sub: CEComplex) -> AltMap:
+    """d(section o eta) for a k-cochain eta of h with values in g/h: lifted
+    through ``section`` and differentiated in ``ambient`` (values in g), the
+    values are certified to land in h and to be closed in ``sub`` (values in
+    h), and are returned in subalgebra coordinates as a (k+1)-cochain."""
+    qc, k, na = w.coords, eta.degree, w.ambient.dim
+    lift = _post_compose_block(section, len(subsets(w.dim, k)))
+    dval = ambient.d(k).apply(lift.apply(eta.flat()))
+    values = []
+    for p in range(0, len(dval), na):
+        block = dval[p:p + na]
+        if any(x != 0 for x in qc.projection.apply(block)):
+            raise AssertionError("snake lift value left the subalgebra")
+        values.extend(qc.to_sub_coords(block))
+    out = AltMap.from_flat(k + 1, w.dim, w.dim, values)
+    if not sub.apply_d(out).is_zero():
+        raise AssertionError("snake lift value is not closed")
+    return out
+
+
 def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
                         ambient_report: CohomologyReport,
                         sub_report: CohomologyReport, k: int) -> Matrix:
-    """Snake connecting map H^k(h, g/h) -> H^{k+1}(h, h): lift a quotient
-    cocycle through the standard section, differentiate in the ambient-valued
-    complex, certify the values land in the subalgebra and read them there."""
-    qc = w.coords
-    kh = w.dim
+    """Snake connecting map H^k(h, g/h) -> H^{k+1}(h, h): the class of the
+    snake lift of each quotient representative through the standard
+    section."""
     qdeg = quotient_report.degree(k)
-    if k + 1 > kh:
+    if k + 1 > w.dim:
         return Matrix.zeros(0, qdeg.dim_h)
-    n_sub = len(subsets(kh, k))
-    n_sub_up = len(subsets(kh, k + 1))
-    lift = _post_compose_block(qc.section, n_sub)
-    proj = _post_compose_block(qc.projection, n_sub_up)
     sdeg = sub_report.degree(k + 1)
-    cols = []
-    for eta in qdeg.h_representatives:
-        lifted = lift.apply(list(eta))
-        dval = ambient_report.complex.d(k).apply(lifted)
-        if any(x != 0 for x in proj.apply(dval)):
-            raise AssertionError("connecting value does not land in the subalgebra")
-        in_sub = []
-        na = w.ambient.dim
-        for p in range(n_sub_up):
-            block = dval[p * na:(p + 1) * na]
-            in_sub.extend(qc.to_sub_coords(block))
-        if any(x != 0 for x in sub_report.complex.d(k + 1).apply(in_sub)):
-            raise AssertionError("connecting value is not a cocycle")
-        cols.append(sdeg.class_coords(in_sub))
+    cols = [sdeg.class_coords(snake_lift(
+        w, w.coords.section, AltMap.from_flat(k, w.dim, w.quotient_dim, eta),
+        ambient_report.complex, sub_report.complex).flat())
+        for eta in qdeg.h_representatives]
     return Matrix.from_columns(cols, rows=sdeg.dim_h)
 
 

@@ -14,14 +14,15 @@ import random
 import sys
 from fractions import Fraction
 
-from .algebras import (LieAlgebra, ValidationError, catalog_names,
-                       hom_preset_names, sub_preset_names)
+from .algebras import (ValidationError, catalog_names, hom_preset_names,
+                       sub_preset_names)
 from .cecomplex import CohomologyUndefinedError, Problem, les_subalgebra
 from .cochains import AltMap, cochain_dim
 from .deformlab import (EXPERIMENTS, ChartError, InputDefectError,
                         PreconditionError, run_experiment)
 from .documents import (MalformedDocumentError, load_json_file,
-                        parse_experiment_doc, resolve_object, resolve_sub)
+                        parse_direction_doc, parse_experiment_doc,
+                        resolve_object, resolve_sub)
 from .exactlin import Matrix
 from . import kuranishi as K
 from . import verdicts as V
@@ -35,43 +36,105 @@ def _emit(payload, as_json: bool, text_lines):
             print(line)
 
 
-def _one_of(args, *names):
-    given = [n for n in names if getattr(args, n.replace("-", "_"), None)]
-    if len(given) != 1:
-        raise MalformedDocumentError(
-            f"exactly one of {', '.join('--' + n for n in names)} is required")
-    return given[0]
+_OBJECT_FLAGS = ("algebra", "hom", "sub")
 
 
 def _resolve_object(args):
     """The object flag given and the problem of the object it names."""
-    which = _one_of(args, "algebra", "hom", "sub")
+    given = [f for f in _OBJECT_FLAGS if getattr(args, f, None)]
+    if len(given) != 1:
+        raise MalformedDocumentError(
+            "exactly one of --algebra, --hom, --sub is required")
+    which = given[0]
     return which, Problem(resolve_object(which, getattr(args, which)))
+
+
+# ---------------------------------------------------------------------------
+# the three object kinds
+
+def _random_rational_flat(count: int, seed: int):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for _ in range(count)]
+
+
+def _random_rational_matrix(rows: int, cols: int, seed: int) -> Matrix:
+    flat = _random_rational_flat(rows * cols, seed)
+    return Matrix(rows, cols, [flat[r * cols:(r + 1) * cols]
+                               for r in range(rows)])
+
+
+def _verified_bracket(g):
+    return ({"valid": True, "kind": "algebra", "name": g.name, "dim": g.dim},
+            ["antisymmetry: OK", "Jacobi: OK",
+             f"valid Lie algebra '{g.name}' (dim {g.dim})"])
+
+
+def _verified_hom(rho):
+    return ({"valid": True, "kind": "hom", "name": rho.name,
+             "source_dim": rho.source.dim, "target_dim": rho.target.dim},
+            ["curvature: OK", f"valid homomorphism '{rho.name}' "
+                              f"({rho.source.name} -> {rho.target.name})"])
+
+
+def _verified_sub(w):
+    return ({"valid": True, "kind": "sub", "name": w.name, "dim": w.dim,
+             "ambient_dim": w.ambient.dim},
+            ["closure: OK", f"valid subalgebra '{w.name}' "
+                            f"(dim {w.dim} in {w.ambient.name})"])
+
+
+def _check_bracket(problem: Problem, seed: int):
+    n = problem.obj.dim
+    xi, eta = (AltMap.from_flat(2, n, n, _random_rational_flat(
+        cochain_dim(n, 2, n), s)) for s in (seed, seed + 1))
+    return ("jacobiator-expansion",
+            K.jacobiator_expansion_check(problem.obj, xi, eta))
+
+
+def _check_hom(problem: Problem, seed: int):
+    rho = problem.obj
+    xi = _random_rational_matrix(rho.target.dim, rho.source.dim, seed)
+    return "curvature-expansion", K.curvature_expansion_check(rho, xi)
+
+
+def _check_sub(problem: Problem, seed: int):
+    w, sp = problem.obj, K.standard_splitting(problem)
+    shift = _random_rational_matrix(w.dim, w.quotient_dim, seed)
+    return ("splitting-independence", K.splitting_independence_check(
+        sp, K.shifted_splitting(sp, shift), _first_quotient_cocycle(problem)))
+
+
+def _first_quotient_cocycle(problem: Problem) -> AltMap:
+    """A deterministic element of Z^1(h, g/h): the first cocycle-basis
+    vector, or zero when the space is trivial."""
+    k, q = problem.obj.dim, problem.obj.quotient_dim
+    if problem.z_dim(1) == 0:
+        return AltMap.zero(1, k, q)
+    return AltMap.from_flat(1, k, q,
+                            list(problem.report.degree(1).cocycles.basis[0]))
+
+
+def _sub_obstruction(problem: Problem, eta: AltMap):
+    return K.kuranishi_sub(K.standard_splitting(problem), eta)
+
+
+# Problem.kind -> (verify payload and text, seeded identity check, obstruction
+# class of a direction); plain tuples, like _QUESTIONS, so that a tracer can
+# rebind the functions in them
+_KINDS = {
+    "bracket": (_verified_bracket, _check_bracket, K.kuranishi_bracket),
+    "hom": (_verified_hom, _check_hom, K.kuranishi_hom),
+    "sub": (_verified_sub, _check_sub, _sub_obstruction),
+}
 
 
 # ---------------------------------------------------------------------------
 # verbs
 
 def _cmd_verify(args) -> int:
-    kind, problem = _resolve_object(args)
-    obj = problem.obj
-    if kind == "algebra":
-        payload = {"valid": True, "kind": "algebra", "name": obj.name,
-                   "dim": obj.dim}
-        lines = ["antisymmetry: OK", "Jacobi: OK",
-                 f"valid Lie algebra '{obj.name}' (dim {obj.dim})"]
-    elif kind == "hom":
-        payload = {"valid": True, "kind": "hom", "name": obj.name,
-                   "source_dim": obj.source.dim, "target_dim": obj.target.dim}
-        lines = ["curvature: OK",
-                 f"valid homomorphism '{obj.name}' "
-                 f"({obj.source.name} -> {obj.target.name})"]
-    else:
-        payload = {"valid": True, "kind": "sub", "name": obj.name,
-                   "dim": obj.dim, "ambient_dim": obj.ambient.dim}
-        lines = ["closure: OK",
-                 f"valid subalgebra '{obj.name}' "
-                 f"(dim {obj.dim} in {obj.ambient.name})"]
+    _, problem = _resolve_object(args)
+    payload, lines = _KINDS[problem.kind][0](problem.obj)
     _emit(payload, args.json, lines)
     return 0
 
@@ -141,117 +204,24 @@ def _cmd_verdict(args) -> int:
     return 0
 
 
-def _parse_bracket_direction(doc, g: LieAlgebra) -> AltMap:
-    entries = doc.get("brackets", doc) if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise MalformedDocumentError(
-            "bracket direction must be a list of {i, j, coeffs} entries or "
-            "an object with a 'brackets' list")
-    from .documents import _scalar, _require
-    values = {}
-    n = g.dim
-    for pos, item in enumerate(entries):
-        loc = f"direction[{pos}]"
-        _require(isinstance(item, dict) and {"i", "j", "coeffs"} <= set(item),
-                 "entry must be an object with i, j, coeffs", loc)
-        i, j = item["i"], item["j"]
-        _require(isinstance(i, int) and isinstance(j, int)
-                 and 0 <= i < j < n, "need indices 0 <= i < j < dim", loc)
-        coeffs = item["coeffs"]
-        _require(isinstance(coeffs, list) and len(coeffs) == n,
-                 f"coeffs must have length {n}", loc)
-        values[(i, j)] = [_scalar(x, loc) for x in coeffs]
-    return AltMap.from_values(2, n, n, values)
-
-
-def _parse_matrix_direction(doc, rows: int, cols: int) -> Matrix:
-    from .documents import _scalar, _require
-    body = doc.get("matrix", doc) if isinstance(doc, dict) else doc
-    _require(isinstance(body, list) and len(body) == rows,
-             f"direction matrix must have {rows} rows", "direction")
-    data = []
-    for r, row in enumerate(body):
-        _require(isinstance(row, list) and len(row) == cols,
-                 f"row must have {cols} entries", f"direction[{r}]")
-        data.append([_scalar(x, f"direction[{r}]") for x in row])
-    return Matrix(rows, cols, data)
-
-
-def _random_rational_flat(count: int, seed: int):
-    rng = random.Random(seed)
-    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            for _ in range(count)]
-
-
-def _random_rational_matrix(rows: int, cols: int, seed: int) -> Matrix:
-    flat = _random_rational_flat(rows * cols, seed)
-    return Matrix(rows, cols, [flat[r * cols:(r + 1) * cols]
-                               for r in range(rows)])
-
-
 def _cmd_kuranishi(args) -> int:
-    kind, problem = _resolve_object(args)
-    obj = problem.obj
-    doc = load_json_file(args.direction) if args.direction else None
-    if kind == "algebra":
-        if doc is None:
-            n = obj.dim
-            xi = AltMap.from_flat(2, n, n,
-                                  _random_rational_flat(cochain_dim(n, 2, n),
-                                                        args.seed))
-            eta = AltMap.from_flat(2, n, n,
-                                   _random_rational_flat(cochain_dim(n, 2, n),
-                                                         args.seed + 1))
-            rep = K.jacobiator_expansion_check(obj, xi, eta)
-            payload = {"check": "jacobiator-expansion", "ok": rep.ok,
-                       "seed": args.seed}
-            _emit(payload, args.json, [rep.summary()])
-            return 0
-        xi = _parse_bracket_direction(doc, obj)
-        oc = K.kuranishi_bracket(problem, xi)
-    elif kind == "hom":
-        if doc is None:
-            xi = _random_rational_matrix(obj.target.dim, obj.source.dim,
-                                         args.seed)
-            rep = K.curvature_expansion_check(obj, xi)
-            payload = {"check": "curvature-expansion", "ok": rep.ok,
-                       "seed": args.seed}
-            _emit(payload, args.json, [rep.summary()])
-            return 0
-        m = _parse_matrix_direction(doc, obj.target.dim, obj.source.dim)
-        xi = K.matrix_as_one_cochain(m)
-        oc = K.kuranishi_hom(problem, xi)
-    else:
-        sp = K.standard_splitting(problem)
-        if doc is None:
-            shift = _random_rational_matrix(obj.dim, obj.quotient_dim,
-                                            args.seed)
-            eta = _first_quotient_cocycle(problem)
-            cmp = K.splitting_independence_check(
-                sp, K.shifted_splitting(sp, shift), eta)
-            payload = {"check": "splitting-independence", "ok": cmp.ok,
-                       "seed": args.seed}
-            _emit(payload, args.json, [cmp.summary()])
-            return 0
-        m = _parse_matrix_direction(doc, obj.quotient_dim, obj.dim)
-        eta = K.matrix_as_one_cochain(m)
-        oc = K.kuranishi_sub(sp, eta)
+    _, problem = _resolve_object(args)
+    _, check, obstruction = _KINDS[problem.kind]
+    if not args.direction:
+        name, rep = check(problem, args.seed)
+        _emit({"check": name, "ok": rep.ok, "seed": args.seed}, args.json,
+              [rep.summary()])
+        return 0
+    cx = problem.complex
+    oc = obstruction(problem, parse_direction_doc(
+        load_json_file(args.direction), problem.tangent_degree, cx.n,
+        cx.carrier_dim))
     payload = oc.to_json_dict()
     lines = [f"obstruction class ({oc.kind}, degree {oc.degree}): "
              + ("vanishes in H (primitive found)" if oc.is_zero_in_h
                 else "does not vanish in H")]
     _emit(payload, args.json, lines)
     return 0
-
-
-def _first_quotient_cocycle(problem: Problem) -> AltMap:
-    """A deterministic element of Z^1(h, g/h): the first cocycle-basis
-    vector, or zero when the space is trivial."""
-    coc = problem.report.degree(1).cocycles
-    k, q = problem.obj.dim, problem.obj.quotient_dim
-    if coc.dim == 0:
-        return AltMap.zero(1, k, q)
-    return AltMap.from_flat(1, k, q, list(coc.basis[0]))
 
 
 def _cmd_les(args) -> int:
@@ -284,12 +254,8 @@ def _cmd_deform(args) -> int:
         doc = {"kind": args.kind,
                "perturbation": {"scale": args.scale,
                                 "seeds": list(range(args.seeds))}}
-        if args.algebra:
-            doc["algebra"] = args.algebra
-        if args.hom:
-            doc["hom"] = args.hom
-        if args.sub:
-            doc["sub"] = args.sub
+        doc.update((flag, getattr(args, flag)) for flag in _OBJECT_FLAGS
+                   if getattr(args, flag))
     exp = parse_experiment_doc(doc)
     records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
                              scale=exp["scale"], cfg=exp["config"])

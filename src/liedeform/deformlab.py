@@ -92,12 +92,13 @@ class FloatBracket:
     @classmethod
     def from_exact(cls, g, provenance=None) -> "FloatBracket":
         cand = g.candidate if isinstance(g, LieAlgebra) else g
-        c = np.array([[[float(x) for x in cand.c[i][j]]
-                       for j in range(cand.dim)] for i in range(cand.dim)])
+        n = cand.dim
+        c = np.array([[[float(x) for x in cand.c[i][j]] for j in range(n)]
+                      for i in range(n)]).reshape(n, n, n)
         prov = dict(provenance or {})
         if isinstance(g, LieAlgebra) and "source" not in prov:
             prov["source"] = g.name
-        return cls(cand.dim, c, prov)
+        return cls(n, c, prov)
 
     def bracket(self, x, y) -> np.ndarray:
         return _bracket_eval(self.c, np.asarray(x, float), np.asarray(y, float))

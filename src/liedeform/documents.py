@@ -18,6 +18,7 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        hom_preset, hom_preset_names, sub_preset,
                        sub_preset_names, subalgebra_witness, validate_bracket,
                        validate_homomorphism)
+from .cochains import AltMap
 from .deformlab import EXPERIMENTS, NewtonConfig
 from .exactlin import Matrix, format_scalar, parse_scalar
 
@@ -52,6 +53,27 @@ def _vector(values, length: int, location: str):
     return [_scalar(v, f"{location}[{p}]") for p, v in enumerate(values)]
 
 
+def _bracket_entries(items, n: int, location: str) -> dict:
+    """{(i, j): coeffs} of a list of {i, j, coeffs} entries with indices in
+    [0, n), each pair given once."""
+    _require(isinstance(items, list), f"'{location}' must be a list", location)
+    entries = {}
+    for pos, item in enumerate(items):
+        loc = f"{location}[{pos}]"
+        _require(isinstance(item, dict), "entry must be an object", loc)
+        _require(set(item) <= {"i", "j", "coeffs"},
+                 f"unknown keys {sorted(set(item) - {'i', 'j', 'coeffs'})}", loc)
+        for key in ("i", "j", "coeffs"):
+            _require(key in item, f"missing '{key}'", loc)
+        i, j = item["i"], item["j"]
+        for key, val in (("i", i), ("j", j)):
+            _require(isinstance(val, int) and not isinstance(val, bool)
+                     and 0 <= val < n, f"'{key}' must be an index in [0, {n})", loc)
+        _require((i, j) not in entries, f"duplicate entry for ({i}, {j})", loc)
+        entries[(i, j)] = _vector(item["coeffs"], n, f"{loc}.coeffs")
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # algebra documents
 
@@ -69,22 +91,7 @@ def parse_algebra_doc(doc) -> LieAlgebra:
     _require(isinstance(basis, list) and len(basis) == n
              and all(isinstance(b, str) for b in basis),
              f"'basis' must be a list of {n} names", "basis")
-    entries = {}
-    brackets = doc.get("brackets", [])
-    _require(isinstance(brackets, list), "'brackets' must be a list", "brackets")
-    for pos, item in enumerate(brackets):
-        loc = f"brackets[{pos}]"
-        _require(isinstance(item, dict), "entry must be an object", loc)
-        _require(set(item) <= {"i", "j", "coeffs"},
-                 f"unknown keys {sorted(set(item) - {'i', 'j', 'coeffs'})}", loc)
-        for key in ("i", "j", "coeffs"):
-            _require(key in item, f"missing '{key}'", loc)
-        i, j = item["i"], item["j"]
-        for key, val in (("i", i), ("j", j)):
-            _require(isinstance(val, int) and not isinstance(val, bool)
-                     and 0 <= val < n, f"'{key}' must be an index in [0, {n})", loc)
-        _require((i, j) not in entries, f"duplicate entry for ({i}, {j})", loc)
-        entries[(i, j)] = _vector(item["coeffs"], n, f"{loc}.coeffs")
+    entries = _bracket_entries(doc.get("brackets", []), n, "brackets")
     cand = BracketCandidate.from_entries(n, entries)
     return validate_bracket(cand, name=name, basis=tuple(basis))
 
@@ -152,6 +159,28 @@ def sub_to_doc(w: SubalgebraWitness) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# direction documents
+
+def parse_direction_doc(doc, degree: int, n: int, m: int) -> AltMap:
+    """A tangent direction: a degree-``degree`` cochain on n basis vectors
+    with values in an m-dimensional carrier.  Degree 2 (a bracket, m = n) is
+    a list of {i, j, coeffs} entries with i < j, or an object with that list
+    under 'brackets'; degree 1 is a matrix with m rows and n columns (column
+    j the value on basis vector j), or an object with it under 'matrix'."""
+    key = "brackets" if degree == 2 else "matrix"
+    body = doc.get(key, doc) if isinstance(doc, dict) else doc
+    if degree == 2:
+        entries = _bracket_entries(body, n, "direction")
+        _require(all(i < j for i, j in entries),
+                 "bracket direction entries need i < j", "direction")
+        return AltMap.from_values(2, n, m, entries)
+    _require(isinstance(body, list) and len(body) == m,
+             f"direction matrix must have {m} rows", "direction")
+    rows = [_vector(row, n, f"direction[{r}]") for r, row in enumerate(body)]
+    return AltMap.from_flat(1, n, m, [row[j] for j in range(n) for row in rows])
+
+
+# ---------------------------------------------------------------------------
 # name-or-inline-or-path resolution
 
 def load_json_file(path) -> dict:
@@ -169,63 +198,53 @@ def _looks_like_path(spec: str) -> bool:
     return spec.endswith(".json") or "/" in spec or Path(spec).exists()
 
 
-def resolve_algebra(spec) -> LieAlgebra:
-    """Catalog name, file path, or inline document."""
-    if isinstance(spec, LieAlgebra):
+def _resolve(key: str, spec):
+    _, cls, parse, names, preset, noun, listing = _DOCS[key]
+    if isinstance(spec, cls):
         return spec
     if isinstance(spec, dict):
-        return parse_algebra_doc(spec)
+        return parse(spec)
     if isinstance(spec, str):
-        if spec in catalog_names():
-            return catalog_algebra(spec)
+        if spec in names():
+            return preset(spec)
         if _looks_like_path(spec):
-            return parse_algebra_doc(load_json_file(spec))
+            return parse(load_json_file(spec))
         raise MalformedDocumentError(
-            f"unknown algebra {spec!r}; catalog: {', '.join(catalog_names())}")
-    raise MalformedDocumentError("algebra must be a name, a path or an object")
+            f"unknown {noun} {spec!r}; {listing}: {', '.join(names())}")
+    raise MalformedDocumentError(f"{noun} must be a name, a path or an object")
+
+
+def resolve_algebra(spec) -> LieAlgebra:
+    """Catalog name, file path, or inline document."""
+    return _resolve("algebra", spec)
 
 
 def resolve_hom(spec) -> Homomorphism:
-    if isinstance(spec, Homomorphism):
-        return spec
-    if isinstance(spec, dict):
-        return parse_hom_doc(spec)
-    if isinstance(spec, str):
-        if spec in hom_preset_names():
-            return hom_preset(spec)
-        if _looks_like_path(spec):
-            return parse_hom_doc(load_json_file(spec))
-        raise MalformedDocumentError(
-            f"unknown homomorphism {spec!r}; presets: "
-            f"{', '.join(hom_preset_names())}")
-    raise MalformedDocumentError("homomorphism must be a name, a path or an "
-                                 "object")
+    """Preset name, file path, or inline document."""
+    return _resolve("hom", spec)
 
 
 def resolve_sub(spec) -> SubalgebraWitness:
-    if isinstance(spec, SubalgebraWitness):
-        return spec
-    if isinstance(spec, dict):
-        return parse_sub_doc(spec)
-    if isinstance(spec, str):
-        if spec in sub_preset_names():
-            return sub_preset(spec)
-        if _looks_like_path(spec):
-            return parse_sub_doc(load_json_file(spec))
-        raise MalformedDocumentError(
-            f"unknown subalgebra {spec!r}; presets: "
-            f"{', '.join(sub_preset_names())}")
-    raise MalformedDocumentError("subalgebra must be a name, a path or an "
-                                 "object")
+    """Preset name, file path, or inline document."""
+    return _resolve("sub", spec)
+
+
+# object key -> (public resolver, type, document parser, preset names,
+# preset builder, noun, what the presets are called)
+_DOCS = {
+    "algebra": (resolve_algebra, LieAlgebra, parse_algebra_doc, catalog_names,
+                catalog_algebra, "algebra", "catalog"),
+    "hom": (resolve_hom, Homomorphism, parse_hom_doc, hom_preset_names,
+            hom_preset, "homomorphism", "presets"),
+    "sub": (resolve_sub, SubalgebraWitness, parse_sub_doc, sub_preset_names,
+            sub_preset, "subalgebra", "presets"),
+}
 
 
 def resolve_object(key: str, spec):
-    """Resolve ``spec`` as the object an "algebra", "hom" or "sub" key names."""
-    if key == "algebra":
-        return resolve_algebra(spec)
-    if key == "hom":
-        return resolve_hom(spec)
-    return resolve_sub(spec)
+    """Resolve ``spec`` as the object an "algebra", "hom" or "sub" key names,
+    through that key's public resolver."""
+    return _DOCS[key][0](spec)
 
 
 # ---------------------------------------------------------------------------

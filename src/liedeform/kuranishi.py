@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        SubalgebraWitness, ad_matrix)
-from .cecomplex import Problem, differential_rows
+from .cecomplex import Problem, differential_rows, snake_lift
 from .cochains import AltMap, cochain_dim
 from .exactlin import Matrix, SparseMatrix, invert
 
@@ -349,22 +349,12 @@ def omega_sigma(sp: Splitting, eta: AltMap) -> AltMap:
 
 
 def _omega(sp: Splitting, eta: AltMap) -> AltMap:
-    """omega_sigma of an eta already known to be a cocycle, in the complexes
-    of the problem's inclusion (values in g) and of its source (in h)."""
-    w, incl = sp.witness, sp.problem.inclusion
-    qc = w.coords
-    lift = matrix_as_one_cochain(sp.section.mul(eta_matrix(eta)))
-    dval = incl.complex.apply_d(lift)
-    values = {}
-    for pair in combinations(range(w.dim), 2):
-        block = dval.value(pair)
-        if any(x != 0 for x in qc.projection.apply(block)):
-            raise AssertionError("omega_sigma value left the subalgebra")
-        values[pair] = qc.to_sub_coords(block)
-    out = AltMap.from_values(2, w.dim, w.dim, values)
-    assert incl.source.complex.apply_d(out).is_zero(), \
-        "omega_sigma value is not closed"
-    return out
+    """omega_sigma of an eta already known to be a cocycle: the snake lift
+    through the section, in the complexes of the problem's inclusion (values
+    in g) and of its source (in h)."""
+    incl = sp.problem.inclusion
+    return snake_lift(sp.witness, sp.section, eta, incl.complex,
+                      incl.source.complex)
 
 
 def kuranishi_sub(sp: Splitting, eta: AltMap) -> ObstructionClass:

@@ -3,6 +3,7 @@ rename fails here instead of in a later `bench/run.py --trace 1` run."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -84,3 +85,36 @@ def test_traced_reports_measure_the_differentials():
         assert any(s[0] == "cecomplex.dd_check" for s in rec.spans)
     finally:
         uninstall()
+
+
+def test_cli_calls_reach_the_traced_resolvers_and_kuranishi(tmp_path, capsys):
+    # the traced bench times document resolution and the Kuranishi layer
+    # through spans around the public resolvers and entry points, so every
+    # CLI call must reach them through names a tracer can rebind
+    import liedeform.cli
+
+    directions = {"algebra": ("heis3", [{"i": 0, "j": 1,
+                                         "coeffs": ["1", "0", "0"]}]),
+                  "hom": ("borel-incl", [["0", "0"], ["1", "0"], ["0", "0"]]),
+                  "sub": ("borel-in-sl2", [["1", "0"]])}
+    spans = load_spans()
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        for flag, (name, direction) in directions.items():
+            path = tmp_path / f"{flag}.json"
+            path.write_text(json.dumps(direction))
+            for argv, kuranishi in (
+                    (["verify"], False), (["kuranishi"], True),
+                    (["kuranishi", "--direction", str(path)], True)):
+                rec.spans.clear()
+                argv = [*argv, f"--{flag}", name]
+                assert liedeform.cli.run(argv) == 0, argv
+                groups = {s[0] for s in rec.spans}
+                assert "documents.resolve" in groups, argv
+                if kuranishi:
+                    assert groups & {"kuranishi.identity_check",
+                                     "kuranishi.obstruction"}, argv
+    finally:
+        uninstall()
+    capsys.readouterr()

@@ -2,13 +2,14 @@
 sequence for a subalgebra."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
                                 RepSpec, adjoint_rep, catalog_algebra,
                                 catalog_names, hom_preset, pullback_rep,
-                                quotient_rep, sub_preset)
+                                quotient_rep, sub_preset, validate_bracket)
 from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  CohomologyUndefinedError, Problem,
                                  adjoint_cohomology,
@@ -229,6 +230,15 @@ def test_reports_match_dense_elimination():
         got = [(d.cocycles.basis, d.coboundaries.basis, d.h_representatives)
                for d in report.degrees]
         assert got == dense_report_tuples(rep), rep.label
+
+
+def test_abelian_closed_form():
+    # every differential of an abelian algebra on itself is zero, so
+    # H^k(a_n, a_n) = C^k = Lambda^k(n) (x) n; n = 0 is the empty algebra
+    for n in range(9):
+        a_n = validate_bracket(BracketCandidate.zero(n), name=f"abelian{n}")
+        assert adjoint_cohomology(a_n).dims_h() == [
+            comb(n, k) * n for k in range(n + 1)], n
 
 
 class TestClosedFormsAtDimensionEightAndNine:

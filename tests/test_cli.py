@@ -190,6 +190,32 @@ class TestKuranishi:
         assert doc["vanishes"] is True
         assert doc["primitive"]
 
+    def test_dim_zero_sub_identity_check(self, capsys, tmp_path):
+        # Z^1 of a zero-dimensional subalgebra is zero: the check uses the
+        # zero cocycle
+        p = tmp_path / "sub.json"
+        p.write_text(json.dumps({"ambient": "sl2", "basis_vectors": []}))
+        code, out, _ = run_cli(capsys, "kuranishi", "--sub", str(p), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["check"] == "splitting-independence" and doc["ok"] is True
+
+    @pytest.mark.parametrize("entries", [
+        # a boolean index
+        [{"i": False, "j": 1, "coeffs": ["1", "0", "0"]}],
+        # the same (i, j) twice
+        [{"i": 0, "j": 1, "coeffs": ["1", "0", "0"]},
+         {"i": 0, "j": 1, "coeffs": ["0", "0", "1"]}],
+    ])
+    def test_bad_bracket_direction_entries_are_malformed(self, capsys,
+                                                         tmp_path, entries):
+        p = tmp_path / "dir.json"
+        p.write_text(json.dumps(entries))
+        code, out, _ = run_cli(capsys, "kuranishi", "--algebra", "abelian3",
+                               "--direction", str(p), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+
 
 class TestLes:
     def test_center_les(self, capsys):
@@ -265,6 +291,24 @@ class TestDeform:
         assert json.loads(out)["error"] == "malformed-input"
         assert run_cli(capsys, "deform", "--kind", "bracket-recovery",
                        "--algebra", "sl2", "--seeds", "0") == (0, "", "")
+
+    def test_dim_zero_objects_run(self, capsys, tmp_path):
+        empty = {"dim": 0}
+        for kind, flag, doc in (
+                ("bracket-recovery", "--algebra", empty),
+                ("hom-recovery", "--hom", {"source": empty, "target": "sl2",
+                                           "matrix": [[], [], []]}),
+                ("hom-continuation", "--hom", {"source": empty,
+                                               "target": "sl2",
+                                               "matrix": [[], [], []]})):
+            p = tmp_path / f"{kind}.json"
+            p.write_text(json.dumps(doc))
+            code, out, _ = run_cli(capsys, "deform", "--kind", kind, flag,
+                                   str(p), "--seeds", "2", "--json")
+            assert code == 0, kind
+            lines = [json.loads(line) for line in out.strip().splitlines()]
+            assert [r["seed"] for r in lines] == [0, 1], kind
+            assert all(r["converged"] for r in lines), kind
 
     def test_text_output_summarizes(self, capsys):
         code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",
