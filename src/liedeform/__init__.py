@@ -13,7 +13,8 @@ Layers, from the ground up:
   classes.
 - ``verdicts``: rigidity/stability conclusions with evidence.
 - ``deformlab``: floating-point Newton orbit recovery, zero continuation and
-  finite-difference checks.
+  finite-difference checks; it alone needs numpy and SciPy, so it is
+  imported lazily, when one of its names here is first read.
 - ``documents`` / ``cli``: JSON documents and the command line.
 """
 
@@ -29,13 +30,8 @@ from .cecomplex import (CEComplex, CohomologyReport, CohomologyUndefinedError,
                         euler_characteristic, induced_map_on_h, les_subalgebra,
                         pullback_cochain_map)
 from .cochains import AltMap
-from .deformlab import (ChartError, ContinuationResult, FloatBracket,
-                        InputDefectError, NewtonConfig, PreconditionError,
-                        RecoveryResult, act_on_bracket, continue_hom,
-                        continue_sub, curve_cocycle_check, recover_bracket_orbit,
-                        recover_hom_orbit, recover_sub_orbit, run_experiment,
-                        vertical_derivative_fd_check)
-from .documents import (MalformedDocumentError, parse_algebra_doc,
+from .documents import (ChartError, InputDefectError, MalformedDocumentError,
+                        NewtonConfig, PreconditionError, parse_algebra_doc,
                         parse_direction_doc, parse_experiment_doc,
                         parse_hom_doc, parse_sub_doc, resolve_algebra,
                         resolve_hom, resolve_sub)
@@ -51,3 +47,23 @@ from .verdicts import (KuranishiModelDims, Verdict, bracket_rigidity,
                        sub_stability)
 
 __version__ = "0.1.0"
+
+# names of deformlab exported here, loaded on first access (PEP 562)
+_FLOAT_NAMES = ("ContinuationResult", "FloatBracket", "RecoveryResult",
+                "act_on_bracket", "continue_hom", "continue_sub",
+                "curve_cocycle_check", "recover_bracket_orbit",
+                "recover_hom_orbit", "recover_sub_orbit", "run_experiment",
+                "vertical_derivative_fd_check")
+# what `from liedeform import *` binds: the public names, the float ones too
+__all__ = [n for n in (*globals(), *_FLOAT_NAMES) if not n.startswith("_")]
+
+
+def __getattr__(name):
+    if name in _FLOAT_NAMES:
+        from . import deformlab
+        return getattr(deformlab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_FLOAT_NAMES])

@@ -18,11 +18,10 @@ from .algebras import (ValidationError, catalog_names, hom_preset_names,
                        sub_preset_names)
 from .cecomplex import CohomologyUndefinedError, Problem, les_subalgebra
 from .cochains import AltMap, cochain_dim
-from .deformlab import (EXPERIMENTS, ChartError, InputDefectError,
-                        PreconditionError, run_experiment)
-from .documents import (MalformedDocumentError, load_json_file,
-                        parse_direction_doc, parse_experiment_doc,
-                        resolve_object, resolve_sub)
+from .documents import (EXPERIMENT_KINDS, ChartError, InputDefectError,
+                        MalformedDocumentError, PreconditionError,
+                        load_json_file, parse_direction_doc,
+                        parse_experiment_doc, resolve_object, resolve_sub)
 from .exactlin import Matrix
 from . import kuranishi as K
 from . import verdicts as V
@@ -244,19 +243,28 @@ def _cmd_les(args) -> int:
 
 def _cmd_deform(args) -> int:
     if args.experiment:
+        flags = [f"--{f}" for f in ("kind", "seeds", "scale", *_OBJECT_FLAGS)
+                 if getattr(args, f) is not None]
+        if flags:
+            raise MalformedDocumentError(
+                f"--experiment cannot be combined with {', '.join(flags)}")
         doc = load_json_file(args.experiment)
     else:
         if not args.kind:
             raise MalformedDocumentError(
                 "deform needs --experiment FILE or --kind with an object flag")
-        if args.seeds < 0:
+        seeds = 10 if args.seeds is None else args.seeds
+        scale = 0.05 if args.scale is None else args.scale
+        if seeds < 0:
             raise MalformedDocumentError("--seeds must be >= 0")
         doc = {"kind": args.kind,
-               "perturbation": {"scale": args.scale,
-                                "seeds": list(range(args.seeds))}}
+               "perturbation": {"scale": scale, "seeds": list(range(seeds))}}
         doc.update((flag, getattr(args, flag)) for flag in _OBJECT_FLAGS
                    if getattr(args, flag))
     exp = parse_experiment_doc(doc)
+    # the Newton lab loads numpy and SciPy: only a well-formed experiment
+    # pays for them
+    from .deformlab import run_experiment
     records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
                              scale=exp["scale"], cfg=exp["config"])
     for record in records:
@@ -329,10 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--experiment", metavar="PATH",
                    help="experiment document; alternative to the flags below")
-    p.add_argument("--kind", choices=list(EXPERIMENTS))
-    p.add_argument("--seeds", type=int, default=10,
-                   help="number of seeds (0..N-1)")
-    p.add_argument("--scale", type=float, default=0.05)
+    p.add_argument("--kind", choices=list(EXPERIMENT_KINDS))
+    p.add_argument("--seeds", type=int, help="number of seeds (0..N-1)")
+    p.add_argument("--scale", type=float)
     p.set_defaults(func=_cmd_deform)
     return parser
 
@@ -351,12 +358,8 @@ def run(argv) -> int:
         payload = {"error": "validation-failure", **exc.report()}
         _emit(payload, as_json, [f"validation failure: {exc}"])
         return 1
-    except K.NonCocycleError as exc:
-        _emit({"error": "validation-failure", "message": str(exc)}, as_json,
-              [f"validation failure: {exc}"])
-        return 1
-    except (PreconditionError, InputDefectError, ChartError,
-            CohomologyUndefinedError) as exc:
+    except (K.NonCocycleError, PreconditionError, InputDefectError,
+            ChartError, CohomologyUndefinedError) as exc:
         _emit({"error": "validation-failure", "message": str(exc)}, as_json,
               [f"validation failure: {exc}"])
         return 1

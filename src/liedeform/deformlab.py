@@ -28,22 +28,11 @@ from scipy.linalg import expm, subspace_angles
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem, differential_rows
+from .documents import (ChartError, InputDefectError, NewtonConfig,
+                        PreconditionError)
 from .exactlin import Matrix, SparseMatrix
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
-
-
-class PreconditionError(RuntimeError):
-    """A cohomological hypothesis required by the operation does not hold."""
-
-
-class InputDefectError(ValueError):
-    """A floating-point input violates its structural contract beyond
-    tolerance (Jacobi defect, curvature, subalgebra defect)."""
-
-
-class ChartError(ValueError):
-    """The requested plane is not in the graph chart around the witness."""
 
 
 def _sup(arr) -> float:
@@ -119,23 +108,6 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
 
 # ---------------------------------------------------------------------------
 # Newton machinery
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-10
-    max_iter: int = 50
-    damping: float = 1.0
-    stall_ratio: float = 0.9
-    input_defect_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
-
 
 def numeric_jacobian(fn, u: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     base = np.asarray(fn(u), float)
@@ -767,17 +739,17 @@ def vertical_derivative_fd_check(kind: str, base, direction,
 # ---------------------------------------------------------------------------
 # seeded experiment driver
 
-# experiment kind -> (document key of its object, seeded perturbation of the
-# object, solver of the perturbed problem)
+# experiment kind, in documents.EXPERIMENT_KINDS order -> (seeded
+# perturbation of the object, solver of the perturbed problem)
 EXPERIMENTS = {
-    "bracket-recovery": ("algebra", perturbed_bracket, recover_bracket_orbit),
-    "hom-recovery": ("hom", perturbed_hom, recover_hom_orbit),
-    "sub-recovery": ("sub", perturbed_plane, recover_sub_orbit),
+    "bracket-recovery": (perturbed_bracket, recover_bracket_orbit),
+    "hom-recovery": (perturbed_hom, recover_hom_orbit),
+    "sub-recovery": (perturbed_plane, recover_sub_orbit),
     "hom-continuation": (
-        "hom", lambda rho, scale, seed: perturbed_bracket(rho.target, scale, seed),
+        lambda rho, scale, seed: perturbed_bracket(rho.target, scale, seed),
         continue_hom),
     "sub-continuation": (
-        "sub", lambda w, scale, seed: perturbed_bracket(w.ambient, scale, seed),
+        lambda w, scale, seed: perturbed_bracket(w.ambient, scale, seed),
         continue_sub),
 }
 
@@ -791,7 +763,7 @@ def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    _, perturb, solve = EXPERIMENTS[kind]
+    perturb, solve = EXPERIMENTS[kind]
     problem = Problem.of(obj)
     records = []
     for seed in seeds:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
@@ -19,7 +20,6 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        sub_preset_names, subalgebra_witness, validate_bracket,
                        validate_homomorphism)
 from .cochains import AltMap
-from .deformlab import EXPERIMENTS, NewtonConfig
 from .exactlin import Matrix, format_scalar, parse_scalar
 
 
@@ -29,6 +29,19 @@ class MalformedDocumentError(ValueError):
     def __init__(self, message, location: str = ""):
         super().__init__(message if not location else f"{location}: {message}")
         self.location = location
+
+
+class PreconditionError(RuntimeError):
+    """A cohomological hypothesis required by the operation does not hold."""
+
+
+class InputDefectError(ValueError):
+    """A floating-point input violates its structural contract beyond
+    tolerance (Jacobi defect, curvature, subalgebra defect)."""
+
+
+class ChartError(ValueError):
+    """The requested plane is not in the graph chart around the witness."""
 
 
 def _require(cond: bool, message: str, location: str = ""):
@@ -250,7 +263,30 @@ def resolve_object(key: str, spec):
 # ---------------------------------------------------------------------------
 # experiment documents
 
-EXPERIMENT_KINDS = tuple(EXPERIMENTS)
+# experiment kind -> document key of the object it perturbs.  The kinds,
+# NewtonConfig and the Newton errors live here and not in deformlab, so that
+# parsing or refusing an experiment never loads numpy.
+EXPERIMENT_KEYS = {"bracket-recovery": "algebra", "hom-recovery": "hom",
+                   "sub-recovery": "sub", "hom-continuation": "hom",
+                   "sub-continuation": "sub"}
+EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
+
+
+@dataclass(frozen=True)
+class NewtonConfig:
+    tol: float = 1e-10
+    max_iter: int = 50
+    damping: float = 1.0
+    stall_ratio: float = 0.9
+    input_defect_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError("need at least one iteration")
+        if not 0 < self.damping <= 1:
+            raise ValueError("damping must lie in (0, 1]")
 
 
 def parse_experiment_doc(doc) -> dict:
@@ -260,7 +296,7 @@ def parse_experiment_doc(doc) -> dict:
     kind = doc["kind"]
     _require(kind in EXPERIMENT_KINDS,
              f"'kind' must be one of {', '.join(EXPERIMENT_KINDS)}", "kind")
-    key = EXPERIMENTS[kind][0]
+    key = EXPERIMENT_KEYS[kind]
     _require(key in doc, f"{kind} experiments need '{key}'")
     obj = resolve_object(key, doc[key])
     pert = doc.get("perturbation", {})

@@ -4,9 +4,13 @@ rename fails here instead of in a later `bench/run.py --trace 1` run."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_layers():
@@ -118,3 +122,30 @@ def test_cli_calls_reach_the_traced_resolvers_and_kuranishi(tmp_path, capsys):
     finally:
         uninstall()
     capsys.readouterr()
+
+
+INSTALL_IN_BENCH_ORDER = """
+import sys
+
+import spans
+import tasks
+import families
+
+uninstall = spans.install(spans.Recorder(), extra_modules=(tasks, families))
+lab = sys.modules["liedeform.deformlab"]
+wrapped = hasattr(lab.numeric_jacobian, "__wrapped__")
+uninstall()
+print(wrapped, hasattr(lab.numeric_jacobian, "__wrapped__"))
+"""
+
+
+def test_install_in_bench_import_order():
+    # bench/run.py imports spans, tasks and families and then installs, with
+    # nothing but tasks' own imports loading liedeform: the package loads
+    # deformlab lazily, so the wrappers of its functions must still resolve
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    out = subprocess.run([sys.executable, "-c", INSTALL_IN_BENCH_ORDER],
+                         cwd=ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]

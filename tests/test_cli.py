@@ -292,6 +292,35 @@ class TestDeform:
         assert run_cli(capsys, "deform", "--kind", "bracket-recovery",
                        "--algebra", "sl2", "--seeds", "0") == (0, "", "")
 
+    def test_experiment_file_excludes_the_other_flags(self, capsys, tmp_path):
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({"kind": "bracket-recovery", "algebra": "sl2",
+                                 "perturbation": {"seeds": [0]}}))
+        for extra in (["--kind", "hom-recovery", "--hom", "id-sl2",
+                       "--seeds", "3"], ["--seeds", "3"], ["--scale", "0.1"],
+                      ["--algebra", "sl2"], ["--sub", "borel-in-sl2"]):
+            code, out, _ = run_cli(capsys, "deform", "--experiment", str(p),
+                                   *extra, "--json")
+            assert code == 2, extra
+            message = json.loads(out)["message"]
+            assert message.startswith("--experiment cannot be combined"), extra
+            assert all(f in message for f in extra if f.startswith("--"))
+        code, out, _ = run_cli(capsys, "deform", "--experiment", str(p),
+                               "--json")
+        assert code == 0 and len(out.splitlines()) == 1
+
+    def test_default_seeds_and_scale(self, capsys):
+        # --seeds and --scale default to None so that --experiment can tell
+        # them given; the flags path still runs seeds 0..9 at scale 0.05
+        defaults = run_cli(capsys, "deform", "--kind", "sub-recovery",
+                           "--sub", "borel-in-sl2", "--json")
+        explicit = run_cli(capsys, "deform", "--kind", "sub-recovery",
+                           "--sub", "borel-in-sl2", "--seeds", "10",
+                           "--scale", "0.05", "--json")
+        assert defaults == explicit
+        assert [json.loads(line)["seed"] for line in
+                defaults[1].splitlines()] == list(range(10))
+
     def test_dim_zero_objects_run(self, capsys, tmp_path):
         empty = {"dim": 0}
         for kind, flag, doc in (

@@ -239,3 +239,7 @@ class TestExperimentDocs:
         assert EXPERIMENT_KINDS == ("bracket-recovery", "hom-recovery",
                                     "sub-recovery", "hom-continuation",
                                     "sub-continuation")
+
+    def test_newton_solvers_follow_the_kind_list(self):
+        from liedeform import deformlab
+        assert tuple(deformlab.EXPERIMENTS) == EXPERIMENT_KINDS
