@@ -10,7 +10,7 @@ violating pair/triple together with the exact defect vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 

@@ -6,7 +6,8 @@ vertical-derivative identities.  Group elements are parametrized as
 exponentials: A = exp(a) acting on brackets, Ad_{exp(x)} = exp(ad_x) acting
 on homomorphisms and subspaces.  Newton uses a chord iteration: the
 least-squares pseudoinverse of the linearization at the base point is
-computed once and reused, refreshed from a numerical Jacobian only on stall.
+computed once (for recovery, once per chart, so per experiment) and reused,
+refreshed from a numerical Jacobian only on stall.
 
 Each problem kind has one float chart (``_CHARTS``): its acting bracket and
 base point, flat chart coordinates, structure map, group action and orbit
@@ -21,13 +22,14 @@ block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import expm, subspace_angles
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem, differential_rows
+from .cochains import subsets
 from .documents import (ChartError, InputDefectError, NewtonConfig,
                         PreconditionError)
 from .exactlin import Matrix, SparseMatrix
@@ -53,14 +55,19 @@ def _bracket_eval(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("i,j,ijk->k", x, y, c)
 
 
+@cache
+def _subset_index(n: int, k: int) -> tuple:
+    """Shared read-only index arrays of the k-subsets, in subset order."""
+    index = np.array(subsets(n, k), dtype=int).reshape(-1, k).T
+    index.flags.writeable = False
+    return tuple(index)
+
+
 def jacobiator_flat(c: np.ndarray) -> np.ndarray:
     """Jacobi defects on basis triples i<j<k, flattened in subset order."""
-    n = c.shape[0]
-    out = []
-    for (i, j, k) in combinations(range(n), 3):
-        out.append(c[i, j, :] @ c[:, k, :] + c[j, k, :] @ c[:, i, :]
-                   + c[k, i, :] @ c[:, j, :])
-    return np.concatenate(out) if out else np.zeros(0)
+    i, j, k = _subset_index(c.shape[0], 3)
+    t = np.tensordot(c, c, (2, 0))  # t[i, j, k] = [[e_i, e_j], e_k]
+    return (t[i, j, k] + t[j, k, i] + t[k, i, j]).ravel()
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,12 @@ class FloatBracket:
 def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
     """(A . mu)(u, v) = A mu(A^-1 u, A^-1 v), on structure constants."""
     a = np.asarray(a_matrix, dtype=float)
-    det = np.linalg.det(a)
-    if abs(det) < 1e-12:
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("matrix acting on the bracket is not finite")
+    if abs(np.linalg.det(a)) < 1e-12:
         raise np.linalg.LinAlgError("matrix acting on the bracket is singular")
     ainv = np.linalg.inv(a)
-    c = np.einsum("pi,qj,pqr,kr->ijk", ainv, ainv, mu.c, a)
+    c = np.tensordot(ainv, ainv.T @ mu.c, (0, 0)) @ a.T
     prov = dict(mu.provenance)
     prov["acted"] = True
     return FloatBracket(mu.dim, c, prov)
@@ -119,20 +127,22 @@ def numeric_jacobian(fn, u: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return jac
 
 
-def _chord_newton(residual_fn, u0: np.ndarray, jac: np.ndarray, cfg: NewtonConfig):
+# a diverging iterate may overflow; the checks below read its result
+@np.errstate(over="ignore", invalid="ignore")
+def _chord_newton(residual_fn, u0: np.ndarray, pinv: np.ndarray, cfg: NewtonConfig):
     """Chord Newton with a fixed pseudoinverse, refreshed on stall.
 
     Returns (u, residual, iterations, converged).  Non-convergence is a
     result, not an exception: an iterate that diverges past floating-point
     range or leaves the chart of the residual ends the iteration, and the
-    last finite iterate is returned with converged=False.
+    last finite iterate is returned with converged=False.  A refresh
+    replaces the chord of this call only, never the caller's ``pinv``.
     """
     u = np.array(u0, dtype=float)
     r = np.asarray(residual_fn(u), float)
     res = _sup(r)
     if res <= cfg.tol:
         return u, res, 0, True
-    pinv = np.linalg.pinv(jac)
     iters = 0
     while iters < cfg.max_iter:
         step = u - cfg.damping * (pinv @ r)
@@ -200,18 +210,20 @@ class ContinuationResult:
 
 
 def _pairs_flat(c: np.ndarray) -> np.ndarray:
-    n = c.shape[0]
-    return np.concatenate([c[i, j, :] for (i, j) in combinations(range(n), 2)]) \
-        if n >= 2 else np.zeros(0)
+    return c[_subset_index(c.shape[0], 2)].ravel()
+
+
+def _frame_brackets(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Brackets under c of the frame's column pairs i<j, one row per pair."""
+    i, j = _subset_index(frame.shape[1], 2)
+    t = np.tensordot(frame, c, (0, 0))  # t[i, b] = [f_i, e_b]
+    return np.einsum("bj,ibk->ijk", frame, t)[i, j]
 
 
 def _curvature_flat(c_target: np.ndarray, c_source: np.ndarray,
                     p: np.ndarray) -> np.ndarray:
-    kh = c_source.shape[0]
-    out = []
-    for (i, j) in combinations(range(kh), 2):
-        out.append(_bracket_eval(c_target, p[:, i], p[:, j]) - p @ c_source[i, j, :])
-    return np.concatenate(out) if out else np.zeros(0)
+    pairs = _subset_index(c_source.shape[0], 2)
+    return (_frame_brackets(c_target, p) - c_source[pairs] @ p.T).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +276,9 @@ def chart_defect_flat(frames: SubFrames, eta: np.ndarray,
     """Closure defect of the graph plane of eta under mu: for basis columns
     G_u, G_v of the graph, the quotient part of mu(G_u, G_v) minus eta of its
     subalgebra part, flattened over pairs."""
-    k = frames.witness.dim
-    g = graph_basis(frames, eta)
-    out = []
-    for (i, j) in combinations(range(k), 2):
-        z = mu.bracket(g[:, i], g[:, j])
-        out.append(frames.q_reader @ z - np.asarray(eta) @ (frames.h_reader @ z))
-    return np.concatenate(out) if out else np.zeros(0)
+    eta = np.asarray(eta, dtype=float)
+    z = _frame_brackets(mu.c, graph_basis(frames, eta))
+    return (z @ frames.q_reader.T - z @ frames.h_reader.T @ eta.T).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +292,8 @@ class _Chart:
     matrix or plane frame) is read as a float array, then as a chart point,
     then in flat chart coordinates.  Log coordinates are x in g, acting on
     matrix values as exp(ad_x); the bracket chart acts by GL(g) instead.
+    One chart serves every seed of an experiment: the recovery chord
+    ``orbit_pinv`` and the acting algebra's chart ``acting`` are kept.
     """
 
     # the structure map moves along a direction xi as sign * d_t(xi)
@@ -322,6 +332,14 @@ class _Chart:
     def orbit_linearization(self) -> np.ndarray:
         """Derivative at x = 0 of x -> coords(exp(x) . base)."""
         return -float_matrix(self.p.complex.d(self.p.tangent_degree - 1))
+
+    @cached_property
+    def orbit_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.orbit_linearization())
+
+    @cached_property
+    def acting(self) -> "_BracketChart":
+        return _BracketChart(Problem(self.algebra))
 
     def linearization(self, mu: FloatBracket) -> np.ndarray:
         """Derivative at the origin of the structure map under ``mu``."""
@@ -463,34 +481,40 @@ _CHARTS = {"bracket": _BracketChart, "hom": _HomChart, "sub": _SubChart}
 
 
 def _chart(obj, kind: str) -> _Chart:
-    """The chart of ``obj`` (raw object or problem) as a ``kind`` problem."""
+    """``obj`` itself when it is a chart, else the chart of ``obj`` (raw
+    object or problem); refuses (TypeError) a problem of another kind."""
     if kind not in _CHARTS:
         raise ValueError(f"unknown kind {kind!r}")
+    if isinstance(obj, _Chart):
+        Problem.of(obj.p, kind)
+        return obj
     return _CHARTS[kind](Problem.of(obj, kind))
 
 
 # ---------------------------------------------------------------------------
 # orbit recovery and zero continuation
 
-def _recover(p: Problem, value, cfg: NewtonConfig,
+# the record of a diverged iterate reports its determinant as inf
+@np.errstate(over="ignore", invalid="ignore")
+def _recover(chart: _Chart, value, cfg: NewtonConfig,
              rigidity) -> RecoveryResult:
     """Find log coordinates x with exp(x) . base ~ value: the ``rigidity``
     verdict must hold, the value must pass the input check, and chord
     Newton runs from x = 0 on the orbit-map linearization."""
+    p = chart.p
     if not rigidity(p).holds:
         raise PreconditionError(
-            f"{_CHARTS[p.kind].name} rigidity criterion "
+            f"{chart.name} rigidity criterion "
             f"(H{p.tangent_degree}=0) does not hold; orbit recovery is not "
             "guaranteed")
-    chart = _CHARTS[p.kind](p)
     target = chart.flat(chart.checked(value, cfg, "input")[0])
 
     def residual(u):
         value = chart.act(chart.group(chart.log(u)), chart.base)
         return chart.coords(value) - target
 
-    jac = chart.orbit_linearization()
-    u, res, iters, ok = _chord_newton(residual, np.zeros(jac.shape[1]), jac, cfg)
+    pinv = chart.orbit_pinv
+    u, res, iters, ok = _chord_newton(residual, np.zeros(pinv.shape[0]), pinv, cfg)
     x = chart.log(u)
     amat = chart.group(x)
     return RecoveryResult(kind=p.kind, log_solution=x, group_matrix=amat,
@@ -500,26 +524,26 @@ def _recover(p: Problem, value, cfg: NewtonConfig,
                                        **chart.recovery_diagnostics(amat, value)})
 
 
-def _continue(p: Problem, mu_prime: FloatBracket, cfg: NewtonConfig,
+def _continue(chart: _Chart, mu_prime: FloatBracket, cfg: NewtonConfig,
               stability) -> ContinuationResult:
     """Move the base point to a zero of the structure map under the
     perturbed bracket mu': the ``stability`` verdict must hold, mu' must
     pass the bracket input check, and chord Newton runs from the base point
     on the structure map's linearization under mu'."""
+    p = chart.p
     if not stability(p).holds:
         raise PreconditionError(
-            f"{_CHARTS[p.kind].name} stability criterion "
+            f"{chart.name} stability criterion "
             f"(H{p.tangent_degree + 1}=0) does not hold; continuation is not "
             "guaranteed")
-    chart = _CHARTS[p.kind](p)
-    _, defect = _BracketChart(Problem(chart.algebra)).checked(
-        mu_prime, cfg, "perturbed bracket")
+    _, defect = chart.acting.checked(mu_prime, cfg, "perturbed bracket")
 
     def residual(u):
         return chart.structure(chart.unflat(u), mu_prime)
 
+    pinv = np.linalg.pinv(chart.linearization(mu_prime))
     u, res, iters, ok = _chord_newton(residual, chart.flat(chart.origin),
-                                      chart.linearization(mu_prime), cfg)
+                                      pinv, cfg)
     point = chart.unflat(u)
     return ContinuationResult(kind=p.kind, solution=point, residual=res,
                               iterations=iters, converged=ok,
@@ -532,14 +556,14 @@ def recover_bracket_orbit(g: LieAlgebra | Problem, mu_prime: FloatBracket,
                           cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
     """Find A = exp(a) with A . mu ~ mu'.  Requires H^2(g,g) = 0; the Newton
     linearization at a = 0 is minus the adjoint differential C^1 -> C^2."""
-    return _recover(Problem.of(g, "bracket"), mu_prime, cfg, bracket_rigidity)
+    return _recover(_chart(g, "bracket"), mu_prime, cfg, bracket_rigidity)
 
 
 def recover_hom_orbit(rho: Homomorphism | Problem, rho_prime: np.ndarray,
                       cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
     """Find x with exp(ad_x) o rho ~ rho'.  Requires H^1(h,g) = 0; refuses
     rho' whose curvature exceeds the input tolerance."""
-    return _recover(Problem.of(rho, "hom"), rho_prime, cfg, hom_rigidity)
+    return _recover(_chart(rho, "hom"), rho_prime, cfg, hom_rigidity)
 
 
 def recover_sub_orbit(w: SubalgebraWitness | Problem, plane_prime: np.ndarray,
@@ -547,7 +571,7 @@ def recover_sub_orbit(w: SubalgebraWitness | Problem, plane_prime: np.ndarray,
     """Find x with exp(ad_x)(h) ~ the given plane, in chart coordinates.
     Requires H^1(h,g/h) = 0; refuses planes that fail the subalgebra-closure
     defect check or fall outside the graph chart."""
-    return _recover(Problem.of(w, "sub"), plane_prime, cfg, sub_rigidity)
+    return _recover(_chart(w, "sub"), plane_prime, cfg, sub_rigidity)
 
 
 def continue_hom(rho: Homomorphism | Problem, mu_prime: FloatBracket,
@@ -555,7 +579,7 @@ def continue_hom(rho: Homomorphism | Problem, mu_prime: FloatBracket,
     """Deform rho to a homomorphism into the perturbed bracket mu'.
     Requires H^2(h,g) = 0; Newton runs on the curvature map phi -> K_mu'(phi)
     starting at rho, linearized by the differential built from mu' at rho."""
-    return _continue(Problem.of(rho, "hom"), mu_prime, cfg, hom_stability)
+    return _continue(_chart(rho, "hom"), mu_prime, cfg, hom_stability)
 
 
 def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
@@ -563,7 +587,7 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
     """Deform the subalgebra to one closed under the perturbed bracket mu',
     in the graph chart.  Requires H^2(h,g/h) = 0; Newton runs on the chart
     closure defect, linearized by the quotient-type differential of mu'."""
-    return _continue(Problem.of(w, "sub"), mu_prime, cfg, sub_stability)
+    return _continue(_chart(w, "sub"), mu_prime, cfg, sub_stability)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +605,11 @@ def _perturbed(chart: _Chart, scale: float, seed: int) -> tuple:
 def perturbed_bracket(g: LieAlgebra, scale: float, seed: int) -> tuple:
     """mu' = exp(a0) . mu with a0 uniform in [-scale, scale] entrywise.
     Returns (FloatBracket, a0)."""
-    out, a0 = _perturbed(_chart(g, "bracket"), scale, seed)
-    prov = {"source": g.name, "perturbation": {"scale": scale, "seed": seed}}
-    return FloatBracket(g.dim, out.c, prov), a0
+    chart = _chart(g, "bracket")
+    out, a0 = _perturbed(chart, scale, seed)
+    prov = {"source": chart.algebra.name,
+            "perturbation": {"scale": scale, "seed": seed}}
+    return FloatBracket(out.dim, out.c, prov), a0
 
 
 def perturbed_hom(rho: Homomorphism, scale: float, seed: int) -> tuple:
@@ -739,18 +765,19 @@ def vertical_derivative_fd_check(kind: str, base, direction,
 # ---------------------------------------------------------------------------
 # seeded experiment driver
 
+def _perturbed_acting(chart: _Chart, scale: float, seed: int) -> tuple:
+    """perturbed_bracket of the algebra acting on the chart's base point."""
+    return perturbed_bracket(chart.acting, scale, seed)
+
+
 # experiment kind, in documents.EXPERIMENT_KINDS order -> (seeded
 # perturbation of the object, solver of the perturbed problem)
 EXPERIMENTS = {
     "bracket-recovery": (perturbed_bracket, recover_bracket_orbit),
     "hom-recovery": (perturbed_hom, recover_hom_orbit),
     "sub-recovery": (perturbed_plane, recover_sub_orbit),
-    "hom-continuation": (
-        lambda rho, scale, seed: perturbed_bracket(rho.target, scale, seed),
-        continue_hom),
-    "sub-continuation": (
-        lambda w, scale, seed: perturbed_bracket(w.ambient, scale, seed),
-        continue_sub),
+    "hom-continuation": (_perturbed_acting, continue_hom),
+    "sub-continuation": (_perturbed_acting, continue_sub),
 }
 
 
@@ -758,17 +785,19 @@ def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
                    cfg: NewtonConfig = NewtonConfig()) -> list:
     """Run one recovery/continuation per seed; records return in seed order.
 
-    The object's cohomology is computed at the first seed and shared by the
-    rest, so the precondition and the base linearization are proved once.
+    One chart of the object serves every seed, so its cohomology (behind
+    every precondition verdict), its float base point and the recovery chord
+    pseudoinverse are computed once, at the first seed.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     perturb, solve = EXPERIMENTS[kind]
     problem = Problem.of(obj)
+    chart = _CHARTS[problem.kind](problem)
     records = []
     for seed in seeds:
-        perturbed, pert = perturb(problem.obj, scale, seed)
-        result = solve(problem, perturbed, cfg)
+        perturbed, pert = perturb(chart, scale, seed)
+        result = solve(chart, perturbed, cfg)
         records.append({"seed": seed, "perturbation_sup": _sup(pert),
                         **result.to_json_dict()})
     return records

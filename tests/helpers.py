@@ -4,10 +4,12 @@ the package against, and shorthands for single cases."""
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
                                 subalgebra_witness, validate_bracket)
 from liedeform.cecomplex import CEComplex, CohomologyReport
-from liedeform.deformlab import NewtonConfig, run_experiment
+from liedeform.deformlab import NewtonConfig, graph_basis, run_experiment
 from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _subspace,
                                 invert, rref, solve_particular)
 
@@ -71,6 +73,49 @@ def act_on_bracket_exact(a_matrix: Matrix, cand: BracketCandidate) -> BracketCan
             w = a_matrix.apply(cand.bracket(u, v))
             entries[(i, j)] = w
     return BracketCandidate.from_entries(n, entries)
+
+
+# loop forms of the float structure maps: the references that the package's
+# array kernels are checked against
+
+def act_on_bracket_einsum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(A . c)(u, v) = A c(A^-1 u, A^-1 v) as one four-operand contraction."""
+    ainv = np.linalg.inv(a)
+    return np.einsum("pi,qj,pqr,kr->ijk", ainv, ainv, c, a)
+
+
+def jacobiator_loop(c: np.ndarray) -> np.ndarray:
+    out = []
+    for (i, j, k) in combinations(range(c.shape[0]), 3):
+        out.append(c[i, j, :] @ c[:, k, :] + c[j, k, :] @ c[:, i, :]
+                   + c[k, i, :] @ c[:, j, :])
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def pairs_loop(c: np.ndarray) -> np.ndarray:
+    out = [c[i, j, :] for (i, j) in combinations(range(c.shape[0]), 2)]
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def _bracket(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("i,j,ijk->k", x, y, c)
+
+
+def curvature_loop(c_target: np.ndarray, c_source: np.ndarray,
+                   p: np.ndarray) -> np.ndarray:
+    out = []
+    for (i, j) in combinations(range(c_source.shape[0]), 2):
+        out.append(_bracket(c_target, p[:, i], p[:, j]) - p @ c_source[i, j, :])
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def chart_defect_loop(frames, eta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    g = graph_basis(frames, eta)
+    out = []
+    for (i, j) in combinations(range(g.shape[1]), 2):
+        z = _bracket(c, g[:, i], g[:, j])
+        out.append(frames.q_reader @ z - eta @ (frames.h_reader @ z))
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def run_single_experiment(kind: str, obj, scale: float, seed: int,

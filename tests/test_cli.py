@@ -389,6 +389,19 @@ def test_module_entry_point():
     assert [d["dimH"] for d in json.loads(out.stdout)["degrees"]] == [2, 4, 2]
 
 
+def test_diverging_newton_leaves_stderr_empty():
+    # at scale 0.5 some seeds diverge until exp(a) overflows (seed 73 among
+    # them); the record says so, and no NumPy warning reaches stderr
+    out = subprocess.run([sys.executable, "-m", "liedeform", "deform",
+                          "--kind", "bracket-recovery", "--algebra", "sl2",
+                          "--seeds", "80", "--scale", "0.5", "--json"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(records) == 80 and not records[73]["converged"]
+    assert out.stderr == ""
+
+
 def console_script_command():
     """The `liedeform` command as the user would run it.
 

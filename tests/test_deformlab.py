@@ -1,15 +1,21 @@
 """Floating-point lane: group actions, orbit recovery, continuation,
 curve/finite-difference checks, and the seeded experiment driver."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from liedeform.algebras import (Matrix, catalog_algebra, hom_preset,
                                 sub_preset, validate_bracket)
 from liedeform.cecomplex import Problem, adjoint_cohomology
+import liedeform.deformlab as lab
 from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
-                                 NewtonConfig, PreconditionError,
-                                 _chord_newton, act_on_bracket, ad_float, chart_coords, chart_defect_flat,
+                                 NewtonConfig, PreconditionError, SubFrames,
+                                 _Chart, _chord_newton, _curvature_flat,
+                                 _pairs_flat, act_on_bracket, ad_float,
+                                 chart_coords, chart_defect_flat,
                                  continue_hom, continue_sub,
                                  curve_cocycle_check, graph_basis,
                                  jacobiator_flat, numeric_jacobian,
@@ -18,7 +24,9 @@ from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  recover_hom_orbit, recover_sub_orbit,
                                  run_experiment, sub_frames,
                                  vertical_derivative_fd_check)
-from helpers import act_on_bracket_exact, run_single_experiment
+from helpers import (act_on_bracket_einsum, act_on_bracket_exact,
+                     chart_defect_loop, curvature_loop, jacobiator_loop,
+                     pairs_loop, run_single_experiment)
 
 SL2 = catalog_algebra("sl2")
 AFF1 = catalog_algebra("aff1")
@@ -356,14 +364,15 @@ class TestNewtonDivergence:
     """Divergence is a result, not an exception."""
 
     def test_overflow_step_keeps_last_finite_iterate(self):
-        # a tiny chord jacobian makes the first step enormous and the
-        # residual overflows; the iteration must stop at the finite start
+        # a huge chord pseudoinverse (of a tiny jacobian) makes the first
+        # step enormous and the residual overflows; the iteration must stop
+        # at the finite start
         def residual(u):
             with np.errstate(over="ignore"):
                 return np.array([np.exp(u[0]) - 2.0])
 
         u, res, iters, ok = _chord_newton(residual, np.zeros(1),
-                                          np.array([[1e-300]]), NewtonConfig())
+                                          np.array([[1e300]]), NewtonConfig())
         assert not ok and iters == 1
         assert np.all(np.isfinite(u)) and np.isfinite(res)
 
@@ -378,7 +387,7 @@ class TestNewtonDivergence:
         assert not ok and iters == 1
         assert np.all(u == 0.0) and res == 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wild_sub_perturbation_degrades_cleanly(self):
         # scale far beyond the chart radius: Newton fails, but the result
         # still reports a finite iterate and finite diagnostics
@@ -430,3 +439,114 @@ def test_numeric_jacobian_quadratic():
     jac = numeric_jacobian(f, at)
     exact = np.array([[4.0, 0.0], [3.0, 2.0], [0.0, 1.0]])
     assert np.allclose(jac, exact, atol=1e-5)
+
+
+def assert_close(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+class TestKernelsMatchLoops:
+    """Each array kernel equals its loop form on seeded random tensors, down
+    to the empty cases of fewer than two or three basis vectors."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_bracket_action(self, n):
+        rng = np.random.default_rng(n)
+        mu = FloatBracket(n, rng.normal(size=(n, n, n)))
+        a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        assert_close(act_on_bracket(a, mu).c,
+                     FloatBracket(n, act_on_bracket_einsum(a, mu.c)).c)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_jacobiator_and_pairs(self, n):
+        c = np.random.default_rng(10 + n).normal(size=(n, n, n))
+        assert_close(jacobiator_flat(c), jacobiator_loop(c))
+        assert_close(_pairs_flat(c), pairs_loop(c))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_curvature(self, n):
+        rng = np.random.default_rng(20 + n)
+        c = rng.normal(size=(n, n, n))
+        for k in range(n + 1):
+            c_source = rng.normal(size=(k, k, k))
+            p = rng.normal(size=(n, k))
+            assert_close(_curvature_flat(c, c_source, p),
+                         curvature_loop(c, c_source, p))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_chart_defect(self, n):
+        rng = np.random.default_rng(30 + n)
+        mu = FloatBracket(n, rng.normal(size=(n, n, n)))
+        for k in range(n + 1):
+            q = n - k
+            frames = SubFrames(None, rng.normal(size=(n, k)),
+                               rng.normal(size=(n, q)), rng.normal(size=(k, n)),
+                               rng.normal(size=(q, n)))
+            eta = rng.normal(size=(q, k))
+            assert_close(chart_defect_flat(frames, eta, mu),
+                         chart_defect_loop(frames, eta, mu.c))
+
+
+class TestSharedChart:
+    def test_experiment_equals_single_seed_calls(self, monkeypatch):
+        # seeds 34, 37 and 42 stall and refresh the Jacobian; a refresh must
+        # stay with its seed and leave the chart's chord to the next seeds
+        refreshes = []
+        jacobian = lab.numeric_jacobian
+        monkeypatch.setattr(lab, "numeric_jacobian",
+                            lambda *a: refreshes.append(1) or jacobian(*a))
+        seeds = list(range(30, 46))
+        together = run_experiment("bracket-recovery", SL2, seeds, scale=0.3)
+        assert refreshes
+        alone = [run_experiment("bracket-recovery", SL2, [s], scale=0.3)[0]
+                 for s in seeds]
+        assert json.dumps(together) == json.dumps(alone)
+
+    @pytest.mark.parametrize("kind, obj", [
+        ("bracket-recovery", SL2), ("hom-recovery", hom_preset("id-sl2")),
+        ("sub-recovery", sub_preset("borel-in-sl2")),
+        ("hom-continuation", hom_preset("borel-incl")),
+        ("sub-continuation", sub_preset("borel-in-sl2"))])
+    def test_one_chart_per_experiment(self, kind, obj, monkeypatch):
+        calls = {"from_exact": 0, "orbit_linearization": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(FloatBracket, "from_exact", classmethod(
+            counted("from_exact", FloatBracket.from_exact.__func__)))
+        for cls in {_Chart, *lab._CHARTS.values()}:
+            if "orbit_linearization" in vars(cls):
+                monkeypatch.setattr(cls, "orbit_linearization", counted(
+                    "orbit_linearization", vars(cls)["orbit_linearization"]))
+        counts = []
+        for seeds in ([0], list(range(5))):
+            calls.update(from_exact=0, orbit_linearization=0)
+            assert len(run_experiment(kind, obj, seeds)) == len(seeds)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], counts
+        assert counts[1]["orbit_linearization"] == kind.endswith("recovery")
+
+
+class TestNoWarnings:
+    def test_non_finite_group_element_is_refused(self):
+        mu = FloatBracket.from_exact(SL2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                act_on_bracket(np.full((3, 3), np.nan), mu)
+
+    @pytest.mark.parametrize("scale, seed", [(0.5, 73), (1.0, 15)])
+    def test_overflowing_iterate_is_silent_nonconvergence(self, scale, seed):
+        # at scale 0.5 seed 73 diverges until exp(a) overflows; at scale 1.0
+        # seed 15 ends on an iterate whose determinant overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_experiment("bracket-recovery", SL2, [seed],
+                                     scale=scale)
+        assert records[0]["converged"] is False

@@ -2,6 +2,7 @@
 every exact verb leave numpy and SciPy unloaded, and the Newton names of the
 package load on first access."""
 
+import ast
 import json
 import os
 import subprocess
@@ -84,3 +85,27 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         liedeform.no_such_name
 
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package __init__ imports are its public API
+    modules = sorted((ROOT / "src" / "liedeform").glob("*.py"))
+    found = {path.name: unused_imports(path) for path in modules
+             if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
