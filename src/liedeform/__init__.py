@@ -3,7 +3,8 @@ continuation for finite-dimensional Lie algebras over the rationals.
 
 Layers, from the ground up:
 
-- ``exactlin``: rational linear algebra (rref, rank, kernels, quotients).
+- ``exactlin``: rational linear algebra; one echelon form gives rank, rref,
+  kernels, solves, inverses and quotients.
 - ``cochains``: alternating multilinear maps in flat coordinates.
 - ``algebras``: bracket candidates, Lie algebras, homomorphisms, subalgebra
   witnesses, the three coefficient systems, and the builtin catalog.
@@ -12,10 +13,13 @@ Layers, from the ground up:
 - ``kuranishi``: Jacobiator/curvature expansions and the three obstruction
   classes.
 - ``verdicts``: rigidity/stability conclusions with evidence.
+- ``documents``: JSON documents, ``NewtonConfig`` and the Newton errors.
 - ``deformlab``: floating-point Newton orbit recovery, zero continuation and
   finite-difference checks; it alone needs numpy and SciPy, so it is
   imported lazily, when one of its names here is first read.
-- ``documents`` / ``cli``: JSON documents and the command line.
+- ``cli``: the command line.
+
+Each module imports package modules only from the layers listed before it.
 """
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,

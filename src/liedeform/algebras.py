@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .cochains import AltMap
 from .exactlin import (Matrix, QuotientCoords, Subspace, _frac, _subspace,
-                       quotient_coords, rank)
+                       quotient_coords)
 
 
 class ValidationError(ValueError):
@@ -289,11 +289,8 @@ class SubalgebraWitness:
         return validate_bracket(cand, name=name or f"{self.name}-sub")
 
 
-def subalgebra_defect(g: LieAlgebra, sub: Subspace) -> AltMap:
-    """Projection of pairwise brackets of the echelon basis to the quotient;
-    zero iff the subspace is a subalgebra."""
-    qc = quotient_coords(sub)
-    k, q = sub.dim, qc.dim
+def _closure_defect(g: LieAlgebra, qc: QuotientCoords) -> AltMap:
+    k, q = len(qc.sub_basis), qc.dim
     values = {}
     for (i, j) in combinations(range(k), 2):
         w = g.bracket(list(qc.sub_basis[i]), list(qc.sub_basis[j]))
@@ -301,19 +298,26 @@ def subalgebra_defect(g: LieAlgebra, sub: Subspace) -> AltMap:
     return AltMap.from_values(2, k, q, values)
 
 
+def subalgebra_defect(g: LieAlgebra, sub: Subspace) -> AltMap:
+    """Projection of pairwise brackets of the echelon basis to the quotient;
+    zero iff the subspace is a subalgebra."""
+    return _closure_defect(g, quotient_coords(sub))
+
+
 def subalgebra_witness(g: LieAlgebra, vectors, name: str = "anonymous") -> SubalgebraWitness:
-    """Validate independence and closure; raise ValidationError otherwise."""
+    """Validate independence and closure; raise ValidationError otherwise.
+    The basis is reduced once, into the witness's quotient coordinates."""
     vecs = [[_frac(x) for x in v] for v in vectors]
     for v in vecs:
         if len(v) != g.dim:
             raise ValueError("subalgebra basis vector has wrong length")
-    m = Matrix.from_columns(vecs, rows=g.dim)
-    if rank(m) != len(vecs):
-        raise ValidationError("subalgebra basis vectors are linearly dependent",
-                              "independence", (), [])
     sub = _subspace(g.dim, vecs)
-    qc = quotient_coords(sub)
-    defect = subalgebra_defect(g, sub)
+    try:
+        qc = quotient_coords(sub)
+    except ValueError:
+        raise ValidationError("subalgebra basis vectors are linearly dependent",
+                              "independence", (), []) from None
+    defect = _closure_defect(g, qc)
     for (i, j) in combinations(range(sub.dim), 2):
         d = defect.value((i, j))
         if any(x != 0 for x in d):
@@ -389,17 +393,10 @@ def quotient_rep(w: SubalgebraWitness) -> RepSpec:
     is bracket-closed."""
     g = w.ambient
     k, q = w.dim, w.quotient_dim
-    sect = w.coords.section
-    mats = []
-    for i in range(k):
-        m = Matrix.zeros(q, q)
-        for b in range(q):
-            rep_vec = sect.column(b)
-            img = g.bracket(w.basis_vector(i), rep_vec)
-            col = w.coords.projection.apply(img)
-            for a in range(q):
-                m.data[a][b] = col[a]
-        mats.append(m)
+    sect, proj = w.coords.section, w.coords.projection
+    mats = [Matrix.from_columns(
+        [proj.apply(g.bracket(w.basis_vector(i), sect.column(b)))
+         for b in range(q)], rows=q) for i in range(k)]
     sub_alg = w.as_subalgebra()
     return RepSpec("quotient", sub_alg.candidate, q, tuple(mats),
                    label=f"{w.name}:{g.name}/sub").check_identity()

@@ -5,11 +5,13 @@ The differential on a k-cochain omega with values in a module (V, r) is
   (d omega)(u_0..u_k) = sum_i (-1)^i r(u_i) omega(.. u_i-hat ..)
                       + sum_{i<j} (-1)^{i+j} omega([u_i,u_j], .. hats ..)
 
-in the flat coordinates of `cochains`.  The matrix builder works for any
-bilinear antisymmetric bracket candidate and any square matrices r(u_i); it
-does not assume Jacobi or the representation identity, so the same code
-serves the exact complexes and the linearizations of the defect maps.
-`cohomology` refuses inputs whose composed differentials are nonzero.
+in the flat coordinates of `cochains`.  `differential_matrix` is the one
+builder of these matrices.  It works for any bilinear antisymmetric bracket
+candidate and any square rational matrices r(u_i); it does not assume Jacobi
+or the representation identity, so the same code serves the cohomology
+complexes and the exact expansion identities of `kuranishi`, whose base
+bracket or linear map need not satisfy either.  `cohomology` refuses inputs
+whose composed differentials are nonzero.
 """
 
 from __future__ import annotations
@@ -34,14 +36,11 @@ class ChainMapError(ValueError):
     """Raised when per-degree matrices do not commute with the differentials."""
 
 
-def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
-    """Rows of the degree-k differential, each a {column: value} dict of its
-    nonzero entries.
-
-    Generic over the entry type: exact with Fraction inputs, floating point
-    with float inputs.  ``bracket_c[i][j][l]`` are the structure constants of
-    the acting bracket and ``rep_mats[i]`` the m x m action matrices.
-    """
+def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
+    """Exact sparse matrix of the degree-k differential (ints where integral,
+    which elimination works on faster than on Fractions).  Each row is a
+    {column: value} dict of its nonzero entries."""
+    n, m = rep.acting.dim, rep.carrier_dim
     rows_subsets = subsets(n, k + 1)
     cols_pos = subset_positions(n, k)
     out = [{} for _ in range(len(rows_subsets) * m)]
@@ -52,9 +51,7 @@ def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
             S = T[:i] + T[i + 1:]
             col_base = cols_pos[S] * m
             sign = -1 if i % 2 else 1
-            r = rep_mats[ui]
-            for b in range(m):
-                rb = r.data[b] if isinstance(r, Matrix) else r[b]
+            for b, rb in enumerate(rep.matrices[ui].data):
                 orow = out[row_base + b]
                 for a in range(m):
                     v = rb[a]
@@ -65,7 +62,7 @@ def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
             for j in range(i + 1, k + 1):
                 sign_ij = -1 if (i + j) % 2 else 1
                 rest = T[:i] + T[i + 1:j] + T[j + 1:]
-                cl = bracket_c[T[i]][T[j]]
+                cl = rep.acting.c[T[i]][T[j]]
                 for l in range(n):
                     coeff = cl[l]
                     if not coeff:
@@ -78,15 +75,8 @@ def differential_rows(k: int, n: int, m: int, bracket_c, rep_mats):
                     for b in range(m):
                         orow = out[row_base + b]
                         orow[col_base + b] = orow.get(col_base + b, 0) + factor
-    return [{j: x for j, x in row.items() if x} for row in out]
-
-
-def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
-    """Exact sparse matrix of the degree-k differential (ints where integral,
-    which elimination works on faster than on Fractions)."""
-    n, m = rep.acting.dim, rep.carrier_dim
-    rows = [{j: x.numerator if x.denominator == 1 else x for j, x in r.items()}
-            for r in differential_rows(k, n, m, rep.acting.c, rep.matrices)]
+    rows = [{j: x.numerator if x.denominator == 1 else x
+             for j, x in row.items() if x} for row in out]
     return SparseMatrix(len(rows), cochain_dim(n, k, m), rows)
 
 

@@ -28,11 +28,10 @@ import numpy as np
 from scipy.linalg import expm, subspace_angles
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
-from .cecomplex import Problem, differential_rows
+from .cecomplex import Problem
 from .cochains import subsets
 from .documents import (ChartError, InputDefectError, NewtonConfig,
                         PreconditionError)
-from .exactlin import Matrix, SparseMatrix
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
 
@@ -42,7 +41,8 @@ def _sup(arr) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def float_matrix(m: Matrix | SparseMatrix) -> np.ndarray:
+def float_matrix(m) -> np.ndarray:
+    """An exact (dense or sparse) matrix as a float array."""
     return np.array(m.to_float_rows(), dtype=float).reshape(m.rows, m.cols)
 
 
@@ -169,6 +169,13 @@ def _chord_newton(residual_fn, u0: np.ndarray, pinv: np.ndarray, cfg: NewtonConf
     return u, res, iters, False
 
 
+def _json_record(record: dict) -> dict:
+    """``record`` with every non-finite float written as None (JSON null),
+    since JSON has no infinity or NaN."""
+    return {k: None if isinstance(v, float) and not np.isfinite(v) else v
+            for k, v in record.items()}
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     kind: str
@@ -181,12 +188,13 @@ class RecoveryResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "converged": self.converged,
-                "residual": self.residual, "iterations": self.iterations,
-                "determinant": self.determinant,
-                "log_solution": [list(map(float, row))
-                                 for row in np.atleast_2d(self.log_solution)],
-                **{k: v for k, v in self.diagnostics.items()}}
+        return _json_record({
+            "kind": self.kind, "converged": self.converged,
+            "residual": self.residual, "iterations": self.iterations,
+            "determinant": self.determinant,
+            "log_solution": [list(map(float, row))
+                             for row in np.atleast_2d(self.log_solution)],
+            **self.diagnostics})
 
 
 @dataclass(frozen=True)
@@ -201,12 +209,13 @@ class ContinuationResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "converged": self.converged,
-                "residual": self.residual, "iterations": self.iterations,
-                "distance": self.distance, "input_defect": self.input_defect,
-                "solution": [list(map(float, row))
-                             for row in np.atleast_2d(self.solution)],
-                **{k: v for k, v in self.diagnostics.items()}}
+        return _json_record({
+            "kind": self.kind, "converged": self.converged,
+            "residual": self.residual, "iterations": self.iterations,
+            "distance": self.distance, "input_defect": self.input_defect,
+            "solution": [list(map(float, row))
+                         for row in np.atleast_2d(self.solution)],
+            **self.diagnostics})
 
 
 def _pairs_flat(c: np.ndarray) -> np.ndarray:
@@ -342,11 +351,21 @@ class _Chart:
         return _BracketChart(Problem(self.algebra))
 
     def linearization(self, mu: FloatBracket) -> np.ndarray:
-        """Derivative at the origin of the structure map under ``mu``."""
+        """Derivative at the origin of the structure map under ``mu``, the
+        differential d(xi)(e_i, e_j) = r_i xi_j - r_j xi_i - xi([e_i, e_j])
+        of the bracket and action r that ``action`` reads from ``mu``."""
         c_source, mats = self.action(mu)
-        rows = differential_rows(1, len(mats), self.origin.shape[0],
-                                 c_source, mats)
-        return float_matrix(SparseMatrix(len(rows), self.origin.size, rows))
+        m, n = self.origin.shape
+        r = np.asarray(mats, dtype=float).reshape(n, m, m)
+        i, j = _subset_index(n, 2)
+        pairs, carrier = np.arange(len(i)), np.arange(m)
+        jac = np.zeros((len(i), m, n, m))  # [pair, b, basis vector, a]
+        # summed in the order of cecomplex.differential_matrix, which fixes
+        # the rounding of each entry
+        jac[pairs, :, j, :] += r[i]
+        jac[pairs, :, i, :] -= r[j]
+        jac[:, carrier, :, carrier] -= c_source[i, j]
+        return jac.reshape(len(i) * m, n * m)
 
     def checked(self, value, cfg: NewtonConfig, label: str) -> tuple:
         """(chart point, structure defect) of an outside value; refuses a
@@ -494,7 +513,7 @@ def _chart(obj, kind: str) -> _Chart:
 # ---------------------------------------------------------------------------
 # orbit recovery and zero continuation
 
-# the record of a diverged iterate reports its determinant as inf
+# a diverged iterate's determinant is inf; its JSON record writes null
 @np.errstate(over="ignore", invalid="ignore")
 def _recover(chart: _Chart, value, cfg: NewtonConfig,
              rigidity) -> RecoveryResult:

@@ -2,9 +2,12 @@
 
 Dense matrices with ``fractions.Fraction`` entries, sparse ones (a
 {column: value} dict per row) and ``Echelon``, a reduced echelon form kept
-for repeated solves.  Everything in this module is exact: ranks, kernels,
-solves and quotient coordinates involve no tolerances, and ranks computed
-here agree with ranks over the reals.
+for repeated solves.  ``Echelon`` is the only elimination: ``rank``,
+``rref``, ``solve_particular``, ``invert`` and the quotient coordinates of a
+subspace are all read from the echelon form of a matrix's columns.
+Everything in this module is exact: ranks, kernels, solves and quotient
+coordinates involve no tolerances, and ranks computed here agree with ranks
+over the reals.
 
 Conventions: matrices act on column vectors; a vector is a plain list of
 Fractions.  All values are treated as immutable after construction.
@@ -74,15 +77,11 @@ class Matrix:
     @classmethod
     def from_columns(cls, cols_list, rows: int | None = None) -> "Matrix":
         cols_list = [list(c) for c in cols_list]
-        nc = len(cols_list)
         nr = len(cols_list[0]) if cols_list else (rows or 0)
-        m = cls(nr, nc)
-        for j, col in enumerate(cols_list):
-            if len(col) != nr:
-                raise ValueError("ragged column list")
-            for i in range(nr):
-                m.data[i][j] = _frac(col[i])
-        return m
+        if any(len(col) != nr for col in cols_list):
+            raise ValueError("ragged column list")
+        return cls(nr, len(cols_list), [[col[i] for col in cols_list]
+                                        for i in range(nr)])
 
     def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
@@ -110,33 +109,18 @@ class Matrix:
 def rref(m: Matrix):
     """Reduced row echelon form; returns (R, pivot_columns).
 
-    Pivoting picks the first row with a nonzero entry in the current column,
-    so the result is deterministic for identical input.
+    Read from the ``Echelon`` of the columns: the pivots are its kept
+    columns, and row t of R is 1 at the t-th of them and holds the t-th
+    coefficient of every other column's relation.
     """
-    r = [row[:] for row in m.data]
-    pivots = []
-    lead = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for i in range(lead, m.rows):
-            if r[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        r[lead], r[pivot_row] = r[pivot_row], r[lead]
-        pv = r[lead][col]
-        if pv != 1:
-            r[lead] = [x / pv for x in r[lead]]
-        for i in range(m.rows):
-            if i != lead and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [a - f * b for a, b in zip(r[i], r[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == m.rows:
-            break
-    return Matrix(m.rows, m.cols, r), pivots
+    form = Echelon(SparseMatrix.of(m).columns())
+    r = [[ZERO] * m.cols for _ in range(m.rows)]
+    for t, j in enumerate(form.kept):
+        r[t][j] = Fraction(1)
+    for j, combo in form.relations.items():
+        for t, c in combo.items():
+            r[t][j] = c
+    return Matrix(m.rows, m.cols, r), form.kept
 
 
 def rank(m) -> int:
@@ -302,15 +286,7 @@ def solve_particular(m: Matrix, b):
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    aug = Matrix(m.rows, m.cols + 1,
-                 [m.data[i] + [_frac(b[i])] for i in range(m.rows)])
-    r, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = r.data[row_idx][m.cols]
-    return x
+    return Echelon(SparseMatrix.of(m).columns()).solve(b)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -318,12 +294,11 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = Matrix(n, 2 * n, [m.data[i] + [Fraction(1) if j == i else Fraction(0)
-                                         for j in range(n)] for i in range(n)])
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    form = Echelon(SparseMatrix.of(m).columns())
+    if len(form.kept) < n:
         raise ValueError("matrix is singular")
-    return Matrix(n, n, [r.data[i][n:] for i in range(n)])
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    return Matrix.from_columns([form.solve(e) for e in units], rows=n)
 
 
 def reduced_basis(sub: Subspace):

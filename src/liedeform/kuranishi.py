@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
-                       SubalgebraWitness, ad_matrix)
-from .cecomplex import Problem, differential_rows, snake_lift
-from .cochains import AltMap, cochain_dim
-from .exactlin import Matrix, SparseMatrix, invert
+from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
+                       SubalgebraWitness, ad_matrix, curvature)
+from .cecomplex import Problem, differential_matrix, snake_lift
+from .cochains import AltMap
+from .exactlin import Matrix, invert
 
 
 class NonCocycleError(ValueError):
@@ -73,14 +73,7 @@ def _interpolate_coefficients(samples, ts):
     """Exact polynomial coefficients from value vectors at integer nodes."""
     deg = len(ts)
     v = Matrix(deg, deg, [[Fraction(t) ** j for j in range(deg)] for t in ts])
-    vinv = invert(v)
-    length = len(samples[0])
-    coeffs = []
-    for j in range(deg):
-        row = vinv.data[j]
-        coeffs.append([sum(row[s] * samples[s][i] for s in range(deg))
-                       for i in range(length)])
-    return coeffs
+    return invert(v).mul(Matrix(deg, len(samples[0]), samples)).data
 
 
 def _compare_expansion(expected, coeffs, degree: int, n: int,
@@ -120,9 +113,8 @@ def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
     coeffs = _interpolate_coefficients(samples, ts)
 
     e = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-    ad_mats = [ad_matrix(base, e[i]) for i in range(n)]
-    d2 = SparseMatrix(cochain_dim(n, 3, n), cochain_dim(n, 2, n),
-                      differential_rows(2, n, n, base.c, ad_mats))
+    ad_mats = tuple(ad_matrix(base, e[i]) for i in range(n))
+    d2 = differential_matrix(2, RepSpec("adjoint", base, n, ad_mats))
     d_xi = d2.apply(xi.flat())
     d_eta = d2.apply(eta.flat())
     j_xi = jacobiator(xi_c).flat()
@@ -151,35 +143,24 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
     if xi_matrix.rows != ng or xi_matrix.cols != kh:
         raise ValueError("direction matrix has wrong shape")
 
-    def curv_flat(mat: Matrix):
-        vals = []
-        for (i, j) in combinations(range(kh), 2):
-            lhs = g.bracket(mat.column(i), mat.column(j))
-            rhs = mat.apply(h.basis_bracket(i, j))
-            vals.extend(a - b for a, b in zip(lhs, rhs))
-        return vals
-
     ts = [-1, 0, 1]
     samples = []
     for t in ts:
         m = Matrix(ng, kh, [[rho.matrix.data[a][b] + t * xi_matrix.data[a][b]
                              for b in range(kh)] for a in range(ng)])
-        samples.append(curv_flat(m))
+        samples.append(curvature(Homomorphism(h, g, m)).flat())
     coeffs = _interpolate_coefficients(samples, ts)
 
-    mats = [ad_matrix(g.candidate, rho.image_of_basis(j)) for j in range(kh)]
-    d1 = SparseMatrix(cochain_dim(kh, 2, ng), cochain_dim(kh, 1, ng),
-                      differential_rows(1, kh, ng, h.candidate.c, mats))
-    xi_flat = []
-    for j in range(kh):
-        xi_flat.extend(xi_matrix.column(j))
-    d_xi = d1.apply(xi_flat)
+    mats = tuple(ad_matrix(g.candidate, rho.image_of_basis(j))
+                 for j in range(kh))
+    d1 = differential_matrix(1, RepSpec("pullback", h.candidate, ng, mats))
+    d_xi = d1.apply(matrix_as_one_cochain(xi_matrix).flat())
     half_sq = []
     for (i, j) in combinations(range(kh), 2):
         half_sq.extend(g.bracket(xi_matrix.column(i), xi_matrix.column(j)))
 
     expected = [
-        ("t^0: K(rho)", curv_flat(rho.matrix)),
+        ("t^0: K(rho)", curvature(rho).flat()),
         ("t^1: d(xi)", d_xi),
         ("t^2: [xi,xi]/2", half_sq),
     ]

@@ -10,8 +10,72 @@ from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
                                 subalgebra_witness, validate_bracket)
 from liedeform.cecomplex import CEComplex, CohomologyReport
 from liedeform.deformlab import NewtonConfig, graph_basis, run_experiment
-from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _subspace,
-                                invert, rref, solve_particular)
+from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
+                                _subspace)
+
+
+# dense Gauss-Jordan elimination: the reference that the package's rref,
+# solve_particular and invert, all read from one Echelon, are checked against
+
+def rref(m: Matrix):
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Pivoting picks the first row with a nonzero entry in the current column,
+    so the result is deterministic for identical input.
+    """
+    r = [row[:] for row in m.data]
+    pivots = []
+    lead = 0
+    for col in range(m.cols):
+        pivot_row = None
+        for i in range(lead, m.rows):
+            if r[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        r[lead], r[pivot_row] = r[pivot_row], r[lead]
+        pv = r[lead][col]
+        if pv != 1:
+            r[lead] = [x / pv for x in r[lead]]
+        for i in range(m.rows):
+            if i != lead and r[i][col] != 0:
+                f = r[i][col]
+                r[i] = [a - f * b for a, b in zip(r[i], r[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == m.rows:
+            break
+    return Matrix(m.rows, m.cols, r), pivots
+
+
+def solve_particular(m: Matrix, b):
+    """One solution of m x = b with free variables zero, or None, from the
+    dense RREF of the augmented matrix."""
+    if len(b) != m.rows:
+        raise ValueError("right-hand side has wrong length")
+    aug = Matrix(m.rows, m.cols + 1,
+                 [m.data[i] + [_frac(b[i])] for i in range(m.rows)])
+    r, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row_idx, p in enumerate(pivots):
+        x[p] = r.data[row_idx][m.cols]
+    return x
+
+
+def invert(m: Matrix) -> Matrix:
+    """Inverse from the dense RREF of [m | I]; ValueError when singular."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    n = m.rows
+    aug = Matrix(n, 2 * n, [m.data[i] + [Fraction(1) if j == i else Fraction(0)
+                                         for j in range(n)] for i in range(n)])
+    r, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(n, n, [r.data[i][n:] for i in range(n)])
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -116,6 +180,21 @@ def chart_defect_loop(frames, eta: np.ndarray, c: np.ndarray) -> np.ndarray:
         z = _bracket(c, g[:, i], g[:, j])
         out.append(frames.q_reader @ z - eta @ (frames.h_reader @ z))
     return np.concatenate(out) if out else np.zeros(0)
+
+
+def linearization_loop(c_source: np.ndarray, mats, m: int) -> np.ndarray:
+    """d(xi)(e_i, e_j) = r_i xi_j - r_j xi_i - xi([e_i, e_j]), one pair's
+    block of rows at a time."""
+    n = len(mats)
+    blocks = []
+    for (i, j) in combinations(range(n), 2):
+        block = np.zeros((m, n * m))
+        block[:, j * m:(j + 1) * m] += mats[i]
+        block[:, i * m:(i + 1) * m] -= mats[j]
+        for l in range(n):
+            block[:, l * m:(l + 1) * m] -= c_source[i, j, l] * np.eye(m)
+        blocks.append(block)
+    return np.vstack(blocks) if blocks else np.zeros((0, n * m))
 
 
 def run_single_experiment(kind: str, obj, scale: float, seed: int,

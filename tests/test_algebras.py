@@ -12,6 +12,7 @@ from liedeform.algebras import (BracketCandidate, Homomorphism,
                                 quotient_rep, sub_preset, subalgebra_defect,
                                 subalgebra_witness, validate_bracket,
                                 validate_homomorphism)
+from liedeform import exactlin
 from liedeform.exactlin import Matrix, _subspace
 
 
@@ -166,6 +167,33 @@ class TestSubalgebras:
         w = sub_preset("borel-in-sl2")
         b = w.as_subalgebra()
         assert b.candidate.c == catalog_algebra("borel").candidate.c
+
+
+    @pytest.mark.parametrize("vectors, refusal", [
+        ([[1, 0, 0], [0, 1, 0]], None),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
+        ([], None),
+        ([[1, 0, 0], [2, 0, 0]],
+         ("subalgebra basis vectors are linearly dependent", "independence",
+          (), [])),
+        ([[0, 1, 0], [0, 0, 1]],
+         ("bracket of subspace basis pair (0,1) leaves the subspace",
+          "closure", (0, 1), [Fraction(1)]))])
+    def test_witness_reduces_its_basis_once(self, vectors, refusal,
+                                            monkeypatch):
+        forms = []
+        init = exactlin.Echelon.__init__
+        monkeypatch.setattr(exactlin.Echelon, "__init__",
+                            lambda self, v: forms.append(1) or init(self, v))
+        g = catalog_algebra("sl2")
+        if refusal is None:
+            subalgebra_witness(g, vectors)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                subalgebra_witness(g, vectors)
+            err = exc.value
+            assert (str(err), err.kind, err.location, err.defect) == refusal
+        assert len(forms) == (1 if vectors else 0)  # no basis, no reduction
 
 
 class TestQuotientRep:

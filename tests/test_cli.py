@@ -368,6 +368,23 @@ class TestDeform:
             assert doc["error"] == "validation-failure"
             assert "non-finite" in doc["message"]
 
+    def test_records_are_strict_json(self, capsys):
+        # seed 15 diverges and its group element overflows: the determinant
+        # is infinite, which JSON cannot write, so the record says null
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",
+                               "--algebra", "sl2", "--seeds", "16",
+                               "--scale", "1.0")
+        assert code == 0
+        records = [json.loads(line, parse_constant=refuse)
+                   for line in out.strip().splitlines()]
+        assert [r["seed"] for r in records] == list(range(16))
+        assert records[15]["determinant"] is None
+        assert not records[15]["converged"]
+        assert all(isinstance(r["determinant"], float) for r in records[:15])
+
 
 class TestArgHandling:
     def test_unknown_verb_exits_two(self, capsys):

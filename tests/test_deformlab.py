@@ -3,21 +3,25 @@ curve/finite-difference checks, and the seeded experiment driver."""
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from liedeform.algebras import (Matrix, catalog_algebra, hom_preset,
-                                sub_preset, validate_bracket)
+                                hom_preset_names, sub_preset, sub_preset_names,
+                                validate_bracket)
 from liedeform.cecomplex import Problem, adjoint_cohomology
 import liedeform.deformlab as lab
 from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
-                                 NewtonConfig, PreconditionError, SubFrames,
+                                 NewtonConfig, PreconditionError,
+                                 RecoveryResult, SubFrames,
                                  _Chart, _chord_newton, _curvature_flat,
                                  _pairs_flat, act_on_bracket, ad_float,
                                  chart_coords, chart_defect_flat,
                                  continue_hom, continue_sub,
-                                 curve_cocycle_check, graph_basis,
+                                 curve_cocycle_check, float_matrix,
+                                 graph_basis,
                                  jacobiator_flat, numeric_jacobian,
                                  perturbed_bracket, perturbed_hom,
                                  perturbed_plane, recover_bracket_orbit,
@@ -26,7 +30,7 @@ from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  vertical_derivative_fd_check)
 from helpers import (act_on_bracket_einsum, act_on_bracket_exact,
                      chart_defect_loop, curvature_loop, jacobiator_loop,
-                     pairs_loop, run_single_experiment)
+                     linearization_loop, pairs_loop, run_single_experiment)
 
 SL2 = catalog_algebra("sl2")
 AFF1 = catalog_algebra("aff1")
@@ -487,6 +491,54 @@ class TestKernelsMatchLoops:
             eta = rng.normal(size=(q, k))
             assert_close(chart_defect_flat(frames, eta, mu),
                          chart_defect_loop(frames, eta, mu.c))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_linearization(self, n):
+        # same terms in the same order: equal to the last bit
+        rng = np.random.default_rng(40 + n)
+        for m in range(4):
+            c = rng.normal(size=(n, n, n))
+            mats = list(rng.normal(size=(n, m, m)))
+            chart = SimpleNamespace(action=lambda mu: (c, mats),
+                                    origin=np.zeros((m, n)))
+            assert np.array_equal(_Chart.linearization(chart, None),
+                                  linearization_loop(c, mats, m))
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("hom", n) for n in hom_preset_names()),
+    *(("sub", n) for n in sub_preset_names())])
+def test_linearization_is_the_jacobian_of_the_structure_map(kind, name):
+    # under the base bracket and perturbed ones, the continuation Jacobian is
+    # the derivative of the structure map at the origin; under the base
+    # bracket it is also the exact degree-1 differential
+    chart = lab._chart((hom_preset if kind == "hom" else sub_preset)(name),
+                       kind)
+    mus = [chart.mu] + [perturbed_bracket(chart.acting, 0.05, seed)[0]
+                        for seed in range(5)]
+    for mu in mus:
+        lin = chart.linearization(mu)
+        numeric = numeric_jacobian(
+            lambda u: chart.structure(chart.unflat(u), mu),
+            chart.flat(chart.origin))
+        assert lin.shape == numeric.shape
+        assert np.max(np.abs(lin - numeric), initial=0.0) <= 1e-8
+    exact = float_matrix(chart.p.complex.d(1))
+    assert np.max(np.abs(chart.linearization(chart.mu) - exact),
+                  initial=0.0) <= 1e-8
+
+
+def test_non_finite_record_values_are_json_null():
+    res = RecoveryResult(kind="sub", log_solution=np.zeros(3),
+                         group_matrix=np.eye(3), residual=0.5, iterations=50,
+                         converged=False, determinant=float("nan"),
+                         diagnostics={"log_sup": 0.0,
+                                      "principal_angle_sup": float("inf")})
+    record = res.to_json_dict()
+    assert record["determinant"] is None
+    assert record["principal_angle_sup"] is None
+    assert record["residual"] == 0.5 and record["log_sup"] == 0.0
+    json.dumps(record, allow_nan=False)
 
 
 class TestSharedChart:

@@ -5,6 +5,7 @@ package load on first access."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,3 +110,44 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path) for path in modules
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def documented_layers() -> tuple:
+    """Module order of the package docstring's layer list and of the README
+    module table, both from the ground up."""
+    doc = [re.match(r"- ``(\w+)``", line).group(1)
+           for line in liedeform.__doc__.splitlines()
+           if re.match(r"- ``\w+``", line)]
+    table = re.findall(r"^\| `(\w+)` \|", (ROOT / "README.md").read_text(),
+                       re.MULTILINE)
+    return doc, table
+
+
+def package_imports(path: Path) -> set:
+    """Package modules a module imports, at top level or inside functions."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module or "").startswith("liedeform."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("liedeform."))
+    return out
+
+
+def test_modules_import_only_lower_layers():
+    doc, table = documented_layers()
+    assert doc == table
+    modules = {p.stem: p for p in (ROOT / "src" / "liedeform").glob("*.py")
+               if p.stem not in ("__init__", "__main__")}
+    assert sorted(doc) == sorted(modules)
+    upward = {name: sorted(m for m in package_imports(path)
+                           if doc.index(m) >= doc.index(name))
+              for name, path in modules.items()}
+    assert {name: ms for name, ms in upward.items() if ms} == {}

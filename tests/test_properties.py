@@ -11,11 +11,12 @@ from liedeform.algebras import (BracketCandidate, Matrix, catalog_algebra,
 from liedeform.cecomplex import CEComplex, adjoint_rep
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
 from elimination_oracle import bareiss_rank
+import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, image_basis,
-                     kernel_basis)
+                     kernel_basis, rref, solve_particular)
 from liedeform.cecomplex import _det
-from liedeform.exactlin import (Echelon, SparseMatrix, _dense, invert, rank,
-                                rref, solve_particular)
+from liedeform.exactlin import Echelon, SparseMatrix, _dense, invert, rank
+from liedeform import exactlin
 from liedeform.kuranishi import jacobiator, jacobiator_expansion_check
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -98,6 +99,47 @@ def test_representatives_are_the_unit_vectors_off_the_pivots(m):
     form = Echelon(SparseMatrix.of(m).row_maps)
     slots = [i for i in range(m.cols) if i not in form.pivots]
     assert slots == [p - m.rows for p in pivots if p >= m.rows]
+
+
+def entry_rows(r, c, entries=sparse_entries):
+    return st.lists(st.lists(entries, min_size=c, max_size=c),
+                    min_size=r, max_size=r)
+
+
+def low_rank(r, c):
+    # the product of r x k and k x c factors with k below both sides
+    return st.integers(0, min(r, c) - 1).flatmap(
+        lambda k: st.tuples(entry_rows(r, k), entry_rows(k, c)).map(
+            lambda ab: Matrix(r, k, ab[0]).mul(Matrix(k, c, ab[1]))))
+
+
+low_rank_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda rc: low_rank(*rc))
+square_matrices = st.integers(1, 5).flatmap(lambda n: st.one_of(
+    entry_rows(n, n).map(Matrix.from_rows),
+    entry_rows(n, n, rationals).map(Matrix.from_rows), low_rank(n, n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(sparse_matrix_strategy(), low_rank_matrices), st.data())
+def test_rref_and_solve_match_the_dense_reference(m, data):
+    assert exactlin.rref(m) == dense.rref(m)
+    x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    b_any = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
+    for b in (m.apply(x), b_any):
+        assert exactlin.solve_particular(m, b) == dense.solve_particular(m, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices)
+def test_invert_matches_the_dense_reference(m):
+    try:
+        want = dense.invert(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            exactlin.invert(m)
+    else:
+        assert exactlin.invert(m) == want
 
 
 @settings(max_examples=40, deadline=None)
