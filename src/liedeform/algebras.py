@@ -454,49 +454,56 @@ _CATALOG_BUILDERS = {
 }
 
 
+def _id_sl2() -> Homomorphism:
+    g = catalog_algebra("sl2")
+    return Homomorphism(g, g, Matrix.identity(3), name="id-sl2")
+
+
+_HOM_BUILDERS = {
+    "id-sl2": _id_sl2,
+    "borel-incl": lambda: Homomorphism(
+        catalog_algebra("borel"), catalog_algebra("sl2"),
+        Matrix.from_rows([[1, 0], [0, 1], [0, 0]]), name="borel-incl"),
+    "zero-to-sl2": lambda: Homomorphism(
+        abelian(1, name="abelian1"), catalog_algebra("sl2"),
+        Matrix.zeros(3, 1), name="zero-to-sl2"),
+}
+
+_SUB_BUILDERS = {
+    "borel-in-sl2": lambda: subalgebra_witness(
+        catalog_algebra("sl2"), [[1, 0, 0], [0, 1, 0]], name="borel-in-sl2"),
+    "center-in-heis3": lambda: subalgebra_witness(
+        catalog_algebra("heis3"), [[0, 0, 1]], name="center-in-heis3"),
+}
+
+
+def _build(builders: dict, noun: str, name: str):
+    try:
+        return builders[name]()
+    except KeyError:
+        raise KeyError(f"unknown {noun} {name!r}; "
+                       f"available: {', '.join(sorted(builders))}") from None
+
+
 def catalog_names():
     return sorted(_CATALOG_BUILDERS)
 
 
 def catalog_algebra(name: str) -> LieAlgebra:
-    try:
-        return _CATALOG_BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown catalog algebra {name!r}; "
-                       f"available: {', '.join(catalog_names())}") from None
+    return _build(_CATALOG_BUILDERS, "catalog algebra", name)
 
 
 def hom_preset(name: str) -> Homomorphism:
-    if name == "id-sl2":
-        g = catalog_algebra("sl2")
-        return Homomorphism(g, g, Matrix.identity(3), name="id-sl2")
-    if name == "borel-incl":
-        b = catalog_algebra("borel")
-        g = catalog_algebra("sl2")
-        m = Matrix.from_columns([[1, 0, 0], [0, 1, 0]], rows=3)
-        return Homomorphism(b, g, m, name="borel-incl")
-    if name == "zero-to-sl2":
-        line = abelian(1, name="abelian1")
-        g = catalog_algebra("sl2")
-        return Homomorphism(line, g, Matrix.zeros(3, 1), name="zero-to-sl2")
-    raise KeyError(f"unknown homomorphism preset {name!r}; "
-                   f"available: {', '.join(hom_preset_names())}")
+    return _build(_HOM_BUILDERS, "homomorphism preset", name)
 
 
 def hom_preset_names():
-    return ["borel-incl", "id-sl2", "zero-to-sl2"]
+    return sorted(_HOM_BUILDERS)
 
 
 def sub_preset(name: str) -> SubalgebraWitness:
-    if name == "borel-in-sl2":
-        g = catalog_algebra("sl2")
-        return subalgebra_witness(g, [[1, 0, 0], [0, 1, 0]], name="borel-in-sl2")
-    if name == "center-in-heis3":
-        g = catalog_algebra("heis3")
-        return subalgebra_witness(g, [[0, 0, 1]], name="center-in-heis3")
-    raise KeyError(f"unknown subalgebra preset {name!r}; "
-                   f"available: {', '.join(sub_preset_names())}")
+    return _build(_SUB_BUILDERS, "subalgebra preset", name)
 
 
 def sub_preset_names():
-    return ["borel-in-sl2", "center-in-heis3"]
+    return sorted(_SUB_BUILDERS)

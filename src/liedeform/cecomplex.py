@@ -16,7 +16,7 @@ whose composed differentials are nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -81,15 +81,14 @@ def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
 
 
 class CEComplex:
-    """Caches each exact differential d_k of a coefficient system and its
-    echelon form."""
+    """Caches each exact differential d_k of a coefficient system, its
+    echelon form and the cohomology at each degree read from them."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d = {}
-        self._forms = {}
+        self._d, self._forms, self._degrees = {}, {}, {}
 
     def d(self, k: int) -> SparseMatrix:
         if k not in self._d:
@@ -100,6 +99,14 @@ class CEComplex:
         if k not in self._forms:
             self._forms[k] = Echelon(self.d(k).columns())
         return self._forms[k]
+
+    def degree(self, k: int) -> "DegreeData":
+        """Degree k >= 0 of the cohomology; zero above the acting dimension."""
+        if k < 0:
+            raise KeyError(f"degree {k} not in report")
+        if k not in self._degrees:
+            self._degrees[k] = DegreeData(self, k)
+        return self._degrees[k]
 
     def dim_cochains(self, k: int) -> int:
         return cochain_dim(self.n, k, self.carrier_dim)
@@ -118,21 +125,54 @@ class CEComplex:
         return AltMap.from_flat(m.degree + 1, self.n, self.carrier_dim, out)
 
 
-@dataclass(frozen=True)
 class DegreeData:
-    """One degree of a report.  A cocycle is fixed by its entries at the
-    ``free`` columns of d_k; ``classes`` is the coboundaries' form there."""
+    """Degree k of a complex's cohomology.  The dimensions are read from the
+    kept forms of d_k and d_(k-1) when it is made, each basis the first time
+    it is read.  A cocycle is fixed by its entries at the ``free`` columns of
+    d_k, where the cocycle basis is the standard one; ``classes`` is the
+    coboundaries' form there, and the representatives sit at the free
+    columns that are no pivot of it."""
 
-    k: int
-    dim_cochains: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_h: int
-    cocycles: Subspace
-    coboundaries: Subspace
-    h_representatives: tuple
-    free: tuple = field(compare=False, repr=False)
-    classes: Echelon = field(compare=False, repr=False)
+    def __init__(self, cx: CEComplex, k: int):
+        self.complex = cx
+        self.k = k
+        self.dim_cochains = cx.dim_cochains(k)
+        self.free = tuple(cx.form(k).relations)
+        self.dim_cocycles = len(self.free)
+        self.dim_coboundaries = len(cx.form(k - 1).kept) if k else 0
+        self.dim_h = self.dim_cocycles - self.dim_coboundaries
+
+    def _image(self) -> list:
+        """The pivot columns of d_(k-1), a basis of the coboundaries."""
+        if not self.k:
+            return []
+        columns = self.complex.d(self.k - 1).columns()
+        return [columns[j] for j in self.complex.form(self.k - 1).kept]
+
+    def _dense_tuple(self, vectors) -> tuple:
+        return tuple(tuple(_dense(v, self.dim_cochains)) for v in vectors)
+
+    @cached_property
+    def cocycles(self) -> Subspace:
+        return Subspace(self.dim_cochains,
+                        self._dense_tuple(self.complex.form(self.k).kernel()))
+
+    @cached_property
+    def coboundaries(self) -> Subspace:
+        return Subspace(self.dim_cochains, self._dense_tuple(self._image()))
+
+    @cached_property
+    def classes(self) -> Echelon:
+        return Echelon({i: b[f] for i, f in enumerate(self.free) if f in b}
+                       for b in self._image())
+
+    @cached_property
+    def h_representatives(self) -> tuple:
+        kernel = self.complex.form(self.k).kernel()
+        reps = self._dense_tuple(kernel[i] for i in range(len(self.free))
+                                 if i not in self.classes.pivots)
+        assert len(reps) == self.dim_h
+        return reps
 
     def class_coords(self, z) -> list:
         """Coordinates of the class of the cocycle ``z`` in the classes of
@@ -152,10 +192,7 @@ class CohomologyReport:
     complex: CEComplex
 
     def degree(self, k: int) -> DegreeData:
-        for d in self.degrees:
-            if d.k == k:
-                return d
-        raise KeyError(f"degree {k} not in report")
+        return self.complex.degree(k)
 
     def dims_h(self):
         return [d.dim_h for d in self.degrees]
@@ -172,47 +209,20 @@ class CohomologyReport:
 
 
 def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
-    """Exact cohomology of a coefficient system, all degrees 0..n; given a
+    """Exact cohomology of a coefficient system, degrees 0..n; given a
     complex, its differentials are the ones reduced and kept in the report.
-
-    The kept echelon form of each differential gives the cocycles of its own
-    degree and, as pivot columns, the coboundaries of the next.  Read at the
-    free columns the cocycle basis is the standard one, so the cocycles whose
-    classes are independent of the coboundaries and the cocycles before them
-    (the representatives) sit at the free columns that are no last nonzero
-    position of a coboundary.  Refuses (CohomologyUndefinedError) when the
-    composed differentials are not zero, which happens exactly when the
-    bracket or the action fails its identity."""
+    Only dimensions are read here (see ``DegreeData``).  Refuses
+    (CohomologyUndefinedError) when the composed differentials are not zero,
+    which happens exactly when the bracket or the action fails its identity."""
     cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
     bad = cx.d_squared_defect()
     if bad is not None:
         raise CohomologyUndefinedError(
             f"d o d is nonzero at degree {bad}; cohomology undefined")
-    out, cob = [], []
-    for k in range(0, cx.n + 1):
-        n_k, form = cx.dim_cochains(k), cx.form(k)
-        free = tuple(form.relations)
-        coc = [tuple(_dense(v, n_k)) for v in form.kernel()]
-        classes = Echelon({i: b[f] for i, f in enumerate(free) if f in b}
-                          for b in cob)
-        slots = tuple(i for i in range(len(free)) if i not in classes.pivots)
-        out.append(DegreeData(
-            k=k,
-            dim_cochains=n_k,
-            dim_cocycles=len(coc),
-            dim_coboundaries=len(cob),
-            dim_h=len(coc) - len(cob),
-            cocycles=Subspace(n_k, tuple(coc)),
-            coboundaries=Subspace(n_k, tuple(tuple(_dense(b, n_k)) for b in cob)),
-            h_representatives=tuple(coc[i] for i in slots),
-            free=free, classes=classes,
-        ))
-        assert len(slots) == out[-1].dim_h
-        columns = cx.d(k).columns()
-        cob = [columns[j] for j in form.kept]
     return CohomologyReport(label=cx.rep.label or cx.rep.variant,
                             acting_dim=cx.n, carrier_dim=cx.carrier_dim,
-                            degrees=tuple(out), complex=cx)
+                            degrees=tuple(map(cx.degree, range(cx.n + 1))),
+                            complex=cx)
 
 
 def euler_characteristic(report: CohomologyReport) -> int:
@@ -296,14 +306,14 @@ class Problem:
                                     name=f"{w.name}-incl"))
 
     def h_dim(self, k: int) -> int:
-        """dim H^k; 0 above the acting dimension, where C^k = 0."""
-        report = self.report
-        return report.degree(k).dim_h if k <= report.acting_dim else 0
+        """dim H^k, read from the report without building a basis; 0 above
+        the acting dimension, where C^k = 0."""
+        return self.report.degree(k).dim_h
 
     def z_dim(self, k: int) -> int:
-        """dim Z^k; 0 above the acting dimension, where C^k = 0."""
-        report = self.report
-        return report.degree(k).dim_cocycles if k <= report.acting_dim else 0
+        """dim Z^k, read from the report without building a basis; 0 above
+        the acting dimension, where C^k = 0."""
+        return self.report.degree(k).dim_cocycles
 
 
 # ---------------------------------------------------------------------------

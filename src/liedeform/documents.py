@@ -205,6 +205,10 @@ def load_json_file(path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"invalid JSON in {p}: {exc}")
+    except (OSError, UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # a directory, undecodable bytes, an integer past Python's digit
+        # limit, nesting deeper than the parser's recursion
+        raise MalformedDocumentError(f"unreadable document {p}: {exc}")
 
 
 def _looks_like_path(spec: str) -> bool:

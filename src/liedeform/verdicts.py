@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
-from .cecomplex import (InducedMap, Matrix, Problem, induced_map_on_h,
+from .cecomplex import (InducedMap, Problem, induced_map_on_h,
                         pullback_cochain_map)
 
 HOLDS = "holds"
@@ -95,14 +95,8 @@ def hom_rigidity(rho: Homomorphism | Problem) -> Verdict:
 
 def _induced_pullback_map(p: Problem, k: int) -> InducedMap:
     """H^k(rho*): H^k(g,g) -> H^k(h,g) for the homomorphism problem ``p``."""
-    rho = p.obj
-    if k > rho.source.dim:
-        # the receiving cochain space is trivial, so the induced map is the
-        # zero map onto a zero-dimensional space
-        src_h = p.target.h_dim(k)
-        return InducedMap(degree=k, matrix=Matrix.zeros(0, src_h),
-                          source_dim=src_h, target_dim=0, rank=0)
-    chain_maps = {j: pullback_cochain_map(rho, j) for j in range(max(0, k - 1), k + 2)}
+    chain_maps = {j: pullback_cochain_map(p.obj, j)
+                  for j in range(max(0, k - 1), k + 2)}
     return induced_map_on_h(chain_maps, p.target.report, p.report, k)
 
 
@@ -198,9 +192,6 @@ class KuranishiModelDims:
 
 
 def _degree_dims(p: Problem, k: int) -> dict:
-    if k > p.report.acting_dim:
-        return {"k": k, "dim_cochains": 0, "dim_cocycles": 0,
-                "dim_coboundaries": 0, "dim_h": 0}
     d = p.report.degree(k)
     return {"k": k, "dim_cochains": d.dim_cochains, "dim_cocycles": d.dim_cocycles,
             "dim_coboundaries": d.dim_coboundaries, "dim_h": d.dim_h}

@@ -53,6 +53,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--algebra", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda p: p.mkdir(),
+        lambda p: p.write_bytes(b"\xff\xfe[1]"),
+        lambda p: p.write_text("1" * 5000),
+        lambda p: p.write_text("[" * 100_000),
+    ], ids=["directory", "utf16-bom", "5000-digit-integer", "deep-nesting"])
+    def test_unreadable_doc_is_malformed(self, capsys, tmp_path, make):
+        p = tmp_path / "doc.json"
+        make(p)
+        code, out, err = run_cli(capsys, "verify", "--algebra", str(p),
+                                 "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+        assert err == ""
+
     def test_hom_and_sub_verify(self, capsys):
         assert run_cli(capsys, "verify", "--hom", "borel-incl")[0] == 0
         assert run_cli(capsys, "verify", "--sub", "center-in-heis3")[0] == 0

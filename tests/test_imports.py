@@ -151,3 +151,41 @@ def test_modules_import_only_lower_layers():
                            if doc.index(m) >= doc.index(name))
               for name, path in modules.items()}
     assert {name: ms for name, ms in upward.items() if ms} == {}
+
+
+def private_definitions(tree) -> set:
+    """Module-level functions, classes and assigned names with one leading
+    underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def references(tree) -> set:
+    """Names a module reads, as bare names, attributes or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_private_helper_is_left_unreferenced():
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "liedeform").glob("*.py"))}
+    read = set().union(*map(references, trees.values()))
+    found = {name: sorted(private_definitions(tree) - read)
+             for name, tree in trees.items()}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -101,6 +101,69 @@ def test_h_dim_is_zero_above_the_acting_dimension():
     p = Problem(catalog_algebra("heis3"))
     assert [p.h_dim(k) for k in range(5)] == p.report.dims_h() + [0]
     assert p.z_dim(4) == 0
+    d = p.report.degree(4)
+    assert (d.dim_cochains, d.dim_cocycles, d.dim_coboundaries,
+            d.dim_h) == (0, 0, 0, 0)
+    assert d.cocycles.basis == d.coboundaries.basis == ()
+    assert d.h_representatives == ()
+    with pytest.raises(KeyError):
+        p.report.degree(-1)
+
+
+@pytest.fixture
+def degree_views(monkeypatch):
+    """Every degree view made of a complex, in order."""
+    views = []
+    orig = cecomplex.DegreeData.__init__
+
+    def recorded(self, cx, k):
+        orig(self, cx, k)
+        views.append(self)
+
+    monkeypatch.setattr(cecomplex.DegreeData, "__init__", recorded)
+    return views
+
+
+LAZY = {"cocycles", "coboundaries", "classes", "h_representatives"}
+
+
+def built(view) -> set:
+    """The bases and forms a degree view has built so far."""
+    return LAZY & set(vars(view))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--question", "all", "--algebra", "sl2"],
+    ["verdict", "--question", "all", "--sub", "borel-in-sl2"],
+    ["cohomology", "--algebra", "heis3"],
+    ["cohomology", "--hom", "borel-incl"],
+    ["cohomology", "--sub", "center-in-heis3"],
+    ["verdict", "--question", "kuranishi-model-dims", "--algebra", "heis3"],
+    ["verdict", "--question", "kuranishi-model-dims", "--sub",
+     "borel-in-sl2"],
+])
+def test_dimension_readers_build_no_basis(degree_views, capsys, argv):
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert degree_views
+    assert [v.k for v in degree_views if built(v)] == []
+
+
+def test_precondition_builds_no_basis(degree_views):
+    run_experiment("bracket-recovery", catalog_algebra("sl2"), [0])
+    assert degree_views
+    assert [v.k for v in degree_views if built(v)] == []
+
+
+def test_induced_map_builds_bases_only_in_degree_one(degree_views, capsys):
+    assert run(["verdict", "--question", "hom-aut-rigidity", "--hom",
+                "borel-incl"]) == 0
+    capsys.readouterr()
+    # H^1(sl2, sl2) = 0: the target's representatives are read, and there
+    # is no image to class in the pullback system
+    got = {(v.complex.rep.variant, v.k): built(v) for v in degree_views
+           if built(v)}
+    assert got == {("adjoint", 1): {"classes", "h_representatives"}}
 
 
 def test_wrong_kind_is_refused():
