@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .cochains import AltMap
 from .exactlin import (Matrix, QuotientCoords, Subspace, _frac, _subspace,
-                       quotient_coords)
+                       format_scalar, quotient_coords)
 
 
 class ValidationError(ValueError):
@@ -30,7 +30,7 @@ class ValidationError(ValueError):
 
     def report(self) -> dict:
         return {"kind": self.kind, "location": list(self.location),
-                "defect": [str(x) for x in self.defect]}
+                "defect": [format_scalar(x) for x in self.defect]}
 
 
 @dataclass(frozen=True)

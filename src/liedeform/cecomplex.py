@@ -247,12 +247,13 @@ class Problem:
     subalgebra witness, with its coefficient system (adjoint, pullback or
     quotient) and its tangent degree (2, 1 or 1).
 
-    The coefficient system, its complex and the cohomology report reduced
-    from that complex are built on first use and kept, so every verdict,
-    obstruction class and Newton seed asked of one problem shares one
-    differential per degree.  A homomorphism has ``source`` and ``target``,
-    the bracket problems of its two algebras; a subalgebra has
-    ``inclusion``, the homomorphism problem of h -> g.
+    The coefficient system, its complex and the cohomology report reduced from
+    that complex are built on first use and kept, so every verdict, obstruction
+    class and Newton seed asked of one problem shares one differential per
+    degree.  ``of`` keeps one problem per object (validated objects are treated
+    as immutable), so the raw object shares them.  A homomorphism has
+    ``source`` and ``target``, the bracket problems of its two algebras; a
+    subalgebra has ``inclusion``, the homomorphism problem of h -> g.
     """
 
     def __init__(self, obj):
@@ -269,9 +270,15 @@ class Problem:
 
     @classmethod
     def of(cls, obj, kind: str | None = None) -> "Problem":
-        """``obj`` itself when it is a problem, else a new problem for it;
-        refuses (TypeError) a problem of another kind than ``kind``."""
-        problem = obj if isinstance(obj, cls) else cls(obj)
+        """``obj`` itself when it is a problem, else the problem kept in the
+        object's ``__dict__`` (by identity, dying with it), made on first
+        use; refuses (TypeError) a problem of another kind than ``kind``."""
+        problem = obj
+        if not isinstance(obj, cls):
+            problem = getattr(obj, "__dict__", {}).get("_problem")
+            # so that Problem.of(obj).obj is obj, also for a shallow copy
+            if problem is None or problem.obj is not obj:
+                problem = vars(obj)["_problem"] = cls(obj)
         if kind is not None and problem.kind != kind:
             raise TypeError(f"expected a {kind} problem, got a "
                             f"{problem.kind} problem")
@@ -291,11 +298,11 @@ class Problem:
 
     @cached_property
     def source(self) -> "Problem":
-        return Problem(self.obj.source)
+        return Problem.of(self.obj.source)
 
     @cached_property
     def target(self) -> "Problem":
-        return Problem(self.obj.target)
+        return Problem.of(self.obj.target)
 
     @cached_property
     def inclusion(self) -> "Problem":

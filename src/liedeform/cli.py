@@ -45,7 +45,7 @@ def _resolve_object(args):
         raise MalformedDocumentError(
             "exactly one of --algebra, --hom, --sub is required")
     which = given[0]
-    return which, Problem(resolve_object(which, getattr(args, which)))
+    return which, Problem.of(resolve_object(which, getattr(args, which)))
 
 
 # ---------------------------------------------------------------------------

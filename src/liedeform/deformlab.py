@@ -6,13 +6,14 @@ vertical-derivative identities.  Group elements are parametrized as
 exponentials: A = exp(a) acting on brackets, Ad_{exp(x)} = exp(ad_x) acting
 on homomorphisms and subspaces.  Newton uses a chord iteration: the
 least-squares pseudoinverse of the linearization at the base point is
-computed once (for recovery, once per chart, so per experiment) and reused,
-refreshed from a numerical Jacobian only on stall.
+computed once (for recovery, once per chart) and reused, refreshed from a
+numerical Jacobian only on stall.
 
 Each problem kind has one float chart (``_CHARTS``): its acting bracket and
 base point, flat chart coordinates, structure map, group action and orbit
-linearization.  One recovery skeleton and one continuation skeleton run on
-any chart, and the finite-difference checks read the chart too.
+linearization, kept in its problem, so one per object.  One recovery
+skeleton and one continuation skeleton run on any chart, and the
+finite-difference checks read the chart too.
 
 Flattening follows the cochain convention throughout: a k-cochain value
 block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
@@ -301,7 +302,7 @@ class _Chart:
     matrix or plane frame) is read as a float array, then as a chart point,
     then in flat chart coordinates.  Log coordinates are x in g, acting on
     matrix values as exp(ad_x); the bracket chart acts by GL(g) instead.
-    One chart serves every seed of an experiment: the recovery chord
+    One chart serves every call on its object: the recovery chord
     ``orbit_pinv`` and the acting algebra's chart ``acting`` are kept.
     """
 
@@ -346,9 +347,9 @@ class _Chart:
     def orbit_pinv(self) -> np.ndarray:
         return np.linalg.pinv(self.orbit_linearization())
 
-    @cached_property
+    @property
     def acting(self) -> "_BracketChart":
-        return _BracketChart(Problem(self.algebra))
+        return _chart(self.algebra, "bracket")
 
     def linearization(self, mu: FloatBracket) -> np.ndarray:
         """Derivative at the origin of the structure map under ``mu``, the
@@ -500,14 +501,17 @@ _CHARTS = {"bracket": _BracketChart, "hom": _HomChart, "sub": _SubChart}
 
 
 def _chart(obj, kind: str) -> _Chart:
-    """``obj`` itself when it is a chart, else the chart of ``obj`` (raw
-    object or problem); refuses (TypeError) a problem of another kind."""
+    """``obj`` itself when it is a chart, else the chart kept in the problem
+    of ``obj``, made on first use; refuses (TypeError) another kind."""
     if kind not in _CHARTS:
         raise ValueError(f"unknown kind {kind!r}")
     if isinstance(obj, _Chart):
         Problem.of(obj.p, kind)
         return obj
-    return _CHARTS[kind](Problem.of(obj, kind))
+    p = Problem.of(obj, kind)
+    if "_chart" not in vars(p):
+        vars(p)["_chart"] = _CHARTS[kind](p)
+    return vars(p)["_chart"]
 
 
 # ---------------------------------------------------------------------------
@@ -804,15 +808,14 @@ def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
                    cfg: NewtonConfig = NewtonConfig()) -> list:
     """Run one recovery/continuation per seed; records return in seed order.
 
-    One chart of the object serves every seed, so its cohomology (behind
-    every precondition verdict), its float base point and the recovery chord
-    pseudoinverse are computed once, at the first seed.
+    The object keeps its problem and chart (validated objects are treated as
+    immutable), so its cohomology (behind every precondition verdict), float
+    base point and recovery chord are computed once per object, in any call.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     perturb, solve = EXPERIMENTS[kind]
-    problem = Problem.of(obj)
-    chart = _CHARTS[problem.kind](problem)
+    chart = _chart(obj, Problem.of(obj).kind)
     records = []
     for seed in seeds:
         perturbed, pert = perturb(chart, scale, seed)

@@ -15,18 +15,36 @@ Fractions.  All values are treated as immutable after construction.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 
+# the exponent of a decimal literal such as "-1.5e3", if any, at the end
+_EXPONENT = re.compile(r"(?:e([-+]?\d+(?:_\d+)*))?\s*\Z", re.IGNORECASE)
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(str(text))
+    """Parse "p/q", "p" or a decimal into an exact rational; refuses a decimal
+    whose digits plus exponent pass the integer-string limit (ValueError)."""
+    text, limit = str(text), sys.get_int_max_str_digits()
+    exp = _EXPONENT.search(text)
+    size = sum(map(str.isdigit, text[:exp.start()])) + abs(int(exp[1] or 0))
+    if limit and "/" not in text and size > limit:
+        raise ValueError(f"would exceed the limit ({limit} digits) for "
+                         "integer string conversion")
+    return Fraction(text)
 
 
 def format_scalar(q: Fraction) -> str:
-    """Render an exact rational as "p/q", or "p" when the denominator is 1."""
-    return str(q)
+    """Render an exact rational as "p/q", or "p" when the denominator is 1;
+    one past the integer-string limit as the bit lengths of its terms."""
+    try:
+        return str(q)
+    except ValueError:
+        return (f"<{q.numerator.bit_length()}-bit/"
+                f"{q.denominator.bit_length()}-bit rational>")
 
 
 ZERO = Fraction(0)

@@ -68,6 +68,37 @@ class TestVerify:
         assert json.loads(out)["error"] == "malformed-input"
         assert err == ""
 
+    @pytest.mark.parametrize("coeff, verb, code", [
+        ("1e3000000", "cohomology", 2), ("1e999999999", "cohomology", 2),
+        ("1e999999999", "verify", 2), (None, "cohomology", 1),
+        (None, "verify", 1)],
+        ids=["exponent-past-limit", "exponent-far-past-limit",
+             "verify-exponent", "defect-past-limit", "verify-defect"])
+    def test_scalars_past_the_digit_limit(self, tmp_path, coeff, verb, code):
+        # a scalar whose integers would pass Python's integer-string limit
+        # is refused before it is built; 3000-digit scalars are accepted,
+        # but their Jacobi defect is too long to write in decimal
+        big = "7" * 3000
+        rows = ([[coeff, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]] if coeff
+                else [["1", big, big], [big, "1", big], [big, big, "0"]])
+        doc = {"dim": 3, "brackets": [
+            {"i": i, "j": j, "coeffs": c}
+            for (i, j), c in zip([(0, 1), (0, 2), (1, 2)], rows)]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = subprocess.run([sys.executable, "-m", "liedeform", verb,
+                              "--algebra", str(path), "--json"],
+                             capture_output=True, text=True, timeout=20)
+        assert (out.returncode, out.stderr) == (code, "")
+        payload = json.loads(out.stdout)
+        if code == 2:
+            assert payload["error"] == "malformed-input"
+            limit = sys.get_int_max_str_digits()
+            assert f"limit ({limit} digits)" in payload["message"]
+        else:
+            assert payload["kind"] == "jacobi"
+            assert payload["defect"][0] == "<19932-bit/1-bit rational>"
+
     def test_hom_and_sub_verify(self, capsys):
         assert run_cli(capsys, "verify", "--hom", "borel-incl")[0] == 0
         assert run_cli(capsys, "verify", "--sub", "center-in-heis3")[0] == 0

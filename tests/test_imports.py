@@ -189,3 +189,50 @@ def test_no_private_helper_is_left_unreferenced():
     found = {name: sorted(private_definitions(tree) - read)
              for name, tree in trees.items()}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def scoped_nodes(tree, scope=()):
+    """(dotted name of the enclosing classes and functions, node) for every
+    node under ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        yield ".".join(scope), child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+        yield from scoped_nodes(child, scope + (child.name,) if named
+                                else scope)
+
+
+def reads(node, name: str) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def one_path_breaches(package: Path) -> list:
+    """Places that make a problem or a float chart other than through
+    ``Problem.of`` (or ``Problem.inclusion``, whose homomorphism is its own)
+    and ``deformlab._chart``."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(package.glob("*.py"))}
+    chart_classes = {node.name for node in ast.walk(trees["deformlab"])
+                     if isinstance(node, ast.ClassDef)
+                     and any(reads(b, "_Chart") for b in node.bases)}
+    breaches = []
+    for module, tree in trees.items():
+        for scope, node in scoped_nodes(tree):
+            where = f"{module}.{scope}"
+            if (isinstance(node, ast.Call) and reads(node.func, "Problem")
+                    and where not in ("cecomplex.Problem.of",
+                                      "cecomplex.Problem.inclusion")):
+                breaches.append(f"{where} calls Problem(")
+            if (isinstance(node, ast.Subscript)
+                    and reads(node.value, "_CHARTS")
+                    and where != "deformlab._chart"):
+                breaches.append(f"{where} reads _CHARTS[...]")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in chart_classes):
+                breaches.append(f"{where} calls {node.func.id}(")
+    return breaches
+
+
+def test_problems_and_charts_are_made_on_one_path():
+    assert one_path_breaches(ROOT / "src" / "liedeform") == []

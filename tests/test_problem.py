@@ -1,8 +1,11 @@
 """One problem object per kind: its cohomology is computed once and shared
 by every verdict, CLI verb and Newton seed that asks for it."""
 
+import copy
+import gc
 import json
 import sys
+import weakref
 
 import pytest
 
@@ -12,7 +15,9 @@ from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
 from liedeform.cecomplex import Problem
 from liedeform.cli import run
 from liedeform.cochains import AltMap
-from liedeform.deformlab import run_experiment
+import liedeform.deformlab as lab
+from liedeform.deformlab import (perturbed_bracket, recover_bracket_orbit,
+                                 run_experiment)
 from liedeform.exactlin import Matrix
 from liedeform import kuranishi as K
 from liedeform import verdicts as V
@@ -256,3 +261,83 @@ def test_splitting_carries_its_problem():
     assert sp.problem is problem and shifted.problem is problem
     with pytest.raises(TypeError):
         K.Splitting(Problem(catalog_algebra("sl2")), w.coords.section)
+
+
+# ---------------------------------------------------------------------------
+# one problem and one chart per object, for the object's lifetime
+
+MAKERS = {"bracket": lambda: catalog_algebra("sl2"),
+          "hom": lambda: hom_preset("borel-incl"),
+          "sub": lambda: sub_preset("borel-in-sl2")}
+
+
+@pytest.fixture
+def charts_made(monkeypatch):
+    """Every float chart made, in order."""
+    charts = []
+    orig = lab._Chart.__init__
+
+    def recorded(self, *args):
+        orig(self, *args)
+        charts.append(self)
+
+    monkeypatch.setattr(lab._Chart, "__init__", recorded)
+    return charts
+
+
+def test_calls_on_one_object_share_one_report_and_chart(cohomology_calls,
+                                                        charts_made):
+    g = catalog_algebra("sl2")
+    for seed in range(20):
+        assert run_experiment("bracket-recovery", g, [seed])[0]["converged"]
+    for seed in range(20):
+        mu_prime, _ = perturbed_bracket(g, 0.05, seed)
+        assert recover_bracket_orbit(g, mu_prime).converged
+    assert len(cohomology_calls) == 1
+    assert charts_made == [lab._chart(g, "bracket")]
+
+
+def test_hom_continuation_acts_by_the_target_algebras_kept_chart(
+        cohomology_calls, charts_made):
+    rho = hom_preset("borel-incl")
+    target = Problem.of(rho.target)
+    assert V.bracket_rigidity(rho.target).holds
+    for seed in range(3):
+        assert run_experiment("hom-continuation", rho, [seed])[0]["converged"]
+    chart = lab._chart(rho, "hom")
+    assert chart.acting is lab._chart(rho.target, "bracket")
+    assert chart.acting.p is target is Problem.of(rho).target
+    # the target's report (rigidity) and the hom's (stability), once each
+    assert len(cohomology_calls) == 2
+    assert charts_made == [chart, chart.acting]
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_one_problem_per_object_by_identity(kind):
+    a, b = MAKERS[kind](), MAKERS[kind]()
+    assert a == b and a is not b
+    assert Problem.of(a) is Problem.of(a) is Problem.of(a, kind)
+    assert Problem.of(a).obj is a
+    assert Problem.of(b) is not Problem.of(a)
+    # a shallow copy carries its original's __dict__, not its problem
+    c = copy.copy(a)
+    assert Problem.of(c) is not Problem.of(a) and Problem.of(c).obj is c
+
+
+@pytest.mark.parametrize("experiment, make", [
+    ("bracket-recovery", MAKERS["bracket"]),
+    ("hom-recovery", lambda: hom_preset("id-sl2")),
+    ("sub-recovery", MAKERS["sub"]),
+    ("hom-continuation", MAKERS["hom"]),
+    ("sub-continuation", MAKERS["sub"])])
+def test_kept_problem_and_chart_die_with_their_object(experiment, make):
+    obj = make()
+    run_experiment(experiment, obj, [0])
+    problem = Problem.of(obj)
+    chart = lab._chart(obj, problem.kind)
+    assert Problem.of(obj) is problem
+    assert lab._chart(obj, problem.kind) is chart
+    refs = [weakref.ref(x) for x in (obj, problem, chart, chart.acting)]
+    del obj, problem, chart
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
