@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .cochains import AltMap
-from .exactlin import (Matrix, QuotientCoords, Subspace, _frac, _subspace,
-                       format_scalar, quotient_coords)
+from .exactlin import (Matrix, QuotientCoords, SparseMatrix, Subspace, _exact,
+                       _frac, _subspace, format_scalar, quotient_coords)
 
 
 class ValidationError(ValueError):
@@ -71,6 +72,13 @@ class BracketCandidate:
     @classmethod
     def zero(cls, dim: int) -> "BracketCandidate":
         return cls.from_tensor([[[0] * dim for _ in range(dim)] for _ in range(dim)])
+
+    @cached_property
+    def terms(self) -> tuple:
+        """terms[i][j]: the (k, c[i][j][k]) pairs of the nonzero structure
+        constants, ints where integral; built once per candidate."""
+        return tuple(tuple(tuple((k, _exact(x)) for k, x in enumerate(row) if x)
+                           for row in plane) for plane in self.c)
 
     def basis_bracket(self, i: int, j: int) -> list:
         return list(self.c[i][j])
@@ -346,29 +354,34 @@ class RepSpec:
     matrices: tuple
     label: str = ""
 
+    @cached_property
+    def rows(self) -> tuple:
+        """Each action matrix as a {column: value} dict of the nonzeros of
+        each row, ints where integral; built once per system."""
+        return tuple([{b: _exact(x) for b, x in row.items()}
+                      for row in SparseMatrix.of(mat).row_maps]
+                     for mat in self.matrices)
+
     def check_identity(self):
         """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs."""
-        n = self.acting.dim
-        for (i, j) in combinations(range(n), 2):
-            lhs = Matrix.zeros(self.carrier_dim, self.carrier_dim)
-            for k in range(n):
-                coeff = self.acting.c[i][j][k]
-                if coeff == 0:
-                    continue
-                mk = self.matrices[k]
-                for a in range(self.carrier_dim):
-                    for b in range(self.carrier_dim):
-                        if mk.data[a][b] != 0:
-                            lhs.data[a][b] += coeff * mk.data[a][b]
-            mi, mj = self.matrices[i], self.matrices[j]
-            comm = mi.mul(mj)
-            rev = mj.mul(mi)
+        r = self.rows
+        for (i, j) in combinations(range(self.acting.dim), 2):
             for a in range(self.carrier_dim):
-                for b in range(self.carrier_dim):
-                    if lhs.data[a][b] != comm.data[a][b] - rev.data[a][b]:
-                        raise RepresentationError(
-                            f"representation identity fails on pair ({i},{j})")
+                lhs = _row_sum((c, r[k][a]) for k, c in self.acting.terms[i][j])
+                if lhs != _row_sum([(x, r[j][b]) for b, x in r[i][a].items()]
+                                   + [(-x, r[i][b]) for b, x in r[j][a].items()]):
+                    raise RepresentationError(
+                        f"representation identity fails on pair ({i},{j})")
         return self
+
+
+def _row_sum(terms) -> dict:
+    """sum x * row over the (x, row) pairs, without the entries that cancel."""
+    acc = {}
+    for x, row in terms:
+        for b, y in row.items():
+            acc[b] = acc.get(b, 0) + x * y
+    return {b: y for b, y in acc.items() if y}
 
 
 def adjoint_rep(g: LieAlgebra) -> RepSpec:

@@ -24,8 +24,8 @@ from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
-from .exactlin import (Echelon, Matrix, SparseMatrix, Subspace, _dense, _frac,
-                       rank)
+from .exactlin import (Echelon, Matrix, SparseMatrix, Subspace, _dense, _exact,
+                       _frac, rank)
 
 
 class CohomologyUndefinedError(ValueError):
@@ -37,12 +37,14 @@ class ChainMapError(ValueError):
 
 
 def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
-    """Exact sparse matrix of the degree-k differential (ints where integral,
-    which elimination works on faster than on Fractions).  Each row is a
-    {column: value} dict of its nonzero entries."""
+    """Exact sparse matrix of the degree-k differential.  Each row is a
+    {column: value} dict of its nonzero entries, ints where integral; only
+    the nonzero action entries (``rep.rows``) and structure constants
+    (``rep.acting.terms``) are visited."""
     n, m = rep.acting.dim, rep.carrier_dim
     rows_subsets = subsets(n, k + 1)
     cols_pos = subset_positions(n, k)
+    terms, action = rep.acting.terms, rep.rows
     out = [{} for _ in range(len(rows_subsets) * m)]
     for t_pos, T in enumerate(rows_subsets):
         row_base = t_pos * m
@@ -51,22 +53,16 @@ def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
             S = T[:i] + T[i + 1:]
             col_base = cols_pos[S] * m
             sign = -1 if i % 2 else 1
-            for b, rb in enumerate(rep.matrices[ui].data):
+            for b, rb in enumerate(action[ui]):
                 orow = out[row_base + b]
-                for a in range(m):
-                    v = rb[a]
-                    if v:
-                        orow[col_base + a] = orow.get(col_base + a, 0) + sign * v
+                for a, v in rb.items():
+                    orow[col_base + a] = orow.get(col_base + a, 0) + sign * v
         # bracket-insertion terms
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 sign_ij = -1 if (i + j) % 2 else 1
                 rest = T[:i] + T[i + 1:j] + T[j + 1:]
-                cl = rep.acting.c[T[i]][T[j]]
-                for l in range(n):
-                    coeff = cl[l]
-                    if not coeff:
-                        continue
+                for l, coeff in terms[T[i]][T[j]]:
                     eps, merged = insertion_sign(l, rest)
                     if eps == 0:
                         continue
@@ -75,8 +71,7 @@ def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
                     for b in range(m):
                         orow = out[row_base + b]
                         orow[col_base + b] = orow.get(col_base + b, 0) + factor
-    rows = [{j: x.numerator if x.denominator == 1 else x
-             for j, x in row.items() if x} for row in out]
+    rows = [{j: _exact(x) for j, x in row.items() if x} for row in out]
     return SparseMatrix(len(rows), cochain_dim(n, k, m), rows)
 
 

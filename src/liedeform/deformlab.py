@@ -312,7 +312,6 @@ class _Chart:
     def __init__(self, p: Problem, algebra: LieAlgebra):
         self.p = p
         self.algebra = algebra
-        self.mu = FloatBracket.from_exact(algebra)
         self.log_shape = (algebra.dim,)
 
     def array(self, value) -> np.ndarray:
@@ -350,6 +349,11 @@ class _Chart:
     @property
     def acting(self) -> "_BracketChart":
         return _chart(self.algebra, "bracket")
+
+    @cached_property
+    def mu(self) -> FloatBracket:
+        """The acting bracket, converted once, by the acting algebra's chart."""
+        return self.acting.mu
 
     def linearization(self, mu: FloatBracket) -> np.ndarray:
         """Derivative at the origin of the structure map under ``mu``, the
@@ -401,6 +405,7 @@ class _BracketChart(_Chart):
 
     def __init__(self, p: Problem):
         super().__init__(p, p.obj)
+        self.mu = FloatBracket.from_exact(p.obj)
         self.base, self.origin = self.mu, self.mu.c
         self.log_shape = (p.obj.dim, p.obj.dim)
 

@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices with ``fractions.Fraction`` entries, sparse ones (a
-{column: value} dict per row) and ``Echelon``, a reduced echelon form kept
-for repeated solves.  ``Echelon`` is the only elimination: ``rank``,
-``rref``, ``solve_particular``, ``invert`` and the quotient coordinates of a
-subspace are all read from the echelon form of a matrix's columns.
-Everything in this module is exact: ranks, kernels, solves and quotient
-coordinates involve no tolerances, and ranks computed here agree with ranks
-over the reals.
+{column: value} dict per row) and ``Echelon``, an echelon form kept for
+repeated solves.  ``Echelon`` is the only elimination: ``rank``, ``rref``,
+``solve_particular``, ``invert`` and the quotient coordinates of a subspace
+are all read from the echelon form of a matrix's columns.  It is
+fraction-free: each row is an integer vector carrying its pivot value (a
+rational vector is first scaled by its common denominator), so elimination
+does no ``Fraction`` arithmetic and only the values it returns are
+rationals.  Everything in this module is exact: ranks, kernels, solves and
+quotient coordinates involve no tolerances, and ranks computed here agree
+with ranks over the reals.
 
 Conventions: matrices act on column vectors; a vector is a plain list of
 Fractions.  All values are treated as immutable after construction.
@@ -19,6 +22,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 # the exponent of a decimal literal such as "-1.5e3", if any, at the end
@@ -52,6 +57,11 @@ ZERO = Fraction(0)
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _exact(x):
+    """``x`` as an int where it is integral, else as a Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def _dense(vec: dict, n: int) -> list:
@@ -201,73 +211,98 @@ class SparseMatrix:
                                              for row in self.row_maps])
 
 
-def _sub_scaled(acc: dict, f, row: dict):
-    """acc -= f * row, dropping the entries that cancel."""
+def _ratio(x: int, s: int):
+    return x if s == 1 else Fraction(x, s)
+
+
+def _axpy(acc: dict, m: int, h: int, row: dict):
+    """acc = m * acc - h * row in place, dropping the entries that cancel."""
+    if m != 1:
+        for j in acc:
+            acc[j] *= m
     for j, x in row.items():
-        y = acc.get(j, 0) - f * x
+        y = acc.get(j, 0) - h * x
         if y:
             acc[j] = y
         else:
-            acc.pop(j, None)
+            del acc[j]
 
 
 class Echelon:
-    """Reduced echelon form of the span of {position: value} vectors taken
-    in order.  A vector left nonzero by the rows so far is kept (``kept``
-    lists the input indices): scaled to 1 at its last nonzero position, its
-    pivot, it becomes a row, and the pivot is cleared from the other rows.
-    ``pivots`` maps each pivot to its row and the row's combination of the
-    kept vectors; ``relations`` maps each other input index to its
-    combination.  For the columns of a matrix, ``kept`` are the pivot columns
-    of its RREF, ``kernel()`` the null-space basis read from it and
-    ``solve(b)`` the solution with free variables zero, as Gauss-Jordan
-    elimination gives them: all three are unique."""
+    """Row echelon form, in integers, of the span of {position: value}
+    vectors taken in order; a vector with rational entries is first scaled
+    by its common denominator.  A vector left nonzero by the rows so far is
+    kept (``kept`` lists the input indices) and becomes a row, with its last
+    nonzero position as its pivot.  ``pivots`` maps each pivot to its row and
+    the row's combination of the kept vectors: integer vectors with no
+    factor common to both, the row zero past its pivot and holding its
+    pivot value there.  ``relations`` maps each other input index to its
+    (rational) combination.  A remainder zero at every pivot, and so each
+    combination, does not depend on how the rows were reduced: for the
+    columns of a matrix, ``kept`` are the pivot columns of its RREF,
+    ``kernel()`` the null-space basis read from it and ``solve(b)`` the
+    solution with free variables zero, as Gauss-Jordan elimination gives
+    them."""
 
     def __init__(self, vectors):
         self.kept, self.relations, self.pivots = [], {}, {}
         for i, v in enumerate(vectors):
-            rem, combo = self.reduce(v)
+            s, rem, combo = self._reduce(v)
             if rem:
-                self._keep(i, rem, combo)
+                combo = {t: -c for t, c in combo.items()}
+                combo[len(self.kept)] = s
+                self.pivots[max(rem)] = (rem, combo)
+                self.kept.append(i)
             else:
-                self.relations[i] = combo
+                self.relations[i] = {t: _ratio(c, s) for t, c in combo.items()}
+
+    def _reduce(self, v: dict):
+        """(s, w, c) in integers with s * v = w + sum c_t kept_t, s > 0, the
+        remainder w zero at every pivot, and no factor common to all; s
+        starts as the common denominator of v.  The pivots are cleared from
+        the last one down: a row is zero past its pivot, so clearing one
+        brings in entries only at earlier positions."""
+        s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
+        rem = {j: (x * s).numerator for j, x in v.items() if x}
+        combo, pivots = {}, self.pivots
+        todo = [-p for p in rem if p in pivots]
+        heapify(todo)
+        while todo:
+            p = -heappop(todo)
+            if p in rem:
+                row, comb = pivots[p]
+                a, f = row[p], rem[p]
+                g = gcd(a, f) if a > 0 else -gcd(a, f)
+                m, h = a // g, f // g
+                s *= m
+                _axpy(rem, m, h, row)
+                _axpy(combo, m, -h, comb)
+                for j in row:
+                    if j in rem and j in pivots:
+                        heappush(todo, -j)
+        if s != 1:
+            g = gcd(s, *rem.values(), *combo.values())
+            s //= g
+            rem = {j: x // g for j, x in rem.items()}
+            combo = {t: c // g for t, c in combo.items()}
+        return s, rem, combo
 
     def reduce(self, v: dict):
         """(v - sum c_t kept_t, c) with the remainder zero at every pivot, so
         zero exactly when v is in the span."""
-        rem, combo = dict(v), {}
-        for p, f in v.items():
-            row = self.pivots.get(p)
-            if row is not None:
-                _sub_scaled(rem, f, row[0])
-                _sub_scaled(combo, -f, row[1])
-        return rem, combo
-
-    def _keep(self, i: int, rem: dict, combo: dict):
-        slot = len(self.kept)
-        self.kept.append(i)
-        q = max(rem)
-        p = rem[q]
-        inv = 1 if p == 1 else -1 if p == -1 else 1 / _frac(p)
-        row = {j: x * inv for j, x in rem.items()}
-        comb = {t: -c * inv for t, c in combo.items()}
-        comb[slot] = inv
-        for other, other_comb in self.pivots.values():
-            f = other.get(q)
-            if f:
-                _sub_scaled(other, f, row)
-                _sub_scaled(other_comb, f, comb)
-        self.pivots[q] = (row, comb)
+        s, rem, combo = self._reduce(v)
+        return ({j: _ratio(x, s) for j, x in rem.items()},
+                {t: _ratio(c, s) for t, c in combo.items()})
 
     def solve(self, b):
         """The coefficients x (one per input vector, zero off the kept ones)
         with sum x_i v_i = b, or None when b is not in the span."""
-        rem, combo = self.reduce({i: x for i, x in enumerate(b) if x})
+        s, rem, combo = self._reduce({i: x for i, x in enumerate(b) if x})
         if rem:
             return None
         x = [ZERO] * (len(self.kept) + len(self.relations))
         for t, c in combo.items():
-            x[self.kept[t]] = _frac(c)
+            x[self.kept[t]] = Fraction(c, s)
         return x
 
     def kernel(self) -> list:

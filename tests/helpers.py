@@ -269,3 +269,31 @@ def sl_algebra(n: int) -> LieAlgebra:
     vecs += [unit(((a, b), 1)) for a in range(n) for b in range(n) if a != b]
     return subalgebra_witness(gl_algebra(n), vecs,
                               name=f"sl{n}").as_subalgebra(name=f"sl{n}")
+
+
+def filiform_algebra(n: int) -> LieAlgebra:
+    """L_n: e0..e(n-1) with [e0, ei] = e(i+1) for 1 <= i <= n-2."""
+    entries = {(0, i): [int(k == i + 1) for k in range(n)]
+               for i in range(1, n - 1)}
+    return validate_bracket(BracketCandidate.from_entries(n, entries),
+                            name=f"L{n}")
+
+
+def heisenberg_algebra(m: int) -> LieAlgebra:
+    """heis_(2m+1): p1..pm, q1..qm, z with [p_i, q_i] = z."""
+    n = 2 * m + 1
+    entries = {(i, m + i): [int(k == n - 1) for k in range(n)]
+               for i in range(m)}
+    return validate_bracket(BracketCandidate.from_entries(n, entries),
+                            name=f"heis{n}")
+
+
+def rescaled_algebra(g: LieAlgebra, scales) -> LieAlgebra:
+    """g in the basis s_i e_i: [s_i e_i, s_j e_j] = sum_k (s_i s_j c_ijk /
+    s_k) s_k e_k."""
+    s = [Fraction(x) for x in scales]
+    n = g.dim
+    tensor = [[[s[i] * s[j] * g.c[i][j][k] / s[k] for k in range(n)]
+               for j in range(n)] for i in range(n)]
+    return validate_bracket(BracketCandidate.from_tensor(tensor),
+                            basis=g.basis, name=f"{g.name}-rescaled")

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from liedeform.algebras import (BracketCandidate, Homomorphism,
-                                ValidationError, abelian, ad_matrix,
+from liedeform.algebras import (BracketCandidate, Homomorphism, RepSpec,
+                                RepresentationError, ValidationError,
+                                abelian, ad_matrix,
                                 adjoint_rep, catalog_algebra, catalog_names,
                                 curvature, hom_preset, pullback_rep,
                                 quotient_rep, sub_preset, subalgebra_defect,
                                 subalgebra_witness, validate_bracket,
                                 validate_homomorphism)
 from liedeform import exactlin
+from liedeform.cecomplex import CohomologyUndefinedError, cohomology
 from liedeform.exactlin import Matrix, _subspace
 
 
@@ -92,6 +94,28 @@ class TestAdjoint:
     def test_representation_identity(self):
         for name in ("sl2", "so3", "heis3", "aff1", "borel"):
             adjoint_rep(catalog_algebra(name))  # check_identity runs inside
+
+    @pytest.mark.parametrize("rep_of, k, entry, value, pair", [
+        (lambda: adjoint_rep(catalog_algebra("sl2")), 1, (0, 2), 2, (1, 2)),
+        (lambda: adjoint_rep(catalog_algebra("sl2")), 2, (1, 1), Fraction(1, 3),
+         (0, 2)),
+        (lambda: pullback_rep(hom_preset("borel-incl")), 0, (2, 2),
+         Fraction(1, 2), (0, 1)),
+        (lambda: quotient_rep(sub_preset("borel-in-sl2")), 1, (0, 0),
+         Fraction(1, 2), (0, 1))])
+    def test_one_changed_action_entry_is_refused(self, rep_of, k, entry,
+                                                 value, pair):
+        rep = rep_of()
+        mats = [Matrix(m.rows, m.cols, m.data) for m in rep.matrices]
+        assert mats[k].data[entry[0]][entry[1]] != value
+        mats[k].data[entry[0]][entry[1]] = Fraction(value)
+        bad = RepSpec(rep.variant, rep.acting, rep.carrier_dim, tuple(mats),
+                      rep.label)
+        with pytest.raises(RepresentationError, match=(
+                r"^representation identity fails on pair \(%d,%d\)$" % pair)):
+            bad.check_identity()
+        with pytest.raises(CohomologyUndefinedError):
+            cohomology(bad)
 
 
 class TestHomomorphisms:

@@ -1,6 +1,7 @@
 """Differentials, cohomology reports, induced maps, and the long exact
 sequence for a subalgebra."""
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -17,7 +18,8 @@ from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  differential_matrix, euler_characteristic,
                                  induced_map_on_h, les_subalgebra,
                                  pullback_cochain_map)
-from helpers import (dense_report_tuples, gl_algebra, identity_chain_maps,
+from helpers import (dense_report_tuples, filiform_algebra, gl_algebra,
+                     heisenberg_algebra, identity_chain_maps, rescaled_algebra,
                      sl_algebra)
 from liedeform.cochains import AltMap
 
@@ -28,6 +30,10 @@ def all_reps():
         reps.append(pullback_rep(hom_preset(name)))
     for name in ("borel-in-sl2", "center-in-heis3"):
         reps.append(quotient_rep(sub_preset(name)))
+    # structure constants that are not all integers
+    for name in ("sl2", "heis3"):
+        reps.append(adjoint_rep(rescaled_algebra(
+            catalog_algebra(name), [Fraction(1, 2), Fraction(3, 5), 1])))
     return reps
 
 
@@ -239,6 +245,35 @@ def test_abelian_closed_form():
         a_n = validate_bracket(BracketCandidate.zero(n), name=f"abelian{n}")
         assert adjoint_cohomology(a_n).dims_h() == [
             comb(n, k) * n for k in range(n + 1)], n
+
+
+@pytest.mark.parametrize("name, dims", [("sl2", [0, 0, 0, 0]),
+                                        ("heis3", [1, 4, 5, 2])])
+def test_rational_structure_constants(name, dims):
+    # the basis rescaled by 1/2 and 3/5 gives an isomorphic algebra whose
+    # constants are not all integers: same dims, and each representative is
+    # its own class
+    g = rescaled_algebra(catalog_algebra(name), [Fraction(1, 2), Fraction(3, 5), 1])
+    assert any(x.denominator > 1 for plane in g.c for row in plane for x in row)
+    report = adjoint_cohomology(g)
+    assert report.dims_h() == dims
+    for d in report.degrees:
+        units = [[int(i == j) for j in range(d.dim_h)] for i in range(d.dim_h)]
+        assert [d.class_coords(z) for z in d.h_representatives] == units
+
+
+class TestFrontier:
+    # dims from the Fraction-based engine; each report takes well under 10 s
+    @pytest.mark.parametrize("g, dims", [
+        (filiform_algebra(10), [1, 10, 36, 85, 140, 161, 130, 72, 27, 8, 2]),
+        (heisenberg_algebra(5),
+         [1, 56, 330, 935, 1518, 1320, 1287, 1540, 1056, 430, 99, 10])])
+    def test_dims_only_report(self, g, dims):
+        t = time.perf_counter()
+        report = adjoint_cohomology(g)
+        assert report.dims_h() == dims
+        assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 10
 
 
 class TestClosedFormsAtDimensionEightAndNine:

@@ -589,6 +589,18 @@ class TestSharedChart:
         assert counts[0]["orbit_linearization"] == kind.endswith("recovery")
         assert counts[1:] == [{"from_exact": 0, "orbit_linearization": 0}] * 3
 
+    def test_one_conversion_per_algebra(self, monkeypatch):
+        # the hom chart reads the target's bracket from its acting chart
+        converted = []
+        from_exact = FloatBracket.from_exact.__func__
+        monkeypatch.setattr(FloatBracket, "from_exact", classmethod(
+            lambda cls, g, *args: converted.append(getattr(g, "candidate", g))
+            or from_exact(cls, g, *args)))
+        rho = hom_preset("borel-incl")
+        assert len(run_experiment("hom-continuation", rho, [0, 1])) == 2
+        assert sorted(map(id, converted)) == sorted(
+            map(id, (rho.source.candidate, rho.target.candidate)))
+
 
 class TestNoWarnings:
     def test_non_finite_group_element_is_refused(self):

@@ -79,6 +79,16 @@ def test_echelon_matches_dense_elimination(m):
 
 
 @settings(max_examples=80, deadline=None)
+@given(sparse_matrix_strategy())
+def test_echelon_rows_are_integers(m):
+    # rational columns are scaled to integers, so no row and no combination
+    # of a row ever holds a Fraction
+    form = form_of(m)
+    for row, combo in form.pivots.values():
+        assert all(type(x) is int for x in [*row.values(), *combo.values()])
+
+
+@settings(max_examples=80, deadline=None)
 @given(sparse_matrix_strategy(), st.data())
 def test_echelon_solve_matches_solve_particular(m, data):
     x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
