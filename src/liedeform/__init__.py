@@ -3,6 +3,8 @@ continuation for finite-dimensional Lie algebras over the rationals.
 
 Layers, from the ground up:
 
+- ``records``: ``record``, the frozen value classes of every layer, made
+  without ``dataclasses``.
 - ``exactlin``: rational linear algebra; one echelon form gives rank, rref,
   kernels, solves, inverses and quotients.
 - ``cochains``: alternating multilinear maps in flat coordinates.

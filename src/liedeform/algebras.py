@@ -10,7 +10,6 @@ violating pair/triple together with the exact defect vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -18,6 +17,7 @@ from itertools import combinations
 from .cochains import AltMap
 from .exactlin import (Matrix, QuotientCoords, SparseMatrix, Subspace, _exact,
                        _frac, _subspace, format_scalar, quotient_coords)
+from .records import record
 
 
 class ValidationError(ValueError):
@@ -34,7 +34,7 @@ class ValidationError(ValueError):
                 "defect": [format_scalar(x) for x in self.defect]}
 
 
-@dataclass(frozen=True)
+@record
 class BracketCandidate:
     """Antisymmetric bilinear candidate bracket in structure constants."""
 
@@ -84,21 +84,13 @@ class BracketCandidate:
         return list(self.c[i][j])
 
     def bracket(self, u, v) -> list:
-        """Bracket of coordinate vectors."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            ui = _frac(u[i])
-            if ui == 0:
-                continue
-            for j in range(n):
-                vj = _frac(v[j])
-                if vj == 0:
-                    continue
-                cij = self.c[i][j]
-                for k in range(n):
-                    if cij[k] != 0:
-                        out[k] += ui * vj * cij[k]
+        """Bracket of coordinate vectors, over the nonzero ``terms``."""
+        u, v = ([(i, _frac(x)) for i, x in enumerate(w) if x] for w in (u, v))
+        out = [Fraction(0)] * self.dim
+        for i, ui in u:
+            for j, vj in v:
+                for k, x in self.terms[i][j]:
+                    out[k] += ui * vj * x
         return out
 
     def antisymmetry_violation(self):
@@ -112,14 +104,14 @@ class BracketCandidate:
         return None
 
     def jacobiator_value(self, i: int, j: int, k: int) -> list:
-        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-        n = self.dim
-        e = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
-             for a in range(n)]
-        t1 = self.bracket(self.basis_bracket(i, j), e[k])
-        t2 = self.bracket(self.basis_bracket(j, k), e[i])
-        t3 = self.bracket(self.basis_bracket(k, i), e[j])
-        return [a + b + c for a, b, c in zip(t1, t2, t3)]
+        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], summed over
+        the nonzero c_ab^l c_lc^m of ``terms``."""
+        terms, out = self.terms, [0] * self.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in terms[a][b]:
+                for m, y in terms[l][c]:
+                    out[m] += x * y
+        return [Fraction(v) for v in out]
 
     def jacobi_violation(self):
         """First triple i<j<k with nonzero Jacobiator, or None."""
@@ -151,7 +143,7 @@ class BracketCandidate:
         return BracketCandidate.from_tensor(tensor)
 
 
-@dataclass(frozen=True)
+@record
 class LieAlgebra:
     """A validated bracket with named basis vectors."""
 
@@ -197,25 +189,20 @@ def validate_bracket(candidate: BracketCandidate, basis=None,
 
 
 def ad_matrix(candidate: BracketCandidate, vec) -> Matrix:
-    """Matrix of u -> bracket(vec, u)."""
-    n = candidate.dim
-    m = Matrix.zeros(n, n)
-    for i in range(n):
-        vi = _frac(vec[i])
-        if vi == 0:
-            continue
-        for j in range(n):
-            cij = candidate.c[i][j]
-            for k in range(n):
-                if cij[k] != 0:
-                    m.data[k][j] += vi * cij[k]
+    """Matrix of u -> bracket(vec, u), over the nonzero ``terms``."""
+    m = Matrix.zeros(candidate.dim, candidate.dim)
+    for i, vi in enumerate(map(_frac, vec)):
+        if vi:
+            for j, row in enumerate(candidate.terms[i]):
+                for k, x in row:
+                    m.data[k][j] += vi * x
     return m
 
 
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-@dataclass(frozen=True)
+@record
 class Homomorphism:
     """Linear map between Lie algebras, columns = images of source basis."""
 
@@ -262,7 +249,7 @@ def validate_homomorphism(hom: Homomorphism) -> Homomorphism:
 # ---------------------------------------------------------------------------
 # subalgebras
 
-@dataclass(frozen=True)
+@record
 class SubalgebraWitness:
     """A subspace certified closed under the ambient bracket.
 
@@ -343,7 +330,7 @@ class RepresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RepSpec:
     """A coefficient system: the acting algebra's bracket plus one matrix per
     acting basis vector on the carrier."""

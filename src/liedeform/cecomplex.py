@@ -16,7 +16,6 @@ whose composed differentials are nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,6 +25,7 @@ from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
 from .exactlin import (Echelon, Matrix, SparseMatrix, Subspace, _dense, _exact,
                        _frac, rank)
+from .records import record
 
 
 class CohomologyUndefinedError(ValueError):
@@ -158,13 +158,14 @@ class DegreeData:
 
     @cached_property
     def classes(self) -> Echelon:
-        return Echelon({i: b[f] for i, f in enumerate(self.free) if f in b}
+        index = {f: i for i, f in enumerate(self.free)}
+        return Echelon({index[j]: x for j, x in b.items() if j in index}
                        for b in self._image())
 
     @cached_property
     def h_representatives(self) -> tuple:
-        kernel = self.complex.form(self.k).kernel()
-        reps = self._dense_tuple(kernel[i] for i in range(len(self.free))
+        null = self.complex.form(self.k).null_vector
+        reps = self._dense_tuple(null(f) for i, f in enumerate(self.free)
                                  if i not in self.classes.pivots)
         assert len(reps) == self.dim_h
         return reps
@@ -178,7 +179,7 @@ class DegreeData:
                 if i not in self.classes.pivots]
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyReport:
     label: str
     acting_dim: int
@@ -363,7 +364,7 @@ def pullback_cochain_map(hom: Homomorphism, k: int) -> SparseMatrix:
     return SparseMatrix(len(out), len(src_subsets) * m, out)
 
 
-@dataclass(frozen=True)
+@record
 class InducedMap:
     degree: int
     matrix: Matrix
@@ -425,7 +426,7 @@ def _post_compose_block(matrix: Matrix, n_subsets: int) -> SparseMatrix:
     return SparseMatrix(n_subsets * r, n_subsets * c, out)
 
 
-@dataclass(frozen=True)
+@record
 class LESNode:
     label: str
     degree: int
@@ -436,7 +437,7 @@ class LESNode:
     membership_ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class LESReport:
     sub_report: CohomologyReport
     ambient_report: CohomologyReport

@@ -8,10 +8,11 @@ fastest, i.e. flat index = subset_position * m + carrier_index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+from .records import record
 
 
 def subsets(n: int, k: int):
@@ -46,7 +47,7 @@ def insertion_sign(element: int, sorted_rest) -> tuple:
     return (-1) ** pos, merged
 
 
-@dataclass(frozen=True)
+@record
 class AltMap:
     """Alternating k-linear map with values in an m-dimensional carrier."""
 

@@ -22,7 +22,6 @@ block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -33,6 +32,7 @@ from .cecomplex import Problem
 from .cochains import subsets
 from .documents import (ChartError, InputDefectError, NewtonConfig,
                         PreconditionError)
+from .records import field, record
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
 
@@ -71,7 +71,7 @@ def jacobiator_flat(c: np.ndarray) -> np.ndarray:
     return (t[i, j, k] + t[j, k, i] + t[k, i, j]).ravel()
 
 
-@dataclass(frozen=True)
+@record
 class FloatBracket:
     """Structure constants in double precision.  Antisymmetry is enforced at
     construction; the Jacobi defect is tracked, never assumed."""
@@ -177,7 +177,7 @@ def _json_record(record: dict) -> dict:
             for k, v in record.items()}
 
 
-@dataclass(frozen=True)
+@record
 class RecoveryResult:
     kind: str
     log_solution: np.ndarray
@@ -198,7 +198,7 @@ class RecoveryResult:
             **self.diagnostics})
 
 
-@dataclass(frozen=True)
+@record
 class ContinuationResult:
     kind: str
     solution: np.ndarray
@@ -239,7 +239,7 @@ def _curvature_flat(c_target: np.ndarray, c_source: np.ndarray,
 # ---------------------------------------------------------------------------
 # the graph chart around a subalgebra
 
-@dataclass(frozen=True)
+@record
 class SubFrames:
     """Float frames of the [basis | section] decomposition for a witness."""
 
@@ -653,7 +653,7 @@ def perturbed_plane(w: SubalgebraWitness, scale: float, seed: int) -> tuple:
 # ---------------------------------------------------------------------------
 # finite-difference checks
 
-@dataclass(frozen=True)
+@record
 class CurveCheckReport:
     kind: str
     steps: tuple
@@ -726,7 +726,7 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
                             ok=ok)
 
 
-@dataclass(frozen=True)
+@record
 class FDCheckReport:
     kind: str
     step: float

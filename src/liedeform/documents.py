@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
@@ -21,6 +20,7 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                        validate_homomorphism)
 from .cochains import AltMap
 from .exactlin import Matrix, format_scalar, parse_scalar
+from .records import record
 
 
 class MalformedDocumentError(ValueError):
@@ -276,7 +276,7 @@ EXPERIMENT_KEYS = {"bracket-recovery": "algebra", "hom-recovery": "hom",
 EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
 
 
-@dataclass(frozen=True)
+@record
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 50

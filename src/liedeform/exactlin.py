@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+
+from .records import record
 
 
 # the exponent of a decimal literal such as "-1.5e3", if any, at the end
@@ -66,7 +67,10 @@ def _exact(x):
 
 def _dense(vec: dict, n: int) -> list:
     """Dense Fraction vector of length n from {position: value}."""
-    return [_frac(vec[i]) if i in vec else ZERO for i in range(n)]
+    out = [ZERO] * n
+    for i, x in vec.items():
+        out[i] = _frac(x)
+    return out
 
 
 class Matrix:
@@ -305,13 +309,17 @@ class Echelon:
             x[self.kept[t]] = Fraction(c, s)
         return x
 
+    def null_vector(self, i: int) -> dict:
+        """e_i - sum c_t e_(kept t) for a vector i that was not kept."""
+        return {i: 1, **{self.kept[t]: -c
+                         for t, c in self.relations[i].items()}}
+
     def kernel(self) -> list:
-        """e_i - sum c_t e_(kept t) for each vector i that was not kept."""
-        return [{i: 1, **{self.kept[t]: -c for t, c in combo.items()}}
-                for i, combo in self.relations.items()]
+        """The null vector of each vector that was not kept."""
+        return list(map(self.null_vector, self.relations))
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A linear subspace given by a list of independent vectors."""
 
@@ -370,7 +378,7 @@ def reduced_basis(sub: Subspace):
     return rows, pivots
 
 
-@dataclass(frozen=True)
+@record
 class QuotientCoords:
     """Coordinates on ambient/sub induced by the standard-basis complement.
 

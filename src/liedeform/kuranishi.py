@@ -16,7 +16,6 @@ solving for the polynomial coefficients over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +24,7 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
 from .cecomplex import Problem, differential_matrix, snake_lift
 from .cochains import AltMap
 from .exactlin import Matrix, invert
+from .records import record
 
 
 class NonCocycleError(ValueError):
@@ -56,7 +56,7 @@ def jacobiator(mu) -> AltMap:
 # ---------------------------------------------------------------------------
 # exact expansion identities
 
-@dataclass(frozen=True)
+@record
 class ExpansionReport:
     ok: bool
     max_defect: Fraction
@@ -170,7 +170,7 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
 # ---------------------------------------------------------------------------
 # obstruction classes
 
-@dataclass(frozen=True)
+@record
 class ObstructionClass:
     kind: str
     representative: AltMap
@@ -239,7 +239,7 @@ def kuranishi_hom(rho: Homomorphism | Problem, xi: AltMap) -> ObstructionClass:
 # ---------------------------------------------------------------------------
 # splittings and the subalgebra obstruction
 
-@dataclass(frozen=True)
+@record
 class Splitting:
     """A right inverse of the quotient projection for a subalgebra, with the
     sub problem it splits; a raw witness is wrapped in a new problem."""
@@ -363,7 +363,7 @@ def kuranishi_sub(sp: Splitting, eta: AltMap) -> ObstructionClass:
                         "subalgebra obstruction is not closed")
 
 
-@dataclass(frozen=True)
+@record
 class SplittingComparison:
     ok: bool
     max_defect: Fraction

@@ -9,18 +9,17 @@ sufficiency is an open question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import (InducedMap, Problem, induced_map_on_h,
                         pullback_cochain_map)
+from .records import field, record
 
 HOLDS = "holds"
 FAILS = "fails-criterion"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     criterion: str
     conclusion: str
@@ -170,7 +169,7 @@ def sub_stability(w: SubalgebraWitness | Problem) -> Verdict:
     return _stability(w, "sub")
 
 
-@dataclass(frozen=True)
+@record
 class KuranishiModelDims:
     """Invariant dimensions of the local quadratic model: the model's domain
     (tangent), its target (obstruction fibre), and the cochain/cocycle/

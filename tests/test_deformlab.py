@@ -1,7 +1,6 @@
 """Floating-point lane: group actions, orbit recovery, continuation,
 curve/finite-difference checks, and the seeded experiment driver."""
 
-import dataclasses
 import json
 import warnings
 from types import SimpleNamespace
@@ -565,7 +564,11 @@ class TestSharedChart:
     def test_one_chart_per_experiment(self, kind, obj, monkeypatch):
         # the chart is kept with its object, so of several calls on one
         # object only the first converts a bracket or builds the chord
-        obj = dataclasses.replace(obj)  # an equal object with nothing kept
+        # an equal, distinct object with nothing kept, built anew
+        fresh = type(obj)(*(getattr(obj, f) for f in obj.__match_args__))
+        assert fresh == obj and fresh is not obj
+        assert "_problem" not in vars(fresh)
+        obj = fresh
         calls = {"from_exact": 0, "orbit_linearization": 0}
 
         def counted(name, fn):

@@ -1,6 +1,7 @@
 """The exact layers never import the float stack: `import liedeform` and
 every exact verb leave numpy and SciPy unloaded, and the Newton names of the
-package load on first access."""
+package load on first access.  Nor do they load ``dataclasses`` (or the
+``inspect`` it pulls in): the records are made by ``liedeform.records``."""
 
 import ast
 import json
@@ -20,6 +21,7 @@ FRESH_CLI = """
 import io, json, sys
 from contextlib import redirect_stdout
 
+before = set(sys.modules)
 import liedeform
 from liedeform import cli
 
@@ -42,9 +44,11 @@ codes["les"] = call("les", "--sub", "borel-in-sl2")
 codes["deform --experiment malformed"] = call("deform", "--experiment",
                                               malformed)
 exact = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+startup = sorted(m for m in ("dataclasses", "inspect")
+                 if m in set(sys.modules) - before)
 codes["deform"] = call("deform", "--kind", "bracket-recovery", "--algebra",
                        "sl2", "--seeds", "1")
-print(json.dumps({"codes": codes, "exact": exact,
+print(json.dumps({"codes": codes, "exact": exact, "startup": startup,
                   "numpy_after_deform": "numpy" in sys.modules}))
 """
 
@@ -64,6 +68,7 @@ def test_exact_verbs_never_load_numpy_or_scipy(tmp_path):
     assert codes.pop("deform --experiment malformed") == 2
     assert set(codes.values()) == {0}, codes
     assert result["exact"] == []
+    assert result["startup"] == []
     assert result["numpy_after_deform"]
 
 
@@ -110,6 +115,21 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path) for path in modules
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((ROOT / "src" / "liedeform").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def documented_layers() -> tuple:

@@ -1,13 +1,15 @@
 """Property-based invariants over randomized exact inputs."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedeform.algebras import (BracketCandidate, Matrix, catalog_algebra,
-                                catalog_names, validate_bracket)
+from liedeform.algebras import (BracketCandidate, Matrix, ad_matrix,
+                                catalog_algebra, catalog_names,
+                                validate_bracket)
 from liedeform.cecomplex import CEComplex, adjoint_rep
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
 from elimination_oracle import bareiss_rank
@@ -259,3 +261,67 @@ def test_validation_matches_jacobiator(cand):
         assert not jacobiator(cand).is_zero()
     else:
         assert jacobiator(cand).is_zero()
+
+
+def dense_bracket(cand, u, v) -> list:
+    """The bracket of coordinate vectors summed over every pair of basis
+    vectors and every structure constant, zero or not."""
+    n = cand.dim
+    return [sum((u[a] * v[b] * cand.c[a][b][m] for a in range(n)
+                 for b in range(n)), Fraction(0)) for m in range(n)]
+
+
+def dense_jacobiator(cand, i, j, k) -> list:
+    """[[e_i,e_j],e_k] + cyclic, from the dense bracket."""
+    def e(a):
+        return [Fraction(int(a == b)) for b in range(cand.dim)]
+
+    t = [dense_bracket(cand, dense_bracket(cand, e(a), e(b)), e(c))
+         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+    return [x + y + z for x, y, z in zip(*t)]
+
+
+def candidates(max_dim=5):
+    """Random candidates, antisymmetric (from entries i < j) or not (from a
+    full tensor); most fail Jacobi."""
+    def tensor(n, antisymmetric):
+        size = n * (n - 1) // 2 if antisymmetric else n * n
+        return st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                        min_size=size, max_size=size)
+
+    def build(n, antisymmetric, vectors):
+        if antisymmetric:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            return BracketCandidate.from_entries(n, dict(zip(pairs, vectors)))
+        return BracketCandidate.from_tensor(
+            [vectors[i * n:(i + 1) * n] for i in range(n)])
+
+    return st.integers(3, max_dim).flatmap(lambda n: st.booleans().flatmap(
+        lambda anti: tensor(n, anti).map(lambda v: build(n, anti, v))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(candidates(), st.sampled_from(
+    [catalog_algebra(name).candidate for name in catalog_names()])))
+def test_jacobiator_value_matches_the_dense_bracket(cand):
+    failing = []
+    for t in combinations(range(cand.dim), 3):
+        value = cand.jacobiator_value(*t)
+        assert value == dense_jacobiator(cand, *t)
+        assert all(type(x) is Fraction for x in value)
+        if any(value):
+            failing.append(t)
+    violation = cand.jacobi_violation()
+    assert (violation and violation[0]) == (failing[0] if failing else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(candidates().flatmap(lambda cand: st.tuples(
+    st.just(cand), *[st.lists(sparse_entries, min_size=cand.dim,
+                              max_size=cand.dim)] * 2)))
+def test_bracket_and_ad_matrix_match_the_dense_bracket(drawn):
+    cand, u, v = drawn
+    expect = dense_bracket(cand, u, v)
+    assert cand.bracket(u, v) == expect
+    assert all(type(x) is Fraction for x in cand.bracket(u, v))
+    assert ad_matrix(cand, u).apply(v) == expect
