@@ -13,7 +13,9 @@ Each problem kind has one float chart (``_CHARTS``): its acting bracket and
 base point, flat chart coordinates, structure map, group action and orbit
 linearization, kept in its problem, so one per object.  One recovery
 skeleton and one continuation skeleton run on any chart, and the
-finite-difference checks read the chart too.
+finite-difference checks read the chart too.  The bracket chart's orbit
+residual is one array kernel from (A, c) to flat pair coordinates
+(``_acted_pairs``), so Newton builds no FloatBracket per iterate.
 
 Flattening follows the cochain convention throughout: a k-cochain value
 block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
@@ -38,8 +40,8 @@ from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
 
 
 def _sup(arr) -> float:
-    a = np.asarray(arr, dtype=float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    a = arr if type(arr) is np.ndarray else np.asarray(arr, dtype=float)
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def float_matrix(m) -> np.ndarray:
@@ -76,6 +78,8 @@ class FloatBracket:
     """Structure constants in double precision.  Antisymmetry is enforced at
     construction; the Jacobi defect is tracked, never assumed."""
 
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
+
     dim: int
     c: np.ndarray
     provenance: dict = field(default_factory=dict, compare=False)
@@ -101,18 +105,28 @@ class FloatBracket:
         return _bracket_eval(self.c, np.asarray(x, float), np.asarray(y, float))
 
 
-def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
-    """(A . mu)(u, v) = A mu(A^-1 u, A^-1 v), on structure constants."""
-    a = np.asarray(a_matrix, dtype=float)
-    if not np.all(np.isfinite(a)):
+def _acted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A c(A^-1 u, A^-1 v); LinAlgError for a non-finite or singular A."""
+    if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("matrix acting on the bracket is not finite")
     if abs(np.linalg.det(a)) < 1e-12:
         raise np.linalg.LinAlgError("matrix acting on the bracket is singular")
-    ainv = np.linalg.inv(a)
-    c = np.tensordot(ainv, ainv.T @ mu.c, (0, 0)) @ a.T
-    prov = dict(mu.provenance)
-    prov["acted"] = True
-    return FloatBracket(mu.dim, c, prov)
+    ainv, n = np.linalg.inv(a), len(a)
+    # the product tensordot(ainv, ainv.T @ c, (0, 0)) makes, without its wrapper
+    return np.dot(ainv.T, (ainv.T @ c).reshape(n, n * n)).reshape(n, n, n) @ a.T
+
+
+def _acted_pairs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Flat pair coordinates of A . c (the orbit kernel), no record built."""
+    t = _acted(a, c)
+    return _pairs_flat((t - t.transpose(1, 0, 2)) / 2.0)
+
+
+def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
+    """(A . mu)(u, v) = A mu(A^-1 u, A^-1 v), on structure constants: the
+    kernel of ``_acted_pairs`` before its pair read, in one record."""
+    c = _acted(np.asarray(a_matrix, dtype=float), mu.c)
+    return FloatBracket(mu.dim, c, {**mu.provenance, "acted": True})
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +193,8 @@ def _json_record(record: dict) -> dict:
 
 @record
 class RecoveryResult:
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
+
     kind: str
     log_solution: np.ndarray
     group_matrix: np.ndarray
@@ -200,6 +216,8 @@ class RecoveryResult:
 
 @record
 class ContinuationResult:
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
+
     kind: str
     solution: np.ndarray
     residual: float
@@ -225,8 +243,10 @@ def _pairs_flat(c: np.ndarray) -> np.ndarray:
 
 def _frame_brackets(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Brackets under c of the frame's column pairs i<j, one row per pair."""
-    i, j = _subset_index(frame.shape[1], 2)
-    t = np.tensordot(frame, c, (0, 0))  # t[i, b] = [f_i, e_b]
+    n, k = frame.shape
+    i, j = _subset_index(k, 2)
+    # t[i, b] = [f_i, e_b], the product tensordot(frame, c, (0, 0)) makes
+    t = np.dot(frame.T, c.reshape(n, n * n)).reshape(k, n, n)
     return np.einsum("bj,ibk->ijk", frame, t)[i, j]
 
 
@@ -242,6 +262,8 @@ def _curvature_flat(c_target: np.ndarray, c_source: np.ndarray,
 @record
 class SubFrames:
     """Float frames of the [basis | section] decomposition for a witness."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
 
     witness: SubalgebraWitness
     basis: np.ndarray      # n x k
@@ -338,6 +360,9 @@ class _Chart:
     def act(self, a: np.ndarray, value):
         return a @ value
 
+    def orbit_coords(self, a: np.ndarray) -> np.ndarray:  # of a . base
+        return self.coords(self.act(a, self.base))
+
     def orbit_linearization(self) -> np.ndarray:
         """Derivative at x = 0 of x -> coords(exp(x) . base)."""
         return -float_matrix(self.p.complex.d(self.p.tangent_degree - 1))
@@ -398,7 +423,8 @@ class _Chart:
 class _BracketChart(_Chart):
     """GL(g) acting on structure tensors: a value is a FloatBracket or its
     tensor, the tensor is its own chart point, log coordinates are a in
-    gl(g), and the structure map is the Jacobiator."""
+    gl(g), and the structure map is the Jacobiator; orbit coordinates are
+    read by the kernel ``_acted_pairs``, with no record per iterate."""
 
     name, defect_name = "bracket", "Jacobi defect"
     sign = -1.0  # J(mu + s xi) = J(mu) - s d(xi) + O(s^2)
@@ -428,6 +454,9 @@ class _BracketChart(_Chart):
 
     def act(self, a: np.ndarray, value: FloatBracket) -> FloatBracket:
         return act_on_bracket(a, value)
+
+    def orbit_coords(self, a: np.ndarray) -> np.ndarray:
+        return _acted_pairs(a, self.origin)
 
 
 class _HomChart(_Chart):
@@ -538,8 +567,7 @@ def _recover(chart: _Chart, value, cfg: NewtonConfig,
     target = chart.flat(chart.checked(value, cfg, "input")[0])
 
     def residual(u):
-        value = chart.act(chart.group(chart.log(u)), chart.base)
-        return chart.coords(value) - target
+        return chart.orbit_coords(chart.group(chart.log(u))) - target
 
     pinv = chart.orbit_pinv
     u, res, iters, ok = _chord_newton(residual, np.zeros(pinv.shape[0]), pinv, cfg)
@@ -655,6 +683,8 @@ def perturbed_plane(w: SubalgebraWitness, scale: float, seed: int) -> tuple:
 
 @record
 class CurveCheckReport:
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
+
     kind: str
     steps: tuple
     derivative: np.ndarray

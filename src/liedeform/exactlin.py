@@ -134,6 +134,9 @@ class Matrix:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
+
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 

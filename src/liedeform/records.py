@@ -73,8 +73,10 @@ def record(cls):
     def __setattr__(self, attr, *value):
         raise AttributeError(f"cannot assign to or delete field {attr!r}")
 
+    # a method the class body defines is kept, as ``dataclass`` keeps it
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__):
-        setattr(cls, method.__name__, method)
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
     cls.__delattr__ = __setattr__
     cls.__match_args__ = names
     return cls

@@ -9,7 +9,8 @@ import numpy as np
 from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
                                 subalgebra_witness, validate_bracket)
 from liedeform.cecomplex import CEComplex, CohomologyReport
-from liedeform.deformlab import NewtonConfig, graph_basis, run_experiment
+from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
+                                 graph_basis, run_experiment)
 from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
                                 _subspace)
 
@@ -146,6 +147,24 @@ def act_on_bracket_einsum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(A . c)(u, v) = A c(A^-1 u, A^-1 v) as one four-operand contraction."""
     ainv = np.linalg.inv(a)
     return np.einsum("pi,qj,pqr,kr->ijk", ainv, ainv, c, a)
+
+
+def acted_pairs_tensordot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Pair coordinates of A . c by a tensordot contraction, then a
+    FloatBracket, then its pair read: the reference that the package's
+    kernel must equal bit for bit."""
+    ainv = np.linalg.inv(a)
+    acted = np.tensordot(ainv, ainv.T @ c, (0, 0)) @ a.T
+    return _pairs_flat(FloatBracket(len(a), acted).c)
+
+
+def frame_brackets_tensordot(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Brackets of the frame's column pairs with a tensordot product: the
+    reference that the package's must equal bit for bit."""
+    i, j = np.array(list(combinations(range(frame.shape[1]), 2)),
+                    dtype=int).reshape(-1, 2).T
+    t = np.tensordot(frame, c, (0, 0))
+    return np.einsum("bj,ibk->ijk", frame, t)[i, j]
 
 
 def jacobiator_loop(c: np.ndarray) -> np.ndarray:

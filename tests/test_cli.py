@@ -465,6 +465,19 @@ def test_diverging_newton_leaves_stderr_empty():
     assert out.stderr == ""
 
 
+def test_wide_band_recovery_is_deterministic_across_processes():
+    # at scale 0.3 stalls refresh the Jacobian and seeds 0 and 5 end
+    # unconverged; two fresh processes must still print the same bytes
+    argv = [sys.executable, "-m", "liedeform", "deform", "--kind",
+            "bracket-recovery", "--algebra", "sl2", "--seeds", "20",
+            "--scale", "0.3"]
+    first, second = (subprocess.run(argv, capture_output=True)
+                     for _ in range(2))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    assert first.stdout.count(b'"converged": false') == 2
+
+
 def console_script_command():
     """The `liedeform` command as the user would run it.
 

@@ -16,8 +16,9 @@ import liedeform.deformlab as lab
 from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  NewtonConfig, PreconditionError,
                                  RecoveryResult, SubFrames,
-                                 _Chart, _chord_newton, _curvature_flat,
-                                 _pairs_flat, act_on_bracket, ad_float,
+                                 _Chart, _acted_pairs, _chord_newton,
+                                 _curvature_flat, _frame_brackets,
+                                 _pairs_flat, _sup, act_on_bracket, ad_float,
                                  chart_coords, chart_defect_flat,
                                  continue_hom, continue_sub,
                                  curve_cocycle_check, float_matrix,
@@ -29,8 +30,10 @@ from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  run_experiment, sub_frames,
                                  vertical_derivative_fd_check)
 from helpers import (act_on_bracket_einsum, act_on_bracket_exact,
-                     chart_defect_loop, curvature_loop, jacobiator_loop,
-                     linearization_loop, pairs_loop, run_single_experiment)
+                     acted_pairs_tensordot, chart_defect_loop,
+                     curvature_loop, frame_brackets_tensordot,
+                     jacobiator_loop, linearization_loop, pairs_loop,
+                     run_single_experiment)
 
 SL2 = catalog_algebra("sl2")
 AFF1 = catalog_algebra("aff1")
@@ -505,6 +508,59 @@ class TestKernelsMatchLoops:
                                   linearization_loop(c, mats, m))
 
 
+class TestOrbitKernel:
+    """The bracket orbit kernel and the frame brackets keep every float
+    operation of their tensordot forms, so they equal them bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_acted_pairs_match_the_tensordot_form(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(40):
+            c = FloatBracket(n, rng.normal(size=(n, n, n))).c
+            a = np.eye(n) + rng.uniform(0.05, 1.0) * rng.normal(size=(n, n))
+            want = acted_pairs_tensordot(a, c)
+            assert np.array_equal(_acted_pairs(a, c), want)
+            mu = FloatBracket(n, c, {"source": "random"})
+            acted = act_on_bracket(a, mu)
+            assert np.array_equal(_pairs_flat(acted.c), want)
+            assert acted.provenance == {"source": "random", "acted": True}
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_frame_brackets_match_the_tensordot_form(self, n):
+        rng = np.random.default_rng(200 + n)
+        for k in range(n + 1):
+            c = rng.normal(size=(n, n, n))
+            frame = rng.normal(size=(n, k))
+            for f in (frame, np.asfortranarray(frame)):
+                assert np.array_equal(_frame_brackets(c, f),
+                                      frame_brackets_tensordot(c, f))
+
+    @pytest.mark.parametrize("a, text", [
+        (np.full((3, 3), np.nan), "matrix acting on the bracket is not finite"),
+        (np.ones((3, 3)), "matrix acting on the bracket is singular")])
+    def test_refusals_keep_their_texts(self, a, text):
+        mu = FloatBracket.from_exact(SL2)
+        for act in (lambda: _acted_pairs(a, mu.c),
+                    lambda: act_on_bracket(a, mu)):
+            with pytest.raises(np.linalg.LinAlgError) as exc:
+                act()
+            assert str(exc.value) == text
+
+    def test_sup(self):
+        rng = np.random.default_rng(7)
+        arrays = [rng.normal(size=shape) for shape in ((5,), (3, 4), (2, 2, 2))]
+        arrays += [np.array([1.0, -np.inf]), np.array([np.nan, 2.0]),
+                   np.arange(-4, 3), np.array(-3.5)]
+        for a in arrays:
+            want = float(np.max(np.abs(a)))
+            got = _sup(a)
+            assert type(got) is float
+            assert got == want or (np.isnan(got) and np.isnan(want))
+        assert _sup([[1, -2.5], [0.5, 2]]) == 2.5
+        for empty in (np.zeros(0), np.zeros((3, 0)), []):
+            assert _sup(empty) == 0.0
+
+
 @pytest.mark.parametrize("kind, name", [
     *(("hom", n) for n in hom_preset_names()),
     *(("sub", n) for n in sub_preset_names())])
@@ -591,6 +647,19 @@ class TestSharedChart:
         assert counts[0]["from_exact"] >= 1
         assert counts[0]["orbit_linearization"] == kind.endswith("recovery")
         assert counts[1:] == [{"from_exact": 0, "orbit_linearization": 0}] * 3
+
+    def test_records_grow_with_seeds_not_iterations(self, monkeypatch):
+        # Newton's residual reads a kernel, not a FloatBracket: a seed builds
+        # its perturbed bracket and that bracket's provenance copy, and the
+        # chart at most one base bracket, however many iterations follow
+        built = []
+        post_init = FloatBracket.__post_init__
+        monkeypatch.setattr(FloatBracket, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        seeds = list(range(20))
+        records = run_experiment("bracket-recovery", SL2, seeds, scale=0.3)
+        assert len(built) <= 2 * len(seeds) + 1
+        assert sum(r["iterations"] for r in records) > 10 * len(seeds)
 
     def test_one_conversion_per_algebra(self, monkeypatch):
         # the hom chart reads the target's bracket from its acting chart

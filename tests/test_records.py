@@ -1,6 +1,7 @@
 """The frozen records of every layer: construction by position and keyword,
 defaults, ``__post_init__`` checks, equality and hashing over the compared
-fields only, repr, and refusal of assignment."""
+fields only (by identity for records holding arrays), repr, and refusal of
+assignment."""
 
 import copy
 from fractions import Fraction
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, LieAlgebra,
-                                Matrix, catalog_algebra)
+                                Matrix, catalog_algebra, hom_preset,
+                                hom_preset_names, sub_preset, sub_preset_names)
 from liedeform.cochains import AltMap
-from liedeform.deformlab import FloatBracket
+from liedeform.deformlab import (ContinuationResult, CurveCheckReport,
+                                 FloatBracket, RecoveryResult, sub_frames)
 from liedeform.documents import NewtonConfig
 from liedeform.verdicts import Verdict
 
@@ -124,3 +127,32 @@ def test_cached_property_keeps_its_value_in_the_dict():
     cand = BracketCandidate.from_tensor(SL2.candidate.c)
     assert "terms" not in vars(cand)
     assert cand.terms is cand.terms and vars(cand)["terms"] is cand.terms
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FloatBracket(2, np.zeros((2, 2, 2))),
+    lambda: RecoveryResult("bracket", np.zeros((2, 2)), np.eye(2), 0.0, 0,
+                           True, 1.0),
+    lambda: ContinuationResult("hom", np.zeros((3, 2)), 0.0, 0, True, 0.0,
+                               0.0),
+    lambda: sub_frames(sub_preset("borel-in-sl2")),
+    lambda: CurveCheckReport("bracket", (0.1,), np.zeros(9), (0.0,), None,
+                             0.0, True)])
+def test_records_holding_arrays_compare_by_identity(make):
+    # an array comparison has no single truth value, so equal-valued
+    # records are distinct, as under dataclass(eq=False)
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_presets_hash_as_they_compare():
+    for build, names in ((hom_preset, hom_preset_names()),
+                         (sub_preset, sub_preset_names())):
+        for name in names:
+            a, b = build(name), build(name)
+            assert a == b and a is not b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+    m = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
+    assert hash(m) == hash(Matrix(2, 2, [[Fraction(1), 0.5], [0, 3]]))
+    assert len({m, Matrix.zeros(2, 2), Matrix.zeros(2, 2)}) == 2
