@@ -5,8 +5,8 @@ Layers, from the ground up:
 
 - ``records``: ``record``, the frozen value classes of every layer, made
   without ``dataclasses``.
-- ``exactlin``: rational linear algebra; one echelon form gives rank, rref,
-  kernels, solves, inverses and quotients.
+- ``exactlin``: rational linear algebra; an echelon form gives rref,
+  kernels, solves, inverses and quotients, a rank form gives ranks.
 - ``cochains``: alternating multilinear maps in flat coordinates.
 - ``algebras``: bracket candidates, Lie algebras, homomorphisms, subalgebra
   witnesses, the three coefficient systems, and the builtin catalog.

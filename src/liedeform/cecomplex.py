@@ -23,8 +23,8 @@ from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
-from .exactlin import (Echelon, Matrix, SparseMatrix, Subspace, _dense, _exact,
-                       _frac, rank)
+from .exactlin import (Echelon, Matrix, RankForm, SparseMatrix, Subspace,
+                       _dense, _exact, _frac, rank)
 from .records import record
 
 
@@ -76,14 +76,14 @@ def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
 
 
 class CEComplex:
-    """Caches each exact differential d_k of a coefficient system, its
-    echelon form and the cohomology at each degree read from them."""
+    """Caches each exact differential d_k of a coefficient system, its rank
+    and, for the readers of bases, its echelon form."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d, self._forms, self._degrees = {}, {}, {}
+        self._d, self._forms, self._ranks, self._degrees = {}, {}, {}, {}
 
     def d(self, k: int) -> SparseMatrix:
         if k not in self._d:
@@ -94,6 +94,38 @@ class CEComplex:
         if k not in self._forms:
             self._forms[k] = Echelon(self.d(k).columns())
         return self._forms[k]
+
+    @cached_property
+    def torus(self) -> tuple:
+        """({k: the zero weight k-cochains}, {k: rank of d_k off them}) for
+        the inner torus, the acting basis elements x with ad x and r(x)
+        diagonal, not both zero; ({}, {}) without one.  x acts on the
+        cochain e^S (x) v_a by the weight r(x)_aa - sum_(i in S) ad(x)_ii."""
+        n, m = self.n, self.carrier_dim
+        terms, act = self.rep.acting.terms, self.rep.rows
+        xs = [x for x in range(n)
+              if all(l == j for j in range(n) for l, _ in terms[x][j])
+              and all(b == a for a, row in enumerate(act[x]) for b in row)
+              and (any(terms[x]) or any(act[x]))]
+        ad = [[dict(terms[x][j]).get(j, 0) for j in range(n)] for x in xs]
+        r = [tuple(act[x][a].get(a, 0) for x in xs) for a in range(m)]
+        zero, acyclic, off = {}, {}, 0
+        for k in range(n + 1 if xs else 0):
+            zero[k] = [p * m + a for p, S in enumerate(subsets(n, k))
+                       for w in [tuple(sum(c[i] for i in S) for c in ad)]
+                       for a in range(m) if r[a] == w]
+            acyclic[k] = off = self.dim_cochains(k) - len(zero[k]) - off
+        return zero, acyclic
+
+    def rank(self, k: int) -> int:
+        """rank d_k, with a ``RankForm`` of the zero weight rows only.  By
+        Cartan's formula L_x = d i_x + i_x d, d keeps each joint eigenspace
+        of the torus, and one where some x acts by w != 0 is acyclic (i_x / w
+        contracts it): its ranks are alternating sums of its cochain counts."""
+        zero, acyclic = self.torus
+        if k not in self._ranks:
+            self._ranks[k] = RankForm(self.d(k).row_maps, zero.get(k + 1))
+        return len(self._ranks[k].kept) + acyclic.get(k, 0)
 
     def degree(self, k: int) -> "DegreeData":
         """Degree k >= 0 of the cohomology; zero above the acting dimension."""
@@ -121,28 +153,23 @@ class CEComplex:
 
 
 class DegreeData:
-    """Degree k of a complex's cohomology.  The dimensions are read from the
-    kept forms of d_k and d_(k-1) when it is made, each basis the first time
-    it is read.  A cocycle is fixed by its entries at the ``free`` columns of
-    d_k, where the cocycle basis is the standard one; ``classes`` is the
-    coboundaries' form there, and the representatives sit at the free
-    columns that are no pivot of it."""
+    """Degree k of a complex's cohomology: the dimensions from the ranks of
+    d_k and d_(k-1), each basis and its echelon forms on first read.  A
+    cocycle is fixed by its entries at the ``free`` columns of d_k, and its
+    last nonzero entry is at one; so ``classes``, the pivots of d_(k-1)'s
+    form, are free columns, and the representatives sit at the others."""
 
     def __init__(self, cx: CEComplex, k: int):
         self.complex = cx
         self.k = k
         self.dim_cochains = cx.dim_cochains(k)
-        self.free = tuple(cx.form(k).relations)
-        self.dim_cocycles = len(self.free)
-        self.dim_coboundaries = len(cx.form(k - 1).kept) if k else 0
+        self.dim_cocycles = self.dim_cochains - cx.rank(k)
+        self.dim_coboundaries = cx.rank(k - 1) if k else 0
         self.dim_h = self.dim_cocycles - self.dim_coboundaries
 
-    def _image(self) -> list:
-        """The pivot columns of d_(k-1), a basis of the coboundaries."""
-        if not self.k:
-            return []
-        columns = self.complex.d(self.k - 1).columns()
-        return [columns[j] for j in self.complex.form(self.k - 1).kept]
+    @cached_property
+    def free(self) -> tuple:
+        return tuple(self.complex.form(self.k).relations)
 
     def _dense_tuple(self, vectors) -> tuple:
         return tuple(tuple(_dense(v, self.dim_cochains)) for v in vectors)
@@ -154,29 +181,33 @@ class DegreeData:
 
     @cached_property
     def coboundaries(self) -> Subspace:
-        return Subspace(self.dim_cochains, self._dense_tuple(self._image()))
+        """The pivot columns of d_(k-1)."""
+        kept = self.complex.form(self.k - 1).kept if self.k else []
+        columns = self.complex.d(self.k - 1).columns() if kept else []
+        return Subspace(self.dim_cochains,
+                        self._dense_tuple(columns[j] for j in kept))
 
     @cached_property
-    def classes(self) -> Echelon:
-        index = {f: i for i, f in enumerate(self.free)}
-        return Echelon({index[j]: x for j, x in b.items() if j in index}
-                       for b in self._image())
+    def classes(self) -> frozenset:
+        return frozenset(self.complex.form(self.k - 1).pivots if self.k
+                         else ())
 
     @cached_property
     def h_representatives(self) -> tuple:
         null = self.complex.form(self.k).null_vector
-        reps = self._dense_tuple(null(f) for i, f in enumerate(self.free)
-                                 if i not in self.classes.pivots)
+        reps = self._dense_tuple(null(f) for f in self.free
+                                 if f not in self.classes)
         assert len(reps) == self.dim_h
         return reps
 
     def class_coords(self, z) -> list:
         """Coordinates of the class of the cocycle ``z`` in the classes of
-        ``h_representatives``."""
-        rem, _ = self.classes.reduce({i: z[f] for i, f in enumerate(self.free)
-                                      if z[f]})
-        return [_frac(rem.get(i, 0)) for i in range(len(self.free))
-                if i not in self.classes.pivots]
+        ``h_representatives``, read from its remainder by d_(k-1)'s form."""
+        rem = {j: x for j, x in enumerate(z) if x}
+        if self.k:
+            rem, _ = self.complex.form(self.k - 1).reduce(rem)
+        return [_frac(rem.get(f, 0)) for f in self.free
+                if f not in self.classes]
 
 
 @record
@@ -205,9 +236,9 @@ class CohomologyReport:
 
 
 def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
-    """Exact cohomology of a coefficient system, degrees 0..n; given a
-    complex, its differentials are the ones reduced and kept in the report.
-    Only dimensions are read here (see ``DegreeData``).  Refuses
+    """Exact cohomology of a coefficient system, degrees 0..n, kept with its
+    complex.  Only ranks are read here (``CEComplex.rank``), and no full
+    echelon form is built (see ``DegreeData``).  Refuses
     (CohomologyUndefinedError) when the composed differentials are not zero,
     which happens exactly when the bracket or the action fails its identity."""
     cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
@@ -468,7 +499,7 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
     is reduced once; its rank is its pivot count."""
     dim_node = outgoing.cols
     composed_zero = outgoing.mul(incoming).is_zero()
-    e_in = Echelon(SparseMatrix.of(incoming).columns())
+    e_in = RankForm(SparseMatrix.of(incoming).row_maps)
     e_out = Echelon(SparseMatrix.of(outgoing).columns())
     r_in, r_out = len(e_in.kept), len(e_out.kept)
     exact = composed_zero and (r_in + r_out == dim_node)

@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices with ``fractions.Fraction`` entries, sparse ones (a
-{column: value} dict per row) and ``Echelon``, an echelon form kept for
-repeated solves.  ``Echelon`` is the only elimination: ``rank``, ``rref``,
-``solve_particular``, ``invert`` and the quotient coordinates of a subspace
-are all read from the echelon form of a matrix's columns.  It is
-fraction-free: each row is an integer vector carrying its pivot value (a
-rational vector is first scaled by its common denominator), so elimination
-does no ``Fraction`` arithmetic and only the values it returns are
-rationals.  Everything in this module is exact: ranks, kernels, solves and
-quotient coordinates involve no tolerances, and ranks computed here agree
-with ranks over the reals.
+{column: value} dict per row), ``Echelon``, an echelon form kept for
+repeated solves, and ``RankForm``, its elimination without the bookkeeping,
+when only a rank and pivot columns are read.  ``rref``, ``solve_particular``,
+``invert`` and the quotient coordinates of a subspace are read from the
+``Echelon`` of a matrix's columns, ``rank`` from the ``RankForm`` of its
+rows.  Both are fraction-free: each row is an integer vector carrying its
+pivot value (a rational vector is first scaled by its common denominator),
+so elimination does no ``Fraction`` arithmetic.  Everything in this module
+is exact: ranks, kernels, solves and quotient coordinates involve no
+tolerances, and ranks computed here agree with ranks over the reals.
 
 Conventions: matrices act on column vectors; a vector is a plain list of
 Fractions.  All values are treated as immutable after construction.
@@ -159,7 +159,7 @@ def rref(m: Matrix):
 
 
 def rank(m) -> int:
-    return len(Echelon(SparseMatrix.of(m).columns()).kept)
+    return len(RankForm(SparseMatrix.of(m).row_maps).kept)
 
 
 class SparseMatrix:
@@ -320,6 +320,40 @@ class Echelon:
     def kernel(self) -> list:
         """The null vector of each vector that was not kept."""
         return list(map(self.null_vector, self.relations))
+
+
+class RankForm:
+    """``Echelon``'s integer elimination of the {column: value} rows
+    ``which`` (default all), last first, keeping no combinations, relations
+    or reduced rows.  ``rows`` lists the rows left nonzero, and ``kept``
+    their first nonzero columns in order: ``Echelon``'s kept columns (and,
+    all rows taken, its pivots are ``rows``); that minor is nonsingular."""
+
+    def __init__(self, rows, which=None):
+        pivots, self.rows = {}, []
+        for i in reversed(range(len(rows)) if which is None else which):
+            v = rows[i]
+            if not v:
+                continue
+            s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
+            rem = {j: (x * s).numerator for j, x in v.items() if x}
+            todo = [p for p in rem if p in pivots]
+            heapify(todo)
+            while todo:  # clearing a pivot brings in only later columns
+                p = heappop(todo)
+                if p in rem:
+                    row = pivots[p]
+                    a, f = row[p], rem[p]
+                    g = gcd(a, f) if a > 0 else -gcd(a, f)
+                    _axpy(rem, a // g, f // g, row)
+                    for j in row:
+                        if j in rem and j in pivots:
+                            heappush(todo, j)
+            if rem:
+                g = gcd(*rem.values())
+                pivots[min(rem)] = {j: x // g for j, x in rem.items()}
+                self.rows.append(i)
+        self.kept = sorted(pivots)
 
 
 @record

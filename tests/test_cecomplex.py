@@ -276,11 +276,38 @@ class TestFrontier:
         assert time.perf_counter() - t < 10
 
 
+class TestClosedFormsAtTheRankFormFrontier:
+    # dims-only reports read ranks only; each takes well under 5 s
+    def test_abelian_12(self):
+        t = time.perf_counter()
+        report = adjoint_cohomology(
+            validate_bracket(BracketCandidate.zero(12), name="abelian12"))
+        assert report.dims_h() == [12 * comb(12, k) for k in range(13)]
+        assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 5
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gl_n_poincare_polynomial(self, n):
+        # H(gl_n, gl_n) = H(gl_n) (x) centre, and H(gl_n) is an exterior
+        # algebra on generators of degrees 1, 3, .., 2n - 1
+        poly = [1]
+        for d in range(1, 2 * n, 2):
+            poly = [a + (poly[i - d] if i >= d else 0)
+                    for i, a in enumerate(poly + [0] * d)]
+        t = time.perf_counter()
+        report = adjoint_cohomology(gl_algebra(n))
+        assert report.dims_h() == poly
+        assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 5
+
+
 class TestClosedFormsAtDimensionEightAndNine:
     def test_sl3_whitehead(self):
+        t = time.perf_counter()
         report = adjoint_cohomology(sl_algebra(3))
         assert report.dims_h() == [0] * 9
         assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 5
 
     def test_gl3(self):
         # H(gl_3, gl_3) = H(gl_3) (x) centre, H(gl_3) = exterior algebra on

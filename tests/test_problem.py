@@ -129,12 +129,37 @@ def degree_views(monkeypatch):
     return views
 
 
-LAZY = {"cocycles", "coboundaries", "classes", "h_representatives"}
+LAZY = {"free", "cocycles", "coboundaries", "classes", "h_representatives"}
 
 
 def built(view) -> set:
     """The bases and forms a degree view has built so far."""
     return LAZY & set(vars(view))
+
+
+@pytest.fixture
+def form_builds(monkeypatch):
+    """Every full echelon form built while a complex's form of d_k is asked
+    for, as (coefficient system, label, k), once per build."""
+    builds, asked = [], []
+    form = cecomplex.CEComplex.form
+
+    class Counted(cecomplex.Echelon):
+        def __init__(self, vectors):
+            super().__init__(vectors)
+            if asked:
+                builds.append(asked[-1])
+
+    def traced(self, k):
+        asked.append((self.rep.variant, self.rep.label, k))
+        try:
+            return form(self, k)
+        finally:
+            asked.pop()
+
+    monkeypatch.setattr(cecomplex, "Echelon", Counted)
+    monkeypatch.setattr(cecomplex.CEComplex, "form", traced)
+    return builds
 
 
 @pytest.mark.parametrize("argv", [
@@ -147,17 +172,29 @@ def built(view) -> set:
     ["verdict", "--question", "kuranishi-model-dims", "--sub",
      "borel-in-sl2"],
 ])
-def test_dimension_readers_build_no_basis(degree_views, capsys, argv):
+def test_dimension_readers_build_no_basis(degree_views, form_builds, capsys,
+                                          argv):
     assert run(argv) == 0
     capsys.readouterr()
     assert degree_views
     assert [v.k for v in degree_views if built(v)] == []
+    assert form_builds == []
 
 
-def test_precondition_builds_no_basis(degree_views):
+def test_precondition_builds_no_basis(degree_views, form_builds):
     run_experiment("bracket-recovery", catalog_algebra("sl2"), [0])
     assert degree_views
     assert [v.k for v in degree_views if built(v)] == []
+    assert form_builds == []
+
+
+@pytest.mark.parametrize("experiment, obj", [
+    ("hom-continuation", hom_preset("borel-incl")),
+    ("sub-recovery", sub_preset("borel-in-sl2"))])
+def test_hom_and_sub_preconditions_build_no_form(form_builds, experiment,
+                                                 obj):
+    run_experiment(experiment, obj, [0])
+    assert form_builds == []
 
 
 def test_induced_map_builds_bases_only_in_degree_one(degree_views, capsys):
@@ -168,7 +205,34 @@ def test_induced_map_builds_bases_only_in_degree_one(degree_views, capsys):
     # is no image to class in the pullback system
     got = {(v.complex.rep.variant, v.k): built(v) for v in degree_views
            if built(v)}
-    assert got == {("adjoint", 1): {"classes", "h_representatives"}}
+    assert got == {("adjoint", 1): {"free", "classes", "h_representatives"}}
+
+
+SUB, INCL, QUOT = ("adjoint", "ad(borel-in-sl2-sub)"), (
+    "pullback", "borel-in-sl2-incl:borel-in-sl2-sub->sl2"), (
+    "quotient", "borel-in-sl2:sl2/sub")
+
+
+@pytest.mark.parametrize("argv, needed", [
+    # H^k(h,h), H^k(h,g) for k <= 2 and H^k(h,g/h) for k <= 1; the form of
+    # d_(k-1) classes the images in degree k
+    (["les", "--sub", "borel-in-sl2"],
+     {(*s, k) for s in (SUB, INCL) for k in range(3)}
+     | {(*QUOT, k) for k in range(2)}),
+    # the primitive of the obstruction class is solved against d_1
+    (["kuranishi", "--sub", "borel-in-sl2", "--direction", "DIRECTION"],
+     {(*QUOT, 1)}),
+    # H^1(sl2, sl2) = 0: the target's representatives (d_1 and d_0)
+    (["verdict", "--question", "hom-aut-rigidity", "--hom", "borel-incl"],
+     {("adjoint", "ad(sl2)", 1), ("adjoint", "ad(sl2)", 0)}),
+])
+def test_basis_readers_build_each_needed_form_once(form_builds, capsys,
+                                                   tmp_path, argv, needed):
+    doc = tmp_path / "direction.json"
+    doc.write_text(json.dumps([["1", "0"]]))  # eta(h) = fbar, eta(e) = 0
+    assert run([str(doc) if a == "DIRECTION" else a for a in argv]) == 0
+    capsys.readouterr()
+    assert sorted(form_builds) == sorted(needed)
 
 
 def test_wrong_kind_is_refused():

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized exact inputs."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedeform.algebras import (BracketCandidate, Matrix, ad_matrix,
-                                catalog_algebra, catalog_names,
-                                validate_bracket)
-from liedeform.cecomplex import CEComplex, adjoint_rep
+from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
+                                abelian, ad_matrix, catalog_algebra, catalog_names,
+                                hom_preset, hom_preset_names, pullback_rep,
+                                quotient_rep, sub_preset, sub_preset_names,
+                                subalgebra_witness, validate_bracket)
+from liedeform.cecomplex import CEComplex, adjoint_rep, cohomology
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
 from elimination_oracle import bareiss_rank
 import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, image_basis,
                      kernel_basis, rref, solve_particular)
 from liedeform.cecomplex import _det
-from liedeform.exactlin import Echelon, SparseMatrix, _dense, invert, rank
+from liedeform.exactlin import (Echelon, RankForm, SparseMatrix, _dense,
+                                invert, rank)
 from liedeform import exactlin
 from liedeform.kuranishi import jacobiator, jacobiator_expansion_check
 
@@ -325,3 +329,185 @@ def test_bracket_and_ad_matrix_match_the_dense_bracket(drawn):
     assert cand.bracket(u, v) == expect
     assert all(type(x) is Fraction for x in cand.bracket(u, v))
     assert ad_matrix(cand, u).apply(v) == expect
+
+
+# ---------------------------------------------------------------------------
+# the rank form, and the weight blocks of an inner torus
+
+def bareiss_det(rows) -> Fraction:
+    """Determinant by fraction-free elimination with row swaps; every
+    division is exact."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    k, sign, prev = len(a), 1, Fraction(1)
+    for i in range(k):
+        swap = next((r for r in range(i, k) if a[r][i] != 0), None)
+        if swap is None:
+            return Fraction(0)
+        if swap != i:
+            a[i], a[swap], sign = a[swap], a[i], -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) / prev
+        prev = a[i][i]
+    return sign * prev
+
+
+def deficient_rows(data, cols) -> list:
+    """Random sparse rows, with zero rows, repeated rows and combinations of
+    earlier rows among them."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        how = data.draw(st.sampled_from(["fresh", "zero", "repeat", "mix"]))
+        if how == "zero":
+            rows.append([Fraction(0)] * cols)
+        elif how == "fresh" or not rows:
+            rows.append(data.draw(st.lists(sparse_entries, min_size=cols,
+                                           max_size=cols)))
+        elif how == "repeat":
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        else:
+            p, q = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            x, y = data.draw(rationals), data.draw(rationals)
+            rows.append([x * a + y * b for a, b in zip(p, q)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_rank_form_keeps_the_echelon_columns(cols, data):
+    rows = deficient_rows(data, cols)
+    m = SparseMatrix(len(rows), cols,
+                     [{j: x for j, x in enumerate(r) if x} for r in rows])
+    form, echelon = RankForm(m.row_maps), Echelon(m.columns())
+    assert form.kept == echelon.kept
+    assert len(form.kept) == bareiss_rank(rows)
+    # the rows are taken last first: the kept ones are the echelon's pivots
+    assert sorted(form.rows) == sorted(echelon.pivots)
+    assert bareiss_det([[m.row_maps[i].get(j, 0) for j in form.kept]
+                        for i in form.rows]) != 0
+    which = sorted(data.draw(st.sets(st.sampled_from(range(len(rows))))
+                             if rows else st.just(set())))
+    part = RankForm(m.row_maps, which)
+    sub = SparseMatrix(len(which), cols, [m.row_maps[i] for i in which])
+    assert part.kept == Echelon(sub.columns()).kept
+    assert set(part.rows) <= set(which)
+    assert bareiss_det([[m.row_maps[i].get(j, 0) for j in part.kept]
+                        for i in part.rows]) != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.lists(
+    st.lists(sparse_entries, min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_local_bareiss_det_matches_laplace(entries):
+    assert bareiss_det(entries) == laplace_det(entries)
+
+
+def signed_algebra(g, signs):
+    return dense.rescaled_algebra(g, signs.of(g))
+
+
+class Signs:
+    """One seeded +-1 per basis vector of each algebra, by name."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = random.Random(seed), {}
+
+    def of(self, g) -> list:
+        if g.name not in self.drawn:
+            self.drawn[g.name] = [self.rng.choice((1, -1)) for _ in range(g.dim)]
+        return self.drawn[g.name]
+
+
+def sl_in_gl(n):
+    """sl_n in gl_n, spanned by E_ii - E_(i+1)(i+1) and the E_ab, a != b."""
+    vecs = []
+    for i in range(n - 1):
+        v = [0] * (n * n)
+        v[i * n + i], v[(i + 1) * n + i + 1] = 1, -1
+        vecs.append(v)
+    vecs += [[int(p == a * n + b) for p in range(n * n)]
+             for a in range(n) for b in range(n) if a != b]
+    return subalgebra_witness(dense.gl_algebra(n), vecs, name=f"sl{n}-in-gl{n}")
+
+
+def borel_in_sl(n):
+    """b(sl_n) in sl_n: the basis vectors of sl_n (in its echelon basis
+    inside gl_n) that are upper triangular."""
+    w = sl_in_gl(n)
+    upper = [t for t in range(w.dim)
+             if all(x == 0 or p // n <= p % n
+                    for p, x in enumerate(w.basis_vector(t)))]
+    return subalgebra_witness(w.as_subalgebra(name=f"sl{n}"),
+                              [[int(i == t) for i in range(w.dim)]
+                               for t in upper], name=f"b(sl{n})-in-sl{n}")
+
+
+def signed_witness(w, signs):
+    """The witness in the ambient algebra's signed basis."""
+    s = signs.of(w.ambient)
+    return subalgebra_witness(
+        signed_algebra(w.ambient, signs),
+        [[x * t for x, t in zip(w.basis_vector(i), s)] for i in range(w.dim)],
+        name=w.name)
+
+
+def signed_hom(rho, signs):
+    """rho' = T rho S in the signed bases of its source and target."""
+    s, t = signs.of(rho.source), signs.of(rho.target)
+    m = Matrix.from_rows([[t[i] * x * s[j] for j, x in enumerate(row)]
+                          for i, row in enumerate(rho.matrix.data)])
+    return Homomorphism(signed_algebra(rho.source, signs),
+                        signed_algebra(rho.target, signs), m, name=rho.name)
+
+
+def inclusion(w):
+    basis = Matrix.from_columns([w.basis_vector(t) for t in range(w.dim)],
+                                rows=w.ambient.dim)
+    return Homomorphism(w.as_subalgebra(), w.ambient, basis,
+                        name=f"{w.name}-incl")
+
+
+def weight_systems(signs) -> list:
+    """Adjoint, pullback and quotient systems of the catalog, the presets
+    and gl_n, sl_n, b(sl_n) for n <= 3, in seeded signed bases."""
+    borels = [borel_in_sl(n) for n in (2, 3)]
+    subs = ([sub_preset(n) for n in sub_preset_names()] + borels
+            + [sl_in_gl(n) for n in (2, 3)])
+    algebras = ([catalog_algebra(n) for n in catalog_names()]
+                + [dense.gl_algebra(n) for n in (1, 2, 3)]
+                + [w.ambient for w in borels]
+                + [w.as_subalgebra(name=f"b(sl{n})")
+                   for n, w in zip((2, 3), borels)])
+    # x -> h + e: ad x = 0 is diagonal, r(x) = ad(h + e) is not
+    tilted = Homomorphism(abelian(1, name="abelian1"), catalog_algebra("sl2"),
+                          Matrix.from_rows([[1], [1], [0]]), name="tilted")
+    homs = ([hom_preset(n) for n in hom_preset_names()] + [tilted]
+            + list(map(inclusion, subs)))
+    return ([adjoint_rep(signed_algebra(g, signs)) for g in algebras]
+            + [pullback_rep(signed_hom(rho, signs)) for rho in homs]
+            + [quotient_rep(signed_witness(w, signs)) for w in subs])
+
+
+def full_elimination_table(cx) -> list:
+    """dimC/dimZ/dimB/dimH from the echelon form of every column of every
+    differential."""
+    table, rank_before = [], 0
+    for k in range(cx.n + 1):
+        form = Echelon(cx.d(k).columns())
+        z = len(form.relations)
+        table.append({"k": k, "dimC": cx.dim_cochains(k), "dimZ": z,
+                      "dimB": rank_before, "dimH": z - rank_before})
+        rank_before = len(form.kept)
+    return table
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_weight_blocks_give_the_full_elimination_table(seed):
+    tori = 0
+    for rep in weight_systems(Signs(seed)):
+        report = cohomology(rep)
+        assert (report.to_json_dict()["degrees"]
+                == full_elimination_table(report.complex)), rep.label
+        tori += bool(report.complex.torus[0])
+    assert tori >= 12  # gl_n, sl_n and b(sl_n) act through an inner torus
