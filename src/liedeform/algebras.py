@@ -188,15 +188,22 @@ def validate_bracket(candidate: BracketCandidate, basis=None,
     return LieAlgebra(name=name, dim=n, basis=basis, candidate=candidate)
 
 
+def ad_rows(candidate: BracketCandidate, vec) -> list:
+    """ad(vec), u -> bracket(vec, u), as ``RepSpec`` rows: row a holds
+    sum_x vec_x c_xj^a at column j, summed over the nonzero ``terms``."""
+    terms, rows = candidate.terms, [{} for _ in range(candidate.dim)]
+    vec = [(x, _exact(_frac(v))) for x, v in enumerate(vec) if v]
+    for j in range(candidate.dim):
+        for x, v in vec:
+            for a, c in terms[x][j]:
+                rows[a][j] = rows[a].get(j, 0) + v * c
+    return [{j: _exact(y) for j, y in row.items() if y} for row in rows]
+
+
 def ad_matrix(candidate: BracketCandidate, vec) -> Matrix:
-    """Matrix of u -> bracket(vec, u), over the nonzero ``terms``."""
-    m = Matrix.zeros(candidate.dim, candidate.dim)
-    for i, vi in enumerate(map(_frac, vec)):
-        if vi:
-            for j, row in enumerate(candidate.terms[i]):
-                for k, x in row:
-                    m.data[k][j] += vi * x
-    return m
+    """Matrix of u -> bracket(vec, u): the dense view of ``ad_rows``."""
+    return SparseMatrix(candidate.dim, candidate.dim,
+                        ad_rows(candidate, vec)).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -332,50 +339,63 @@ class RepresentationError(ValueError):
 
 @record
 class RepSpec:
-    """A coefficient system: the acting algebra's bracket plus one matrix per
-    acting basis vector on the carrier."""
+    """A coefficient system: the acting algebra's bracket plus, per acting
+    basis vector, its action on the carrier as the {column: value} nonzeros
+    of each row, in column order and ints where integral.  A dense action
+    ``Matrix`` is read into such rows; ``matrices`` is their dense view."""
 
     variant: str
     acting: BracketCandidate
     carrier_dim: int
-    matrices: tuple
+    rows: tuple
     label: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            [{j: _exact(x) for j, x in enumerate(r) if x} for r in m.data]
+            if isinstance(m, Matrix) else m for m in self.rows))
+
     @cached_property
-    def rows(self) -> tuple:
-        """Each action matrix as a {column: value} dict of the nonzeros of
-        each row, ints where integral; built once per system."""
-        return tuple([{b: _exact(x) for b, x in row.items()}
-                      for row in SparseMatrix.of(mat).row_maps]
-                     for mat in self.matrices)
+    def matrices(self) -> tuple:
+        q = self.carrier_dim
+        return tuple(SparseMatrix(q, q, r).dense() for r in self.rows)
 
     def check_identity(self):
-        """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs."""
-        r = self.rows
+        """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs:
+        each row of sum_k c_uv^k r_k - r_u r_v + r_v r_u must cancel."""
+        r, terms = self.rows, self.acting.terms
         for (i, j) in combinations(range(self.acting.dim), 2):
+            ri, rj = r[i], r[j]
             for a in range(self.carrier_dim):
-                lhs = _row_sum((c, r[k][a]) for k, c in self.acting.terms[i][j])
-                if lhs != _row_sum([(x, r[j][b]) for b, x in r[i][a].items()]
-                                   + [(-x, r[i][b]) for b, x in r[j][a].items()]):
+                acc = {}
+                for k, c in terms[i][j]:
+                    for b, y in r[k][a].items():
+                        acc[b] = acc.get(b, 0) + c * y
+                for b, x in ri[a].items():
+                    for e, y in rj[b].items():
+                        acc[e] = acc.get(e, 0) - x * y
+                for b, x in rj[a].items():
+                    for e, y in ri[b].items():
+                        acc[e] = acc.get(e, 0) + x * y
+                if any(acc.values()):
                     raise RepresentationError(
                         f"representation identity fails on pair ({i},{j})")
         return self
 
 
-def _row_sum(terms) -> dict:
-    """sum x * row over the (x, row) pairs, without the entries that cancel."""
-    acc = {}
-    for x, row in terms:
-        for b, y in row.items():
-            acc[b] = acc.get(b, 0) + x * y
-    return {b: y for b, y in acc.items() if y}
+def adjoint_rows(candidate: BracketCandidate) -> tuple:
+    """ad(e_x) per basis vector: ``rows[x][a][j] = c_xj^a``."""
+    rows = tuple([{} for _ in plane] for plane in candidate.terms)
+    for x, plane in enumerate(candidate.terms):
+        for j, col in enumerate(plane):
+            for a, c in col:
+                rows[x][a][j] = c
+    return rows
 
 
 def adjoint_rep(g: LieAlgebra) -> RepSpec:
-    n = g.dim
-    e = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-    mats = tuple(ad_matrix(g.candidate, e[i]) for i in range(n))
-    return RepSpec("adjoint", g.candidate, n, mats, label=f"ad({g.name})").check_identity()
+    return RepSpec("adjoint", g.candidate, g.dim, adjoint_rows(g.candidate),
+                   f"ad({g.name})").check_identity()
 
 
 def pullback_rep(hom: Homomorphism) -> RepSpec:
@@ -383,23 +403,24 @@ def pullback_rep(hom: Homomorphism) -> RepSpec:
     homomorphism."""
     validate_homomorphism(hom)
     h, g = hom.source, hom.target
-    mats = tuple(ad_matrix(g.candidate, hom.image_of_basis(j)) for j in range(h.dim))
-    return RepSpec("pullback", h.candidate, g.dim, mats,
-                   label=f"{hom.name}:{h.name}->{g.name}").check_identity()
+    rows = tuple(ad_rows(g.candidate, hom.image_of_basis(j)) for j in range(h.dim))
+    return RepSpec("pullback", h.candidate, g.dim, rows,
+                   f"{hom.name}:{h.name}->{g.name}").check_identity()
 
 
 def quotient_rep(w: SubalgebraWitness) -> RepSpec:
     """The subalgebra acts on ambient/sub; well defined because the subspace
-    is bracket-closed."""
-    g = w.ambient
-    k, q = w.dim, w.quotient_dim
-    sect, proj = w.coords.section, w.coords.projection
-    mats = [Matrix.from_columns(
-        [proj.apply(g.bracket(w.basis_vector(i), sect.column(b)))
-         for b in range(q)], rows=q) for i in range(k)]
-    sub_alg = w.as_subalgebra()
-    return RepSpec("quotient", sub_alg.candidate, q, tuple(mats),
-                   label=f"{w.name}:{g.name}/sub").check_identity()
+    is bracket-closed.  Row a of the action of w_i is row a of the
+    projection times ad(w_i), read at the complement columns."""
+    g, qc, n = w.ambient, w.coords, w.ambient.dim
+    at = {j: b for b, j in enumerate(qc.complement)}
+    proj = SparseMatrix(qc.dim, n, [{p: _exact(x) for p, x in row.items()}
+                                    for row in SparseMatrix.of(qc.projection).row_maps])
+    rows = tuple([{at[j]: _exact(y) for j, y in sorted(row.items()) if j in at}
+                  for row in proj.mul(SparseMatrix(n, n, ad)).row_maps]
+                 for ad in (ad_rows(g.candidate, v) for v in qc.sub_basis))
+    return RepSpec("quotient", w.as_subalgebra().candidate, qc.dim, rows,
+                   f"{w.name}:{g.name}/sub").check_identity()
 
 
 # ---------------------------------------------------------------------------

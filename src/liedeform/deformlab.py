@@ -452,8 +452,8 @@ class _BracketChart(_Chart):
     def group(self, x: np.ndarray) -> np.ndarray:
         return expm(x)
 
-    def act(self, a: np.ndarray, value: FloatBracket) -> FloatBracket:
-        return act_on_bracket(a, value)
+    def act(self, a: np.ndarray, value: FloatBracket) -> np.ndarray:
+        return _acted(a, value.c)  # a value as its tensor, in no record
 
     def orbit_coords(self, a: np.ndarray) -> np.ndarray:
         return _acted_pairs(a, self.origin)
@@ -660,12 +660,12 @@ def _perturbed(chart: _Chart, scale: float, seed: int) -> tuple:
 
 def perturbed_bracket(g: LieAlgebra, scale: float, seed: int) -> tuple:
     """mu' = exp(a0) . mu with a0 uniform in [-scale, scale] entrywise.
-    Returns (FloatBracket, a0)."""
+    Returns (FloatBracket, a0), the one record made from the acted tensor."""
     chart = _chart(g, "bracket")
     out, a0 = _perturbed(chart, scale, seed)
     prov = {"source": chart.algebra.name,
             "perturbation": {"scale": scale, "seed": seed}}
-    return FloatBracket(out.dim, out.c, prov), a0
+    return FloatBracket(chart.mu.dim, out, prov), a0
 
 
 def perturbed_hom(rho: Homomorphism, scale: float, seed: int) -> tuple:

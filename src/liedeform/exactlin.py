@@ -325,9 +325,10 @@ class Echelon:
 class RankForm:
     """``Echelon``'s integer elimination of the {column: value} rows
     ``which`` (default all), last first, keeping no combinations, relations
-    or reduced rows.  ``rows`` lists the rows left nonzero, and ``kept``
-    their first nonzero columns in order: ``Echelon``'s kept columns (and,
-    all rows taken, its pivots are ``rows``); that minor is nonsingular."""
+    or reduced rows; a row of nonzero ints is taken as it is.  ``rows``
+    lists the rows left nonzero, and ``kept`` their first nonzero columns in
+    order: ``Echelon``'s kept columns (and, all rows taken, its pivots are
+    ``rows``); that minor is nonsingular."""
 
     def __init__(self, rows, which=None):
         pivots, self.rows = {}, []
@@ -335,8 +336,11 @@ class RankForm:
             v = rows[i]
             if not v:
                 continue
-            s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
-            rem = {j: (x * s).numerator for j, x in v.items() if x}
+            if all(type(x) is int for x in v.values()):
+                rem = dict(v)
+            else:
+                s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
+                rem = {j: (x * s).numerator for j, x in v.items() if x}
             todo = [p for p in rem if p in pivots]
             heapify(todo)
             while todo:  # clearing a pivot brings in only later columns

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
-                       SubalgebraWitness, ad_matrix, curvature)
+                       SubalgebraWitness, ad_rows, adjoint_rows, curvature)
 from .cecomplex import Problem, differential_matrix, snake_lift
 from .cochains import AltMap
 from .exactlin import Matrix, invert
@@ -112,9 +112,7 @@ def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
         samples.append(jacobiator(cand).flat())
     coeffs = _interpolate_coefficients(samples, ts)
 
-    e = [[Fraction(1) if a == b else Fraction(0) for b in range(n)] for a in range(n)]
-    ad_mats = tuple(ad_matrix(base, e[i]) for i in range(n))
-    d2 = differential_matrix(2, RepSpec("adjoint", base, n, ad_mats))
+    d2 = differential_matrix(2, RepSpec("adjoint", base, n, adjoint_rows(base)))
     d_xi = d2.apply(xi.flat())
     d_eta = d2.apply(eta.flat())
     j_xi = jacobiator(xi_c).flat()
@@ -151,9 +149,8 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
         samples.append(curvature(Homomorphism(h, g, m)).flat())
     coeffs = _interpolate_coefficients(samples, ts)
 
-    mats = tuple(ad_matrix(g.candidate, rho.image_of_basis(j))
-                 for j in range(kh))
-    d1 = differential_matrix(1, RepSpec("pullback", h.candidate, ng, mats))
+    rows = tuple(ad_rows(g.candidate, rho.image_of_basis(j)) for j in range(kh))
+    d1 = differential_matrix(1, RepSpec("pullback", h.candidate, ng, rows))
     d_xi = d1.apply(matrix_as_one_cochain(xi_matrix).flat())
     half_sq = []
     for (i, j) in combinations(range(kh), 2):

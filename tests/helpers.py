@@ -11,8 +11,8 @@ from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
 from liedeform.cecomplex import CEComplex, CohomologyReport
 from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
                                  graph_basis, run_experiment)
-from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
-                                _subspace)
+from liedeform.exactlin import (Matrix, QuotientCoords, SparseMatrix, Subspace,
+                                _exact, _frac, _subspace)
 
 
 # dense Gauss-Jordan elimination: the reference that the package's rref,
@@ -316,3 +316,95 @@ def rescaled_algebra(g: LieAlgebra, scales) -> LieAlgebra:
                for j in range(n)] for i in range(n)]
     return validate_bracket(BracketCandidate.from_tensor(tensor),
                             basis=g.basis, name=f"{g.name}-rescaled")
+
+
+def sl_in_gl(n):
+    """sl_n in gl_n, spanned by E_ii - E_(i+1)(i+1) and the E_ab, a != b."""
+    vecs = []
+    for i in range(n - 1):
+        v = [0] * (n * n)
+        v[i * n + i], v[(i + 1) * n + i + 1] = 1, -1
+        vecs.append(v)
+    vecs += [[int(p == a * n + b) for p in range(n * n)]
+             for a in range(n) for b in range(n) if a != b]
+    return subalgebra_witness(gl_algebra(n), vecs, name=f"sl{n}-in-gl{n}")
+
+
+def borel_in_sl(n):
+    """b(sl_n) in sl_n: the basis vectors of sl_n (in its echelon basis
+    inside gl_n) that are upper triangular."""
+    w = sl_in_gl(n)
+    upper = [t for t in range(w.dim)
+             if all(x == 0 or p // n <= p % n
+                    for p, x in enumerate(w.basis_vector(t)))]
+    return subalgebra_witness(w.as_subalgebra(name=f"sl{n}"),
+                              [[int(i == t) for i in range(w.dim)]
+                               for t in upper], name=f"b(sl{n})-in-sl{n}")
+
+
+# the dense path the coefficient systems were once built on: ad matrices
+# filled entry by entry in Fractions, the quotient action column by column
+# through the dense projection, each read into sparse rows afterwards
+
+def dense_ad_matrix(cand: BracketCandidate, vec) -> Matrix:
+    """Matrix of u -> bracket(vec, u), in Fractions."""
+    m = Matrix.zeros(cand.dim, cand.dim)
+    for i, vi in enumerate(map(_frac, vec)):
+        if vi:
+            for j, row in enumerate(cand.terms[i]):
+                for k, x in row:
+                    m.data[k][j] += vi * x
+    return m
+
+
+def dense_rows(mats) -> tuple:
+    """Each matrix as the {column: value} nonzeros of each row, ints where
+    integral."""
+    return tuple([{b: _exact(x) for b, x in row.items()}
+                  for row in SparseMatrix.of(mat).row_maps] for mat in mats)
+
+
+def dense_adjoint_rows(cand: BracketCandidate) -> tuple:
+    n = cand.dim
+    return dense_rows(dense_ad_matrix(cand, [int(a == i) for a in range(n)])
+                      for i in range(n))
+
+
+def dense_pullback_rows(target: BracketCandidate, matrix: Matrix) -> tuple:
+    return dense_rows(dense_ad_matrix(target, matrix.column(j))
+                      for j in range(matrix.cols))
+
+
+def dense_quotient_rows(w) -> tuple:
+    g, q = w.ambient, w.quotient_dim
+    sect, proj = w.coords.section, w.coords.projection
+    return dense_rows(Matrix.from_columns(
+        [proj.apply(g.bracket(w.basis_vector(i), sect.column(b)))
+         for b in range(q)], rows=q) for i in range(w.dim))
+
+
+def dense_identity_failure(rep: RepSpec):
+    """The first basis pair (i, j) where sum_k c_ij^k R_k differs from
+    R_i R_j - R_j R_i, over dense matrices R made from ``rep.rows``; None
+    when the identity holds."""
+    q = rep.carrier_dim
+    mats = [[[Fraction(row.get(b, 0)) for b in range(q)] for row in rows]
+            for rows in rep.rows]
+
+    def prod(x, y):
+        return [[sum((x[a][t] * y[t][b] for t in range(q)), Fraction(0))
+                 for b in range(q)] for a in range(q)]
+
+    for i, j in combinations(range(rep.acting.dim), 2):
+        lhs = [[sum((c * mats[k][a][b] for k, c in enumerate(rep.acting.c[i][j])),
+                    Fraction(0)) for b in range(q)] for a in range(q)]
+        ij, ji = prod(mats[i], mats[j]), prod(mats[j], mats[i])
+        if lhs != [[x - y for x, y in zip(r, t)] for r, t in zip(ij, ji)]:
+            return (i, j)
+    return None
+
+
+def row_layout(rows) -> list:
+    """Every (column, value type) of every row, in dict order."""
+    return [[[(b, type(x)) for b, x in row.items()] for row in mat]
+            for mat in rows]

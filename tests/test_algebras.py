@@ -1,7 +1,9 @@
 """Bracket candidates, Lie algebras, homomorphisms, subalgebras, and the
 three coefficient systems."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, RepSpec,
 from liedeform import exactlin
 from liedeform.cecomplex import CohomologyUndefinedError, cohomology
 from liedeform.exactlin import Matrix, _subspace
+from liedeform import algebras
+from helpers import borel_in_sl, dense_identity_failure
 
 
 class TestBracketCandidate:
@@ -252,3 +256,77 @@ def test_catalog_contents():
     assert catalog_algebra("so3").dim == 3
     with pytest.raises(KeyError):
         catalog_algebra("nope")
+
+
+class TestSparseActionRows:
+    SYSTEMS = {"adjoint": lambda: adjoint_rep(catalog_algebra("sl2")),
+               "pullback": lambda: pullback_rep(hom_preset("borel-incl")),
+               "quotient": lambda: quotient_rep(borel_in_sl(3))}
+
+    @staticmethod
+    def mutants(rep, how):
+        """``rep`` with one action entry changed, position by position:
+        one inserted where a row had none, one deleted, or one made
+        rational."""
+        for k, mat in enumerate(rep.rows):
+            for a, row in enumerate(mat):
+                if how == "insert":
+                    rows = [{**row, b: 1} for b in range(rep.carrier_dim)
+                            if b not in row]
+                elif how == "delete":
+                    rows = [{c: x for c, x in row.items() if c != b}
+                            for b in row]
+                else:
+                    rows = [{**row, b: x + Fraction(1, 2)} for b, x in row.items()]
+                for new in rows:
+                    changed = list(rep.rows)
+                    changed[k] = mat[:a] + [dict(sorted(new.items()))] + mat[a + 1:]
+                    yield RepSpec(rep.variant, rep.acting, rep.carrier_dim,
+                                  tuple(changed), rep.label)
+
+    @pytest.mark.parametrize("how", ["insert", "delete", "rational"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_one_changed_sparse_entry_is_refused(self, system, how):
+        # every change that breaks the identity on dense matrices, at every
+        # pair and carrier row, is refused naming the same pair
+        rep = self.SYSTEMS[system]()
+        assert dense_identity_failure(rep) is None
+        bad = [(m, dense_identity_failure(m)) for m in self.mutants(rep, how)]
+        bad = [(m, pair) for m, pair in bad if pair is not None]
+        assert bad
+        for m, pair in bad:
+            with pytest.raises(RepresentationError, match=(
+                    r"^representation identity fails on pair \(%d,%d\)$" % pair)):
+                m.check_identity()
+        with pytest.raises(CohomologyUndefinedError):
+            cohomology(bad[0][0])
+        with pytest.raises(CohomologyUndefinedError):
+            cohomology(bad[-1][0])
+
+    def test_dense_matrices_are_read_into_rows(self):
+        rep = pullback_rep(hom_preset("borel-incl"))
+        again = RepSpec(rep.variant, rep.acting, rep.carrier_dim,
+                        rep.matrices, rep.label)
+        assert again == rep and again.rows == rep.rows
+        assert all(type(x) is int for mat in again.rows for row in mat
+                   for x in row.values())
+
+    def test_builders_make_no_dense_matrix(self, monkeypatch):
+        # the systems are built from the nonzero structure constants: no
+        # dense Matrix and no ad_matrix on the way
+        path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+        spec = importlib.util.spec_from_file_location("bench_families", path)
+        families = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(families)
+        builds = [(algebras.adjoint_rep, families.filiform(7)),
+                  (algebras.pullback_rep, families.borel2_to_borel3()),
+                  (algebras.quotient_rep, families.borel3_in_sl3())]
+        made, called = [], []
+        init, ad_matrix = Matrix.__init__, algebras.ad_matrix
+        monkeypatch.setattr(Matrix, "__init__", lambda self, *args, **kwargs: (
+            made.append(args), init(self, *args, **kwargs))[1])
+        monkeypatch.setattr(algebras, "ad_matrix", lambda *args: (
+            called.append(args), ad_matrix(*args))[1])
+        reps = [build(obj) for build, obj in builds]
+        assert made == [] and called == []
+        assert [rep.carrier_dim for rep in reps] == [7, 5, 3]

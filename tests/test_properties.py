@@ -3,13 +3,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                abelian, ad_matrix, catalog_algebra, catalog_names,
+                                RepSpec, abelian, ad_matrix, ad_rows,
+                                adjoint_rows, catalog_algebra, catalog_names,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
                                 subalgebra_witness, validate_bracket)
@@ -17,13 +19,15 @@ from liedeform.cecomplex import CEComplex, adjoint_rep, cohomology
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
 from elimination_oracle import bareiss_rank
 import helpers as dense
-from helpers import (_det as laplace_det, act_on_bracket_exact, image_basis,
-                     kernel_basis, rref, solve_particular)
+from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
+                     image_basis, kernel_basis, rref, sl_in_gl,
+                     solve_particular)
 from liedeform.cecomplex import _det
 from liedeform.exactlin import (Echelon, RankForm, SparseMatrix, _dense,
                                 invert, rank)
-from liedeform import exactlin
-from liedeform.kuranishi import jacobiator, jacobiator_expansion_check
+from liedeform import exactlin, kuranishi
+from liedeform.kuranishi import (curvature_expansion_check, jacobiator,
+                                 jacobiator_expansion_check)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -332,6 +336,129 @@ def test_bracket_and_ad_matrix_match_the_dense_bracket(drawn):
 
 
 # ---------------------------------------------------------------------------
+# coefficient systems: the sparse builders against the dense path
+
+def assert_same_rows(rows, expect):
+    """Equal dicts, with equal value types (int or Fraction), in equal key
+    order."""
+    assert rows == expect
+    assert dense.row_layout(rows) == dense.row_layout(expect)
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+def rescaled_catalog():
+    """A catalog algebra in a basis s_i e_i with random rational s_i, so
+    with rational structure constants."""
+    return st.tuples(st.sampled_from(catalog_names()),
+                     st.lists(nonzero_rationals, min_size=3, max_size=3)).map(
+        lambda drawn: dense.rescaled_algebra(
+            catalog_algebra(drawn[0]), drawn[1][:catalog_algebra(drawn[0]).dim]))
+
+
+def built_reps(check, *args):
+    """The coefficient systems ``check(*args)`` builds, in order."""
+    built = []
+
+    def spy(*a, **k):
+        built.append(RepSpec(*a, **k))
+        return built[-1]
+
+    with mock.patch.object(kuranishi, "RepSpec", spy):
+        check(*args)
+    return built
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(candidates(), rescaled_catalog().map(lambda g: g.candidate),
+                 st.sampled_from([catalog_algebra(name).candidate
+                                  for name in catalog_names()])),
+       st.lists(sparse_entries, min_size=5, max_size=5))
+def test_adjoint_rows_match_the_dense_path(cand, vec):
+    n, expect = cand.dim, dense.dense_adjoint_rows(cand)
+    assert_same_rows(adjoint_rows(cand), expect)
+    if cand.antisymmetry_violation() is None and cand.jacobi_violation() is None:
+        assert_same_rows(adjoint_rep(validate_bracket(cand)).rows, expect)
+    # a non-Lie base, as the Jacobiator expansion check builds it
+    zero = AltMap.from_flat(2, n, n, [0] * cochain_dim(n, 2, n))
+    (rep,) = built_reps(jacobiator_expansion_check, cand, zero, zero)
+    assert_same_rows(rep.rows, expect)
+    u = vec[:n]
+    assert_same_rows((ad_rows(cand, u),),
+                     dense.dense_rows([dense.dense_ad_matrix(cand, u)]))
+    assert ad_matrix(cand, u) == dense.dense_ad_matrix(cand, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(catalog_names()), st.sampled_from(catalog_names()),
+       st.data())
+def test_pullback_rows_match_the_dense_path(source, target, data):
+    # a random rational linear map, as the curvature expansion check builds
+    # its pullback system: neither a homomorphism nor checked
+    h, g = catalog_algebra(source), catalog_algebra(target)
+    if data.draw(st.booleans()):
+        g = data.draw(rescaled_catalog().filter(lambda a: a.dim == g.dim))
+    m = Matrix.from_rows(data.draw(st.lists(
+        st.lists(sparse_entries, min_size=h.dim, max_size=h.dim),
+        min_size=g.dim, max_size=g.dim)))
+    rho = Homomorphism(h, g, m)
+    (rep,) = built_reps(curvature_expansion_check, rho, Matrix.zeros(g.dim, h.dim))
+    assert_same_rows(rep.rows, dense.dense_pullback_rows(g.candidate, m))
+
+
+def test_pullback_rep_rows_match_the_dense_path():
+    homs = ([hom_preset(name) for name in hom_preset_names()]
+            + [Homomorphism(w.as_subalgebra(), w.ambient, Matrix.from_columns(
+                [w.basis_vector(t) for t in range(w.dim)], rows=w.ambient.dim))
+               for w in (borel_in_sl(2), borel_in_sl(3), sl_in_gl(3))])
+    for rho in homs:
+        assert_same_rows(pullback_rep(rho).rows,
+                         dense.dense_pullback_rows(rho.target.candidate, rho.matrix))
+
+
+def quotient_witnesses():
+    """The preset witnesses, b(sl_n) in sl_n and sl_n in gl_n, and random
+    ones with rational echelon bases: a line in a catalog algebra, and in
+    heis_3 or heis_5 a subspace containing the centre, which is an ideal."""
+    # in the line through 3h + e, the projection brings the columns of a
+    # row in out of order
+    fixed = ([sub_preset(name) for name in sub_preset_names()]
+             + [borel_in_sl(n) for n in (2, 3)] + [sl_in_gl(n) for n in (2, 3)]
+             + [subalgebra_witness(catalog_algebra("sl2"), [[3, 1, 0]])])
+    algebras = st.one_of(st.sampled_from(catalog_names()).map(catalog_algebra),
+                         rescaled_catalog())
+
+    def line(g):
+        return st.lists(sparse_entries, min_size=g.dim, max_size=g.dim).filter(
+            any).map(lambda v: subalgebra_witness(g, [v]))
+
+    def over_centre(g):
+        z = [0] * (g.dim - 1) + [1]
+        return st.lists(st.lists(rationals, min_size=g.dim, max_size=g.dim),
+                        max_size=g.dim - 2).map(
+            lambda vs: _independent(g, vs + [z]))
+
+    heis = st.sampled_from([dense.heisenberg_algebra(1),
+                            dense.heisenberg_algebra(2)])
+    return st.one_of(st.sampled_from(fixed), algebras.flatmap(line),
+                     heis.flatmap(over_centre))
+
+
+def _independent(g, vectors):
+    """The witness of an independent subset of ``vectors`` spanning them."""
+    kept = [vectors[p] for p in Echelon(
+        [{i: x for i, x in enumerate(v) if x} for v in vectors]).kept]
+    return subalgebra_witness(g, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_witnesses())
+def test_quotient_rows_match_the_dense_path(w):
+    assert_same_rows(quotient_rep(w).rows, dense.dense_quotient_rows(w))
+
+
+# ---------------------------------------------------------------------------
 # the rank form, and the weight blocks of an inner torus
 
 def bareiss_det(rows) -> Fraction:
@@ -416,30 +543,6 @@ class Signs:
         if g.name not in self.drawn:
             self.drawn[g.name] = [self.rng.choice((1, -1)) for _ in range(g.dim)]
         return self.drawn[g.name]
-
-
-def sl_in_gl(n):
-    """sl_n in gl_n, spanned by E_ii - E_(i+1)(i+1) and the E_ab, a != b."""
-    vecs = []
-    for i in range(n - 1):
-        v = [0] * (n * n)
-        v[i * n + i], v[(i + 1) * n + i + 1] = 1, -1
-        vecs.append(v)
-    vecs += [[int(p == a * n + b) for p in range(n * n)]
-             for a in range(n) for b in range(n) if a != b]
-    return subalgebra_witness(dense.gl_algebra(n), vecs, name=f"sl{n}-in-gl{n}")
-
-
-def borel_in_sl(n):
-    """b(sl_n) in sl_n: the basis vectors of sl_n (in its echelon basis
-    inside gl_n) that are upper triangular."""
-    w = sl_in_gl(n)
-    upper = [t for t in range(w.dim)
-             if all(x == 0 or p // n <= p % n
-                    for p, x in enumerate(w.basis_vector(t)))]
-    return subalgebra_witness(w.as_subalgebra(name=f"sl{n}"),
-                              [[int(i == t) for i in range(w.dim)]
-                               for t in upper], name=f"b(sl{n})-in-sl{n}")
 
 
 def signed_witness(w, signs):
