@@ -262,8 +262,8 @@ def _cmd_deform(args) -> int:
         doc.update((flag, getattr(args, flag)) for flag in _OBJECT_FLAGS
                    if getattr(args, flag))
     exp = parse_experiment_doc(doc)
-    # the Newton lab loads numpy and SciPy: only a well-formed experiment
-    # pays for them
+    # the Newton lab loads numpy, and SciPy on its first solve: only a
+    # well-formed experiment pays for them
     from .deformlab import run_experiment
     records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
                              scale=exp["scale"], cfg=exp["config"])

@@ -17,6 +17,10 @@ finite-difference checks read the chart too.  The bracket chart's orbit
 residual is one array kernel from (A, c) to flat pair coordinates
 (``_acted_pairs``), so Newton builds no FloatBracket per iterate.
 
+NumPy is imported with the module; SciPy (``expm`` for every group chart,
+``subspace_angles`` for one subalgebra diagnostic) on the first call that
+needs it, so float records and kernels alone never load it.
+
 Flattening follows the cochain convention throughout: a k-cochain value
 block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 1-cochain seen as a matrix M (columns = values) flattens to M.T.ravel().
@@ -27,7 +31,6 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import expm, subspace_angles
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem
@@ -37,6 +40,20 @@ from .documents import (ChartError, InputDefectError, NewtonConfig,
 from .records import field, record
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
+
+
+def _scipy_linalg(name: str):
+    """``scipy.linalg.<name>``, imported on the first call, which rebinds the
+    module name to SciPy's own function for every later call."""
+    def first_call(*args):
+        import scipy.linalg
+        globals()[name] = fn = getattr(scipy.linalg, name)
+        return fn(*args)
+    return first_call
+
+
+expm = _scipy_linalg("expm")
+subspace_angles = _scipy_linalg("subspace_angles")
 
 
 def _sup(arr) -> float:

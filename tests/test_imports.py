@@ -1,6 +1,7 @@
 """The exact layers never import the float stack: `import liedeform` and
 every exact verb leave numpy and SciPy unloaded, and the Newton names of the
-package load on first access.  Nor do they load ``dataclasses`` (or the
+package load on first access; the Newton lab itself loads SciPy only on its
+first solve.  Nor do the exact layers load ``dataclasses`` (or the
 ``inspect`` it pulls in): the records are made by ``liedeform.records``."""
 
 import ast
@@ -72,6 +73,93 @@ def test_exact_verbs_never_load_numpy_or_scipy(tmp_path):
     assert result["numpy_after_deform"]
 
 
+FRESH_NEWTON = """
+import json, sys
+import numpy as np
+from liedeform import *
+from liedeform import deformlab
+
+mu = FloatBracket.from_exact(catalog_algebra("sl2"))
+acted = act_on_bracket(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                 [0.0, 0.0, 2.0]]), mu)
+defect = float(np.abs(deformlab.jacobiator_flat(acted.c)).max())
+loaded = {"numpy": "numpy" in sys.modules, "scipy": "scipy" in sys.modules}
+kind, obj = (("bracket-recovery", catalog_algebra("sl2"))
+             if sys.argv[1] == "bracket" else
+             ("sub-recovery", sub_preset("borel-in-sl2")))
+record, = run_experiment(kind, obj, [0])
+import scipy.linalg
+print(json.dumps({
+    "defect": defect, "before_solve": loaded,
+    "after_solve": "scipy.linalg" in sys.modules,
+    "bound": [deformlab.expm is scipy.linalg.expm,
+              deformlab.subspace_angles is scipy.linalg.subspace_angles],
+    "record": record}))
+"""
+
+
+@pytest.mark.parametrize("first", ["bracket", "sub"])
+def test_newton_lab_loads_scipy_on_first_solve(first):
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_NEWTON, first], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["defect"] < 1e-12
+    # float records and kernels need numpy only
+    assert result["before_solve"] == {"numpy": True, "scipy": False}
+    assert result["after_solve"]
+    record = result["record"]
+    assert record["converged"]
+    if first == "sub":
+        # the first solve binds both names to SciPy's own functions
+        assert result["bound"] == [True, True]
+        assert 0 <= record["principal_angle_sup"] < 1e-8
+    else:
+        assert result["bound"][0]
+
+
+FRESH_DEFORM = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+from liedeform import cli
+
+out = []
+for argv in json.loads(sys.argv[2]):
+    with redirect_stdout(io.StringIO()) as buf:
+        code = cli.run(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_deform_output_does_not_depend_on_when_scipy_loads():
+    objects = (("bracket-recovery", "--algebra", "sl2"),
+               ("hom-recovery", "--hom", "id-sl2"),
+               ("sub-recovery", "--sub", "borel-in-sl2"),
+               ("hom-continuation", "--hom", "borel-incl"),
+               ("sub-continuation", "--sub", "borel-in-sl2"))
+    commands = [["deform", "--json", "--kind", *obj, "--seeds", "5"]
+                for obj in objects]
+    # scale 0.3 refreshes Jacobians and leaves some seeds unconverged
+    commands.append(["deform", "--json", "--kind", "bracket-recovery",
+                     "--algebra", "sl2", "--scale", "0.3", "--seeds", "20"])
+    runs = [subprocess.run(
+        [sys.executable, "-c", FRESH_DEFORM, order, json.dumps(commands)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True) for order in ("scipy-first", "lazy")]
+    assert [run.returncode for run in runs] == [0, 0], [r.stderr for r in runs]
+    first, lazy = (json.loads(run.stdout) for run in runs)
+    assert [code for code, _ in lazy] == [0] * len(commands)
+    wide = [json.loads(line) for line in lazy[-1][1].splitlines()]
+    assert len(wide) == 20 and not all(r["converged"] for r in wide)
+    assert first == lazy
+
+
 def test_newton_names_load_on_first_access():
     from liedeform import deformlab
     assert liedeform.run_experiment is deformlab.run_experiment
@@ -117,19 +205,39 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def test_no_module_imports_dataclasses():
+def absolute_imports(top: str, walk=ast.walk) -> list:
+    """file:line of every absolute import of package ``top`` in the package's
+    modules, among the nodes ``walk`` yields from each module's tree."""
     found = []
     for path in sorted((ROOT / "src" / "liedeform").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
+            if any(name.split(".")[0] == top for name in names):
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def outside_functions(tree):
+    """The nodes under ``tree`` that run when the module is imported: all
+    but the function bodies."""
+    for child in ast.iter_child_nodes(tree):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from outside_functions(child)
+
+
+def test_no_module_imports_dataclasses():
+    assert absolute_imports("dataclasses") == []
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # SciPy is imported on the Newton lab's first solve, inside a function
+    assert absolute_imports("scipy", outside_functions) == []
 
 
 def documented_layers() -> tuple:
