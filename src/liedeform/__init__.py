@@ -5,8 +5,9 @@ Layers, from the ground up:
 
 - ``records``: ``record``, the frozen value classes of every layer, made
   without ``dataclasses``.
-- ``exactlin``: rational linear algebra; an echelon form gives rref,
-  kernels, solves, inverses and quotients, a rank form gives ranks.
+- ``exactlin``: rational linear algebra on one matrix type, kept as the
+  nonzeros of each row; an echelon form gives rref, kernels, solves,
+  inverses and quotients, a rank form gives ranks.
 - ``cochains``: alternating multilinear maps in flat coordinates.
 - ``algebras``: bracket candidates, Lie algebras, homomorphisms, subalgebra
   witnesses, the three coefficient systems, and the builtin catalog.

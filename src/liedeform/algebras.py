@@ -15,8 +15,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .cochains import AltMap
-from .exactlin import (Matrix, QuotientCoords, SparseMatrix, Subspace, _exact,
-                       _frac, _subspace, format_scalar, quotient_coords)
+from .exactlin import (Matrix, QuotientCoords, Subspace, _exact, _frac,
+                       _subspace, format_scalar, quotient_coords)
 from .records import record
 
 
@@ -200,12 +200,6 @@ def ad_rows(candidate: BracketCandidate, vec) -> list:
     return [{j: _exact(y) for j, y in row.items() if y} for row in rows]
 
 
-def ad_matrix(candidate: BracketCandidate, vec) -> Matrix:
-    """Matrix of u -> bracket(vec, u): the dense view of ``ad_rows``."""
-    return SparseMatrix(candidate.dim, candidate.dim,
-                        ad_rows(candidate, vec)).dense()
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -341,24 +335,14 @@ class RepresentationError(ValueError):
 class RepSpec:
     """A coefficient system: the acting algebra's bracket plus, per acting
     basis vector, its action on the carrier as the {column: value} nonzeros
-    of each row, in column order and ints where integral.  A dense action
-    ``Matrix`` is read into such rows; ``matrices`` is their dense view."""
+    of each row, in column order and ints where integral, as a
+    ``Matrix`` keeps its ``row_maps``."""
 
     variant: str
     acting: BracketCandidate
     carrier_dim: int
     rows: tuple
     label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(
-            [{j: _exact(x) for j, x in enumerate(r) if x} for r in m.data]
-            if isinstance(m, Matrix) else m for m in self.rows))
-
-    @cached_property
-    def matrices(self) -> tuple:
-        q = self.carrier_dim
-        return tuple(SparseMatrix(q, q, r).dense() for r in self.rows)
 
     def check_identity(self):
         """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs:
@@ -414,10 +398,8 @@ def quotient_rep(w: SubalgebraWitness) -> RepSpec:
     projection times ad(w_i), read at the complement columns."""
     g, qc, n = w.ambient, w.coords, w.ambient.dim
     at = {j: b for b, j in enumerate(qc.complement)}
-    proj = SparseMatrix(qc.dim, n, [{p: _exact(x) for p, x in row.items()}
-                                    for row in SparseMatrix.of(qc.projection).row_maps])
-    rows = tuple([{at[j]: _exact(y) for j, y in sorted(row.items()) if j in at}
-                  for row in proj.mul(SparseMatrix(n, n, ad)).row_maps]
+    rows = tuple([{at[j]: y for j, y in sorted(row.items()) if j in at}
+                  for row in qc.projection.mul(Matrix.of_rows(n, n, ad)).row_maps]
                  for ad in (ad_rows(g.candidate, v) for v in qc.sub_basis))
     return RepSpec("quotient", w.as_subalgebra().candidate, qc.dim, rows,
                    f"{w.name}:{g.name}/sub").check_identity()

@@ -23,8 +23,8 @@ from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
-from .exactlin import (Echelon, Matrix, RankForm, SparseMatrix, Subspace,
-                       _dense, _exact, _frac, rank)
+from .exactlin import (Echelon, Matrix, RankForm, Subspace, _dense, _exact,
+                       _frac, rank)
 from .records import record
 
 
@@ -36,11 +36,11 @@ class ChainMapError(ValueError):
     """Raised when per-degree matrices do not commute with the differentials."""
 
 
-def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
-    """Exact sparse matrix of the degree-k differential.  Each row is a
-    {column: value} dict of its nonzero entries, ints where integral; only
-    the nonzero action entries (``rep.rows``) and structure constants
-    (``rep.acting.terms``) are visited."""
+def differential_matrix(k: int, rep: RepSpec) -> Matrix:
+    """Exact matrix of the degree-k differential, built row by row as the
+    {column: value} nonzeros of its ``row_maps``; only the nonzero action
+    entries (``rep.rows``) and structure constants (``rep.acting.terms``)
+    are visited."""
     n, m = rep.acting.dim, rep.carrier_dim
     rows_subsets = subsets(n, k + 1)
     cols_pos = subset_positions(n, k)
@@ -72,7 +72,7 @@ def differential_matrix(k: int, rep: RepSpec) -> SparseMatrix:
                         orow = out[row_base + b]
                         orow[col_base + b] = orow.get(col_base + b, 0) + factor
     rows = [{j: _exact(x) for j, x in row.items() if x} for row in out]
-    return SparseMatrix(len(rows), cochain_dim(n, k, m), rows)
+    return Matrix.of_rows(len(rows), cochain_dim(n, k, m), rows)
 
 
 class CEComplex:
@@ -85,7 +85,7 @@ class CEComplex:
         self.carrier_dim = rep.carrier_dim
         self._d, self._forms, self._ranks, self._degrees = {}, {}, {}, {}
 
-    def d(self, k: int) -> SparseMatrix:
+    def d(self, k: int) -> Matrix:
         if k not in self._d:
             self._d[k] = differential_matrix(k, self.rep)
         return self._d[k]
@@ -178,14 +178,6 @@ class DegreeData:
     def cocycles(self) -> Subspace:
         return Subspace(self.dim_cochains,
                         self._dense_tuple(self.complex.form(self.k).kernel()))
-
-    @cached_property
-    def coboundaries(self) -> Subspace:
-        """The pivot columns of d_(k-1)."""
-        kept = self.complex.form(self.k - 1).kept if self.k else []
-        columns = self.complex.d(self.k - 1).columns() if kept else []
-        return Subspace(self.dim_cochains,
-                        self._dense_tuple(columns[j] for j in kept))
 
     @cached_property
     def classes(self) -> frozenset:
@@ -371,7 +363,7 @@ def _det(entries) -> Fraction:
     return sign * a[k - 1][k - 1] if k else Fraction(1)
 
 
-def pullback_cochain_map(hom: Homomorphism, k: int) -> SparseMatrix:
+def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
     """Matrix of omega -> omega(rho . , .. , rho .) from target-side
     k-cochains (adjoint carrier) to source-side k-cochains (pullback carrier).
 
@@ -383,16 +375,17 @@ def pullback_cochain_map(hom: Homomorphism, k: int) -> SparseMatrix:
     src_subsets = subsets(g.dim, k)
     dst_subsets = subsets(h.dim, k)
     src_pos = subset_positions(g.dim, k)
+    rho = hom.matrix.data
     out = [{} for _ in range(len(dst_subsets) * m)]
     for d_pos, S in enumerate(dst_subsets):
         for T in src_subsets:
-            dt = _det([[hom.matrix.data[t][s] for s in S] for t in T])
+            dt = _exact(_det([[rho[t][s] for s in S] for t in T]))
             if dt == 0:
                 continue
             s_pos = src_pos[T]
             for b in range(m):
                 out[d_pos * m + b][s_pos * m + b] = dt
-    return SparseMatrix(len(out), len(src_subsets) * m, out)
+    return Matrix.of_rows(len(out), len(src_subsets) * m, out)
 
 
 @record
@@ -416,8 +409,8 @@ class InducedMap:
         return self.matrix.is_zero()
 
 
-def _square_commutes(f_k, f_k1, d_src: SparseMatrix, d_tgt: SparseMatrix) -> bool:
-    return SparseMatrix.of(f_k1).mul(d_src).row_maps == d_tgt.mul(f_k).row_maps
+def _square_commutes(f_k, f_k1, d_src: Matrix, d_tgt: Matrix) -> bool:
+    return f_k1.mul(d_src) == d_tgt.mul(f_k)
 
 
 def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
@@ -448,13 +441,12 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
 # ---------------------------------------------------------------------------
 # the long exact sequence of a subalgebra
 
-def _post_compose_block(matrix: Matrix, n_subsets: int) -> SparseMatrix:
+def _post_compose_block(matrix: Matrix, n_subsets: int) -> Matrix:
     """Block-diagonal matrix applying ``matrix`` to every value block."""
     r, c = matrix.rows, matrix.cols
-    rows = SparseMatrix.of(matrix).row_maps
     out = [{p * c + j: x for j, x in row.items()}
-           for p in range(n_subsets) for row in rows]
-    return SparseMatrix(n_subsets * r, n_subsets * c, out)
+           for p in range(n_subsets) for row in matrix.row_maps]
+    return Matrix.of_rows(n_subsets * r, n_subsets * c, out)
 
 
 @record
@@ -499,8 +491,8 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
     is reduced once; its rank is its pivot count."""
     dim_node = outgoing.cols
     composed_zero = outgoing.mul(incoming).is_zero()
-    e_in = RankForm(SparseMatrix.of(incoming).row_maps)
-    e_out = Echelon(SparseMatrix.of(outgoing).columns())
+    e_in = RankForm(incoming.row_maps)
+    e_out = Echelon(outgoing.columns())
     r_in, r_out = len(e_in.kept), len(e_out.kept)
     exact = composed_zero and (r_in + r_out == dim_node)
     ker = Echelon(e_out.kernel())

@@ -62,7 +62,7 @@ def _sup(arr) -> float:
 
 
 def float_matrix(m) -> np.ndarray:
-    """An exact (dense or sparse) matrix as a float array."""
+    """An exact matrix as a float array."""
     return np.array(m.to_float_rows(), dtype=float).reshape(m.rows, m.cols)
 
 

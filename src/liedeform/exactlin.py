@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with ``fractions.Fraction`` entries, sparse ones (a
-{column: value} dict per row), ``Echelon``, an echelon form kept for
-repeated solves, and ``RankForm``, its elimination without the bookkeeping,
+``Matrix`` is the one rational matrix: it keeps the nonzeros of each row
+as a {column: value} dict (``row_maps``), ints where integral, and its
+``data`` is a fresh dense copy.  ``Echelon`` is an echelon form kept for
+repeated solves, and ``RankForm`` its elimination without the bookkeeping,
 when only a rank and pivot columns are read.  ``rref``, ``solve_particular``,
 ``invert`` and the quotient coordinates of a subspace are read from the
 ``Echelon`` of a matrix's columns, ``rank`` from the ``RankForm`` of its
@@ -74,19 +75,28 @@ def _dense(vec: dict, n: int) -> list:
 
 
 class Matrix:
-    """Dense rational matrix; ``data`` is a row-major list of lists."""
+    """Rational matrix kept as the nonzeros of each row: ``row_maps[i]`` is a
+    {column: value} dict, values ints where integral.  ``data`` is a fresh
+    dense row-major list of Fractions."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "row_maps")
 
     def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("matrix data does not match declared shape")
-            self.data = [[_frac(x) for x in r] for r in data]
+        if data is not None and (len(data) != rows
+                                 or any(len(r) != cols for r in data)):
+            raise ValueError("matrix data does not match declared shape")
+        self.rows, self.cols = rows, cols
+        self.row_maps = [{} for _ in range(rows)] if data is None else [
+            {j: _exact(y) for j, x in enumerate(r) if (y := _frac(x))}
+            for r in data]
+
+    @classmethod
+    def of_rows(cls, rows: int, cols: int, row_maps) -> "Matrix":
+        """The matrix whose rows hold the {column: value} nonzeros
+        ``row_maps``, taken as they are (no zero value)."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.row_maps = rows, cols, row_maps
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -94,10 +104,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls.of_rows(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows_list) -> "Matrix":
@@ -115,80 +122,22 @@ class Matrix:
         return cls(nr, len(cols_list), [[col[i] for col in cols_list]
                                         for i in range(nr)])
 
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def mul(self, other) -> "Matrix":
-        return SparseMatrix.of(self).mul(other).dense()
-
-    def apply(self, vec) -> list:
-        return SparseMatrix.of(self).apply(vec)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
-
-    def to_float_rows(self):
-        return [[float(x) for x in r] for r in self.data]
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (R, pivot_columns).
-
-    Read from the ``Echelon`` of the columns: the pivots are its kept
-    columns, and row t of R is 1 at the t-th of them and holds the t-th
-    coefficient of every other column's relation.
-    """
-    form = Echelon(SparseMatrix.of(m).columns())
-    r = [[ZERO] * m.cols for _ in range(m.rows)]
-    for t, j in enumerate(form.kept):
-        r[t][j] = Fraction(1)
-    for j, combo in form.relations.items():
-        for t, c in combo.items():
-            r[t][j] = c
-    return Matrix(m.rows, m.cols, r), form.kept
-
-
-def rank(m) -> int:
-    return len(RankForm(SparseMatrix.of(m).row_maps).kept)
-
-
-class SparseMatrix:
-    """Rational matrix: a {column: value} dict of the nonzeros of each row."""
-
-    __slots__ = ("rows", "cols", "row_maps")
-
-    def __init__(self, rows: int, cols: int, row_maps):
-        self.rows, self.cols, self.row_maps = rows, cols, row_maps
-
-    @classmethod
-    def of(cls, m) -> "SparseMatrix":
-        return m if isinstance(m, cls) else cls(
-            m.rows, m.cols, [{j: x for j, x in enumerate(r) if x} for r in m.data])
-
     @property
     def data(self) -> list:
-        """The (column, value) pairs of each row, in column order."""
-        return [sorted(r.items()) for r in self.row_maps]
+        return [_dense(row, self.cols) for row in self.row_maps]
+
+    def column(self, j: int) -> list:
+        return [_frac(row.get(j, ZERO)) for row in self.row_maps]
 
     def columns(self) -> list:
+        """The {row: value} nonzeros of each column."""
         cols = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.row_maps):
             for j, x in row.items():
                 cols[j][i] = x
         return cols
 
-    def mul(self, other) -> "SparseMatrix":
-        other = SparseMatrix.of(other)
+    def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         out = []
@@ -197,8 +146,8 @@ class SparseMatrix:
             for k, a in row.items():
                 for j, b in other.row_maps[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append({j: x for j, x in acc.items() if x})
-        return SparseMatrix(self.rows, other.cols, out)
+            out.append({j: _exact(x) for j, x in acc.items() if x})
+        return Matrix.of_rows(self.rows, other.cols, out)
 
     def apply(self, vec) -> list:
         if len(vec) != self.cols:
@@ -213,9 +162,35 @@ class SparseMatrix:
         return [[float(row.get(j, 0)) for j in range(self.cols)]
                 for row in self.row_maps]
 
-    def dense(self) -> Matrix:
-        return Matrix(self.rows, self.cols, [_dense(row, self.cols)
-                                             for row in self.row_maps])
+    def __eq__(self, other):
+        return (isinstance(other, Matrix) and self.rows == other.rows
+                and self.cols == other.cols and self.row_maps == other.row_maps)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.row_maps)))
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols})"
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Read from the ``Echelon`` of the columns: the pivots are its kept
+    columns, and row t of R is 1 at the t-th of them and holds the t-th
+    coefficient of every other column's relation.
+    """
+    form = Echelon(m.columns())
+    r = [{j: 1} for j in form.kept] + [{} for _ in range(m.rows - len(form.kept))]
+    for j, combo in form.relations.items():
+        for t, c in combo.items():
+            r[t][j] = _exact(c)
+    return Matrix.of_rows(m.rows, m.cols, r), form.kept
+
+
+def rank(m: Matrix) -> int:
+    return len(RankForm(m.row_maps).kept)
 
 
 def _ratio(x: int, s: int):
@@ -388,7 +363,7 @@ def solve_particular(m: Matrix, b):
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    return Echelon(SparseMatrix.of(m).columns()).solve(b)
+    return Echelon(m.columns()).solve(b)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -396,7 +371,7 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    form = Echelon(SparseMatrix.of(m).columns())
+    form = Echelon(m.columns())
     if len(form.kept) < n:
         raise ValueError("matrix is singular")
     units = [[int(i == j) for i in range(n)] for j in range(n)]
@@ -413,7 +388,7 @@ def reduced_basis(sub: Subspace):
         return [], []
     m = Matrix.from_rows([list(v) for v in sub.basis])
     r, pivots = rref(m)
-    rows = [r.data[t] for t in range(len(pivots))]
+    rows = r.data[:len(pivots)]
     if len(pivots) != sub.dim:
         raise ValueError("subspace basis is linearly dependent")
     return rows, pivots
@@ -461,14 +436,12 @@ def quotient_coords(sub: Subspace) -> QuotientCoords:
     rows, pivots = reduced_basis(sub)
     pivot_set = set(pivots)
     complement = [j for j in range(n) if j not in pivot_set]
-    proj = Matrix.zeros(len(complement), n)
-    for r_i, q in enumerate(complement):
-        proj.data[r_i][q] = Fraction(1)
-        for t, p in enumerate(pivots):
-            proj.data[r_i][p] = -rows[t][q]
-    sect = Matrix.zeros(n, len(complement))
-    for r_i, q in enumerate(complement):
-        sect.data[q][r_i] = Fraction(1)
+    proj = Matrix.of_rows(len(complement), n, [
+        {q: 1, **{p: _exact(-rows[t][q]) for t, p in enumerate(pivots)
+                  if rows[t][q]}} for q in complement])
+    at = {q: r_i for r_i, q in enumerate(complement)}
+    sect = Matrix.of_rows(n, len(complement),
+                          [{at[i]: 1} if i in at else {} for i in range(n)])
     return QuotientCoords(
         ambient_dim=n,
         sub_basis=tuple(tuple(r) for r in rows),

@@ -143,9 +143,10 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
 
     ts = [-1, 0, 1]
     samples = []
+    r, x = rho.matrix.data, xi_matrix.data
     for t in ts:
-        m = Matrix(ng, kh, [[rho.matrix.data[a][b] + t * xi_matrix.data[a][b]
-                             for b in range(kh)] for a in range(ng)])
+        m = Matrix(ng, kh, [[r[a][b] + t * x[a][b] for b in range(kh)]
+                            for a in range(ng)])
         samples.append(curvature(Homomorphism(h, g, m)).flat())
     coeffs = _interpolate_coefficients(samples, ts)
 
@@ -262,12 +263,9 @@ class Splitting:
         section image: identity minus section o projection."""
         qc = self.witness.coords
         n = qc.ambient_dim
-        sp = self.section.mul(qc.projection)
-        out = Matrix.identity(n)
-        for i in range(n):
-            for j in range(n):
-                out.data[i][j] -= sp.data[i][j]
-        return out
+        sp = self.section.mul(qc.projection).data
+        return Matrix(n, n, [[int(i == j) - sp[i][j] for j in range(n)]
+                             for i in range(n)])
 
 
 def standard_splitting(w: SubalgebraWitness | Problem) -> Splitting:
@@ -283,10 +281,10 @@ def shifted_splitting(sp: Splitting, shift: Matrix) -> Splitting:
     w = sp.witness
     if shift.rows != w.dim or shift.cols != w.quotient_dim:
         raise ValueError("shift has wrong shape")
-    add = sp.problem.inclusion.obj.matrix.mul(shift)
-    sec = Matrix(sp.section.rows, sp.section.cols,
-                 [[sp.section.data[i][j] + add.data[i][j]
-                   for j in range(sp.section.cols)] for i in range(sp.section.rows)])
+    add = sp.problem.inclusion.obj.matrix.mul(shift).data
+    old, rows, cols = sp.section.data, sp.section.rows, sp.section.cols
+    sec = Matrix(rows, cols, [[old[i][j] + add[i][j] for j in range(cols)]
+                              for i in range(rows)])
     return Splitting(sp.problem, sec)
 
 
@@ -391,9 +389,9 @@ def splitting_independence_check(sp1: Splitting, sp2: Splitting,
     diff = phi1.sub(phi2)
     # d = s2 - s1 has image inside the subalgebra; read it in sub coordinates
     shift_cols = []
+    s1, s2 = sp1.section.data, sp2.section.data
     for b in range(w.quotient_dim):
-        col = [sp2.section.data[i][b] - sp1.section.data[i][b]
-               for i in range(w.ambient.dim)]
+        col = [s2[i][b] - s1[i][b] for i in range(w.ambient.dim)]
         if any(x != 0 for x in qc.projection.apply(col)):
             raise AssertionError("section difference left the subalgebra")
         shift_cols.append(qc.to_sub_coords(col))

@@ -11,8 +11,8 @@ from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
 from liedeform.cecomplex import CEComplex, CohomologyReport
 from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
                                  graph_basis, run_experiment)
-from liedeform.exactlin import (Matrix, QuotientCoords, SparseMatrix, Subspace,
-                                _exact, _frac, _subspace)
+from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
+                                _subspace)
 
 
 # dense Gauss-Jordan elimination: the reference that the package's rref,
@@ -56,13 +56,13 @@ def solve_particular(m: Matrix, b):
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
     aug = Matrix(m.rows, m.cols + 1,
-                 [m.data[i] + [_frac(b[i])] for i in range(m.rows)])
+                 [row + [_frac(x)] for row, x in zip(m.data, b)])
     r, pivots = rref(aug)
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
+    x, rows = [Fraction(0)] * m.cols, r.data
     for row_idx, p in enumerate(pivots):
-        x[p] = r.data[row_idx][m.cols]
+        x[p] = rows[row_idx][m.cols]
     return x
 
 
@@ -71,24 +71,25 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = Matrix(n, 2 * n, [m.data[i] + [Fraction(1) if j == i else Fraction(0)
-                                         for j in range(n)] for i in range(n)])
+    aug = Matrix(n, 2 * n, [row + [Fraction(1) if j == i else Fraction(0)
+                                   for j in range(n)]
+                            for i, row in enumerate(m.data)])
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, [r.data[i][n:] for i in range(n)])
+    return Matrix(n, n, [row[n:] for row in r.data])
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Exact basis of the null space of m (acting on column vectors), read
     from its dense reduced row echelon form: one vector per free column."""
     r, pivots = rref(m)
-    basis = []
+    basis, rows = [], r.data
     for f in (j for j in range(m.cols) if j not in pivots):
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for row_idx, p in enumerate(pivots):
-            v[p] = -r.data[row_idx][f]
+            v[p] = -rows[row_idx][f]
         basis.append(v)
     return _subspace(m.cols, basis)
 
@@ -248,7 +249,7 @@ def dense_report_tuples(rep: RepSpec) -> list:
     cx = CEComplex(rep)
     out, cob = [], ()
     for k in range(cx.n + 1):
-        d = cx.d(k).dense()
+        d = cx.d(k)
         coc = kernel_basis(d).basis
         cols = [list(v) for v in cob + coc]
         reps = ()
@@ -348,20 +349,19 @@ def borel_in_sl(n):
 
 def dense_ad_matrix(cand: BracketCandidate, vec) -> Matrix:
     """Matrix of u -> bracket(vec, u), in Fractions."""
-    m = Matrix.zeros(cand.dim, cand.dim)
+    data = [[Fraction(0)] * cand.dim for _ in range(cand.dim)]
     for i, vi in enumerate(map(_frac, vec)):
         if vi:
             for j, row in enumerate(cand.terms[i]):
                 for k, x in row:
-                    m.data[k][j] += vi * x
-    return m
+                    data[k][j] += vi * x
+    return Matrix(cand.dim, cand.dim, data)
 
 
 def dense_rows(mats) -> tuple:
     """Each matrix as the {column: value} nonzeros of each row, ints where
     integral."""
-    return tuple([{b: _exact(x) for b, x in row.items()}
-                  for row in SparseMatrix.of(mat).row_maps] for mat in mats)
+    return tuple(mat.row_maps for mat in mats)
 
 
 def dense_adjoint_rows(cand: BracketCandidate) -> tuple:

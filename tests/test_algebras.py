@@ -9,7 +9,7 @@ import pytest
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, RepSpec,
                                 RepresentationError, ValidationError,
-                                abelian, ad_matrix,
+                                abelian, ad_rows,
                                 adjoint_rep, catalog_algebra, catalog_names,
                                 curvature, hom_preset, pullback_rep,
                                 quotient_rep, sub_preset, subalgebra_defect,
@@ -77,23 +77,27 @@ class TestValidation:
         assert g.dim == 0
 
 
+def action(rep, k) -> Matrix:
+    """The action of acting basis vector k as a matrix."""
+    return Matrix.of_rows(rep.carrier_dim, rep.carrier_dim, rep.rows[k])
+
+
 class TestAdjoint:
     def test_sl2_ad_h_is_diagonal(self):
         g = catalog_algebra("sl2")
-        m = ad_matrix(g.candidate, [Fraction(1), Fraction(0), Fraction(0)])
-        assert m.data[0][0] == 0 and m.data[1][1] == 2 and m.data[2][2] == -2
-        assert all(m.data[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, [1, 0, 0]))
+        assert m.data == [[0, 0, 0], [0, 2, 0], [0, 0, -2]]
 
     def test_heis3_ad_p_sends_q_to_z(self):
         g = catalog_algebra("heis3")
-        m = ad_matrix(g.candidate, [Fraction(1), Fraction(0), Fraction(0)])
+        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, [1, 0, 0]))
         assert m.column(1) == [Fraction(0), Fraction(0), Fraction(1)]
         assert m.column(0) == [Fraction(0)] * 3
         assert m.column(2) == [Fraction(0)] * 3
 
     def test_abelian_rep_is_zero(self):
         rep = adjoint_rep(abelian(3))
-        assert all(m.is_zero() for m in rep.matrices)
+        assert all(action(rep, k).is_zero() for k in range(3))
 
     def test_representation_identity(self):
         for name in ("sl2", "so3", "heis3", "aff1", "borel"):
@@ -110,11 +114,12 @@ class TestAdjoint:
     def test_one_changed_action_entry_is_refused(self, rep_of, k, entry,
                                                  value, pair):
         rep = rep_of()
-        mats = [Matrix(m.rows, m.cols, m.data) for m in rep.matrices]
-        assert mats[k].data[entry[0]][entry[1]] != value
-        mats[k].data[entry[0]][entry[1]] = Fraction(value)
-        bad = RepSpec(rep.variant, rep.acting, rep.carrier_dim, tuple(mats),
-                      rep.label)
+        q = rep.carrier_dim
+        mats = [action(rep, i).data for i in range(len(rep.rows))]
+        assert mats[k][entry[0]][entry[1]] != value
+        mats[k][entry[0]][entry[1]] = Fraction(value)
+        bad = RepSpec(rep.variant, rep.acting, q,
+                      tuple(Matrix(q, q, m).row_maps for m in mats), rep.label)
         with pytest.raises(RepresentationError, match=(
                 r"^representation identity fails on pair \(%d,%d\)$" % pair)):
             bad.check_identity()
@@ -141,7 +146,7 @@ class TestHomomorphisms:
 
     def test_pullback_of_identity_equals_adjoint(self):
         g = catalog_algebra("sl2")
-        assert pullback_rep(hom_preset("id-sl2")).matrices == adjoint_rep(g).matrices
+        assert pullback_rep(hom_preset("id-sl2")).rows == adjoint_rep(g).rows
 
     def test_pullback_rejects_non_homomorphism(self):
         g = catalog_algebra("aff1")
@@ -230,12 +235,12 @@ class TestQuotientRep:
         rep = quotient_rep(w)
         assert rep.carrier_dim == 1
         # h acts on the class of f by -2, e by 0
-        assert rep.matrices[0].data[0][0] == -2
-        assert rep.matrices[1].data[0][0] == 0
+        assert action(rep, 0).data[0][0] == -2
+        assert action(rep, 1).data[0][0] == 0
 
     def test_center_rep_is_zero(self):
         rep = quotient_rep(sub_preset("center-in-heis3"))
-        assert all(m.is_zero() for m in rep.matrices)
+        assert all(action(rep, k).is_zero() for k in range(len(rep.rows)))
 
     def test_whole_algebra_carrier_zero(self):
         g = catalog_algebra("sl2")
@@ -305,28 +310,46 @@ class TestSparseActionRows:
 
     def test_dense_matrices_are_read_into_rows(self):
         rep = pullback_rep(hom_preset("borel-incl"))
-        again = RepSpec(rep.variant, rep.acting, rep.carrier_dim,
-                        rep.matrices, rep.label)
+        q = rep.carrier_dim
+        dense = [action(rep, k).data for k in range(len(rep.rows))]
+        again = RepSpec(rep.variant, rep.acting, q,
+                        tuple(Matrix(q, q, m).row_maps for m in dense),
+                        rep.label)
         assert again == rep and again.rows == rep.rows
         assert all(type(x) is int for mat in again.rows for row in mat
                    for x in row.values())
 
-    def test_builders_make_no_dense_matrix(self, monkeypatch):
-        # the systems are built from the nonzero structure constants: no
-        # dense Matrix and no ad_matrix on the way
+    @staticmethod
+    def families():
         path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
         spec = importlib.util.spec_from_file_location("bench_families", path)
         families = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(families)
+        return families
+
+    def test_builders_make_no_dense_matrix(self, monkeypatch):
+        # the systems are built from the nonzero structure constants: no
+        # dense Matrix on the way
+        families = self.families()
         builds = [(algebras.adjoint_rep, families.filiform(7)),
                   (algebras.pullback_rep, families.borel2_to_borel3()),
                   (algebras.quotient_rep, families.borel3_in_sl3())]
-        made, called = [], []
-        init, ad_matrix = Matrix.__init__, algebras.ad_matrix
+        made, init = [], Matrix.__init__
         monkeypatch.setattr(Matrix, "__init__", lambda self, *args, **kwargs: (
             made.append(args), init(self, *args, **kwargs))[1])
-        monkeypatch.setattr(algebras, "ad_matrix", lambda *args: (
-            called.append(args), ad_matrix(*args))[1])
         reps = [build(obj) for build, obj in builds]
-        assert made == [] and called == []
+        assert made == []
         assert [rep.carrier_dim for rep in reps] == [7, 5, 3]
+
+    def test_cohomology_reads_no_dense_data(self, monkeypatch):
+        # building the system and reducing it read only the row maps
+        families = self.families()
+        builds = [(adjoint_rep, families.filiform(7)),
+                  (pullback_rep, families.heis3_to_heis5()),
+                  (quotient_rep, families.borel3_in_sl3())]
+        reads, data = [], Matrix.data
+        monkeypatch.setattr(Matrix, "data", property(lambda self: (
+            reads.append(self), data.fget(self))[1]))
+        dims = [cohomology(build(obj)).dims_h() for build, obj in builds]
+        assert reads == []
+        assert dims == [[1, 7, 17, 25, 23, 14, 7, 2], [3, 8, 9, 4], [0] * 6]

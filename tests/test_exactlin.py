@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import contains, from_sub_coords, image_basis, kernel_basis
-from liedeform.exactlin import (Echelon, Matrix, SparseMatrix, format_scalar,
+from liedeform.exactlin import (Echelon, Matrix, format_scalar,
                                 invert, parse_scalar, quotient_coords, rank,
                                 reduced_basis, rref, solve_particular,
                                 Subspace, _subspace)
@@ -152,31 +152,60 @@ class TestQuotientCoords:
         assert qc0.section == Matrix.identity(2)
 
 
+def layout(row_maps) -> list:
+    """Every (column, value type) of every row, in dict order."""
+    return [[(j, type(x)) for j, x in r.items()] for r in row_maps]
+
+
+def dense_product(a, b) -> list:
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)]
+            for row in a]
+
+
 class TestSparse:
+    # (a, b, the row maps of a): the nonzeros of each row, ints where
+    # integral, in column order, from ints, Fractions, strings and floats
+    CASES = [
+        ([[1, 0, 2], [0, 0, 0], [F(1, 2), 3, 0]], [[0, 1], [2, 0], [1, -1]],
+         [{0: 1, 2: 2}, {}, {0: F(1, 2), 1: 3}]),
+        ([[F(4, 2), "-3/3", 0.5]], [[1], ["0"], [F(2)]],
+         [{0: 2, 1: -1, 2: F(1, 2)}]),
+        ([[0, 0], [0, 0]], [[1, 2], [3, 4]], [{}, {}]),
+        ([[F(1, 3), F(2, 3)], [F(-1, 6), 0]], [[3, 0], [0, F(3, 2)]],
+         [{0: F(1, 3), 1: F(2, 3)}, {0: F(-1, 6)}])]
+
     def test_products_match_dense(self):
-        a = Matrix.from_rows([[1, 0, 2], [0, 0, 0], [F(1, 2), 3, 0]])
-        b = Matrix.from_rows([[0, 1], [2, 0], [1, -1]])
-        sa = SparseMatrix.of(a)
-        assert sa.mul(b).dense() == a.mul(b)
-        assert sa.apply([F(1), F(2), F(3)]) == a.apply([F(1), F(2), F(3)])
-        assert sa.data == [[(0, 1), (2, 2)], [], [(0, F(1, 2)), (1, 3)]]
+        for a, b, row_maps in self.CASES:
+            ma, mb = Matrix.from_rows(a), Matrix.from_rows(b)
+            assert ma.row_maps == row_maps
+            assert layout(ma.row_maps) == layout(row_maps)
+            product = ma.mul(mb)
+            assert product.data == dense_product(ma.data, mb.data)
+            assert all(type(x) is int or x.denominator != 1
+                       for r in product.row_maps for x in r.values())
+            vec = [F(j + 1, 2) for j in range(ma.cols)]
+            assert ma.apply(vec) == [sum((x * v for x, v in zip(row, vec)),
+                                         F(0)) for row in ma.data]
 
     def test_cancelling_product_is_zero(self):
-        a = SparseMatrix.of(Matrix.from_rows([[1, 1]]))
-        b = SparseMatrix.of(Matrix.from_rows([[1], [-1]]))
-        assert a.mul(b).is_zero() and a.mul(b).row_maps == [{}]
+        for a, b in (([[1, 1]], [[1], [-1]]),
+                     ([[F(1, 2), F(1, 3)]], [[2], [-3]]),
+                     ([[1, 2], [2, 4]], [[2, -4], [-1, 2]])):
+            product = Matrix.from_rows(a).mul(Matrix.from_rows(b))
+            assert product.is_zero()
+            assert product.row_maps == [{}] * product.rows
 
 
 class TestEchelon:
     def test_kept_columns_and_kernel(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        form = Echelon(SparseMatrix.of(m).columns())
+        form = Echelon(m.columns())
         assert form.kept == [0, 1]
         assert form.kernel() == [{0: 1, 1: -2, 2: 1}]
 
     def test_solve_sets_free_variables_to_zero(self):
         m = Matrix.from_rows([[1, 1, 2], [0, 0, 0]])
-        form = Echelon(SparseMatrix.of(m).columns())
+        form = Echelon(m.columns())
         assert form.solve([F(3), F(0)]) == [F(3), F(0), F(0)]
         assert form.solve([F(3), F(1)]) is None
 

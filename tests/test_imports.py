@@ -2,7 +2,8 @@
 every exact verb leave numpy and SciPy unloaded, and the Newton names of the
 package load on first access; the Newton lab itself loads SciPy only on its
 first solve.  Nor do the exact layers load ``dataclasses`` (or the
-``inspect`` it pulls in): the records are made by ``liedeform.records``."""
+``inspect`` it pulls in): the records are made by ``liedeform.records``.
+And the package keeps one rational matrix storage, ``exactlin.Matrix``."""
 
 import ast
 import json
@@ -364,3 +365,30 @@ def one_path_breaches(package: Path) -> list:
 
 def test_problems_and_charts_are_made_on_one_path():
     assert one_path_breaches(ROOT / "src" / "liedeform") == []
+
+
+def storage_breaches(package: Path) -> list:
+    """Places that name ``SparseMatrix``, call ``.dense()`` or assign through
+    ``<expr>.data[...]``: ``exactlin.Matrix`` is the one rational matrix, and
+    its ``data`` is a fresh copy, so such a write would be lost."""
+    breaches = []
+    for path in sorted(package.glob("*.py")):
+        for scope, node in scoped_nodes(ast.parse(path.read_text())):
+            where = f"{path.stem}.{scope}"
+            if (reads(node, "SparseMatrix")
+                    or getattr(node, "name", None) == "SparseMatrix"):
+                breaches.append(f"{where} names SparseMatrix")
+            if isinstance(node, ast.Call) and reads(node.func, "dense"):
+                breaches.append(f"{where} calls .dense()")
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AugAssign,
+                                                          ast.AnnAssign))
+                       else [])
+            if any(isinstance(t, ast.Subscript) and reads(t.value, "data")
+                   for target in targets for t in ast.walk(target)):
+                breaches.append(f"{where} assigns through .data[...]")
+    return breaches
+
+
+def test_one_matrix_storage():
+    assert storage_breaches(ROOT / "src" / "liedeform") == []

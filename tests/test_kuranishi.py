@@ -202,8 +202,8 @@ class TestHomObstruction:
     def one_cocycle_for_id_sl2(self):
         # inner direction: u -> [x, u] with x = e is a pullback 1-cocycle
         g = catalog_algebra("sl2")
-        from liedeform.algebras import ad_matrix
-        m = ad_matrix(g.candidate, [Fraction(0), Fraction(1), Fraction(0)])
+        from liedeform.algebras import ad_rows
+        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, [0, 1, 0]))
         return matrix_as_one_cochain(m)
 
     def test_id_sl2_class_exact(self):

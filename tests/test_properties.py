@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                RepSpec, abelian, ad_matrix, ad_rows,
+                                RepSpec, abelian, ad_rows,
                                 adjoint_rows, catalog_algebra, catalog_names,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
@@ -23,8 +23,7 @@ from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
                      image_basis, kernel_basis, rref, sl_in_gl,
                      solve_particular)
 from liedeform.cecomplex import _det
-from liedeform.exactlin import (Echelon, RankForm, SparseMatrix, _dense,
-                                invert, rank)
+from liedeform.exactlin import Echelon, RankForm, _dense, invert, rank
 from liedeform import exactlin, kuranishi
 from liedeform.kuranishi import (curvature_expansion_check, jacobiator,
                                  jacobiator_expansion_check)
@@ -74,7 +73,7 @@ def sparse_matrix_strategy(max_side=6):
 
 
 def form_of(m):
-    return Echelon(SparseMatrix.of(m).columns())
+    return Echelon(m.columns())
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,7 +115,7 @@ def test_representatives_are_the_unit_vectors_off_the_pivots(m):
     # reference takes the unit columns that are pivots of [m^T | I]
     units = [[Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)]
     _, pivots = rref(Matrix.from_columns(m.data + units, rows=m.cols))
-    form = Echelon(SparseMatrix.of(m).row_maps)
+    form = Echelon(m.row_maps)
     slots = [i for i in range(m.cols) if i not in form.pivots]
     assert slots == [p - m.rows for p in pivots if p >= m.rows]
 
@@ -138,6 +137,61 @@ low_rank_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 square_matrices = st.integers(1, 5).flatmap(lambda n: st.one_of(
     entry_rows(n, n).map(Matrix.from_rows),
     entry_rows(n, n, rationals).map(Matrix.from_rows), low_rank(n, n)))
+
+
+# the one Matrix type against dense lists of lists
+
+def dense_entry_rows(max_side=5):
+    """Dense rows of any shape, zero sides included, with int and Fraction
+    entries and zeros among them."""
+    entries = st.one_of(st.just(0), st.integers(-9, 9), sparse_entries)
+    return st.tuples(st.integers(0, max_side), st.integers(0, max_side)).flatmap(
+        lambda rc: st.tuples(st.just(rc[0]), st.just(rc[1]),
+                             entry_rows(rc[0], rc[1], entries)))
+
+
+def dense_mul(a, b, inner: int, cols: int) -> list:
+    return [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_entry_rows(), st.integers(0, 4), st.data())
+def test_matrix_matches_a_dense_reference(drawn, k, data):
+    r, c, rows = drawn
+    m, want = Matrix(r, c, rows), [[Fraction(x) for x in row] for row in rows]
+    assert m.data == want and m.data is not m.data
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert m.is_zero() == (not any(map(any, want)))
+    assert m.to_float_rows() == [[float(x) for x in row] for row in want]
+    for j in range(c):
+        assert m.column(j) == [row[j] for row in want]
+        assert all(type(x) is Fraction for x in m.column(j))
+    assert m.columns() == [{i: want[i][j] for i in range(r) if want[i][j]}
+                           for j in range(c)]
+    # round trips through rows and columns
+    assert Matrix.from_columns([m.column(j) for j in range(c)], rows=r) == m
+    if r:
+        assert Matrix.from_rows(m.data) == m
+    vec = data.draw(st.lists(sparse_entries, min_size=c, max_size=c))
+    assert m.apply(vec) == [sum((x * v for x, v in zip(row, vec)), Fraction(0))
+                            for row in want]
+    other = data.draw(entry_rows(c, k))
+    product = m.mul(Matrix(c, k, other))
+    assert (product.rows, product.cols) == (r, k)
+    assert product.data == dense_mul(want, other, c, k)
+    # equal matrices hash equal, however built; a .data copy is the caller's
+    same = [Matrix(r, c, want),
+            Matrix.of_rows(r, c, [{j: x for j, x in enumerate(row) if x}
+                                  for row in want]),
+            Matrix.of_rows(r, c, [dict(row) for row in m.row_maps])]
+    assert all(x == m and hash(x) == hash(m) for x in same)
+    before, copy = hash(m), m.data
+    for row in copy:
+        row[:] = [x + 1 for x in row]
+    assert m.data == want and hash(m) == before and m == same[0]
+    if r and c:
+        assert m != Matrix(r, c, copy)
 
 
 @settings(max_examples=120, deadline=None)
@@ -327,12 +381,12 @@ def test_jacobiator_value_matches_the_dense_bracket(cand):
 @given(candidates().flatmap(lambda cand: st.tuples(
     st.just(cand), *[st.lists(sparse_entries, min_size=cand.dim,
                               max_size=cand.dim)] * 2)))
-def test_bracket_and_ad_matrix_match_the_dense_bracket(drawn):
+def test_bracket_and_ad_rows_match_the_dense_bracket(drawn):
     cand, u, v = drawn
     expect = dense_bracket(cand, u, v)
     assert cand.bracket(u, v) == expect
     assert all(type(x) is Fraction for x in cand.bracket(u, v))
-    assert ad_matrix(cand, u).apply(v) == expect
+    assert Matrix.of_rows(cand.dim, cand.dim, ad_rows(cand, u)).apply(v) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +441,7 @@ def test_adjoint_rows_match_the_dense_path(cand, vec):
     u = vec[:n]
     assert_same_rows((ad_rows(cand, u),),
                      dense.dense_rows([dense.dense_ad_matrix(cand, u)]))
-    assert ad_matrix(cand, u) == dense.dense_ad_matrix(cand, u)
+    assert Matrix.of_rows(n, n, ad_rows(cand, u)) == dense.dense_ad_matrix(cand, u)
 
 
 @settings(max_examples=40, deadline=None)
@@ -503,8 +557,7 @@ def deficient_rows(data, cols) -> list:
 @given(st.integers(1, 7), st.data())
 def test_rank_form_keeps_the_echelon_columns(cols, data):
     rows = deficient_rows(data, cols)
-    m = SparseMatrix(len(rows), cols,
-                     [{j: x for j, x in enumerate(r) if x} for r in rows])
+    m = Matrix(len(rows), cols, rows)
     form, echelon = RankForm(m.row_maps), Echelon(m.columns())
     assert form.kept == echelon.kept
     assert len(form.kept) == bareiss_rank(rows)
@@ -515,7 +568,7 @@ def test_rank_form_keeps_the_echelon_columns(cols, data):
     which = sorted(data.draw(st.sets(st.sampled_from(range(len(rows))))
                              if rows else st.just(set())))
     part = RankForm(m.row_maps, which)
-    sub = SparseMatrix(len(which), cols, [m.row_maps[i] for i in which])
+    sub = Matrix.of_rows(len(which), cols, [m.row_maps[i] for i in which])
     assert part.kept == Echelon(sub.columns()).kept
     assert set(part.rows) <= set(which)
     assert bareiss_det([[m.row_maps[i].get(j, 0) for j in part.kept]
