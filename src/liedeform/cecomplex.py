@@ -16,7 +16,6 @@ whose composed differentials are nonzero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
@@ -345,47 +344,31 @@ class Problem:
 # ---------------------------------------------------------------------------
 # chain maps and induced maps on cohomology
 
-def _det(entries) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination: every division
-    is exact, and each intermediate entry is a minor of ``entries``."""
-    a = [list(r) for r in entries]
-    k, sign, prev = len(a), 1, Fraction(1)
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[i], a[swap], sign = a[swap], a[i], -sign
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) / prev
-        prev = a[i][i]
-    return sign * a[k - 1][k - 1] if k else Fraction(1)
-
-
 def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
     """Matrix of omega -> omega(rho . , .. , rho .) from target-side
     k-cochains (adjoint carrier) to source-side k-cochains (pullback carrier).
 
-    The entry coupling source subset S to target subset T is the minor
-    det(rho[T, S]); the carrier index is untouched.
+    Row block S is rho(e_s1) ^ .. ^ rho(e_sk), the k-th exterior power of
+    rho (its entry at T is the minor det rho[T, S], by Cauchy-Binet), read
+    from the nonzeros of rho's columns; the carrier index is untouched.
     """
-    h, g = hom.source, hom.target
-    m = g.dim
-    src_subsets = subsets(g.dim, k)
-    dst_subsets = subsets(h.dim, k)
-    src_pos = subset_positions(g.dim, k)
-    rho = hom.matrix.data
-    out = [{} for _ in range(len(dst_subsets) * m)]
-    for d_pos, S in enumerate(dst_subsets):
-        for T in src_subsets:
-            dt = _exact(_det([[rho[t][s] for s in S] for t in T]))
-            if dt == 0:
-                continue
-            s_pos = src_pos[T]
-            for b in range(m):
-                out[d_pos * m + b][s_pos * m + b] = dt
-    return Matrix.of_rows(len(out), len(src_subsets) * m, out)
+    m = hom.target.dim
+    src_pos = subset_positions(m, k)
+    cols = hom.matrix.columns()
+    out = []
+    for S in subsets(hom.source.dim, k):
+        wedge = {(): 1}
+        for s in reversed(S):  # each factor is prepended
+            acc = {}
+            for T, x in wedge.items():
+                for t, v in cols[s].items():
+                    eps, merged = insertion_sign(t, T)
+                    if eps:
+                        acc[merged] = acc.get(merged, 0) + eps * v * x
+            wedge = acc
+        row = sorted((src_pos[T] * m, _exact(x)) for T, x in wedge.items() if x)
+        out += [{base + b: x for base, x in row} for b in range(m)]
+    return Matrix.of_rows(len(out), len(src_pos) * m, out)
 
 
 @record

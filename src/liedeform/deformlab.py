@@ -99,7 +99,6 @@ class FloatBracket:
 
     dim: int
     c: np.ndarray
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -108,15 +107,11 @@ class FloatBracket:
         object.__setattr__(self, "c", (c - c.transpose(1, 0, 2)) / 2.0)
 
     @classmethod
-    def from_exact(cls, g, provenance=None) -> "FloatBracket":
-        cand = g.candidate if isinstance(g, LieAlgebra) else g
-        n = cand.dim
-        c = np.array([[[float(x) for x in cand.c[i][j]] for j in range(n)]
+    def from_exact(cls, g: LieAlgebra) -> "FloatBracket":
+        n = g.dim
+        c = np.array([[[float(x) for x in g.c[i][j]] for j in range(n)]
                       for i in range(n)]).reshape(n, n, n)
-        prov = dict(provenance or {})
-        if isinstance(g, LieAlgebra) and "source" not in prov:
-            prov["source"] = g.name
-        return cls(n, c, prov)
+        return cls(n, c)
 
     def bracket(self, x, y) -> np.ndarray:
         return _bracket_eval(self.c, np.asarray(x, float), np.asarray(y, float))
@@ -143,19 +138,28 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
     """(A . mu)(u, v) = A mu(A^-1 u, A^-1 v), on structure constants: the
     kernel of ``_acted_pairs`` before its pair read, in one record."""
     c = _acted(np.asarray(a_matrix, dtype=float), mu.c)
-    return FloatBracket(mu.dim, c, {**mu.provenance, "acted": True})
+    return FloatBracket(mu.dim, c)
 
 
 # ---------------------------------------------------------------------------
 # Newton machinery
 
-def numeric_jacobian(fn, u: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+# the central-difference step of ``numeric_jacobian``; the residual ratio
+# above which chord Newton refreshes its chord; the structure defect an
+# outside value may carry (its Jacobi defect, curvature or closure defect)
+JACOBIAN_STEP = 1e-6
+STALL_RATIO = 0.9
+INPUT_DEFECT_TOL = 1e-8
+
+
+def numeric_jacobian(fn, u: np.ndarray) -> np.ndarray:
     base = np.asarray(fn(u), float)
     jac = np.zeros((base.size, u.size))
     for j in range(u.size):
         step = np.zeros_like(u)
-        step[j] = eps
-        jac[:, j] = (np.asarray(fn(u + step)) - np.asarray(fn(u - step))) / (2 * eps)
+        step[j] = JACOBIAN_STEP
+        jac[:, j] = ((np.asarray(fn(u + step)) - np.asarray(fn(u - step)))
+                     / (2 * JACOBIAN_STEP))
     return jac
 
 
@@ -189,7 +193,7 @@ def _chord_newton(residual_fn, u0: np.ndarray, pinv: np.ndarray, cfg: NewtonConf
         u, r = step, r_step
         if new_res <= cfg.tol:
             return u, new_res, iters, True
-        if new_res > cfg.stall_ratio * res:
+        if new_res > STALL_RATIO * res:
             try:
                 refreshed = numeric_jacobian(residual_fn, u)
             except (ChartError, np.linalg.LinAlgError):
@@ -414,7 +418,7 @@ class _Chart:
         jac[:, carrier, :, carrier] -= c_source[i, j]
         return jac.reshape(len(i) * m, n * m)
 
-    def checked(self, value, cfg: NewtonConfig, label: str) -> tuple:
+    def checked(self, value, label: str) -> tuple:
         """(chart point, structure defect) of an outside value; refuses a
         non-finite entry and a defect not within the input tolerance."""
         arr = self.array(value)
@@ -425,7 +429,7 @@ class _Chart:
             raise InputDefectError(f"{label} has a non-finite entry")
         point = self.point(arr)
         defect = _sup(self.structure(point))
-        if not defect <= cfg.input_defect_tol:
+        if not defect <= INPUT_DEFECT_TOL:
             raise InputDefectError(f"{label} is not a {self.name} to round-off "
                                    f"({self.defect_name} {defect:.3e})")
         return point, defect
@@ -484,7 +488,7 @@ class _HomChart(_Chart):
 
     def __init__(self, p: Problem):
         super().__init__(p, p.obj.target)
-        self.source = FloatBracket.from_exact(p.obj.source.candidate)
+        self.source = FloatBracket.from_exact(p.obj.source)
         self.base = self.origin = float_matrix(p.obj.matrix)
 
     def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
@@ -581,7 +585,7 @@ def _recover(chart: _Chart, value, cfg: NewtonConfig,
             f"{chart.name} rigidity criterion "
             f"(H{p.tangent_degree}=0) does not hold; orbit recovery is not "
             "guaranteed")
-    target = chart.flat(chart.checked(value, cfg, "input")[0])
+    target = chart.flat(chart.checked(value, "input")[0])
 
     def residual(u):
         return chart.orbit_coords(chart.group(chart.log(u))) - target
@@ -609,7 +613,7 @@ def _continue(chart: _Chart, mu_prime: FloatBracket, cfg: NewtonConfig,
             f"{chart.name} stability criterion "
             f"(H{p.tangent_degree + 1}=0) does not hold; continuation is not "
             "guaranteed")
-    _, defect = chart.acting.checked(mu_prime, cfg, "perturbed bracket")
+    _, defect = chart.acting.checked(mu_prime, "perturbed bracket")
 
     def residual(u):
         return chart.structure(chart.unflat(u), mu_prime)
@@ -680,9 +684,7 @@ def perturbed_bracket(g: LieAlgebra, scale: float, seed: int) -> tuple:
     Returns (FloatBracket, a0), the one record made from the acted tensor."""
     chart = _chart(g, "bracket")
     out, a0 = _perturbed(chart, scale, seed)
-    prov = {"source": chart.algebra.name,
-            "perturbation": {"scale": scale, "seed": seed}}
-    return FloatBracket(chart.mu.dim, out, prov), a0
+    return FloatBracket(chart.mu.dim, out), a0
 
 
 def perturbed_hom(rho: Homomorphism, scale: float, seed: int) -> tuple:

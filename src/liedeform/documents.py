@@ -281,8 +281,6 @@ class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 50
     damping: float = 1.0
-    stall_ratio: float = 0.9
-    input_defect_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -320,7 +318,7 @@ def parse_experiment_doc(doc) -> dict:
         "'seeds' must be a list of nonnegative integers", "perturbation.seeds")
     newton = doc.get("newton", {})
     _require(isinstance(newton, dict), "'newton' must be an object", "newton")
-    allowed = {"tol", "max_iter", "damping"}
+    allowed = set(NewtonConfig.__match_args__)
     _require(set(newton) <= allowed,
              f"unknown newton keys {sorted(set(newton) - allowed)}", "newton")
     try:

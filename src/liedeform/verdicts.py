@@ -35,15 +35,14 @@ class Verdict:
                 "citation": self.citation, "evidence": self.evidence}
 
 
-# kind -> (criterion prefix, name of the H^(t+1) rule, citation of the H^t
-# rule, citation of the H^(t+1) rule)
+# kind (the criterion prefix) -> (name of the H^(t+1) rule, citation of the
+# H^t rule, citation of the H^(t+1) rule)
 _CRITERIA = {
-    "bracket": ("bracket", "smoothness",
-                "H2(g,g)=0 => bracket rigid under GL(g)",
+    "bracket": ("smoothness", "H2(g,g)=0 => bracket rigid under GL(g)",
                 "H3(g,g)=0 => brackets form a manifold of dim Z2(g,g) near mu"),
-    "hom": ("hom", "stability", "H1(h,g)=0 => rho rigid under Ad G",
+    "hom": ("stability", "H1(h,g)=0 => rho rigid under Ad G",
             "H2(h,g)=0 => rho stable under perturbation of the bracket"),
-    "sub": ("sub", "stability", "H1(h,g/h)=0 => h rigid under Ad G",
+    "sub": ("stability", "H1(h,g/h)=0 => h rigid under Ad G",
             "H2(h,g/h)=0 => h stable under perturbation of the bracket"),
 }
 
@@ -62,17 +61,17 @@ def _vanishing(p: Problem, k: int, criterion: str, citation: str,
 def _rigidity(obj, kind: str) -> Verdict:
     """H^t = 0 at the tangent degree t of the problem."""
     p = Problem.of(obj, kind)
-    prefix, _, citation, _ = _CRITERIA[kind]
-    return _vanishing(p, p.tangent_degree, f"{prefix}-rigidity", citation)
+    _, citation, _ = _CRITERIA[kind]
+    return _vanishing(p, p.tangent_degree, f"{kind}-rigidity", citation)
 
 
 def _stability(obj, kind: str) -> Verdict:
     """H^(t+1) = 0 one degree above the tangent degree t; nearby solutions
     then form a manifold of dimension dim Z^t."""
     p = Problem.of(obj, kind)
-    prefix, rule, _, citation = _CRITERIA[kind]
+    rule, _, citation = _CRITERIA[kind]
     t = p.tangent_degree
-    return _vanishing(p, t + 1, f"{prefix}-{rule}", citation,
+    return _vanishing(p, t + 1, f"{kind}-{rule}", citation,
                       local_manifold_dim=p.z_dim(t))
 
 

@@ -223,7 +223,8 @@ def run_single_experiment(kind: str, obj, scale: float, seed: int,
 
 
 # Laplace expansion along the first row, O(k!) for a k x k matrix: the
-# reference that the package's fraction-free determinant is checked against
+# reference that the pullback map's minors and the fraction-free
+# determinants are checked against
 def _det(entries) -> Fraction:
     k = len(entries)
     if k == 0:

@@ -312,6 +312,21 @@ class TestDeform:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert len(lines) == 2 and all(r["converged"] for r in lines)
 
+    def test_fixed_newton_constants_are_not_document_keys(self, capsys,
+                                                          tmp_path):
+        # the chord-refresh ratio and the input-defect tolerance are fixed
+        p = tmp_path / "exp.json"
+        for key in ("stall_ratio", "input_defect_tol"):
+            p.write_text(json.dumps({
+                "kind": "bracket-recovery", "algebra": "sl2",
+                "perturbation": {"seeds": [0]}, "newton": {key: 0.5}}))
+            code, out, _ = run_cli(capsys, "deform", "--experiment", str(p),
+                                   "--json")
+            assert code == 2
+            assert json.loads(out) == {
+                "error": "malformed-input",
+                "message": f"newton: unknown newton keys [{key!r}]"}
+
     def test_precondition_failure_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "deform", "--kind", "bracket-recovery",
                                "--algebra", "heis3", "--seeds", "1")

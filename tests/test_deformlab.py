@@ -520,10 +520,8 @@ class TestOrbitKernel:
             a = np.eye(n) + rng.uniform(0.05, 1.0) * rng.normal(size=(n, n))
             want = acted_pairs_tensordot(a, c)
             assert np.array_equal(_acted_pairs(a, c), want)
-            mu = FloatBracket(n, c, {"source": "random"})
-            acted = act_on_bracket(a, mu)
+            acted = act_on_bracket(a, FloatBracket(n, c))
             assert np.array_equal(_pairs_flat(acted.c), want)
-            assert acted.provenance == {"source": "random", "acted": True}
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_frame_brackets_match_the_tensordot_form(self, n):

@@ -8,9 +8,10 @@ import pytest
 from liedeform.algebras import (ValidationError, catalog_algebra, hom_preset,
                                 sub_preset)
 from liedeform.documents import (EXPERIMENT_KINDS, MalformedDocumentError,
-                                 algebra_to_doc, hom_to_doc, load_json_file,
-                                 parse_algebra_doc, parse_experiment_doc,
-                                 parse_hom_doc, parse_sub_doc,
+                                 NewtonConfig, algebra_to_doc, hom_to_doc,
+                                 load_json_file, parse_algebra_doc,
+                                 parse_experiment_doc, parse_hom_doc,
+                                 parse_sub_doc,
                                  resolve_algebra, resolve_hom, resolve_sub,
                                  sub_to_doc)
 
@@ -229,6 +230,13 @@ class TestExperimentDocs:
         with pytest.raises(MalformedDocumentError):
             parse_experiment_doc(self.doc(perturbation={"scale": 0.05,
                                                         "seeds": [0, -1]}))
+
+    def test_a_document_sets_each_newton_field(self):
+        values = {"tol": 1e-9, "max_iter": 7, "damping": 0.5}
+        assert tuple(values) == NewtonConfig.__match_args__
+        for key, value in values.items():
+            cfg = parse_experiment_doc(self.doc(newton={key: value}))["config"]
+            assert cfg == NewtonConfig(**{key: value})
 
     def test_bad_newton_settings_are_malformed(self):
         for newton in ({"tol": -1.0}, {"seed": 0}):

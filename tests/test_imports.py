@@ -367,14 +367,23 @@ def test_problems_and_charts_are_made_on_one_path():
     assert one_path_breaches(ROOT / "src" / "liedeform") == []
 
 
+# modules that read a matrix only through its row nonzeros: ``.data``
+# builds a dense copy of the whole matrix on every read
+SPARSE_READERS = {"algebras", "cecomplex", "verdicts"}
+
+
 def storage_breaches(package: Path) -> list:
-    """Places that name ``SparseMatrix``, call ``.dense()`` or assign through
-    ``<expr>.data[...]``: ``exactlin.Matrix`` is the one rational matrix, and
-    its ``data`` is a fresh copy, so such a write would be lost."""
+    """Places that name ``SparseMatrix``, call ``.dense()``, assign through
+    ``<expr>.data[...]`` or, in ``SPARSE_READERS``, read ``.data``:
+    ``exactlin.Matrix`` is the one rational matrix, and its ``data`` is a
+    fresh copy, so such a write would be lost."""
     breaches = []
     for path in sorted(package.glob("*.py")):
         for scope, node in scoped_nodes(ast.parse(path.read_text())):
             where = f"{path.stem}.{scope}"
+            if (path.stem in SPARSE_READERS and isinstance(node, ast.Attribute)
+                    and node.attr == "data"):
+                breaches.append(f"{where} reads .data")
             if (reads(node, "SparseMatrix")
                     or getattr(node, "name", None) == "SparseMatrix"):
                 breaches.append(f"{where} names SparseMatrix")
@@ -392,3 +401,11 @@ def storage_breaches(package: Path) -> list:
 
 def test_one_matrix_storage():
     assert storage_breaches(ROOT / "src" / "liedeform") == []
+
+
+def test_storage_guard_sees_a_dense_read(tmp_path):
+    # the dense copy stays allowed where rows are written out or are small
+    for stem in ("cecomplex", "kuranishi"):
+        (tmp_path / f"{stem}.py").write_text(
+            "def pull(m):\n    return m.data\n")
+    assert storage_breaches(tmp_path) == ["cecomplex.pull reads .data"]

@@ -15,14 +15,14 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
                                 subalgebra_witness, validate_bracket)
-from liedeform.cecomplex import CEComplex, adjoint_rep, cohomology
+from liedeform.cecomplex import (CEComplex, adjoint_rep, cohomology,
+                                 pullback_cochain_map)
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
 from elimination_oracle import bareiss_rank
 import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
                      image_basis, kernel_basis, rref, sl_in_gl,
                      solve_particular)
-from liedeform.cecomplex import _det
 from liedeform.exactlin import Echelon, RankForm, _dense, invert, rank
 from liedeform import exactlin, kuranishi
 from liedeform.kuranishi import (curvature_expansion_check, jacobiator,
@@ -216,11 +216,29 @@ def test_invert_matches_the_dense_reference(m):
         assert exactlin.invert(m) == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda k: st.lists(
-    st.lists(sparse_entries, min_size=k, max_size=k), min_size=k, max_size=k)))
-def test_bareiss_det_matches_laplace(entries):
-    assert _det(entries) == laplace_det(entries)
+# linear maps of every rank between spaces of dims 1..5, the zero map among
+# them
+linear_maps = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda rc: st.one_of(entry_rows(*rc).map(lambda rows: Matrix(*rc, rows)),
+                         low_rank(*rc), st.just(Matrix.zeros(*rc))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_maps, st.integers(0, 3))
+def test_pullback_entries_are_the_minors_of_rho(rho, k):
+    # Cauchy-Binet: the k-th exterior power of rho couples source subset S
+    # and target subset T by the minor det rho[T, S], on every carrier index
+    hom = Homomorphism(abelian(rho.cols), abelian(rho.rows), rho)
+    f, m, data = pullback_cochain_map(hom, k), rho.rows, rho.data
+    src, tgt = subsets(rho.cols, k), subsets(m, k)
+    assert (f.rows, f.cols) == (len(src) * m, len(tgt) * m)
+    for s_pos, S in enumerate(src):
+        for t_pos, T in enumerate(tgt):
+            minor = laplace_det([[data[t][s] for s in S] for t in T])
+            for b in range(m):
+                row = f.row_maps[s_pos * m + b]
+                assert [row.get(t_pos * m + c, 0) for c in range(m)] == [
+                    minor if c == b else 0 for c in range(m)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -77,11 +77,10 @@ def test_homomorphism_default_name_and_shape_check():
 
 def test_newton_config_defaults_and_refusals():
     cfg = NewtonConfig()
-    assert cfg == NewtonConfig(1e-10, 50, 1.0, 0.9, 1e-8)
+    assert cfg == NewtonConfig(1e-10, 50, 1.0)
     assert hash(cfg) == hash(NewtonConfig(tol=1e-10))
     assert NewtonConfig(max_iter=7).max_iter == 7
-    assert repr(cfg) == ("NewtonConfig(tol=1e-10, max_iter=50, damping=1.0, "
-                         "stall_ratio=0.9, input_defect_tol=1e-08)")
+    assert repr(cfg) == "NewtonConfig(tol=1e-10, max_iter=50, damping=1.0)"
     for bad, message in (({"tol": 0}, "positive"),
                          ({"max_iter": 0}, "one iteration"),
                          ({"damping": 1.5}, "damping")):
@@ -92,13 +91,17 @@ def test_newton_config_defaults_and_refusals():
 def test_float_bracket_factory_and_post_init_assignment():
     c = np.zeros((2, 2, 2))
     c[0, 1, 1] = 2.0
-    mu, nu = FloatBracket(2, c), FloatBracket(2, c)
-    # each record gets its own provenance dict from the factory
-    assert mu.provenance == {} and mu.provenance is not nu.provenance
-    assert FloatBracket(2, mu.c, {"source": "x"}).provenance == {"source": "x"}
+    mu = FloatBracket(2, c)
+    assert vars(mu).keys() == {"dim", "c"}
+    # each record gets its own diagnostics dict from the factory
+    r, s = (RecoveryResult("bracket", np.zeros((2, 2)), np.eye(2), 0.0, 0,
+                           True, 1.0) for _ in range(2))
+    assert r.diagnostics == {} and r.diagnostics is not s.diagnostics
     # __post_init__ antisymmetrizes through object.__setattr__
     assert mu.c[0, 1, 1] == 1.0 and mu.c[1, 0, 1] == -1.0
-    assert FloatBracket(dim=2, c=mu.c, provenance={"acted": True}).dim == 2
+    assert FloatBracket(dim=2, c=mu.c).dim == 2
+    with pytest.raises(TypeError, match="dim, c once each"):
+        FloatBracket(2, mu.c, {"source": "x"})
     with pytest.raises(ValueError, match="wrong shape"):
         FloatBracket(3, c)
 
