@@ -2,21 +2,23 @@
 homomorphisms, subalgebra witnesses and the three coefficient systems
 (adjoint, pullback along a homomorphism, quotient by a subalgebra).
 
-A bracket candidate on an n-dimensional space is the structure-constant
-tensor c[i][j][k] with bracket(e_i, e_j) = sum_k c[i][j][k] e_k.  Validation
-checks antisymmetry and the Jacobi identity exactly and reports the first
-violating pair/triple together with the exact defect vector.
+A bracket candidate on an n-dimensional space stores its nonzero structure
+constants: ``terms[i][j]`` holds the (k, c_ij^k) pairs, ints where integral,
+with bracket(e_i, e_j) = sum_k c_ij^k e_k.  Its ``c`` is the dense tensor
+c[i][j][k], a view built from ``terms`` on read.  Validation checks
+antisymmetry and the Jacobi identity exactly, summing the nonzero terms, and
+reports the first violating pair/triple together with the exact dense
+defect vector.  Homomorphism curvature and subalgebra restriction are summed
+the same way.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 from .cochains import AltMap
-from .exactlin import (Matrix, QuotientCoords, Subspace, _exact, _frac,
-                       _subspace, format_scalar, quotient_coords)
+from .exactlin import (Matrix, QuotientCoords, Subspace, _dense, _exact,
+                       _frac, _subspace, format_scalar, quotient_coords)
 from .records import record
 
 
@@ -34,113 +36,141 @@ class ValidationError(ValueError):
                 "defect": [format_scalar(x) for x in self.defect]}
 
 
+def _nonzeros(vec) -> tuple:
+    """The (k, x) pairs of the nonzero entries of ``vec``, ints where
+    integral."""
+    return tuple((k, y) for k, x in enumerate(vec)
+                 if (y := x if type(x) is int else _exact(_frac(x))))
+
+
+def _terms(acc: dict) -> tuple:
+    """The nonzero (k, x) pairs of {k: x}, k ascending, ints where
+    integral."""
+    return tuple(sorted((k, _exact(x)) for k, x in acc.items() if x))
+
+
+def _bracket_into(acc: dict, terms, u, v) -> dict:
+    """Add [u, v] to the {k: value} dict ``acc``, for u and v given as their
+    (index, coefficient) nonzeros, over the nonzero structure constants."""
+    for a, x in u:
+        for b, y in v:
+            xy = x * y
+            for k, c in terms[a][b]:
+                acc[k] = acc.get(k, 0) + xy * c
+    return acc
+
+
 @record
 class BracketCandidate:
-    """Antisymmetric bilinear candidate bracket in structure constants."""
+    """Bilinear candidate bracket kept as its nonzero structure constants:
+    ``terms[i][j]`` holds the (k, c_ij^k) pairs with c_ij^k != 0, k
+    ascending, ints where integral.  ``c`` is the dense c[i][j][k] tensor of
+    Fractions, built from ``terms`` on each read."""
 
     dim: int
-    c: tuple  # c[i][j][k], full (not i<j only) tensor
+    terms: tuple
 
     @classmethod
     def from_tensor(cls, tensor) -> "BracketCandidate":
         n = len(tensor)
-        c = tuple(tuple(tuple(_frac(x) for x in row) for row in plane)
-                  for plane in tensor)
-        for plane in c:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("structure tensor must be n x n x n")
-        return cls(n, c)
+        if any(len(plane) != n or any(len(row) != n for row in plane)
+               for plane in tensor):
+            raise ValueError("structure tensor must be n x n x n")
+        return cls(n, tuple(tuple(_nonzeros(row) for row in plane)
+                            for plane in tensor))
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict) -> "BracketCandidate":
         """Build from {(i, j): value_vector}; the (j, i) values are filled
         antisymmetrically unless given explicitly."""
-        tensor = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        seen = set()
+        planes = [[()] * dim for _ in range(dim)]
         for (i, j), vec in entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket entry index ({i},{j}) out of range")
             if len(vec) != dim:
                 raise ValueError(f"bracket entry ({i},{j}) has wrong length")
-            tensor[i][j] = [_frac(x) for x in vec]
-            seen.add((i, j))
-        for (i, j) in list(seen):
-            if (j, i) not in seen:
-                tensor[j][i] = [-x for x in tensor[i][j]]
-        return cls.from_tensor(tensor)
+            planes[i][j] = _nonzeros(vec)
+        for (i, j) in entries:
+            if (j, i) not in entries:
+                planes[j][i] = tuple((k, -x) for k, x in planes[i][j])
+        return cls(dim, tuple(map(tuple, planes)))
 
     @classmethod
     def zero(cls, dim: int) -> "BracketCandidate":
-        return cls.from_tensor([[[0] * dim for _ in range(dim)] for _ in range(dim)])
+        return cls(dim, (((),) * dim,) * dim)
 
-    @cached_property
-    def terms(self) -> tuple:
-        """terms[i][j]: the (k, c[i][j][k]) pairs of the nonzero structure
-        constants, ints where integral; built once per candidate."""
-        return tuple(tuple(tuple((k, _exact(x)) for k, x in enumerate(row) if x)
-                           for row in plane) for plane in self.c)
+    @property
+    def c(self) -> tuple:
+        """The dense tensor c[i][j][k], built from ``terms`` on each read."""
+        return tuple(tuple(tuple(_dense(dict(col), self.dim)) for col in plane)
+                     for plane in self.terms)
 
     def basis_bracket(self, i: int, j: int) -> list:
-        return list(self.c[i][j])
+        return _dense(dict(self.terms[i][j]), self.dim)
 
     def bracket(self, u, v) -> list:
         """Bracket of coordinate vectors, over the nonzero ``terms``."""
-        u, v = ([(i, _frac(x)) for i, x in enumerate(w) if x] for w in (u, v))
-        out = [Fraction(0)] * self.dim
-        for i, ui in u:
-            for j, vj in v:
-                for k, x in self.terms[i][j]:
-                    out[k] += ui * vj * x
-        return out
+        return _dense(_bracket_into({}, self.terms, _nonzeros(u), _nonzeros(v)),
+                      self.dim)
 
     def antisymmetry_violation(self):
         """First (i, j) with c[i][j] != -c[j][i] (including the diagonal)."""
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                defect = [self.c[i][j][k] + self.c[j][i][k] for k in range(n)]
-                if any(x != 0 for x in defect):
-                    return (i, j), defect
+        terms = self.terms
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                if terms[i][j] != tuple((k, -x) for k, x in terms[j][i]):
+                    defect = dict(terms[i][j])
+                    for k, x in terms[j][i]:
+                        defect[k] = defect.get(k, 0) + x
+                    return (i, j), _dense(defect, self.dim)
         return None
 
-    def jacobiator_value(self, i: int, j: int, k: int) -> list:
-        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], summed over
-        the nonzero c_ab^l c_lc^m of ``terms``."""
-        terms, out = self.terms, [0] * self.dim
+    def _jacobiator(self, i: int, j: int, k: int) -> dict:
+        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] as {m: value},
+        summed over the nonzero c_ab^l c_lc^m of ``terms``."""
+        terms, out = self.terms, {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, x in terms[a][b]:
-                for m, y in terms[l][c]:
-                    out[m] += x * y
-        return [Fraction(v) for v in out]
+            _bracket_into(out, terms, terms[a][b], ((c, 1),))
+        return out
+
+    def jacobiator_value(self, i: int, j: int, k: int) -> list:
+        return _dense(self._jacobiator(i, j, k), self.dim)
 
     def jacobi_violation(self):
         """First triple i<j<k with nonzero Jacobiator, or None."""
-        for (i, j, k) in combinations(range(self.dim), 3):
-            defect = self.jacobiator_value(i, j, k)
-            if any(x != 0 for x in defect):
-                return (i, j, k), defect
+        for t in combinations(range(self.dim), 3):
+            out = self._jacobiator(*t)
+            if any(out.values()):
+                return t, _dense(out, self.dim)
         return None
 
     def as_altmap(self) -> AltMap:
-        values = {(i, j): self.c[i][j] for (i, j) in combinations(range(self.dim), 2)}
-        return AltMap.from_values(2, self.dim, self.dim, values)
+        return AltMap(2, self.dim, self.dim, tuple(
+            x for s in combinations(range(self.dim), 2)
+            for x in self.basis_bracket(*s)))
 
     @classmethod
     def from_altmap(cls, m: AltMap) -> "BracketCandidate":
         if m.degree != 2 or m.domain_dim != m.carrier_dim:
             raise ValueError("need a 2-cochain with carrier equal to the domain")
-        entries = {s: m.value(s) for s in combinations(range(m.domain_dim), 2)}
-        return cls.from_entries(m.domain_dim, entries)
+        n = m.domain_dim
+        return cls.from_entries(n, {s: m.coeffs[p * n:p * n + n] for p, s
+                                    in enumerate(combinations(range(n), 2))})
 
     def add_scaled(self, other: "BracketCandidate", factor) -> "BracketCandidate":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         f = _frac(factor)
-        tensor = [[[self.c[i][j][k] + f * other.c[i][j][k]
-                    for k in range(self.dim)]
-                   for j in range(self.dim)]
-                  for i in range(self.dim)]
-        return BracketCandidate.from_tensor(tensor)
+
+        def combined(mine, theirs) -> tuple:
+            acc = dict(mine)
+            for k, x in theirs:
+                acc[k] = acc.get(k, 0) + f * x
+            return _terms(acc)
+
+        return BracketCandidate(self.dim, tuple(
+            tuple(map(combined, mine, theirs))
+            for mine, theirs in zip(self.terms, other.terms)))
 
 
 @record
@@ -158,9 +188,6 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         return self.candidate.bracket(u, v)
-
-    def basis_bracket(self, i, j):
-        return self.candidate.basis_bracket(i, j)
 
 
 def validate_bracket(candidate: BracketCandidate, basis=None,
@@ -192,7 +219,7 @@ def ad_rows(candidate: BracketCandidate, vec) -> list:
     """ad(vec), u -> bracket(vec, u), as ``RepSpec`` rows: row a holds
     sum_x vec_x c_xj^a at column j, summed over the nonzero ``terms``."""
     terms, rows = candidate.terms, [{} for _ in range(candidate.dim)]
-    vec = [(x, _exact(_frac(v))) for x, v in enumerate(vec) if v]
+    vec = _nonzeros(vec)
     for j in range(candidate.dim):
         for x, v in vec:
             for a, c in terms[x][j]:
@@ -219,31 +246,34 @@ class Homomorphism:
     def image_of_basis(self, j: int) -> list:
         return self.matrix.column(j)
 
-    def apply(self, vec) -> list:
-        return self.matrix.apply(vec)
+
+def _curvature_pairs(hom: Homomorphism):
+    """(i, j) and K(e_i, e_j) as {a: value} for each pair i < j, summed over
+    the nonzeros of rho's columns and of both brackets' ``terms``."""
+    cols = [tuple(col.items()) for col in hom.matrix.columns()]
+    g_terms, h_terms = hom.target.candidate.terms, hom.source.candidate.terms
+    for (i, j) in combinations(range(hom.source.dim), 2):
+        acc = _bracket_into({}, g_terms, cols[i], cols[j])
+        for l, c in h_terms[i][j]:
+            for a, y in cols[l]:
+                acc[a] = acc.get(a, 0) - c * y
+        yield (i, j), acc
 
 
 def curvature(hom: Homomorphism) -> AltMap:
     """K(phi)(u,v) = [phi(u),phi(v)] - phi([u,v]); zero iff phi is a
     homomorphism.  Defined for arbitrary linear maps."""
-    h, g = hom.source, hom.target
-    values = {}
-    for (i, j) in combinations(range(h.dim), 2):
-        lhs = g.bracket(hom.image_of_basis(i), hom.image_of_basis(j))
-        rhs = hom.apply(h.basis_bracket(i, j))
-        values[(i, j)] = [a - b for a, b in zip(lhs, rhs)]
-    return AltMap.from_values(2, h.dim, g.dim, values)
+    values = {p: _dense(acc, hom.target.dim) for p, acc in _curvature_pairs(hom)}
+    return AltMap.from_values(2, hom.source.dim, hom.target.dim, values)
 
 
 def validate_homomorphism(hom: Homomorphism) -> Homomorphism:
     """Raise ValidationError with the first pair where curvature is nonzero."""
-    k = curvature(hom)
-    for (i, j) in combinations(range(hom.source.dim), 2):
-        defect = k.value((i, j))
-        if any(x != 0 for x in defect):
+    for (i, j), acc in _curvature_pairs(hom):
+        if any(acc.values()):
             raise ValidationError(
                 f"curvature nonzero on basis pair ({i},{j})",
-                "curvature", (i, j), defect)
+                "curvature", (i, j), _dense(acc, hom.target.dim))
     return hom
 
 
@@ -275,13 +305,18 @@ class SubalgebraWitness:
         return list(self.coords.sub_basis[t])
 
     def as_subalgebra(self, name=None) -> LieAlgebra:
-        """The subspace as a standalone Lie algebra in its echelon basis."""
-        k = self.dim
-        entries = {}
+        """The subspace as a standalone Lie algebra in its echelon basis: the
+        bracket of two basis vectors, over the ambient ``terms``, read at the
+        pivots, where its echelon coordinates are."""
+        k, terms = self.dim, self.ambient.candidate.terms
+        basis = [_nonzeros(w) for w in self.coords.sub_basis]
+        at = {p: t for t, p in enumerate(self.coords.pivots)}
+        planes = [[()] * k for _ in range(k)]
         for (i, j) in combinations(range(k), 2):
-            w = self.ambient.bracket(self.basis_vector(i), self.basis_vector(j))
-            entries[(i, j)] = self.coords.to_sub_coords(w)
-        cand = BracketCandidate.from_entries(k, entries)
+            w = _bracket_into({}, terms, basis[i], basis[j])
+            planes[i][j] = _terms({at[p]: x for p, x in w.items() if p in at})
+            planes[j][i] = tuple((t, -x) for t, x in planes[i][j])
+        cand = BracketCandidate(k, tuple(map(tuple, planes)))
         return validate_bracket(cand, name=name or f"{self.name}-sub")
 
 

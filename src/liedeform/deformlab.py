@@ -108,10 +108,12 @@ class FloatBracket:
 
     @classmethod
     def from_exact(cls, g: LieAlgebra) -> "FloatBracket":
-        n = g.dim
-        c = np.array([[[float(x) for x in g.c[i][j]] for j in range(n)]
-                      for i in range(n)]).reshape(n, n, n)
-        return cls(n, c)
+        c = np.zeros((g.dim,) * 3)
+        for i, plane in enumerate(g.candidate.terms):
+            for j, col in enumerate(plane):
+                for k, x in col:
+                    c[i, j, k] = float(x)
+        return cls(g.dim, c)
 
     def bracket(self, x, y) -> np.ndarray:
         return _bracket_eval(self.c, np.asarray(x, float), np.asarray(y, float))
@@ -153,13 +155,17 @@ INPUT_DEFECT_TOL = 1e-8
 
 
 def numeric_jacobian(fn, u: np.ndarray) -> np.ndarray:
-    base = np.asarray(fn(u), float)
-    jac = np.zeros((base.size, u.size))
+    """Central differences, 2 u.size evaluations of ``fn``: the first
+    difference gives the residual's size."""
+    jac = np.zeros((0, u.size))
     for j in range(u.size):
         step = np.zeros_like(u)
         step[j] = JACOBIAN_STEP
-        jac[:, j] = ((np.asarray(fn(u + step)) - np.asarray(fn(u - step)))
-                     / (2 * JACOBIAN_STEP))
+        column = ((np.asarray(fn(u + step)) - np.asarray(fn(u - step)))
+                  / (2 * JACOBIAN_STEP))
+        if not j:
+            jac = np.zeros((column.size, u.size))
+        jac[:, j] = column
     return jac
 
 

@@ -113,8 +113,8 @@ def algebra_to_doc(g: LieAlgebra) -> dict:
     brackets = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            coeffs = g.candidate.c[i][j]
-            if any(x != 0 for x in coeffs):
+            if g.candidate.terms[i][j]:
+                coeffs = g.candidate.basis_bracket(i, j)
                 brackets.append({"i": i, "j": j,
                                  "coeffs": [format_scalar(x) for x in coeffs]})
     return {"name": g.name, "dim": g.dim, "basis": list(g.basis),

@@ -47,6 +47,49 @@ class TestVerify:
         assert code == 1
         assert "jacobi" in (out + err).lower()
 
+    # one document per refusal kind; the text and JSON lines each pins
+    REFUSALS = {
+        "antisymmetry": (
+            "--algebra", {"name": "skew", "dim": 2, "basis": ["x", "y"],
+                          "brackets": [{"i": 0, "j": 1, "coeffs": ["1", "0"]},
+                                       {"i": 1, "j": 0,
+                                        "coeffs": ["1", "1/2"]}]},
+            "antisymmetry fails at (x,y)",
+            '{"defect": ["2", "1/2"], "error": "validation-failure", '
+            '"kind": "antisymmetry", "location": [0, 1]}'),
+        "jacobi": (
+            "--algebra", {"name": "bad", "dim": 3, "basis": ["x", "y", "z"],
+                          "brackets": [{"i": 0, "j": 1,
+                                        "coeffs": ["1", "0", "0"]},
+                                       {"i": 0, "j": 2,
+                                        "coeffs": ["0", "0", "1"]}]},
+            "Jacobi identity fails on (x,y,z)",
+            '{"defect": ["0", "0", "1"], "error": "validation-failure", '
+            '"kind": "jacobi", "location": [0, 1, 2]}'),
+        "curvature": (
+            "--hom", {"name": "swap", "source": "borel", "target": "sl2",
+                      "matrix": [["1", "0"], ["0", "0"], ["0", "1"]]},
+            "curvature nonzero on basis pair (0,1)",
+            '{"defect": ["0", "0", "-4"], "error": "validation-failure", '
+            '"kind": "curvature", "location": [0, 1]}'),
+        "closure": (
+            "--sub", {"name": "ef", "ambient": "sl2",
+                      "basis_vectors": [["0", "1", "0"], ["0", "0", "1"]]},
+            "bracket of subspace basis pair (0,1) leaves the subspace",
+            '{"defect": ["1"], "error": "validation-failure", '
+            '"kind": "closure", "location": [0, 1]}'),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REFUSALS))
+    def test_refusal_output_is_pinned(self, capsys, tmp_path, kind):
+        flag, doc, text, as_json = self.REFUSALS[kind]
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(capsys, "verify", flag, str(p)) == (
+            1, f"validation failure: {text}\n", "")
+        assert run_cli(capsys, "verify", flag, str(p), "--json") == (
+            1, as_json + "\n", "")
+
     def test_malformed_doc_exits_two(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{oops")

@@ -448,6 +448,26 @@ def test_numeric_jacobian_quadratic():
     assert np.allclose(jac, exact, atol=1e-5)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_numeric_jacobian_evaluates_twice_per_coordinate(n):
+    calls = []
+
+    def residual(u):
+        return np.concatenate([np.sin(u), [u @ u, u.sum()]])
+
+    def counted(u):
+        calls.append(u.copy())
+        return residual(u)
+
+    jac = numeric_jacobian(counted, np.linspace(0.1, 0.9, n))
+    assert len(calls) == 2 * n and jac.shape == (n + 2, n)
+    # column j is the central difference of calls 2j and 2j + 1
+    for j in range(n):
+        want = ((residual(calls[2 * j]) - residual(calls[2 * j + 1]))
+                / (2 * lab.JACOBIAN_STEP))
+        assert np.array_equal(jac[:, j], want)
+
+
 def assert_close(got: np.ndarray, want: np.ndarray):
     assert got.shape == want.shape
     scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0

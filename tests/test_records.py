@@ -54,7 +54,8 @@ def test_lie_algebra_by_position_and_keyword():
     assert g != LieAlgebra("other", 3, SL2.basis, SL2.candidate)
     assert repr(g).startswith("LieAlgebra(name='sl2', dim=3, "
                               "basis=('h', 'e', 'f'), candidate="
-                              "BracketCandidate(dim=3, c=((")
+                              "BracketCandidate(dim=3, terms=(((), "
+                              "((1, 2),), ((2, -2),)), ")
     assert LieAlgebra.__match_args__ == ("name", "dim", "basis", "candidate")
     with pytest.raises(TypeError):
         LieAlgebra("sl2", 3, SL2.basis, SL2.candidate, None)
@@ -126,10 +127,16 @@ def test_records_refuse_assignment_and_keep_a_dict(make):
     assert copy.copy(obj).__dict__ == obj.__dict__
 
 
-def test_cached_property_keeps_its_value_in_the_dict():
+def test_candidate_keeps_terms_and_builds_c_on_read():
     cand = BracketCandidate.from_tensor(SL2.candidate.c)
-    assert "terms" not in vars(cand)
-    assert cand.terms is cand.terms and vars(cand)["terms"] is cand.terms
+    assert vars(cand).keys() == {"dim", "terms"}
+    assert cand == SL2.candidate and hash(cand) == hash(SL2.candidate)
+    # the dense view is a fresh tensor of Fractions on each read, never kept
+    assert cand.c == cand.c and cand.c is not cand.c
+    assert cand.c[0][1] == (Fraction(0), Fraction(2), Fraction(0))
+    assert all(type(x) is Fraction for plane in cand.c for row in plane
+               for x in row)
+    assert "c" not in vars(cand)
 
 
 @pytest.mark.parametrize("make", [
