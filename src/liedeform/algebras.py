@@ -6,10 +6,12 @@ A bracket candidate on an n-dimensional space stores its nonzero structure
 constants: ``terms[i][j]`` holds the (k, c_ij^k) pairs, ints where integral,
 with bracket(e_i, e_j) = sum_k c_ij^k e_k.  Its ``c`` is the dense tensor
 c[i][j][k], a view built from ``terms`` on read.  Validation checks
-antisymmetry and the Jacobi identity exactly, summing the nonzero terms, and
-reports the first violating pair/triple together with the exact dense
-defect vector.  Homomorphism curvature and subalgebra restriction are summed
-the same way.
+antisymmetry exactly, summing the nonzero terms.  The Jacobi identity, a
+homomorphism and a subalgebra are each the zero of a quadratic map, whose
+defect is a cochain built from the nonzero terms (the Jacobiator, the
+curvature, the closure defect), and the three validators share one rule:
+refuse at the defect's first nonzero block, reporting its location and its
+exact dense defect vector.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cochains import AltMap
-from .exactlin import (Matrix, QuotientCoords, Subspace, _dense, _exact,
-                       _frac, _subspace, format_scalar, quotient_coords)
+from .exactlin import (Matrix, QuotientCoords, Subspace, _add_scaled, _dense,
+                       _exact, _frac, _subspace, format_scalar, quotient_coords)
 from .records import record
 
 
@@ -36,17 +38,20 @@ class ValidationError(ValueError):
                 "defect": [format_scalar(x) for x in self.defect]}
 
 
+def _refuse_nonzero(defect: AltMap, kind: str, message):
+    """The validators' one rule: refuse at the first nonzero block of the
+    defect cochain, with its subset, ``message(subset)`` and its dense
+    values."""
+    if defect.nonzeros:
+        s = defect.nonzero_entries()[0][0]
+        raise ValidationError(message(s), kind, s, defect.value(s))
+
+
 def _nonzeros(vec) -> tuple:
     """The (k, x) pairs of the nonzero entries of ``vec``, ints where
     integral."""
     return tuple((k, y) for k, x in enumerate(vec)
                  if (y := x if type(x) is int else _exact(_frac(x))))
-
-
-def _terms(acc: dict) -> tuple:
-    """The nonzero (k, x) pairs of {k: x}, k ascending, ints where
-    integral."""
-    return tuple(sorted((k, _exact(x)) for k, x in acc.items() if x))
 
 
 def _bracket_into(acc: dict, terms, u, v) -> dict:
@@ -125,51 +130,54 @@ class BracketCandidate:
                     return (i, j), _dense(defect, self.dim)
         return None
 
-    def _jacobiator(self, i: int, j: int, k: int) -> dict:
-        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] as {m: value},
-        summed over the nonzero c_ab^l c_lc^m of ``terms``."""
-        terms, out = self.terms, {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            _bracket_into(out, terms, terms[a][b], ((c, 1),))
-        return out
+    def jacobiator(self) -> AltMap:
+        """The 3-cochain J(e_i,e_j,e_k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i]
+        + [[e_k,e_i],e_j], summed over the nonzero c_ab^l c_lc^m of
+        ``terms``; zero iff the Jacobi identity holds."""
+        terms = self.terms
 
-    def jacobiator_value(self, i: int, j: int, k: int) -> list:
-        return _dense(self._jacobiator(i, j, k), self.dim)
+        def block(i, j, k):
+            acc = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                _bracket_into(acc, terms, terms[a][b], ((c, 1),))
+            return acc
 
-    def jacobi_violation(self):
-        """First triple i<j<k with nonzero Jacobiator, or None."""
-        for t in combinations(range(self.dim), 3):
-            out = self._jacobiator(*t)
-            if any(out.values()):
-                return t, _dense(out, self.dim)
-        return None
+        return AltMap.from_blocks(3, self.dim, self.dim, (
+            block(*t) for t in combinations(range(self.dim), 3)))
+
+    def pair_brackets(self, vectors) -> AltMap:
+        """The 2-cochain (i, j) -> [v_i, v_j] on the vectors v_i, each given
+        as its (index, coefficient) nonzeros, summed over ``terms``."""
+        return AltMap.from_blocks(2, len(vectors), self.dim, (
+            _bracket_into({}, self.terms, vectors[i], vectors[j])
+            for i, j in combinations(range(len(vectors)), 2)))
 
     def as_altmap(self) -> AltMap:
-        return AltMap(2, self.dim, self.dim, tuple(
-            x for s in combinations(range(self.dim), 2)
-            for x in self.basis_bracket(*s)))
+        n = self.dim
+        return AltMap(2, n, n, {p * n + k: x for p, (i, j)
+                                in enumerate(combinations(range(n), 2))
+                                for k, x in self.terms[i][j]})
 
     @classmethod
     def from_altmap(cls, m: AltMap) -> "BracketCandidate":
         if m.degree != 2 or m.domain_dim != m.carrier_dim:
             raise ValueError("need a 2-cochain with carrier equal to the domain")
-        n = m.domain_dim
-        return cls.from_entries(n, {s: m.coeffs[p * n:p * n + n] for p, s
-                                    in enumerate(combinations(range(n), 2))})
+        n, pairs = m.domain_dim, list(combinations(range(m.domain_dim), 2))
+        planes, cols = [[()] * n for _ in range(n)], {}
+        for f, x in m.nonzeros.items():
+            cols.setdefault(pairs[f // n], {})[f % n] = x
+        for (i, j), col in cols.items():
+            planes[i][j] = tuple(sorted(col.items()))
+            planes[j][i] = tuple((k, -x) for k, x in planes[i][j])
+        return cls(n, tuple(map(tuple, planes)))
 
     def add_scaled(self, other: "BracketCandidate", factor) -> "BracketCandidate":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         f = _frac(factor)
-
-        def combined(mine, theirs) -> tuple:
-            acc = dict(mine)
-            for k, x in theirs:
-                acc[k] = acc.get(k, 0) + f * x
-            return _terms(acc)
-
         return BracketCandidate(self.dim, tuple(
-            tuple(map(combined, mine, theirs))
+            tuple(tuple(sorted(_add_scaled(dict(a), dict(b), f).items()))
+                  for a, b in zip(mine, theirs))
             for mine, theirs in zip(self.terms, other.terms)))
 
 
@@ -206,12 +214,8 @@ def validate_bracket(candidate: BracketCandidate, basis=None,
         raise ValidationError(
             f"antisymmetry fails at ({basis[loc[0]]},{basis[loc[1]]})",
             "antisymmetry", loc, defect)
-    jac = candidate.jacobi_violation()
-    if jac is not None:
-        loc, defect = jac
-        names = ",".join(basis[i] for i in loc)
-        raise ValidationError(
-            f"Jacobi identity fails on ({names})", "jacobi", loc, defect)
+    _refuse_nonzero(candidate.jacobiator(), "jacobi", lambda loc: (
+        f"Jacobi identity fails on ({','.join(basis[i] for i in loc)})"))
     return LieAlgebra(name=name, dim=n, basis=basis, candidate=candidate)
 
 
@@ -243,37 +247,20 @@ class Homomorphism:
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
             raise ValueError("homomorphism matrix has wrong shape")
 
-    def image_of_basis(self, j: int) -> list:
-        return self.matrix.column(j)
-
-
-def _curvature_pairs(hom: Homomorphism):
-    """(i, j) and K(e_i, e_j) as {a: value} for each pair i < j, summed over
-    the nonzeros of rho's columns and of both brackets' ``terms``."""
-    cols = [tuple(col.items()) for col in hom.matrix.columns()]
-    g_terms, h_terms = hom.target.candidate.terms, hom.source.candidate.terms
-    for (i, j) in combinations(range(hom.source.dim), 2):
-        acc = _bracket_into({}, g_terms, cols[i], cols[j])
-        for l, c in h_terms[i][j]:
-            for a, y in cols[l]:
-                acc[a] = acc.get(a, 0) - c * y
-        yield (i, j), acc
-
 
 def curvature(hom: Homomorphism) -> AltMap:
     """K(phi)(u,v) = [phi(u),phi(v)] - phi([u,v]); zero iff phi is a
-    homomorphism.  Defined for arbitrary linear maps."""
-    values = {p: _dense(acc, hom.target.dim) for p, acc in _curvature_pairs(hom)}
-    return AltMap.from_values(2, hom.source.dim, hom.target.dim, values)
+    homomorphism.  Defined for arbitrary linear maps: the brackets of phi's
+    columns, less phi of the source's bracket, over the nonzeros."""
+    cols = [tuple(col.items()) for col in hom.matrix.columns()]
+    return hom.target.candidate.pair_brackets(cols).sub(
+        hom.source.candidate.as_altmap().post_compose(hom.matrix))
 
 
 def validate_homomorphism(hom: Homomorphism) -> Homomorphism:
     """Raise ValidationError with the first pair where curvature is nonzero."""
-    for (i, j), acc in _curvature_pairs(hom):
-        if any(acc.values()):
-            raise ValidationError(
-                f"curvature nonzero on basis pair ({i},{j})",
-                "curvature", (i, j), _dense(acc, hom.target.dim))
+    _refuse_nonzero(curvature(hom), "curvature",
+                    lambda loc: f"curvature nonzero on basis pair ({loc[0]},{loc[1]})")
     return hom
 
 
@@ -306,27 +293,19 @@ class SubalgebraWitness:
 
     def as_subalgebra(self, name=None) -> LieAlgebra:
         """The subspace as a standalone Lie algebra in its echelon basis: the
-        bracket of two basis vectors, over the ambient ``terms``, read at the
-        pivots, where its echelon coordinates are."""
-        k, terms = self.dim, self.ambient.candidate.terms
-        basis = [_nonzeros(w) for w in self.coords.sub_basis]
-        at = {p: t for t, p in enumerate(self.coords.pivots)}
-        planes = [[()] * k for _ in range(k)]
-        for (i, j) in combinations(range(k), 2):
-            w = _bracket_into({}, terms, basis[i], basis[j])
-            planes[i][j] = _terms({at[p]: x for p, x in w.items() if p in at})
-            planes[j][i] = tuple((t, -x) for t, x in planes[i][j])
-        cand = BracketCandidate(k, tuple(map(tuple, planes)))
+        brackets of the basis pairs read in echelon coordinates."""
+        cand = BracketCandidate.from_altmap(_basis_brackets(
+            self.ambient, self.coords).post_compose(self.coords.sub_coords))
         return validate_bracket(cand, name=name or f"{self.name}-sub")
 
 
+def _basis_brackets(g: LieAlgebra, qc: QuotientCoords) -> AltMap:
+    """The brackets of the echelon basis pairs, with values in g."""
+    return g.candidate.pair_brackets([_nonzeros(w) for w in qc.sub_basis])
+
+
 def _closure_defect(g: LieAlgebra, qc: QuotientCoords) -> AltMap:
-    k, q = len(qc.sub_basis), qc.dim
-    values = {}
-    for (i, j) in combinations(range(k), 2):
-        w = g.bracket(list(qc.sub_basis[i]), list(qc.sub_basis[j]))
-        values[(i, j)] = qc.projection.apply(w)
-    return AltMap.from_values(2, k, q, values)
+    return _basis_brackets(g, qc).post_compose(qc.projection)
 
 
 def subalgebra_defect(g: LieAlgebra, sub: Subspace) -> AltMap:
@@ -348,13 +327,8 @@ def subalgebra_witness(g: LieAlgebra, vectors, name: str = "anonymous") -> Subal
     except ValueError:
         raise ValidationError("subalgebra basis vectors are linearly dependent",
                               "independence", (), []) from None
-    defect = _closure_defect(g, qc)
-    for (i, j) in combinations(range(sub.dim), 2):
-        d = defect.value((i, j))
-        if any(x != 0 for x in d):
-            raise ValidationError(
-                f"bracket of subspace basis pair ({i},{j}) leaves the subspace",
-                "closure", (i, j), d)
+    _refuse_nonzero(_closure_defect(g, qc), "closure", lambda loc: (
+        f"bracket of subspace basis pair ({loc[0]},{loc[1]}) leaves the subspace"))
     canonical = Subspace(g.dim, qc.sub_basis)
     return SubalgebraWitness(ambient=g, subspace=canonical, coords=qc, name=name)
 
@@ -422,7 +396,7 @@ def pullback_rep(hom: Homomorphism) -> RepSpec:
     homomorphism."""
     validate_homomorphism(hom)
     h, g = hom.source, hom.target
-    rows = tuple(ad_rows(g.candidate, hom.image_of_basis(j)) for j in range(h.dim))
+    rows = tuple(ad_rows(g.candidate, hom.matrix.column(j)) for j in range(h.dim))
     return RepSpec("pullback", h.candidate, g.dim, rows,
                    f"{hom.name}:{h.name}->{g.name}").check_identity()
 

@@ -11,7 +11,9 @@ candidate and any square rational matrices r(u_i); it does not assume Jacobi
 or the representation identity, so the same code serves the cohomology
 complexes and the exact expansion identities of `kuranishi`, whose base
 bracket or linear map need not satisfy either.  `cohomology` refuses inputs
-whose composed differentials are nonzero.
+whose composed differentials are nonzero.  Cochains, kernel vectors and
+H-representatives are passed as their {position: value} nonzeros, which
+the differentials and chain maps map to nonzeros (``Matrix.apply``).
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class CEComplex:
     def apply_d(self, m: AltMap) -> AltMap:
         if m.domain_dim != self.n or m.carrier_dim != self.carrier_dim:
             raise ValueError("cochain does not fit this complex")
-        out = self.d(m.degree).apply(m.flat())
-        return AltMap.from_flat(m.degree + 1, self.n, self.carrier_dim, out)
+        return AltMap(m.degree + 1, self.n, self.carrier_dim,
+                      self.d(m.degree).apply(m.nonzeros))
 
 
 class DegreeData:
@@ -156,7 +158,10 @@ class DegreeData:
     d_k and d_(k-1), each basis and its echelon forms on first read.  A
     cocycle is fixed by its entries at the ``free`` columns of d_k, and its
     last nonzero entry is at one; so ``classes``, the pivots of d_(k-1)'s
-    form, are free columns, and the representatives sit at the others."""
+    form, are free columns, and the representatives sit at the others.
+    Representatives are the {position: value} null vectors of d_k's form,
+    as ``class_coords`` and the chain maps read them; ``cocycles`` is a
+    dense view of the whole kernel for readers outside the package."""
 
     def __init__(self, cx: CEComplex, k: int):
         self.complex = cx
@@ -170,13 +175,11 @@ class DegreeData:
     def free(self) -> tuple:
         return tuple(self.complex.form(self.k).relations)
 
-    def _dense_tuple(self, vectors) -> tuple:
-        return tuple(tuple(_dense(v, self.dim_cochains)) for v in vectors)
-
     @cached_property
     def cocycles(self) -> Subspace:
-        return Subspace(self.dim_cochains,
-                        self._dense_tuple(self.complex.form(self.k).kernel()))
+        return Subspace(self.dim_cochains, tuple(
+            tuple(_dense(v, self.dim_cochains))
+            for v in self.complex.form(self.k).kernel()))
 
     @cached_property
     def classes(self) -> frozenset:
@@ -186,17 +189,15 @@ class DegreeData:
     @cached_property
     def h_representatives(self) -> tuple:
         null = self.complex.form(self.k).null_vector
-        reps = self._dense_tuple(null(f) for f in self.free
-                                 if f not in self.classes)
+        reps = tuple(null(f) for f in self.free if f not in self.classes)
         assert len(reps) == self.dim_h
         return reps
 
-    def class_coords(self, z) -> list:
-        """Coordinates of the class of the cocycle ``z`` in the classes of
-        ``h_representatives``, read from its remainder by d_(k-1)'s form."""
-        rem = {j: x for j, x in enumerate(z) if x}
-        if self.k:
-            rem, _ = self.complex.form(self.k - 1).reduce(rem)
+    def class_coords(self, z: dict) -> list:
+        """Coordinates of the class of the cocycle with the {position:
+        value} nonzeros ``z`` in the classes of ``h_representatives``, read
+        from its remainder by d_(k-1)'s form."""
+        rem = self.complex.form(self.k - 1).reduce(z)[0] if self.k else z
         return [_frac(rem.get(f, 0)) for f in self.free
                 if f not in self.classes]
 
@@ -412,8 +413,8 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
     tdeg = target.degree(k)
     cols = []
     for z in sdeg.h_representatives:
-        fz = chain_maps[k].apply(list(z))
-        if any(x != 0 for x in target.complex.d(k).apply(fz)):
+        fz = chain_maps[k].apply(z)
+        if target.complex.d(k).apply(fz):
             raise ChainMapError("image of a cocycle is not a cocycle")
         cols.append(tdeg.class_coords(fz))
     matrix = Matrix.from_columns(cols, rows=tdeg.dim_h)
@@ -478,9 +479,8 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
     e_out = Echelon(outgoing.columns())
     r_in, r_out = len(e_in.kept), len(e_out.kept)
     exact = composed_zero and (r_in + r_out == dim_node)
-    ker = Echelon(e_out.kernel())
-    membership = all(ker.solve(incoming.column(j)) is not None
-                     for j in e_in.kept)
+    ker, cols = Echelon(e_out.kernel()), incoming.columns()
+    membership = all(ker.solve(cols[j]) is not None for j in e_in.kept)
     return LESNode(label, k, dim_node, r_in, r_out, exact, membership)
 
 
@@ -490,16 +490,10 @@ def snake_lift(w: SubalgebraWitness, section: Matrix, eta: AltMap,
     through ``section`` and differentiated in ``ambient`` (values in g), the
     values are certified to land in h and to be closed in ``sub`` (values in
     h), and are returned in subalgebra coordinates as a (k+1)-cochain."""
-    qc, k, na = w.coords, eta.degree, w.ambient.dim
-    lift = _post_compose_block(section, len(subsets(w.dim, k)))
-    dval = ambient.d(k).apply(lift.apply(eta.flat()))
-    values = []
-    for p in range(0, len(dval), na):
-        block = dval[p:p + na]
-        if any(x != 0 for x in qc.projection.apply(block)):
-            raise AssertionError("snake lift value left the subalgebra")
-        values.extend(qc.to_sub_coords(block))
-    out = AltMap.from_flat(k + 1, w.dim, w.dim, values)
+    dval = ambient.apply_d(eta.post_compose(section))
+    if not dval.post_compose(w.coords.projection).is_zero():
+        raise AssertionError("snake lift value left the subalgebra")
+    out = dval.post_compose(w.coords.sub_coords)
     if not sub.apply_d(out).is_zero():
         raise AssertionError("snake lift value is not closed")
     return out
@@ -516,8 +510,8 @@ def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
         return Matrix.zeros(0, qdeg.dim_h)
     sdeg = sub_report.degree(k + 1)
     cols = [sdeg.class_coords(snake_lift(
-        w, w.coords.section, AltMap.from_flat(k, w.dim, w.quotient_dim, eta),
-        ambient_report.complex, sub_report.complex).flat())
+        w, w.coords.section, AltMap.of(k, w.dim, w.quotient_dim, eta),
+        ambient_report.complex, sub_report.complex).nonzeros)
         for eta in qdeg.h_representatives]
     return Matrix.from_columns(cols, rows=sdeg.dim_h)
 

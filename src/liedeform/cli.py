@@ -105,13 +105,13 @@ def _check_sub(problem: Problem, seed: int):
 
 
 def _first_quotient_cocycle(problem: Problem) -> AltMap:
-    """A deterministic element of Z^1(h, g/h): the first cocycle-basis
-    vector, or zero when the space is trivial."""
+    """A deterministic element of Z^1(h, g/h): the null vector of d_1's
+    first free column, or zero when the space is trivial."""
     k, q = problem.obj.dim, problem.obj.quotient_dim
     if problem.z_dim(1) == 0:
         return AltMap.zero(1, k, q)
-    return AltMap.from_flat(1, k, q,
-                            list(problem.report.degree(1).cocycles.basis[0]))
+    return AltMap.of(1, k, q, problem.complex.form(1).null_vector(
+        problem.report.degree(1).free[0]))
 
 
 def _sub_obstruction(problem: Problem, eta: AltMap):

@@ -13,8 +13,10 @@ so elimination does no ``Fraction`` arithmetic.  Everything in this module
 is exact: ranks, kernels, solves and quotient coordinates involve no
 tolerances, and ranks computed here agree with ranks over the reals.
 
-Conventions: matrices act on column vectors; a vector is a plain list of
-Fractions.  All values are treated as immutable after construction.
+Conventions: matrices act on column vectors, and ``Matrix.apply`` and
+``Echelon.solve`` take and give a vector as its {position: value} nonzeros;
+the public ``solve_particular`` takes and gives plain lists of Fractions.
+All values are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ def _frac(x) -> Fraction:
 def _exact(x):
     """``x`` as an int where it is integral, else as a Fraction."""
     return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _add_scaled(u: dict, v: dict, f) -> dict:
+    """The nonzeros of u + f v, for {position: value} nonzeros u and v."""
+    acc = dict(u)
+    for j, x in v.items():
+        acc[j] = acc.get(j, 0) + f * x
+    return {j: _exact(x) for j, x in acc.items() if x}
 
 
 def _dense(vec: dict, n: int) -> list:
@@ -149,11 +159,22 @@ class Matrix:
             out.append({j: _exact(x) for j, x in acc.items() if x})
         return Matrix.of_rows(self.rows, other.cols, out)
 
-    def apply(self, vec) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        return [sum((x * vec[j] for j, x in row.items() if vec[j]), ZERO)
-                for row in self.row_maps]
+    def apply(self, vec: dict) -> dict:
+        """The {row: value} nonzeros of this matrix times the vector with the
+        {column: value} nonzeros ``vec``."""
+        out = {}
+        for i, row in enumerate(self.row_maps):
+            if y := sum(x * vec[j] for j, x in row.items() if j in vec):
+                out[i] = _exact(y)
+        return out
+
+    def add_scaled(self, other: "Matrix", factor) -> "Matrix":
+        """self + factor * other."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix sum")
+        return Matrix.of_rows(self.rows, self.cols, [
+            _add_scaled(mine, theirs, factor)
+            for mine, theirs in zip(self.row_maps, other.row_maps)])
 
     def is_zero(self) -> bool:
         return not any(self.row_maps)
@@ -276,16 +297,14 @@ class Echelon:
         return ({j: _ratio(x, s) for j, x in rem.items()},
                 {t: _ratio(c, s) for t, c in combo.items()})
 
-    def solve(self, b):
-        """The coefficients x (one per input vector, zero off the kept ones)
-        with sum x_i v_i = b, or None when b is not in the span."""
-        s, rem, combo = self._reduce({i: x for i, x in enumerate(b) if x})
+    def solve(self, b: dict) -> dict | None:
+        """The {input index: value} nonzeros of the coefficients x (zero off
+        the kept vectors) with sum x_i v_i = b, for b given as its
+        {position: value} nonzeros; None when b is not in the span."""
+        s, rem, combo = self._reduce(b)
         if rem:
             return None
-        x = [ZERO] * (len(self.kept) + len(self.relations))
-        for t, c in combo.items():
-            x[self.kept[t]] = Fraction(c, s)
-        return x
+        return {self.kept[t]: _exact(Fraction(c, s)) for t, c in combo.items()}
 
     def null_vector(self, i: int) -> dict:
         """e_i - sum c_t e_(kept t) for a vector i that was not kept."""
@@ -363,7 +382,8 @@ def solve_particular(m: Matrix, b):
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    return Echelon(m.columns()).solve(b)
+    x = Echelon(m.columns()).solve({i: _frac(y) for i, y in enumerate(b) if y})
+    return None if x is None else _dense(x, m.cols)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -374,8 +394,11 @@ def invert(m: Matrix) -> Matrix:
     form = Echelon(m.columns())
     if len(form.kept) < n:
         raise ValueError("matrix is singular")
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
-    return Matrix.from_columns([form.solve(e) for e in units], rows=n)
+    rows = [{} for _ in range(n)]
+    for j in range(n):
+        for i, x in form.solve({j: 1}).items():
+            rows[i][j] = x
+    return Matrix.of_rows(n, n, rows)
 
 
 def reduced_basis(sub: Subspace):
@@ -416,13 +439,16 @@ class QuotientCoords:
     def dim(self) -> int:
         return len(self.complement)
 
-    def to_sub_coords(self, vec):
-        """Coordinates of ``vec`` in the echelon basis of the subspace.
+    @property
+    def sub_coords(self) -> Matrix:
+        """The coordinates of a vector in the echelon basis of the subspace:
+        its entries at the pivots.
 
-        Only valid when ``vec`` lies in the subspace; callers certify that by
-        checking ``projection.apply(vec)`` is zero first.
+        Only valid on the subspace; callers certify that by checking that
+        ``projection`` maps the vector to zero first.
         """
-        return [_frac(vec[p]) for p in self.pivots]
+        return Matrix.of_rows(len(self.pivots), self.ambient_dim,
+                              [{p: 1} for p in self.pivots])
 
 
 def quotient_coords(sub: Subspace) -> QuotientCoords:

@@ -12,12 +12,17 @@ at the base bracket.  The curvature of a linear map expands with the
 opposite orientation, K(rho + t xi) = K(rho) + t d(xi) + t^2 [xi,xi]/2.
 Both identities are verified exactly by sampling at integer parameters and
 solving for the polynomial coefficients over the rationals.
+
+Every cochain here is an ``AltMap`` kept as its nonzeros: the Jacobiator
+and the curvature are the validators' defect cochains from `algebras`, the
+differentials act on nonzeros, the interpolation is ``AltMap`` arithmetic,
+and matrices are summed and composed on their row nonzeros (no dense
+``Matrix.data`` is read).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
                        SubalgebraWitness, ad_rows, adjoint_rows, curvature)
@@ -47,10 +52,12 @@ def _as_candidate(mu) -> BracketCandidate:
 
 def jacobiator(mu) -> AltMap:
     """J(eta)(u,v,w) = eta(eta(u,v),w) + eta(eta(v,w),u) + eta(eta(w,u),v)."""
-    cand = _as_candidate(mu)
-    n = cand.dim
-    values = {t: cand.jacobiator_value(*t) for t in combinations(range(n), 3)}
-    return AltMap.from_values(3, n, n, values)
+    return _as_candidate(mu).jacobiator()
+
+
+def _pair_brackets(g: LieAlgebra, m: Matrix) -> AltMap:
+    """The 2-cochain (u, v) -> [m(u), m(v)] with values in g."""
+    return g.candidate.pair_brackets([tuple(c.items()) for c in m.columns()])
 
 
 # ---------------------------------------------------------------------------
@@ -69,30 +76,31 @@ class ExpansionReport:
         return f"expansion mismatch at {self.first_mismatch} (defect {self.max_defect})"
 
 
-def _interpolate_coefficients(samples, ts):
-    """Exact polynomial coefficients from value vectors at integer nodes."""
-    deg = len(ts)
-    v = Matrix(deg, deg, [[Fraction(t) ** j for j in range(deg)] for t in ts])
-    return invert(v).mul(Matrix(deg, len(samples[0]), samples)).data
+def _interpolate_coefficients(samples, ts) -> list:
+    """Exact polynomial coefficients (cochains) from the cochains sampled at
+    integer nodes: the rows of the inverse Vandermonde matrix combine them."""
+    v = Matrix.from_rows([[Fraction(t) ** j for j in range(len(ts))] for t in ts])
+    coeffs = []
+    for row in invert(v).row_maps:
+        acc = samples[0].scale(0)
+        for t, c in row.items():
+            acc = acc.add_scaled(samples[t], c)
+        coeffs.append(acc)
+    return coeffs
 
 
-def _compare_expansion(expected, coeffs, degree: int, n: int,
-                       m: int) -> ExpansionReport:
-    """Match interpolated coefficients against (label, expected) pairs; the
-    coefficients are kept as degree-``degree`` cochains on n with values in
-    an m-dimensional carrier."""
+def _compare_expansion(expected, coeffs) -> ExpansionReport:
+    """Match interpolated coefficients against (label, expected) pairs."""
     max_defect = Fraction(0)
     first = None
-    alt = []
     for (label, want), got in zip(expected, coeffs):
-        diff = max((abs(a - b) for a, b in zip(got, want)), default=Fraction(0))
+        diff = got.sub(want).sup_abs()
         if diff > max_defect:
             max_defect = diff
         if diff != 0 and first is None:
             first = label
-        alt.append(AltMap.from_flat(degree, n, m, got))
     return ExpansionReport(ok=first is None, max_defect=max_defect,
-                           first_mismatch=first, coefficients=tuple(alt))
+                           first_mismatch=first, coefficients=tuple(coeffs))
 
 
 def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
@@ -106,28 +114,24 @@ def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
     xi_c = BracketCandidate.from_altmap(xi)
     eta_c = BracketCandidate.from_altmap(eta)
     ts = [-2, -1, 0, 1, 2]
-    samples = []
-    for t in ts:
-        cand = base.add_scaled(xi_c, Fraction(t)).add_scaled(eta_c, Fraction(t * t, 2))
-        samples.append(jacobiator(cand).flat())
-    coeffs = _interpolate_coefficients(samples, ts)
+    coeffs = _interpolate_coefficients([
+        base.add_scaled(xi_c, t).add_scaled(eta_c, Fraction(t * t, 2)).jacobiator()
+        for t in ts], ts)
 
     d2 = differential_matrix(2, RepSpec("adjoint", base, n, adjoint_rows(base)))
-    d_xi = d2.apply(xi.flat())
-    d_eta = d2.apply(eta.flat())
-    j_xi = jacobiator(xi_c).flat()
-    j_eta = jacobiator(eta_c).flat()
-    polar = jacobiator(xi_c.add_scaled(eta_c, 1)).flat()
-    b_xi_eta = [p - a - b for p, a, b in zip(polar, j_xi, j_eta)]
+    d_xi = AltMap(3, n, n, d2.apply(xi.nonzeros))
+    d_eta = AltMap(3, n, n, d2.apply(eta.nonzeros))
+    j_xi, j_eta = xi_c.jacobiator(), eta_c.jacobiator()
+    b_xi_eta = xi_c.add_scaled(eta_c, 1).jacobiator().sub(j_xi).sub(j_eta)
 
     expected = [
-        ("t^0: J(mu)", jacobiator(base).flat()),
-        ("t^1: -d(xi)", [-x for x in d_xi]),
-        ("t^2: J(xi) - d(eta)/2", [a - Fraction(1, 2) * b for a, b in zip(j_xi, d_eta)]),
-        ("t^3: B(xi,eta)/2", [Fraction(1, 2) * x for x in b_xi_eta]),
-        ("t^4: J(eta)/4", [Fraction(1, 4) * x for x in j_eta]),
+        ("t^0: J(mu)", base.jacobiator()),
+        ("t^1: -d(xi)", d_xi.scale(-1)),
+        ("t^2: J(xi) - d(eta)/2", j_xi.add_scaled(d_eta, Fraction(-1, 2))),
+        ("t^3: B(xi,eta)/2", b_xi_eta.scale(Fraction(1, 2))),
+        ("t^4: J(eta)/4", j_eta.scale(Fraction(1, 4))),
     ]
-    return _compare_expansion(expected, coeffs, 3, n, n)
+    return _compare_expansion(expected, coeffs)
 
 
 def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> ExpansionReport:
@@ -142,27 +146,19 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
         raise ValueError("direction matrix has wrong shape")
 
     ts = [-1, 0, 1]
-    samples = []
-    r, x = rho.matrix.data, xi_matrix.data
-    for t in ts:
-        m = Matrix(ng, kh, [[r[a][b] + t * x[a][b] for b in range(kh)]
-                            for a in range(ng)])
-        samples.append(curvature(Homomorphism(h, g, m)).flat())
-    coeffs = _interpolate_coefficients(samples, ts)
+    coeffs = _interpolate_coefficients([
+        curvature(Homomorphism(h, g, rho.matrix.add_scaled(xi_matrix, t)))
+        for t in ts], ts)
 
-    rows = tuple(ad_rows(g.candidate, rho.image_of_basis(j)) for j in range(kh))
+    rows = tuple(ad_rows(g.candidate, rho.matrix.column(j)) for j in range(kh))
     d1 = differential_matrix(1, RepSpec("pullback", h.candidate, ng, rows))
-    d_xi = d1.apply(matrix_as_one_cochain(xi_matrix).flat())
-    half_sq = []
-    for (i, j) in combinations(range(kh), 2):
-        half_sq.extend(g.bracket(xi_matrix.column(i), xi_matrix.column(j)))
-
     expected = [
-        ("t^0: K(rho)", curvature(rho).flat()),
-        ("t^1: d(xi)", d_xi),
-        ("t^2: [xi,xi]/2", half_sq),
+        ("t^0: K(rho)", curvature(rho)),
+        ("t^1: d(xi)", AltMap(2, kh, ng, d1.apply(
+            matrix_as_one_cochain(xi_matrix).nonzeros))),
+        ("t^2: [xi,xi]/2", _pair_brackets(g, xi_matrix)),
     ]
-    return _compare_expansion(expected, coeffs, 2, kh, ng)
+    return _compare_expansion(expected, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +197,9 @@ def _obstruction(p: Problem, direction: AltMap, representative,
         raise NonCocycleError(not_cocycle, defect)
     rep = representative(direction)
     assert cx.apply_d(rep).is_zero(), not_closed
-    primitive = cx.form(t).solve(rep.flat())
+    primitive = cx.form(t).solve(rep.nonzeros)
     if primitive is not None:
-        primitive = AltMap.from_flat(t, cx.n, cx.carrier_dim, primitive)
+        primitive = AltMap(t, cx.n, cx.carrier_dim, primitive)
     return ObstructionClass(p.kind, rep, primitive is not None, primitive)
 
 
@@ -225,12 +221,8 @@ def kuranishi_hom(rho: Homomorphism | Problem, xi: AltMap) -> ObstructionClass:
         raise ValueError("direction must be a 1-cochain on the source with "
                          "values in the target")
 
-    def representative(xi):
-        values = {(i, j): g.bracket(xi.value((i,)), xi.value((j,)))
-                  for (i, j) in combinations(range(h.dim), 2)}
-        return AltMap.from_values(2, h.dim, g.dim, values)
-
-    return _obstruction(p, xi, representative, "direction is not a 1-cocycle",
+    return _obstruction(p, xi, lambda xi: _pair_brackets(g, eta_matrix(xi)),
+                        "direction is not a 1-cocycle",
                         "[xi,xi]/2 failed to be closed")
 
 
@@ -262,10 +254,8 @@ class Splitting:
         """Projection of the ambient algebra onto the subalgebra along the
         section image: identity minus section o projection."""
         qc = self.witness.coords
-        n = qc.ambient_dim
-        sp = self.section.mul(qc.projection).data
-        return Matrix(n, n, [[int(i == j) - sp[i][j] for j in range(n)]
-                             for i in range(n)])
+        return Matrix.identity(qc.ambient_dim).add_scaled(
+            self.section.mul(qc.projection), -1)
 
 
 def standard_splitting(w: SubalgebraWitness | Problem) -> Splitting:
@@ -281,26 +271,24 @@ def shifted_splitting(sp: Splitting, shift: Matrix) -> Splitting:
     w = sp.witness
     if shift.rows != w.dim or shift.cols != w.quotient_dim:
         raise ValueError("shift has wrong shape")
-    add = sp.problem.inclusion.obj.matrix.mul(shift).data
-    old, rows, cols = sp.section.data, sp.section.rows, sp.section.cols
-    sec = Matrix(rows, cols, [[old[i][j] + add[i][j] for j in range(cols)]
-                              for i in range(rows)])
-    return Splitting(sp.problem, sec)
+    return Splitting(sp.problem, sp.section.add_scaled(
+        sp.problem.inclusion.obj.matrix.mul(shift), 1))
 
 
 def eta_matrix(eta: AltMap) -> Matrix:
     """1-cochain as a matrix, columns = values on the domain basis."""
     if eta.degree != 1:
         raise ValueError("need a 1-cochain")
-    return Matrix.from_columns([eta.value((i,)) for i in range(eta.domain_dim)],
-                               rows=eta.carrier_dim)
+    m, rows = eta.carrier_dim, [{} for _ in range(eta.carrier_dim)]
+    for f, x in eta.nonzeros.items():
+        rows[f % m][f // m] = x
+    return Matrix.of_rows(m, eta.domain_dim, rows)
 
 
 def matrix_as_one_cochain(m: Matrix) -> AltMap:
-    flat = []
-    for j in range(m.cols):
-        flat.extend(m.column(j))
-    return AltMap.from_flat(1, m.cols, m.rows, flat)
+    return AltMap(1, m.cols, m.rows, {j * m.rows + i: x for i, row
+                                      in enumerate(m.row_maps)
+                                      for j, x in row.items()})
 
 
 def _check_eta_shape(w: SubalgebraWitness, eta: AltMap):
@@ -338,20 +326,12 @@ def kuranishi_sub(sp: Splitting, eta: AltMap) -> ObstructionClass:
     (u,v) -> pi[section(eta(u)), section(eta(v))] - eta(omega_sigma(eta)(u,v)),
     classed against the degree-two coboundaries of the quotient system."""
     w = sp.witness
-    qc = w.coords
 
     def representative(eta):
         _check_eta_shape(w, eta)
-        omega = _omega(sp, eta)
         em = eta_matrix(eta)
-        lift = sp.section.mul(em)
-        values = {}
-        for (i, j) in combinations(range(w.dim), 2):
-            term1 = qc.projection.apply(
-                w.ambient.bracket(lift.column(i), lift.column(j)))
-            eta_of_w = em.apply(omega.value((i, j)))
-            values[(i, j)] = [x - y for x, y in zip(term1, eta_of_w)]
-        return AltMap.from_values(2, w.dim, w.quotient_dim, values)
+        return _pair_brackets(w.ambient, sp.section.mul(em)).post_compose(
+            w.coords.projection).sub(_omega(sp, eta).post_compose(em))
 
     return _obstruction(sp.problem, eta, representative,
                         "eta is not a 1-cocycle",
@@ -388,14 +368,10 @@ def splitting_independence_check(sp1: Splitting, sp2: Splitting,
     phi2 = kuranishi_sub(sp2, eta).representative
     diff = phi1.sub(phi2)
     # d = s2 - s1 has image inside the subalgebra; read it in sub coordinates
-    shift_cols = []
-    s1, s2 = sp1.section.data, sp2.section.data
-    for b in range(w.quotient_dim):
-        col = [s2[i][b] - s1[i][b] for i in range(w.ambient.dim)]
-        if any(x != 0 for x in qc.projection.apply(col)):
-            raise AssertionError("section difference left the subalgebra")
-        shift_cols.append(qc.to_sub_coords(col))
-    shift = Matrix.from_columns(shift_cols, rows=w.dim)
+    delta = sp2.section.add_scaled(sp1.section, -1)
+    if not qc.projection.mul(delta).is_zero():
+        raise AssertionError("section difference left the subalgebra")
+    shift = qc.sub_coords.mul(delta)
     em = eta_matrix(eta)
     psi = em.mul(shift).mul(em)  # quotient values on the subalgebra basis
     cob = sp1.problem.complex.apply_d(matrix_as_one_cochain(psi))

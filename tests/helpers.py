@@ -3,6 +3,7 @@ the package against, and shorthands for single cases."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -122,6 +123,33 @@ def flat_index(position: int, m: int, a: int) -> int:
     return position * m + a
 
 
+# dense views of the package's sparse vectors and cochains, built here
+
+def dense(vec: dict, n: int) -> list:
+    """The dense Fraction vector of length n with the {position: value}
+    nonzeros ``vec``."""
+    out = [Fraction(0)] * n
+    for i, x in vec.items():
+        out[i] = Fraction(x)
+    return out
+
+
+def nonzeros(vec) -> dict:
+    """The {position: value} nonzeros of a dense vector."""
+    return {i: x for i, x in enumerate(vec) if x != 0}
+
+
+def flat(m) -> list:
+    """The dense flat vector of an ``AltMap``: C(n, k) * m Fractions."""
+    return dense(m.nonzeros, comb(m.domain_dim, m.degree) * m.carrier_dim)
+
+
+def dense_apply(m: Matrix, vec) -> list:
+    """The dense product of m and a dense vector, from ``m.data``."""
+    return [sum((x * Fraction(v) for x, v in zip(row, vec)), Fraction(0))
+            for row in m.data]
+
+
 def identity_chain_maps(report: CohomologyReport) -> dict:
     return {k: Matrix.identity(report.complex.dim_cochains(k))
             for k in range(report.acting_dim + 2)}
@@ -136,7 +164,7 @@ def act_on_bracket_exact(a_matrix: Matrix, cand: BracketCandidate) -> BracketCan
         for j in range(n):
             u = ainv.column(i)
             v = ainv.column(j)
-            w = a_matrix.apply(cand.bracket(u, v))
+            w = dense_apply(a_matrix, cand.bracket(u, v))
             entries[(i, j)] = w
     return BracketCandidate.from_entries(n, entries)
 
@@ -380,7 +408,7 @@ def dense_quotient_rows(w) -> tuple:
     g, q = w.ambient, w.quotient_dim
     sect, proj = w.coords.section, w.coords.projection
     return dense_rows(Matrix.from_columns(
-        [proj.apply(g.bracket(w.basis_vector(i), sect.column(b)))
+        [dense_apply(proj, g.bracket(w.basis_vector(i), sect.column(b)))
          for b in range(q)], rows=q) for i in range(w.dim))
 
 

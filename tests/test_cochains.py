@@ -1,12 +1,16 @@
 """Flat coordinates for alternating multilinear maps."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import flat_index
+from helpers import flat, flat_index, gl_algebra
+from liedeform import cochains
 from liedeform.cochains import (AltMap, cochain_dim, insertion_sign,
-                                subset_positions, subsets)
+                                subset_position, subset_positions, subsets)
 
 
 def test_subsets_lexicographic():
@@ -59,9 +63,10 @@ class TestAltMap:
         assert m.value((0, 1)) == [Fraction(0), Fraction(0)]
 
     def test_flat_round_trip(self):
-        flat = [Fraction(i) for i in range(cochain_dim(3, 2, 2))]
-        m = AltMap.from_flat(2, 3, 2, flat)
-        assert m.flat() == flat
+        values = [Fraction(i) for i in range(cochain_dim(3, 2, 2))]
+        m = AltMap.from_flat(2, 3, 2, values)
+        assert flat(m) == values
+        assert m.nonzeros == {i: i for i in range(1, len(values))}
 
     def test_arithmetic(self):
         a = AltMap.from_values(1, 2, 1, {(0,): [Fraction(1)]})
@@ -84,3 +89,85 @@ class TestAltMap:
     def test_wrong_flat_length(self):
         with pytest.raises(ValueError):
             AltMap.from_flat(2, 3, 2, [Fraction(0)] * 5)
+
+
+def test_subset_position_counts_without_the_table():
+    for n in range(7):
+        for k in range(n + 1):
+            table = list(combinations(range(n), k))
+            assert [subset_position(n, s) for s in table] == list(range(len(table)))
+    for bad in ((1, 0), (0, 0), (-1, 2), (0, 3)):
+        with pytest.raises(KeyError):
+            subset_position(3, bad)
+        with pytest.raises(KeyError):
+            AltMap.zero(2, 3, 1).value(bad)
+
+
+def test_value_builds_no_subset_table(monkeypatch):
+    # reading every pair block of gl_4's bracket cochain once
+    jac = gl_algebra(4).candidate.as_altmap()
+    calls, real = [], cochains.subset_positions
+
+    def counted(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(cochains, "subset_positions", counted)
+    blocks = [jac.value(s) for s in combinations(range(16), 2)]
+    assert len(blocks) == 120 and len(calls) <= 1
+    assert [x for block in blocks for x in block] == flat(jac)
+
+
+# ---------------------------------------------------------------------------
+# AltMap against a dense flat reference written here: the flat vector, its
+# blocks and its arithmetic entry by entry
+
+entries = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-5, 5),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def flats(draw):
+    """(degree, n, m, dense flat vector of ints and Fractions)."""
+    n = draw(st.integers(0, 4))
+    k, m = draw(st.integers(0, n)), draw(st.integers(1, 3))
+    size = len(list(combinations(range(n), k))) * m
+    return k, n, m, draw(st.lists(entries, min_size=size, max_size=size))
+
+
+def ref_blocks(k, n, m, values) -> dict:
+    return {s: [Fraction(x) for x in values[p * m:(p + 1) * m]]
+            for p, s in enumerate(combinations(range(n), k))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(flats(), st.data())
+def test_altmap_matches_a_dense_reference(drawn, data):
+    k, n, m, values = drawn
+    a = AltMap.from_flat(k, n, m, values)
+    assert a.nonzeros == {i: x for i, x in enumerate(values) if x}
+    assert all(type(x) is int or x.denominator != 1 for x in a.nonzeros.values())
+    blocks = ref_blocks(k, n, m, values)
+    assert a == AltMap.from_values(k, n, m, blocks)
+    assert {s: a.value(s) for s in blocks} == blocks
+    assert all(type(x) is Fraction for v in blocks for x in a.value(v))
+    assert a.is_zero() == (not any(values))
+    assert a.sup_abs() == max((abs(Fraction(x)) for x in values), default=0)
+    assert a.nonzero_entries() == [
+        (s, c, x) for s, block in blocks.items()
+        for c, x in enumerate(block) if x]
+    other = data.draw(st.lists(entries, min_size=len(values),
+                               max_size=len(values)))
+    b, f = AltMap.from_flat(k, n, m, other), data.draw(entries)
+    assert flat(a.add(b)) == [Fraction(x) + y for x, y in zip(values, other)]
+    assert flat(a.sub(b)) == [Fraction(x) - y for x, y in zip(values, other)]
+    assert flat(a.scale(f)) == [Fraction(f) * x for x in values]
+    assert flat(a.add_scaled(b, f)) == [x + Fraction(f) * y
+                                        for x, y in zip(values, other)]
+    # equal cochains are equal and hash equal, however built
+    same = [AltMap.from_flat(k, n, m, [Fraction(x) for x in values]),
+            AltMap(k, n, m, dict(reversed(a.nonzeros.items()))),
+            a.add(b).sub(b), a.scale(1), b.add(a).sub(b)]
+    assert all(x == a and hash(x) == hash(a) for x in same)
+    if any(values):
+        assert a != AltMap.zero(k, n, m) and a.sub(a) == AltMap.zero(k, n, m)

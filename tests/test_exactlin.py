@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, from_sub_coords, image_basis, kernel_basis
+from helpers import (contains, dense, dense_apply, from_sub_coords,
+                     image_basis, kernel_basis, nonzeros)
 from liedeform.exactlin import (Echelon, Matrix, format_scalar,
                                 invert, parse_scalar, quotient_coords, rank,
                                 reduced_basis, rref, solve_particular,
@@ -38,7 +39,16 @@ class TestMatrixBasics:
 
     def test_apply(self):
         m = Matrix.from_rows([[1, 2], [0, 1]])
-        assert m.apply([F(1), F(1)]) == [F(3), F(1)]
+        assert m.apply({0: 1, 1: 1}) == {0: 3, 1: 1}
+        assert m.apply({0: F(1, 2), 1: F(-1, 2)}) == {0: F(-1, 2), 1: F(-1, 2)}
+        assert m.apply({1: 0}) == {} and m.apply({}) == {}
+
+    def test_add_scaled(self):
+        a, b = Matrix.from_rows([[1, 2], [0, 1]]), Matrix.from_rows([[2, 4], [1, 0]])
+        assert a.add_scaled(b, F(-1, 2)).row_maps == [{}, {0: F(-1, 2), 1: 1}]
+        assert a.add_scaled(b, 3).data == [[7, 14], [3, 1]]
+        with pytest.raises(ValueError):
+            a.add_scaled(Matrix.zeros(2, 3), 1)
 
     def test_from_columns_round_trip(self):
         cols = [[F(1), F(0), F(2)], [F(0), F(1), F(-1)]]
@@ -69,7 +79,8 @@ class TestElimination:
     def test_kernel_is_annihilated(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         for vec in kernel_basis(m).basis:
-            assert all(x == 0 for x in m.apply(list(vec)))
+            assert m.apply(nonzeros(vec)) == {}
+            assert all(x == 0 for x in dense_apply(m, vec))
 
     def test_rank_nullity(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -81,12 +92,12 @@ class TestElimination:
         img = image_basis(m)
         assert img.dim == 1
         span = Matrix.from_columns([list(v) for v in img.basis], rows=2)
-        assert solve_particular(span, m.apply([F(1), F(1), F(1)])) is not None
+        assert solve_particular(span, dense_apply(m, [F(1), F(1), F(1)])) is not None
 
     def test_solve_particular(self):
         m = Matrix.from_rows([[1, 1], [0, 1]])
         sol = solve_particular(m, [F(3), F(1)])
-        assert m.apply(sol) == [F(3), F(1)]
+        assert dense_apply(m, sol) == [F(3), F(1)]
 
     def test_solve_unsolvable(self):
         m = Matrix.from_rows([[1, 1], [2, 2]])
@@ -131,13 +142,13 @@ class TestQuotientCoords:
         s = _subspace(3, [[1, 0, 2], [0, 1, -1]])
         qc = quotient_coords(s)
         for vec in s.basis:
-            assert all(x == 0 for x in qc.projection.apply(list(vec)))
+            assert qc.projection.apply(nonzeros(vec)) == {}
 
     def test_sub_coords_round_trip(self):
         s = _subspace(3, [[1, 0, 2], [0, 1, -1]])
         qc = quotient_coords(s)
         v = [F(3), F(5), F(1)]  # 3*(1,0,2) + 5*(0,1,-1) = (3,5,1)
-        coords = qc.to_sub_coords(v)
+        coords = dense(qc.sub_coords.apply(nonzeros(v)), 2)
         assert coords == [F(3), F(5)]
         assert from_sub_coords(qc, coords) == v
 
@@ -184,8 +195,8 @@ class TestSparse:
             assert all(type(x) is int or x.denominator != 1
                        for r in product.row_maps for x in r.values())
             vec = [F(j + 1, 2) for j in range(ma.cols)]
-            assert ma.apply(vec) == [sum((x * v for x, v in zip(row, vec)),
-                                         F(0)) for row in ma.data]
+            assert dense(ma.apply(nonzeros(vec)), ma.rows) == [
+                sum((x * v for x, v in zip(row, vec)), F(0)) for row in ma.data]
 
     def test_cancelling_product_is_zero(self):
         for a, b in (([[1, 1]], [[1], [-1]]),
@@ -206,8 +217,8 @@ class TestEchelon:
     def test_solve_sets_free_variables_to_zero(self):
         m = Matrix.from_rows([[1, 1, 2], [0, 0, 0]])
         form = Echelon(m.columns())
-        assert form.solve([F(3), F(0)]) == [F(3), F(0), F(0)]
-        assert form.solve([F(3), F(1)]) is None
+        assert form.solve({0: F(3)}) == {0: 3}
+        assert form.solve({0: F(3), 1: F(1)}) is None
 
     def test_pivots_are_last_nonzero_positions(self):
         form = Echelon([{0: 1, 1: 1}, {1: 1, 2: 1}])
@@ -216,5 +227,5 @@ class TestEchelon:
 
     def test_empty_span(self):
         form = Echelon([])
-        assert form.kept == [] and form.solve([F(0), F(0)]) == []
-        assert form.solve([F(1)]) is None
+        assert form.kept == [] and form.solve({}) == {}
+        assert form.solve({0: F(1)}) is None

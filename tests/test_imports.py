@@ -369,14 +369,15 @@ def test_problems_and_charts_are_made_on_one_path():
 
 # modules that read a matrix only through its row nonzeros: ``.data``
 # builds a dense copy of the whole matrix on every read
-SPARSE_READERS = {"algebras", "cecomplex", "verdicts"}
+SPARSE_READERS = {"algebras", "cecomplex", "kuranishi", "verdicts"}
 
 
 def storage_breaches(package: Path) -> list:
     """Places that name ``SparseMatrix``, call ``.dense()``, assign through
-    ``<expr>.data[...]`` or, in ``SPARSE_READERS``, read ``.data``:
-    ``exactlin.Matrix`` is the one rational matrix, and its ``data`` is a
-    fresh copy, so such a write would be lost."""
+    ``<expr>.data[...]``, read the dense ``.cocycles`` or, in
+    ``SPARSE_READERS``, read ``.data``: ``exactlin.Matrix`` is the one
+    rational matrix, and its ``data`` is a fresh copy, so such a write would
+    be lost; cochains and kernel vectors are read as their nonzeros."""
     breaches = []
     for path in sorted(package.glob("*.py")):
         for scope, node in scoped_nodes(ast.parse(path.read_text())):
@@ -384,6 +385,8 @@ def storage_breaches(package: Path) -> list:
             if (path.stem in SPARSE_READERS and isinstance(node, ast.Attribute)
                     and node.attr == "data"):
                 breaches.append(f"{where} reads .data")
+            if isinstance(node, ast.Attribute) and node.attr == "cocycles":
+                breaches.append(f"{where} reads .cocycles")
             if (reads(node, "SparseMatrix")
                     or getattr(node, "name", None) == "SparseMatrix"):
                 breaches.append(f"{where} names SparseMatrix")
@@ -405,7 +408,11 @@ def test_one_matrix_storage():
 
 def test_storage_guard_sees_a_dense_read(tmp_path):
     # the dense copy stays allowed where rows are written out or are small
-    for stem in ("cecomplex", "kuranishi"):
+    for stem in ("cecomplex", "documents", "kuranishi"):
         (tmp_path / f"{stem}.py").write_text(
             "def pull(m):\n    return m.data\n")
-    assert storage_breaches(tmp_path) == ["cecomplex.pull reads .data"]
+    (tmp_path / "cli.py").write_text(
+        "def first(d):\n    return d.cocycles.basis[0]\n")
+    assert storage_breaches(tmp_path) == ["cecomplex.pull reads .data",
+                                          "cli.first reads .cocycles",
+                                          "kuranishi.pull reads .data"]

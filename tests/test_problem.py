@@ -21,6 +21,7 @@ from liedeform.deformlab import (perturbed_bracket, recover_bracket_orbit,
 from liedeform.exactlin import Matrix
 from liedeform import kuranishi as K
 from liedeform import verdicts as V
+from helpers import flat
 
 VERDICTS = {
     "bracket": (V.bracket_rigidity, V.bracket_smoothness),
@@ -292,8 +293,8 @@ def cocycle_sum(problem):
     """The sum of the cocycle basis at the tangent degree."""
     t, report = problem.tangent_degree, problem.report
     basis = report.degree(t).cocycles.basis
-    flat = [sum(xs) for xs in zip(*basis)] or [0] * report.complex.dim_cochains(t)
-    return AltMap.from_flat(t, report.acting_dim, report.carrier_dim, flat)
+    total = [sum(xs) for xs in zip(*basis)] or [0] * report.complex.dim_cochains(t)
+    return AltMap.from_flat(t, report.acting_dim, report.carrier_dim, total)
 
 
 OBSTRUCTIONS = {"bracket": K.kuranishi_bracket, "hom": K.kuranishi_hom,
@@ -308,8 +309,8 @@ def test_obstructions_agree_on_raw_object_and_problem():
         if problem.kind == "sub":
             raw = K.Splitting(obj, obj.coords.section)
             wrapped = K.standard_splitting(problem)
-            assert (K.omega_sigma(raw, direction).flat()
-                    == K.omega_sigma(wrapped, direction).flat()), obj
+            assert (flat(K.omega_sigma(raw, direction))
+                    == flat(K.omega_sigma(wrapped, direction))), obj
         obstruction = OBSTRUCTIONS[problem.kind]
         assert (obstruction(raw, direction).to_json_dict()
                 == obstruction(wrapped, direction).to_json_dict()), obj

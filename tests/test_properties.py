@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                RepSpec, abelian, ad_rows,
+                                RepSpec, ValidationError, abelian, ad_rows,
                                 adjoint_rows, catalog_algebra, catalog_names,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
@@ -49,7 +49,8 @@ def test_rank_nullity(m):
 @given(matrix_strategy())
 def test_kernel_vectors_annihilated(m):
     for vec in kernel_basis(m).basis:
-        assert all(x == 0 for x in m.apply(list(vec)))
+        assert m.apply(dense.nonzeros(vec)) == {}
+        assert all(x == 0 for x in dense.dense_apply(m, vec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,7 +59,7 @@ def test_image_vectors_solvable(m):
     for vec in image_basis(m).basis:
         sol = solve_particular(m, list(vec))
         assert sol is not None
-        assert m.apply(sol) == list(vec)
+        assert dense.dense_apply(m, sol) == list(vec)
 
 
 sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
@@ -103,8 +104,13 @@ def test_echelon_solve_matches_solve_particular(m, data):
     x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
     b_any = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
     form = form_of(m)
-    for b in (m.apply(x), b_any):
-        assert form.solve(b) == solve_particular(m, b)
+    for b in (dense.dense_apply(m, x), b_any):
+        got, want = form.solve(dense.nonzeros(b)), dense.solve_particular(m, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert dense.dense(got, m.cols) == want == exactlin.solve_particular(m, b)
+            assert all(x and (type(x) is int or x.denominator != 1)
+                       for x in got.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -174,8 +180,10 @@ def test_matrix_matches_a_dense_reference(drawn, k, data):
     if r:
         assert Matrix.from_rows(m.data) == m
     vec = data.draw(st.lists(sparse_entries, min_size=c, max_size=c))
-    assert m.apply(vec) == [sum((x * v for x, v in zip(row, vec)), Fraction(0))
-                            for row in want]
+    applied = [sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in want]
+    got = m.apply({j: v for j, v in enumerate(vec) if v})
+    assert got == {i: x for i, x in enumerate(applied) if x}
+    assert all(type(x) is int or x.denominator != 1 for x in got.values())
     other = data.draw(entry_rows(c, k))
     product = m.mul(Matrix(c, k, other))
     assert (product.rows, product.cols) == (r, k)
@@ -200,7 +208,7 @@ def test_rref_and_solve_match_the_dense_reference(m, data):
     assert exactlin.rref(m) == dense.rref(m)
     x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
     b_any = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
-    for b in (m.apply(x), b_any):
+    for b in (dense.dense_apply(m, x), b_any):
         assert exactlin.solve_particular(m, b) == dense.solve_particular(m, b)
 
 
@@ -288,7 +296,7 @@ def bracket_strategy(n=3):
 @given(bracket_strategy())
 def test_jacobiator_quadratic_scaling(cand):
     tripled = BracketCandidate.from_altmap(cand.as_altmap().scale(3))
-    assert jacobiator(tripled).flat() == jacobiator(cand).scale(9).flat()
+    assert dense.flat(jacobiator(tripled)) == dense.flat(jacobiator(cand).scale(9))
 
 
 @settings(max_examples=15, deadline=None)
@@ -384,15 +392,22 @@ def candidates(max_dim=5):
 @given(st.one_of(candidates(), st.sampled_from(
     [catalog_algebra(name).candidate for name in catalog_names()])))
 def test_jacobiator_value_matches_the_dense_bracket(cand):
-    failing = []
+    failing, jac = [], cand.jacobiator()
     for t in combinations(range(cand.dim), 3):
-        value = cand.jacobiator_value(*t)
+        value = jac.value(t)
         assert value == dense_jacobiator(cand, *t)
         assert all(type(x) is Fraction for x in value)
         if any(value):
             failing.append(t)
-    violation = cand.jacobi_violation()
-    assert (violation and violation[0]) == (failing[0] if failing else None)
+    assert jac.is_zero() == (not failing)
+    # validation refuses at the first failing triple, with its dense value
+    if cand.antisymmetry_violation() is None and failing:
+        with pytest.raises(ValidationError) as exc:
+            validate_bracket(cand)
+        assert (exc.value.kind, exc.value.location, exc.value.defect) == (
+            "jacobi", failing[0], dense_jacobiator(cand, *failing[0]))
+    elif cand.antisymmetry_violation() is None:
+        validate_bracket(cand)
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,7 +419,8 @@ def test_bracket_and_ad_rows_match_the_dense_bracket(drawn):
     expect = dense_bracket(cand, u, v)
     assert cand.bracket(u, v) == expect
     assert all(type(x) is Fraction for x in cand.bracket(u, v))
-    assert Matrix.of_rows(cand.dim, cand.dim, ad_rows(cand, u)).apply(v) == expect
+    assert dense.dense(Matrix.of_rows(cand.dim, cand.dim, ad_rows(cand, u)).apply(
+        dense.nonzeros(v)), cand.dim) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +466,7 @@ def built_reps(check, *args):
 def test_adjoint_rows_match_the_dense_path(cand, vec):
     n, expect = cand.dim, dense.dense_adjoint_rows(cand)
     assert_same_rows(adjoint_rows(cand), expect)
-    if cand.antisymmetry_violation() is None and cand.jacobi_violation() is None:
+    if cand.antisymmetry_violation() is None and cand.jacobiator().is_zero():
         assert_same_rows(adjoint_rep(validate_bracket(cand)).rows, expect)
     # a non-Lie base, as the Jacobiator expansion check builds it
     zero = AltMap.from_flat(2, n, n, [0] * cochain_dim(n, 2, n))

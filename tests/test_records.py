@@ -35,15 +35,15 @@ def test_verdict_compares_without_its_evidence():
 
 
 def test_altmap_checks_its_length_and_hashes_by_value():
-    m = AltMap(1, 2, 1, (Fraction(1), Fraction(2)))
-    k = AltMap(degree=1, domain_dim=2, carrier_dim=1,
-               coeffs=(Fraction(1), Fraction(2)))
+    m = AltMap(1, 2, 1, {0: 1, 1: 2})
+    k = AltMap(degree=1, domain_dim=2, carrier_dim=1, nonzeros={1: 2, 0: 1})
     assert m == k and m is not k and hash(m) == hash(k)
+    assert m == AltMap.from_flat(1, 2, 1, (Fraction(1), Fraction(2)))
     assert len({m, k, AltMap.zero(1, 2, 1)}) == 2
     assert repr(m) == ("AltMap(degree=1, domain_dim=2, carrier_dim=1, "
-                       "coeffs=(Fraction(1, 1), Fraction(2, 1)))")
+                       "nonzeros={0: 1, 1: 2})")
     with pytest.raises(ValueError, match="expected 2"):
-        AltMap(1, 2, 1, (Fraction(1),))
+        AltMap.from_flat(1, 2, 1, (Fraction(1),))
 
 
 def test_lie_algebra_by_position_and_keyword():

@@ -1,22 +1,24 @@
 """Bracket candidates keep only their nonzero structure constants.  Their
-validation, homomorphism curvature and subalgebra restriction are checked
-here against a dense reference written in this file: full n x n x n
-Fraction tensors, built from the same raw entries and summed over every
-index, zero or not.  The reference (the ``ref_`` functions) uses nothing
-from the package."""
+validation, homomorphism curvature, subalgebra closure and subalgebra
+restriction are checked here against a dense reference written in this
+file: full n x n x n Fraction tensors, built from the same raw entries and
+summed over every index, zero or not.  The reference (the ``ref_``
+functions) uses nothing from the package."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import gl_algebra, sl_algebra
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                ValidationError, curvature, quotient_rep,
-                                sub_preset, sub_preset_names,
-                                subalgebra_witness, validate_bracket,
-                                validate_homomorphism)
+                                ValidationError, catalog_algebra, curvature,
+                                quotient_rep, sub_preset, sub_preset_names,
+                                subalgebra_defect, subalgebra_witness,
+                                validate_bracket, validate_homomorphism)
+from liedeform.exactlin import _subspace
 from liedeform.cecomplex import adjoint_rep, cohomology
 from liedeform.cli import run
 
@@ -110,6 +112,20 @@ def ref_restriction(c, vectors) -> list:
                     for a in range(len(w))]
             assert back == w, "the span is not closed"
             out[i][j] = coords
+    return out
+
+
+def ref_closure(c, vectors) -> list:
+    """((i, j), defect) per pair i < j of the echelon basis of the span: the
+    bracket, less its part in the span along the standard complement, read
+    at the complement positions."""
+    basis, pivots = ref_echelon(vectors)
+    complement = [q for q in range(len(c)) if q not in pivots]
+    out = []
+    for i, j in combinations(range(len(basis)), 2):
+        w = ref_bracket(c, basis[i], basis[j])
+        out.append(((i, j), [w[q] - sum((w[p] * b[q] for p, b in zip(pivots, basis)),
+                                        Fraction(0)) for q in complement]))
     return out
 
 
@@ -275,13 +291,7 @@ def assert_restricts(g_tensor, w):
 @pytest.mark.parametrize("name", sub_preset_names())
 def test_subalgebra_presets_restrict_as_the_dense_reference(name):
     w = sub_preset(name)
-    g = w.ambient
-    # the ambient tensor, read term by term into a dense reference
-    c = [[[Fraction(0)] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
-    for i, plane in enumerate(g.candidate.terms):
-        for j, col in enumerate(plane):
-            for k, x in col:
-                c[i][j][k] = Fraction(x)
+    c = ref_tensor_of(w.ambient)
     assert ref_validate(c) is None
     assert_restricts(c, w)
 
@@ -295,6 +305,80 @@ def test_closed_gl_subspaces_restrict_as_the_dense_reference(drawn):
                          name=f"gl_{n}")
     w = subalgebra_witness(g, vectors, name="closed")
     assert_restricts(c, w)
+    assert_closure_as_the_reference(g, c, vectors)
+
+
+# ---------------------------------------------------------------------------
+# subalgebra closure
+
+def ref_tensor_of(g) -> list:
+    """The ambient tensor, read term by term into a dense reference."""
+    c = [[[Fraction(0)] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
+    for i, plane in enumerate(g.candidate.terms):
+        for j, col in enumerate(plane):
+            for k, x in col:
+                c[i][j][k] = Fraction(x)
+    return c
+
+
+def assert_closure_as_the_reference(g, c, vectors):
+    """``subalgebra_defect`` is the dense closure defect, and
+    ``subalgebra_witness`` refuses at its first nonzero pair, with its kind
+    and dense defect vector, or accepts when there is none."""
+    want = ref_closure(c, vectors)
+    got = subalgebra_defect(g, _subspace(g.dim, vectors))
+    assert [(p, got.value(p)) for p, _ in want] == want
+    assert all(type(x) is Fraction for p, _ in want for x in got.value(p))
+    failing = [(p, d) for p, d in want if any(d)]
+    assert got.is_zero() == (not failing)
+    if not failing:
+        assert subalgebra_witness(g, vectors).dim == len(vectors)
+        return
+    with pytest.raises(ValidationError) as caught:
+        subalgebra_witness(g, vectors)
+    assert (caught.value.kind, caught.value.location, caught.value.defect) == (
+        "closure", *failing[0])
+
+
+AMBIENTS = {"sl2": catalog_algebra("sl2"), "sl3": sl_algebra(3),
+            "gl3": gl_algebra(3)}
+
+
+@st.composite
+def spans(draw):
+    """(ambient name, independent vectors): a line (always closed), the whole
+    algebra (closed) or a few random vectors (mostly not closed)."""
+    name = draw(st.sampled_from(sorted(AMBIENTS)))
+    n = AMBIENTS[name].dim
+    vector = st.lists(scalars, min_size=n, max_size=n)
+    size = draw(st.sampled_from([1, 2, 3, 4, n]))
+    vectors = draw(st.lists(vector, min_size=size, max_size=size))
+    if size == n and draw(st.booleans()):
+        vectors = [[int(a == b) for b in range(n)] for a in range(n)]
+    assume(len(ref_echelon(vectors)[0]) == size)
+    return name, vectors
+
+
+@settings(max_examples=120, deadline=None)
+@given(spans())
+def test_closure_refuses_as_the_dense_reference(drawn):
+    name, vectors = drawn
+    g = AMBIENTS[name]
+    assert_closure_as_the_reference(g, ref_tensor_of(g), vectors)
+
+
+@pytest.mark.parametrize("name, vectors", [
+    ("sl2", [[1, 0, 0], [0, 1, 0]]),            # the borel: closed
+    ("sl2", [[0, 1, 0], [0, 0, 1]]),            # [e, f] = h leaves it
+    ("sl2", [[1, 1, 0], [0, 0, 1]]),
+    ("sl3", [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]),  # Cartan
+    ("sl3", [[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]]),
+    ("gl3", [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0]]),
+    ("gl3", [[0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0]]),
+])
+def test_closure_of_fixed_spans_as_the_dense_reference(name, vectors):
+    g = AMBIENTS[name]
+    assert_closure_as_the_reference(g, ref_tensor_of(g), vectors)
 
 
 # ---------------------------------------------------------------------------
