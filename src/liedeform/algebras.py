@@ -220,10 +220,10 @@ def validate_bracket(candidate: BracketCandidate, basis=None,
 
 
 def ad_rows(candidate: BracketCandidate, vec) -> list:
-    """ad(vec), u -> bracket(vec, u), as ``RepSpec`` rows: row a holds
-    sum_x vec_x c_xj^a at column j, summed over the nonzero ``terms``."""
+    """ad(vec), u -> bracket(vec, u), for vec given as its (index,
+    coefficient) nonzeros, as ``RepSpec`` rows: row a holds sum_x vec_x
+    c_xj^a at column j, summed over the nonzero ``terms``."""
     terms, rows = candidate.terms, [{} for _ in range(candidate.dim)]
-    vec = _nonzeros(vec)
     for j in range(candidate.dim):
         for x, v in vec:
             for a, c in terms[x][j]:
@@ -301,7 +301,7 @@ class SubalgebraWitness:
 
 def _basis_brackets(g: LieAlgebra, qc: QuotientCoords) -> AltMap:
     """The brackets of the echelon basis pairs, with values in g."""
-    return g.candidate.pair_brackets([_nonzeros(w) for w in qc.sub_basis])
+    return g.candidate.pair_brackets(qc.sub_rows)
 
 
 def _closure_defect(g: LieAlgebra, qc: QuotientCoords) -> AltMap:
@@ -396,7 +396,8 @@ def pullback_rep(hom: Homomorphism) -> RepSpec:
     homomorphism."""
     validate_homomorphism(hom)
     h, g = hom.source, hom.target
-    rows = tuple(ad_rows(g.candidate, hom.matrix.column(j)) for j in range(h.dim))
+    rows = tuple(ad_rows(g.candidate, col.items())
+                 for col in hom.matrix.columns())
     return RepSpec("pullback", h.candidate, g.dim, rows,
                    f"{hom.name}:{h.name}->{g.name}").check_identity()
 
@@ -409,7 +410,7 @@ def quotient_rep(w: SubalgebraWitness) -> RepSpec:
     at = {j: b for b, j in enumerate(qc.complement)}
     rows = tuple([{at[j]: y for j, y in sorted(row.items()) if j in at}
                   for row in qc.projection.mul(Matrix.of_rows(n, n, ad)).row_maps]
-                 for ad in (ad_rows(g.candidate, v) for v in qc.sub_basis))
+                 for ad in (ad_rows(g.candidate, v) for v in qc.sub_rows))
     return RepSpec("quotient", w.as_subalgebra().candidate, qc.dim, rows,
                    f"{w.name}:{g.name}/sub").check_identity()
 

@@ -11,9 +11,13 @@ candidate and any square rational matrices r(u_i); it does not assume Jacobi
 or the representation identity, so the same code serves the cohomology
 complexes and the exact expansion identities of `kuranishi`, whose base
 bracket or linear map need not satisfy either.  `cohomology` refuses inputs
-whose composed differentials are nonzero.  Cochains, kernel vectors and
-H-representatives are passed as their {position: value} nonzeros, which
-the differentials and chain maps map to nonzeros (``Matrix.apply``).
+whose composed differentials are nonzero.  The differential is built from
+the nonzero rows of each action and the nonzero structure constants, and
+the d o d check sums each row of d_(k+1) d_k without keeping it
+(``Matrix.mul_is_zero``).  Cochains, kernel vectors and H-representatives
+are passed as their {position: value} nonzeros, which the differentials
+(``CEComplex.apply_d``, over the columns a cochain touches) and chain maps
+(``Matrix.apply``) map to nonzeros.
 """
 
 from __future__ import annotations
@@ -39,61 +43,78 @@ class ChainMapError(ValueError):
 
 def differential_matrix(k: int, rep: RepSpec) -> Matrix:
     """Exact matrix of the degree-k differential, built row by row as the
-    {column: value} nonzeros of its ``row_maps``; only the nonzero action
-    entries (``rep.rows``) and structure constants (``rep.acting.terms``)
-    are visited."""
+    {column: value} nonzeros of its ``row_maps``; only the nonzero rows of
+    each action (``rep.rows``) and the nonzero structure constants
+    (``rep.acting.terms``) are visited, and only the rows written to are
+    cleaned of cancelled entries."""
     n, m = rep.acting.dim, rep.carrier_dim
-    rows_subsets = subsets(n, k + 1)
     cols_pos = subset_positions(n, k)
-    terms, action = rep.acting.terms, rep.rows
-    out = [{} for _ in range(len(rows_subsets) * m)]
-    for t_pos, T in enumerate(rows_subsets):
-        row_base = t_pos * m
+    terms = rep.acting.terms
+    # the (b, a, r_ba) nonzero entries of each action
+    action = [[(b, a, v) for b, row in enumerate(rows) for a, v in row.items()]
+              for rows in rep.rows]
+    out = [{} for _ in range(cochain_dim(n, k + 1, m))]
+    for t_pos, T in enumerate(subsets(n, k + 1)):
+        block = out[t_pos * m:(t_pos + 1) * m]
         # action terms
         for i, ui in enumerate(T):
-            S = T[:i] + T[i + 1:]
-            col_base = cols_pos[S] * m
+            if not action[ui]:
+                continue
             sign = -1 if i % 2 else 1
-            for b, rb in enumerate(action[ui]):
-                orow = out[row_base + b]
-                for a, v in rb.items():
-                    orow[col_base + a] = orow.get(col_base + a, 0) + sign * v
+            col_base = cols_pos[T[:i] + T[i + 1:]] * m
+            for b, a, v in action[ui]:
+                orow = block[b]
+                orow[col_base + a] = orow.get(col_base + a, 0) + sign * v
         # bracket-insertion terms
         for i in range(k + 1):
+            plane = terms[T[i]]
             for j in range(i + 1, k + 1):
+                pair = plane[T[j]]
+                if not pair:
+                    continue
                 sign_ij = -1 if (i + j) % 2 else 1
                 rest = T[:i] + T[i + 1:j] + T[j + 1:]
-                for l, coeff in terms[T[i]][T[j]]:
+                for l, coeff in pair:
                     eps, merged = insertion_sign(l, rest)
                     if eps == 0:
                         continue
                     col_base = cols_pos[merged] * m
                     factor = sign_ij * eps * coeff
-                    for b in range(m):
-                        orow = out[row_base + b]
-                        orow[col_base + b] = orow.get(col_base + b, 0) + factor
-    rows = [{j: _exact(x) for j, x in row.items() if x} for row in out]
-    return Matrix.of_rows(len(rows), cochain_dim(n, k, m), rows)
+                    for c, orow in enumerate(block, col_base):
+                        orow[c] = orow.get(c, 0) + factor
+    for r, row in enumerate(out):
+        # a row written to is clean when it holds only nonzero ints
+        if row and (0 in row.values() or set(map(type, row.values())) != {int}):
+            out[r] = {j: _exact(x) for j, x in row.items() if x}
+    return Matrix.of_rows(len(out), cochain_dim(n, k, m), out)
 
 
 class CEComplex:
     """Caches each exact differential d_k of a coefficient system, its rank
-    and, for the readers of bases, its echelon form."""
+    and, for the readers of bases and the products ``apply_d``, its columns
+    and echelon form."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d, self._forms, self._ranks, self._degrees = {}, {}, {}, {}
+        self._d, self._cols, self._forms = {}, {}, {}
+        self._ranks, self._degrees = {}, {}
 
     def d(self, k: int) -> Matrix:
         if k not in self._d:
             self._d[k] = differential_matrix(k, self.rep)
         return self._d[k]
 
+    def columns(self, k: int) -> list:
+        """The {row: value} nonzeros of each column of d_k."""
+        if k not in self._cols:
+            self._cols[k] = self.d(k).columns()
+        return self._cols[k]
+
     def form(self, k: int) -> Echelon:
         if k not in self._forms:
-            self._forms[k] = Echelon(self.d(k).columns())
+            self._forms[k] = Echelon(self.columns(k))
         return self._forms[k]
 
     @cached_property
@@ -142,15 +163,20 @@ class CEComplex:
     def d_squared_defect(self):
         """First degree k with d_{k+1} d_k != 0, or None."""
         for k in range(self.n):
-            if not self.d(k + 1).mul(self.d(k)).is_zero():
+            if not self.d(k + 1).mul_is_zero(self.d(k)):
                 return k
         return None
 
     def apply_d(self, m: AltMap) -> AltMap:
+        """d m, summed over the columns of d_k at the nonzeros of m only."""
         if m.domain_dim != self.n or m.carrier_dim != self.carrier_dim:
             raise ValueError("cochain does not fit this complex")
+        cols, acc = self.columns(m.degree), {}
+        for j, x in m.nonzeros.items():
+            for i, y in cols[j].items():
+                acc[i] = acc.get(i, 0) + y * x
         return AltMap(m.degree + 1, self.n, self.carrier_dim,
-                      self.d(m.degree).apply(m.nonzeros))
+                      {i: _exact(acc[i]) for i in sorted(acc) if acc[i]})
 
 
 class DegreeData:
@@ -474,7 +500,7 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
     explicit membership certificate image(in) inside kernel(out).  Each map
     is reduced once; its rank is its pivot count."""
     dim_node = outgoing.cols
-    composed_zero = outgoing.mul(incoming).is_zero()
+    composed_zero = outgoing.mul_is_zero(incoming)
     e_in = RankForm(incoming.row_maps)
     e_out = Echelon(outgoing.columns())
     r_in, r_out = len(e_in.kept), len(e_out.kept)

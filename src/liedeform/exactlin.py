@@ -13,6 +13,9 @@ so elimination does no ``Fraction`` arithmetic.  Everything in this module
 is exact: ranks, kernels, solves and quotient coordinates involve no
 tolerances, and ranks computed here agree with ranks over the reals.
 
+``Matrix.mul_is_zero`` says whether a product is zero without building it:
+each product row is summed in one accumulator and dropped.
+
 Conventions: matrices act on column vectors, and ``Matrix.apply`` and
 ``Echelon.solve`` take and give a vector as its {position: value} nonzeros;
 the public ``solve_particular`` takes and gives plain lists of Fractions.
@@ -156,8 +159,25 @@ class Matrix:
             for k, a in row.items():
                 for j, b in other.row_maps[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append({j: _exact(x) for j, x in acc.items() if x})
+            out.append({j: _exact(x) for j, x in acc.items() if x} if acc
+                       else acc)
         return Matrix.of_rows(self.rows, other.cols, out)
+
+    def mul_is_zero(self, other: "Matrix") -> bool:
+        """Whether ``self.mul(other)`` is zero: each product row is summed
+        in one accumulator and not kept, and the first nonzero row ends the
+        check."""
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        acc, rows = {}, other.row_maps
+        for row in self.row_maps:
+            for k, a in row.items():
+                for j, b in rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                return False
+            acc.clear()
+        return True
 
     def apply(self, vec: dict) -> dict:
         """The {row: value} nonzeros of this matrix times the vector with the
@@ -404,17 +424,17 @@ def invert(m: Matrix) -> Matrix:
 def reduced_basis(sub: Subspace):
     """Basis of ``sub`` in reduced (column) echelon form, with pivot positions.
 
-    Returned as (rows, pivots): ``rows[t]`` is the t-th basis vector and
-    ``rows[t][pivots[s]] == delta(t, s)``.
+    Returned as (rows, pivots): ``rows[t]`` holds the {position: value}
+    nonzeros of the t-th basis vector, ints where integral, 1 at
+    ``pivots[t]`` and zero at the other pivots.
     """
     if sub.dim == 0:
         return [], []
     m = Matrix.from_rows([list(v) for v in sub.basis])
     r, pivots = rref(m)
-    rows = r.data[:len(pivots)]
     if len(pivots) != sub.dim:
         raise ValueError("subspace basis is linearly dependent")
-    return rows, pivots
+    return r.row_maps[:len(pivots)], pivots
 
 
 @record
@@ -423,13 +443,15 @@ class QuotientCoords:
 
     ``projection`` maps the ambient space onto the quotient coordinates (its
     kernel is exactly the subspace); ``section`` is the right inverse picking
-    the standard basis vectors at the non-pivot positions; ``sub_basis`` is
-    the subspace basis in reduced echelon form with ``pivots`` the pivot
-    positions and ``complement`` the remaining positions.
+    the standard basis vectors at the non-pivot positions; ``sub_rows``
+    holds the (position, value) nonzeros of each vector of the subspace
+    basis in reduced echelon form, ints where integral, with ``pivots`` the
+    pivot positions and ``complement`` the remaining positions.
+    ``sub_basis`` is that basis as dense Fraction tuples, built on each read.
     """
 
     ambient_dim: int
-    sub_basis: tuple
+    sub_rows: tuple
     pivots: tuple
     complement: tuple
     projection: Matrix
@@ -438,6 +460,11 @@ class QuotientCoords:
     @property
     def dim(self) -> int:
         return len(self.complement)
+
+    @property
+    def sub_basis(self) -> tuple:
+        return tuple(tuple(_dense(dict(r), self.ambient_dim))
+                     for r in self.sub_rows)
 
     @property
     def sub_coords(self) -> Matrix:
@@ -463,14 +490,14 @@ def quotient_coords(sub: Subspace) -> QuotientCoords:
     pivot_set = set(pivots)
     complement = [j for j in range(n) if j not in pivot_set]
     proj = Matrix.of_rows(len(complement), n, [
-        {q: 1, **{p: _exact(-rows[t][q]) for t, p in enumerate(pivots)
-                  if rows[t][q]}} for q in complement])
+        {q: 1, **{p: -rows[t][q] for t, p in enumerate(pivots) if q in rows[t]}}
+        for q in complement])
     at = {q: r_i for r_i, q in enumerate(complement)}
     sect = Matrix.of_rows(n, len(complement),
                           [{at[i]: 1} if i in at else {} for i in range(n)])
     return QuotientCoords(
         ambient_dim=n,
-        sub_basis=tuple(tuple(r) for r in rows),
+        sub_rows=tuple(tuple(sorted(r.items())) for r in rows),
         pivots=tuple(pivots),
         complement=tuple(complement),
         projection=proj,

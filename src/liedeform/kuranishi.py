@@ -150,7 +150,8 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
         curvature(Homomorphism(h, g, rho.matrix.add_scaled(xi_matrix, t)))
         for t in ts], ts)
 
-    rows = tuple(ad_rows(g.candidate, rho.matrix.column(j)) for j in range(kh))
+    rows = tuple(ad_rows(g.candidate, col.items())
+                 for col in rho.matrix.columns())
     d1 = differential_matrix(1, RepSpec("pullback", h.candidate, ng, rows))
     expected = [
         ("t^0: K(rho)", curvature(rho)),

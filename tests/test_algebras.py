@@ -85,12 +85,12 @@ def action(rep, k) -> Matrix:
 class TestAdjoint:
     def test_sl2_ad_h_is_diagonal(self):
         g = catalog_algebra("sl2")
-        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, [1, 0, 0]))
+        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, ((0, 1),)))
         assert m.data == [[0, 0, 0], [0, 2, 0], [0, 0, -2]]
 
     def test_heis3_ad_p_sends_q_to_z(self):
         g = catalog_algebra("heis3")
-        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, [1, 0, 0]))
+        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, ((0, 1),)))
         assert m.column(1) == [Fraction(0), Fraction(0), Fraction(1)]
         assert m.column(0) == [Fraction(0)] * 3
         assert m.column(2) == [Fraction(0)] * 3

@@ -204,7 +204,7 @@ class TestHomObstruction:
         # inner direction: u -> [x, u] with x = e is a pullback 1-cocycle
         g = catalog_algebra("sl2")
         from liedeform.algebras import ad_rows
-        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, [0, 1, 0]))
+        m = Matrix.of_rows(3, 3, ad_rows(g.candidate, ((1, 1),)))
         return matrix_as_one_cochain(m)
 
     def test_id_sl2_class_exact(self):

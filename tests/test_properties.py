@@ -419,8 +419,9 @@ def test_bracket_and_ad_rows_match_the_dense_bracket(drawn):
     expect = dense_bracket(cand, u, v)
     assert cand.bracket(u, v) == expect
     assert all(type(x) is Fraction for x in cand.bracket(u, v))
-    assert dense.dense(Matrix.of_rows(cand.dim, cand.dim, ad_rows(cand, u)).apply(
-        dense.nonzeros(v)), cand.dim) == expect
+    ad_u = Matrix.of_rows(cand.dim, cand.dim,
+                          ad_rows(cand, dense.nonzeros(u).items()))
+    assert dense.dense(ad_u.apply(dense.nonzeros(v)), cand.dim) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +474,9 @@ def test_adjoint_rows_match_the_dense_path(cand, vec):
     (rep,) = built_reps(jacobiator_expansion_check, cand, zero, zero)
     assert_same_rows(rep.rows, expect)
     u = vec[:n]
-    assert_same_rows((ad_rows(cand, u),),
-                     dense.dense_rows([dense.dense_ad_matrix(cand, u)]))
-    assert Matrix.of_rows(n, n, ad_rows(cand, u)) == dense.dense_ad_matrix(cand, u)
+    ad_u = ad_rows(cand, dense.nonzeros(u).items())
+    assert_same_rows((ad_u,), dense.dense_rows([dense.dense_ad_matrix(cand, u)]))
+    assert Matrix.of_rows(n, n, ad_u) == dense.dense_ad_matrix(cand, u)
 
 
 @settings(max_examples=40, deadline=None)

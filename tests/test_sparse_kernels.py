@@ -1,0 +1,284 @@
+"""The exact report kernels on their nonzeros: the differential build against
+the independent oracle, the d o d check and the composed-zero test of the
+long exact sequence against the product they no longer build, ``apply_d``
+against the row product, and the coefficient-system builders without dense
+vectors."""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liedeform.algebras import (BracketCandidate, RepSpec,
+                                adjoint_rep, catalog_algebra, catalog_names,
+                                hom_preset, hom_preset_names, pullback_rep,
+                                quotient_rep, sub_preset, sub_preset_names)
+from liedeform.cecomplex import (CEComplex, CohomologyUndefinedError,
+                                 _exact_at, cohomology, differential_matrix)
+from liedeform.cli import run
+from liedeform.cochains import AltMap, cochain_dim
+from liedeform.exactlin import Echelon, Matrix, QuotientCoords, _exact
+from liedeform.kuranishi import curvature_expansion_check
+from elimination_oracle import differential_entries
+import test_cecomplex
+
+values = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _rep(n, m, pair_vectors, action):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cand = BracketCandidate.from_entries(n, dict(zip(pairs, pair_vectors)))
+    rows = tuple([{a: _exact(Fraction(x)) for a, x in enumerate(row) if x}
+                  for row in r] for r in action)
+    return RepSpec("test", cand, m, rows)
+
+
+@st.composite
+def rep_specs(draw):
+    """Coefficient systems with n <= 4 and m <= 3 whose int and Fraction
+    structure constants and action rows need not satisfy Jacobi or the
+    representation identity; returned with the dense action[i][b][a]."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    vec = st.lists(values, min_size=n, max_size=n)
+    pair_vectors = draw(st.lists(vec, min_size=n * (n - 1) // 2,
+                                 max_size=n * (n - 1) // 2))
+    row = st.lists(values, min_size=m, max_size=m)
+    action = draw(st.lists(st.lists(row, min_size=m, max_size=m),
+                           min_size=n, max_size=n))
+    return _rep(n, m, pair_vectors, action), action
+
+
+def assert_matches_oracle(rep, action):
+    n, m = rep.acting.dim, rep.carrier_dim
+    for k in range(n + 1):
+        d = differential_matrix(k, rep)
+        expect = differential_entries(k, n, m, rep.acting.c, action)
+        assert (d.rows, d.cols) == (len(expect), cochain_dim(n, k, m))
+        assert d.data == expect
+        for row in d.row_maps:
+            for x in row.values():
+                assert x != 0
+                assert type(x) is int or x.denominator != 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep_specs())
+def test_differential_matches_the_oracle(drawn):
+    assert_matches_oracle(*drawn)
+
+
+def test_fractions_summing_to_an_integer_are_stored_as_an_int():
+    # d_1 at (e0 ^ e1, e1): r(e0) = 3/2 less the bracket [e0, e1] = 1/2 e1
+    rep = _rep(2, 1, [[0, Fraction(1, 2)]], [[[Fraction(3, 2)]], [[0]]])
+    assert_matches_oracle(rep, [[[Fraction(3, 2)]], [[0]]])
+    assert differential_matrix(1, rep).row_maps == [{1: 1}]
+    assert type(differential_matrix(1, rep).row_maps[0][1]) is int
+
+
+def test_entries_that_cancel_are_not_stored():
+    # the same entry with r(e0) = 1/2 cancels exactly; so do ints
+    for a, c in ((Fraction(1, 2), Fraction(1, 2)), (2, 2)):
+        rep = _rep(2, 1, [[0, c]], [[[a]], [[1]]])
+        assert_matches_oracle(rep, [[[a]], [[1]]])
+        assert differential_matrix(1, rep).row_maps == [{0: -1}]
+
+
+def _catalog_reps():
+    return ([adjoint_rep(catalog_algebra(n)) for n in catalog_names()]
+            + [pullback_rep(hom_preset(n)) for n in hom_preset_names()]
+            + [quotient_rep(sub_preset(n)) for n in sub_preset_names()])
+
+
+def test_catalog_differentials_match_the_oracle():
+    for rep in _catalog_reps():
+        action = [Matrix.of_rows(rep.carrier_dim, rep.carrier_dim, r).data
+                  for r in rep.rows]
+        assert_matches_oracle(rep, action)
+
+
+# ---------------------------------------------------------------------------
+# whether a product is zero, without the product
+
+sparse = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(sparse, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: Matrix(rows, cols, data))
+
+
+@st.composite
+def products(draw):
+    """(A, B) with A B defined: B random, or the null vectors of A (so that
+    A B = 0), perhaps with one column changed."""
+    r, s = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    a = draw(_matrix(r, s))
+    if draw(st.booleans()):
+        return a, draw(_matrix(s, draw(st.integers(0, 4))))
+    null = Echelon(a.columns()).kernel()
+    if null and draw(st.booleans()):
+        null[-1] = {**null[-1], draw(st.integers(0, s - 1)): 1}
+    rows = [{t: v[i] for t, v in enumerate(null) if v.get(i)}
+            for i in range(s)]
+    return a, Matrix.of_rows(s, len(null), [
+        {t: _exact(Fraction(x)) for t, x in row.items()} for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+def test_mul_is_zero_agrees_with_the_product(ab):
+    a, b = ab
+    assert a.mul_is_zero(b) == a.mul(b).is_zero()
+
+
+def test_mul_is_zero_reads_the_last_row():
+    a = Matrix.from_rows([[1, -1], [2, -2], [0, 1]])
+    b = Matrix.from_rows([[1, 0], [1, 0]])
+    assert a.mul(b).row_maps == [{}, {}, {0: 1}]
+    assert not a.mul_is_zero(b)
+    assert Matrix.from_rows([[1, -1], [2, -2]]).mul_is_zero(b)
+
+
+def test_mul_is_zero_sees_exact_cancellation():
+    a = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])
+    b = Matrix.from_rows([[Fraction(2, 3)], [-1]])
+    assert a.mul(b).row_maps == [{}, {}]
+    assert a.mul_is_zero(b)
+
+
+def test_mul_is_zero_checks_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.zeros(2, 3).mul_is_zero(Matrix.zeros(2, 3))
+
+
+def test_the_dd_check_and_the_les_build_no_product():
+    def refuse(*_):
+        raise AssertionError("Matrix.mul called")
+
+    reps = _catalog_reps()
+    with mock.patch.object(Matrix, "mul", refuse):
+        for rep in reps:
+            assert CEComplex(rep).d_squared_defect() is None
+        assert _exact_at("n", 0, Matrix.from_rows([[1], [-1]]),
+                         Matrix.from_rows([[1, 1]])).exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_specs())
+def test_dd_defect_names_the_first_nonzero_composite(drawn):
+    cx = CEComplex(drawn[0])
+    first = next((k for k in range(cx.n)
+                  if not cx.d(k + 1).mul(cx.d(k)).is_zero()), None)
+    assert cx.d_squared_defect() == first
+
+
+def test_refusal_names_the_first_bad_degree():
+    bad = test_cecomplex.TestRefusal().bad_rep()
+    # the same bracket on the trivial module: d_1 d_0 = 0, d_2 d_1 != 0
+    trivial = RepSpec("trivial", bad.acting, 1, ([{}], [{}], [{}]))
+    for rep, k in ((bad, 0), (trivial, 1)):
+        with pytest.raises(CohomologyUndefinedError) as exc:
+            cohomology(rep)
+        assert str(exc.value) == (f"d o d is nonzero at degree {k}; "
+                                  "cohomology undefined")
+
+
+def test_composed_zero_of_the_les():
+    twice = Matrix.from_rows([[1], [1]])
+    assert not _exact_at("n", 0, twice, Matrix.from_rows([[1, 0]])).exact
+    assert _exact_at("n", 0, twice, Matrix.from_rows([[1, -1]])).exact
+
+
+LES = {
+    "borel-in-sl2": """\
+long exact sequence through degree 2 for 'borel-in-sl2':
+  H^0(h,h): dimH=0 rank_in=0 rank_out=0 exact
+  H^0(h,g): dimH=0 rank_in=0 rank_out=0 exact
+  H^0(h,g/h): dimH=0 rank_in=0 rank_out=0 exact
+  H^1(h,h): dimH=0 rank_in=0 rank_out=0 exact
+  H^1(h,g): dimH=0 rank_in=0 rank_out=0 exact
+  H^1(h,g/h): dimH=0 rank_in=0 rank_out=0 exact
+  H^2(h,h): dimH=0 rank_in=0 rank_out=0 exact
+  H^2(h,g): dimH=0 rank_in=0 rank_out=0 exact
+  H^2(h,g/h): dimH=0 rank_in=0 rank_out=0 exact
+all interior nodes exact
+""",
+    "center-in-heis3": """\
+long exact sequence through degree 2 for 'center-in-heis3':
+  H^0(h,h): dimH=1 rank_in=0 rank_out=1 exact
+  H^0(h,g): dimH=3 rank_in=1 rank_out=2 exact
+  H^0(h,g/h): dimH=2 rank_in=2 rank_out=0 exact
+  H^1(h,h): dimH=1 rank_in=0 rank_out=1 exact
+  H^1(h,g): dimH=3 rank_in=1 rank_out=2 exact
+  H^1(h,g/h): dimH=2 rank_in=2 rank_out=0 exact
+all interior nodes exact
+""",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(LES))
+def test_les_output_of_the_presets(sub, capsys):
+    assert run(["les", "--sub", sub]) == 0
+    assert capsys.readouterr().out == LES[sub]
+
+
+# ---------------------------------------------------------------------------
+# apply_d over the columns its cochain touches
+
+def test_apply_d_matches_the_row_product():
+    for rep in _catalog_reps():
+        cx = CEComplex(rep)
+        for k in range(cx.n + 1):
+            dim = cx.dim_cochains(k)
+            for start in range(0, dim, 3):
+                vec = {j: (-1) ** j * Fraction(j + 1, 2)
+                       for j in range(start, min(dim, start + 4))}
+                out = cx.apply_d(AltMap.of(k, cx.n, cx.carrier_dim, vec))
+                expect = cx.d(k).apply(vec)
+                assert out.nonzeros == expect
+                assert list(out.nonzeros) == sorted(expect)
+                assert all(type(x) is int or x.denominator != 1
+                           for x in out.nonzeros.values())
+
+
+def test_apply_d_keeps_one_column_view_per_degree():
+    cx = CEComplex(adjoint_rep(catalog_algebra("sl2")))
+    with mock.patch.object(Matrix, "columns", wraps=cx.d(1).columns) as spy:
+        for j in range(9):
+            cx.apply_d(AltMap.of(1, 3, 3, {j: 1}))
+        cx.form(1)
+    assert spy.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# coefficient systems from nonzeros
+
+def test_coefficient_systems_read_no_dense_vector():
+    def refuse(*_):
+        raise AssertionError("dense read")
+
+    expect = [pullback_rep(hom_preset(n)).rows for n in hom_preset_names()]
+    expect += [quotient_rep(sub_preset(n)).rows for n in sub_preset_names()]
+    homs = [hom_preset(n) for n in hom_preset_names()]
+    subs = [sub_preset(n) for n in sub_preset_names()]
+    with mock.patch.object(Matrix, "column", refuse), \
+            mock.patch.object(QuotientCoords, "sub_basis",
+                              property(refuse)):
+        got = [pullback_rep(h).rows for h in homs]
+        got += [quotient_rep(w).rows for w in subs]
+        for h in homs:
+            assert curvature_expansion_check(h, h.matrix).ok
+    assert got == expect
+
+
+def test_quotient_coords_keep_the_echelon_basis_nonzeros():
+    w = sub_preset("borel-in-sl2")
+    assert w.coords.sub_rows == (((0, 1),), ((1, 1),))
+    assert w.coords.sub_basis == ((1, 0, 0), (0, 1, 0))
+    assert all(type(x) is Fraction for v in w.coords.sub_basis for x in v)
+    assert [w.basis_vector(t) for t in range(2)] == [[1, 0, 0], [0, 1, 0]]
