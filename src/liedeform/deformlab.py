@@ -11,10 +11,12 @@ numerical Jacobian only on stall.
 
 Each problem kind has one float chart (``_CHARTS``): its acting bracket and
 base point, flat chart coordinates, structure map, group action and orbit
-linearization, kept in its problem, so one per object.  One recovery
-skeleton and one continuation skeleton run on any chart, and the
-finite-difference checks read the chart too.  The bracket chart's orbit
-residual is one array kernel from (A, c) to flat pair coordinates
+linearization, kept in its problem, so one per object.  Its maps take one
+value or a stack of values (leading axes), so one Newton loop
+(``_chord_newton``) runs the seeds of a call in lockstep: one residual call
+per round on every running seed, each seed keeping its own iterate,
+residual, iteration count and chord.  The bracket chart's orbit residual
+is one array kernel from (A, c) to flat pair coordinates
 (``_acted_pairs``), so Newton builds no FloatBracket per iterate.
 
 NumPy is imported with the module; SciPy (``expm`` for every group chart,
@@ -61,14 +63,26 @@ def _sup(arr) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _row_sup(r: np.ndarray) -> np.ndarray:
+    """``_sup`` of each row (last axis) of a stack."""
+    return np.abs(r).max(axis=-1, initial=0.0)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """``x`` with its last two axes read as one, in C order (not for an
+    empty stack)."""
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
 def float_matrix(m) -> np.ndarray:
     """An exact matrix as a float array."""
     return np.array(m.to_float_rows(), dtype=float).reshape(m.rows, m.cols)
 
 
 def ad_float(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix of u -> bracket(x, u) for a float structure tensor."""
-    return np.einsum("i,ijk->kj", x, c)
+    """Matrix of u -> bracket(x, u) for a float structure tensor; x may be
+    a stack of vectors."""
+    return np.einsum("...i,ijk->...kj", x, c)
 
 
 def _bracket_eval(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -84,10 +98,15 @@ def _subset_index(n: int, k: int) -> tuple:
 
 
 def jacobiator_flat(c: np.ndarray) -> np.ndarray:
-    """Jacobi defects on basis triples i<j<k, flattened in subset order."""
-    i, j, k = _subset_index(c.shape[0], 3)
-    t = np.tensordot(c, c, (2, 0))  # t[i, j, k] = [[e_i, e_j], e_k]
-    return (t[i, j, k] + t[j, k, i] + t[k, i, j]).ravel()
+    """Jacobi defects on basis triples i<j<k, flattened in subset order, of
+    one structure tensor or a stack of them."""
+    n, lead = c.shape[-1], c.shape[:-3]
+    i, j, k = _subset_index(n, 3)
+    # t[..., i, j, k, :] = [[e_i, e_j], e_k], the product tensordot(c, c,
+    # (2, 0)) makes
+    t = (c.reshape(lead + (n * n, n)) @ c.reshape(lead + (n, n * n))
+         ).reshape(lead + (n,) * 4)
+    return _flat(t[..., i, j, k, :] + t[..., j, k, i, :] + t[..., k, i, j, :])
 
 
 @record
@@ -115,25 +134,49 @@ class FloatBracket:
                     c[i, j, k] = float(x)
         return cls(g.dim, c)
 
-    def bracket(self, x, y) -> np.ndarray:
-        return _bracket_eval(self.c, np.asarray(x, float), np.asarray(y, float))
+
+def _regular(x: np.ndarray, tol: float) -> tuple:
+    """(x with each matrix that is not finite, or whose |det| < tol, made the
+    identity; which were finite; which of those were singular)."""
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    x = np.where(finite[..., None, None], x, np.eye(x.shape[-1]))
+    singular = abs(np.linalg.det(x)) < tol
+    x = np.where(singular[..., None, None], np.eye(x.shape[-1]), x)
+    return x, finite, singular
 
 
 def _acted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A c(A^-1 u, A^-1 v); LinAlgError for a non-finite or singular A."""
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("matrix acting on the bracket is not finite")
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise np.linalg.LinAlgError("matrix acting on the bracket is singular")
-    ainv, n = np.linalg.inv(a), len(a)
+    """A c(A^-1 u, A^-1 v) for one matrix A or a stack of them.  A
+    non-finite or singular A is refused: one matrix raises LinAlgError, and
+    a refused matrix of a stack gives a NaN tensor."""
+    n, refused = c.shape[-1], None
+    # the common case, every matrix finite and regular, read in Python floats
+    if not (np.isfinite(a).all() and min(
+            map(abs, np.linalg.det(a).reshape(-1).tolist())) >= 1e-12):
+        a, finite, singular = _regular(a, 1e-12)
+        if a.ndim == 2:
+            raise np.linalg.LinAlgError(
+                "matrix acting on the bracket is "
+                + ("singular" if finite else "not finite"))
+        refused = ~finite | singular
+    ainv_t, lead = np.linalg.inv(a).swapaxes(-1, -2), a.shape[:-2]
     # the product tensordot(ainv, ainv.T @ c, (0, 0)) makes, without its wrapper
-    return np.dot(ainv.T, (ainv.T @ c).reshape(n, n * n)).reshape(n, n, n) @ a.T
+    m = (ainv_t[..., None, :, :] @ c).reshape(lead + (n, n * n))
+    t = ((ainv_t @ m).reshape(lead + (n, n, n))
+         @ a.swapaxes(-1, -2)[..., None, :, :])
+    if refused is not None:
+        t[refused] = np.nan
+    return t
 
 
 def _acted_pairs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Flat pair coordinates of A . c (the orbit kernel), no record built."""
+    """Flat pair coordinates of A . c (the orbit kernel), no record built,
+    for one matrix or a stack (refused as ``_acted`` refuses): the blocks
+    (t[i, j] - t[j, i]) / 2 of the acted tensor t, read by flat position."""
     t = _acted(a, c)
-    return _pairs_flat((t - t.transpose(1, 0, 2)) / 2.0)
+    t = t.reshape(t.shape[:-3] + (-1,))
+    ij, ji = _pair_cells(c.shape[-1])
+    return (t.take(ij, axis=-1) - t.take(ji, axis=-1)) / 2.0
 
 
 def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
@@ -155,60 +198,83 @@ INPUT_DEFECT_TOL = 1e-8
 
 
 def numeric_jacobian(fn, u: np.ndarray) -> np.ndarray:
-    """Central differences, 2 u.size evaluations of ``fn``: the first
-    difference gives the residual's size."""
-    jac = np.zeros((0, u.size))
-    for j in range(u.size):
-        step = np.zeros_like(u)
-        step[j] = JACOBIAN_STEP
-        column = ((np.asarray(fn(u + step)) - np.asarray(fn(u - step)))
-                  / (2 * JACOBIAN_STEP))
-        if not j:
-            jac = np.zeros((column.size, u.size))
-        jac[:, j] = column
-    return jac
+    """Central differences of ``fn``, which maps a stack of points (rows) to
+    a stack of residuals: the 2 u.size points u + h e_j and u - h e_j, for
+    ascending j, are evaluated in one call."""
+    step = np.diag(np.full(u.size, JACOBIAN_STEP))
+    points = np.stack([u + step, u - step], axis=1).reshape(2 * u.size, u.size)
+    r = np.asarray(fn(points), dtype=float)
+    return ((r[0::2] - r[1::2]) / (2 * JACOBIAN_STEP)).T
+
+
+def _seed_index(seeds: np.ndarray):
+    """``seeds`` as a slice, which reads without a copy, when consecutive."""
+    if seeds.size and seeds[-1] - seeds[0] + 1 == seeds.size:
+        return slice(seeds[0], seeds[-1] + 1)
+    return seeds
 
 
 # a diverging iterate may overflow; the checks below read its result
 @np.errstate(over="ignore", invalid="ignore")
-def _chord_newton(residual_fn, u0: np.ndarray, pinv: np.ndarray, cfg: NewtonConfig):
-    """Chord Newton with a fixed pseudoinverse, refreshed on stall.
+def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
+                  cfg: NewtonConfig) -> tuple:
+    """Chord Newton on the seeds (rows) of ``u0`` in lockstep, each with a
+    fixed pseudoinverse (``chord``: one for all, or one per seed), refreshed
+    on stall.  ``residual(u, seeds)`` evaluates in one call the rows of
+    ``u``, iterates of the seeds ``seeds`` picks (a slice, an index array,
+    or one seed, an int, for every row); a row outside the chart of the
+    residual comes back non-finite.
 
-    Returns (u, residual, iterations, converged).  Non-convergence is a
-    result, not an exception: an iterate that diverges past floating-point
-    range or leaves the chart of the residual ends the iteration, and the
-    last finite iterate is returned with converged=False.  A refresh
-    replaces the chord of this call only, never the caller's ``pinv``.
+    Returns (u, residual, iterations, converged), one entry per seed, each
+    where a lone run of that seed ends.  Non-convergence is a result, not an
+    exception: a step with a non-finite residual ends its seed at the last
+    finite iterate.  A refresh replaces its own seed's chord only.
     """
     u = np.array(u0, dtype=float)
-    r = np.asarray(residual_fn(u), float)
-    res = _sup(r)
-    if res <= cfg.tol:
-        return u, res, 0, True
-    iters = 0
-    while iters < cfg.max_iter:
-        step = u - cfg.damping * (pinv @ r)
-        iters += 1
-        try:
-            r_step = np.asarray(residual_fn(step), float)
-        except (ChartError, np.linalg.LinAlgError):
-            return u, res, iters, False
-        new_res = _sup(r_step)
-        if not np.isfinite(new_res):
-            return u, res, iters, False
-        u, r = step, r_step
-        if new_res <= cfg.tol:
-            return u, new_res, iters, True
-        if new_res > STALL_RATIO * res:
-            try:
-                refreshed = numeric_jacobian(residual_fn, u)
-            except (ChartError, np.linalg.LinAlgError):
-                return u, new_res, iters, False
+    r = residual(u, slice(None))
+    res = _row_sup(r)
+    iters = np.zeros(len(u), dtype=int)
+    converged = res <= cfg.tol
+    # the running seeds, and their iterates, residuals, sups and chords
+    seeds = np.flatnonzero(~converged)
+    x, rx, rs, p = u[seeds], r[seeds], res[seeds], np.asarray(chord)
+    if p.ndim == 3:
+        p = p[seeds]
+    rounds, at = 0, _seed_index(seeds)
+    while seeds.size:
+        step = x - cfg.damping * np.matmul(p, rx[..., None])[..., 0]
+        rounds += 1
+        r_step = residual(step, at)
+        new_res = _row_sup(r_step)
+        # Python floats: cheaper than NumPy calls on a few seeds
+        if rounds < cfg.max_iter and all(
+                cfg.tol < v <= STALL_RATIO * w
+                for v, w in zip(new_res.tolist(), rs.tolist())):
+            x, rx, rs = step, r_step, new_res  # no seed ends or stalls
+            continue
+        moved = np.isfinite(new_res)
+        done = ~moved | (new_res <= cfg.tol)
+        for i in np.flatnonzero(~done & (new_res > STALL_RATIO * rs)):
+            refreshed = numeric_jacobian(
+                lambda v, seed=seeds[i]: residual(v, seed), step[i])
             if not np.all(np.isfinite(refreshed)):
-                return u, new_res, iters, False
-            pinv = np.linalg.pinv(refreshed)
-        res = new_res
-    return u, res, iters, False
+                done[i] = True
+                continue
+            if p.ndim == 2:
+                p = np.repeat(p[None], len(seeds), axis=0)
+            p[i] = np.linalg.pinv(refreshed)
+        x[moved], rx[moved] = step[moved], r_step[moved]
+        rs[moved] = new_res[moved]
+        done |= rounds == cfg.max_iter
+        ended = seeds[done]
+        u[ended], res[ended], iters[ended] = x[done], rs[done], rounds
+        converged[ended] = new_res[done] <= cfg.tol
+        going = ~done
+        seeds, x, rx, rs = seeds[going], x[going], rx[going], rs[going]
+        if p.ndim == 3:
+            p = p[going]
+        at = _seed_index(seeds)
+    return u, res, iters, converged
 
 
 def _json_record(record: dict) -> dict:
@@ -264,23 +330,37 @@ class ContinuationResult:
             **self.diagnostics})
 
 
+@cache
+def _pair_cells(n: int) -> tuple:
+    """Flat positions in an n x n x n tensor of the blocks [i, j, :], and of
+    the blocks [j, i, :], of the pairs i<j in subset order."""
+    i, j, k = *_subset_index(n, 2), np.arange(n)
+    return tuple(((a[:, None] * n + b[:, None]) * n + k).ravel()
+                 for a, b in ((i, j), (j, i)))
+
+
 def _pairs_flat(c: np.ndarray) -> np.ndarray:
-    return c[_subset_index(c.shape[0], 2)].ravel()
+    n = c.shape[-1]
+    return c.reshape(c.shape[:-3] + (n ** 3,)).take(_pair_cells(n)[0], axis=-1)
 
 
 def _frame_brackets(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Brackets under c of the frame's column pairs i<j, one row per pair."""
-    n, k = frame.shape
+    """Brackets under c of the frame's column pairs i<j, one row per pair;
+    c and the frame may be stacks."""
+    n, k = frame.shape[-2:]
     i, j = _subset_index(k, 2)
-    # t[i, b] = [f_i, e_b], the product tensordot(frame, c, (0, 0)) makes
-    t = np.dot(frame.T, c.reshape(n, n * n)).reshape(k, n, n)
-    return np.einsum("bj,ibk->ijk", frame, t)[i, j]
+    # t[..., i, b, :] = [f_i, e_b], the product tensordot(frame, c, (0, 0))
+    # makes
+    t = frame.swapaxes(-1, -2) @ c.reshape(c.shape[:-3] + (n, n * n))
+    t = t.reshape(t.shape[:-1] + (n, n))
+    return np.einsum("...bj,...ibk->...ijk", frame, t)[..., i, j, :]
 
 
 def _curvature_flat(c_target: np.ndarray, c_source: np.ndarray,
                     p: np.ndarray) -> np.ndarray:
     pairs = _subset_index(c_source.shape[0], 2)
-    return (_frame_brackets(c_target, p) - c_source[pairs] @ p.T).ravel()
+    return _flat(_frame_brackets(c_target, p)
+                 - c_source[pairs] @ p.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +390,46 @@ def sub_frames(w: SubalgebraWitness) -> SubFrames:
                      minv[k:, :].reshape(q, n))
 
 
+_OUTSIDE = "plane is outside the graph chart around the witness"
+
+
+def _graph_coords(frames: SubFrames, planes: np.ndarray) -> tuple:
+    """(eta, outside) for one k-plane or a stack near the witness: the chart
+    coordinates eta (q x k), with the plane the column span of basis +
+    section @ eta, and whether the plane's basis-block is singular (plane
+    outside the chart).  The eta of an outside or non-finite plane is NaN."""
+    if planes.shape[-2:] != frames.basis.shape:
+        raise ValueError("plane matrix has wrong shape")
+    x, finite, outside = _regular(frames.h_reader @ planes, 1e-9)
+    eta = frames.q_reader @ planes @ np.linalg.inv(x)
+    eta[~finite | outside] = np.nan
+    return eta, outside
+
+
 def chart_coords(frames: SubFrames, plane: np.ndarray) -> np.ndarray:
     """Chart coordinates eta (q x k) of a k-plane near the witness: the plane
     is the column span of basis + section @ eta.  Raises ChartError when the
     plane's basis-block is singular (plane outside the chart)."""
-    w = frames.witness
-    n, k = w.ambient.dim, w.dim
-    pl = np.asarray(plane, dtype=float)
-    if pl.shape != (n, k):
-        raise ValueError("plane matrix has wrong shape")
-    x = frames.h_reader @ pl
-    y = frames.q_reader @ pl
-    if abs(np.linalg.det(x)) < 1e-9:
-        raise ChartError("plane is outside the graph chart around the witness")
-    return y @ np.linalg.inv(x)
+    eta, outside = _graph_coords(frames, np.asarray(plane, dtype=float))
+    if outside:
+        raise ChartError(_OUTSIDE)
+    return eta
 
 
 def graph_basis(frames: SubFrames, eta: np.ndarray) -> np.ndarray:
     return frames.basis + frames.section @ np.asarray(eta, dtype=float)
 
 
-def chart_defect_flat(frames: SubFrames, eta: np.ndarray,
-                      mu: FloatBracket) -> np.ndarray:
-    """Closure defect of the graph plane of eta under mu: for basis columns
-    G_u, G_v of the graph, the quotient part of mu(G_u, G_v) minus eta of its
-    subalgebra part, flattened over pairs."""
+def chart_defect_flat(frames: SubFrames, eta: np.ndarray, mu) -> np.ndarray:
+    """Closure defect of the graph plane of eta under mu (a FloatBracket or a
+    structure tensor): for basis columns G_u, G_v of the graph, the quotient
+    part of mu(G_u, G_v) minus eta of its subalgebra part, flattened over
+    pairs.  eta and the tensor may be stacks."""
+    c = mu.c if isinstance(mu, FloatBracket) else mu
     eta = np.asarray(eta, dtype=float)
-    z = _frame_brackets(mu.c, graph_basis(frames, eta))
-    return (z @ frames.q_reader.T - z @ frames.h_reader.T @ eta.T).ravel()
+    z = _frame_brackets(c, graph_basis(frames, eta))
+    return _flat(z @ frames.q_reader.T
+                 - z @ frames.h_reader.T @ eta.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +443,10 @@ class _Chart:
     matrix or plane frame) is read as a float array, then as a chart point,
     then in flat chart coordinates.  Log coordinates are x in g, acting on
     matrix values as exp(ad_x); the bracket chart acts by GL(g) instead.
-    One chart serves every call on its object: the recovery chord
-    ``orbit_pinv`` and the acting algebra's chart ``acting`` are kept.
+    From ``point`` on, every map takes one value or a stack of them (leading
+    axes) and keeps the stack's axes.  One chart serves every call on its
+    object: the recovery chord ``orbit_pinv`` and the acting algebra's chart
+    ``acting`` are kept.
     """
 
     # the structure map moves along a direction xi as sign * d_t(xi)
@@ -364,19 +458,41 @@ class _Chart:
         self.log_shape = (algebra.dim,)
 
     def array(self, value) -> np.ndarray:
+        """One value as a float array."""
         return np.asarray(value, dtype=float)
 
-    def point(self, arr: np.ndarray) -> np.ndarray:
-        return arr
+    @cached_property
+    def value_shape(self) -> tuple:
+        return self.array(self.base).shape
+
+    def stack(self, values) -> tuple:
+        """(value arrays, whether ``values`` is one value): an array with one
+        leading axis more than a value is a stack of values, and anything
+        else one value, read by ``array`` into a stack of one."""
+        arr = (values.c if isinstance(values, FloatBracket)
+               else np.asarray(values, dtype=float))
+        if arr.ndim == len(self.value_shape) + 1:
+            return arr, False
+        return self.array(values)[None], True
+
+    def point(self, arr: np.ndarray) -> tuple:
+        """(chart points, which values lie outside the chart)."""
+        return arr, np.zeros(arr.shape[:arr.ndim - len(self.value_shape)],
+                             dtype=bool)
 
     def flat(self, point: np.ndarray) -> np.ndarray:
-        return point.T.ravel()
+        return _flat(point.swapaxes(-1, -2))
 
     def unflat(self, u: np.ndarray) -> np.ndarray:
-        return u.reshape(self.origin.shape[::-1]).T
+        shape = u.shape[:-1] + self.origin.shape[::-1]
+        return u.reshape(shape).swapaxes(-1, -2)
 
     def coords(self, value) -> np.ndarray:
-        return self.flat(self.point(self.array(value)))
+        """Flat chart coordinates of one value; ChartError outside."""
+        point, outside = self.point(self.array(value))
+        if outside:
+            raise ChartError(_OUTSIDE)
+        return self.flat(point)
 
     def log(self, u: np.ndarray) -> np.ndarray:
         return u
@@ -387,8 +503,9 @@ class _Chart:
     def act(self, a: np.ndarray, value):
         return a @ value
 
-    def orbit_coords(self, a: np.ndarray) -> np.ndarray:  # of a . base
-        return self.coords(self.act(a, self.base))
+    def orbit_coords(self, a: np.ndarray) -> np.ndarray:
+        """Flat coordinates of a . base; NaN outside the chart."""
+        return self.flat(self.point(self.act(a, self.base))[0])
 
     def orbit_linearization(self) -> np.ndarray:
         """Derivative at x = 0 of x -> coords(exp(x) . base)."""
@@ -407,11 +524,12 @@ class _Chart:
         """The acting bracket, converted once, by the acting algebra's chart."""
         return self.acting.mu
 
-    def linearization(self, mu: FloatBracket) -> np.ndarray:
-        """Derivative at the origin of the structure map under ``mu``, the
-        differential d(xi)(e_i, e_j) = r_i xi_j - r_j xi_i - xi([e_i, e_j])
-        of the bracket and action r that ``action`` reads from ``mu``."""
-        c_source, mats = self.action(mu)
+    def linearization(self, c: np.ndarray) -> np.ndarray:
+        """Derivative at the origin of the structure map under the bracket
+        tensor ``c``, the differential d(xi)(e_i, e_j) = r_i xi_j - r_j xi_i
+        - xi([e_i, e_j]) of the bracket and action r that ``action`` reads
+        from ``c``."""
+        c_source, mats = self.action(c)
         m, n = self.origin.shape
         r = np.asarray(mats, dtype=float).reshape(n, m, m)
         i, j = _subset_index(n, 2)
@@ -424,21 +542,28 @@ class _Chart:
         jac[:, carrier, :, carrier] -= c_source[i, j]
         return jac.reshape(len(i) * m, n * m)
 
-    def checked(self, value, label: str) -> tuple:
-        """(chart point, structure defect) of an outside value; refuses a
-        non-finite entry and a defect not within the input tolerance."""
-        arr = self.array(value)
-        shape = self.array(self.base).shape
-        if arr.shape != shape:
-            raise ValueError(f"{label} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputDefectError(f"{label} has a non-finite entry")
-        point = self.point(arr)
-        defect = _sup(self.structure(point))
-        if not defect <= INPUT_DEFECT_TOL:
+    @np.errstate(over="ignore", invalid="ignore")  # on values it refuses
+    def checked(self, arr: np.ndarray, label: str) -> tuple:
+        """(chart points, structure defects) of a stack of outside values;
+        refuses a shape other than a value's, then, at the first value that
+        has one, a non-finite entry, a point outside the chart and a defect
+        not within the input tolerance."""
+        if arr.shape[1:] != self.value_shape:
+            raise ValueError(f"{label} has shape {arr.shape[1:]}, "
+                             f"expected {self.value_shape}")
+        finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+        points, outside = self.point(arr)
+        defects = _row_sup(self.structure(points))
+        ok = finite & ~outside & (defects <= INPUT_DEFECT_TOL)
+        if not ok.all():
+            s = ok.argmin()  # the first refused value
+            if not finite[s]:
+                raise InputDefectError(f"{label} has a non-finite entry")
+            if outside[s]:
+                raise ChartError(_OUTSIDE)
             raise InputDefectError(f"{label} is not a {self.name} to round-off "
-                                   f"({self.defect_name} {defect:.3e})")
-        return point, defect
+                                   f"({self.defect_name} {defects[s]:.3e})")
+        return points, defects
 
     def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
         return {}
@@ -467,14 +592,21 @@ class _BracketChart(_Chart):
             value = FloatBracket(self.mu.dim, value)
         return value.c
 
+    def stack(self, values) -> tuple:
+        """Stacked tensors are antisymmetrized as FloatBracket does, which
+        leaves a FloatBracket's tensor as it is (short of entries above half
+        the float range, which no perturbed bracket was seen to reach)."""
+        arr, one = super().stack(values)
+        return (arr, one) if one else ((arr - arr.swapaxes(1, 2)) / 2.0, one)
+
     def flat(self, point: np.ndarray) -> np.ndarray:
         return _pairs_flat(point)
 
-    def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
+    def structure(self, point: np.ndarray, c=None) -> np.ndarray:
         return jacobiator_flat(point)
 
     def log(self, u: np.ndarray) -> np.ndarray:
-        return u.reshape(self.log_shape).T
+        return u.reshape(u.shape[:-1] + self.log_shape).swapaxes(-1, -2)
 
     def group(self, x: np.ndarray) -> np.ndarray:
         return expm(x)
@@ -497,11 +629,14 @@ class _HomChart(_Chart):
         self.source = FloatBracket.from_exact(p.obj.source)
         self.base = self.origin = float_matrix(p.obj.matrix)
 
-    def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
-        return _curvature_flat((mu or self.mu).c, self.source.c, point)
+    def structure(self, point: np.ndarray, c=None) -> np.ndarray:
+        """The curvature under ``c`` (tensors, one per point), or under the
+        acting bracket."""
+        return _curvature_flat(self.mu.c if c is None else c, self.source.c,
+                               point)
 
-    def action(self, mu: FloatBracket) -> tuple:
-        return self.source.c, [ad_float(mu.c, self.origin[:, j])
+    def action(self, c: np.ndarray) -> tuple:
+        return self.source.c, [ad_float(c, self.origin[:, j])
                                for j in range(self.source.dim)]
 
 
@@ -519,25 +654,27 @@ class _SubChart(_Chart):
         self.base = self.frames.basis
         self.origin = np.zeros((w.quotient_dim, w.dim))
 
-    def point(self, arr: np.ndarray) -> np.ndarray:
-        return chart_coords(self.frames, arr)
+    def point(self, arr: np.ndarray) -> tuple:
+        return _graph_coords(self.frames, arr)
 
-    def structure(self, point: np.ndarray, mu=None) -> np.ndarray:
-        return chart_defect_flat(self.frames, point, mu or self.mu)
+    def structure(self, point: np.ndarray, c=None) -> np.ndarray:
+        return chart_defect_flat(self.frames, point,
+                                 self.mu.c if c is None else c)
 
     def orbit_linearization(self) -> np.ndarray:
         d0 = float_matrix(self.p.complex.d(0))
         proj = float_matrix(self.p.obj.coords.projection)
         return -(d0 @ proj)
 
-    def action(self, mu: FloatBracket) -> tuple:
-        # action = quotient part of mu(basis_j, section_c); acting bracket =
-        # subalgebra part of mu(basis_i, basis_j)
+    def action(self, c: np.ndarray) -> tuple:
+        # action = quotient part of c(basis_j, section_c); acting bracket =
+        # subalgebra part of c(basis_i, basis_j)
         f, q = self.frames, len(self.origin)
-        mats = [np.array([f.q_reader @ mu.bracket(b, s) for s in f.section.T])
-                .reshape(q, q).T for b in f.basis.T]
-        c_h = np.array([[f.h_reader @ mu.bracket(a, b) for b in f.basis.T]
-                        for a in f.basis.T])
+        mats = [np.array([f.q_reader @ _bracket_eval(c, b, s)
+                          for s in f.section.T]).reshape(q, q).T
+                for b in f.basis.T]
+        c_h = np.array([[f.h_reader @ _bracket_eval(c, a, b)
+                         for b in f.basis.T] for a in f.basis.T])
         return c_h, mats
 
     def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
@@ -580,93 +717,114 @@ def _chart(obj, kind: str) -> _Chart:
 
 # a diverged iterate's determinant is inf; its JSON record writes null
 @np.errstate(over="ignore", invalid="ignore")
-def _recover(chart: _Chart, value, cfg: NewtonConfig,
-             rigidity) -> RecoveryResult:
-    """Find log coordinates x with exp(x) . base ~ value: the ``rigidity``
-    verdict must hold, the value must pass the input check, and chord
-    Newton runs from x = 0 on the orbit-map linearization."""
+def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
+    """Find log coordinates x with exp(x) . base ~ value for each value: the
+    ``rigidity`` verdict must hold, the values must pass the input check,
+    and chord Newton runs from x = 0 on the orbit-map linearization."""
     p = chart.p
     if not rigidity(p).holds:
         raise PreconditionError(
             f"{chart.name} rigidity criterion "
             f"(H{p.tangent_degree}=0) does not hold; orbit recovery is not "
             "guaranteed")
-    target = chart.flat(chart.checked(value, "input")[0])
+    arr, one = chart.stack(values)
+    if not len(arr):
+        return []
+    targets = chart.flat(chart.checked(arr, "input")[0])
 
-    def residual(u):
-        return chart.orbit_coords(chart.group(chart.log(u))) - target
+    def residual(u, seeds):
+        return chart.orbit_coords(chart.group(chart.log(u))) - targets[seeds]
 
     pinv = chart.orbit_pinv
-    u, res, iters, ok = _chord_newton(residual, np.zeros(pinv.shape[0]), pinv, cfg)
+    u, res, iters, ok = _chord_newton(
+        residual, np.zeros((len(arr), pinv.shape[0])), pinv, cfg)
     x = chart.log(u)
     amat = chart.group(x)
-    return RecoveryResult(kind=p.kind, log_solution=x, group_matrix=amat,
-                          residual=res, iterations=iters, converged=ok,
-                          determinant=float(np.linalg.det(amat)),
-                          diagnostics={"log_sup": _sup(x),
-                                       **chart.recovery_diagnostics(amat, value)})
+    det = np.linalg.det(amat)
+    results = [RecoveryResult(
+        kind=p.kind, log_solution=x[s], group_matrix=amat[s],
+        residual=float(res[s]), iterations=int(iters[s]),
+        converged=bool(ok[s]), determinant=float(det[s]),
+        diagnostics={"log_sup": _sup(x[s]),
+                     **chart.recovery_diagnostics(amat[s], arr[s])})
+        for s in range(len(arr))]
+    return results[0] if one else results
 
 
-def _continue(chart: _Chart, mu_prime: FloatBracket, cfg: NewtonConfig,
-              stability) -> ContinuationResult:
-    """Move the base point to a zero of the structure map under the
-    perturbed bracket mu': the ``stability`` verdict must hold, mu' must
-    pass the bracket input check, and chord Newton runs from the base point
-    on the structure map's linearization under mu'."""
+@np.errstate(over="ignore", invalid="ignore")
+def _continue(chart: _Chart, mu_primes, cfg: NewtonConfig, stability):
+    """Move the base point to a zero of the structure map under each
+    perturbed bracket mu': the ``stability`` verdict must hold, each mu'
+    must pass the bracket input check, and chord Newton runs from the base
+    point on the structure map's linearization under mu'."""
     p = chart.p
     if not stability(p).holds:
         raise PreconditionError(
             f"{chart.name} stability criterion "
             f"(H{p.tangent_degree + 1}=0) does not hold; continuation is not "
             "guaranteed")
-    _, defect = chart.acting.checked(mu_prime, "perturbed bracket")
+    arr, one = chart.acting.stack(mu_primes)
+    if not len(arr):
+        return []
+    defects = chart.acting.checked(arr, "perturbed bracket")[1]
 
-    def residual(u):
-        return chart.structure(chart.unflat(u), mu_prime)
+    def residual(u, seeds):
+        return chart.structure(chart.unflat(u), arr[seeds])
 
-    pinv = np.linalg.pinv(chart.linearization(mu_prime))
-    u, res, iters, ok = _chord_newton(residual, chart.flat(chart.origin),
-                                      pinv, cfg)
-    point = chart.unflat(u)
-    return ContinuationResult(kind=p.kind, solution=point, residual=res,
-                              iterations=iters, converged=ok,
-                              distance=_sup(point - chart.origin),
-                              input_defect=defect,
-                              diagnostics=chart.continuation_diagnostics(point))
+    chords = np.array([np.linalg.pinv(chart.linearization(c)) for c in arr])
+    u0 = np.repeat(chart.flat(chart.origin)[None], len(arr), axis=0)
+    u, res, iters, ok = _chord_newton(residual, u0, chords, cfg)
+    points = chart.unflat(u)
+    results = [ContinuationResult(
+        kind=p.kind, solution=points[s], residual=float(res[s]),
+        iterations=int(iters[s]), converged=bool(ok[s]),
+        distance=_sup(points[s] - chart.origin),
+        input_defect=float(defects[s]),
+        diagnostics=chart.continuation_diagnostics(points[s]))
+        for s in range(len(arr))]
+    return results[0] if one else results
 
 
-def recover_bracket_orbit(g: LieAlgebra | Problem, mu_prime: FloatBracket,
-                          cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
-    """Find A = exp(a) with A . mu ~ mu'.  Requires H^2(g,g) = 0; the Newton
-    linearization at a = 0 is minus the adjoint differential C^1 -> C^2."""
+# Each entry takes one value and returns its result, or a stack of values
+# (an array with one leading axis more than a value: tensors, matrices of
+# rho' or plane frames) and returns a list, equal to one call per value.
+# It asks the precondition once and refuses the first value in stack order
+# that fails the input check; all values run Newton in lockstep.
+
+def recover_bracket_orbit(g: LieAlgebra | Problem, mu_prime,
+                          cfg: NewtonConfig = NewtonConfig()):
+    """Find A = exp(a) with A . mu ~ mu' (a FloatBracket or tensor).
+    Requires H^2(g,g) = 0; the Newton linearization at a = 0 is minus the
+    adjoint differential C^1 -> C^2."""
     return _recover(_chart(g, "bracket"), mu_prime, cfg, bracket_rigidity)
 
 
 def recover_hom_orbit(rho: Homomorphism | Problem, rho_prime: np.ndarray,
-                      cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
+                      cfg: NewtonConfig = NewtonConfig()):
     """Find x with exp(ad_x) o rho ~ rho'.  Requires H^1(h,g) = 0; refuses
     rho' whose curvature exceeds the input tolerance."""
     return _recover(_chart(rho, "hom"), rho_prime, cfg, hom_rigidity)
 
 
 def recover_sub_orbit(w: SubalgebraWitness | Problem, plane_prime: np.ndarray,
-                      cfg: NewtonConfig = NewtonConfig()) -> RecoveryResult:
+                      cfg: NewtonConfig = NewtonConfig()):
     """Find x with exp(ad_x)(h) ~ the given plane, in chart coordinates.
     Requires H^1(h,g/h) = 0; refuses planes that fail the subalgebra-closure
     defect check or fall outside the graph chart."""
     return _recover(_chart(w, "sub"), plane_prime, cfg, sub_rigidity)
 
 
-def continue_hom(rho: Homomorphism | Problem, mu_prime: FloatBracket,
-                 cfg: NewtonConfig = NewtonConfig()) -> ContinuationResult:
-    """Deform rho to a homomorphism into the perturbed bracket mu'.
-    Requires H^2(h,g) = 0; Newton runs on the curvature map phi -> K_mu'(phi)
-    starting at rho, linearized by the differential built from mu' at rho."""
+def continue_hom(rho: Homomorphism | Problem, mu_prime,
+                 cfg: NewtonConfig = NewtonConfig()):
+    """Deform rho to a homomorphism into the perturbed bracket mu' (a
+    FloatBracket or tensor).  Requires H^2(h,g) = 0; Newton runs on the
+    curvature map phi -> K_mu'(phi) starting at rho, linearized by the
+    differential built from mu' at rho."""
     return _continue(_chart(rho, "hom"), mu_prime, cfg, hom_stability)
 
 
-def continue_sub(w: SubalgebraWitness | Problem, mu_prime: FloatBracket,
-                 cfg: NewtonConfig = NewtonConfig()) -> ContinuationResult:
+def continue_sub(w: SubalgebraWitness | Problem, mu_prime,
+                 cfg: NewtonConfig = NewtonConfig()):
     """Deform the subalgebra to one closed under the perturbed bracket mu',
     in the graph chart.  Requires H^2(h,g/h) = 0; Newton runs on the chart
     closure defect, linearized by the quotient-type differential of mu'."""
@@ -868,18 +1026,30 @@ def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
                    cfg: NewtonConfig = NewtonConfig()) -> list:
     """Run one recovery/continuation per seed; records return in seed order.
 
-    The object keeps its problem and chart (validated objects are treated as
-    immutable), so its cohomology (behind every precondition verdict), float
-    base point and recovery chord are computed once per object, in any call.
+    Each seed's value is perturbed in seed order, then the kind's entry runs
+    once on all of them as one stack.  A refused perturbation is raised
+    after the entry has run on the seeds before it, so a call raises what
+    one call per seed would raise first.  The object keeps its problem and
+    chart (validated objects are treated as immutable), so its cohomology
+    (behind every precondition verdict), float base point and recovery chord
+    are computed once per object, in any call.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     perturb, solve = EXPERIMENTS[kind]
     chart = _chart(obj, Problem.of(obj).kind)
-    records = []
+    seeds, perturbed, refused = list(seeds), [], None
     for seed in seeds:
-        perturbed, pert = perturb(chart, scale, seed)
-        result = solve(chart, perturbed, cfg)
-        records.append({"seed": seed, "perturbation_sup": _sup(pert),
-                        **result.to_json_dict()})
-    return records
+        try:
+            perturbed.append(perturb(chart, scale, seed))
+        except Exception as exc:  # raised once the seeds before it have run
+            refused = exc
+            break
+    values = np.array([v.c if isinstance(v, FloatBracket) else v
+                       for v, _ in perturbed])
+    results = solve(chart, values, cfg) if perturbed else []
+    if refused is not None:
+        raise refused
+    return [{"seed": seed, "perturbation_sup": _sup(pert),
+             **result.to_json_dict()}
+            for seed, (_, pert), result in zip(seeds, perturbed, results)]

@@ -374,25 +374,24 @@ class TestNewtonDivergence:
         # a huge chord pseudoinverse (of a tiny jacobian) makes the first
         # step enormous and the residual overflows; the iteration must stop
         # at the finite start
-        def residual(u):
+        def residual(u, seeds):
             with np.errstate(over="ignore"):
-                return np.array([np.exp(u[0]) - 2.0])
+                return np.exp(u) - 2.0
 
-        u, res, iters, ok = _chord_newton(residual, np.zeros(1),
+        u, res, iters, ok = _chord_newton(residual, np.zeros((1, 1)),
                                           np.array([[1e300]]), NewtonConfig())
-        assert not ok and iters == 1
-        assert np.all(np.isfinite(u)) and np.isfinite(res)
+        assert not ok[0] and iters[0] == 1
+        assert np.all(np.isfinite(u)) and np.isfinite(res[0])
 
     def test_chart_exit_mid_iteration_is_nonconvergence(self):
-        def residual(u):
-            if np.any(u != 0.0):
-                raise ChartError("left the chart")
-            return np.array([1.0])
+        # a row that leaves the chart comes back non-finite
+        def residual(u, seeds):
+            return np.where(u != 0.0, np.nan, 1.0)
 
-        u, res, iters, ok = _chord_newton(residual, np.zeros(1),
+        u, res, iters, ok = _chord_newton(residual, np.zeros((1, 1)),
                                           np.array([[1.0]]), NewtonConfig())
-        assert not ok and iters == 1
-        assert np.all(u == 0.0) and res == 1.0
+        assert not ok[0] and iters[0] == 1
+        assert np.all(u == 0.0) and res[0] == 1.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wild_sub_perturbation_degrades_cleanly(self):
@@ -439,8 +438,8 @@ class TestExperimentDriver:
 
 
 def test_numeric_jacobian_quadratic():
-    def f(u):
-        return np.array([u[0] ** 2, u[0] * u[1], u[1]])
+    def f(u):  # a stack of points, one per row
+        return np.stack([u[:, 0] ** 2, u[:, 0] * u[:, 1], u[:, 1]], axis=1)
 
     at = np.array([2.0, 3.0])
     jac = numeric_jacobian(f, at)
@@ -450,20 +449,28 @@ def test_numeric_jacobian_quadratic():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_numeric_jacobian_evaluates_twice_per_coordinate(n):
-    calls = []
+    calls, points = [], []
 
     def residual(u):
         return np.concatenate([np.sin(u), [u @ u, u.sum()]])
 
-    def counted(u):
-        calls.append(u.copy())
-        return residual(u)
+    def counted(stack):
+        calls.append(len(stack))
+        points.extend(stack.copy())
+        return np.array([residual(u) for u in stack])
 
-    jac = numeric_jacobian(counted, np.linspace(0.1, 0.9, n))
-    assert len(calls) == 2 * n and jac.shape == (n + 2, n)
-    # column j is the central difference of calls 2j and 2j + 1
+    u = np.linspace(0.1, 0.9, n)
+    jac = numeric_jacobian(counted, u)
+    # one call evaluates the 2n displaced points u + h e_j, u - h e_j
+    assert calls == [2 * n] and jac.shape == (n + 2, n)
     for j in range(n):
-        want = ((residual(calls[2 * j]) - residual(calls[2 * j + 1]))
+        step = np.zeros(n)
+        step[j] = lab.JACOBIAN_STEP
+        assert np.array_equal(points[2 * j], u + step)
+        assert np.array_equal(points[2 * j + 1], u - step)
+    # column j is the central difference of points 2j and 2j + 1
+    for j in range(n):
+        want = ((residual(points[2 * j]) - residual(points[2 * j + 1]))
                 / (2 * lab.JACOBIAN_STEP))
         assert np.array_equal(jac[:, j], want)
 
@@ -591,14 +598,14 @@ def test_linearization_is_the_jacobian_of_the_structure_map(kind, name):
     mus = [chart.mu] + [perturbed_bracket(chart.acting, 0.05, seed)[0]
                         for seed in range(5)]
     for mu in mus:
-        lin = chart.linearization(mu)
+        lin = chart.linearization(mu.c)
         numeric = numeric_jacobian(
-            lambda u: chart.structure(chart.unflat(u), mu),
+            lambda u: chart.structure(chart.unflat(u), mu.c),
             chart.flat(chart.origin))
         assert lin.shape == numeric.shape
         assert np.max(np.abs(lin - numeric), initial=0.0) <= 1e-8
     exact = float_matrix(chart.p.complex.d(1))
-    assert np.max(np.abs(chart.linearization(chart.mu) - exact),
+    assert np.max(np.abs(chart.linearization(chart.mu.c) - exact),
                   initial=0.0) <= 1e-8
 
 

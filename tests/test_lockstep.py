@@ -1,0 +1,175 @@
+"""The experiment driver runs all seeds of a call in lockstep, in one stacked
+Newton iteration: its records, as JSON text, and its refusals must equal
+those of one call per seed, and a stacked entry call must equal one call
+per value."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import liedeform.deformlab as lab
+from liedeform.algebras import catalog_algebra, hom_preset, sub_preset
+from liedeform.deformlab import (FloatBracket, continue_hom, continue_sub,
+                                 perturbed_bracket, perturbed_hom,
+                                 perturbed_plane, recover_bracket_orbit,
+                                 recover_hom_orbit, recover_sub_orbit,
+                                 run_experiment)
+
+
+def bench_borel3():
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return families.borel(3)
+
+
+# the newton-seeds objects, by name
+OBJECTS = {"sl2": catalog_algebra("sl2"), "aff1": catalog_algebra("aff1"),
+           "b(sl_3)": bench_borel3(), "id-sl2": hom_preset("id-sl2"),
+           "borel-incl": hom_preset("borel-incl"),
+           "borel-in-sl2": sub_preset("borel-in-sl2")}
+BANDS = [("bracket-recovery", "sl2"), ("bracket-recovery", "aff1"),
+         ("bracket-recovery", "b(sl_3)"), ("hom-recovery", "id-sl2"),
+         ("hom-recovery", "borel-incl"), ("hom-continuation", "id-sl2"),
+         ("hom-continuation", "borel-incl"), ("sub-recovery", "borel-in-sl2"),
+         ("sub-continuation", "borel-in-sl2")]
+# at scale 0.3: sl2 seeds 3, 5, 12 and 13 refresh their chord, 0 and 5 run
+# out of iterations, 42 and 61 meet a group element the bracket action
+# refuses (61 in a refresh); b(sl_3) seeds 4, 7, 8 and 11-13 refresh and
+# meet one too; borel-incl seeds 4 and 13 run out of iterations.  3 and 61
+# repeat.
+SEEDS = [*range(14), 42, 61, 3, 3, 61]
+# divergence: sl2 at 0.5 seed 73 iterates until exp(a) overflows, at 1.0
+# seed 15 ends on an iterate whose determinant overflows; borel-in-sl2 at
+# 2.0 seeds 8 and 53 leave the graph chart, 2 and 36 refresh their chord
+WILD = [("bracket-recovery", "sl2", 0.5, [73, 0, 7, 30, 73]),
+        ("bracket-recovery", "sl2", 1.0, [15, 0, 1, 4]),
+        ("sub-recovery", "borel-in-sl2", 2.0, [8, 53, 2, 36, 0])]
+
+
+def one_call_per_seed(kind, obj, seeds, scale):
+    """The records of one call per seed, up to the first that raises."""
+    records = []
+    for seed in seeds:
+        records += run_experiment(kind, obj, [seed], scale=scale)
+    return records
+
+
+def counting_refreshes(monkeypatch):
+    count = []
+    jacobian = lab.numeric_jacobian
+    monkeypatch.setattr(lab, "numeric_jacobian",
+                        lambda *a: count.append(1) or jacobian(*a))
+    return count
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.3])
+@pytest.mark.parametrize("kind, name", BANDS)
+def test_experiment_equals_one_call_per_seed(kind, name, scale, monkeypatch):
+    refreshes = counting_refreshes(monkeypatch)
+    obj = OBJECTS[name]
+    together = json.dumps(run_experiment(kind, obj, SEEDS, scale=scale))
+    batched = len(refreshes)
+    alone = json.dumps(one_call_per_seed(kind, obj, SEEDS, scale))
+    assert together == alone
+    # a refresh stays with its seed: the same refreshes, once per stall
+    assert 2 * batched == len(refreshes)
+
+
+@pytest.mark.parametrize("kind, name, scale, seeds", WILD)
+def test_divergence_and_chart_exits_stay_with_their_seed(kind, name, scale,
+                                                         seeds, monkeypatch):
+    refreshes = counting_refreshes(monkeypatch)
+    obj = OBJECTS[name]
+    together = run_experiment(kind, obj, seeds, scale=scale)
+    batched = len(refreshes)
+    assert json.dumps(together) == json.dumps(
+        one_call_per_seed(kind, obj, seeds, scale))
+    assert batched and 2 * batched == len(refreshes)
+    assert not all(r["converged"] for r in together)
+
+
+@pytest.mark.parametrize("kind, name", BANDS)
+def test_empty_seed_list(kind, name):
+    assert run_experiment(kind, OBJECTS[name], []) == []
+    assert run_experiment(kind, OBJECTS[name], iter(())) == []
+
+
+def stacked_inputs():
+    """(entry, object, values): each stack holds the unperturbed value,
+    whose Newton run takes zero iterations, and perturbed ones."""
+    sl2, b3 = OBJECTS["sl2"], OBJECTS["b(sl_3)"]
+    rho, w = OBJECTS["borel-incl"], OBJECTS["borel-in-sl2"]
+    cases = []
+    for g in (sl2, b3):
+        base = FloatBracket.from_exact(g).c
+        cases.append((recover_bracket_orbit, g, [base] + [
+            perturbed_bracket(g, 0.3, s)[0].c for s in (3, 42, 61, 0)]))
+    cases.append((recover_hom_orbit, rho, [lab.float_matrix(rho.matrix)] + [
+        perturbed_hom(rho, 0.3, s)[0] for s in (4, 1, 2)]))
+    cases.append((recover_sub_orbit, w, [lab.sub_frames(w).basis] + [
+        perturbed_plane(w, 2.0, s)[0] for s in (8, 2, 0)]))
+    for entry, obj, g in ((continue_hom, rho, rho.target),
+                          (continue_sub, w, w.ambient)):
+        cases.append((entry, obj, [FloatBracket.from_exact(g).c] + [
+            perturbed_bracket(g, 0.3, s)[0].c for s in (0, 1, 2)]))
+    return cases
+
+
+@pytest.mark.parametrize("entry, obj, values", stacked_inputs())
+def test_stacked_entry_equals_one_call_per_value(entry, obj, values):
+    stacked = entry(obj, np.array(values))
+    assert isinstance(stacked, list) and len(stacked) == len(values)
+    alone = [entry(obj, v) for v in values]
+    assert stacked[0].iterations == 0 and stacked[0].converged
+    assert (json.dumps([r.to_json_dict() for r in stacked])
+            == json.dumps([r.to_json_dict() for r in alone]))
+    assert entry(obj, np.zeros((0,) + np.shape(values[0]))) == []
+
+
+def test_stacked_brackets_are_antisymmetrized_as_one_bracket_is():
+    # perturbed tensors plus a part symmetric in the first two slots, which
+    # antisymmetrization takes out up to rounding
+    noise = np.random.default_rng(5).normal(size=(3, 3, 3, 3))
+    raw = np.array([perturbed_bracket(OBJECTS["sl2"], 0.05, s)[0].c
+                    for s in range(3)]) + (noise + noise.swapaxes(1, 2))
+    stacked = recover_bracket_orbit(OBJECTS["sl2"], raw)
+    alone = [recover_bracket_orbit(OBJECTS["sl2"], c) for c in raw]
+    assert ([r.to_json_dict() for r in stacked]
+            == [r.to_json_dict() for r in alone])
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # the type and text of what a call raises
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind, obj, scale, seeds", [
+    # the precondition fails for every seed
+    ("bracket-recovery", catalog_algebra("heis3"), 0.05, [0, 1, 2]),
+    ("sub-recovery", sub_preset("center-in-heis3"), 0.05, [4, 5, 6]),
+    # ... and is asked before the perturbation that a later seed refuses,
+    # though not when the first seed's perturbation is refused
+    ("bracket-recovery", catalog_algebra("heis3"), 0.05, [0, -1]),
+    ("bracket-recovery", catalog_algebra("heis3"), 0.05, [-1, 0]),
+    # the third seed's perturbation is refused
+    ("bracket-recovery", catalog_algebra("sl2"), 0.3, [1, 2, -1, 4]),
+    ("hom-continuation", hom_preset("borel-incl"), 0.05, [0, 1, -3]),
+    # the third seed's perturbed plane fails the input check
+    ("sub-recovery", sub_preset("borel-in-sl2"), 2.0, [0, 2, 1, 5]),
+    ("sub-recovery", sub_preset("borel-in-sl2"), 3.0, [31, 32, 33, 54]),
+    # every perturbation overflows
+    ("hom-recovery", hom_preset("id-sl2"), 1e300, [0, 1]),
+])
+def test_batched_run_raises_what_one_call_per_seed_raises(kind, obj, scale,
+                                                          seeds):
+    want = raised(lambda: one_call_per_seed(kind, obj, seeds, scale))
+    assert want is not None
+    assert raised(lambda: run_experiment(kind, obj, seeds, scale=scale)) == want
