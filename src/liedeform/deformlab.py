@@ -7,7 +7,9 @@ exponentials: A = exp(a) acting on brackets, Ad_{exp(x)} = exp(ad_x) acting
 on homomorphisms and subspaces.  Newton uses a chord iteration: the
 least-squares pseudoinverse of the linearization at the base point is
 computed once (for recovery, once per chart) and reused, refreshed from a
-numerical Jacobian only on stall.
+numerical Jacobian only on a stall that leaves its seed another round.
+Seeded perturbations exp(x0) . base refuse, as input defects, an exp(x0)
+that overflowed and, on brackets, one the action would refuse as singular.
 
 Each problem kind has one float chart (``_CHARTS``): its acting bracket and
 base point, flat chart coordinates, structure map, group action and orbit
@@ -83,10 +85,6 @@ def ad_float(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix of u -> bracket(x, u) for a float structure tensor; x may be
     a stack of vectors."""
     return np.einsum("...i,ijk->...kj", x, c)
-
-
-def _bracket_eval(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", x, y, c)
 
 
 @cache
@@ -253,7 +251,8 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
             x, rx, rs = step, r_step, new_res  # no seed ends or stalls
             continue
         moved = np.isfinite(new_res)
-        done = ~moved | (new_res <= cfg.tol)
+        # a seed ending in this round keeps its chord: no later step reads it
+        done = ~moved | (new_res <= cfg.tol) | (rounds == cfg.max_iter)
         for i in np.flatnonzero(~done & (new_res > STALL_RATIO * rs)):
             refreshed = numeric_jacobian(
                 lambda v, seed=seeds[i]: residual(v, seed), step[i])
@@ -265,7 +264,6 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
             p[i] = np.linalg.pinv(refreshed)
         x[moved], rx[moved] = step[moved], r_step[moved]
         rs[moved] = new_res[moved]
-        done |= rounds == cfg.max_iter
         ended = seeds[done]
         u[ended], res[ended], iters[ended] = x[done], rs[done], rounds
         converged[ended] = new_res[done] <= cfg.tol
@@ -302,8 +300,7 @@ class RecoveryResult:
             "kind": self.kind, "converged": self.converged,
             "residual": self.residual, "iterations": self.iterations,
             "determinant": self.determinant,
-            "log_solution": [list(map(float, row))
-                             for row in np.atleast_2d(self.log_solution)],
+            "log_solution": np.atleast_2d(self.log_solution).tolist(),
             **self.diagnostics})
 
 
@@ -325,8 +322,7 @@ class ContinuationResult:
             "kind": self.kind, "converged": self.converged,
             "residual": self.residual, "iterations": self.iterations,
             "distance": self.distance, "input_defect": self.input_defect,
-            "solution": [list(map(float, row))
-                         for row in np.atleast_2d(self.solution)],
+            "solution": np.atleast_2d(self.solution).tolist(),
             **self.diagnostics})
 
 
@@ -372,7 +368,6 @@ class SubFrames:
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
 
-    witness: SubalgebraWitness
     basis: np.ndarray      # n x k
     section: np.ndarray    # n x q
     h_reader: np.ndarray   # k x n
@@ -381,12 +376,13 @@ class SubFrames:
 
 def sub_frames(w: SubalgebraWitness) -> SubFrames:
     n, k, q = w.ambient.dim, w.dim, w.quotient_dim
-    basis = np.array([[float(w.basis_vector(t)[i]) for t in range(k)]
+    rows = [dict(r) for r in w.coords.sub_rows]  # the basis vectors' nonzeros
+    basis = np.array([[float(r.get(i, 0)) for r in rows]
                       for i in range(n)]).reshape(n, k)
     section = float_matrix(w.coords.section)
-    m = np.hstack([basis.reshape(n, k), section.reshape(n, q)])
+    m = np.hstack([basis, section.reshape(n, q)])
     minv = np.linalg.inv(m)
-    return SubFrames(w, basis, section, minv[:k, :].reshape(k, n),
+    return SubFrames(basis, section, minv[:k, :].reshape(k, n),
                      minv[k:, :].reshape(q, n))
 
 
@@ -406,26 +402,16 @@ def _graph_coords(frames: SubFrames, planes: np.ndarray) -> tuple:
     return eta, outside
 
 
-def chart_coords(frames: SubFrames, plane: np.ndarray) -> np.ndarray:
-    """Chart coordinates eta (q x k) of a k-plane near the witness: the plane
-    is the column span of basis + section @ eta.  Raises ChartError when the
-    plane's basis-block is singular (plane outside the chart)."""
-    eta, outside = _graph_coords(frames, np.asarray(plane, dtype=float))
-    if outside:
-        raise ChartError(_OUTSIDE)
-    return eta
-
-
 def graph_basis(frames: SubFrames, eta: np.ndarray) -> np.ndarray:
     return frames.basis + frames.section @ np.asarray(eta, dtype=float)
 
 
-def chart_defect_flat(frames: SubFrames, eta: np.ndarray, mu) -> np.ndarray:
-    """Closure defect of the graph plane of eta under mu (a FloatBracket or a
-    structure tensor): for basis columns G_u, G_v of the graph, the quotient
-    part of mu(G_u, G_v) minus eta of its subalgebra part, flattened over
-    pairs.  eta and the tensor may be stacks."""
-    c = mu.c if isinstance(mu, FloatBracket) else mu
+def chart_defect_flat(frames: SubFrames, eta: np.ndarray,
+                      c: np.ndarray) -> np.ndarray:
+    """Closure defect of the graph plane of eta under the structure tensor c:
+    for basis columns G_u, G_v of the graph, the quotient part of
+    c(G_u, G_v) minus eta of its subalgebra part, flattened over pairs.  eta
+    and the tensor may be stacks."""
     eta = np.asarray(eta, dtype=float)
     z = _frame_brackets(c, graph_basis(frames, eta))
     return _flat(z @ frames.q_reader.T
@@ -527,11 +513,10 @@ class _Chart:
     def linearization(self, c: np.ndarray) -> np.ndarray:
         """Derivative at the origin of the structure map under the bracket
         tensor ``c``, the differential d(xi)(e_i, e_j) = r_i xi_j - r_j xi_i
-        - xi([e_i, e_j]) of the bracket and action r that ``action`` reads
-        from ``c``."""
-        c_source, mats = self.action(c)
+        - xi([e_i, e_j]) of the bracket and the action matrices r (a stack,
+        one per basis vector) that ``action`` reads from ``c``."""
+        c_source, r = self.action(c)
         m, n = self.origin.shape
-        r = np.asarray(mats, dtype=float).reshape(n, m, m)
         i, j = _subset_index(n, 2)
         pairs, carrier = np.arange(len(i)), np.arange(m)
         jac = np.zeros((len(i), m, n, m))  # [pair, b, basis vector, a]
@@ -612,7 +597,11 @@ class _BracketChart(_Chart):
         return expm(x)
 
     def act(self, a: np.ndarray, value: FloatBracket) -> np.ndarray:
-        return _acted(a, value.c)  # a value as its tensor, in no record
+        # A . value as its tensor, in no record.  The one caller perturbs,
+        # so the singular A that _acted would refuse is refused as input
+        if not abs(np.linalg.det(a)) >= 1e-12:
+            raise InputDefectError("perturbation exp(x0) is singular")
+        return _acted(a, value.c)
 
     def orbit_coords(self, a: np.ndarray) -> np.ndarray:
         return _acted_pairs(a, self.origin)
@@ -636,8 +625,7 @@ class _HomChart(_Chart):
                                point)
 
     def action(self, c: np.ndarray) -> tuple:
-        return self.source.c, [ad_float(c, self.origin[:, j])
-                               for j in range(self.source.dim)]
+        return self.source.c, ad_float(c, self.origin.T)
 
 
 class _SubChart(_Chart):
@@ -667,15 +655,15 @@ class _SubChart(_Chart):
         return -(d0 @ proj)
 
     def action(self, c: np.ndarray) -> tuple:
-        # action = quotient part of c(basis_j, section_c); acting bracket =
-        # subalgebra part of c(basis_i, basis_j)
-        f, q = self.frames, len(self.origin)
-        mats = [np.array([f.q_reader @ _bracket_eval(c, b, s)
-                          for s in f.section.T]).reshape(q, q).T
-                for b in f.basis.T]
-        c_h = np.array([[f.h_reader @ _bracket_eval(c, a, b)
-                         for b in f.basis.T] for a in f.basis.T])
-        return c_h, mats
+        # action = quotient part of c(basis_b, section_s); acting bracket =
+        # subalgebra part of c(basis_a, basis_b).  Each reader meets the
+        # stack of brackets as a stack of matrix-vector products, which
+        # rounds as one product per bracket vector did
+        f = self.frames
+        t = np.einsum("ib,js,ijk->bsk", f.basis, f.section, c)[..., None]
+        mats = (f.q_reader @ t)[..., 0].swapaxes(-1, -2)
+        t = np.einsum("ia,jb,ijk->abk", f.basis, f.basis, c)[..., None]
+        return (f.h_reader @ t)[..., 0], mats
 
     def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
         n, k = self.base.shape
@@ -691,8 +679,7 @@ class _SubChart(_Chart):
         return {"principal_angle_sup": _sup(angles)}
 
     def continuation_diagnostics(self, point: np.ndarray) -> dict:
-        return {"plane": [list(map(float, row))
-                          for row in graph_basis(self.frames, point)]}
+        return {"plane": graph_basis(self.frames, point).tolist()}
 
 
 _CHARTS = {"bracket": _BracketChart, "hom": _HomChart, "sub": _SubChart}
@@ -835,7 +822,8 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime,
 # seeded perturbations
 
 def _perturbed(chart: _Chart, scale: float, seed: int) -> tuple:
-    """exp(x0) . base, x0 uniform entrywise; refuses an overflowed exp(x0)."""
+    """exp(x0) . base, x0 uniform entrywise; refuses an overflowed exp(x0),
+    and the bracket chart's action a singular one."""
     x0 = np.random.default_rng(seed).uniform(-scale, scale, chart.log_shape)
     a0 = chart.group(x0)
     if not np.all(np.isfinite(a0)):
@@ -876,12 +864,6 @@ class CurveCheckReport:
     class_residual: float
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "steps": list(self.steps),
-                "delta_defects": list(self.delta_defects),
-                "defect_ratio": self.defect_ratio,
-                "class_residual": self.class_residual, "ok": self.ok}
-
 
 def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     """Central-difference derivative of a curve through the base object at
@@ -898,25 +880,18 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
     """
     chart = _chart(base, kind)
     p, degree = chart.p, chart.p.tangent_degree
-    by_t = {}
-    for t, value in samples:
-        by_t[float(t)] = chart.coords(value)
+    by_t = {float(t): chart.coords(value) for t, value in samples}
     if len(by_t) < 3 or min(by_t) >= 0 or max(by_t) <= 0:
         raise ValueError("need at least three samples bracketing t = 0")
     hs = sorted({abs(t) for t in by_t if t > 0 and -t in by_t})
     if not hs:
         raise ValueError("need at least one symmetric sample pair")
-    sizes = [x for x in by_t.values()]
-    if len({v.size for v in sizes}) != 1:
+    if len({v.size for v in by_t.values()}) != 1:
         raise ValueError("inconsistent sample dimensions")
     d_out = float_matrix(p.complex.d(degree))
     d_in = float_matrix(p.complex.d(degree - 1))
-    defects = []
-    derivs = []
-    for h in hs[:2]:
-        deriv = (by_t[h] - by_t[-h]) / (2 * h)
-        derivs.append(deriv)
-        defects.append(_sup(d_out @ deriv))
+    derivs = [(by_t[h] - by_t[-h]) / (2 * h) for h in hs[:2]]
+    defects = [_sup(d_out @ deriv) for deriv in derivs]
     derivative = derivs[0]
     if len(hs) >= 2:
         h_big, h_small = hs[1], hs[0]
@@ -948,12 +923,6 @@ class FDCheckReport:
     remainder_ratio: float | None
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "step": self.step,
-                "central_defects": list(self.central_defects),
-                "remainder_sups": list(self.remainder_sups),
-                "remainder_ratio": self.remainder_ratio, "ok": self.ok}
-
 
 def vertical_derivative_fd_check(kind: str, base, direction,
                                  h: float = 1e-3) -> FDCheckReport:
@@ -984,10 +953,10 @@ def vertical_derivative_fd_check(kind: str, base, direction,
     central_defects = []
     remainder_sups = []
     for step in (h, h / 2):
-        central = (value(step) - value(-step)) / (2 * step)
+        ahead = value(step)
+        central = (ahead - value(-step)) / (2 * step)
         central_defects.append(_sup(central - true_deriv))
-        remainder = value(step) - base_val - step * true_deriv
-        remainder_sups.append(_sup(remainder))
+        remainder_sups.append(_sup(ahead - base_val - step * true_deriv))
     if remainder_sups[1] > 1e-13:
         remainder_ratio = remainder_sups[0] / remainder_sups[1]
         ratio_ok = 3.5 <= remainder_ratio <= 4.5

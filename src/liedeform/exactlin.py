@@ -139,9 +139,6 @@ class Matrix:
     def data(self) -> list:
         return [_dense(row, self.cols) for row in self.row_maps]
 
-    def column(self, j: int) -> list:
-        return [_frac(row.get(j, ZERO)) for row in self.row_maps]
-
     def columns(self) -> list:
         """The {row: value} nonzeros of each column."""
         cols = [{} for _ in range(self.cols)]

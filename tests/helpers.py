@@ -116,7 +116,7 @@ def from_sub_coords(qc: QuotientCoords, coords) -> list:
 def image_basis(m: Matrix) -> Subspace:
     """Column-space basis: the pivot columns of the original matrix."""
     _, pivots = rref(m)
-    return _subspace(m.rows, [m.column(j) for j in pivots])
+    return _subspace(m.rows, [column(m, j) for j in pivots])
 
 
 def flat_index(position: int, m: int, a: int) -> int:
@@ -144,6 +144,11 @@ def flat(m) -> list:
     return dense(m.nonzeros, comb(m.domain_dim, m.degree) * m.carrier_dim)
 
 
+def column(m: Matrix, j: int) -> list:
+    """The dense Fraction column j of m, read from its row nonzeros."""
+    return [Fraction(row.get(j, 0)) for row in m.row_maps]
+
+
 def dense_apply(m: Matrix, vec) -> list:
     """The dense product of m and a dense vector, from ``m.data``."""
     return [sum((x * Fraction(v) for x, v in zip(row, vec)), Fraction(0))
@@ -162,8 +167,8 @@ def act_on_bracket_exact(a_matrix: Matrix, cand: BracketCandidate) -> BracketCan
     entries = {}
     for i in range(n):
         for j in range(n):
-            u = ainv.column(i)
-            v = ainv.column(j)
+            u = column(ainv, i)
+            v = column(ainv, j)
             w = dense_apply(a_matrix, cand.bracket(u, v))
             entries[(i, j)] = w
     return BracketCandidate.from_entries(n, entries)
@@ -400,7 +405,7 @@ def dense_adjoint_rows(cand: BracketCandidate) -> tuple:
 
 
 def dense_pullback_rows(target: BracketCandidate, matrix: Matrix) -> tuple:
-    return dense_rows(dense_ad_matrix(target, matrix.column(j))
+    return dense_rows(dense_ad_matrix(target, column(matrix, j))
                       for j in range(matrix.cols))
 
 
@@ -408,7 +413,7 @@ def dense_quotient_rows(w) -> tuple:
     g, q = w.ambient, w.quotient_dim
     sect, proj = w.coords.section, w.coords.projection
     return dense_rows(Matrix.from_columns(
-        [dense_apply(proj, g.bracket(w.basis_vector(i), sect.column(b)))
+        [dense_apply(proj, g.bracket(w.basis_vector(i), column(sect, b)))
          for b in range(q)], rows=q) for i in range(w.dim))
 
 

@@ -19,7 +19,7 @@ from liedeform import exactlin
 from liedeform.cecomplex import CohomologyUndefinedError, cohomology
 from liedeform.exactlin import Matrix, _subspace
 from liedeform import algebras
-from helpers import borel_in_sl, dense_identity_failure
+from helpers import borel_in_sl, column, dense_identity_failure
 
 
 class TestBracketCandidate:
@@ -91,9 +91,9 @@ class TestAdjoint:
     def test_heis3_ad_p_sends_q_to_z(self):
         g = catalog_algebra("heis3")
         m = Matrix.of_rows(3, 3, ad_rows(g.candidate, ((0, 1),)))
-        assert m.column(1) == [Fraction(0), Fraction(0), Fraction(1)]
-        assert m.column(0) == [Fraction(0)] * 3
-        assert m.column(2) == [Fraction(0)] * 3
+        assert column(m, 1) == [Fraction(0), Fraction(0), Fraction(1)]
+        assert column(m, 0) == [Fraction(0)] * 3
+        assert column(m, 2) == [Fraction(0)] * 3
 
     def test_abelian_rep_is_zero(self):
         rep = adjoint_rep(abelian(3))

@@ -472,6 +472,23 @@ class TestDeform:
             assert doc["error"] == "validation-failure"
             assert "non-finite" in doc["message"]
 
+    def test_singular_perturbation_is_refused(self, capsys):
+        # at scale 40, seed 0's exp(x0) is singular to round-off; the bracket
+        # action would refuse it, so the perturbation is refused before it
+        # acts: exit 1, the usual validation failure, nothing on stderr
+        argv = ("deform", "--kind", "bracket-recovery", "--algebra", "sl2",
+                "--seeds", "1", "--scale", "40")
+        message = "perturbation exp(x0) is singular"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--json")
+            assert (code, err) == (1, "")
+            assert json.loads(out) == {"error": "validation-failure",
+                                       "message": message}
+            assert run_cli(capsys, *argv) == (
+                1, f"validation failure: {message}\n", "")
+        assert caught == []
+
     def test_records_are_strict_json(self, capsys):
         # seed 15 diverges and its group element overflows: the determinant
         # is infinite, which JSON cannot write, so the record says null

@@ -19,7 +19,7 @@ from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  _Chart, _acted_pairs, _chord_newton,
                                  _curvature_flat, _frame_brackets,
                                  _pairs_flat, _sup, act_on_bracket, ad_float,
-                                 chart_coords, chart_defect_flat,
+                                 chart_defect_flat,
                                  continue_hom, continue_sub,
                                  curve_cocycle_check, float_matrix,
                                  graph_basis,
@@ -229,25 +229,23 @@ class TestContinuation:
 class TestChart:
     def test_chart_round_trip(self):
         w = sub_preset("borel-in-sl2")
-        frames = sub_frames(w)
+        chart = lab._chart(w, "sub")
         eta = np.array([[0.03, -0.02]])
-        plane = graph_basis(frames, eta)
-        back = chart_coords(frames, plane)
-        assert np.allclose(back, eta, atol=1e-12)
+        back, outside = chart.point(graph_basis(chart.frames, eta))
+        assert not outside and np.allclose(back, eta, atol=1e-12)
 
     def test_zero_coords_give_zero_defect(self):
         w = sub_preset("borel-in-sl2")
         frames = sub_frames(w)
         mu = FloatBracket.from_exact(w.ambient)
-        defect = chart_defect_flat(frames, np.zeros((1, 2)), mu)
+        defect = chart_defect_flat(frames, np.zeros((1, 2)), mu.c)
         assert np.max(np.abs(defect)) == 0.0
 
     def test_transverse_plane_rejected(self):
         w = sub_preset("borel-in-sl2")
-        frames = sub_frames(w)
         plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # span{e,f}
         with pytest.raises(ChartError):
-            chart_coords(frames, plane)
+            lab._chart(w, "sub").coords(plane)
 
 
 class TestCurveCheck:
@@ -350,7 +348,7 @@ class TestFDCheck:
                 ("sub", sub_preset("borel-in-sl2"), np.array([[0.8, -0.3]]))):
             raw = vertical_derivative_fd_check(kind, obj, direction)
             via = vertical_derivative_fd_check(kind, Problem(obj), direction)
-            assert via.to_json_dict() == raw.to_json_dict()
+            assert via == raw  # a record of floats: field by field
 
 
 class TestNewtonConfig:
@@ -392,6 +390,23 @@ class TestNewtonDivergence:
                                           np.array([[1.0]]), NewtonConfig())
         assert not ok[0] and iters[0] == 1
         assert np.all(u == 0.0) and res[0] == 1.0
+
+    @pytest.mark.parametrize("max_iter, refreshes", [(1, 0), (2, 1)])
+    def test_no_chord_refresh_in_the_last_round(self, monkeypatch, max_iter,
+                                                refreshes):
+        # residual u with a chord of 0.05: each step keeps 0.95 of the
+        # residual, a stall; a refresh gives the exact chord, and the next
+        # step converges.  A stall in the last allowed round ends its seed,
+        # so no later step reads a refreshed chord and none is computed.
+        calls = []
+        jacobian = lab.numeric_jacobian
+        monkeypatch.setattr(lab, "numeric_jacobian",
+                            lambda *a: calls.append(1) or jacobian(*a))
+        cfg = NewtonConfig(max_iter=max_iter)
+        u, res, iters, ok = _chord_newton(lambda u, seeds: u, np.ones((1, 1)),
+                                          np.array([[0.05]]), cfg)
+        assert len(calls) == refreshes
+        assert iters[0] == max_iter and ok[0] == (max_iter == 2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wild_sub_perturbation_degrades_cleanly(self):
@@ -515,11 +530,11 @@ class TestKernelsMatchLoops:
         mu = FloatBracket(n, rng.normal(size=(n, n, n)))
         for k in range(n + 1):
             q = n - k
-            frames = SubFrames(None, rng.normal(size=(n, k)),
+            frames = SubFrames(rng.normal(size=(n, k)),
                                rng.normal(size=(n, q)), rng.normal(size=(k, n)),
                                rng.normal(size=(q, n)))
             eta = rng.normal(size=(q, k))
-            assert_close(chart_defect_flat(frames, eta, mu),
+            assert_close(chart_defect_flat(frames, eta, mu.c),
                          chart_defect_loop(frames, eta, mu.c))
 
     @pytest.mark.parametrize("n", range(7))
@@ -528,7 +543,7 @@ class TestKernelsMatchLoops:
         rng = np.random.default_rng(40 + n)
         for m in range(4):
             c = rng.normal(size=(n, n, n))
-            mats = list(rng.normal(size=(n, m, m)))
+            mats = rng.normal(size=(n, m, m))
             chart = SimpleNamespace(action=lambda mu: (c, mats),
                                     origin=np.zeros((m, n)))
             assert np.array_equal(_Chart.linearization(chart, None),

@@ -9,7 +9,7 @@ from liedeform.algebras import (BracketCandidate, Matrix, abelian,
                                 catalog_algebra, hom_preset, sub_preset)
 from liedeform.cecomplex import CEComplex, adjoint_rep
 from liedeform.cochains import AltMap
-from helpers import flat
+from helpers import column, flat
 from liedeform.kuranishi import (NonCocycleError, ObstructionClass, Splitting,
                                  curvature_expansion_check, eta_matrix,
                                  jacobiator, jacobiator_expansion_check,
@@ -221,7 +221,7 @@ class TestHomObstruction:
         g = catalog_algebra("sl2")
         xm = eta_matrix(xi)
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            expected = g.bracket(xm.column(i), xm.column(j))
+            expected = g.bracket(column(xm, i), column(xm, j))
             assert cls.representative.value((i, j)) == expected
 
     def test_zero_direction_gives_zero_class(self):

@@ -266,7 +266,7 @@ def test_coefficient_systems_read_no_dense_vector():
     expect += [quotient_rep(sub_preset(n)).rows for n in sub_preset_names()]
     homs = [hom_preset(n) for n in hom_preset_names()]
     subs = [sub_preset(n) for n in sub_preset_names()]
-    with mock.patch.object(Matrix, "column", refuse), \
+    with mock.patch.object(Matrix, "data", property(refuse)), \
             mock.patch.object(QuotientCoords, "sub_basis",
                               property(refuse)):
         got = [pullback_rep(h).rows for h in homs]
