@@ -5,19 +5,17 @@ The differential on a k-cochain omega with values in a module (V, r) is
   (d omega)(u_0..u_k) = sum_i (-1)^i r(u_i) omega(.. u_i-hat ..)
                       + sum_{i<j} (-1)^{i+j} omega([u_i,u_j], .. hats ..)
 
-in the flat coordinates of `cochains`.  `differential_matrix` is the one
-builder of these matrices.  It works for any bilinear antisymmetric bracket
-candidate and any square rational matrices r(u_i); it does not assume Jacobi
-or the representation identity, so the same code serves the cohomology
-complexes and the exact expansion identities of `kuranishi`, whose base
-bracket or linear map need not satisfy either.  `cohomology` refuses inputs
-whose composed differentials are nonzero.  The differential is built from
-the nonzero rows of each action and the nonzero structure constants, and
-the d o d check sums each row of d_(k+1) d_k without keeping it
-(``Matrix.mul_is_zero``).  Cochains, kernel vectors and H-representatives
-are passed as their {position: value} nonzeros, which the differentials
-(``CEComplex.apply_d``, over the columns a cochain touches) and chain maps
-(``Matrix.apply``) map to nonzeros.
+in the flat coordinates of `cochains`.  `differential_matrix`, the one
+builder of these matrices, assumes neither Jacobi nor the representation
+identity, so it also serves the expansion identities of `kuranishi`;
+`cohomology` refuses inputs whose composed differentials are nonzero.  Only
+nonzeros are visited: of the actions and structure constants when d_k is
+built, of each row of d_(k+1) d_k when it is checked (without keeping it),
+and of the cochains, kernel vectors and H-representatives, which are passed
+as {position: value} dicts.  Dimensions and bases are read from one
+``RankForm`` of the rows of d_k per degree (see ``DegreeData``); an
+``Echelon`` of its columns is built only to reduce or solve a right-hand
+side.
 """
 
 from __future__ import annotations
@@ -90,9 +88,9 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
 
 
 class CEComplex:
-    """Caches each exact differential d_k of a coefficient system, its rank
-    and, for the readers of bases and the products ``apply_d``, its columns
-    and echelon form."""
+    """Caches each exact differential d_k of a coefficient system and its
+    rank form, and, for the products ``apply_d`` and the solvers, its
+    columns and echelon form."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
@@ -139,15 +137,25 @@ class CEComplex:
             acyclic[k] = off = self.dim_cochains(k) - len(zero[k]) - off
         return zero, acyclic
 
-    def rank(self, k: int) -> int:
-        """rank d_k, with a ``RankForm`` of the zero weight rows only.  By
-        Cartan's formula L_x = d i_x + i_x d, d keeps each joint eigenspace
-        of the torus, and one where some x acts by w != 0 is acyclic (i_x / w
-        contracts it): its ranks are alternating sums of its cochain counts."""
-        zero, acyclic = self.torus
+    def rank_form(self, k: int) -> RankForm:
+        """The ``RankForm`` of d_k's zero weight rows, keeping no rows."""
         if k not in self._ranks:
-            self._ranks[k] = RankForm(self.d(k).row_maps, zero.get(k + 1))
-        return len(self._ranks[k].kept) + acyclic.get(k, 0)
+            self._ranks[k] = RankForm(self.d(k).row_maps,
+                                      self.torus[0].get(k + 1))
+        return self._ranks[k]
+
+    def basis_form(self, k: int) -> RankForm:
+        """``rank_form(k)`` with its reduced rows, built anew from only the
+        rows it kept: the rows it dropped added no pivot."""
+        return RankForm(self.d(k).row_maps, self.rank_form(k).rows[::-1],
+                        keep=True)
+
+    def rank(self, k: int) -> int:
+        """rank d_k, from the zero weight rows only.  By Cartan's formula
+        L_x = d i_x + i_x d, d keeps each joint eigenspace of the torus, and
+        one where some x acts by w != 0 is acyclic (i_x / w contracts it):
+        its ranks are alternating sums of its cochain counts."""
+        return len(self.rank_form(k).kept) + self.torus[1].get(k, 0)
 
     def degree(self, k: int) -> "DegreeData":
         """Degree k >= 0 of the cohomology; zero above the acting dimension."""
@@ -180,14 +188,13 @@ class CEComplex:
 
 
 class DegreeData:
-    """Degree k of a complex's cohomology: the dimensions from the ranks of
-    d_k and d_(k-1), each basis and its echelon forms on first read.  A
-    cocycle is fixed by its entries at the ``free`` columns of d_k, and its
-    last nonzero entry is at one; so ``classes``, the pivots of d_(k-1)'s
-    form, are free columns, and the representatives sit at the others.
-    Representatives are the {position: value} null vectors of d_k's form,
-    as ``class_coords`` and the chain maps read them; ``cocycles`` is a
-    dense view of the whole kernel for readers outside the package."""
+    """Degree k of a complex's cohomology: the dimensions from the rank
+    forms of d_k and d_(k-1), each basis on first read.  A cocycle is fixed
+    by its entries at the ``free`` columns, those d_k's form did not keep,
+    and a coboundary's last nonzero entry is at a row d_(k-1)'s form kept;
+    these ``classes`` are free, and the representatives are the kernel
+    vectors at the other free columns (under a torus, all in the zero weight
+    block).  ``cocycles`` is a dense basis for readers outside the package."""
 
     def __init__(self, cx: CEComplex, k: int):
         self.complex = cx
@@ -199,31 +206,32 @@ class DegreeData:
 
     @cached_property
     def free(self) -> tuple:
-        return tuple(self.complex.form(self.k).relations)
+        return tuple(self.complex.rank_form(self.k).free(
+            self.complex.torus[0].get(self.k, range(self.dim_cochains))))
 
     @cached_property
     def cocycles(self) -> Subspace:
+        form = RankForm(self.complex.d(self.k).row_maps, keep=True)
         return Subspace(self.dim_cochains, tuple(
-            tuple(_dense(v, self.dim_cochains))
-            for v in self.complex.form(self.k).kernel()))
+            tuple(_dense(form.null_vector(f), self.dim_cochains))
+            for f in form.free(range(self.dim_cochains))))
 
     @cached_property
     def classes(self) -> frozenset:
-        return frozenset(self.complex.form(self.k - 1).pivots if self.k
+        return frozenset(self.complex.rank_form(self.k - 1).rows if self.k
                          else ())
 
     @cached_property
     def h_representatives(self) -> tuple:
-        null = self.complex.form(self.k).null_vector
-        reps = tuple(null(f) for f in self.free if f not in self.classes)
-        assert len(reps) == self.dim_h
-        return reps
+        slots = [f for f in self.free if f not in self.classes]
+        assert len(slots) == self.dim_h
+        return tuple(map(self.complex.basis_form(self.k).null_vector,
+                         slots)) if slots else ()
 
     def class_coords(self, z: dict) -> list:
-        """Coordinates of the class of the cocycle with the {position:
-        value} nonzeros ``z`` in the classes of ``h_representatives``, read
-        from its remainder by d_(k-1)'s form."""
-        rem = self.complex.form(self.k - 1).reduce(z)[0] if self.k else z
+        """Coordinates of the class of the cocycle with nonzeros ``z``: its
+        remainder modulo the coboundaries at the representatives' columns."""
+        rem = self.complex.form(self.k - 1).reduce(z) if self.k else z
         return [_frac(rem.get(f, 0)) for f in self.free
                 if f not in self.classes]
 
@@ -255,8 +263,7 @@ class CohomologyReport:
 
 def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
     """Exact cohomology of a coefficient system, degrees 0..n, kept with its
-    complex.  Only ranks are read here (``CEComplex.rank``), and no full
-    echelon form is built (see ``DegreeData``).  Refuses
+    complex; only ranks are read, and no basis is built.  Refuses
     (CohomologyUndefinedError) when the composed differentials are not zero,
     which happens exactly when the bracket or the action fails its identity."""
     cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
@@ -358,13 +365,11 @@ class Problem:
                                     name=f"{w.name}-incl"))
 
     def h_dim(self, k: int) -> int:
-        """dim H^k, read from the report without building a basis; 0 above
-        the acting dimension, where C^k = 0."""
+        """dim H^k from the report's ranks; 0 above the acting dimension."""
         return self.report.degree(k).dim_h
 
     def z_dim(self, k: int) -> int:
-        """dim Z^k, read from the report without building a basis; 0 above
-        the acting dimension, where C^k = 0."""
+        """dim Z^k from the report's ranks; 0 above the acting dimension."""
         return self.report.degree(k).dim_cocycles
 
 
@@ -372,13 +377,10 @@ class Problem:
 # chain maps and induced maps on cohomology
 
 def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
-    """Matrix of omega -> omega(rho . , .. , rho .) from target-side
-    k-cochains (adjoint carrier) to source-side k-cochains (pullback carrier).
-
-    Row block S is rho(e_s1) ^ .. ^ rho(e_sk), the k-th exterior power of
-    rho (its entry at T is the minor det rho[T, S], by Cauchy-Binet), read
-    from the nonzeros of rho's columns; the carrier index is untouched.
-    """
+    """Matrix of omega -> omega(rho . , .. , rho .) from target-side to
+    source-side k-cochains: row block S is rho(e_s1) ^ .. ^ rho(e_sk) (its
+    entry at T is the minor det rho[T, S], by Cauchy-Binet), read from the
+    nonzeros of rho's columns; the carrier index is untouched."""
     m = hom.target.dim
     src_pos = subset_positions(m, k)
     cols = hom.matrix.columns()
@@ -496,18 +498,12 @@ class LESReport:
 
 
 def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode:
-    """Exactness of  prev --incoming--> node --outgoing--> next  plus the
-    explicit membership certificate image(in) inside kernel(out).  Each map
-    is reduced once; its rank is its pivot count."""
-    dim_node = outgoing.cols
-    composed_zero = outgoing.mul_is_zero(incoming)
-    e_in = RankForm(incoming.row_maps)
-    e_out = Echelon(outgoing.columns())
-    r_in, r_out = len(e_in.kept), len(e_out.kept)
-    exact = composed_zero and (r_in + r_out == dim_node)
-    ker, cols = Echelon(e_out.kernel()), incoming.columns()
-    membership = all(ker.solve(cols[j]) is not None for j in e_in.kept)
-    return LESNode(label, k, dim_node, r_in, r_out, exact, membership)
+    """Exactness of  prev --incoming--> node --outgoing--> next; image(in)
+    lies in kernel(out), the membership certificate, iff out o in = 0."""
+    membership = outgoing.mul_is_zero(incoming)
+    r_in, r_out = rank(incoming), rank(outgoing)
+    return LESNode(label, k, outgoing.cols, r_in, r_out,
+                   membership and r_in + r_out == outgoing.cols, membership)
 
 
 def snake_lift(w: SubalgebraWitness, section: Matrix, eta: AltMap,

@@ -22,7 +22,7 @@ from .documents import (EXPERIMENT_KINDS, ChartError, InputDefectError,
                         MalformedDocumentError, PreconditionError,
                         load_json_file, parse_direction_doc,
                         parse_experiment_doc, resolve_object, resolve_sub)
-from .exactlin import Matrix
+from .exactlin import Matrix, RankForm
 from . import kuranishi as K
 from . import verdicts as V
 
@@ -105,13 +105,14 @@ def _check_sub(problem: Problem, seed: int):
 
 
 def _first_quotient_cocycle(problem: Problem) -> AltMap:
-    """A deterministic element of Z^1(h, g/h): the null vector of d_1's
-    first free column, or zero when the space is trivial."""
+    """A deterministic element of Z^1(h, g/h): the null vector of all rows
+    of d_1 at their first free column, or zero when the space is trivial."""
     k, q = problem.obj.dim, problem.obj.quotient_dim
     if problem.z_dim(1) == 0:
         return AltMap.zero(1, k, q)
-    return AltMap.of(1, k, q, problem.complex.form(1).null_vector(
-        problem.report.degree(1).free[0]))
+    form = RankForm(problem.complex.d(1).row_maps, keep=True)
+    return AltMap.of(1, k, q, form.null_vector(
+        form.free(range(problem.complex.dim_cochains(1)))[0]))
 
 
 def _sub_obstruction(problem: Problem, eta: AltMap):

@@ -2,24 +2,16 @@
 
 ``Matrix`` is the one rational matrix: it keeps the nonzeros of each row
 as a {column: value} dict (``row_maps``), ints where integral, and its
-``data`` is a fresh dense copy.  ``Echelon`` is an echelon form kept for
-repeated solves, and ``RankForm`` its elimination without the bookkeeping,
-when only a rank and pivot columns are read.  ``rref``, ``solve_particular``,
-``invert`` and the quotient coordinates of a subspace are read from the
-``Echelon`` of a matrix's columns, ``rank`` from the ``RankForm`` of its
-rows.  Both are fraction-free: each row is an integer vector carrying its
-pivot value (a rational vector is first scaled by its common denominator),
-so elimination does no ``Fraction`` arithmetic.  Everything in this module
-is exact: ranks, kernels, solves and quotient coordinates involve no
-tolerances, and ranks computed here agree with ranks over the reals.
-
-``Matrix.mul_is_zero`` says whether a product is zero without building it:
-each product row is summed in one accumulator and dropped.
-
-Conventions: matrices act on column vectors, and ``Matrix.apply`` and
-``Echelon.solve`` take and give a vector as its {position: value} nonzeros;
-the public ``solve_particular`` takes and gives plain lists of Fractions.
-All values are treated as immutable after construction.
+``data`` is a fresh dense copy.  Ranks and kernel vectors are read from the
+``RankForm`` of a matrix's rows; ``rref``, ``solve_particular``, ``invert``
+and quotient coordinates from the ``Echelon`` of its columns, which keeps
+each row's combination of them for right-hand sides.  Both are
+fraction-free: each row is an integer vector carrying its pivot value (a
+rational vector is first scaled by its common denominator).  All of it is
+exact, with no tolerance, so ranks agree with those over the reals.
+Matrices act on column vectors; ``Matrix.apply`` and ``Echelon.solve`` take
+and give {position: value} nonzeros, ``solve_particular`` plain lists.
+Values are treated as immutable once built.
 """
 
 from __future__ import annotations
@@ -213,12 +205,9 @@ class Matrix:
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form; returns (R, pivot_columns).
-
-    Read from the ``Echelon`` of the columns: the pivots are its kept
-    columns, and row t of R is 1 at the t-th of them and holds the t-th
-    coefficient of every other column's relation.
-    """
+    """(R, pivot columns) for the reduced row echelon form R, read from the
+    ``Echelon`` of the columns: row t is 1 at its t-th kept column and holds
+    the t-th coefficient of every other column's relation."""
     form = Echelon(m.columns())
     r = [{j: 1} for j in form.kept] + [{} for _ in range(m.rows - len(form.kept))]
     for j, combo in form.relations.items():
@@ -257,12 +246,9 @@ class Echelon:
     the row's combination of the kept vectors: integer vectors with no
     factor common to both, the row zero past its pivot and holding its
     pivot value there.  ``relations`` maps each other input index to its
-    (rational) combination.  A remainder zero at every pivot, and so each
-    combination, does not depend on how the rows were reduced: for the
-    columns of a matrix, ``kept`` are the pivot columns of its RREF,
-    ``kernel()`` the null-space basis read from it and ``solve(b)`` the
-    solution with free variables zero, as Gauss-Jordan elimination gives
-    them."""
+    (rational) combination.  Remainders and combinations do not depend on
+    the order of reduction: for a matrix's columns, ``kept`` are its RREF's
+    pivot columns and ``solve(b)`` the solution with free variables zero."""
 
     def __init__(self, vectors):
         self.kept, self.relations, self.pivots = [], {}, {}
@@ -307,12 +293,11 @@ class Echelon:
             combo = {t: c // g for t, c in combo.items()}
         return s, rem, combo
 
-    def reduce(self, v: dict):
-        """(v - sum c_t kept_t, c) with the remainder zero at every pivot, so
-        zero exactly when v is in the span."""
-        s, rem, combo = self._reduce(v)
-        return ({j: _ratio(x, s) for j, x in rem.items()},
-                {t: _ratio(c, s) for t, c in combo.items()})
+    def reduce(self, v: dict) -> dict:
+        """v minus the combination of the kept vectors that clears it at
+        every pivot: zero exactly when v is in the span."""
+        s, rem, _ = self._reduce(v)
+        return {j: _ratio(x, s) for j, x in rem.items()}
 
     def solve(self, b: dict) -> dict | None:
         """The {input index: value} nonzeros of the coefficients x (zero off
@@ -323,25 +308,15 @@ class Echelon:
             return None
         return {self.kept[t]: _exact(Fraction(c, s)) for t, c in combo.items()}
 
-    def null_vector(self, i: int) -> dict:
-        """e_i - sum c_t e_(kept t) for a vector i that was not kept."""
-        return {i: 1, **{self.kept[t]: -c
-                         for t, c in self.relations[i].items()}}
-
-    def kernel(self) -> list:
-        """The null vector of each vector that was not kept."""
-        return list(map(self.null_vector, self.relations))
-
 
 class RankForm:
     """``Echelon``'s integer elimination of the {column: value} rows
-    ``which`` (default all), last first, keeping no combinations, relations
-    or reduced rows; a row of nonzero ints is taken as it is.  ``rows``
-    lists the rows left nonzero, and ``kept`` their first nonzero columns in
-    order: ``Echelon``'s kept columns (and, all rows taken, its pivots are
-    ``rows``); that minor is nonsingular."""
+    ``which`` (default all), last first, with no combinations; a row of ints
+    is taken as it is.  ``rows`` lists the rows left nonzero, and ``kept``
+    their first nonzero columns: ``Echelon``'s kept columns (and, all rows
+    taken, its pivots are ``rows``).  ``keep`` keeps the reduced rows."""
 
-    def __init__(self, rows, which=None):
+    def __init__(self, rows, which=None, keep=False):
         pivots, self.rows = {}, []
         for i in reversed(range(len(rows)) if which is None else which):
             v = rows[i]
@@ -369,6 +344,44 @@ class RankForm:
                 pivots[min(rem)] = {j: x // g for j, x in rem.items()}
                 self.rows.append(i)
         self.kept = sorted(pivots)
+        if keep:  # {column: [(pivot, entry) of each row holding it]}
+            self.pivots, self._users = pivots, {}
+            for p, row in pivots.items():
+                for j, v in row.items():
+                    if j != p:
+                        self._users.setdefault(j, []).append((p, v))
+
+    def free(self, columns) -> list:
+        """The columns among ``columns`` that were not kept."""
+        kept = set(self.kept)
+        return [j for j in columns if j not in kept]
+
+    def null_vector(self, f: int) -> dict:
+        """The kernel vector that is 1 at the free column f and 0 at the
+        others, as {column: value} nonzeros in order: back-substituted from
+        the last pivot down over only the rows f reaches (Gilbert and
+        Peierls, SIAM J. Sci. Stat. Comput. 9, 1988), each entry scattered
+        into the sums of the rows holding it, over one denominator s."""
+        users, reached, todo = self._users, set(), [f]
+        while todo:
+            new = {p for p, _ in users.get(todo.pop(), ())} - reached
+            reached |= new
+            todo += new
+        x, s, sums = {f: 1}, 1, dict(users.get(f, ()))
+        for p in sorted(reached, reverse=True):
+            if t := sums.pop(p, 0):
+                a = self.pivots[p][p]
+                g = gcd(a, t) if a > 0 else -gcd(a, t)
+                if a != g:
+                    s *= a // g
+                    x = {j: y * (a // g) for j, y in x.items()}
+                    sums = {q: y * (a // g) for q, y in sums.items()}
+                x[p] = y = -t // g
+                for q, v in users.get(p, ()):
+                    sums[q] = sums.get(q, 0) + v * y
+        if s != 1:
+            x = {j: _exact(Fraction(y, s)) for j, y in x.items()}
+        return dict(sorted(x.items()))
 
 
 @record
@@ -393,10 +406,7 @@ def _subspace(ambient_dim: int, vectors) -> Subspace:
 
 
 def solve_particular(m: Matrix, b):
-    """One exact solution of m x = b, or None when the system is unsolvable.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
+    """The exact solution of m x = b with free variables zero, or None."""
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
     x = Echelon(m.columns()).solve({i: _frac(y) for i, y in enumerate(b) if y})
@@ -419,12 +429,9 @@ def invert(m: Matrix) -> Matrix:
 
 
 def reduced_basis(sub: Subspace):
-    """Basis of ``sub`` in reduced (column) echelon form, with pivot positions.
-
-    Returned as (rows, pivots): ``rows[t]`` holds the {position: value}
-    nonzeros of the t-th basis vector, ints where integral, 1 at
-    ``pivots[t]`` and zero at the other pivots.
-    """
+    """(rows, pivots) for the basis of ``sub`` in reduced echelon form:
+    ``rows[t]`` holds the {position: value} nonzeros of its t-th vector,
+    ints where integral, 1 at ``pivots[t]`` and zero at the other pivots."""
     if sub.dim == 0:
         return [], []
     m = Matrix.from_rows([list(v) for v in sub.basis])
@@ -436,16 +443,12 @@ def reduced_basis(sub: Subspace):
 
 @record
 class QuotientCoords:
-    """Coordinates on ambient/sub induced by the standard-basis complement.
-
-    ``projection`` maps the ambient space onto the quotient coordinates (its
-    kernel is exactly the subspace); ``section`` is the right inverse picking
-    the standard basis vectors at the non-pivot positions; ``sub_rows``
-    holds the (position, value) nonzeros of each vector of the subspace
-    basis in reduced echelon form, ints where integral, with ``pivots`` the
-    pivot positions and ``complement`` the remaining positions.
-    ``sub_basis`` is that basis as dense Fraction tuples, built on each read.
-    """
+    """Coordinates on ambient/sub from the standard-basis complement.
+    ``projection`` maps the ambient space onto them (its kernel is the
+    subspace), and ``section`` is its right inverse at the ``complement``
+    positions.  ``sub_rows`` holds the (position, value) nonzeros, ints where
+    integral, of the subspace basis in reduced echelon form, with pivots
+    ``pivots``; ``sub_basis`` is that basis as dense Fraction tuples."""
 
     ambient_dim: int
     sub_rows: tuple
@@ -465,23 +468,16 @@ class QuotientCoords:
 
     @property
     def sub_coords(self) -> Matrix:
-        """The coordinates of a vector in the echelon basis of the subspace:
-        its entries at the pivots.
-
-        Only valid on the subspace; callers certify that by checking that
-        ``projection`` maps the vector to zero first.
-        """
+        """Coordinates in the echelon basis, its entries at the pivots: valid
+        on the subspace only, which callers check with ``projection``."""
         return Matrix.of_rows(len(self.pivots), self.ambient_dim,
                               [{p: 1} for p in self.pivots])
 
 
 def quotient_coords(sub: Subspace) -> QuotientCoords:
-    """Quotient-by-subspace coordinates via the standard complement rule.
-
-    The subspace basis is put in reduced echelon form; the complement is
-    spanned by the standard basis vectors at the non-pivot positions, and the
-    projection subtracts the unique subspace component.
-    """
+    """Quotient coordinates: the complement of the reduced echelon basis is
+    spanned by the standard basis vectors off its pivots, and the projection
+    subtracts the unique subspace component."""
     n = sub.ambient_dim
     rows, pivots = reduced_basis(sub)
     pivot_set = set(pivots)

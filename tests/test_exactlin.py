@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (column, contains, dense, dense_apply, from_sub_coords,
                      image_basis, kernel_basis, nonzeros)
-from liedeform.exactlin import (Echelon, Matrix, format_scalar,
+from liedeform.exactlin import (Echelon, Matrix, RankForm, format_scalar,
                                 invert, parse_scalar, quotient_coords, rank,
                                 reduced_basis, rref, solve_particular,
                                 Subspace, _subspace)
@@ -212,7 +212,10 @@ class TestEchelon:
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         form = Echelon(m.columns())
         assert form.kept == [0, 1]
-        assert form.kernel() == [{0: 1, 1: -2, 2: 1}]
+        assert form.relations == {2: {0: -1, 1: 2}}
+        rows = RankForm(m.row_maps, keep=True)
+        assert rows.kept == form.kept and rows.free(range(3)) == [2]
+        assert rows.null_vector(2) == {0: 1, 1: -2, 2: 1}
 
     def test_solve_sets_free_variables_to_zero(self):
         m = Matrix.from_rows([[1, 1, 2], [0, 0, 0]])
@@ -223,9 +226,40 @@ class TestEchelon:
     def test_pivots_are_last_nonzero_positions(self):
         form = Echelon([{0: 1, 1: 1}, {1: 1, 2: 1}])
         assert sorted(form.pivots) == [1, 2]
-        assert form.reduce({0: 1, 2: 1})[0] == {0: 2}
+        assert form.reduce({0: 1, 2: 1}) == {0: 2}
 
     def test_empty_span(self):
         form = Echelon([])
         assert form.kept == [] and form.solve({}) == {}
         assert form.solve({0: F(1)}) is None
+
+
+class TestRankForm:
+    def test_dims_form_keeps_no_rows(self):
+        form = RankForm([{0: 1, 1: 1}])
+        assert form.kept == [0] and form.rows == [0]
+        assert not hasattr(form, "pivots")
+
+    def test_null_vector_over_a_common_denominator(self):
+        # x0 = -x1 / 2 and x1 = -x2 / 3: the vector at column 2 is
+        # (1/6, -1/3, 1), in column order, ints where integral
+        form = RankForm([{0: 2, 1: 1}, {1: 3, 2: 1}, {}], keep=True)
+        assert form.kept == [0, 1] and form.free(range(3)) == [2]
+        got = form.null_vector(2)
+        assert got == {0: F(1, 6), 1: F(-1, 3), 2: 1}
+        assert list(got) == [0, 1, 2]
+        integral = RankForm([{0: 2, 1: 4}], keep=True).null_vector(1)
+        assert integral == {0: -2, 1: 1} and type(integral[0]) is int
+
+    def test_null_vector_reaches_only_the_rows_it_touches(self):
+        # column 3 meets no row, so its vector is the unit vector
+        form = RankForm([{0: 1, 1: 1}, {1: 1, 2: -1}], keep=True)
+        assert form.free(range(4)) == [2, 3]
+        assert form.null_vector(2) == {0: -1, 1: 1, 2: 1}
+        assert form.null_vector(3) == {3: 1}
+
+    def test_rational_rows_and_chosen_rows(self):
+        rows = [{0: F(1, 2), 2: F(1, 3)}, {1: 1}, {0: 1, 1: 5}]
+        form = RankForm(rows, [0], keep=True)
+        assert form.rows == [0] and form.free(range(3)) == [1, 2]
+        assert form.null_vector(2) == {0: F(-2, 3), 2: 1}

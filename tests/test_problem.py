@@ -2,6 +2,7 @@
 by every verdict, CLI verb and Newton seed that asks for it."""
 
 import copy
+from collections import Counter
 import gc
 import json
 import sys
@@ -9,7 +10,7 @@ import weakref
 
 import pytest
 
-from liedeform import cecomplex
+from liedeform import cecomplex, exactlin
 from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
                                 hom_preset_names, sub_preset, sub_preset_names)
 from liedeform.cecomplex import Problem
@@ -139,28 +140,51 @@ def built(view) -> set:
 
 
 @pytest.fixture
-def form_builds(monkeypatch):
-    """Every full echelon form built while a complex's form of d_k is asked
-    for, as (coefficient system, label, k), once per build."""
-    builds, asked = [], []
-    form = cecomplex.CEComplex.form
+def eliminations(monkeypatch):
+    """Every ``RankForm`` and ``Echelon`` built, counted per (coefficient
+    system, label, k) of the complex whose form of d_k was asked for (None
+    outside a complex) and per type."""
+    counts, asked = Counter(), []
 
-    class Counted(cecomplex.Echelon):
-        def __init__(self, vectors):
-            super().__init__(vectors)
-            if asked:
-                builds.append(asked[-1])
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                counts[asked[-1] if asked else None, cls.__name__] += 1
+        return Counted
 
-    def traced(self, k):
-        asked.append((self.rep.variant, self.rep.label, k))
-        try:
-            return form(self, k)
-        finally:
-            asked.pop()
+    for cls in (exactlin.RankForm, exactlin.Echelon):
+        sub = counted(cls)
+        for mod in (exactlin, cecomplex):
+            monkeypatch.setattr(mod, cls.__name__, sub)
 
-    monkeypatch.setattr(cecomplex, "Echelon", Counted)
-    monkeypatch.setattr(cecomplex.CEComplex, "form", traced)
-    return builds
+    def traced(method):
+        def asked_for(self, k, *args, **kwargs):
+            asked.append((self.rep.variant, self.rep.label, k))
+            try:
+                return method(self, k, *args, **kwargs)
+            finally:
+                asked.pop()
+        return asked_for
+
+    for name in ("rank_form", "basis_form", "form"):
+        monkeypatch.setattr(cecomplex.CEComplex, name,
+                            traced(getattr(cecomplex.CEComplex, name)))
+    return counts
+
+
+def per_degree(counts, kind) -> dict:
+    """{(system, label, k): forms of ``kind`` built} for the complexes."""
+    return {key: c for (key, cls), c in counts.items()
+            if key is not None and cls == kind}
+
+
+def assert_dims_only(counts, degree_views):
+    """One rank form per degree of every report made, and no echelon form."""
+    made = {(v.complex.rep.variant, v.complex.rep.label, v.k)
+            for v in degree_views}
+    assert per_degree(counts, "RankForm") == dict.fromkeys(made, 1)
+    assert per_degree(counts, "Echelon") == {}
 
 
 @pytest.mark.parametrize("argv", [
@@ -173,29 +197,43 @@ def form_builds(monkeypatch):
     ["verdict", "--question", "kuranishi-model-dims", "--sub",
      "borel-in-sl2"],
 ])
-def test_dimension_readers_build_no_basis(degree_views, form_builds, capsys,
+def test_dimension_readers_build_no_basis(degree_views, eliminations, capsys,
                                           argv):
     assert run(argv) == 0
     capsys.readouterr()
     assert degree_views
     assert [v.k for v in degree_views if built(v)] == []
-    assert form_builds == []
+    assert_dims_only(eliminations, degree_views)
 
 
-def test_precondition_builds_no_basis(degree_views, form_builds):
+def test_precondition_builds_no_basis(degree_views, eliminations):
     run_experiment("bracket-recovery", catalog_algebra("sl2"), [0])
     assert degree_views
     assert [v.k for v in degree_views if built(v)] == []
-    assert form_builds == []
+    assert_dims_only(eliminations, degree_views)
 
 
 @pytest.mark.parametrize("experiment, obj", [
     ("hom-continuation", hom_preset("borel-incl")),
     ("sub-recovery", sub_preset("borel-in-sl2"))])
-def test_hom_and_sub_preconditions_build_no_form(form_builds, experiment,
-                                                 obj):
+def test_hom_and_sub_preconditions_build_no_form(degree_views, eliminations,
+                                                 experiment, obj):
     run_experiment(experiment, obj, [0])
-    assert form_builds == []
+    assert_dims_only(eliminations, degree_views)
+
+
+def test_representatives_add_one_rank_form_per_degree(eliminations):
+    # the representatives are back-substituted in a second rank form of
+    # d_k, built only where H^k != 0; no echelon form is built
+    want = {}
+    for obj in all_objects():
+        report = Problem(obj).report
+        for d in report.degrees:
+            assert len(d.h_representatives) == d.dim_h
+            key = (report.complex.rep.variant, report.complex.rep.label, d.k)
+            want[key] = 1 + (d.dim_h > 0)
+    assert per_degree(eliminations, "RankForm") == want
+    assert per_degree(eliminations, "Echelon") == {}
 
 
 def test_induced_map_builds_bases_only_in_degree_one(degree_views, capsys):
@@ -209,31 +247,38 @@ def test_induced_map_builds_bases_only_in_degree_one(degree_views, capsys):
     assert got == {("adjoint", 1): {"free", "classes", "h_representatives"}}
 
 
-SUB, INCL, QUOT = ("adjoint", "ad(borel-in-sl2-sub)"), (
-    "pullback", "borel-in-sl2-incl:borel-in-sl2-sub->sl2"), (
-    "quotient", "borel-in-sl2:sl2/sub")
+SUB, INCL, QUOT = ("adjoint", "ad(center-in-heis3-sub)"), (
+    "pullback", "center-in-heis3-incl:center-in-heis3-sub->heis3"), (
+    "quotient", "center-in-heis3:heis3/sub")
 
 
-@pytest.mark.parametrize("argv, needed", [
-    # H^k(h,h), H^k(h,g) for k <= 2 and H^k(h,g/h) for k <= 1; the form of
-    # d_(k-1) classes the images in degree k
-    (["les", "--sub", "borel-in-sl2"],
-     {(*s, k) for s in (SUB, INCL) for k in range(3)}
-     | {(*QUOT, k) for k in range(2)}),
+@pytest.mark.parametrize("argv, bases, echelons", [
+    # H^k(h,h) and H^k(h,g) for k <= 1 and H^0(h,g/h) have representatives,
+    # each back-substituted in a second rank form; the echelon form of d_0
+    # classes the images in degree 1
+    (["les", "--sub", "center-in-heis3"],
+     {(*s, k) for s in (SUB, INCL) for k in range(2)} | {(*QUOT, 0)},
+     {(*s, 0) for s in (SUB, INCL, QUOT)}),
+    # every H^k is zero: no representative and nothing to class
+    (["les", "--sub", "borel-in-sl2"], set(), set()),
     # the primitive of the obstruction class is solved against d_1
     (["kuranishi", "--sub", "borel-in-sl2", "--direction", "DIRECTION"],
-     {(*QUOT, 1)}),
-    # H^1(sl2, sl2) = 0: the target's representatives (d_1 and d_0)
+     set(), {("quotient", "borel-in-sl2:sl2/sub", 1)}),
+    # H^1(sl2, sl2) = 0: no representative to map
     (["verdict", "--question", "hom-aut-rigidity", "--hom", "borel-incl"],
-     {("adjoint", "ad(sl2)", 1), ("adjoint", "ad(sl2)", 0)}),
+     set(), set()),
 ])
-def test_basis_readers_build_each_needed_form_once(form_builds, capsys,
-                                                   tmp_path, argv, needed):
+def test_basis_readers_build_each_needed_form_once(eliminations, capsys,
+                                                   tmp_path, argv, bases,
+                                                   echelons):
     doc = tmp_path / "direction.json"
     doc.write_text(json.dumps([["1", "0"]]))  # eta(h) = fbar, eta(e) = 0
     assert run([str(doc) if a == "DIRECTION" else a for a in argv]) == 0
     capsys.readouterr()
-    assert sorted(form_builds) == sorted(needed)
+    ranks = per_degree(eliminations, "RankForm")
+    assert {key for key, c in ranks.items() if c > 1} == bases
+    assert set(ranks.values()) <= {1, 2}
+    assert per_degree(eliminations, "Echelon") == dict.fromkeys(echelons, 1)
 
 
 def test_wrong_kind_is_refused():

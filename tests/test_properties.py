@@ -15,14 +15,15 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
                                 subalgebra_witness, validate_bracket)
-from liedeform.cecomplex import (CEComplex, adjoint_rep, cohomology,
+from liedeform.cecomplex import (CEComplex, Problem, adjoint_rep, cohomology,
                                  pullback_cochain_map)
+from liedeform.cli import _first_quotient_cocycle
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
 from elimination_oracle import bareiss_rank
 import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
-                     image_basis, kernel_basis, rref, sl_in_gl,
-                     solve_particular)
+                     dense_report_tuples, image_basis, kernel_basis, rref,
+                     sl_in_gl, solve_particular)
 from liedeform.exactlin import Echelon, RankForm, _dense, invert, rank
 from liedeform import exactlin, kuranishi
 from liedeform.kuranishi import (curvature_expansion_check, jacobiator,
@@ -84,7 +85,9 @@ def test_echelon_matches_dense_elimination(m):
     _, pivots = rref(m)
     assert form.kept == pivots
     assert len(form.kept) == bareiss_rank(m.data)
-    kernel = [tuple(_dense(v, m.cols)) for v in form.kernel()]
+    rows = RankForm(m.row_maps, keep=True)
+    kernel = [tuple(_dense(rows.null_vector(f), m.cols))
+              for f in rows.free(range(m.cols))]
     assert kernel == list(kernel_basis(m).basis)
 
 
@@ -603,10 +606,13 @@ def test_rank_form_keeps_the_echelon_columns(cols, data):
                         for i in form.rows]) != 0
     which = sorted(data.draw(st.sets(st.sampled_from(range(len(rows))))
                              if rows else st.just(set())))
-    part = RankForm(m.row_maps, which)
+    part = RankForm(m.row_maps, which, keep=True)
     sub = Matrix.of_rows(len(which), cols, [m.row_maps[i] for i in which])
     assert part.kept == Echelon(sub.columns()).kept
     assert set(part.rows) <= set(which)
+    # the kernel vectors by back-substitution are Gauss-Jordan's
+    assert [tuple(_dense(part.null_vector(f), cols))
+            for f in part.free(range(cols))] == list(kernel_basis(sub).basis)
     assert bareiss_det([[m.row_maps[i].get(j, 0) for j in part.kept]
                         for i in part.rows]) != 0
 
@@ -703,3 +709,85 @@ def test_weight_blocks_give_the_full_elimination_table(seed):
                 == full_elimination_table(report.complex)), rep.label
         tori += bool(report.complex.torus[0])
     assert tori >= 12  # gl_n, sl_n and b(sl_n) act through an inner torus
+
+
+# ---------------------------------------------------------------------------
+# bases read from the rank form, against dense Gauss-Jordan elimination
+
+def small_systems():
+    """Adjoint systems of small algebras moved by random shears (no torus
+    is left, as a rule) or rescaled (a torus stays), pullback systems of
+    the preset homomorphisms in random signed bases and along the inclusion
+    of random witnesses, and the quotient systems of random witnesses; at
+    most 60 cochains in a degree, so the dense reference stays quick."""
+    algebras = [catalog_algebra(n) for n in sorted(catalog_names())] + [
+        dense.gl_algebra(2), dense.heisenberg_algebra(2),
+        dense.filiform_algebra(5)]
+    moved = st.tuples(st.sampled_from(algebras), st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)),
+        max_size=4)).map(lambda drawn: validate_bracket(act_on_bracket_exact(
+            unimodular_matrix(drawn[0].dim, drawn[1]), drawn[0].candidate)))
+    signed = st.tuples(st.sampled_from(sorted(hom_preset_names())),
+                       st.integers(0, 2 ** 32 - 1)).map(
+        lambda drawn: signed_hom(hom_preset(drawn[0]), Signs(drawn[1])))
+    witnesses = quotient_witnesses()
+    kinds = [moved.map(adjoint_rep), rescaled_catalog().map(adjoint_rep),
+             signed.map(pullback_rep),
+             witnesses.map(lambda w: pullback_rep(inclusion(w))),
+             witnesses.map(quotient_rep)]
+    return st.sampled_from(kinds).flatmap(lambda kind: kind).filter(
+        lambda rep: max(cochain_dim(rep.acting.dim, k, rep.carrier_dim)
+                        for k in range(rep.acting.dim + 1)) <= 60)
+
+
+def assert_bases_match_the_dense_reference(rep):
+    report = cohomology(rep)
+    for d, (coc, _, reps) in zip(report.degrees, dense_report_tuples(rep)):
+        assert d.cocycles.basis == coc
+        assert tuple(tuple(_dense(z, d.dim_cochains))
+                     for z in d.h_representatives) == reps
+        assert [d.class_coords(z) for z in d.h_representatives] == [
+            [int(i == j) for j in range(d.dim_h)] for i in range(d.dim_h)]
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_bases_match_the_dense_reference(rep):
+    assert_bases_match_the_dense_reference(rep)
+
+
+def test_first_quotient_cocycle_may_have_nonzero_weight():
+    # b(sl2) has no zero weight 1-cochain with values in sl2/b, so the
+    # first free column of d_1 lies outside the zero block; the CLI's
+    # cocycle is still Gauss-Jordan's first kernel vector of all of d_1
+    for w in ([sub_preset(n) for n in sub_preset_names()]
+              + [borel_in_sl(2), borel_in_sl(3), sl_in_gl(2)]):
+        p = Problem(w)
+        report = assert_bases_match_the_dense_reference(p.rep)
+        cx, got = report.complex, _first_quotient_cocycle(p)
+        kernel = kernel_basis(cx.d(1)).basis
+        assert got.nonzeros == (dense.nonzeros(kernel[0]) if kernel else {})
+        if w.name == "borel-in-sl2":
+            assert cx.torus[0][1] == [] and got.nonzeros
+            assert report.degree(1).free == ()
+
+
+def test_class_coords_drop_coboundaries_of_nonzero_weight():
+    # a representative plus the coboundary of each (k-1)-cochain of
+    # nonzero weight is still the unit vector of its class
+    report = cohomology(adjoint_rep(dense.gl_algebra(2)))
+    cx, seen = report.complex, 0
+    zero = cx.torus[0]
+    for d in report.degrees[1:]:
+        for j in range(cx.dim_cochains(d.k - 1)):
+            b = cx.apply_d(AltMap.of(d.k - 1, cx.n, cx.carrier_dim, {j: 3}))
+            if j in zero[d.k - 1] or b.is_zero():
+                continue
+            seen += 1
+            for i, z in enumerate(d.h_representatives):
+                moved = {t: x for t in z.keys() | b.nonzeros.keys()
+                         if (x := z.get(t, 0) + b.nonzeros.get(t, 0))}
+                assert d.class_coords(moved) == [int(i == t)
+                                                 for t in range(d.dim_h)]
+    assert seen and zero

@@ -19,7 +19,7 @@ from liedeform.cecomplex import (CEComplex, CohomologyUndefinedError,
                                  _exact_at, cohomology, differential_matrix)
 from liedeform.cli import run
 from liedeform.cochains import AltMap, cochain_dim
-from liedeform.exactlin import Echelon, Matrix, QuotientCoords, _exact
+from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
 import test_cecomplex
@@ -120,7 +120,8 @@ def products(draw):
     a = draw(_matrix(r, s))
     if draw(st.booleans()):
         return a, draw(_matrix(s, draw(st.integers(0, 4))))
-    null = Echelon(a.columns()).kernel()
+    form = RankForm(a.row_maps, keep=True)
+    null = list(map(form.null_vector, form.free(range(s))))
     if null and draw(st.booleans()):
         null[-1] = {**null[-1], draw(st.integers(0, s - 1)): 1}
     rows = [{t: v[i] for t, v in enumerate(null) if v.get(i)}
