@@ -8,8 +8,8 @@ on homomorphisms and subspaces.  Newton uses a chord iteration: the
 least-squares pseudoinverse of the linearization at the base point is
 computed once (for recovery, once per chart) and reused, refreshed from a
 numerical Jacobian only on a stall that leaves its seed another round.
-Seeded perturbations exp(x0) . base refuse, as input defects, an exp(x0)
-that overflowed and, on brackets, one the action would refuse as singular.
+The seeds of a call are perturbed as one stack, exp(x0) . base, refusing as
+input defects an overflowed exp(x0) and, on brackets, a singular one.
 
 Each problem kind has one float chart (``_CHARTS``): its acting bracket and
 base point, flat chart coordinates, structure map, group action and orbit
@@ -149,7 +149,7 @@ def _acted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     a refused matrix of a stack gives a NaN tensor."""
     n, refused = c.shape[-1], None
     # the common case, every matrix finite and regular, read in Python floats
-    if not (np.isfinite(a).all() and min(
+    if a.size and not (np.isfinite(a).all() and min(
             map(abs, np.linalg.det(a).reshape(-1).tolist())) >= 1e-12):
         a, finite, singular = _regular(a, 1e-12)
         if a.ndim == 2:
@@ -220,59 +220,63 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
     fixed pseudoinverse (``chord``: one for all, or one per seed), refreshed
     on stall.  ``residual(u, seeds)`` evaluates in one call the rows of
     ``u``, iterates of the seeds ``seeds`` picks (a slice, an index array,
-    or one seed, an int, for every row); a row outside the chart of the
-    residual comes back non-finite.
+    or one seed, an int, for every row), and returns (residuals, *kept): a
+    row outside the chart of the residual comes back non-finite, and each
+    kept array holds a row per row of ``u`` (such as its group element).
 
-    Returns (u, residual, iterations, converged), one entry per seed, each
-    where a lone run of that seed ends.  Non-convergence is a result, not an
-    exception: a step with a non-finite residual ends its seed at the last
-    finite iterate.  A refresh replaces its own seed's chord only.
+    Returns (u, *kept, residual, iterations, converged), one entry per
+    seed, at the last iterate a lone run of that seed accepts.
+    Non-convergence is a result, not an exception: a step with a non-finite
+    residual ends its seed at the last finite iterate.  A refresh replaces
+    its own seed's chord only.
     """
     u = np.array(u0, dtype=float)
-    r = residual(u, slice(None))
-    res = _row_sup(r)
+    out = residual(u, slice(None))
+    res, kept = _row_sup(out[0]), out[1:]
     iters = np.zeros(len(u), dtype=int)
     converged = res <= cfg.tol
-    # the running seeds, and their iterates, residuals, sups and chords
+    # the running seeds, and their iterates, residual sups, residual outputs
+    # (residuals, then kept rows) and chords
     seeds = np.flatnonzero(~converged)
-    x, rx, rs, p = u[seeds], r[seeds], res[seeds], np.asarray(chord)
-    if p.ndim == 3:
-        p = p[seeds]
+    x, rs, ox = u[seeds], res[seeds], tuple(v[seeds] for v in out)
+    p = chord[seeds] if chord.ndim == 3 else chord
     rounds, at = 0, _seed_index(seeds)
     while seeds.size:
-        step = x - cfg.damping * np.matmul(p, rx[..., None])[..., 0]
+        step = x - cfg.damping * np.matmul(p, ox[0][..., None])[..., 0]
         rounds += 1
-        r_step = residual(step, at)
-        new_res = _row_sup(r_step)
+        out = residual(step, at)
+        new_res = _row_sup(out[0])
         # Python floats: cheaper than NumPy calls on a few seeds
         if rounds < cfg.max_iter and all(
                 cfg.tol < v <= STALL_RATIO * w
                 for v, w in zip(new_res.tolist(), rs.tolist())):
-            x, rx, rs = step, r_step, new_res  # no seed ends or stalls
+            x, rs, ox = step, new_res, out  # no seed ends or stalls
             continue
         moved = np.isfinite(new_res)
         # a seed ending in this round keeps its chord: no later step reads it
         done = ~moved | (new_res <= cfg.tol) | (rounds == cfg.max_iter)
         for i in np.flatnonzero(~done & (new_res > STALL_RATIO * rs)):
             refreshed = numeric_jacobian(
-                lambda v, seed=seeds[i]: residual(v, seed), step[i])
+                lambda v, seed=seeds[i]: residual(v, seed)[0], step[i])
             if not np.all(np.isfinite(refreshed)):
                 done[i] = True
                 continue
             if p.ndim == 2:
                 p = np.repeat(p[None], len(seeds), axis=0)
             p[i] = np.linalg.pinv(refreshed)
-        x[moved], rx[moved] = step[moved], r_step[moved]
-        rs[moved] = new_res[moved]
+        for v, w in zip((x, rs, *ox), (step, new_res, *out)):
+            v[moved] = w[moved]
         ended = seeds[done]
-        u[ended], res[ended], iters[ended] = x[done], rs[done], rounds
-        converged[ended] = new_res[done] <= cfg.tol
+        for v, w in zip((u, res, *kept), (x, rs, *ox[1:])):
+            v[ended] = w[done]
+        iters[ended], converged[ended] = rounds, new_res[done] <= cfg.tol
         going = ~done
-        seeds, x, rx, rs = seeds[going], x[going], rx[going], rs[going]
+        seeds, x, rs = seeds[going], x[going], rs[going]
+        ox = tuple(v[going] for v in ox)
         if p.ndim == 3:
             p = p[going]
         at = _seed_index(seeds)
-    return u, res, iters, converged
+    return (u, *kept, res, iters, converged)
 
 
 def _json_record(record: dict) -> dict:
@@ -489,6 +493,10 @@ class _Chart:
     def act(self, a: np.ndarray, value):
         return a @ value
 
+    def singular(self, a: np.ndarray) -> np.ndarray:
+        # which of a stack of finite group elements the action refuses
+        return np.zeros(len(a), dtype=bool)
+
     def orbit_coords(self, a: np.ndarray) -> np.ndarray:
         """Flat coordinates of a . base; NaN outside the chart."""
         return self.flat(self.point(self.act(a, self.base))[0])
@@ -597,11 +605,12 @@ class _BracketChart(_Chart):
         return expm(x)
 
     def act(self, a: np.ndarray, value: FloatBracket) -> np.ndarray:
-        # A . value as its tensor, in no record.  The one caller perturbs,
-        # so the singular A that _acted would refuse is refused as input
-        if not abs(np.linalg.det(a)) >= 1e-12:
-            raise InputDefectError("perturbation exp(x0) is singular")
-        return _acted(a, value.c)
+        # A . value for a stack of regular A, in no record: the tensors,
+        # antisymmetrized as a FloatBracket holds them
+        return self.stack(_acted(a, value.c))[0]
+
+    def singular(self, a: np.ndarray) -> np.ndarray:
+        return ~(abs(np.linalg.det(a)) >= 1e-12)
 
     def orbit_coords(self, a: np.ndarray) -> np.ndarray:
         return _acted_pairs(a, self.origin)
@@ -720,14 +729,13 @@ def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
     targets = chart.flat(chart.checked(arr, "input")[0])
 
     def residual(u, seeds):
-        return chart.orbit_coords(chart.group(chart.log(u))) - targets[seeds]
+        a = chart.group(chart.log(u))  # kept with its iterate
+        return chart.orbit_coords(a) - targets[seeds], a
 
     pinv = chart.orbit_pinv
-    u, res, iters, ok = _chord_newton(
+    u, amat, res, iters, ok = _chord_newton(
         residual, np.zeros((len(arr), pinv.shape[0])), pinv, cfg)
-    x = chart.log(u)
-    amat = chart.group(x)
-    det = np.linalg.det(amat)
+    x, det = chart.log(u), np.linalg.det(amat)
     results = [RecoveryResult(
         kind=p.kind, log_solution=x[s], group_matrix=amat[s],
         residual=float(res[s]), iterations=int(iters[s]),
@@ -756,9 +764,9 @@ def _continue(chart: _Chart, mu_primes, cfg: NewtonConfig, stability):
     defects = chart.acting.checked(arr, "perturbed bracket")[1]
 
     def residual(u, seeds):
-        return chart.structure(chart.unflat(u), arr[seeds])
+        return (chart.structure(chart.unflat(u), arr[seeds]),)
 
-    chords = np.array([np.linalg.pinv(chart.linearization(c)) for c in arr])
+    chords = np.linalg.pinv(np.array([chart.linearization(c) for c in arr]))
     u0 = np.repeat(chart.flat(chart.origin)[None], len(arr), axis=0)
     u, res, iters, ok = _chord_newton(residual, u0, chords, cfg)
     points = chart.unflat(u)
@@ -821,32 +829,60 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime,
 # ---------------------------------------------------------------------------
 # seeded perturbations
 
-def _perturbed(chart: _Chart, scale: float, seed: int) -> tuple:
-    """exp(x0) . base, x0 uniform entrywise; refuses an overflowed exp(x0),
-    and the bracket chart's action a singular one."""
-    x0 = np.random.default_rng(seed).uniform(-scale, scale, chart.log_shape)
-    a0 = chart.group(x0)
-    if not np.all(np.isfinite(a0)):
-        raise InputDefectError("perturbation exp(x0) has a non-finite entry")
-    return chart.act(a0, chart.base), x0
+# an exp(x0) or a value may overflow; both are checked, here and as input
+@np.errstate(over="ignore", invalid="ignore")
+def _perturbation(chart: _Chart, scale: float, seed: int | list) -> tuple:
+    """(exp(x0) . base, x0), x0 uniform entrywise from the seed's generator,
+    refusing a draw that raises, an overflowed exp(x0) and, on the bracket
+    chart, a singular one.  Of a list of seeds, in one group call and one
+    action: (values, x0s) before the first refused seed, its refusal or None."""
+    seeds = seed if isinstance(seed, list) else [seed]
+    x0, refused = [], None
+    for s in seeds:
+        try:
+            x0.append(np.random.default_rng(s).uniform(
+                -scale, scale, chart.log_shape))
+        except Exception as exc:  # raised once the seeds before it have run
+            refused = exc
+            break
+    x0 = np.array(x0).reshape((len(x0),) + chart.log_shape)
+    a = chart.group(x0)
+    # k: the first seed refused, or len(a); a False ends each mask
+    finite = np.isfinite(a).all(axis=(-2, -1)).tolist()
+    k = (finite + [False]).index(False)
+    k = ((~chart.singular(a[:k])).tolist() + [False]).index(False)
+    if k < len(a):
+        refused = InputDefectError("perturbation exp(x0) " + (
+            "is singular" if finite[k] else "has a non-finite entry"))
+    values = chart.act(a[:k], chart.base)
+    if refused is not None and seeds is not seed:
+        raise refused
+    return (values, x0[:k], refused) if seeds is seed else (values[0], x0[0])
 
 
-def perturbed_bracket(g: LieAlgebra, scale: float, seed: int) -> tuple:
+# Each perturbation takes one seed, or a list of seeds: the stacked path of
+# run_experiment, which returns (values, x0s, refusal or None) as
+# _perturbation does and raises nothing.  perturbed_bracket of a chart
+# perturbs the chart's acting bracket.
+
+def perturbed_bracket(g: LieAlgebra, scale: float, seed: int | list) -> tuple:
     """mu' = exp(a0) . mu with a0 uniform in [-scale, scale] entrywise.
     Returns (FloatBracket, a0), the one record made from the acted tensor."""
-    chart = _chart(g, "bracket")
-    out, a0 = _perturbed(chart, scale, seed)
-    return FloatBracket(chart.mu.dim, out), a0
+    chart = _chart(g.acting if isinstance(g, _Chart) else g, "bracket")
+    out = _perturbation(chart, scale, seed)
+    return out if isinstance(seed, list) else (
+        FloatBracket(chart.mu.dim, out[0]), out[1])
 
 
-def perturbed_hom(rho: Homomorphism, scale: float, seed: int) -> tuple:
+def perturbed_hom(rho: Homomorphism, scale: float, seed: int | list) -> tuple:
     """rho' = exp(ad_x0) o rho with x0 uniform entrywise.  Returns (rho', x0)."""
-    return _perturbed(_chart(rho, "hom"), scale, seed)
+    return _perturbation(_chart(rho, "hom"), scale, seed)
 
 
-def perturbed_plane(w: SubalgebraWitness, scale: float, seed: int) -> tuple:
+def perturbed_plane(w: SubalgebraWitness, scale: float,
+                    seed: int | list) -> tuple:
     """plane' = exp(ad_x0)(h) with x0 uniform entrywise.  Returns (plane', x0)."""
-    return _perturbed(_chart(w, "sub"), scale, seed)
+    return _perturbation(_chart(w, "sub"), scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -975,19 +1011,14 @@ def vertical_derivative_fd_check(kind: str, base, direction,
 # ---------------------------------------------------------------------------
 # seeded experiment driver
 
-def _perturbed_acting(chart: _Chart, scale: float, seed: int) -> tuple:
-    """perturbed_bracket of the algebra acting on the chart's base point."""
-    return perturbed_bracket(chart.acting, scale, seed)
-
-
 # experiment kind, in documents.EXPERIMENT_KINDS order -> (seeded
-# perturbation of the object, solver of the perturbed problem)
+# perturbation of the object's chart, solver of the perturbed problem)
 EXPERIMENTS = {
     "bracket-recovery": (perturbed_bracket, recover_bracket_orbit),
     "hom-recovery": (perturbed_hom, recover_hom_orbit),
     "sub-recovery": (perturbed_plane, recover_sub_orbit),
-    "hom-continuation": (_perturbed_acting, continue_hom),
-    "sub-continuation": (_perturbed_acting, continue_sub),
+    "hom-continuation": (perturbed_bracket, continue_hom),
+    "sub-continuation": (perturbed_bracket, continue_sub),
 }
 
 
@@ -995,30 +1026,23 @@ def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
                    cfg: NewtonConfig = NewtonConfig()) -> list:
     """Run one recovery/continuation per seed; records return in seed order.
 
-    Each seed's value is perturbed in seed order, then the kind's entry runs
-    once on all of them as one stack.  A refused perturbation is raised
-    after the entry has run on the seeds before it, so a call raises what
-    one call per seed would raise first.  The object keeps its problem and
-    chart (validated objects are treated as immutable), so its cohomology
-    (behind every precondition verdict), float base point and recovery chord
-    are computed once per object, in any call.
+    Each seed draws its x0 from its own generator, in seed order; one group
+    call and one action perturb them all, and the kind's entry runs once on
+    the stack.  A call raises what one call per seed would raise first: a
+    failing precondition, else the first refused draw, exp(x0) or input in
+    seed order, after the entry has run on the seeds before it.  The object
+    keeps its problem and chart (validated objects are treated as
+    immutable), so its cohomology (behind every precondition verdict), float
+    base point and recovery chord are computed once per object, in any call.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     perturb, solve = EXPERIMENTS[kind]
     chart = _chart(obj, Problem.of(obj).kind)
-    seeds, perturbed, refused = list(seeds), [], None
-    for seed in seeds:
-        try:
-            perturbed.append(perturb(chart, scale, seed))
-        except Exception as exc:  # raised once the seeds before it have run
-            refused = exc
-            break
-    values = np.array([v.c if isinstance(v, FloatBracket) else v
-                       for v, _ in perturbed])
-    results = solve(chart, values, cfg) if perturbed else []
+    seeds = list(seeds)
+    values, x0, refused = perturb(chart, scale, seeds)
+    results = solve(chart, values, cfg) if len(values) else []
     if refused is not None:
         raise refused
-    return [{"seed": seed, "perturbation_sup": _sup(pert),
-             **result.to_json_dict()}
-            for seed, (_, pert), result in zip(seeds, perturbed, results)]
+    return [{"seed": seed, "perturbation_sup": _sup(x), **r.to_json_dict()}
+            for seed, x, r in zip(seeds, x0, results)]

@@ -5,6 +5,7 @@ per value."""
 
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,3 +174,125 @@ def test_batched_run_raises_what_one_call_per_seed_raises(kind, obj, scale,
     want = raised(lambda: one_call_per_seed(kind, obj, seeds, scale))
     assert want is not None
     assert raised(lambda: run_experiment(kind, obj, seeds, scale=scale)) == want
+
+
+KINDS = [("bracket-recovery", "sl2"), ("bracket-recovery", "b(sl_3)"),
+         ("hom-recovery", "borel-incl"), ("sub-recovery", "borel-in-sl2"),
+         ("hom-continuation", "id-sl2"), ("sub-continuation", "borel-in-sl2")]
+# a middle seed refused, and the refusal's text: its draw raises (-1); sl2
+# at scale 40 seed 19 and at 600 seed 7 give a singular exp(x0); exp(ad x0)
+# of seed 4 overflows at scale 400 on sl2, and exp(x0) at 600
+SINGULAR, OVERFLOW = "exp(x0) is singular", "exp(x0) has a non-finite entry"
+REFUSED_MIDDLE = [
+    *[(kind, name, 0.3, [0, 1, -1, 2, 3], "expected non-negative integer")
+      for kind, name in KINDS],
+    ("bracket-recovery", "sl2", 40.0, [17, 18, 19, 20], SINGULAR),
+    ("bracket-recovery", "sl2", 600.0, [5, 6, 7, 4], SINGULAR),
+    ("bracket-recovery", "sl2", 600.0, [5, 6, 4, 7], OVERFLOW),
+    ("hom-continuation", "borel-incl", 40.0, [17, 18, 19, 20], SINGULAR),
+    ("hom-recovery", "id-sl2", 400.0, [2, 3, 4, 5], OVERFLOW),
+    ("sub-recovery", "borel-in-sl2", 400.0, [2, 3, 4, 5], OVERFLOW),
+]
+
+
+@pytest.mark.parametrize("kind, name, scale, seeds, refusal", [
+    *[(kind, name, 0.3, SEEDS, None) for kind, name in KINDS],
+    *REFUSED_MIDDLE])
+def test_stacked_perturbations_equal_one_seed_calls(kind, name, scale, seeds,
+                                                    refusal):
+    # run_experiment's one call on the seed list, against the public
+    # one-seed call on the object (the acting algebra for a continuation)
+    obj = OBJECTS[name]
+    chart = lab._chart(obj, lab.Problem.of(obj).kind)
+    perturb = lab.EXPERIMENTS[kind][0]
+    values, x0, refused = perturb(chart, scale, seeds)
+    target = chart.algebra if perturb is perturbed_bracket else obj
+    alone, first_refusal = [], None
+    for seed in seeds:
+        first_refusal = raised(
+            lambda: alone.append(perturb(target, scale, seed)))
+        if first_refusal:
+            break
+    assert len(values) == len(x0) == len(alone)
+    for value, x, (one, one_x) in zip(values, x0, alone):
+        one = one.c if isinstance(one, FloatBracket) else one
+        assert value.tobytes() == one.tobytes()
+        assert x.tobytes() == one_x.tobytes()
+    assert first_refusal == (refused and (type(refused), str(refused)))
+    assert refusal is None or refusal in str(refused)
+    assert len(values) == (seeds.index(seeds[len(values)]) if refused
+                           else len(seeds))
+
+
+@pytest.mark.parametrize("kind, name, scale, seeds, refusal", REFUSED_MIDDLE)
+def test_middle_refusal_raises_what_one_call_per_seed_raises(kind, name, scale,
+                                                             seeds, refusal):
+    # no warning either: an overflowing exp(x0) or determinant is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = raised(lambda: one_call_per_seed(kind, OBJECTS[name], seeds,
+                                                scale))
+        got = raised(lambda: run_experiment(kind, OBJECTS[name], seeds,
+                                            scale=scale))
+    # the seeds before the refused one may fail the input check first
+    assert want is not None and got == want
+
+
+def test_recovery_groups_once_per_stack_and_per_residual(monkeypatch):
+    # one group call exponentiates the perturbation stack, one runs in each
+    # residual call (refreshes too), and each seed keeps the group element
+    # of its last accepted iterate: none is computed after Newton
+    events = []
+    group, newton = lab._BracketChart.group, lab._chord_newton
+    monkeypatch.setattr(lab._BracketChart, "group", lambda self, x: (
+        events.append("group") or group(self, x)))
+
+    def spied_newton(residual, *args):
+        def counted(u, seeds):
+            events.append("residual")
+            return residual(u, seeds)
+        events.append("newton")
+        out = newton(counted, *args)
+        events.append("end")
+        return out
+
+    monkeypatch.setattr(lab, "_chord_newton", spied_newton)
+    refreshes = counting_refreshes(monkeypatch)
+    records = run_experiment("bracket-recovery", OBJECTS["sl2"], SEEDS,
+                             scale=0.3)
+    assert len(records) == len(SEEDS) and refreshes
+    calls = events.count("residual")
+    assert events == ["group", "newton", *["residual", "group"] * calls,
+                      "end"]
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("hom-continuation", "id-sl2"), ("hom-continuation", "borel-incl"),
+    ("sub-continuation", "borel-in-sl2")])
+def test_continuation_chords_are_one_pinv(kind, name, monkeypatch):
+    # one pinv call on the stack of linearizations, before Newton; a refresh
+    # inside Newton makes its own, and none follows.  Each stacked chord
+    # equals the pinv of its own seed's linearization, bit for bit.
+    shapes, seen = [], []
+    pinv, newton = np.linalg.pinv, lab._chord_newton
+    monkeypatch.setattr(np.linalg, "pinv", lambda m, *args, **kwargs: (
+        shapes.append(np.shape(m)) or pinv(m, *args, **kwargs)))
+
+    def spied_newton(residual, u0, chord, cfg):
+        seen.append((len(shapes), np.array(chord)))
+        out = newton(residual, u0, chord, cfg)
+        seen.append(len(shapes))
+        return out
+
+    monkeypatch.setattr(lab, "_chord_newton", spied_newton)
+    refreshes = counting_refreshes(monkeypatch)
+    obj = OBJECTS[name]
+    run_experiment(kind, obj, SEEDS, scale=0.3)
+    (before, chords), after = seen
+    assert before == 1 and len(shapes[0]) == 3
+    assert after - before <= len(refreshes) == len(shapes) - 1
+    chart = lab._chart(obj, lab.Problem.of(obj).kind)
+    mus = perturbed_bracket(chart, 0.3, SEEDS)[0]
+    assert len(chords) == len(mus) == len(SEEDS)
+    for chord, mu in zip(chords, mus):
+        assert chord.tobytes() == pinv(chart.linearization(mu)).tobytes()
