@@ -6,8 +6,8 @@ Layers, from the ground up:
 - ``records``: ``record``, the frozen value classes of every layer, made
   without ``dataclasses``.
 - ``exactlin``: rational linear algebra on one matrix type, kept as the
-  nonzeros of each row; a rank form gives ranks and kernel vectors, an
-  echelon form rref, solves, inverses and quotients.
+  nonzeros of each row, and one elimination, the rank form, from which
+  ranks, kernel vectors, rref, solves, inverses and quotients are read.
 - ``cochains``: alternating multilinear maps in flat coordinates.
 - ``algebras``: bracket candidates, Lie algebras, homomorphisms, subalgebra
   witnesses, the three coefficient systems, and the builtin catalog.

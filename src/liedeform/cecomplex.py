@@ -13,21 +13,21 @@ nonzeros are visited: of the actions and structure constants when d_k is
 built, of each row of d_(k+1) d_k when it is checked (without keeping it),
 and of the cochains, kernel vectors and H-representatives, which are passed
 as {position: value} dicts.  Dimensions and bases are read from one
-``RankForm`` of the rows of d_k per degree (see ``DegreeData``); an
-``Echelon`` of its columns is built only to reduce or solve a right-hand
-side.
+``RankForm`` of the rows of d_k per degree (see ``DegreeData``); class
+coordinates from one ``RankForm`` of the columns of d_(k-1), only those of
+zero weight under an inner torus (``CEComplex.class_form``).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
 from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
                        subsets)
-from .exactlin import (Echelon, Matrix, RankForm, Subspace, _dense, _exact,
-                       _frac, rank)
+from .exactlin import ZERO, Matrix, RankForm, Subspace, _dense, _exact, rank
 from .records import record
 
 
@@ -88,15 +88,14 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
 
 
 class CEComplex:
-    """Caches each exact differential d_k of a coefficient system and its
-    rank form, and, for the products ``apply_d`` and the solvers, its
-    columns and echelon form."""
+    """Caches each exact differential d_k of a coefficient system, its rank
+    forms, its columns (for ``apply_d``) and the class forms."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d, self._cols, self._forms = {}, {}, {}
+        self._d, self._cols, self._classes = {}, {}, {}
         self._ranks, self._degrees = {}, {}
 
     def d(self, k: int) -> Matrix:
@@ -109,11 +108,6 @@ class CEComplex:
         if k not in self._cols:
             self._cols[k] = self.d(k).columns()
         return self._cols[k]
-
-    def form(self, k: int) -> Echelon:
-        if k not in self._forms:
-            self._forms[k] = Echelon(self.columns(k))
-        return self._forms[k]
 
     @cached_property
     def torus(self) -> tuple:
@@ -149,6 +143,20 @@ class CEComplex:
         rows it kept: the rows it dropped added no pivot."""
         return RankForm(self.d(k).row_maps, self.rank_form(k).rows[::-1],
                         keep=True)
+
+    def class_form(self, k: int) -> RankForm:
+        """The kept ``RankForm`` of d_(k-1)'s columns (of zero weight only:
+        the other weight blocks are acyclic), each position p taken as ~p so
+        that its pivots are the last nonzero positions, ``classes``.  Listed
+        last first, the columns are taken first to last, which halves the
+        form's nonzeros on L_11."""
+        if k not in self._classes:
+            cols = self.columns(k - 1)
+            self._classes[k] = RankForm([
+                {~i: x for i, x in cols[j].items()}
+                for j in reversed(self.torus[0].get(k - 1, range(len(cols))))],
+                keep=True)
+        return self._classes[k]
 
     def rank(self, k: int) -> int:
         """rank d_k, from the zero weight rows only.  By Cartan's formula
@@ -230,9 +238,11 @@ class DegreeData:
 
     def class_coords(self, z: dict) -> list:
         """Coordinates of the class of the cocycle with nonzeros ``z``: its
-        remainder modulo the coboundaries at the representatives' columns."""
-        rem = self.complex.form(self.k - 1).reduce(z) if self.k else z
-        return [_frac(rem.get(f, 0)) for f in self.free
+        remainder modulo the coboundaries (reduced by the class form, which
+        keeps its scale s) at the representatives' columns."""
+        v = {~j: x for j, x in z.items()}
+        s, rem = self.complex.class_form(self.k).reduce(v) if self.k else (1, v)
+        return [Fraction(rem[~f], s) if ~f in rem else ZERO for f in self.free
                 if f not in self.classes]
 
 

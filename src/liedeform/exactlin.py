@@ -2,16 +2,17 @@
 
 ``Matrix`` is the one rational matrix: it keeps the nonzeros of each row
 as a {column: value} dict (``row_maps``), ints where integral, and its
-``data`` is a fresh dense copy.  Ranks and kernel vectors are read from the
-``RankForm`` of a matrix's rows; ``rref``, ``solve_particular``, ``invert``
-and quotient coordinates from the ``Echelon`` of its columns, which keeps
-each row's combination of them for right-hand sides.  Both are
-fraction-free: each row is an integer vector carrying its pivot value (a
-rational vector is first scaled by its common denominator).  All of it is
+``data`` is a fresh dense copy.  ``RankForm`` is the one elimination: a
+fraction-free reduction of a matrix's rows, each an integer vector (a
+rational row is first scaled by its common denominator) reduced by one
+method, ``reduce``, that keeps its integer scale.  Ranks are read from its
+kept columns and kernel vectors by back-substitution; ``rref`` from the
+kernel vectors of the free columns; ``solve`` and ``solve_particular`` from
+the form of the rows augmented with -b, and ``invert`` with -I.  All of it is
 exact, with no tolerance, so ranks agree with those over the reals.
-Matrices act on column vectors; ``Matrix.apply`` and ``Echelon.solve`` take
-and give {position: value} nonzeros, ``solve_particular`` plain lists.
-Values are treated as immutable once built.
+Matrices act on column vectors; ``Matrix.apply`` and ``solve`` take and give
+{position: value} nonzeros, ``solve_particular`` plain lists.  Values are
+treated as immutable once built.
 """
 
 from __future__ import annotations
@@ -206,150 +207,85 @@ class Matrix:
 
 def rref(m: Matrix):
     """(R, pivot columns) for the reduced row echelon form R, read from the
-    ``Echelon`` of the columns: row t is 1 at its t-th kept column and holds
-    the t-th coefficient of every other column's relation."""
-    form = Echelon(m.columns())
-    r = [{j: 1} for j in form.kept] + [{} for _ in range(m.rows - len(form.kept))]
-    for j, combo in form.relations.items():
-        for t, c in combo.items():
-            r[t][j] = _exact(c)
-    return Matrix.of_rows(m.rows, m.cols, r), form.kept
+    ``RankForm`` of the rows: row t is 1 at the t-th kept column p_t, and at
+    each free column f it holds minus the entry at p_t of f's kernel vector
+    (column f is that combination of the kept columns)."""
+    form = RankForm(m.row_maps, keep=True)
+    r = {p: {p: 1} for p in form.kept}
+    for f in form.free(range(m.cols)):
+        for p, x in form.null_vector(f).items():
+            if p != f:
+                r[p][f] = -x
+    return Matrix.of_rows(m.rows, m.cols, [*r.values()] + [
+        {} for _ in range(m.rows - len(r))]), form.kept
 
 
 def rank(m: Matrix) -> int:
     return len(RankForm(m.row_maps).kept)
 
 
-def _ratio(x: int, s: int):
-    return x if s == 1 else Fraction(x, s)
+class RankForm:
+    """The one exact elimination: the {column: value} rows ``which`` (default
+    all) are reduced in integers, last first, each against the rows kept so
+    far (``reduce``); a row of ints is taken as it is, a rational one first
+    scaled by its common denominator.  A row left nonzero is kept, divided by
+    the gcd of its entries, with its first nonzero column as its pivot:
+    ``rows`` lists the kept rows, and ``kept`` their pivots, which are the
+    pivot columns of the reduced row echelon form.  ``keep`` keeps the
+    reduced rows (``pivots``: {pivot: row}), for ``reduce`` and the kernel
+    vectors of ``null_vector``."""
 
+    def __init__(self, rows, which=None, keep=False):
+        self.pivots, self.rows = {}, []
+        for i in reversed(range(len(rows)) if which is None else which):
+            if rows[i] and (rem := self.reduce(rows[i])[1]):
+                g = gcd(*rem.values())
+                self.pivots[min(rem)] = {j: x // g for j, x in rem.items()}
+                self.rows.append(i)
+        self.kept = sorted(self.pivots)
+        if not keep:
+            del self.pivots
+            return
+        self._users = {}  # {column: [(pivot, entry) of each row holding it]}
+        for p, row in self.pivots.items():
+            for j, v in row.items():
+                if j != p:
+                    self._users.setdefault(j, []).append((p, v))
 
-def _axpy(acc: dict, m: int, h: int, row: dict):
-    """acc = m * acc - h * row in place, dropping the entries that cancel."""
-    if m != 1:
-        for j in acc:
-            acc[j] *= m
-    for j, x in row.items():
-        y = acc.get(j, 0) - h * x
-        if y:
-            acc[j] = y
+    def reduce(self, v: dict) -> tuple:
+        """(s, w) in integers with s * v - w in the span of the rows, s > 0
+        and the remainder w zero at every pivot, for the {column: value}
+        nonzeros v; w is zero exactly when v is in the span.  s starts as the
+        common denominator of v.  The pivots are cleared first to last: a row
+        is zero before its pivot, so clearing one brings in only later
+        columns."""
+        if all(type(x) is int for x in v.values()):
+            s, rem = 1, dict(v)
         else:
-            del acc[j]
-
-
-class Echelon:
-    """Row echelon form, in integers, of the span of {position: value}
-    vectors taken in order; a vector with rational entries is first scaled
-    by its common denominator.  A vector left nonzero by the rows so far is
-    kept (``kept`` lists the input indices) and becomes a row, with its last
-    nonzero position as its pivot.  ``pivots`` maps each pivot to its row and
-    the row's combination of the kept vectors: integer vectors with no
-    factor common to both, the row zero past its pivot and holding its
-    pivot value there.  ``relations`` maps each other input index to its
-    (rational) combination.  Remainders and combinations do not depend on
-    the order of reduction: for a matrix's columns, ``kept`` are its RREF's
-    pivot columns and ``solve(b)`` the solution with free variables zero."""
-
-    def __init__(self, vectors):
-        self.kept, self.relations, self.pivots = [], {}, {}
-        for i, v in enumerate(vectors):
-            s, rem, combo = self._reduce(v)
-            if rem:
-                combo = {t: -c for t, c in combo.items()}
-                combo[len(self.kept)] = s
-                self.pivots[max(rem)] = (rem, combo)
-                self.kept.append(i)
-            else:
-                self.relations[i] = {t: _ratio(c, s) for t, c in combo.items()}
-
-    def _reduce(self, v: dict):
-        """(s, w, c) in integers with s * v = w + sum c_t kept_t, s > 0, the
-        remainder w zero at every pivot, and no factor common to all; s
-        starts as the common denominator of v.  The pivots are cleared from
-        the last one down: a row is zero past its pivot, so clearing one
-        brings in entries only at earlier positions."""
-        s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
-        rem = {j: (x * s).numerator for j, x in v.items() if x}
-        combo, pivots = {}, self.pivots
-        todo = [-p for p in rem if p in pivots]
+            s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
+            rem = {j: (x * s).numerator for j, x in v.items() if x}
+        pivots = self.pivots
+        todo = [p for p in rem if p in pivots]
         heapify(todo)
         while todo:
-            p = -heappop(todo)
-            if p in rem:
-                row, comb = pivots[p]
+            p = heappop(todo)
+            if p in rem:  # rem = m * rem - h * row
+                row = pivots[p]
                 a, f = row[p], rem[p]
                 g = gcd(a, f) if a > 0 else -gcd(a, f)
                 m, h = a // g, f // g
-                s *= m
-                _axpy(rem, m, h, row)
-                _axpy(combo, m, -h, comb)
-                for j in row:
-                    if j in rem and j in pivots:
-                        heappush(todo, -j)
-        if s != 1:
-            g = gcd(s, *rem.values(), *combo.values())
-            s //= g
-            rem = {j: x // g for j, x in rem.items()}
-            combo = {t: c // g for t, c in combo.items()}
-        return s, rem, combo
-
-    def reduce(self, v: dict) -> dict:
-        """v minus the combination of the kept vectors that clears it at
-        every pivot: zero exactly when v is in the span."""
-        s, rem, _ = self._reduce(v)
-        return {j: _ratio(x, s) for j, x in rem.items()}
-
-    def solve(self, b: dict) -> dict | None:
-        """The {input index: value} nonzeros of the coefficients x (zero off
-        the kept vectors) with sum x_i v_i = b, for b given as its
-        {position: value} nonzeros; None when b is not in the span."""
-        s, rem, combo = self._reduce(b)
-        if rem:
-            return None
-        return {self.kept[t]: _exact(Fraction(c, s)) for t, c in combo.items()}
-
-
-class RankForm:
-    """``Echelon``'s integer elimination of the {column: value} rows
-    ``which`` (default all), last first, with no combinations; a row of ints
-    is taken as it is.  ``rows`` lists the rows left nonzero, and ``kept``
-    their first nonzero columns: ``Echelon``'s kept columns (and, all rows
-    taken, its pivots are ``rows``).  ``keep`` keeps the reduced rows."""
-
-    def __init__(self, rows, which=None, keep=False):
-        pivots, self.rows = {}, []
-        for i in reversed(range(len(rows)) if which is None else which):
-            v = rows[i]
-            if not v:
-                continue
-            if all(type(x) is int for x in v.values()):
-                rem = dict(v)
-            else:
-                s = lcm(*(x.denominator for x in v.values() if type(x) is not int))
-                rem = {j: (x * s).numerator for j, x in v.items() if x}
-            todo = [p for p in rem if p in pivots]
-            heapify(todo)
-            while todo:  # clearing a pivot brings in only later columns
-                p = heappop(todo)
-                if p in rem:
-                    row = pivots[p]
-                    a, f = row[p], rem[p]
-                    g = gcd(a, f) if a > 0 else -gcd(a, f)
-                    _axpy(rem, a // g, f // g, row)
-                    for j in row:
-                        if j in rem and j in pivots:
+                if m != 1:
+                    s *= m
+                    for j in rem:
+                        rem[j] *= m
+                for j, x in row.items():
+                    if y := rem.get(j, 0) - h * x:
+                        rem[j] = y
+                        if j in pivots:
                             heappush(todo, j)
-            if rem:
-                g = gcd(*rem.values())
-                pivots[min(rem)] = {j: x // g for j, x in rem.items()}
-                self.rows.append(i)
-        self.kept = sorted(pivots)
-        if keep:  # {column: [(pivot, entry) of each row holding it]}
-            self.pivots, self._users = pivots, {}
-            for p, row in pivots.items():
-                for j, v in row.items():
-                    if j != p:
-                        self._users.setdefault(j, []).append((p, v))
+                    else:
+                        del rem[j]
+        return s, rem
 
     def free(self, columns) -> list:
         """The columns among ``columns`` that were not kept."""
@@ -405,26 +341,43 @@ def _subspace(ambient_dim: int, vectors) -> Subspace:
     return Subspace(ambient_dim, tuple(tuple(_frac(x) for x in v) for v in vectors))
 
 
+def solve(m: Matrix, b: dict) -> dict | None:
+    """The {column: value} nonzeros of the solution of m x = b with free
+    variables zero, for b given as its {row: value} nonzeros; None when there
+    is none.  Read from the ``RankForm`` of [m | -b]: b is in the column
+    space exactly when the extra column is free, and then x is that column's
+    kernel vector without its last entry."""
+    n = m.cols
+    form = RankForm([{**row, n: -b[i]} if i in b else row
+                     for i, row in enumerate(m.row_maps)], keep=True)
+    return None if n in form.pivots else {
+        j: x for j, x in form.null_vector(n).items() if j < n}
+
+
 def solve_particular(m: Matrix, b):
     """The exact solution of m x = b with free variables zero, or None."""
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    x = Echelon(m.columns()).solve({i: _frac(y) for i, y in enumerate(b) if y})
+    x = solve(m, {i: _frac(y) for i, y in enumerate(b) if y})
     return None if x is None else _dense(x, m.cols)
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
+    """Exact inverse of a square matrix; raises ValueError when singular.
+    Column j is read from the ``RankForm`` of [m | -I]: the kernel vector
+    at its extra column n + j, once all of m's columns are kept."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    form = Echelon(m.columns())
-    if len(form.kept) < n:
+    form = RankForm([{**row, n + i: -1} for i, row in enumerate(m.row_maps)],
+                    keep=True)
+    if form.kept != list(range(n)):
         raise ValueError("matrix is singular")
     rows = [{} for _ in range(n)]
     for j in range(n):
-        for i, x in form.solve({j: 1}).items():
-            rows[i][j] = x
+        for i, x in form.null_vector(n + j).items():
+            if i < n:
+                rows[i][j] = x
     return Matrix.of_rows(n, n, rows)
 
 

@@ -28,7 +28,7 @@ from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
                        SubalgebraWitness, ad_rows, adjoint_rows, curvature)
 from .cecomplex import Problem, differential_matrix, snake_lift
 from .cochains import AltMap
-from .exactlin import Matrix, invert
+from .exactlin import Matrix, invert, solve
 from .records import record
 
 
@@ -198,9 +198,8 @@ def _obstruction(p: Problem, direction: AltMap, representative,
         raise NonCocycleError(not_cocycle, defect)
     rep = representative(direction)
     assert cx.apply_d(rep).is_zero(), not_closed
-    primitive = cx.form(t).solve(rep.nonzeros)
-    if primitive is not None:
-        primitive = AltMap(t, cx.n, cx.carrier_dim, primitive)
+    x = solve(cx.d(t), rep.nonzeros)
+    primitive = None if x is None else AltMap(t, cx.n, cx.carrier_dim, x)
     return ObstructionClass(p.kind, rep, primitive is not None, primitive)
 
 

@@ -17,7 +17,7 @@ from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
 
 
 # dense Gauss-Jordan elimination: the reference that the package's rref,
-# solve_particular and invert, all read from one Echelon, are checked against
+# solve_particular and invert, all read from one RankForm, are checked against
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (R, pivot_columns).

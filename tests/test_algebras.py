@@ -215,9 +215,10 @@ class TestSubalgebras:
     def test_witness_reduces_its_basis_once(self, vectors, refusal,
                                             monkeypatch):
         forms = []
-        init = exactlin.Echelon.__init__
-        monkeypatch.setattr(exactlin.Echelon, "__init__",
-                            lambda self, v: forms.append(1) or init(self, v))
+        init = exactlin.RankForm.__init__
+        monkeypatch.setattr(exactlin.RankForm, "__init__",
+                            lambda self, *a, **kw: forms.append(1)
+                            or init(self, *a, **kw))
         g = catalog_algebra("sl2")
         if refusal is None:
             subalgebra_witness(g, vectors)

@@ -6,9 +6,9 @@ import pytest
 
 from helpers import (column, contains, dense, dense_apply, from_sub_coords,
                      image_basis, kernel_basis, nonzeros)
-from liedeform.exactlin import (Echelon, Matrix, RankForm, format_scalar,
-                                invert, parse_scalar, quotient_coords, rank,
-                                reduced_basis, rref, solve_particular,
+from liedeform.exactlin import (Matrix, RankForm, format_scalar, invert,
+                                parse_scalar, quotient_coords, rank,
+                                reduced_basis, rref, solve, solve_particular,
                                 Subspace, _subspace)
 
 
@@ -207,31 +207,39 @@ class TestSparse:
             assert product.row_maps == [{}] * product.rows
 
 
-class TestEchelon:
-    def test_kept_columns_and_kernel(self):
+class TestReaders:
+    def test_rref_holds_the_relations_of_the_free_columns(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        form = Echelon(m.columns())
-        assert form.kept == [0, 1]
-        assert form.relations == {2: {0: -1, 1: 2}}
+        r, pivots = rref(m)
+        assert pivots == [0, 1]
+        assert r.row_maps == [{0: 1, 2: -1}, {1: 1, 2: 2}]
         rows = RankForm(m.row_maps, keep=True)
-        assert rows.kept == form.kept and rows.free(range(3)) == [2]
+        assert rows.kept == pivots and rows.free(range(3)) == [2]
         assert rows.null_vector(2) == {0: 1, 1: -2, 2: 1}
 
     def test_solve_sets_free_variables_to_zero(self):
         m = Matrix.from_rows([[1, 1, 2], [0, 0, 0]])
-        form = Echelon(m.columns())
-        assert form.solve({0: F(3)}) == {0: 3}
-        assert form.solve({0: F(3), 1: F(1)}) is None
+        assert solve(m, {0: F(3)}) == {0: 3}
+        assert solve(m, {0: F(3), 1: F(1)}) is None
 
-    def test_pivots_are_last_nonzero_positions(self):
-        form = Echelon([{0: 1, 1: 1}, {1: 1, 2: 1}])
-        assert sorted(form.pivots) == [1, 2]
-        assert form.reduce({0: 1, 2: 1}) == {0: 2}
+    def test_reversed_positions_pivot_at_the_last_nonzero(self):
+        # positions taken as ~p: the pivots are the last nonzero positions
+        form = RankForm([{~0: 1, ~1: 1}, {~1: 1, ~2: 1}], keep=True)
+        assert sorted(~p for p in form.pivots) == [1, 2]
+        s, rem = form.reduce({~0: 1, ~2: 1})
+        assert {~p: F(x, s) for p, x in rem.items()} == {0: 2}
+
+    def test_reduce_keeps_its_scale(self):
+        # 6 * (1/2, 1/3) - 1 * (3, 2) = 0: in the span, at scale 6
+        form = RankForm([{0: 3, 1: 2}], keep=True)
+        assert form.reduce({0: F(1, 2), 1: F(1, 3)}) == (6, {})
+        s, rem = form.reduce({1: 1})
+        assert F(rem[1], s) == 1 and set(rem) == {1}
 
     def test_empty_span(self):
-        form = Echelon([])
-        assert form.kept == [] and form.solve({}) == {}
-        assert form.solve({0: F(1)}) is None
+        m = Matrix.zeros(1, 0)
+        assert solve(m, {}) == {}
+        assert solve(m, {0: F(1)}) is None
 
 
 class TestRankForm:

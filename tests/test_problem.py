@@ -141,50 +141,54 @@ def built(view) -> set:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Every ``RankForm`` and ``Echelon`` built, counted per (coefficient
-    system, label, k) of the complex whose form of d_k was asked for (None
-    outside a complex) and per type."""
+    """Every ``RankForm`` built, counted per (coefficient system, label, k)
+    of the complex whose d_k it eliminates (None outside a complex) and per
+    role, the reader that asked for it: ``rank_form``, ``basis_form``,
+    ``class_form`` (the columns of d_k, to class in degree k + 1) or
+    ``solve`` (an obstruction class's primitive, solved against d_k)."""
     counts, asked = Counter(), []
 
-    def counted(cls):
-        class Counted(cls):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                counts[asked[-1] if asked else None, cls.__name__] += 1
-        return Counted
+    class Counted(exactlin.RankForm):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts[asked[-1] if asked else (None, None)] += 1
 
-    for cls in (exactlin.RankForm, exactlin.Echelon):
-        sub = counted(cls)
-        for mod in (exactlin, cecomplex):
-            monkeypatch.setattr(mod, cls.__name__, sub)
+    for mod in (exactlin, cecomplex):
+        monkeypatch.setattr(mod, "RankForm", Counted)
 
-    def traced(method):
-        def asked_for(self, k, *args, **kwargs):
-            asked.append((self.rep.variant, self.rep.label, k))
+    def traced(role, key, method):
+        def asked_for(*args, **kwargs):
+            asked.append((key(*args), role))
             try:
-                return method(self, k, *args, **kwargs)
+                return method(*args, **kwargs)
             finally:
                 asked.pop()
         return asked_for
 
-    for name in ("rank_form", "basis_form", "form"):
-        monkeypatch.setattr(cecomplex.CEComplex, name,
-                            traced(getattr(cecomplex.CEComplex, name)))
+    def of_complex(shift):
+        return lambda cx, k: (cx.rep.variant, cx.rep.label, k + shift)
+
+    for role, shift in (("rank_form", 0), ("basis_form", 0), ("class_form", -1)):
+        monkeypatch.setattr(cecomplex.CEComplex, role, traced(
+            role, of_complex(shift), getattr(cecomplex.CEComplex, role)))
+    monkeypatch.setattr(K, "_obstruction", traced(
+        "solve", lambda p, *_: (p.complex.rep.variant, p.complex.rep.label,
+                                p.tangent_degree), K._obstruction))
     return counts
 
 
-def per_degree(counts, kind) -> dict:
-    """{(system, label, k): forms of ``kind`` built} for the complexes."""
-    return {key: c for (key, cls), c in counts.items()
-            if key is not None and cls == kind}
+def per_degree(counts, role) -> dict:
+    """{(system, label, k): forms built in ``role``} for the complexes."""
+    return {key: c for (key, r), c in counts.items()
+            if key is not None and r == role}
 
 
 def assert_dims_only(counts, degree_views):
-    """One rank form per degree of every report made, and no echelon form."""
+    """One rank form per degree of every report made, and no other form."""
     made = {(v.complex.rep.variant, v.complex.rep.label, v.k)
             for v in degree_views}
-    assert per_degree(counts, "RankForm") == dict.fromkeys(made, 1)
-    assert per_degree(counts, "Echelon") == {}
+    assert per_degree(counts, "rank_form") == dict.fromkeys(made, 1)
+    assert {r for key, r in counts if key is not None} <= {"rank_form"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -224,16 +228,17 @@ def test_hom_and_sub_preconditions_build_no_form(degree_views, eliminations,
 
 def test_representatives_add_one_rank_form_per_degree(eliminations):
     # the representatives are back-substituted in a second rank form of
-    # d_k, built only where H^k != 0; no echelon form is built
-    want = {}
+    # d_k, built only where H^k != 0; no class or solve form is built
+    want = Counter()
     for obj in all_objects():
         report = Problem(obj).report
         for d in report.degrees:
             assert len(d.h_representatives) == d.dim_h
             key = (report.complex.rep.variant, report.complex.rep.label, d.k)
-            want[key] = 1 + (d.dim_h > 0)
-    assert per_degree(eliminations, "RankForm") == want
-    assert per_degree(eliminations, "Echelon") == {}
+            want[key, "rank_form"] = 1
+            if d.dim_h:
+                want[key, "basis_form"] = 1
+    assert {k: c for k, c in eliminations.items() if k[0] is not None} == want
 
 
 def test_induced_map_builds_bases_only_in_degree_one(degree_views, capsys):
@@ -252,33 +257,33 @@ SUB, INCL, QUOT = ("adjoint", "ad(center-in-heis3-sub)"), (
     "quotient", "center-in-heis3:heis3/sub")
 
 
-@pytest.mark.parametrize("argv, bases, echelons", [
+@pytest.mark.parametrize("argv, bases, classed, solved", [
     # H^k(h,h) and H^k(h,g) for k <= 1 and H^0(h,g/h) have representatives,
-    # each back-substituted in a second rank form; the echelon form of d_0
-    # classes the images in degree 1
+    # each back-substituted in a second rank form; the class form of the
+    # columns of d_0 classes the images in degree 1
     (["les", "--sub", "center-in-heis3"],
      {(*s, k) for s in (SUB, INCL) for k in range(2)} | {(*QUOT, 0)},
-     {(*s, 0) for s in (SUB, INCL, QUOT)}),
+     {(*s, 0) for s in (SUB, INCL, QUOT)}, set()),
     # every H^k is zero: no representative and nothing to class
-    (["les", "--sub", "borel-in-sl2"], set(), set()),
+    (["les", "--sub", "borel-in-sl2"], set(), set(), set()),
     # the primitive of the obstruction class is solved against d_1
     (["kuranishi", "--sub", "borel-in-sl2", "--direction", "DIRECTION"],
-     set(), {("quotient", "borel-in-sl2:sl2/sub", 1)}),
+     set(), set(), {("quotient", "borel-in-sl2:sl2/sub", 1)}),
     # H^1(sl2, sl2) = 0: no representative to map
     (["verdict", "--question", "hom-aut-rigidity", "--hom", "borel-incl"],
-     set(), set()),
+     set(), set(), set()),
 ])
 def test_basis_readers_build_each_needed_form_once(eliminations, capsys,
                                                    tmp_path, argv, bases,
-                                                   echelons):
+                                                   classed, solved):
     doc = tmp_path / "direction.json"
     doc.write_text(json.dumps([["1", "0"]]))  # eta(h) = fbar, eta(e) = 0
     assert run([str(doc) if a == "DIRECTION" else a for a in argv]) == 0
     capsys.readouterr()
-    ranks = per_degree(eliminations, "RankForm")
-    assert {key for key, c in ranks.items() if c > 1} == bases
-    assert set(ranks.values()) <= {1, 2}
-    assert per_degree(eliminations, "Echelon") == dict.fromkeys(echelons, 1)
+    assert set(per_degree(eliminations, "rank_form").values()) <= {1}
+    assert per_degree(eliminations, "basis_form") == dict.fromkeys(bases, 1)
+    assert per_degree(eliminations, "class_form") == dict.fromkeys(classed, 1)
+    assert per_degree(eliminations, "solve") == dict.fromkeys(solved, 1)
 
 
 def test_wrong_kind_is_refused():

@@ -24,7 +24,7 @@ import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
                      dense_report_tuples, image_basis, kernel_basis, rref,
                      sl_in_gl, solve_particular)
-from liedeform.exactlin import Echelon, RankForm, _dense, invert, rank
+from liedeform.exactlin import RankForm, _dense, invert, rank
 from liedeform import exactlin, kuranishi
 from liedeform.kuranishi import (curvature_expansion_check, jacobiator,
                                  jacobiator_expansion_check)
@@ -74,41 +74,44 @@ def sparse_matrix_strategy(max_side=6):
                 min_size=r, max_size=r).map(Matrix.from_rows)))
 
 
-def form_of(m):
-    return Echelon(m.columns())
-
-
 @settings(max_examples=80, deadline=None)
 @given(sparse_matrix_strategy())
-def test_echelon_matches_dense_elimination(m):
-    form = form_of(m)
+def test_rank_form_matches_dense_elimination(m):
+    form = RankForm(m.row_maps, keep=True)
     _, pivots = rref(m)
     assert form.kept == pivots
     assert len(form.kept) == bareiss_rank(m.data)
-    rows = RankForm(m.row_maps, keep=True)
-    kernel = [tuple(_dense(rows.null_vector(f), m.cols))
-              for f in rows.free(range(m.cols))]
+    kernel = [tuple(_dense(form.null_vector(f), m.cols))
+              for f in form.free(range(m.cols))]
     assert kernel == list(kernel_basis(m).basis)
 
 
 @settings(max_examples=80, deadline=None)
-@given(sparse_matrix_strategy())
-def test_echelon_rows_are_integers(m):
-    # rational columns are scaled to integers, so no row and no combination
-    # of a row ever holds a Fraction
-    form = form_of(m)
-    for row, combo in form.pivots.values():
-        assert all(type(x) is int for x in [*row.values(), *combo.values()])
+@given(sparse_matrix_strategy(), st.data())
+def test_rank_form_rows_and_remainders_are_integers(m, data):
+    # rational rows are scaled to integers, so no kept row, scale or
+    # remainder ever holds a Fraction; the remainder over its scale is the
+    # vector less a combination of the rows, zero at every pivot
+    form = RankForm(m.row_maps, keep=True)
+    for row in form.pivots.values():
+        assert all(type(x) is int for x in row.values())
+    v = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    s, rem = form.reduce(dense.nonzeros(v))
+    assert type(s) is int and s > 0
+    assert all(type(x) is int and x for x in rem.values())
+    assert not set(rem) & set(form.kept)
+    diff = [x - Fraction(rem.get(j, 0), s) for j, x in enumerate(v)]
+    transpose = Matrix.from_columns(m.data, rows=m.cols)
+    assert dense.solve_particular(transpose, diff) is not None
 
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_matrix_strategy(), st.data())
-def test_echelon_solve_matches_solve_particular(m, data):
+def test_solve_matches_solve_particular(m, data):
     x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
     b_any = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
-    form = form_of(m)
     for b in (dense.dense_apply(m, x), b_any):
-        got, want = form.solve(dense.nonzeros(b)), dense.solve_particular(m, b)
+        got, want = exactlin.solve(m, dense.nonzeros(b)), dense.solve_particular(m, b)
         assert (got is None) == (want is None)
         if got is not None:
             assert dense.dense(got, m.cols) == want == exactlin.solve_particular(m, b)
@@ -121,11 +124,14 @@ def test_echelon_solve_matches_solve_particular(m, data):
 def test_representatives_are_the_unit_vectors_off_the_pivots(m):
     # rows of m: coboundaries in the coordinates of a cocycle at the free
     # columns, where the cocycle basis is the standard one; the dense
-    # reference takes the unit columns that are pivots of [m^T | I]
+    # reference takes the unit columns that are pivots of [m^T | I].  The
+    # rank form of the rows at reversed positions ~p, as the class form
+    # takes them, pivots at the last nonzero positions
     units = [[Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)]
     _, pivots = rref(Matrix.from_columns(m.data + units, rows=m.cols))
-    form = Echelon(m.row_maps)
-    slots = [i for i in range(m.cols) if i not in form.pivots]
+    form = RankForm([{~j: x for j, x in row.items()} for row in m.row_maps])
+    last = {~p for p in form.kept}
+    slots = [i for i in range(m.cols) if i not in last]
     assert slots == [p - m.rows for p in pivots if p >= m.rows]
 
 
@@ -540,8 +546,8 @@ def quotient_witnesses():
 
 def _independent(g, vectors):
     """The witness of an independent subset of ``vectors`` spanning them."""
-    kept = [vectors[p] for p in Echelon(
-        [{i: x for i, x in enumerate(v) if x} for v in vectors]).kept]
+    _, pivots = rref(Matrix.from_columns(vectors))
+    kept = [vectors[p] for p in pivots]
     return subalgebra_witness(g, kept)
 
 
@@ -597,18 +603,21 @@ def deficient_rows(data, cols) -> list:
 def test_rank_form_keeps_the_echelon_columns(cols, data):
     rows = deficient_rows(data, cols)
     m = Matrix(len(rows), cols, rows)
-    form, echelon = RankForm(m.row_maps), Echelon(m.columns())
-    assert form.kept == echelon.kept
+    form = RankForm(m.row_maps)
+    assert form.kept == rref(m)[1]
     assert len(form.kept) == bareiss_rank(rows)
-    # the rows are taken last first: the kept ones are the echelon's pivots
-    assert sorted(form.rows) == sorted(echelon.pivots)
+    # the rows are taken last first: the kept ones are those independent of
+    # the rows after them
+    assert sorted(form.rows) == [
+        i for i in range(len(rows))
+        if bareiss_rank(rows[i:]) > bareiss_rank(rows[i + 1:])]
     assert bareiss_det([[m.row_maps[i].get(j, 0) for j in form.kept]
                         for i in form.rows]) != 0
     which = sorted(data.draw(st.sets(st.sampled_from(range(len(rows))))
                              if rows else st.just(set())))
     part = RankForm(m.row_maps, which, keep=True)
     sub = Matrix.of_rows(len(which), cols, [m.row_maps[i] for i in which])
-    assert part.kept == Echelon(sub.columns()).kept
+    assert part.kept == rref(sub)[1]
     assert set(part.rows) <= set(which)
     # the kernel vectors by back-substitution are Gauss-Jordan's
     assert [tuple(_dense(part.null_vector(f), cols))
@@ -687,15 +696,15 @@ def weight_systems(signs) -> list:
 
 
 def full_elimination_table(cx) -> list:
-    """dimC/dimZ/dimB/dimH from the echelon form of every column of every
-    differential."""
+    """dimC/dimZ/dimB/dimH from the rank of every row of every differential,
+    with no weight block."""
     table, rank_before = [], 0
     for k in range(cx.n + 1):
-        form = Echelon(cx.d(k).columns())
-        z = len(form.relations)
+        rank_k = rank(cx.d(k))
+        z = cx.dim_cochains(k) - rank_k
         table.append({"k": k, "dimC": cx.dim_cochains(k), "dimZ": z,
                       "dimB": rank_before, "dimH": z - rank_before})
-        rank_before = len(form.kept)
+        rank_before = rank_k
     return table
 
 
@@ -714,12 +723,13 @@ def test_weight_blocks_give_the_full_elimination_table(seed):
 # ---------------------------------------------------------------------------
 # bases read from the rank form, against dense Gauss-Jordan elimination
 
-def small_systems():
-    """Adjoint systems of small algebras moved by random shears (no torus
-    is left, as a rule) or rescaled (a torus stays), pullback systems of
-    the preset homomorphisms in random signed bases and along the inclusion
-    of random witnesses, and the quotient systems of random witnesses; at
-    most 60 cochains in a degree, so the dense reference stays quick."""
+def small_problems():
+    """Problems of small algebras moved by random shears (no torus is left,
+    as a rule) or rescaled (a torus stays), of the preset homomorphisms in
+    random signed bases and of the inclusions of random witnesses, and of
+    random witnesses; their coefficient systems (adjoint, pullback and
+    quotient) have at most 60 cochains in a degree, so the dense reference
+    stays quick."""
     algebras = [catalog_algebra(n) for n in sorted(catalog_names())] + [
         dense.gl_algebra(2), dense.heisenberg_algebra(2),
         dense.filiform_algebra(5)]
@@ -731,13 +741,17 @@ def small_systems():
                        st.integers(0, 2 ** 32 - 1)).map(
         lambda drawn: signed_hom(hom_preset(drawn[0]), Signs(drawn[1])))
     witnesses = quotient_witnesses()
-    kinds = [moved.map(adjoint_rep), rescaled_catalog().map(adjoint_rep),
-             signed.map(pullback_rep),
-             witnesses.map(lambda w: pullback_rep(inclusion(w))),
-             witnesses.map(quotient_rep)]
-    return st.sampled_from(kinds).flatmap(lambda kind: kind).filter(
-        lambda rep: max(cochain_dim(rep.acting.dim, k, rep.carrier_dim)
-                        for k in range(rep.acting.dim + 1)) <= 60)
+    kinds = [moved, rescaled_catalog(), signed, witnesses.map(inclusion),
+             witnesses]
+    return st.sampled_from(kinds).flatmap(lambda kind: kind).map(
+        Problem).filter(lambda p: max(
+            cochain_dim(p.rep.acting.dim, k, p.rep.carrier_dim)
+            for k in range(p.rep.acting.dim + 1)) <= 60)
+
+
+def small_systems():
+    """The coefficient systems of ``small_problems``."""
+    return small_problems().map(lambda p: p.rep)
 
 
 def assert_bases_match_the_dense_reference(rep):
@@ -791,3 +805,51 @@ def test_class_coords_drop_coboundaries_of_nonzero_weight():
                 assert d.class_coords(moved) == [int(i == t)
                                                  for t in range(d.dim_h)]
     assert seen and zero
+
+
+def random_cocycle(cx, d, data) -> tuple:
+    """(c, the nonzeros of sum c_i rep_i + d y) for rational c and a
+    rational (k-1)-cochain y at every position, of every weight."""
+    c = data.draw(st.lists(rationals, min_size=d.dim_h, max_size=d.dim_h))
+    y = data.draw(st.lists(sparse_entries, min_size=cx.dim_cochains(d.k - 1),
+                           max_size=cx.dim_cochains(d.k - 1)))
+    z = (cx.apply_d(AltMap.of(d.k - 1, cx.n, cx.carrier_dim, dense.nonzeros(y)))
+         if d.k else AltMap.zero(0, cx.n, cx.carrier_dim))
+    for ci, r in zip(c, d.h_representatives):
+        z = z.add_scaled(AltMap.of(d.k, cx.n, cx.carrier_dim, r), ci)
+    return c, z.nonzeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.data())
+def test_class_coords_read_the_class_of_any_cocycle(rep, data):
+    # coboundaries of zero weight too leave the coordinates c; the class
+    # form's pivots, read back, are the degree's classes
+    report = cohomology(rep)
+    cx = report.complex
+    for d in report.degrees:
+        if d.k:
+            assert {~p for p in cx.class_form(d.k).kept} == d.classes
+        c, z = random_cocycle(cx, d, data)
+        assert d.class_coords(z) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems(), st.data())
+def test_kuranishi_primitives_match_the_dense_solve(p, data):
+    # a random cocycle at the tangent degree t, on systems with and without
+    # a torus: its obstruction class's primitive is the dense solution of
+    # d_t x = representative with free variables zero, None on both sides
+    # when the class does not vanish
+    cx, t = p.complex, p.tangent_degree
+    _, xi = random_cocycle(cx, p.report.degree(t), data)
+    xi = AltMap.of(t, cx.n, cx.carrier_dim, xi)
+    oc = (kuranishi.kuranishi_sub(kuranishi.standard_splitting(p), xi)
+          if p.kind == "sub" else {"bracket": kuranishi.kuranishi_bracket,
+                                   "hom": kuranishi.kuranishi_hom}[p.kind](p, xi))
+    want = dense.solve_particular(cx.d(t), dense.dense(
+        oc.representative.nonzeros, cx.dim_cochains(t + 1)))
+    assert oc.is_zero_in_h == (want is not None)
+    got = oc.primitive
+    assert want == (None if got is None
+                    else dense.dense(got.nonzeros, cx.dim_cochains(t)))

@@ -252,7 +252,7 @@ def test_apply_d_keeps_one_column_view_per_degree():
     with mock.patch.object(Matrix, "columns", wraps=cx.d(1).columns) as spy:
         for j in range(9):
             cx.apply_d(AltMap.of(1, 3, 3, {j: 1}))
-        cx.form(1)
+        cx.class_form(2)
     assert spy.call_count == 1
 
 
