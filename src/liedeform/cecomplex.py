@@ -20,8 +20,10 @@ zero weight under an inner torus (``CEComplex.class_form``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
@@ -43,14 +45,16 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
     """Exact matrix of the degree-k differential, built row by row as the
     {column: value} nonzeros of its ``row_maps``; only the nonzero rows of
     each action (``rep.rows``) and the nonzero structure constants
-    (``rep.acting.terms``) are visited, and only the rows written to are
-    cleaned of cancelled entries."""
+    (``rep.acting.terms``) are visited; a cell is deleted when its sum
+    cancels, and made an int where integral only if some input is not."""
     n, m = rep.acting.dim, rep.carrier_dim
     cols_pos = subset_positions(n, k)
     terms = rep.acting.terms
     # the (b, a, r_ba) nonzero entries of each action
     action = [[(b, a, v) for b, row in enumerate(rows) for a, v in row.items()]
               for rows in rep.rows]
+    # the last of each (l, c_ij^l) and (b, a, r_ba) is its value
+    ints = all(type(x[-1]) is int for x in chain(*chain(*terms), *action))
     out = [{} for _ in range(cochain_dim(n, k + 1, m))]
     for t_pos, T in enumerate(subsets(n, k + 1)):
         block = out[t_pos * m:(t_pos + 1) * m]
@@ -61,9 +65,13 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
             sign = -1 if i % 2 else 1
             col_base = cols_pos[T[:i] + T[i + 1:]] * m
             for b, a, v in action[ui]:
-                orow = block[b]
-                orow[col_base + a] = orow.get(col_base + a, 0) + sign * v
-        # bracket-insertion terms
+                orow, c = block[b], col_base + a
+                if y := orow.get(c, 0) + sign * v:
+                    orow[c] = y
+                else:
+                    del orow[c]
+        # bracket-insertion terms: e_l goes in at its place q in the rest of
+        # T, with sign (-1)^q, and vanishes on an element of the rest
         for i in range(k + 1):
             plane = terms[T[i]]
             for j in range(i + 1, k + 1):
@@ -73,17 +81,18 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
                 sign_ij = -1 if (i + j) % 2 else 1
                 rest = T[:i] + T[i + 1:j] + T[j + 1:]
                 for l, coeff in pair:
-                    eps, merged = insertion_sign(l, rest)
-                    if eps == 0:
+                    if l in rest:
                         continue
-                    col_base = cols_pos[merged] * m
-                    factor = sign_ij * eps * coeff
+                    q = bisect_left(rest, l)
+                    col_base = cols_pos[rest[:q] + (l,) + rest[q:]] * m
+                    factor = -sign_ij * coeff if q % 2 else sign_ij * coeff
                     for c, orow in enumerate(block, col_base):
-                        orow[c] = orow.get(c, 0) + factor
-    for r, row in enumerate(out):
-        # a row written to is clean when it holds only nonzero ints
-        if row and (0 in row.values() or set(map(type, row.values())) != {int}):
-            out[r] = {j: _exact(x) for j, x in row.items() if x}
+                        if y := orow.get(c, 0) + factor:
+                            orow[c] = y
+                        else:
+                            del orow[c]
+    if not ints:
+        out = [{j: _exact(x) for j, x in row.items()} for row in out]
     return Matrix.of_rows(len(out), cochain_dim(n, k, m), out)
 
 

@@ -82,9 +82,9 @@ def float_matrix(m) -> np.ndarray:
 
 
 def ad_float(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix of u -> bracket(x, u) for a float structure tensor; x may be
-    a stack of vectors."""
-    return np.einsum("...i,ijk->...kj", x, c)
+    """Matrix of u -> bracket(x, u) for a float structure tensor; x and the
+    tensor may be stacks, whose leading axes broadcast."""
+    return np.einsum("...i,...ijk->...kj", x, c)
 
 
 @cache
@@ -522,18 +522,19 @@ class _Chart:
         """Derivative at the origin of the structure map under the bracket
         tensor ``c``, the differential d(xi)(e_i, e_j) = r_i xi_j - r_j xi_i
         - xi([e_i, e_j]) of the bracket and the action matrices r (a stack,
-        one per basis vector) that ``action`` reads from ``c``."""
+        one per basis vector) that ``action`` reads from ``c``; a stack of
+        tensors gives the stack of their linearizations."""
         c_source, r = self.action(c)
         m, n = self.origin.shape
         i, j = _subset_index(n, 2)
-        pairs, carrier = np.arange(len(i)), np.arange(m)
-        jac = np.zeros((len(i), m, n, m))  # [pair, b, basis vector, a]
+        lead, pairs, carrier = r.shape[:-3], np.arange(len(i)), np.arange(m)
+        jac = np.zeros(lead + (len(i), n, m, m))  # [pair, basis vector, b, a]
         # summed in the order of cecomplex.differential_matrix, which fixes
         # the rounding of each entry
-        jac[pairs, :, j, :] += r[i]
-        jac[pairs, :, i, :] -= r[j]
-        jac[:, carrier, :, carrier] -= c_source[i, j]
-        return jac.reshape(len(i) * m, n * m)
+        jac[..., pairs, j, :, :] += r[..., i, :, :]
+        jac[..., pairs, i, :, :] -= r[..., j, :, :]
+        jac[..., carrier, carrier] -= c_source[..., i, j, :, None]
+        return jac.swapaxes(-3, -2).reshape(lead + (len(i) * m, n * m))
 
     @np.errstate(over="ignore", invalid="ignore")  # on values it refuses
     def checked(self, arr: np.ndarray, label: str) -> tuple:
@@ -634,7 +635,7 @@ class _HomChart(_Chart):
                                point)
 
     def action(self, c: np.ndarray) -> tuple:
-        return self.source.c, ad_float(c, self.origin.T)
+        return self.source.c, ad_float(c[..., None, :, :, :], self.origin.T)
 
 
 class _SubChart(_Chart):
@@ -669,9 +670,9 @@ class _SubChart(_Chart):
         # stack of brackets as a stack of matrix-vector products, which
         # rounds as one product per bracket vector did
         f = self.frames
-        t = np.einsum("ib,js,ijk->bsk", f.basis, f.section, c)[..., None]
+        t = np.einsum("ib,js,...ijk->...bsk", f.basis, f.section, c)[..., None]
         mats = (f.q_reader @ t)[..., 0].swapaxes(-1, -2)
-        t = np.einsum("ia,jb,ijk->abk", f.basis, f.basis, c)[..., None]
+        t = np.einsum("ia,jb,...ijk->...abk", f.basis, f.basis, c)[..., None]
         return (f.h_reader @ t)[..., 0], mats
 
     def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
@@ -766,7 +767,7 @@ def _continue(chart: _Chart, mu_primes, cfg: NewtonConfig, stability):
     def residual(u, seeds):
         return (chart.structure(chart.unflat(u), arr[seeds]),)
 
-    chords = np.linalg.pinv(np.array([chart.linearization(c) for c in arr]))
+    chords = np.linalg.pinv(chart.linearization(arr))
     u0 = np.repeat(chart.flat(chart.origin)[None], len(arr), axis=0)
     u, res, iters, ok = _chord_newton(residual, u0, chords, cfg)
     points = chart.unflat(u)

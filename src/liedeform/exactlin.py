@@ -227,20 +227,26 @@ def rank(m: Matrix) -> int:
 class RankForm:
     """The one exact elimination: the {column: value} rows ``which`` (default
     all) are reduced in integers, last first, each against the rows kept so
-    far (``reduce``); a row of ints is taken as it is, a rational one first
-    scaled by its common denominator.  A row left nonzero is kept, divided by
-    the gcd of its entries, with its first nonzero column as its pivot:
-    ``rows`` lists the kept rows, and ``kept`` their pivots, which are the
-    pivot columns of the reduced row echelon form.  ``keep`` keeps the
-    reduced rows (``pivots``: {pivot: row}), for ``reduce`` and the kernel
-    vectors of ``null_vector``."""
+    far (``reduce``); a row of ints at no kept pivot is its own remainder,
+    kept as it is (shared, never written to), and a rational one is first
+    scaled by its common denominator.  A row left nonzero is kept, divided
+    by the gcd of its entries unless that is 1, with its first nonzero
+    column as its pivot: ``rows`` lists the kept rows, and ``kept`` their
+    pivots, the pivot columns of the reduced row echelon form.  ``keep``
+    keeps the reduced rows (``pivots``: {pivot: row}), for ``reduce`` and
+    the kernel vectors of ``null_vector``."""
 
     def __init__(self, rows, which=None, keep=False):
         self.pivots, self.rows = {}, []
         for i in reversed(range(len(rows)) if which is None else which):
-            if rows[i] and (rem := self.reduce(rows[i])[1]):
+            rem = rows[i]  # its own remainder when of ints at no kept pivot
+            if not self.pivots.keys().isdisjoint(rem) or any(
+                    type(x) is not int for x in rem.values()):
+                rem = self.reduce(rem)[1]
+            if rem:
                 g = gcd(*rem.values())
-                self.pivots[min(rem)] = {j: x // g for j, x in rem.items()}
+                self.pivots[min(rem)] = rem if g == 1 else {
+                    j: x // g for j, x in rem.items()}
                 self.rows.append(i)
         self.kept = sorted(self.pivots)
         if not keep:

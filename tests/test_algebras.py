@@ -100,8 +100,25 @@ class TestAdjoint:
         assert all(action(rep, k).is_zero() for k in range(3))
 
     def test_representation_identity(self):
-        for name in ("sl2", "so3", "heis3", "aff1", "borel"):
-            adjoint_rep(catalog_algebra(name))  # check_identity runs inside
+        # adjoint_rep leaves the identity to validate_bracket's Jacobi check;
+        # it still holds on every catalog algebra
+        for name in catalog_names():
+            rep = adjoint_rep(catalog_algebra(name))
+            assert rep.check_identity() is rep
+
+    def test_bracket_breaking_jacobi_is_refused_by_cohomology(self):
+        # built without validate_bracket: [e0,e1] = e1, [e1,e2] = e0 is
+        # antisymmetric, and its Jacobiator on (e0,e1,e2) is e0
+        cand = BracketCandidate.from_entries(3, {(0, 1): [0, 1, 0],
+                                                 (1, 2): [1, 0, 0]})
+        with pytest.raises(ValidationError, match="Jacobi"):
+            validate_bracket(cand)
+        bad = algebras.LieAlgebra("bad", 3, ("e0", "e1", "e2"), cand)
+        rep = adjoint_rep(bad)
+        with pytest.raises(RepresentationError):
+            rep.check_identity()
+        with pytest.raises(CohomologyUndefinedError):
+            cohomology(rep)
 
     @pytest.mark.parametrize("rep_of, k, entry, value, pair", [
         (lambda: adjoint_rep(catalog_algebra("sl2")), 1, (0, 2), 2, (1, 2)),

@@ -22,6 +22,7 @@ from helpers import (dense, dense_apply, dense_report_tuples, flat, filiform_alg
                      heisenberg_algebra, identity_chain_maps, rescaled_algebra,
                      sl_algebra)
 from liedeform.cochains import AltMap
+from liedeform import exactlin
 
 
 def all_reps():
@@ -55,6 +56,35 @@ class TestComplexValidity:
         cx = CEComplex(adjoint_rep(catalog_algebra("sl2")))
         om = AltMap.from_values(1, 3, 3, {(0,): [0, 1, 0], (2,): [1, 0, 0]})
         assert flat(cx.apply_d(om)) == dense_apply(cx.d(1), flat(om))
+
+
+def row_layout(m: Matrix) -> list:
+    """Each row's (column, type, value) nonzeros, in the row's order."""
+    return [[(j, type(x), x) for j, x in row.items()] for row in m.row_maps]
+
+
+@pytest.mark.parametrize("rep", [
+    *all_reps(), adjoint_rep(filiform_algebra(6)),
+    adjoint_rep(heisenberg_algebra(2))], ids=lambda rep: rep.label)
+def test_forms_leave_the_differentials_as_they_were(rep):
+    # a rank form may keep a row of d_k as the very dict, so none of the
+    # forms, nor what is read from them, may write to it
+    cx = CEComplex(rep)
+    n = cx.n
+    before = [row_layout(cx.d(k)) for k in range(n + 1)]
+    for k in range(n + 1):
+        basis = cx.basis_form(k)
+        assert len(cx.rank_form(k).kept) == len(basis.kept)
+        for f in basis.free(range(cx.dim_cochains(k))):
+            z = basis.null_vector(f)
+            b = cx.d(k).apply({f: 1})
+            assert exactlin.solve(cx.d(k), b) is not None
+            if k:
+                cx.class_form(k).reduce(z)
+        degree = cx.degree(k)
+        for z in degree.h_representatives:
+            degree.class_coords(z)
+    assert [row_layout(cx.d(k)) for k in range(n + 1)] == before
 
 
 class TestRefusal:

@@ -248,6 +248,20 @@ class TestRankForm:
         assert form.kept == [0] and form.rows == [0]
         assert not hasattr(form, "pivots")
 
+    def test_rows_at_no_kept_pivot(self):
+        # rows are taken last first: {2: 1, 3: 1} meets no pivot and is kept
+        # as the very dict, {0: 2, 1: 4} meets none either but is divided by
+        # its gcd 2, and {1: 3, 2: 3} reaches pivot 2 and is reduced; none
+        # of them is written to
+        rows = [{1: 3, 2: 3}, {0: 2, 1: 4}, {2: 1, 3: 1}]
+        before = [dict(row) for row in rows]
+        form = RankForm(rows, keep=True)
+        assert form.rows == [2, 1, 0] and form.kept == [0, 1, 2]
+        assert form.pivots[2] is rows[2]
+        assert form.pivots[0] == {0: 1, 1: 2}
+        assert form.pivots[1] == {1: 1, 3: -1}
+        assert rows == before
+
     def test_null_vector_over_a_common_denominator(self):
         # x0 = -x1 / 2 and x1 = -x2 / 3: the vector at column 2 is
         # (1/6, -1/3, 1), in column order, ints where integral

@@ -296,3 +296,21 @@ def test_continuation_chords_are_one_pinv(kind, name, monkeypatch):
     assert len(chords) == len(mus) == len(SEEDS)
     for chord, mu in zip(chords, mus):
         assert chord.tobytes() == pinv(chart.linearization(mu)).tobytes()
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("hom-continuation", "id-sl2"), ("hom-continuation", "borel-incl"),
+    ("sub-continuation", "borel-in-sl2")])
+@pytest.mark.parametrize("scale", [0.05, 0.3])
+def test_stacked_linearizations_are_one_seed_calls(kind, name, scale):
+    # a continuation call builds the linearizations of its whole stack of
+    # brackets in one call; each equals its one-seed call bit for bit
+    obj = OBJECTS[name]
+    chart = lab._chart(obj, lab.Problem.of(obj).kind)
+    mus = perturbed_bracket(chart, scale, SEEDS)[0]
+    stacked = chart.linearization(mus)
+    assert stacked.shape[0] == len(mus) == len(SEEDS)
+    for lin, mu in zip(stacked, mus):
+        one = chart.linearization(mu)
+        assert lin.shape == one.shape
+        assert lin.tobytes() == one.tobytes()

@@ -74,16 +74,41 @@ def sparse_matrix_strategy(max_side=6):
                 min_size=r, max_size=r).map(Matrix.from_rows)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(sparse_matrix_strategy())
+int_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-6, 6))
+
+
+def mixed_sparse_matrix_strategy(max_side=7):
+    # sparse matrices of ints, whose rows at no kept pivot the rank form
+    # takes as they are, or of rationals, which it scales
+    return st.tuples(st.sampled_from([int_entries, sparse_entries]),
+                     st.integers(1, max_side), st.integers(1, max_side)
+                     ).flatmap(lambda e_r_c: st.lists(
+                         st.lists(e_r_c[0], min_size=e_r_c[2],
+                                  max_size=e_r_c[2]),
+                         min_size=e_r_c[1], max_size=e_r_c[1]
+                     ).map(Matrix.from_rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_sparse_matrix_strategy())
 def test_rank_form_matches_dense_elimination(m):
+    # rows are taken last first, and row i is kept exactly when it is not
+    # in the span of the rows after it; the rows it keeps as they are stay
+    # unwritten
+    before = [[(j, type(x), x) for j, x in row.items()] for row in m.row_maps]
     form = RankForm(m.row_maps, keep=True)
+    data = m.data
+    ranks = [bareiss_rank(data[i:]) for i in range(m.rows + 1)]
+    assert form.rows == [i for i in reversed(range(m.rows))
+                         if ranks[i] > ranks[i + 1]]
     _, pivots = rref(m)
     assert form.kept == pivots
-    assert len(form.kept) == bareiss_rank(m.data)
+    assert len(form.kept) == ranks[0]
     kernel = [tuple(_dense(form.null_vector(f), m.cols))
               for f in form.free(range(m.cols))]
     assert kernel == list(kernel_basis(m).basis)
+    assert [[(j, type(x), x) for j, x in row.items()]
+            for row in m.row_maps] == before
 
 
 @settings(max_examples=80, deadline=None)
