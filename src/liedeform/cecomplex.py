@@ -12,7 +12,8 @@ identity, so it also serves the expansion identities of `kuranishi`;
 nonzeros are visited: of the actions and structure constants when d_k is
 built, of each row of d_(k+1) d_k when it is checked (without keeping it),
 and of the cochains, kernel vectors and H-representatives, which are passed
-as {position: value} dicts.  Dimensions and bases are read from one
+as {position: value} dicts; d_k acts on a cochain through its ``Matrix``'s
+kept column view (``Matrix.apply``).  Dimensions and bases are read from one
 ``RankForm`` of the rows of d_k per degree (see ``DegreeData``); class
 coordinates from one ``RankForm`` of the columns of d_(k-1), only those of
 zero weight under an inner torus (``CEComplex.class_form``).
@@ -64,12 +65,10 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
                 continue
             sign = -1 if i % 2 else 1
             col_base = cols_pos[T[:i] + T[i + 1:]] * m
+            # the columns of T - u_i are apart for distinct i, so each
+            # action cell is written once
             for b, a, v in action[ui]:
-                orow, c = block[b], col_base + a
-                if y := orow.get(c, 0) + sign * v:
-                    orow[c] = y
-                else:
-                    del orow[c]
+                block[b][col_base + a] = sign * v
         # bracket-insertion terms: e_l goes in at its place q in the rest of
         # T, with sign (-1)^q, and vanishes on an element of the rest
         for i in range(k + 1):
@@ -97,26 +96,20 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
 
 
 class CEComplex:
-    """Caches each exact differential d_k of a coefficient system, its rank
-    forms, its columns (for ``apply_d``) and the class forms."""
+    """Caches each exact differential d_k of a coefficient system (its
+    ``Matrix`` keeps the column view), its rank forms and class forms."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d, self._cols, self._classes = {}, {}, {}
+        self._d, self._classes = {}, {}
         self._ranks, self._degrees = {}, {}
 
     def d(self, k: int) -> Matrix:
         if k not in self._d:
             self._d[k] = differential_matrix(k, self.rep)
         return self._d[k]
-
-    def columns(self, k: int) -> list:
-        """The {row: value} nonzeros of each column of d_k."""
-        if k not in self._cols:
-            self._cols[k] = self.d(k).columns()
-        return self._cols[k]
 
     @cached_property
     def torus(self) -> tuple:
@@ -160,7 +153,7 @@ class CEComplex:
         last first, the columns are taken first to last, which halves the
         form's nonzeros on L_11."""
         if k not in self._classes:
-            cols = self.columns(k - 1)
+            cols = self.d(k - 1).columns()
             self._classes[k] = RankForm([
                 {~i: x for i, x in cols[j].items()}
                 for j in reversed(self.torus[0].get(k - 1, range(len(cols))))],
@@ -196,12 +189,8 @@ class CEComplex:
         """d m, summed over the columns of d_k at the nonzeros of m only."""
         if m.domain_dim != self.n or m.carrier_dim != self.carrier_dim:
             raise ValueError("cochain does not fit this complex")
-        cols, acc = self.columns(m.degree), {}
-        for j, x in m.nonzeros.items():
-            for i, y in cols[j].items():
-                acc[i] = acc.get(i, 0) + y * x
         return AltMap(m.degree + 1, self.n, self.carrier_dim,
-                      {i: _exact(acc[i]) for i in sorted(acc) if acc[i]})
+                      self.d(m.degree).apply(m.nonzeros))
 
 
 class DegreeData:
@@ -458,12 +447,9 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
             raise ChainMapError(f"square at degree {j} does not commute")
     sdeg = source.degree(k)
     tdeg = target.degree(k)
-    cols = []
-    for z in sdeg.h_representatives:
-        fz = chain_maps[k].apply(z)
-        if target.complex.d(k).apply(fz):
-            raise ChainMapError("image of a cocycle is not a cocycle")
-        cols.append(tdeg.class_coords(fz))
+    # the square at degree k commutes, so f_k maps cocycles to cocycles
+    cols = [tdeg.class_coords(chain_maps[k].apply(z))
+            for z in sdeg.h_representatives]
     matrix = Matrix.from_columns(cols, rows=tdeg.dim_h)
     return InducedMap(degree=k, matrix=matrix, source_dim=sdeg.dim_h,
                       target_dim=tdeg.dim_h, rank=rank(matrix))

@@ -77,8 +77,11 @@ def _flat(x: np.ndarray) -> np.ndarray:
 
 
 def float_matrix(m) -> np.ndarray:
-    """An exact matrix as a float array."""
-    return np.array(m.to_float_rows(), dtype=float).reshape(m.rows, m.cols)
+    """An exact matrix as a float array, its row nonzeros put into zeros."""
+    out = np.zeros((m.rows, m.cols))
+    for i, row in enumerate(m.row_maps):
+        out[i, list(row)] = list(map(float, row.values()))
+    return out
 
 
 def ad_float(c: np.ndarray, x: np.ndarray) -> np.ndarray:

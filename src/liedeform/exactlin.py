@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -82,16 +83,16 @@ def _dense(vec: dict, n: int) -> list:
 
 class Matrix:
     """Rational matrix kept as the nonzeros of each row: ``row_maps[i]`` is a
-    {column: value} dict, values ints where integral.  ``data`` is a fresh
-    dense row-major list of Fractions."""
+    {column: value} dict, values ints where integral; immutable once built,
+    so its ``columns`` are kept.  ``data`` is a fresh dense Fraction copy."""
 
-    __slots__ = ("rows", "cols", "row_maps")
+    __slots__ = ("rows", "cols", "row_maps", "_columns")
 
     def __init__(self, rows: int, cols: int, data=None):
         if data is not None and (len(data) != rows
                                  or any(len(r) != cols for r in data)):
             raise ValueError("matrix data does not match declared shape")
-        self.rows, self.cols = rows, cols
+        self.rows, self.cols, self._columns = rows, cols, None
         self.row_maps = [{} for _ in range(rows)] if data is None else [
             {j: _exact(y) for j, x in enumerate(r) if (y := _frac(x))}
             for r in data]
@@ -101,7 +102,7 @@ class Matrix:
         """The matrix whose rows hold the {column: value} nonzeros
         ``row_maps``, taken as they are (no zero value)."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.row_maps = rows, cols, row_maps
+        m.rows, m.cols, m.row_maps, m._columns = rows, cols, row_maps, None
         return m
 
     @classmethod
@@ -133,12 +134,14 @@ class Matrix:
         return [_dense(row, self.cols) for row in self.row_maps]
 
     def columns(self) -> list:
-        """The {row: value} nonzeros of each column."""
-        cols = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.row_maps):
-            for j, x in row.items():
-                cols[j][i] = x
-        return cols
+        """The {row: value} nonzeros of each column, built on first read and
+        kept: shared by every reader, so read-only."""
+        if self._columns is None:
+            self._columns = cols = [{} for _ in range(self.cols)]
+            for i, row in enumerate(self.row_maps):
+                for j, x in row.items():
+                    cols[j][i] = x
+        return self._columns
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -170,13 +173,13 @@ class Matrix:
         return True
 
     def apply(self, vec: dict) -> dict:
-        """The {row: value} nonzeros of this matrix times the vector with the
-        {column: value} nonzeros ``vec``."""
-        out = {}
-        for i, row in enumerate(self.row_maps):
-            if y := sum(x * vec[j] for j, x in row.items() if j in vec):
-                out[i] = _exact(y)
-        return out
+        """The {row: value} nonzeros, in row order, of this matrix times the
+        {column: value} nonzeros ``vec``, summed over those columns only."""
+        cols, acc = self.columns(), {}
+        for j, x in vec.items():
+            for i, y in cols[j].items():
+                acc[i] = acc.get(i, 0) + y * x
+        return {i: _exact(acc[i]) for i in sorted(acc) if acc[i]}
 
     def add_scaled(self, other: "Matrix", factor) -> "Matrix":
         """self + factor * other."""
@@ -188,10 +191,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.row_maps)
-
-    def to_float_rows(self):
-        return [[float(row.get(j, 0)) for j in range(self.cols)]
-                for row in self.row_maps]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -425,10 +424,10 @@ class QuotientCoords:
         return tuple(tuple(_dense(dict(r), self.ambient_dim))
                      for r in self.sub_rows)
 
-    @property
+    @cached_property
     def sub_coords(self) -> Matrix:
         """Coordinates in the echelon basis, its entries at the pivots: valid
-        on the subspace only, which callers check with ``projection``."""
+        on the subspace only, which callers check with ``projection``; kept."""
         return Matrix.of_rows(len(self.pivots), self.ambient_dim,
                               [{p: 1} for p in self.pivots])
 

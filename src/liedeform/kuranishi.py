@@ -187,15 +187,20 @@ class ObstructionClass:
         return out
 
 
+def _require_cocycle(p: Problem, direction: AltMap, message: str):
+    """Refuses (NonCocycleError) a ``direction`` whose d is not zero."""
+    defect = p.complex.apply_d(direction)
+    if not defect.is_zero():
+        raise NonCocycleError(message, defect)
+
+
 def _obstruction(p: Problem, direction: AltMap, representative,
                  not_cocycle: str, not_closed: str) -> ObstructionClass:
     """The argument shared by the three kinds: ``direction`` must be a
     cocycle at the tangent degree t, ``representative(direction)`` is closed
     in degree t + 1, and its class vanishes iff it is d_t of a primitive."""
     cx, t = p.complex, p.tangent_degree
-    defect = cx.apply_d(direction)
-    if not defect.is_zero():
-        raise NonCocycleError(not_cocycle, defect)
+    _require_cocycle(p, direction, not_cocycle)
     rep = representative(direction)
     assert cx.apply_d(rep).is_zero(), not_closed
     x = solve(cx.d(t), rep.nonzeros)
@@ -305,10 +310,8 @@ def omega_sigma(sp: Splitting, eta: AltMap) -> AltMap:
     the subalgebra and the certification fails.
     """
     _check_eta_shape(sp.witness, eta)
-    defect = sp.problem.complex.apply_d(eta)
-    if not defect.is_zero():
-        raise NonCocycleError("eta is not a cocycle; delta(section o eta) "
-                              "does not take values in the subalgebra", defect)
+    _require_cocycle(sp.problem, eta, "eta is not a cocycle; delta(section o "
+                     "eta) does not take values in the subalgebra")
     return _omega(sp, eta)
 
 
@@ -321,19 +324,23 @@ def _omega(sp: Splitting, eta: AltMap) -> AltMap:
                       incl.source.complex)
 
 
-def kuranishi_sub(sp: Splitting, eta: AltMap) -> ObstructionClass:
-    """Obstruction of a subalgebra direction eta in Z^1(h, g/h):
-    (u,v) -> pi[section(eta(u)), section(eta(v))] - eta(omega_sigma(eta)(u,v)),
-    classed against the degree-two coboundaries of the quotient system."""
+def _sub_representative(sp: Splitting, eta: AltMap) -> AltMap:
+    """The representative of the class of a cocycle eta of the right shape
+    (ValueError for another shape): (u,v) -> pi[section(eta(u)),
+    section(eta(v))] - eta(omega_sigma(eta)(u,v))."""
     w = sp.witness
+    _check_eta_shape(w, eta)
+    em = eta_matrix(eta)
+    return _pair_brackets(w.ambient, sp.section.mul(em)).post_compose(
+        w.coords.projection).sub(_omega(sp, eta).post_compose(em))
 
-    def representative(eta):
-        _check_eta_shape(w, eta)
-        em = eta_matrix(eta)
-        return _pair_brackets(w.ambient, sp.section.mul(em)).post_compose(
-            w.coords.projection).sub(_omega(sp, eta).post_compose(em))
 
-    return _obstruction(sp.problem, eta, representative,
+def kuranishi_sub(sp: Splitting, eta: AltMap) -> ObstructionClass:
+    """Obstruction of a subalgebra direction eta in Z^1(h, g/h): the class of
+    ``_sub_representative`` against the degree-two coboundaries of the
+    quotient system."""
+    return _obstruction(sp.problem, eta,
+                        lambda eta: _sub_representative(sp, eta),
                         "eta is not a 1-cocycle",
                         "subalgebra obstruction is not closed")
 
@@ -358,15 +365,14 @@ def splitting_independence_check(sp1: Splitting, sp2: Splitting,
     d = (s2 - s1) read as a map from the quotient into the subalgebra.
 
     The composite types as quotient -> sub -> quotient through eta's domain,
-    giving a 1-cochain on the subalgebra with quotient values.
+    giving a 1-cochain on the subalgebra with quotient values.  eta is
+    refused as ``kuranishi_sub`` refuses it, and no primitive is solved for.
     """
     if sp1.witness is not sp2.witness and sp1.witness != sp2.witness:
         raise ValueError("splittings must share a witness")
-    w = sp1.witness
-    qc = w.coords
-    phi1 = kuranishi_sub(sp1, eta).representative
-    phi2 = kuranishi_sub(sp2, eta).representative
-    diff = phi1.sub(phi2)
+    qc = sp1.witness.coords
+    _require_cocycle(sp1.problem, eta, "eta is not a 1-cocycle")
+    diff = _sub_representative(sp1, eta).sub(_sub_representative(sp2, eta))
     # d = s2 - s1 has image inside the subalgebra; read it in sub coordinates
     delta = sp2.section.add_scaled(sp1.section, -1)
     if not qc.projection.mul(delta).is_zero():

@@ -1,9 +1,11 @@
 """Helpers only the tests use: reference implementations the tests compare
 the package against, and shorthands for single cases."""
 
+import importlib.util
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -442,3 +444,12 @@ def row_layout(rows) -> list:
     """Every (column, value type) of every row, in dict order."""
     return [[[(b, type(x)) for b, x in row.items()] for row in mat]
             for mat in rows]
+
+
+def bench_families():
+    """The benchmark's generators, ``bench/families.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return families

@@ -1,9 +1,7 @@
 """Bracket candidates, Lie algebras, homomorphisms, subalgebras, and the
 three coefficient systems."""
 
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +17,8 @@ from liedeform import exactlin
 from liedeform.cecomplex import CohomologyUndefinedError, cohomology
 from liedeform.exactlin import Matrix, _subspace
 from liedeform import algebras
-from helpers import borel_in_sl, column, dense_identity_failure
+from helpers import (bench_families, borel_in_sl, column,
+                     dense_identity_failure)
 
 
 class TestBracketCandidate:
@@ -337,18 +336,10 @@ class TestSparseActionRows:
         assert all(type(x) is int for mat in again.rows for row in mat
                    for x in row.values())
 
-    @staticmethod
-    def families():
-        path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
-        spec = importlib.util.spec_from_file_location("bench_families", path)
-        families = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(families)
-        return families
-
     def test_builders_make_no_dense_matrix(self, monkeypatch):
         # the systems are built from the nonzero structure constants: no
         # dense Matrix on the way
-        families = self.families()
+        families = bench_families()
         builds = [(algebras.adjoint_rep, families.filiform(7)),
                   (algebras.pullback_rep, families.borel2_to_borel3()),
                   (algebras.quotient_rep, families.borel3_in_sl3())]
@@ -361,7 +352,7 @@ class TestSparseActionRows:
 
     def test_cohomology_reads_no_dense_data(self, monkeypatch):
         # building the system and reducing it read only the row maps
-        families = self.families()
+        families = bench_families()
         builds = [(adjoint_rep, families.filiform(7)),
                   (pullback_rep, families.heis3_to_heis5()),
                   (quotient_rep, families.borel3_in_sl3())]

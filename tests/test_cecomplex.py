@@ -10,7 +10,8 @@ import pytest
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
                                 RepSpec, adjoint_rep, catalog_algebra,
                                 catalog_names, hom_preset, pullback_rep,
-                                quotient_rep, sub_preset, validate_bracket)
+                                quotient_rep, sub_preset, sub_preset_names,
+                                validate_bracket)
 from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  CohomologyUndefinedError, Problem,
                                  adjoint_cohomology,
@@ -18,7 +19,7 @@ from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  differential_matrix, euler_characteristic,
                                  induced_map_on_h, les_subalgebra,
                                  pullback_cochain_map)
-from helpers import (dense, dense_apply, dense_report_tuples, flat, filiform_algebra, gl_algebra,
+from helpers import (bench_families, dense, dense_apply, dense_report_tuples, flat, filiform_algebra, gl_algebra,
                      heisenberg_algebra, identity_chain_maps, rescaled_algebra,
                      sl_algebra)
 from liedeform.cochains import AltMap
@@ -231,6 +232,21 @@ class TestLongExactSequence:
                                 les.sub_report, 0)
         assert m.rows == les.sub_report.degree(1).dim_h
         assert m.cols == les.quotient_report.degree(0).dim_h
+
+    def test_a_window_below_dim_h_ends_at_the_closing_node(self):
+        # with max degree m < dim h the sequence stops at H^(m+1)(h,h), its
+        # closing node: the first 3(m+1) + 1 nodes of the whole sequence
+        families = bench_families()
+        subs = [sub_preset(name) for name in sub_preset_names()] + [
+            families.centre_of_heis(m) for m in (1, 2, 3)] + [
+            families.nilradical_of_borel3(), families.borel3_in_sl3()]
+        for w in subs:
+            whole = les_subalgebra(w, w.dim).nodes
+            assert len(whole) == 3 * (w.dim + 1)
+            for m in range(w.dim):
+                nodes = les_subalgebra(w, m).nodes
+                assert nodes == whole[:3 * (m + 1) + 1]
+                assert nodes[-1].label == f"H^{m + 1}(h,h)"
 
     def test_negative_max_degree_is_refused(self):
         with pytest.raises(ValueError):

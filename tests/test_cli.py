@@ -1,6 +1,8 @@
 """Command-line interface: verbs, JSON output, exit codes, determinism."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -17,6 +19,7 @@ except ModuleNotFoundError:  # Python 3.10
 from liedeform.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +323,18 @@ class TestLes:
         assert code == 0
         assert "exact" in out.lower()
 
+    def test_window_below_dim_h_prints_the_closing_node(self, capsys):
+        code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
+                               "--max-degree", "0")
+        assert code == 0
+        assert out == (
+            "long exact sequence through degree 0 for 'borel-in-sl2':\n"
+            "  H^0(h,h): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "  H^0(h,g): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "  H^0(h,g/h): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "  H^1(h,h): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "all interior nodes exact\n")
+
     def test_negative_max_degree_is_malformed(self, capsys):
         code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
                                "--max-degree", "-1", "--json")
@@ -580,3 +595,39 @@ def test_console_script_runs(capsys):
                              capture_output=True)
         assert out.returncode == code == want
         assert out.stdout == expected.encode()
+
+
+def readme_console_examples() -> list:
+    """(arguments, expected stdout) of each `$ liedeform` example in the
+    README's console blocks, in order."""
+    examples = []
+    for block in re.findall(r"^```console\n(.*?)^```", README.read_text(),
+                            re.M | re.S):
+        for example in re.split(r"^\$ liedeform ", block, flags=re.M)[1:]:
+            command, _, out = example.partition("\n")
+            examples.append((command, out.rstrip("\n") + "\n"))
+    return examples
+
+
+def output_pattern(expected: str):
+    """``expected`` as a regular expression: a line that is only ``...``
+    stands for any lines, and ``...`` inside a line for any text on it."""
+    return re.compile("".join(
+        r"(?:.*\n)*" if line.strip() == "..." else
+        ".*".join(map(re.escape, line.split("..."))) + r"\n"
+        for line in expected.splitlines()))
+
+
+README_EXAMPLES = readme_console_examples()
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLES,
+                         ids=[command for command, _ in README_EXAMPLES])
+def test_readme_console_example(command, expected, capsys, tmp_path,
+                                monkeypatch):
+    # the direction document the README describes for borel-in-sl2
+    (tmp_path / "dir.json").write_text('[["1", "0"]]')
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert output_pattern(expected).fullmatch(out), out

@@ -77,7 +77,7 @@ class TestGroupAction:
     def test_float_matches_exact_action(self):
         a = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [2, 0, 1]])
         exact = act_on_bracket_exact(a, SL2.candidate)
-        floats = act_on_bracket(np.array(a.to_float_rows()),
+        floats = act_on_bracket(float_matrix(a),
                                 FloatBracket.from_exact(SL2))
         expected = np.array([[[float(x) for x in exact.c[i][j]]
                               for j in range(3)] for i in range(3)])
@@ -274,7 +274,7 @@ class TestCurveCheck:
 
     def test_hom_curve(self):
         rho = hom_preset("borel-incl")
-        base = np.array(rho.matrix.to_float_rows())
+        base = float_matrix(rho.matrix)
         d = np.array([[0.2, 0.0], [0.0, 0.1], [0.3, 0.0]])
         h = 1e-3
         # rho + t*d is a curve of maps; its derivative d must be checked to

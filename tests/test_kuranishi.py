@@ -2,9 +2,11 @@
 maps."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from liedeform import kuranishi
 from liedeform.algebras import (BracketCandidate, Matrix, abelian,
                                 catalog_algebra, hom_preset, sub_preset)
 from liedeform.cecomplex import CEComplex, adjoint_rep
@@ -89,6 +91,41 @@ class TestExpansions:
         assert report.ok  # identity holds around any base map
         assert not report.coefficients[0].is_zero()
 
+    @staticmethod
+    def negated_differential(monkeypatch):
+        real = kuranishi.differential_matrix
+
+        def negated(k, rep):
+            d = real(k, rep)
+            return Matrix.zeros(d.rows, d.cols).add_scaled(d, -1)
+
+        monkeypatch.setattr(kuranishi, "differential_matrix", negated)
+
+    def test_bracket_expansion_reports_a_wrong_differential(self, monkeypatch):
+        # with -d_2 in place of d_2 the t^1 coefficient -d(xi) is off by
+        # 2 d(xi), and the report names it
+        g = catalog_algebra("sl2")
+        xi = two_cochain(3, {(0, 1): [1, 2, 0], (0, 2): [0, 0, -1]})
+        self.negated_differential(monkeypatch)
+        report = jacobiator_expansion_check(g.candidate, xi,
+                                            two_cochain(3, {}))
+        assert not report.ok and report.first_mismatch == "t^1: -d(xi)"
+        d_xi = CEComplex(adjoint_rep(g)).apply_d(xi)
+        assert report.max_defect == 2 * d_xi.sup_abs() > 0
+        assert report.summary() == ("expansion mismatch at t^1: -d(xi) "
+                                    f"(defect {report.max_defect})")
+
+    def test_curvature_expansion_reports_a_wrong_differential(self,
+                                                              monkeypatch):
+        rho = hom_preset("borel-incl")
+        xi = Matrix.from_rows([[1, 0], [0, 2], [Fraction(1, 2), 1]])
+        self.negated_differential(monkeypatch)
+        report = curvature_expansion_check(rho, xi)
+        assert not report.ok and report.first_mismatch == "t^1: d(xi)"
+        assert report.max_defect > 0
+        assert report.summary() == ("expansion mismatch at t^1: d(xi) "
+                                    f"(defect {report.max_defect})")
+
 
 class TestSplittings:
     def test_standard_splitting_invariants(self):
@@ -120,6 +157,55 @@ class TestSplittings:
             sp2 = shifted_splitting(sp, Matrix.from_rows(shift_rows))
             comp = splitting_independence_check(sp, sp2, eta)
             assert comp.ok and comp.max_defect == 0
+
+    def test_independence_check_solves_for_no_primitive(self):
+        sp = standard_splitting(sub_preset("borel-in-sl2"))
+        sp2 = shifted_splitting(sp, Matrix.from_rows([[2], [-3]]))
+        eta = matrix_as_one_cochain(Matrix.from_rows([[1, 0]]))
+        with mock.patch.object(kuranishi, "solve",
+                               wraps=kuranishi.solve) as spy:
+            assert splitting_independence_check(sp, sp2, eta).ok
+            assert spy.call_count == 0
+            kuranishi_sub(sp, eta)  # the spy sees the class's one solve
+            assert spy.call_count == 1
+
+    def test_independence_check_refuses_eta_as_the_class_does(self):
+        # a non-cocycle, a 1-cochain of the wrong shape and a 2-cochain:
+        # the same exception, text and defect as kuranishi_sub gives
+        sp = standard_splitting(sub_preset("borel-in-sl2"))
+        sp2 = shifted_splitting(sp, Matrix.from_rows([[2], [-3]]))
+
+        def refusal(check, eta):
+            with pytest.raises(ValueError) as exc:
+                check(eta)
+            return (type(exc.value), str(exc.value),
+                    getattr(exc.value, "defect", None))
+
+        for eta, kind, text in (
+                (matrix_as_one_cochain(Matrix.from_rows([[0, 1]])),
+                 NonCocycleError, "eta is not a 1-cocycle"),
+                (AltMap.zero(1, 2, 2), ValueError,
+                 "cochain does not fit this complex"),
+                (AltMap.zero(2, 2, 1), ValueError,
+                 "eta must be a 1-cochain on the subalgebra with values in "
+                 "the quotient")):
+            got = refusal(lambda e: splitting_independence_check(sp, sp2, e),
+                          eta)
+            assert got == refusal(lambda e: kuranishi_sub(sp, e), eta)
+            assert got[:2] == (kind, text)
+
+    def test_independence_check_reports_a_wrong_coboundary(self, monkeypatch):
+        # a coboundary moved off by d of the unit cochain at e (d_1 there is
+        # -4) is refused, with the defect
+        sp = standard_splitting(sub_preset("borel-in-sl2"))
+        sp2 = shifted_splitting(sp, Matrix.from_rows([[2], [-3]]))
+        eta = matrix_as_one_cochain(Matrix.from_rows([[1, 0]]))
+        real = kuranishi.matrix_as_one_cochain
+        monkeypatch.setattr(kuranishi, "matrix_as_one_cochain", lambda m: real(
+            m).add(AltMap.of(1, 2, 1, {1: 1})))
+        comp = splitting_independence_check(sp, sp2, eta)
+        assert not comp.ok and comp.max_defect == 4
+        assert comp.summary() == "splitting comparison failed (defect 4)"
 
     def test_eta_matrix_round_trip(self):
         m = Matrix.from_rows([[1, 2]])

@@ -309,7 +309,10 @@ def differential_builds(monkeypatch):
 
 @pytest.mark.parametrize("argv, builds, reports", [
     (["kuranishi", "--sub", "borel-in-sl2"], 5, 1),
-    (["kuranishi", "--sub", "center-in-heis3"], 5, 1),
+    # d_0 and d_1 of the quotient system, d_1 of the inclusion's and d_2 of
+    # the subalgebra's: the splitting check does not re-prove that its
+    # representatives are closed, which read d_2 of the quotient system
+    (["kuranishi", "--sub", "center-in-heis3"], 4, 1),
     (["les", "--sub", "borel-in-sl2"], 9, 3),
 ])
 def test_command_builds_each_differential_once(differential_builds,

@@ -19,6 +19,7 @@ from liedeform.cecomplex import (CEComplex, Problem, adjoint_rep, cohomology,
                                  pullback_cochain_map)
 from liedeform.cli import _first_quotient_cocycle
 from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
+from liedeform.deformlab import float_matrix
 from elimination_oracle import bareiss_rank
 import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
@@ -203,7 +204,8 @@ def test_matrix_matches_a_dense_reference(drawn, k, data):
     assert m.data == want and m.data is not m.data
     assert all(type(x) is Fraction for row in m.data for x in row)
     assert m.is_zero() == (not any(map(any, want)))
-    assert m.to_float_rows() == [[float(x) for x in row] for row in want]
+    assert float_matrix(m).tolist() == [[float(x) for x in row]
+                                        for row in want]
     for j in range(c):
         assert dense.column(m, j) == [row[j] for row in want]
         assert all(type(x) is Fraction for x in dense.column(m, j))
@@ -214,11 +216,23 @@ def test_matrix_matches_a_dense_reference(drawn, k, data):
                                rows=r) == m
     if r:
         assert Matrix.from_rows(m.data) == m
-    vec = data.draw(st.lists(sparse_entries, min_size=c, max_size=c))
-    applied = [sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in want]
-    got = m.apply({j: v for j, v in enumerate(vec) if v})
-    assert got == {i: x for i, x in enumerate(applied) if x}
-    assert all(type(x) is int or x.denominator != 1 for x in got.values())
+    # the product with a vector of ints and Fractions that lists some zero
+    # values, also after emptying a row and a column
+    hole = data.draw(st.tuples(st.integers(-1, r - 1), st.integers(-1, c - 1)))
+    holed = [[0 if hole[0] == i or hole[1] == j else x
+              for j, x in enumerate(row)] for i, row in enumerate(want)]
+    entries = st.one_of(st.just(0), st.integers(-9, 9), sparse_entries)
+    vec = data.draw(st.lists(st.tuples(entries, st.booleans()),
+                             min_size=c, max_size=c))
+    for a, rows in ((m, want), (Matrix(r, c, holed), holed)):
+        applied = [sum((x * v for x, (v, _) in zip(row, vec)), Fraction(0))
+                   for row in rows]
+        got = a.apply({j: v for j, (v, listed) in enumerate(vec)
+                       if v or listed})
+        assert got == {i: x for i, x in enumerate(applied) if x}
+        assert list(got) == sorted(got)
+        assert all(type(x) is (int if applied[i].denominator == 1
+                               else Fraction) for i, x in got.items())
     other = data.draw(entry_rows(c, k))
     product = m.mul(Matrix(c, k, other))
     assert (product.rows, product.cols) == (r, k)

@@ -1,7 +1,7 @@
 """The exact report kernels on their nonzeros: the differential build against
 the independent oracle, the d o d check and the composed-zero test of the
 long exact sequence against the product they no longer build, ``apply_d``
-against the row product, and the coefficient-system builders without dense
+against the dense product, and the coefficient-system builders without dense
 vectors."""
 
 from fractions import Fraction
@@ -22,6 +22,7 @@ from liedeform.cochains import AltMap, cochain_dim
 from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
+from helpers import dense, dense_apply, nonzeros
 import test_cecomplex
 
 values = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
@@ -231,7 +232,7 @@ def test_les_output_of_the_presets(sub, capsys):
 # ---------------------------------------------------------------------------
 # apply_d over the columns its cochain touches
 
-def test_apply_d_matches_the_row_product():
+def test_apply_d_matches_the_dense_product():
     for rep in _catalog_reps():
         cx = CEComplex(rep)
         for k in range(cx.n + 1):
@@ -240,7 +241,7 @@ def test_apply_d_matches_the_row_product():
                 vec = {j: (-1) ** j * Fraction(j + 1, 2)
                        for j in range(start, min(dim, start + 4))}
                 out = cx.apply_d(AltMap.of(k, cx.n, cx.carrier_dim, vec))
-                expect = cx.d(k).apply(vec)
+                expect = nonzeros(dense_apply(cx.d(k), dense(vec, dim)))
                 assert out.nonzeros == expect
                 assert list(out.nonzeros) == sorted(expect)
                 assert all(type(x) is int or x.denominator != 1
@@ -248,12 +249,21 @@ def test_apply_d_matches_the_row_product():
 
 
 def test_apply_d_keeps_one_column_view_per_degree():
+    # every read of d_1's columns, by apply_d and the class form, gets the
+    # one view built on the first
     cx = CEComplex(adjoint_rep(catalog_algebra("sl2")))
-    with mock.patch.object(Matrix, "columns", wraps=cx.d(1).columns) as spy:
+    d, columns, views = cx.d(1), Matrix.columns, []
+
+    def spy(m):
+        views.append(columns(m))
+        return views[-1]
+
+    with mock.patch.object(Matrix, "columns", spy):
         for j in range(9):
             cx.apply_d(AltMap.of(1, 3, 3, {j: 1}))
         cx.class_form(2)
-    assert spy.call_count == 1
+    assert len(views) == 10 and all(v is views[0] for v in views)
+    assert d.columns() is d.columns() is views[0]
 
 
 # ---------------------------------------------------------------------------

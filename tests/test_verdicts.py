@@ -4,6 +4,7 @@ import pytest
 
 from liedeform.algebras import (Homomorphism, Matrix, catalog_algebra,
                                 catalog_names, hom_preset, sub_preset)
+from liedeform.documents import parse_hom_doc
 from liedeform.verdicts import (FAILS, HOLDS, INCONCLUSIVE, Verdict,
                                 bracket_rigidity, bracket_smoothness,
                                 hom_aut_rigidity,
@@ -78,12 +79,15 @@ class TestHomVerdicts:
         assert v.evidence["induced_rank"] == 5
 
     def test_indicator_settled_by_target_rigidity(self):
-        # source with H^2(h,g) possibly nonzero prevented here, so craft a
-        # case settled only by the target: any hom into sl2 from a 3-dim
-        # source with nonzero pullback H^2 does not exist in the presets, so
-        # verify the branch ordering instead: pullback H^2=0 wins first.
-        v = hom_infinitesimal_stability_indicator(hom_preset("id-sl2"))
-        assert v.evidence["settled_by"] == "hom-stability"
+        # the zero map abelian2 -> sl2, given as a document: H^2(h, g) is
+        # C^2 = 3-dimensional, but H^2(sl2, sl2) = 0 settles it
+        rho = parse_hom_doc({"source": "abelian2", "target": "sl2",
+                             "matrix": [["0", "0"]] * 3})
+        v = hom_infinitesimal_stability_indicator(rho)
+        assert v.conclusion == HOLDS
+        assert v.evidence["settled_by"] == "bracket-rigidity-of-target"
+        assert v.evidence["dim_h2_pullback"] == 3
+        assert v.evidence["dim_h2_target_bracket"] == 0
 
 
 class TestSubVerdicts:
