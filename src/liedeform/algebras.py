@@ -16,7 +16,8 @@ exact dense defect vector.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 from .cochains import AltMap
 from .exactlin import (Matrix, QuotientCoords, Subspace, _add_scaled, _dense,
@@ -344,14 +345,28 @@ class RepresentationError(ValueError):
 class RepSpec:
     """A coefficient system: the acting algebra's bracket plus, per acting
     basis vector, its action on the carrier as the {column: value} nonzeros
-    of each row, in column order and ints where integral, as a
-    ``Matrix`` keeps its ``row_maps``."""
+    of each row, in column order and ints where integral, as a ``Matrix``
+    keeps its ``row_maps``; ``action_cells`` and ``all_ints``, read by the
+    differential of every degree, are kept on first read."""
 
     variant: str
     acting: BracketCandidate
     carrier_dim: int
     rows: tuple
     label: str = ""
+
+    @cached_property
+    def action_cells(self) -> list:
+        """Per acting basis vector, the (b, a, r_ba) nonzeros of its action."""
+        return [[(b, a, v) for b, row in enumerate(rows) for a, v in row.items()]
+                for rows in self.rows]
+
+    @cached_property
+    def all_ints(self) -> bool:
+        """Whether every structure constant and action entry is an int."""
+        # the last of each (l, c_ij^l) and (b, a, r_ba) is its value
+        return all(type(x[-1]) is int for x in chain(
+            *chain(*self.acting.terms), *self.action_cells))
 
     def check_identity(self):
         """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs:

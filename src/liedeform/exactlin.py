@@ -159,11 +159,11 @@ class Matrix:
     def mul_is_zero(self, other: "Matrix") -> bool:
         """Whether ``self.mul(other)`` is zero: each product row is summed
         in one accumulator and not kept, and the first nonzero row ends the
-        check."""
+        check; an empty row of ``self`` is skipped, its product being 0."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         acc, rows = {}, other.row_maps
-        for row in self.row_maps:
+        for row in filter(None, self.row_maps):
             for k, a in row.items():
                 for j, b in rows[k].items():
                     acc[j] = acc.get(j, 0) + a * b
@@ -226,7 +226,8 @@ def rank(m: Matrix) -> int:
 class RankForm:
     """The one exact elimination: the {column: value} rows ``which`` (default
     all) are reduced in integers, last first, each against the rows kept so
-    far (``reduce``); a row of ints at no kept pivot is its own remainder,
+    far (``reduce``); an empty row is passed over, since it can add no
+    pivot, and a row of ints at no kept pivot is its own remainder,
     kept as it is (shared, never written to), and a rational one is first
     scaled by its common denominator.  A row left nonzero is kept, divided
     by the gcd of its entries unless that is 1, with its first nonzero
@@ -238,9 +239,11 @@ class RankForm:
     def __init__(self, rows, which=None, keep=False):
         self.pivots, self.rows = {}, []
         for i in reversed(range(len(rows)) if which is None else which):
-            rem = rows[i]  # its own remainder when of ints at no kept pivot
-            if not self.pivots.keys().isdisjoint(rem) or any(
-                    type(x) is not int for x in rem.values()):
+            # an empty row can add no pivot, and a row of ints at no kept
+            # pivot is its own remainder
+            rem = rows[i]
+            if rem and (not self.pivots.keys().isdisjoint(rem) or any(
+                    type(x) is not int for x in rem.values())):
                 rem = self.reduce(rem)[1]
             if rem:
                 g = gcd(*rem.values())

@@ -317,11 +317,10 @@ def omega_sigma(sp: Splitting, eta: AltMap) -> AltMap:
 
 def _omega(sp: Splitting, eta: AltMap) -> AltMap:
     """omega_sigma of an eta already known to be a cocycle: the snake lift
-    through the section, in the complexes of the problem's inclusion (values
-    in g) and of its source (in h)."""
-    incl = sp.problem.inclusion
-    return snake_lift(sp.witness, sp.section, eta, incl.complex,
-                      incl.source.complex)
+    through the section, in the complex of the problem's inclusion (values
+    in g)."""
+    return snake_lift(sp.witness, sp.section, eta,
+                      sp.problem.inclusion.complex)
 
 
 def _sub_representative(sp: Splitting, eta: AltMap) -> AltMap:

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, JSON output, exit codes, determinism."""
 
 import json
+import os
 import re
 import shlex
 import shutil
@@ -566,6 +567,22 @@ def test_wide_band_recovery_is_deterministic_across_processes():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.count(b'"converged": false') == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--hom", "borel-incl", "--json"],
+    ["les", "--sub", "borel-in-sl2", "--json"],
+    ["kuranishi", "--sub", "center-in-heis3", "--json"],
+])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # str keys of sets and dicts are hashed with a per-process seed, so an
+    # output that followed their order would differ between these processes
+    first, second = (subprocess.run(
+        [sys.executable, "-m", "liedeform", *argv], capture_output=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed)) for seed in ("0", "1"))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    assert json.loads(first.stdout)
 
 
 def console_script_command():

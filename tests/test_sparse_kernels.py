@@ -16,13 +16,14 @@ from liedeform.algebras import (BracketCandidate, RepSpec,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names)
 from liedeform.cecomplex import (CEComplex, CohomologyUndefinedError,
-                                 _exact_at, cohomology, differential_matrix)
+                                 _exact_at, adjoint_cohomology, cohomology,
+                                 differential_matrix)
 from liedeform.cli import run
 from liedeform.cochains import AltMap, cochain_dim
 from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
-from helpers import dense, dense_apply, nonzeros
+from helpers import dense, dense_apply, filiform_algebra, nonzeros
 import test_cecomplex
 
 values = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
@@ -98,6 +99,31 @@ def test_catalog_differentials_match_the_oracle():
         action = [Matrix.of_rows(rep.carrier_dim, rep.carrier_dim, r).data
                   for r in rep.rows]
         assert_matches_oracle(rep, action)
+
+
+class Walked(tuple):
+    """A tuple that counts the walks over its items."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_a_system_is_read_once_not_once_per_degree():
+    # the cohomology of L_7 builds d_0 .. d_7 of one system: its action
+    # cells are gathered, and its structure constants and action entries
+    # tested for ints, once
+    g = filiform_algebra(7)
+    terms, rows = Walked(g.candidate.terms), Walked(adjoint_rep(g).rows)
+    rep = RepSpec("adjoint", BracketCandidate(7, terms), 7, rows)
+    report = cohomology(rep)
+    assert len(report.degrees) == 8 and all(
+        report.complex.d(k) == differential_matrix(k, adjoint_rep(g))
+        for k in range(8))
+    assert report.dims_h() == adjoint_cohomology(g).dims_h()
+    assert (terms.walks, rows.walks) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
