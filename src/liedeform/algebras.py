@@ -292,12 +292,17 @@ class SubalgebraWitness:
     def basis_vector(self, t: int) -> list:
         return list(self.coords.sub_basis[t])
 
-    def as_subalgebra(self, name=None) -> LieAlgebra:
-        """The subspace as a standalone Lie algebra in its echelon basis: the
-        brackets of the basis pairs read in echelon coordinates."""
-        cand = BracketCandidate.from_altmap(_basis_brackets(
+    @cached_property
+    def _bracket(self) -> BracketCandidate:
+        return BracketCandidate.from_altmap(_basis_brackets(
             self.ambient, self.coords).post_compose(self.coords.sub_coords))
-        return validate_bracket(cand, name=name or f"{self.name}-sub")
+
+    def as_subalgebra(self, name=None) -> LieAlgebra:
+        """The subspace as a Lie algebra in its echelon basis e0, e1, ..: the
+        ambient bracket restricted (once) to a subspace proved closed, so it
+        inherits antisymmetry and Jacobi and is not validated again."""
+        return LieAlgebra(name or f"{self.name}-sub", self.dim,
+                          tuple(f"e{i}" for i in range(self.dim)), self._bracket)
 
 
 def _basis_brackets(g: LieAlgebra, qc: QuotientCoords) -> AltMap:
@@ -409,27 +414,29 @@ def adjoint_rep(g: LieAlgebra) -> RepSpec:
 
 
 def pullback_rep(hom: Homomorphism) -> RepSpec:
-    """Source acts on the target through ad(rho(u)); requires a validated
-    homomorphism."""
+    """Source acts on the target through r = ad o rho, for a validated rho;
+    r([u,v]) = ad[rho u, rho v] = [ad rho u, ad rho v] by g's Jacobi."""
     validate_homomorphism(hom)
     h, g = hom.source, hom.target
     rows = tuple(ad_rows(g.candidate, col.items())
                  for col in hom.matrix.columns())
     return RepSpec("pullback", h.candidate, g.dim, rows,
-                   f"{hom.name}:{h.name}->{g.name}").check_identity()
+                   f"{hom.name}:{h.name}->{g.name}")
 
 
 def quotient_rep(w: SubalgebraWitness) -> RepSpec:
     """The subalgebra acts on ambient/sub; well defined because the subspace
     is bracket-closed.  Row a of the action of w_i is row a of the
-    projection times ad(w_i), read at the complement columns."""
+    projection times ad(w_i), read at the complement columns.  Unchecked:
+    ad(w) keeps h, so pi o ad(w) = r(w) o pi with pi onto, and ad on h is a
+    representation by g's Jacobi identity."""
     g, qc, n = w.ambient, w.coords, w.ambient.dim
     at = {j: b for b, j in enumerate(qc.complement)}
     rows = tuple([{at[j]: y for j, y in sorted(row.items()) if j in at}
                   for row in qc.projection.mul(Matrix.of_rows(n, n, ad)).row_maps]
                  for ad in (ad_rows(g.candidate, v) for v in qc.sub_rows))
-    return RepSpec("quotient", w.as_subalgebra().candidate, qc.dim, rows,
-                   f"{w.name}:{g.name}/sub").check_identity()
+    return RepSpec("quotient", w._bracket, qc.dim, rows,
+                   f"{w.name}:{g.name}/sub")
 
 
 # ---------------------------------------------------------------------------

@@ -361,11 +361,11 @@ class Problem:
 
     @cached_property
     def inclusion(self) -> "Problem":
-        w = self.obj
-        basis = Matrix.from_columns([w.basis_vector(t) for t in range(w.dim)],
-                                    rows=w.ambient.dim)
-        return Problem(Homomorphism(w.as_subalgebra(), w.ambient, basis,
-                                    name=f"{w.name}-incl"))
+        w, n = self.obj, self.obj.ambient.dim
+        # the echelon basis vectors as columns, read from their nonzeros
+        rows = Matrix.of_rows(w.dim, n, list(map(dict, w.coords.sub_rows)))
+        return Problem(Homomorphism(w.as_subalgebra(), w.ambient, Matrix.of_rows(
+            n, w.dim, rows.columns()), name=f"{w.name}-incl"))
 
     def h_dim(self, k: int) -> int:
         """dim H^k from the report's ranks; 0 above the acting dimension."""
@@ -508,18 +508,13 @@ def _exact_at(label: str, k: int, incoming: Matrix, outgoing: Matrix) -> LESNode
 
 def snake_lift(w: SubalgebraWitness, section: Matrix, eta: AltMap,
                ambient: CEComplex) -> AltMap:
-    """d(section o eta) for a k-cochain eta of h with values in g/h: lifted
-    through ``section`` and differentiated in ``ambient`` (values in g), the
-    values are certified to land in h, and are returned in subalgebra
-    coordinates as a (k+1)-cochain.  It is closed with values in h with no
-    check: post-composition with the inclusion iota is an injective chain
-    map C(h,h) -> C(h,g), and d o d = 0 on C(h,g), since ad o iota is a
-    representation of the validated inclusion, so iota(d out) =
-    d d (section o eta) = 0."""
-    dval = ambient.apply_d(eta.post_compose(section))
-    if not dval.post_compose(w.coords.projection).is_zero():
-        raise AssertionError("snake lift value left the subalgebra")
-    return dval.post_compose(w.coords.sub_coords)
+    """d(section o eta) for a k-cocycle eta of h with values in g/h, taken in
+    ``ambient`` (values in g) and read in subalgebra coordinates.  Unchecked:
+    it lands in h, as post-composing with pi is a chain map and pi o section
+    = 1, so pi d(section o eta) = d eta = 0; it is closed, as iota is an
+    injective chain map C(h,h) -> C(h,g), on which d o d = 0."""
+    return ambient.apply_d(eta.post_compose(section)).post_compose(
+        w.coords.sub_coords)
 
 
 def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,

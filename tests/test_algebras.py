@@ -105,19 +105,43 @@ class TestAdjoint:
             rep = adjoint_rep(catalog_algebra(name))
             assert rep.check_identity() is rep
 
-    def test_bracket_breaking_jacobi_is_refused_by_cohomology(self):
-        # built without validate_bracket: [e0,e1] = e1, [e1,e2] = e0 is
-        # antisymmetric, and its Jacobiator on (e0,e1,e2) is e0
+    @staticmethod
+    def jacobi_breaking():
+        """Built without validate_bracket: [e0,e1] = e1, [e1,e2] = e0 is
+        antisymmetric, and its Jacobiator on (e0,e1,e2) is e0."""
         cand = BracketCandidate.from_entries(3, {(0, 1): [0, 1, 0],
                                                  (1, 2): [1, 0, 0]})
+        return algebras.LieAlgebra("bad", 3, ("e0", "e1", "e2"), cand)
+
+    def test_bracket_breaking_jacobi_is_refused_by_cohomology(self):
+        bad = self.jacobi_breaking()
         with pytest.raises(ValidationError, match="Jacobi"):
-            validate_bracket(cand)
-        bad = algebras.LieAlgebra("bad", 3, ("e0", "e1", "e2"), cand)
+            validate_bracket(bad.candidate)
         rep = adjoint_rep(bad)
         with pytest.raises(RepresentationError):
             rep.check_identity()
         with pytest.raises(CohomologyUndefinedError):
             cohomology(rep)
+
+    def test_pullback_over_a_jacobi_breaking_bracket_is_refused_by_cohomology(self):
+        # the identity map passes validate_homomorphism; pullback_rep leaves
+        # the representation identity to the target's Jacobi identity, so
+        # the d o d check refuses the system
+        bad = self.jacobi_breaking()
+        rep = pullback_rep(Homomorphism(bad, bad, Matrix.identity(3)))
+        with pytest.raises(CohomologyUndefinedError):
+            cohomology(rep)
+
+    def test_restriction_of_a_jacobi_breaking_bracket_is_refused_by_cohomology(self):
+        # as_subalgebra inherits the ambient identities instead of proving
+        # them again, so the whole space of an unvalidated bracket gives an
+        # algebra whose adjoint system the d o d check refuses
+        bad = self.jacobi_breaking()
+        h = subalgebra_witness(bad, [[1, 0, 0], [0, 1, 0],
+                                     [0, 0, 1]]).as_subalgebra()
+        assert h.candidate == bad.candidate
+        with pytest.raises(CohomologyUndefinedError):
+            cohomology(adjoint_rep(h))
 
     @pytest.mark.parametrize("rep_of, k, entry, value, pair", [
         (lambda: adjoint_rep(catalog_algebra("sl2")), 1, (0, 2), 2, (1, 2)),

@@ -212,6 +212,13 @@ class TestVerdict:
         doc = json.loads(out)
         assert doc["kind"] == "sub" and doc["tangent_dim"] == 0
 
+    def test_model_dims_question_text_names_the_aut_model(self, capsys):
+        code, out, _ = run_cli(capsys, "verdict", "--hom", "borel-incl",
+                               "--question", "kuranishi-model-dims")
+        assert code == 0
+        assert out == ("kuranishi model (hom): tangent dim 0, obstruction "
+                       "dim 0\naut-model domain dim: 0\n")
+
     def test_question_object_mismatch_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "verdict", "--algebra", "sl2",
                                "--question", "hom-rigidity")

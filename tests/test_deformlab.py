@@ -10,7 +10,7 @@ import pytest
 
 from liedeform.algebras import (Matrix, catalog_algebra, hom_preset,
                                 hom_preset_names, sub_preset, sub_preset_names,
-                                validate_bracket)
+                                subalgebra_witness, validate_bracket)
 from liedeform.cecomplex import Problem, adjoint_cohomology
 import liedeform.deformlab as lab
 from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
@@ -266,6 +266,14 @@ class TestCurveCheck:
         assert rep.class_residual <= 1e-6
         assert max(rep.delta_defects) <= 1e-10
 
+    def test_one_symmetric_pair_uses_the_absolute_bound(self):
+        # samples at -h, 0 and h: no second step to compare the delta-defect
+        # with, so no ratio, and the defect is held to the absolute bound
+        rep = curve_cocycle_check("bracket", SL2, self.orbit_samples(1e-3)[1:4])
+        assert rep.steps == (1e-3,) and len(rep.delta_defects) == 1
+        assert rep.defect_ratio is None
+        assert rep.ok and rep.delta_defects[0] <= 1e-6
+
     def test_requires_bracketing_samples(self):
         mu = FloatBracket.from_exact(SL2)
         with pytest.raises(ValueError):
@@ -330,6 +338,13 @@ class TestFDCheck:
         w = sub_preset("borel-in-sl2")
         rep = vertical_derivative_fd_check("sub", w, np.array([[0.8, -0.3]]))
         assert rep.ok
+
+    def test_zero_direction_has_no_remainder_ratio(self):
+        # F(x + h 0) - F(x) is exactly zero at both steps: the remainder has
+        # no ratio, and the check holds on the absolute bound
+        rep = vertical_derivative_fd_check("bracket", SL2, np.zeros((3, 3, 3)))
+        assert rep.remainder_sups == (0.0, 0.0)
+        assert rep.remainder_ratio is None and rep.ok
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -622,6 +637,22 @@ def test_linearization_is_the_jacobian_of_the_structure_map(kind, name):
     exact = float_matrix(chart.p.complex.d(1))
     assert np.max(np.abs(chart.linearization(chart.mu.c) - exact),
                   initial=0.0) <= 1e-8
+
+
+def test_sub_recovery_diagnostics_without_principal_angles():
+    # a subalgebra equal to its ambient algebra has no principal angle, and
+    # a recovered plane that is not finite is infinitely far off
+    whole = lab._chart(subalgebra_witness(
+        SL2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "sub")
+    assert whole.recovery_diagnostics(np.eye(3), np.eye(3)) == {
+        "principal_angle_sup": 0.0}
+    chart = lab._chart(sub_preset("borel-in-sl2"), "sub")
+    assert chart.recovery_diagnostics(np.eye(3), chart.base) == {
+        "principal_angle_sup": 0.0}
+    diverged = np.eye(3)
+    diverged[0, 0] = np.nan
+    assert chart.recovery_diagnostics(diverged, chart.base) == {
+        "principal_angle_sup": float("inf")}
 
 
 def test_non_finite_record_values_are_json_null():

@@ -38,6 +38,16 @@ class TestJacobiator:
         jac = jacobiator(cand)
         assert jac.value((0, 1, 2)) == [Fraction(0), Fraction(0), Fraction(1)]
 
+    def test_reads_a_two_cochain_and_refuses_other_types(self):
+        cand = BracketCandidate.from_entries(
+            3, {(0, 1): [1, 0, 0], (0, 2): [0, 0, 1], (1, 2): [0, 0, 0]})
+        assert flat(jacobiator(cand.as_altmap())) == flat(jacobiator(cand))
+        assert flat(jacobiator(catalog_algebra("sl2"))) == flat(
+            jacobiator(catalog_algebra("sl2").candidate.as_altmap()))
+        for other in (42, cand.c, Matrix.identity(3)):
+            with pytest.raises(TypeError, match="expected a bracket candidate"):
+                jacobiator(other)
+
     def test_quadratic_scaling(self):
         # the jacobiator of a bracket candidate is quadratic: J(2c) = 4 J(c)
         cand = BracketCandidate.from_entries(

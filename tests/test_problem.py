@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from liedeform import cecomplex, exactlin
+from liedeform import algebras, cecomplex, exactlin
 from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
                                 hom_preset_names, sub_preset, sub_preset_names)
 from liedeform.cecomplex import Problem
@@ -328,11 +328,15 @@ def test_command_builds_each_differential_once(differential_builds,
 
 
 @pytest.mark.parametrize("flag, name, direction, builds", [
-    # eta(h) = fbar, eta(e) = 0: d_1 and d_2 of the quotient system and d_1
-    # of the inclusion's
-    ("--sub", "borel-in-sl2", [["1", "0"]], 3),
-    ("--algebra", "sl2", [{"i": 0, "j": 1, "coeffs": ["0", "0", "0"]}], 2),
-    ("--hom", "borel-incl", [["0", "0"]] * 3, 2),
+    # the direction's d_t and the primitive's d_t are one build, and the
+    # representative's closedness is not re-proved, so no d_(t+1) is built
+    # eta(h) = fbar, eta(e) = 0: d_1 of the quotient system and d_1 of the
+    # inclusion's (for the snake lift)
+    ("--sub", "borel-in-sl2", [["1", "0"]], 2),
+    # eta(z) = pbar: the same two
+    ("--sub", "center-in-heis3", [["1"], ["0"]], 2),
+    ("--algebra", "sl2", [{"i": 0, "j": 1, "coeffs": ["0", "0", "0"]}], 1),
+    ("--hom", "borel-incl", [["0", "0"]] * 3, 1),
 ])
 def test_direction_builds_each_differential_once(differential_builds,
                                                  cohomology_calls, capsys,
@@ -344,6 +348,24 @@ def test_direction_builds_each_differential_once(differential_builds,
     capsys.readouterr()
     assert len(differential_builds) == builds
     assert cohomology_calls == []
+
+
+def test_a_sub_problem_proves_each_identity_once(monkeypatch, capsys):
+    # sl2's own Jacobi proof is the only one: the subalgebra's bracket is
+    # restricted once (the witness's closure proof is the other restriction)
+    # and inherits its identities, and neither derived system re-checks its
+    # representation identity
+    calls = Counter()
+    for owner, attr in ((algebras, "validate_bracket"),
+                        (algebras, "_basis_brackets"),
+                        (algebras.RepSpec, "check_identity")):
+        def counted(*args, orig=getattr(owner, attr), attr=attr, **kwargs):
+            calls[attr] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    assert run(["les", "--sub", "borel-in-sl2"]) == 0
+    capsys.readouterr()
+    assert calls == {"validate_bracket": 1, "_basis_brackets": 2}
 
 
 def cocycle_sum(problem):

@@ -892,3 +892,53 @@ def test_kuranishi_primitives_match_the_dense_solve(p, data):
     got = oc.primitive
     assert want == (None if got is None
                     else dense.dense(got.nonzeros, cx.dim_cochains(t)))
+
+
+# ---------------------------------------------------------------------------
+# the identities that make a snake lift land in h and an obstruction
+# representative closed: the library relies on them with no run-time check
+
+def _closedness_objects() -> dict:
+    """The catalog, the presets and bench-family systems, by name."""
+    families = dense.bench_families()
+    objects = ([catalog_algebra(n) for n in catalog_names()]
+               + [hom_preset(n) for n in hom_preset_names()]
+               + [sub_preset(n) for n in sub_preset_names()]
+               + [families.heisenberg(2), families.filiform(5), families.gl(2),
+                  families.borel(3), families.sl(3), families.heis3_to_heis5(),
+                  families.borel2_to_borel3(), families.sl2_to_gl2(),
+                  families.centre_of_heis(2), families.nilradical_of_borel3(),
+                  families.borel3_in_sl3()])
+    return {obj.name: obj for obj in objects}
+
+
+CLOSEDNESS_OBJECTS = _closedness_objects()
+
+
+@pytest.mark.parametrize("name", sorted(CLOSEDNESS_OBJECTS))
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_obstruction_representatives_are_closed(name, data):
+    # bracket: d J(xi) = +-[d xi, xi]; homomorphism: d [xi,xi] = 2[d xi, xi];
+    # subalgebra: d F_2(eta) = 0, the second-order part of the Bianchi
+    # identity of the closure defect, under the standard and a shifted
+    # splitting, whose snake lift pi(d(section o eta)) = d eta is zero too
+    p = Problem.of(CLOSEDNESS_OBJECTS[name])
+    cx, t = p.complex, p.tangent_degree
+    _, direction = random_cocycle(cx, p.report.degree(t), data)
+    direction = AltMap.of(t, cx.n, cx.carrier_dim, direction)
+    if p.kind != "sub":
+        oc = {"bracket": kuranishi.kuranishi_bracket,
+              "hom": kuranishi.kuranishi_hom}[p.kind](p, direction)
+        assert cx.apply_d(oc.representative).is_zero()
+        return
+    w = p.obj
+    standard = kuranishi.standard_splitting(p)
+    shift = Matrix.from_rows(data.draw(st.lists(
+        st.lists(rationals, min_size=w.quotient_dim, max_size=w.quotient_dim),
+        min_size=w.dim, max_size=w.dim)))
+    for sp in (standard, kuranishi.shifted_splitting(standard, shift)):
+        lift = p.inclusion.complex.apply_d(direction.post_compose(sp.section))
+        assert lift.post_compose(w.coords.projection).is_zero()
+        oc = kuranishi.kuranishi_sub(sp, direction)
+        assert cx.apply_d(oc.representative).is_zero()
