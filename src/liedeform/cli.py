@@ -199,7 +199,8 @@ def _cmd_verdict(args) -> int:
                 f"question {args.question!r} needs --{want}")
         questions = [args.question]
     verdicts = [_QUESTIONS[q][1](problem) for q in sorted(questions)]
-    payload = {"verdicts": [v.to_json_dict() for v in verdicts]}
+    # the evidence, a whole report among it, is serialized for --json only
+    payload = args.json and {"verdicts": [v.to_json_dict() for v in verdicts]}
     _emit(payload, args.json, [_verdict_line(v) for v in verdicts])
     return 0
 
@@ -263,8 +264,8 @@ def _cmd_deform(args) -> int:
         doc.update((flag, getattr(args, flag)) for flag in _OBJECT_FLAGS
                    if getattr(args, flag))
     exp = parse_experiment_doc(doc)
-    # the Newton lab loads numpy, and SciPy on its first solve: only a
-    # well-formed experiment pays for them
+    # only a well-formed experiment loads the Newton lab, which imports
+    # NumPy on its first float computation and SciPy on its first solve
     from .deformlab import run_experiment
     records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
                              scale=exp["scale"], cfg=exp["config"])

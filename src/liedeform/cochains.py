@@ -11,22 +11,29 @@ dense values of one subset are read with ``value``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 from .exactlin import ZERO, _add_scaled, _exact, _frac
 from .records import record
 
 
-def subsets(n: int, k: int):
+# the two tables are built once per (n, k) and shared, so both are read-only
+
+@cache
+def subsets(n: int, k: int) -> tuple:
     """All k-subsets of {0..n-1} as sorted tuples, in lexicographic order."""
     if k < 0 or k > n:
-        return []
-    return list(combinations(range(n), k))
+        return ()
+    return tuple(combinations(range(n), k))
 
 
-def subset_positions(n: int, k: int) -> dict:
-    return {s: i for i, s in enumerate(subsets(n, k))}
+@cache
+def subset_positions(n: int, k: int) -> MappingProxyType:
+    """{subset: its position in ``subsets(n, k)``}."""
+    return MappingProxyType({s: i for i, s in enumerate(subsets(n, k))})
 
 
 def subset_position(n: int, subset) -> int:

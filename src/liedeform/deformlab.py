@@ -21,7 +21,8 @@ residual, iteration count and chord.  The bracket chart's orbit residual
 is one array kernel from (A, c) to flat pair coordinates
 (``_acted_pairs``), so Newton builds no FloatBracket per iterate.
 
-NumPy is imported with the module; SciPy (``expm`` for every group chart,
+Importing the module loads no float stack: NumPy is imported on the first
+float computation, and SciPy (``expm`` for every group chart,
 ``subspace_angles`` for one subalgebra diagnostic) on the first call that
 needs it, so float records and kernels alone never load it.
 
@@ -32,9 +33,7 @@ block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-
-import numpy as np
+from functools import cache, cached_property, wraps
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem
@@ -46,18 +45,54 @@ from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
 
 
-def _scipy_linalg(name: str):
-    """``scipy.linalg.<name>``, imported on the first call, which rebinds the
-    module name to SciPy's own function for every later call."""
-    def first_call(*args):
+class _FirstUse:
+    """Stands in for the module name ``name`` until it is first used: the
+    first attribute read or call imports the object ``load()`` returns and
+    rebinds ``name`` to it, so every later read goes straight there.  Its
+    own names are private, so that they hide no attribute of the object
+    (``numpy.load``)."""
+
+    __slots__ = ("_name", "_load")
+
+    def __init__(self, name: str, load):
+        self._name, self._load = name, load
+
+    def _bind(self):
+        globals()[self._name] = real = self._load()
+        return real
+
+    def __getattr__(self, attr):
+        return getattr(self._bind(), attr)
+
+    def __call__(self, *args):
+        return self._bind()(*args)
+
+
+def _numpy():
+    import numpy
+    return numpy
+
+
+def _scipy_linalg(name: str) -> _FirstUse:
+    def load():
         import scipy.linalg
-        globals()[name] = fn = getattr(scipy.linalg, name)
-        return fn(*args)
-    return first_call
+        return getattr(scipy.linalg, name)
+    return _FirstUse(name, load)
 
 
+np = _FirstUse("np", _numpy)
 expm = _scipy_linalg("expm")
 subspace_angles = _scipy_linalg("subspace_angles")
+
+
+def _ignoring_overflow(fn):
+    """``fn`` run under ``np.errstate(over="ignore", invalid="ignore")``,
+    entered on each call, so NumPy is not read when ``fn`` is defined."""
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return guarded
 
 
 def _sup(arr) -> float:
@@ -216,7 +251,7 @@ def _seed_index(seeds: np.ndarray):
 
 
 # a diverging iterate may overflow; the checks below read its result
-@np.errstate(over="ignore", invalid="ignore")
+@_ignoring_overflow
 def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
                   cfg: NewtonConfig) -> tuple:
     """Chord Newton on the seeds (rows) of ``u0`` in lockstep, each with a
@@ -539,7 +574,7 @@ class _Chart:
         jac[..., carrier, carrier] -= c_source[..., i, j, :, None]
         return jac.swapaxes(-3, -2).reshape(lead + (len(i) * m, n * m))
 
-    @np.errstate(over="ignore", invalid="ignore")  # on values it refuses
+    @_ignoring_overflow  # on values it refuses
     def checked(self, arr: np.ndarray, label: str) -> tuple:
         """(chart points, structure defects) of a stack of outside values;
         refuses a shape other than a value's, then, at the first value that
@@ -716,7 +751,7 @@ def _chart(obj, kind: str) -> _Chart:
 # orbit recovery and zero continuation
 
 # a diverged iterate's determinant is inf; its JSON record writes null
-@np.errstate(over="ignore", invalid="ignore")
+@_ignoring_overflow
 def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
     """Find log coordinates x with exp(x) . base ~ value for each value: the
     ``rigidity`` verdict must hold, the values must pass the input check,
@@ -750,7 +785,7 @@ def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
     return results[0] if one else results
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_ignoring_overflow
 def _continue(chart: _Chart, mu_primes, cfg: NewtonConfig, stability):
     """Move the base point to a zero of the structure map under each
     perturbed bracket mu': the ``stability`` verdict must hold, each mu'
@@ -834,7 +869,7 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime,
 # seeded perturbations
 
 # an exp(x0) or a value may overflow; both are checked, here and as input
-@np.errstate(over="ignore", invalid="ignore")
+@_ignoring_overflow
 def _perturbation(chart: _Chart, scale: float, seed: int | list) -> tuple:
     """(exp(x0) . base, x0), x0 uniform entrywise from the seed's generator,
     refusing a draw that raises, an overflowed exp(x0) and, on the bracket

@@ -409,7 +409,8 @@ class QuotientCoords:
     subspace), and ``section`` is its right inverse at the ``complement``
     positions.  ``sub_rows`` holds the (position, value) nonzeros, ints where
     integral, of the subspace basis in reduced echelon form, with pivots
-    ``pivots``; ``sub_basis`` is that basis as dense Fraction tuples."""
+    ``pivots``; ``sub_basis`` is that basis as dense Fraction tuples, built
+    on first read and kept."""
 
     ambient_dim: int
     sub_rows: tuple
@@ -422,7 +423,7 @@ class QuotientCoords:
     def dim(self) -> int:
         return len(self.complement)
 
-    @property
+    @cached_property
     def sub_basis(self) -> tuple:
         return tuple(tuple(_dense(dict(r), self.ambient_dim))
                      for r in self.sub_rows)

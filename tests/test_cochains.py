@@ -14,15 +14,26 @@ from liedeform.cochains import (AltMap, cochain_dim, insertion_sign,
 
 
 def test_subsets_lexicographic():
-    assert subsets(4, 2) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert subsets(3, 0) == [()]
-    assert subsets(3, 4) == []
+    assert subsets(4, 2) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert subsets(3, 0) == ((),)
+    assert subsets(3, 4) == ()
+    assert subsets(-1, 0) == ()
 
 
 def test_subset_positions_inverts_enumeration():
     pos = subset_positions(5, 3)
     for p, s in enumerate(subsets(5, 3)):
         assert pos[s] == p
+
+
+def test_subset_tables_are_shared_and_read_only():
+    # one table of each kind per (n, k), which no caller can change
+    assert subsets(5, 3) is subsets(5, 3)
+    pos = subset_positions(5, 3)
+    assert pos is subset_positions(5, 3)
+    with pytest.raises(TypeError):
+        pos[(0, 1, 2)] = 7
+    assert pos[(0, 1, 2)] == 0
 
 
 def test_cochain_dim():

@@ -2,11 +2,13 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from helpers import bench_families
 from liedeform.algebras import (ValidationError, catalog_algebra, hom_preset,
-                                sub_preset)
+                                sub_preset, sub_preset_names)
 from liedeform.documents import (EXPERIMENT_KINDS, MalformedDocumentError,
                                  NewtonConfig, algebra_to_doc, hom_to_doc,
                                  load_json_file, parse_algebra_doc,
@@ -251,3 +253,27 @@ class TestExperimentDocs:
     def test_newton_solvers_follow_the_kind_list(self):
         from liedeform import deformlab
         assert tuple(deformlab.EXPERIMENTS) == EXPERIMENT_KINDS
+
+
+GOLDEN_SUB_DOCS = Path(__file__).with_name("golden_sub_docs.json")
+
+
+def sub_docs() -> dict:
+    """Label -> ``sub_to_doc`` JSON of every subalgebra preset and of every
+    subalgebra ``bench/families.py`` builds, standard and sign-flipped."""
+    families = bench_families()
+    out = {name: sub_preset(name) for name in sub_preset_names()}
+    for seed in (None, 0, 1):
+        signs = None if seed is None else families.Signs(seed)
+        builds = [families.centre_of_heis(m, signs) for m in (1, 2, 3)]
+        builds += [families.nilradical_of_borel3(signs),
+                   families.borel3_in_sl3(signs)]
+        out.update((f"{w.name} signs={seed}", w) for w in builds)
+    return {label: json.dumps(sub_to_doc(w), sort_keys=True)
+            for label, w in out.items()}
+
+
+def test_sub_docs_are_pinned_byte_for_byte():
+    # pinned when every basis vector read rebuilt the whole dense basis;
+    # keeping it must not change a byte
+    assert sub_docs() == json.loads(GOLDEN_SUB_DOCS.read_text())

@@ -1,9 +1,10 @@
 """The exact layers never import the float stack: `import liedeform` and
 every exact verb leave numpy and SciPy unloaded, and the Newton names of the
-package load on first access; the Newton lab itself loads SciPy only on its
-first solve.  Nor do the exact layers load ``dataclasses`` (or the
-``inspect`` it pulls in): the records are made by ``liedeform.records``.
-And the package keeps one rational matrix storage, ``exactlin.Matrix``."""
+package load on first access; the Newton lab itself loads NumPy only on its
+first float computation and SciPy only on its first solve.  Nor do the
+exact layers load ``dataclasses`` (or the ``inspect`` it pulls in): the
+records are made by ``liedeform.records``.  And the package keeps one
+rational matrix storage, ``exactlin.Matrix``."""
 
 import ast
 import json
@@ -121,24 +122,61 @@ def test_newton_lab_loads_scipy_on_first_solve(first):
         assert result["bound"][0]
 
 
+FRESH_FLOAT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+if sys.argv[1] == "module":
+    import liedeform.deformlab
+else:
+    from liedeform import *
+on_import = loaded()
+from liedeform import catalog_algebra, deformlab
+mu = deformlab.FloatBracket.from_exact(catalog_algebra("sl2"))
+after_float_call = loaded()
+import numpy
+print(json.dumps({"on_import": on_import, "after_float_call": after_float_call,
+                  "bound": deformlab.np is numpy}))
+"""
+
+
+@pytest.mark.parametrize("how", ["module", "star"])
+def test_newton_lab_loads_numpy_on_first_float_call(how):
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_FLOAT, how], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    # importing the Newton lab loads no float stack; its first float call
+    # loads NumPy and rebinds the module's np to it
+    assert json.loads(out.stdout) == {"on_import": [],
+                                      "after_float_call": ["numpy"],
+                                      "bound": True}
+
+
 FRESH_DEFORM = """
 import io, json, sys
 from contextlib import redirect_stdout
 
 if sys.argv[1] == "scipy-first":
     import scipy.linalg
+elif sys.argv[1] == "numpy-first":
+    import numpy
 from liedeform import cli
 
+numpy_before = "numpy" in sys.modules
 out = []
 for argv in json.loads(sys.argv[2]):
     with redirect_stdout(io.StringIO()) as buf:
         code = cli.run(argv)
     out.append([code, buf.getvalue()])
-print(json.dumps(out))
+print(json.dumps([numpy_before, out]))
 """
 
 
-def test_deform_output_does_not_depend_on_when_scipy_loads():
+def test_deform_output_does_not_depend_on_when_the_float_stack_loads():
     objects = (("bracket-recovery", "--algebra", "sl2"),
                ("hom-recovery", "--hom", "id-sl2"),
                ("sub-recovery", "--sub", "borel-in-sl2"),
@@ -149,16 +187,20 @@ def test_deform_output_does_not_depend_on_when_scipy_loads():
     # scale 0.3 refreshes Jacobians and leaves some seeds unconverged
     commands.append(["deform", "--json", "--kind", "bracket-recovery",
                      "--algebra", "sl2", "--scale", "0.3", "--seeds", "20"])
+    orders = ("scipy-first", "numpy-first", "lazy")
     runs = [subprocess.run(
         [sys.executable, "-c", FRESH_DEFORM, order, json.dumps(commands)],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True) for order in ("scipy-first", "lazy")]
-    assert [run.returncode for run in runs] == [0, 0], [r.stderr for r in runs]
-    first, lazy = (json.loads(run.stdout) for run in runs)
+        capture_output=True, text=True) for order in orders]
+    assert [run.returncode for run in runs] == [0] * 3, [r.stderr for r in runs]
+    numpy_before, (scipy_first, numpy_first, lazy) = zip(
+        *(json.loads(run.stdout) for run in runs))
+    # NumPy is loaded before the package, or first by the first deform
+    assert numpy_before == (True, True, False)
     assert [code for code, _ in lazy] == [0] * len(commands)
     wide = [json.loads(line) for line in lazy[-1][1].splitlines()]
     assert len(wide) == 20 and not all(r["converged"] for r in wide)
-    assert first == lazy
+    assert scipy_first == numpy_first == lazy
 
 
 def test_newton_names_load_on_first_access():
@@ -239,6 +281,12 @@ def test_no_module_imports_dataclasses():
 def test_no_module_imports_scipy_at_module_level():
     # SciPy is imported on the Newton lab's first solve, inside a function
     assert absolute_imports("scipy", outside_functions) == []
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # NumPy is imported on the Newton lab's first float computation, inside
+    # a function
+    assert absolute_imports("numpy", outside_functions) == []
 
 
 def documented_layers() -> tuple:

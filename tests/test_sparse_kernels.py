@@ -317,5 +317,6 @@ def test_quotient_coords_keep_the_echelon_basis_nonzeros():
     w = sub_preset("borel-in-sl2")
     assert w.coords.sub_rows == (((0, 1),), ((1, 1),))
     assert w.coords.sub_basis == ((1, 0, 0), (0, 1, 0))
+    assert w.coords.sub_basis is w.coords.sub_basis  # built once, kept
     assert all(type(x) is Fraction for v in w.coords.sub_basis for x in v)
     assert [w.basis_vector(t) for t in range(2)] == [[1, 0, 0], [0, 1, 0]]
