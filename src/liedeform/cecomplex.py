@@ -21,13 +21,13 @@ zero weight under an inner torus (``CEComplex.class_form``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
-from .cochains import (AltMap, cochain_dim, insertion_sign, subset_positions,
+from .cochains import (AltMap, cochain_dim, mask_positions, subset_masks,
                        subsets)
 from .exactlin import ZERO, Matrix, RankForm, Subspace, _dense, _exact, rank
 from .records import record
@@ -47,38 +47,44 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
     cells (``rep.action_cells``, read once per system, not per degree) and
     the nonzero structure constants (``rep.acting.terms``) are visited; a
     cell is deleted when its sum cancels, and made an int where integral
-    only if some input is not an int (``rep.all_ints``)."""
+    only if some input is not an int (``rep.all_ints``).  Subsets are bit
+    masks (see ``cochains``): the face T - u_i of the row subset T is
+    ``T ^ (1 << u_i)``, and e_l goes into the rest R of T as ``R | (1 << l)``
+    with the sign of the number of elements of R below l."""
     n, m = rep.acting.dim, rep.carrier_dim
-    cols_pos = subset_positions(n, k)
+    cols_pos = mask_positions(n, k)
     terms, action = rep.acting.terms, rep.action_cells
     out = [{} for _ in range(cochain_dim(n, k + 1, m))]
-    for t_pos, T in enumerate(subsets(n, k + 1)):
+    for t_pos, (T, tmask) in enumerate(zip(subsets(n, k + 1),
+                                           subset_masks(n, k + 1))):
         block = out[t_pos * m:(t_pos + 1) * m]
         # action terms
         for i, ui in enumerate(T):
             if not action[ui]:
                 continue
             sign = -1 if i % 2 else 1
-            col_base = cols_pos[T[:i] + T[i + 1:]] * m
+            col_base = cols_pos[tmask ^ (1 << ui)] * m
             # the columns of T - u_i are apart for distinct i, so each
             # action cell is written once
             for b, a, v in action[ui]:
                 block[b][col_base + a] = sign * v
         # bracket-insertion terms: e_l goes in at its place q in the rest of
-        # T, with sign (-1)^q, and vanishes on an element of the rest
-        for i in range(k + 1):
-            plane = terms[T[i]]
+        # T, with sign (-1)^q for the q elements of the rest below l, and
+        # vanishes on an element of the rest
+        for i in range(k):
+            plane, face = terms[T[i]], tmask ^ (1 << T[i])
             for j in range(i + 1, k + 1):
                 pair = plane[T[j]]
                 if not pair:
                     continue
                 sign_ij = -1 if (i + j) % 2 else 1
-                rest = T[:i] + T[i + 1:j] + T[j + 1:]
+                rest = face ^ (1 << T[j])
                 for l, coeff in pair:
-                    if l in rest:
+                    bit = 1 << l
+                    if rest & bit:
                         continue
-                    q = bisect_left(rest, l)
-                    col_base = cols_pos[rest[:q] + (l,) + rest[q:]] * m
+                    col_base = cols_pos[rest | bit] * m
+                    q = (rest & (bit - 1)).bit_count()
                     factor = -sign_ij * coeff if q % 2 else sign_ij * coeff
                     for c, orow in enumerate(block, col_base):
                         if y := orow.get(c, 0) + factor:
@@ -111,21 +117,33 @@ class CEComplex:
         """({k: the zero weight k-cochains}, {k: rank of d_k off them}) for
         the inner torus, the acting basis elements x with ad x and r(x)
         diagonal, not both zero; ({}, {}) without one.  x acts on the
-        cochain e^S (x) v_a by the weight r(x)_aa - sum_(i in S) ad(x)_ii."""
+        cochain e^S (x) v_a by the weight r(x)_aa - sum_(i in S) ad(x)_ii:
+        the sum over S is its top element's ad weight added to the sum over
+        the rest, read from the level below (one level is kept at a time),
+        and the carrier vectors of that weight are one lookup away."""
         n, m = self.n, self.carrier_dim
         terms, act = self.rep.acting.terms, self.rep.rows
         xs = [x for x in range(n)
               if all(l == j for j in range(n) for l, _ in terms[x][j])
               and all(b == a for a, row in enumerate(act[x]) for b in row)
               and (any(terms[x]) or any(act[x]))]
-        ad = [[dict(terms[x][j]).get(j, 0) for j in range(n)] for x in xs]
-        r = [tuple(act[x][a].get(a, 0) for x in xs) for a in range(m)]
+        if not xs:
+            return {}, {}
+        ad = {1 << j: tuple(dict(terms[x][j]).get(j, 0) for x in xs)
+              for j in range(n)}  # {bit of j: the weights ad(x)_jj}
+        carriers = {}  # {weight of r: its carrier indices, ascending}
+        for a in range(m):
+            carriers.setdefault(tuple(act[x][a].get(a, 0) for x in xs),
+                                []).append(a)
         zero, acyclic, off = {}, {}, 0
-        for k in range(n + 1 if xs else 0):
-            zero[k] = [p * m + a for p, S in enumerate(subsets(n, k))
-                       for w in [tuple(sum(c[i] for i in S) for c in ad)]
-                       for a in range(m) if r[a] == w]
+        level = {0: (0,) * len(xs)}  # {mask: the ad weight of its subset}
+        for k in range(n + 1):
+            zero[k] = [p * m + a for p, w in enumerate(level.values())
+                       for a in carriers.get(w, ())]
             acyclic[k] = off = self.dim_cochains(k) - len(zero[k]) - off
+            level = {s: tuple(map(add, level[s ^ top], ad[top]))
+                     for s in subset_masks(n, k + 1)
+                     for top in [1 << (s.bit_length() - 1)]}
         return zero, acyclic
 
     def rank_form(self, k: int) -> RankForm:
@@ -383,20 +401,22 @@ def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
     """Matrix of omega -> omega(rho . , .. , rho .) from target-side to
     source-side k-cochains: row block S is rho(e_s1) ^ .. ^ rho(e_sk) (its
     entry at T is the minor det rho[T, S], by Cauchy-Binet), read from the
-    nonzeros of rho's columns; the carrier index is untouched."""
+    nonzeros of rho's columns, with each wedge term keyed by the bit mask of
+    its subset T (see ``cochains``); the carrier index is untouched."""
     m = hom.target.dim
-    src_pos = subset_positions(m, k)
+    src_pos = mask_positions(m, k)
     cols = hom.matrix.columns()
     out = []
     for S in subsets(hom.source.dim, k):
-        wedge = {(): 1}
+        wedge = {0: 1}
         for s in reversed(S):  # each factor is prepended
             acc = {}
             for T, x in wedge.items():
                 for t, v in cols[s].items():
-                    eps, merged = insertion_sign(t, T)
-                    if eps:
-                        acc[merged] = acc.get(merged, 0) + eps * v * x
+                    bit = 1 << t
+                    if not T & bit:
+                        y = -v * x if (T & (bit - 1)).bit_count() & 1 else v * x
+                        acc[T | bit] = acc.get(T | bit, 0) + y
             wedge = acc
         row = sorted((src_pos[T] * m, _exact(x)) for T, x in wedge.items() if x)
         out += [{base + b: x for base, x in row} for b in range(m)]

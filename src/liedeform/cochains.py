@@ -3,9 +3,14 @@
 A k-cochain on an n-dimensional space with values in an m-dimensional carrier
 is indexed by (k-subset, carrier index): subsets of {0..n-1} are enumerated in
 lexicographic order and the carrier index varies fastest, i.e. flat index =
-subset_position * m + carrier_index.  An ``AltMap`` keeps only its nonzeros,
-{flat index: value}, as a ``Matrix`` keeps the nonzeros of its rows; the
-dense values of one subset are read with ``value``.
+subset_position * m + carrier_index.  A subset's position is read from its
+bit mask, sum(1 << i for i in S), the one integer encoding of a subset: the
+kernels that walk subsets (the differential, the torus weights, the pullback
+map) take a face as ``M ^ (1 << i)``, test membership with ``M & bit``, and
+count the elements below i with ``(M & ((1 << i) - 1)).bit_count()``, then
+look the position up in ``mask_positions``.  An ``AltMap`` keeps only its
+nonzeros, {flat index: value}, as a ``Matrix`` keeps the nonzeros of its rows;
+the dense values of one subset are read with ``value``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .exactlin import ZERO, _add_scaled, _exact, _frac
 from .records import record
 
 
-# the two tables are built once per (n, k) and shared, so both are read-only
+# the tables are built once per (n, k) and shared, so all are read-only
 
 @cache
 def subsets(n: int, k: int) -> tuple:
@@ -31,9 +36,16 @@ def subsets(n: int, k: int) -> tuple:
 
 
 @cache
-def subset_positions(n: int, k: int) -> MappingProxyType:
-    """{subset: its position in ``subsets(n, k)``}."""
-    return MappingProxyType({s: i for i, s in enumerate(subsets(n, k))})
+def subset_masks(n: int, k: int) -> tuple:
+    """The bit mask sum(1 << i for i in S) of each S in ``subsets(n, k)``, in
+    that order."""
+    return tuple(sum(1 << i for i in s) for s in subsets(n, k))
+
+
+@cache
+def mask_positions(n: int, k: int) -> MappingProxyType:
+    """{bit mask of a k-subset: its position in ``subsets(n, k)``}."""
+    return MappingProxyType({b: i for i, b in enumerate(subset_masks(n, k))})
 
 
 def subset_position(n: int, subset) -> int:
@@ -50,21 +62,6 @@ def cochain_dim(n: int, k: int, m: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k) * m
-
-
-def insertion_sign(element: int, sorted_rest) -> tuple:
-    """Sort (element, *rest) into ascending order.
-
-    Returns (sign, sorted_tuple), or (0, None) when the element repeats, in
-    which case an alternating map vanishes.
-    """
-    if element in sorted_rest:
-        return 0, None
-    pos = 0
-    while pos < len(sorted_rest) and sorted_rest[pos] < element:
-        pos += 1
-    merged = tuple(sorted_rest[:pos]) + (element,) + tuple(sorted_rest[pos:])
-    return (-1) ** pos, merged
 
 
 @record

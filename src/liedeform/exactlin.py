@@ -351,12 +351,13 @@ def _subspace(ambient_dim: int, vectors) -> Subspace:
 
 def solve(m: Matrix, b: dict) -> dict | None:
     """The {column: value} nonzeros of the solution of m x = b with free
-    variables zero, for b given as its {row: value} nonzeros; None when there
+    variables zero, for b given as its {row: value} entries (only its
+    nonzeros are read: a ``RankForm`` row holds no zero); None when there
     is none.  Read from the ``RankForm`` of [m | -b]: b is in the column
     space exactly when the extra column is free, and then x is that column's
     kernel vector without its last entry."""
     n = m.cols
-    form = RankForm([{**row, n: -b[i]} if i in b else row
+    form = RankForm([{**row, n: -b[i]} if b.get(i) else row
                      for i, row in enumerate(m.row_maps)], keep=True)
     return None if n in form.pivots else {
         j: x for j, x in form.null_vector(n).items() if j < n}

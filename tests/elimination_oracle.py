@@ -2,8 +2,8 @@
 
 Shares no code with the package under test.  Differential matrices are
 enumerated directly from the cochain-differential definition using a
-sort-with-parity evaluator (instead of the package's precomputed insertion
-signs), and ranks come from integer fraction-free Bareiss elimination with a
+sort-with-parity evaluator (instead of the package's insertion signs
+counted on bit masks), and ranks come from integer fraction-free Bareiss elimination with a
 reversed pivot scan (instead of the package's fraction row reduction with
 forward pivoting).  Dimensions follow from rank-nullity alone:
 

@@ -12,6 +12,7 @@ import numpy as np
 from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
                                 subalgebra_witness, validate_bracket)
 from liedeform.cecomplex import CEComplex, CohomologyReport
+from liedeform.cochains import mask_positions, subsets
 from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
                                  graph_basis, run_experiment)
 from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
@@ -123,6 +124,18 @@ def image_basis(m: Matrix) -> Subspace:
 
 def flat_index(position: int, m: int, a: int) -> int:
     return position * m + a
+
+
+def mask_insert(element: int, rest) -> tuple:
+    """Insert an element into a sorted subset on bit masks, as the exact
+    layer does: (sign, merged subset), with the sign (-1)^q of its place q
+    counted by popcount, or (0, None) when it repeats."""
+    mask, bit = sum(1 << i for i in rest), 1 << element
+    if mask & bit:
+        return 0, None
+    n, k = max((element, *rest)) + 1, len(rest) + 1
+    merged = subsets(n, k)[mask_positions(n, k)[mask | bit]]
+    return (-1) ** (mask & (bit - 1)).bit_count(), merged
 
 
 # dense views of the package's sparse vectors and cochains, built here

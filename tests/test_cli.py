@@ -21,6 +21,8 @@ from liedeform.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKFLOW = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+            / "tier1.yml")
 
 
 def run_cli(capsys, *argv):
@@ -619,6 +621,20 @@ def test_console_script_runs(capsys):
                              capture_output=True)
         assert out.returncode == code == want
         assert out.stdout == expected.encode()
+
+
+def test_ci_tests_the_oldest_supported_python():
+    # the exact layer counts insertion signs with int.bit_count, new in
+    # Python 3.10: CI's oldest interpreter is requires-python's floor
+    with open(PYPROJECT, "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    floor = tuple(map(int, re.fullmatch(r">=\s*(\d+)\.(\d+)",
+                                        floor).groups()))
+    versions = re.search(r"^\s*python-version:\s*\[([^\]]*)\]",
+                         WORKFLOW.read_text(), re.M).group(1)
+    oldest = min(tuple(map(int, v.split(".")))
+                 for v in re.findall(r"[\"']([\d.]+)[\"']", versions))
+    assert oldest == floor and floor >= (3, 10)
 
 
 def readme_console_examples() -> list:

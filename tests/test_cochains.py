@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import flat, flat_index, gl_algebra
+from helpers import flat, flat_index, gl_algebra, mask_insert
 from liedeform import cochains
-from liedeform.cochains import (AltMap, cochain_dim, insertion_sign,
-                                subset_position, subset_positions, subsets)
+from liedeform.cochains import (AltMap, cochain_dim, mask_positions,
+                                subset_masks, subset_position, subsets)
 
 
 def test_subsets_lexicographic():
@@ -20,20 +20,32 @@ def test_subsets_lexicographic():
     assert subsets(-1, 0) == ()
 
 
-def test_subset_positions_inverts_enumeration():
-    pos = subset_positions(5, 3)
+def test_subset_masks_follow_the_enumeration():
+    assert subset_masks(4, 2) == (0b11, 0b101, 0b1001, 0b110, 0b1010, 0b1100)
+    assert subset_masks(3, 0) == (0,)
+    assert subset_masks(3, 4) == ()
+    for n in range(8):
+        for k in range(n + 1):
+            assert subset_masks(n, k) == tuple(
+                sum(1 << i for i in s) for s in subsets(n, k))
+
+
+def test_mask_positions_invert_enumeration():
+    pos = mask_positions(5, 3)
     for p, s in enumerate(subsets(5, 3)):
-        assert pos[s] == p
+        assert pos[sum(1 << i for i in s)] == p
+    assert len(pos) == len(subsets(5, 3))
 
 
 def test_subset_tables_are_shared_and_read_only():
     # one table of each kind per (n, k), which no caller can change
     assert subsets(5, 3) is subsets(5, 3)
-    pos = subset_positions(5, 3)
-    assert pos is subset_positions(5, 3)
+    assert subset_masks(5, 3) is subset_masks(5, 3)
+    pos = mask_positions(5, 3)
+    assert pos is mask_positions(5, 3)
     with pytest.raises(TypeError):
-        pos[(0, 1, 2)] = 7
-    assert pos[(0, 1, 2)] == 0
+        pos[0b111] = 7
+    assert pos[0b111] == 0
 
 
 def test_cochain_dim():
@@ -44,27 +56,35 @@ def test_cochain_dim():
 
 def test_flat_index_layout():
     # carrier index varies fastest within a subset block
-    pos = subset_positions(4, 2)
-    assert flat_index(pos[(0, 1)], 3, 0) == 0
-    assert flat_index(pos[(0, 1)], 3, 2) == 2
-    assert flat_index(pos[(0, 2)], 3, 0) == 3
+    pos = mask_positions(4, 2)
+    assert flat_index(pos[0b11], 3, 0) == 0
+    assert flat_index(pos[0b11], 3, 2) == 2
+    assert flat_index(pos[0b101], 3, 0) == 3
 
 
-class TestInsertionSign:
+class TestMaskInsertion:
     def test_insert_positions(self):
-        assert insertion_sign(2, (0, 1, 3)) == (1, (0, 1, 2, 3))
-        assert insertion_sign(0, (1, 2)) == (1, (0, 1, 2))
-        assert insertion_sign(3, (1, 2)) == (1, (1, 2, 3))
-        assert insertion_sign(1, (0, 2)) == (-1, (0, 1, 2))
+        assert mask_insert(2, (0, 1, 3)) == (1, (0, 1, 2, 3))
+        assert mask_insert(0, (1, 2)) == (1, (0, 1, 2))
+        assert mask_insert(3, (1, 2)) == (1, (1, 2, 3))
+        assert mask_insert(1, (0, 2)) == (-1, (0, 1, 2))
 
     def test_duplicate_vanishes(self):
-        assert insertion_sign(1, (0, 1, 2)) == (0, None)
+        assert mask_insert(1, (0, 1, 2)) == (0, None)
 
     def test_sign_matches_sort_parity(self):
         # inserting at position p carries (-1)^p
-        sign, merged = insertion_sign(4, (0, 1, 2, 3, 5))
+        sign, merged = mask_insert(4, (0, 1, 2, 3, 5))
         assert merged == (0, 1, 2, 3, 4, 5)
         assert sign == 1  # position 4
+
+
+def test_mask_faces_drop_one_element():
+    # T - u_i is T ^ (1 << u_i), at the position of the tuple face
+    for T, mask in zip(subsets(6, 3), subset_masks(6, 3)):
+        for u in T:
+            face = tuple(x for x in T if x != u)
+            assert subsets(6, 2)[mask_positions(6, 2)[mask ^ (1 << u)]] == face
 
 
 class TestAltMap:
@@ -117,13 +137,13 @@ def test_subset_position_counts_without_the_table():
 def test_value_builds_no_subset_table(monkeypatch):
     # reading every pair block of gl_4's bracket cochain once
     jac = gl_algebra(4).candidate.as_altmap()
-    calls, real = [], cochains.subset_positions
+    calls, real = [], cochains.mask_positions
 
     def counted(n, k):
         calls.append((n, k))
         return real(n, k)
 
-    monkeypatch.setattr(cochains, "subset_positions", counted)
+    monkeypatch.setattr(cochains, "mask_positions", counted)
     blocks = [jac.value(s) for s in combinations(range(16), 2)]
     assert len(blocks) == 120 and len(calls) <= 1
     assert [x for block in blocks for x in block] == flat(jac)

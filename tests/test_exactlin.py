@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (column, contains, dense, dense_apply, from_sub_coords,
                      image_basis, kernel_basis, nonzeros)
+from liedeform import exactlin
 from liedeform.exactlin import (Matrix, RankForm, format_scalar, invert,
                                 parse_scalar, quotient_coords, rank,
                                 reduced_basis, rref, solve, solve_particular,
@@ -235,6 +236,32 @@ class TestReaders:
         assert form.reduce({0: F(1, 2), 1: F(1, 3)}) == (6, {})
         s, rem = form.reduce({1: 1})
         assert F(rem[1], s) == 1 and set(rem) == {1}
+
+    def test_solve_reads_only_the_nonzeros_of_b(self):
+        # an explicit zero at a zero row once made the row {2: 0}, of gcd 0
+        m = Matrix.from_rows([[1, 0], [0, 0]])
+        assert solve(m, {0: 2, 1: 0}) == solve(m, {0: 2}) == {0: 2}
+        assert solve(m, {0: 0, 1: 0}) == solve(m, {}) == {}
+        assert solve(m, {0: 2, 1: F(0)}) == {0: 2}
+        assert solve(m, {0: 0, 1: 5}) is None
+        m = Matrix.from_rows([[1, 1], [2, 2], [0, 3]])
+        for b in ({0: 1, 1: 2, 2: 0}, {0: 0, 1: 0, 2: 3}):
+            assert solve(m, b) == solve(m, {i: x for i, x in b.items() if x})
+
+    def test_solve_hands_the_rank_form_no_zero(self, monkeypatch):
+        # RankForm reads every entry of a row as a nonzero: a zero would
+        # be taken as a pivot, so solve must pass none
+        seen = []
+
+        def spy(rows, which=None, keep=False):
+            seen.extend(x for row in rows for x in row.values())
+            return real(rows, which, keep)
+
+        real = exactlin.RankForm
+        monkeypatch.setattr(exactlin, "RankForm", spy)
+        m = Matrix.from_rows([[1, 0], [0, 0], [2, 1]])
+        assert solve(m, {0: 1, 1: 0, 2: F(0)}) == {0: 1, 1: -2}
+        assert seen and all(x != 0 for x in seen)
 
     def test_empty_span(self):
         m = Matrix.zeros(1, 0)

@@ -18,13 +18,13 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
 from liedeform.cecomplex import (CEComplex, Problem, adjoint_rep, cohomology,
                                  pullback_cochain_map)
 from liedeform.cli import _first_quotient_cocycle
-from liedeform.cochains import AltMap, cochain_dim, insertion_sign, subsets
+from liedeform.cochains import AltMap, cochain_dim, subsets
 from liedeform.deformlab import float_matrix
 from elimination_oracle import bareiss_rank
 import helpers as dense
 from helpers import (_det as laplace_det, act_on_bracket_exact, borel_in_sl,
-                     dense_report_tuples, image_basis, kernel_basis, rref,
-                     sl_in_gl, solve_particular)
+                     dense_report_tuples, image_basis, kernel_basis,
+                     mask_insert, rref, sl_in_gl, solve_particular)
 from liedeform.exactlin import RankForm, _dense, invert, rank
 from liedeform import exactlin, kuranishi
 from liedeform.kuranishi import (curvature_expansion_check, jacobiator,
@@ -318,9 +318,9 @@ def test_cochain_dim_binomial(n, k):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5),
        st.lists(st.integers(0, 5), min_size=0, max_size=4, unique=True))
-def test_insertion_sign_parity(extra, subset):
+def test_mask_insertion_parity(extra, subset):
     subset = tuple(sorted(subset))
-    sign, merged = insertion_sign(extra, subset)
+    sign, merged = mask_insert(extra, subset)
     if extra in subset:
         assert sign == 0 and merged is None
     else:
@@ -757,6 +757,47 @@ def test_weight_blocks_give_the_full_elimination_table(seed):
                 == full_elimination_table(report.complex)), rep.label
         tori += bool(report.complex.torus[0])
     assert tori >= 12  # gl_n, sl_n and b(sl_n) act through an inner torus
+
+
+def scanned_torus(rep) -> tuple:
+    """({k: zero weight positions}, {k: acyclic rank}) from a scan of every
+    weight: the torus elements are read from the dense structure constants
+    and action matrices, each k-subset's weight is summed afresh, and the
+    rank off the zero block is the alternating sum of the nonzero weight
+    cochain counts of degrees k, k - 1, .., 0."""
+    n, m, c = rep.acting.dim, rep.carrier_dim, rep.acting.c
+    act = [Matrix.of_rows(m, m, rows).data for rows in rep.rows]
+    xs = [x for x in range(n)
+          if all(c[x][j][l] == 0 for j in range(n) for l in range(n) if l != j)
+          and all(act[x][a][b] == 0 for a in range(m) for b in range(m)
+                  if a != b)
+          and (any(map(any, c[x])) or any(map(any, act[x])))]
+    if not xs:
+        return {}, {}
+    zero, acyclic, off_counts = {}, {}, []
+    for k in range(n + 1):
+        zero[k] = [p * m + a for p, S in enumerate(combinations(range(n), k))
+                   for a in range(m)
+                   if all(act[x][a][a] == sum((c[x][i][i] for i in S),
+                                              Fraction(0)) for x in xs)]
+        off_counts.append(cochain_dim(n, k, m) - len(zero[k]))
+        acyclic[k] = sum((-1) ** (k - j) * off_counts[j] for j in range(k + 1))
+    return zero, acyclic
+
+
+@pytest.mark.parametrize("seed", [None, 5, 3407])
+def test_torus_matches_a_weight_scan(seed):
+    systems = (weight_systems(Signs(seed)) if seed is not None else
+               [adjoint_rep(catalog_algebra(n)) for n in catalog_names()]
+               + [pullback_rep(hom_preset(n)) for n in hom_preset_names()]
+               + [quotient_rep(sub_preset(n)) for n in sub_preset_names()])
+    tori = 0
+    for rep in systems:
+        got, want = CEComplex(rep).torus, scanned_torus(rep)
+        assert got == want, rep.label
+        assert all(type(zero) is list for zero in got[0].values())
+        tori += bool(want[0])
+    assert tori >= (3 if seed is None else 12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ long exact sequence against the product they no longer build, ``apply_d``
 against the dense product, and the coefficient-system builders without dense
 vectors."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +24,8 @@ from liedeform.cochains import AltMap, cochain_dim
 from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
-from helpers import dense, dense_apply, filiform_algebra, nonzeros
+from helpers import (bench_families, dense, dense_apply, filiform_algebra,
+                     nonzeros, rescaled_algebra)
 import test_cecomplex
 
 values = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
@@ -88,6 +90,11 @@ def test_entries_that_cancel_are_not_stored():
         assert differential_matrix(1, rep).row_maps == [{0: -1}]
 
 
+def _action(rep):
+    return [Matrix.of_rows(rep.carrier_dim, rep.carrier_dim, r).data
+            for r in rep.rows]
+
+
 def _catalog_reps():
     return ([adjoint_rep(catalog_algebra(n)) for n in catalog_names()]
             + [pullback_rep(hom_preset(n)) for n in hom_preset_names()]
@@ -96,9 +103,52 @@ def _catalog_reps():
 
 def test_catalog_differentials_match_the_oracle():
     for rep in _catalog_reps():
-        action = [Matrix.of_rows(rep.carrier_dim, rep.carrier_dim, r).data
-                  for r in rep.rows]
-        assert_matches_oracle(rep, action)
+        assert_matches_oracle(rep, _action(rep))
+
+
+def _family_reps():
+    """The benchmark's generated systems of acting dimension at most 7, in
+    a signed basis: every algebra's adjoint system, and the pullback and
+    quotient systems of its homomorphisms and subalgebras."""
+    fam = bench_families()
+    signs = fam.Signs(11)
+    algebras = ([fam.abelian(n, signs) for n in (5, 6)]
+                + [fam.heisenberg(m, signs) for m in (1, 2, 3)]
+                + [fam.filiform(n, signs) for n in (5, 6, 7)]
+                + [fam.gl(2, signs), fam.borel(2, signs), fam.borel(3, signs),
+                   fam.sl(2, signs)])
+    homs = [fam.heis3_to_heis5(signs), fam.borel2_to_borel3(signs),
+            fam.sl2_to_gl2(signs)]
+    subs = [fam.centre_of_heis(m, signs) for m in (1, 2, 3)] + [
+        fam.nilradical_of_borel3(signs), fam.borel3_in_sl3(signs)]
+    return ([adjoint_rep(g) for g in algebras]
+            + [pullback_rep(h) for h in homs] + [quotient_rep(w) for w in subs])
+
+
+@pytest.mark.parametrize("rep", _family_reps(), ids=lambda rep: rep.label)
+def test_family_differentials_match_the_oracle(rep):
+    # every subset mask bit up to 6 is reached, past the drawn n <= 4
+    assert_matches_oracle(rep, _action(rep))
+
+
+def test_rational_differentials_match_the_oracle():
+    # a rescaled algebra, with Fraction structure constants, and random
+    # rational systems of acting dimension 5 and 6 that need satisfy no
+    # identity
+    reps = [adjoint_rep(rescaled_algebra(filiform_algebra(6),
+                                         [1, Fraction(1, 2), -3, Fraction(2, 3),
+                                          5, Fraction(-1, 4)]))]
+    rng = random.Random(2718)
+    pick = [0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    for n, m in ((5, 1), (5, 2), (6, 2)):
+        pair_vectors = [[rng.choice(pick) for _ in range(n)]
+                        for _ in range(n * (n - 1) // 2)]
+        action = [[[rng.choice(pick) for _ in range(m)] for _ in range(m)]
+                  for _ in range(n)]
+        reps.append(_rep(n, m, pair_vectors, action))
+    for rep in reps:
+        assert not rep.all_ints
+        assert_matches_oracle(rep, _action(rep))
 
 
 class Walked(tuple):
