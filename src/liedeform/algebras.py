@@ -17,9 +17,9 @@ exact dense defect vector.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 
-from .cochains import AltMap
+from .cochains import AltMap, subsets
 from .exactlin import (Matrix, QuotientCoords, Subspace, _add_scaled, _dense,
                        _exact, _frac, _subspace, format_scalar, quotient_coords)
 from .records import record
@@ -144,26 +144,26 @@ class BracketCandidate:
             return acc
 
         return AltMap.from_blocks(3, self.dim, self.dim, (
-            block(*t) for t in combinations(range(self.dim), 3)))
+            block(*t) for t in subsets(self.dim, 3)))
 
     def pair_brackets(self, vectors) -> AltMap:
         """The 2-cochain (i, j) -> [v_i, v_j] on the vectors v_i, each given
         as its (index, coefficient) nonzeros, summed over ``terms``."""
         return AltMap.from_blocks(2, len(vectors), self.dim, (
             _bracket_into({}, self.terms, vectors[i], vectors[j])
-            for i, j in combinations(range(len(vectors)), 2)))
+            for i, j in subsets(len(vectors), 2)))
 
     def as_altmap(self) -> AltMap:
         n = self.dim
         return AltMap(2, n, n, {p * n + k: x for p, (i, j)
-                                in enumerate(combinations(range(n), 2))
+                                in enumerate(subsets(n, 2))
                                 for k, x in self.terms[i][j]})
 
     @classmethod
     def from_altmap(cls, m: AltMap) -> "BracketCandidate":
         if m.degree != 2 or m.domain_dim != m.carrier_dim:
             raise ValueError("need a 2-cochain with carrier equal to the domain")
-        n, pairs = m.domain_dim, list(combinations(range(m.domain_dim), 2))
+        n, pairs = m.domain_dim, subsets(m.domain_dim, 2)
         planes, cols = [[()] * n for _ in range(n)], {}
         for f, x in m.nonzeros.items():
             cols.setdefault(pairs[f // n], {})[f % n] = x
@@ -377,7 +377,7 @@ class RepSpec:
         """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs:
         each row of sum_k c_uv^k r_k - r_u r_v + r_v r_u must cancel."""
         r, terms = self.rows, self.acting.terms
-        for (i, j) in combinations(range(self.acting.dim), 2):
+        for (i, j) in subsets(self.acting.dim, 2):
             ri, rj = r[i], r[j]
             for a in range(self.carrier_dim):
                 acc = {}

@@ -27,8 +27,7 @@ from operator import add
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
-from .cochains import (AltMap, cochain_dim, mask_positions, subset_masks,
-                       subsets)
+from .cochains import AltMap, cochain_dim, mask_positions, subsets
 from .exactlin import ZERO, Matrix, RankForm, Subspace, _dense, _exact, rank
 from .records import record
 
@@ -47,8 +46,9 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
     cells (``rep.action_cells``, read once per system, not per degree) and
     the nonzero structure constants (``rep.acting.terms``) are visited; a
     cell is deleted when its sum cancels, and made an int where integral
-    only if some input is not an int (``rep.all_ints``).  Subsets are bit
-    masks (see ``cochains``): the face T - u_i of the row subset T is
+    only if some input is not an int (``rep.all_ints``).  A row subset T is
+    read both as its tuple and as its bit mask, the key of ``mask_positions``
+    in the same place (see ``cochains``): its face T - u_i is
     ``T ^ (1 << u_i)``, and e_l goes into the rest R of T as ``R | (1 << l)``
     with the sign of the number of elements of R below l."""
     n, m = rep.acting.dim, rep.carrier_dim
@@ -56,7 +56,7 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
     terms, action = rep.acting.terms, rep.action_cells
     out = [{} for _ in range(cochain_dim(n, k + 1, m))]
     for t_pos, (T, tmask) in enumerate(zip(subsets(n, k + 1),
-                                           subset_masks(n, k + 1))):
+                                           mask_positions(n, k + 1))):
         block = out[t_pos * m:(t_pos + 1) * m]
         # action terms
         for i, ui in enumerate(T):
@@ -142,7 +142,7 @@ class CEComplex:
                        for a in carriers.get(w, ())]
             acyclic[k] = off = self.dim_cochains(k) - len(zero[k]) - off
             level = {s: tuple(map(add, level[s ^ top], ad[top]))
-                     for s in subset_masks(n, k + 1)
+                     for s in mask_positions(n, k + 1)
                      for top in [1 << (s.bit_length() - 1)]}
         return zero, acyclic
 
@@ -448,38 +448,34 @@ def _square_commutes(f_k, f_k1, d_src: Matrix, d_tgt: Matrix) -> bool:
     return f_k1.mul(d_src) == d_tgt.mul(f_k)
 
 
+def _map_on_h(f, source: DegreeData, target: DegreeData) -> Matrix:
+    """The map on cohomology of f, {position: value} nonzeros in and out:
+    column j is the class coordinates of f(z) for the j-th H-representative
+    z of ``source``.  Unchecked: f must map cocycles to cocycles."""
+    return Matrix.from_columns(
+        [target.class_coords(f(z)) for z in source.h_representatives],
+        rows=target.dim_h)
+
+
 def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
                      target: CohomologyReport, k: int) -> InducedMap:
     """Map induced on degree-k cohomology by per-degree matrices that commute
-    with the differentials; refuses non-chain-maps."""
-    for j in (k - 1, k):
-        if j < 0:
-            continue
+    with the differentials, read by ``_map_on_h`` once the squares at degrees
+    k - 1 and k are checked; refuses non-chain-maps."""
+    for j in range(max(k - 1, 0), k + 1):
         if j not in chain_maps or (j + 1) not in chain_maps:
             raise ChainMapError(f"chain map matrices needed at degrees {j} and {j+1}")
         if not _square_commutes(chain_maps[j], chain_maps[j + 1],
                                 source.complex.d(j), target.complex.d(j)):
             raise ChainMapError(f"square at degree {j} does not commute")
-    sdeg = source.degree(k)
-    tdeg = target.degree(k)
-    # the square at degree k commutes, so f_k maps cocycles to cocycles
-    cols = [tdeg.class_coords(chain_maps[k].apply(z))
-            for z in sdeg.h_representatives]
-    matrix = Matrix.from_columns(cols, rows=tdeg.dim_h)
+    sdeg, tdeg = source.degree(k), target.degree(k)
+    matrix = _map_on_h(chain_maps[k].apply, sdeg, tdeg)
     return InducedMap(degree=k, matrix=matrix, source_dim=sdeg.dim_h,
                       target_dim=tdeg.dim_h, rank=rank(matrix))
 
 
 # ---------------------------------------------------------------------------
 # the long exact sequence of a subalgebra
-
-def _post_compose_block(matrix: Matrix, n_subsets: int) -> Matrix:
-    """Block-diagonal matrix applying ``matrix`` to every value block."""
-    r, c = matrix.rows, matrix.cols
-    out = [{p * c + j: x for j, x in row.items()}
-           for p in range(n_subsets) for row in matrix.row_maps]
-    return Matrix.of_rows(n_subsets * r, n_subsets * c, out)
-
 
 @record
 class LESNode:
@@ -540,51 +536,50 @@ def snake_lift(w: SubalgebraWitness, section: Matrix, eta: AltMap,
 def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
                         ambient_report: CohomologyReport,
                         sub_report: CohomologyReport, k: int) -> Matrix:
-    """Snake connecting map H^k(h, g/h) -> H^{k+1}(h, h): the class of the
-    snake lift of each quotient representative through the standard
-    section."""
+    """Snake connecting map H^k(h, g/h) -> H^{k+1}(h, h), read by
+    ``_map_on_h``: the class of the snake lift of each quotient
+    representative through the standard section."""
     qdeg = quotient_report.degree(k)
     if k + 1 > w.dim:
         return Matrix.zeros(0, qdeg.dim_h)
-    sdeg = sub_report.degree(k + 1)
-    cols = [sdeg.class_coords(snake_lift(
+    return _map_on_h(lambda eta: snake_lift(
         w, w.coords.section, AltMap.of(k, w.dim, w.quotient_dim, eta),
-        ambient_report.complex).nonzeros)
-        for eta in qdeg.h_representatives]
-    return Matrix.from_columns(cols, rows=sdeg.dim_h)
+        ambient_report.complex).nonzeros, qdeg, sub_report.degree(k + 1))
 
 
 def les_subalgebra(w: SubalgebraWitness | Problem, max_degree: int) -> LESReport:
     """The long exact sequence H^k(h,h) -> H^k(h,g) -> H^k(h,g/h) ->
     H^{k+1}(h,h) -> ..., with exactness certified at every node that has both
     maps inside the computed window.  The three reports are those of the sub
-    problem, its inclusion and the inclusion's source."""
+    problem, its inclusion and the inclusion's source.  iota and pi map each
+    representative by post-composing it with the inclusion matrix or the
+    projection, unchecked: both are h-module maps, as h is closed (see
+    ``quotient_rep``), and post-composing with one commutes with d."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     p = Problem.of(w, "sub")
     w, incl = p.obj, p.inclusion
     rA, rB, rC = incl.source.report, incl.report, p.report
-    kh = w.dim
-    iota_maps = {k: _post_compose_block(incl.obj.matrix, len(subsets(kh, k)))
-                 for k in range(kh + 2)}
-    pi_maps = {k: _post_compose_block(w.coords.projection, len(subsets(kh, k)))
-               for k in range(kh + 2)}
+    kh, top = w.dim, min(max_degree, w.dim)
 
-    top = min(max_degree, kh)
-    i_on_h = {k: induced_map_on_h(iota_maps, rA, rB, k) for k in range(top + 2)
-              if k <= kh}
-    p_on_h = {k: induced_map_on_h(pi_maps, rB, rC, k) for k in range(top + 1)}
+    def on_h(a: Matrix, source, target, k: int) -> Matrix:
+        return _map_on_h(lambda z: AltMap(k, kh, a.cols, z).post_compose(
+            a).nonzeros, source.degree(k), target.degree(k))
+
+    i_on_h = {k: on_h(incl.obj.matrix, rA, rB, k)
+              for k in range(min(top + 1, kh) + 1)}
+    p_on_h = {k: on_h(w.coords.projection, rB, rC, k) for k in range(top + 1)}
     conn = {k: connecting_map_on_h(w, rC, rB, rA, k) for k in range(top + 1)}
 
     nodes = []
     for k in range(top + 1):
         incoming = conn[k - 1] if k > 0 else Matrix.zeros(rA.degree(0).dim_h, 0)
-        nodes += [_exact_at(f"H^{k}(h,h)", k, incoming, i_on_h[k].matrix),
-                  _exact_at(f"H^{k}(h,g)", k, i_on_h[k].matrix, p_on_h[k].matrix),
-                  _exact_at(f"H^{k}(h,g/h)", k, p_on_h[k].matrix, conn[k])]
+        nodes += [_exact_at(f"H^{k}(h,h)", k, incoming, i_on_h[k]),
+                  _exact_at(f"H^{k}(h,g)", k, i_on_h[k], p_on_h[k]),
+                  _exact_at(f"H^{k}(h,g/h)", k, p_on_h[k], conn[k])]
     # closing node H^{top+1}(h,h) when the inclusion map there is available
     if top + 1 <= kh:
         nodes.append(_exact_at(f"H^{top+1}(h,h)", top + 1, conn[top],
-                               i_on_h[top + 1].matrix))
+                               i_on_h[top + 1]))
     return LESReport(sub_report=rA, ambient_report=rB, quotient_report=rC,
                      nodes=tuple(nodes), max_degree=max_degree)

@@ -234,7 +234,8 @@ class RankForm:
     column as its pivot: ``rows`` lists the kept rows, and ``kept`` their
     pivots, the pivot columns of the reduced row echelon form.  ``keep``
     keeps the reduced rows (``pivots``: {pivot: row}), for ``reduce`` and
-    the kernel vectors of ``null_vector``."""
+    the kernel vectors of ``null_vector``.  Unchecked: the rows and the
+    vectors given to ``reduce`` hold nonzeros only (a zero is no pivot)."""
 
     def __init__(self, rows, which=None, keep=False):
         self.pivots, self.rows = {}, []

@@ -11,9 +11,9 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
                                 RepSpec, adjoint_rep, catalog_algebra,
                                 catalog_names, hom_preset, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
-                                validate_bracket)
+                                subalgebra_witness, validate_bracket)
 from liedeform.cecomplex import (CEComplex, ChainMapError,
-                                 CohomologyUndefinedError, Problem,
+                                 CohomologyUndefinedError, Problem, _exact_at,
                                  adjoint_cohomology,
                                  cohomology, connecting_map_on_h,
                                  differential_matrix, euler_characteristic,
@@ -23,7 +23,7 @@ from helpers import (bench_families, dense, dense_apply, dense_report_tuples, fl
                      heisenberg_algebra, identity_chain_maps, rescaled_algebra,
                      sl_algebra)
 from liedeform.cochains import AltMap
-from liedeform import exactlin
+from liedeform import cecomplex, exactlin
 
 
 def all_reps():
@@ -266,6 +266,69 @@ class TestLongExactSequence:
         assert all(set(n) == {"label", "k", "dimH", "rank_in", "rank_out",
                               "exact"} for n in doc["nodes"])
         assert doc["all_exact"] is True
+
+    def test_sequence_matches_the_block_diagonal_chain_maps(self, monkeypatch):
+        # the sequence reads iota and pi by post-composing representatives;
+        # here they are the block-diagonal chain maps, each square checked
+        for w in les_subalgebras():
+            p = Problem.of(w)
+            incl = p.inclusion
+            rA, rB, rC, kh = incl.source.report, incl.report, p.report, w.dim
+            iota = {k: block_diagonal(incl.obj.matrix, comb(kh, k))
+                    for k in range(kh + 2)}
+            pi = {k: block_diagonal(w.coords.projection, comb(kh, k))
+                  for k in range(kh + 2)}
+            # no ChainMapError: both are chain maps in every degree
+            i_on_h = [induced_map_on_h(iota, rA, rB, k).matrix
+                      for k in range(kh + 1)]
+            p_on_h = [induced_map_on_h(pi, rB, rC, k).matrix
+                      for k in range(kh + 1)]
+            conn = [connecting_map_on_h(w, rC, rB, rA, k)
+                    for k in range(kh + 1)]
+            for d in range(kh + 2):
+                top, nodes = min(d, kh), []
+                for k in range(top + 1):
+                    incoming = conn[k - 1] if k else Matrix.zeros(
+                        rA.degree(0).dim_h, 0)
+                    nodes += [_exact_at(f"H^{k}(h,h)", k, incoming, i_on_h[k]),
+                              _exact_at(f"H^{k}(h,g)", k, i_on_h[k], p_on_h[k]),
+                              _exact_at(f"H^{k}(h,g/h)", k, p_on_h[k], conn[k])]
+                if top + 1 <= kh:
+                    nodes.append(_exact_at(f"H^{top + 1}(h,h)", top + 1,
+                                           conn[top], i_on_h[top + 1]))
+                assert les_subalgebra(w, d).nodes == tuple(nodes), (w.name, d)
+
+        def refused(*args):
+            raise AssertionError("the sequence called induced_map_on_h")
+
+        monkeypatch.setattr(cecomplex, "induced_map_on_h", refused)
+        for w in les_subalgebras():
+            les_subalgebra(w, w.dim + 1)
+
+
+def block_diagonal(matrix: Matrix, n_subsets: int) -> Matrix:
+    """The matrix applying ``matrix`` to every value block of a cochain."""
+    r, c = matrix.rows, matrix.cols
+    return Matrix.of_rows(n_subsets * r, n_subsets * c, [
+        {p * c + j: x for j, x in row.items()}
+        for p in range(n_subsets) for row in matrix.row_maps])
+
+
+def les_subalgebras() -> list:
+    """Both presets, the benchmark's five subalgebras, and in every catalog
+    algebra the trivial subalgebra, the whole algebra and the spans of its
+    first and of its last basis vector."""
+    families = bench_families()
+    subs = [sub_preset(name) for name in sub_preset_names()] + [
+        families.centre_of_heis(m) for m in (1, 2, 3)] + [
+        families.nilradical_of_borel3(), families.borel3_in_sl3()]
+    for name in catalog_names():
+        g = catalog_algebra(name)
+        unit = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+        subs += [subalgebra_witness(g, vectors, name=f"{name}-{tag}")
+                 for tag, vectors in (("0", []), ("all", unit),
+                                      ("first", unit[:1]), ("last", unit[-1:]))]
+    return subs
 
 
 def test_report_json_shape():

@@ -1,12 +1,17 @@
 """Exact rational linear algebra: elimination, subspaces, quotients."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import (column, contains, dense, dense_apply, from_sub_coords,
-                     image_basis, kernel_basis, nonzeros)
-from liedeform import exactlin
+from helpers import (bench_families, column, contains, dense, dense_apply,
+                     from_sub_coords, image_basis, kernel_basis, nonzeros)
+from liedeform import cecomplex, exactlin
+from liedeform.algebras import (adjoint_rep, catalog_algebra, catalog_names,
+                                hom_preset, hom_preset_names, pullback_rep,
+                                quotient_rep, sub_preset, sub_preset_names)
+from liedeform.cecomplex import cohomology
 from liedeform.exactlin import (Matrix, RankForm, format_scalar, invert,
                                 parse_scalar, quotient_coords, rank,
                                 reduced_basis, rref, solve, solve_particular,
@@ -15,6 +20,24 @@ from liedeform.exactlin import (Matrix, RankForm, format_scalar, invert,
 
 def F(x, y=1):
     return Fraction(x, y)
+
+
+def coefficient_systems() -> list:
+    """The adjoint, pullback and quotient systems of the catalog, the presets
+    and the benchmark's families, these with the signs of one seed."""
+    fam = bench_families()
+    signs = fam.Signs(1)
+    algebras = [catalog_algebra(name) for name in catalog_names()] + [
+        fam.abelian(3, signs), fam.heisenberg(2, signs), fam.filiform(6, signs),
+        fam.gl(2, signs), fam.borel(3, signs), fam.sl(3, signs)]
+    homs = [hom_preset(name) for name in hom_preset_names()] + [
+        fam.heis3_to_heis5(signs), fam.borel2_to_borel3(signs),
+        fam.sl2_to_gl2(signs)]
+    subs = [sub_preset(name) for name in sub_preset_names()] + [
+        fam.centre_of_heis(2, signs), fam.nilradical_of_borel3(signs),
+        fam.borel3_in_sl3(signs)]
+    return ([adjoint_rep(g) for g in algebras] + [pullback_rep(h) for h in homs]
+            + [quotient_rep(w) for w in subs])
 
 
 class TestScalars:
@@ -262,6 +285,35 @@ class TestReaders:
         m = Matrix.from_rows([[1, 0], [0, 0], [2, 1]])
         assert solve(m, {0: 1, 1: 0, 2: F(0)}) == {0: 1, 1: -2}
         assert seen and all(x != 0 for x in seen)
+
+    def test_the_exact_layer_hands_the_rank_form_no_zero(self, monkeypatch):
+        # reports, H-representatives and class coordinates, on the catalog,
+        # the presets and the benchmark's families, keep the contract that
+        # the solve spy above checks for solve
+        handed = Counter()
+
+        class Checked(exactlin.RankForm):
+            def __init__(self, rows, which=None, keep=False):
+                handed.update(x == 0 for row in rows for x in row.values())
+                super().__init__(rows, which, keep)
+
+            def reduce(self, v):
+                handed.update(x == 0 for x in v.values())
+                return super().reduce(v)
+
+        for mod in (exactlin, cecomplex):
+            monkeypatch.setattr(mod, "RankForm", Checked)
+        for rep in coefficient_systems():
+            report = cohomology(rep)
+            for d in report.degrees:
+                for j, z in enumerate(d.h_representatives):
+                    assert d.class_coords(z) == [int(i == j)
+                                                 for i in range(d.dim_h)]
+                if d.k:
+                    one = {0: F(1, 2)} if d.complex.dim_cochains(d.k - 1) else {}
+                    assert not any(d.class_coords(
+                        d.complex.d(d.k - 1).apply(one)))
+        assert handed[False] and not handed[True]
 
     def test_empty_span(self):
         m = Matrix.zeros(1, 0)

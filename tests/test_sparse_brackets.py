@@ -1,9 +1,9 @@
 """Bracket candidates keep only their nonzero structure constants.  Their
-validation, homomorphism curvature, subalgebra closure and subalgebra
-restriction are checked here against a dense reference written in this
-file: full n x n x n Fraction tensors, built from the same raw entries and
-summed over every index, zero or not.  The reference (the ``ref_``
-functions) uses nothing from the package."""
+validation, homomorphism curvature, subalgebra closure, subalgebra
+restriction and cochains are checked here against a dense reference written
+in this file: full n x n x n Fraction tensors, built from the same raw
+entries and summed over every index, zero or not.  The reference (the
+``ref_`` functions) uses nothing from the package."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,12 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import gl_algebra, sl_algebra
+from helpers import bench_families, gl_algebra, sl_algebra
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                ValidationError, catalog_algebra, curvature,
+                                ValidationError, catalog_algebra, catalog_names,
+                                curvature, hom_preset, hom_preset_names,
                                 quotient_rep, sub_preset, sub_preset_names,
                                 subalgebra_defect, subalgebra_witness,
                                 validate_bracket, validate_homomorphism)
+from liedeform.cochains import AltMap
 from liedeform.exactlin import _subspace
 from liedeform.cecomplex import adjoint_rep, cohomology
 from liedeform.cli import run
@@ -407,3 +409,60 @@ def test_the_exact_path_builds_no_dense_tensor(capsys, monkeypatch, tmp_path):
     assert reads == []
     sub_preset(sub_preset_names()[0]).ambient.c  # the spy sees a read
     assert reads
+
+
+# ---------------------------------------------------------------------------
+# the bracket's cochains walk the pairs and triples of
+# itertools.combinations
+
+def cochain_algebras() -> list:
+    """The catalog, the algebras of the presets and the benchmark's
+    families."""
+    families = bench_families()
+    gs = [catalog_algebra(name) for name in catalog_names()]
+    for name in hom_preset_names():
+        gs += [hom_preset(name).source, hom_preset(name).target]
+    gs += [sub_preset(name).ambient for name in sub_preset_names()]
+    return gs + [families.abelian(3), families.heisenberg(2),
+                 families.filiform(6), families.gl(2), families.borel(3),
+                 families.sl(3)]
+
+
+def test_bracket_cochains_follow_the_combinations():
+    for g in cochain_algebras():
+        n = g.dim
+        pairs = list(combinations(range(n), 2))
+        # an antisymmetric change of every pair, so that Jacobi fails too
+        bent = g.candidate.add_scaled(BracketCandidate.from_entries(n, {
+            (i, j): [(3 * i + 5 * j + k) % 4 - 1 for k in range(n)]
+            for i, j in pairs}), Fraction(1, 2))
+        for cand in (g.candidate, bent):
+            c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+            for i, plane in enumerate(cand.terms):
+                for j, col in enumerate(plane):
+                    for k, x in col:
+                        c[i][j][k] = Fraction(x)
+            flat2 = {p * n + k: c[i][j][k] for p, (i, j) in enumerate(pairs)
+                     for k in range(n)}
+            assert cand.as_altmap() == AltMap.of(2, n, n, flat2), g.name
+            assert BracketCandidate.from_altmap(
+                AltMap.of(2, n, n, flat2)) == cand
+            e = [ref_unit(n, a) for a in range(n)]
+            flat3 = {}
+            for p, (i, j, k) in enumerate(combinations(range(n), 3)):
+                terms = [ref_bracket(c, ref_bracket(c, e[x], e[y]), e[z])
+                         for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
+                flat3.update((p * n + a, sum(t)) for a, t in enumerate(zip(*terms)))
+            assert cand.jacobiator() == AltMap.of(3, n, n, flat3), g.name
+            assert cand is g.candidate or n < 3 or any(flat3.values())
+            vectors = [((a, 1),) for a in range(n)] + [
+                ((0, Fraction(1, 2)), (n - 1, -3))]
+            dense_vectors = [[sum((x for b, x in v if b == a), Fraction(0))
+                              for a in range(n)] for v in vectors]
+            flat_pairs = {
+                p * n + a: x for p, (i, j) in enumerate(
+                    combinations(range(len(vectors)), 2))
+                for a, x in enumerate(ref_bracket(c, dense_vectors[i],
+                                                  dense_vectors[j]))}
+            assert cand.pair_brackets(vectors) == AltMap.of(
+                2, len(vectors), n, flat_pairs), g.name
