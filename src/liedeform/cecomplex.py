@@ -8,13 +8,15 @@ The differential on a k-cochain omega with values in a module (V, r) is
 in the flat coordinates of `cochains`.  `differential_matrix`, the one
 builder of these matrices, assumes neither Jacobi nor the representation
 identity, so it also serves the expansion identities of `kuranishi`;
-`cohomology` refuses inputs whose composed differentials are nonzero.  Only
-nonzeros are visited: of the actions and structure constants when d_k is
-built, of each row of d_(k+1) d_k when it is checked (without keeping it),
-and of the cochains, kernel vectors and H-representatives, which are passed
-as {position: value} dicts; d_k acts on a cochain through its ``Matrix``'s
-kept column view (``Matrix.apply``).  Dimensions and bases are read from one
-``RankForm`` of the rows of d_k per degree (see ``DegreeData``); class
+`cohomology` refuses inputs whose composed differentials are nonzero in
+degree 0 or 1, the only degrees where they can first be (see
+``CEComplex.d_squared_defect``).  Only nonzeros are visited: of the actions
+and structure constants when d_k is built, of each row of d_(k+1) d_k when
+it is checked (without keeping it), and of the cochains, kernel vectors and
+H-representatives, which are passed as {position: value} dicts; d_k acts on
+a cochain through its ``Matrix``'s kept column view (``Matrix.apply``).
+Dimensions and bases are read from one ``RankForm`` of the rows of d_k per
+degree, which keeps those rows, not d_k (see ``DegreeData``); class
 coordinates from one ``RankForm`` of the columns of d_(k-1), only those of
 zero weight under an inner torus (``CEComplex.class_form``).
 """
@@ -97,15 +99,16 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
 
 
 class CEComplex:
-    """Caches each exact differential d_k of a coefficient system (its
-    ``Matrix`` keeps the column view), its rank forms and class forms."""
+    """Caches the exact differentials d_k of a coefficient system that a
+    reader built (``d``; each ``Matrix`` keeps its column view), its rank
+    forms, which keep no d_k they built, and its class forms."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
         self._d, self._classes = {}, {}
-        self._ranks, self._degrees = {}, {}
+        self._ranks, self._degrees, self._kept = {}, {}, {}
 
     def d(self, k: int) -> Matrix:
         if k not in self._d:
@@ -147,17 +150,22 @@ class CEComplex:
         return zero, acyclic
 
     def rank_form(self, k: int) -> RankForm:
-        """The ``RankForm`` of d_k's zero weight rows, keeping no rows."""
+        """The ``RankForm`` of d_k's zero weight rows, as ints if the system
+        is (``rep.all_ints``), keeping no reduced row: d_k is the cached one
+        or built and dropped, and only the rows kept are held (``_kept``)."""
         if k not in self._ranks:
-            self._ranks[k] = RankForm(self.d(k).row_maps,
-                                      self.torus[0].get(k + 1))
+            rows = (self._d.get(k) or differential_matrix(k, self.rep)).row_maps
+            form = self._ranks[k] = RankForm(rows, self.torus[0].get(k + 1),
+                                             ints=self.rep.all_ints)
+            self._kept[k] = [rows[i] for i in reversed(form.rows)]
         return self._ranks[k]
 
     def basis_form(self, k: int) -> RankForm:
         """``rank_form(k)`` with its reduced rows, built anew from only the
-        rows it kept: the rows it dropped added no pivot."""
-        return RankForm(self.d(k).row_maps, self.rank_form(k).rows[::-1],
-                        keep=True)
+        rows it kept, in the same order: the rows it dropped added no
+        pivot.  Its ``rows`` index those kept rows, not d_k's."""
+        self.rank_form(k)
+        return RankForm(self._kept[k], keep=True, ints=self.rep.all_ints)
 
     def class_form(self, k: int) -> RankForm:
         """The kept ``RankForm`` of d_(k-1)'s columns (of zero weight only:
@@ -192,8 +200,12 @@ class CEComplex:
         return cochain_dim(self.n, k, self.carrier_dim)
 
     def d_squared_defect(self):
-        """First degree k with d_{k+1} d_k != 0, or None."""
-        for k in range(self.n):
+        """First degree k with d_{k+1} d_k != 0, or None, checked at k = 0
+        and 1 only (d_0, d_1 and d_2 stay cached): d_1 d_0 = 0 is the
+        representation identity; given it, d_2 d_1 omega is omega of the
+        Jacobiator up to sign; and the two give d_(k+1) d_k = 0 in every
+        degree (Chevalley and Eilenberg, Trans. AMS 63, 1948)."""
+        for k in range(min(self.n, 2)):
             if not self.d(k + 1).mul_is_zero(self.d(k)):
                 return k
         return None
@@ -284,9 +296,9 @@ class CohomologyReport:
 
 def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
     """Exact cohomology of a coefficient system, degrees 0..n, kept with its
-    complex; only ranks are read, and no basis is built.  Refuses
-    (CohomologyUndefinedError) when the composed differentials are not zero,
-    which happens exactly when the bracket or the action fails its identity."""
+    complex; only ranks are read, and no basis, nor d_k above d_2, is kept.
+    Refuses (CohomologyUndefinedError) when d o d != 0, which happens exactly
+    when the bracket or the action fails its identity, first in degree 0 or 1."""
     cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
     bad = cx.d_squared_defect()
     if bad is not None:

@@ -234,18 +234,20 @@ class RankForm:
     column as its pivot: ``rows`` lists the kept rows, and ``kept`` their
     pivots, the pivot columns of the reduced row echelon form.  ``keep``
     keeps the reduced rows (``pivots``: {pivot: row}), for ``reduce`` and
-    the kernel vectors of ``null_vector``.  Unchecked: the rows and the
-    vectors given to ``reduce`` hold nonzeros only (a zero is no pivot)."""
+    the kernel vectors of ``null_vector``.  ``ints``, passed only by a caller
+    that knows it, says the rows hold ints only: none is scanned for a
+    Fraction.  Unchecked: the rows and the vectors given to ``reduce`` hold
+    nonzeros only (a zero is no pivot)."""
 
-    def __init__(self, rows, which=None, keep=False):
+    def __init__(self, rows, which=None, keep=False, ints=False):
         self.pivots, self.rows = {}, []
         for i in reversed(range(len(rows)) if which is None else which):
             # an empty row can add no pivot, and a row of ints at no kept
             # pivot is its own remainder
             rem = rows[i]
-            if rem and (not self.pivots.keys().isdisjoint(rem) or any(
-                    type(x) is not int for x in rem.values())):
-                rem = self.reduce(rem)[1]
+            if rem and (not self.pivots.keys().isdisjoint(rem) or not ints
+                        and any(type(x) is not int for x in rem.values())):
+                rem = self.reduce(rem, ints)[1]
             if rem:
                 g = gcd(*rem.values())
                 self.pivots[min(rem)] = rem if g == 1 else {
@@ -261,14 +263,14 @@ class RankForm:
                 if j != p:
                     self._users.setdefault(j, []).append((p, v))
 
-    def reduce(self, v: dict) -> tuple:
+    def reduce(self, v: dict, ints=False) -> tuple:
         """(s, w) in integers with s * v - w in the span of the rows, s > 0
         and the remainder w zero at every pivot, for the {column: value}
         nonzeros v; w is zero exactly when v is in the span.  s starts as the
-        common denominator of v.  The pivots are cleared first to last: a row
-        is zero before its pivot, so clearing one brings in only later
-        columns."""
-        if all(type(x) is int for x in v.values()):
+        common denominator of v, unless ``ints`` says v holds ints only.
+        The pivots are cleared first to last: a row is zero before its
+        pivot, so clearing one brings in only later columns."""
+        if ints or all(type(x) is int for x in v.values()):
             s, rem = 1, dict(v)
         else:
             s = lcm(*(x.denominator for x in v.values() if type(x) is not int))

@@ -293,13 +293,13 @@ class TestReaders:
         handed = Counter()
 
         class Checked(exactlin.RankForm):
-            def __init__(self, rows, which=None, keep=False):
+            def __init__(self, rows, which=None, keep=False, ints=False):
                 handed.update(x == 0 for row in rows for x in row.values())
-                super().__init__(rows, which, keep)
+                super().__init__(rows, which, keep, ints)
 
-            def reduce(self, v):
+            def reduce(self, v, ints=False):
                 handed.update(x == 0 for x in v.values())
-                return super().reduce(v)
+                return super().reduce(v, ints)
 
         for mod in (exactlin, cecomplex):
             monkeypatch.setattr(mod, "RankForm", Checked)

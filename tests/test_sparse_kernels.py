@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedeform.algebras import (BracketCandidate, RepSpec,
+from liedeform import cecomplex
+from liedeform.algebras import (BracketCandidate, RepSpec, adjoint_rows,
                                 adjoint_rep, catalog_algebra, catalog_names,
                                 hom_preset, hom_preset_names, pullback_rep,
-                                quotient_rep, sub_preset, sub_preset_names)
+                                quotient_rep, sub_preset, sub_preset_names,
+                                validate_bracket)
 from liedeform.cecomplex import (CEComplex, CohomologyUndefinedError,
                                  _exact_at, adjoint_cohomology, cohomology,
                                  differential_matrix)
@@ -24,7 +26,8 @@ from liedeform.cochains import AltMap, cochain_dim
 from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
-from helpers import (bench_families, dense, dense_apply, filiform_algebra,
+from helpers import (act_on_bracket_exact, bench_families, dense,
+                     dense_apply, filiform_algebra, gl_algebra,
                      nonzeros, rescaled_algebra)
 import test_cecomplex
 
@@ -264,6 +267,219 @@ def test_refusal_names_the_first_bad_degree():
             cohomology(rep)
         assert str(exc.value) == (f"d o d is nonzero at degree {k}; "
                                   "cohomology undefined")
+
+
+# ---------------------------------------------------------------------------
+# d o d in every degree, by the product the report no longer builds: the
+# report checks degrees 0 and 1 only, where a failed identity first shows
+
+def first_nonzero_composite(rep):
+    """The first k with d_(k+1) d_k != 0 as a built product, or None."""
+    ds = [differential_matrix(k, rep) for k in range(rep.acting.dim + 1)]
+    return next((k for k in range(rep.acting.dim)
+                 if not ds[k + 1].mul(ds[k]).is_zero()), None)
+
+
+def _rational_basis(g, rng):
+    """g in a seeded random rational basis: L U, L unit lower triangular and
+    U upper triangular with a nonzero diagonal, so invertible."""
+    n, pick = g.dim, [0, 0, 1, -2, Fraction(1, 2), Fraction(-2, 3)]
+    low = [[1 if i == j else rng.choice(pick) if j < i else 0
+            for j in range(n)] for i in range(n)]
+    up = [[rng.choice([1, -1, Fraction(3, 2)]) if i == j else
+           rng.choice(pick) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    a = Matrix.from_rows(low).mul(Matrix.from_rows(up))
+    return validate_bracket(act_on_bracket_exact(a, g.candidate),
+                            name=f"{g.name}-rational")
+
+
+def _lie_systems():
+    """Systems that satisfy both identities: the catalog, the presets, the
+    signed benchmark families, random rational bases, and gl_3 and L_9,
+    whose n = 9 reaches subset mask bit 8."""
+    rng = random.Random(36)
+    rational = [_rational_basis(g, rng) for g in (
+        catalog_algebra("sl2"), catalog_algebra("heis3"), filiform_algebra(5),
+        bench_families().borel(3))]
+    return (_catalog_reps() + _family_reps()
+            + [adjoint_rep(g) for g in rational]
+            + [adjoint_rep(rescaled_algebra(filiform_algebra(6), [
+                1, Fraction(1, 2), -3, Fraction(2, 3), 5, Fraction(-1, 4)]))]
+            + [adjoint_rep(gl_algebra(3)), adjoint_rep(filiform_algebra(9))])
+
+
+@pytest.mark.parametrize("rep", _lie_systems(), ids=lambda rep: rep.label)
+def test_every_composite_of_a_lie_system_is_zero(rep):
+    assert first_nonzero_composite(rep) is None
+
+
+def _random_bracket(n, vector):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return BracketCandidate.from_entries(
+        n, {p: vector() for p in pairs})
+
+
+@st.composite
+def unchecked_systems(draw):
+    """A bracket that need not satisfy Jacobi, acting on itself by its
+    adjoint rows, or by zero on a carrier of dimension m (the trivial module
+    when m = 1), or a drawn system of ``rep_specs``: the first two reach
+    degree 1 whenever Jacobi fails, the third mostly fails at degree 0."""
+    kind = draw(st.sampled_from(["adjoint", "zero", "zero", "drawn"]))
+    if kind == "drawn":
+        return draw(rep_specs())[0]
+    n = draw(st.integers(1, 5))
+    cand = _random_bracket(n, lambda: draw(st.lists(values, min_size=n,
+                                                    max_size=n)))
+    if kind == "adjoint":
+        return RepSpec("adjoint", cand, n, adjoint_rows(cand))
+    m = draw(st.integers(1, 3))
+    return RepSpec("zero", cand, m, tuple([{} for _ in range(m)]
+                                          for _ in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unchecked_systems())
+def test_d_o_d_first_fails_in_degree_0_or_1(rep):
+    first = first_nonzero_composite(rep)
+    assert first in (0, 1, None)
+    assert CEComplex(rep).d_squared_defect() == first
+
+
+def test_unchecked_systems_reach_every_outcome():
+    # seeded draws of the kinds above: a zero action fails first at degree 1
+    # exactly when Jacobi fails, an adjoint one at degree 0
+    rng, seen = random.Random(7), set()
+    pick = [0, 0, 0, 1, -1, 2, Fraction(1, 2)]
+    for t in range(60):
+        n = 2 + t % 4
+        cand = _random_bracket(n, lambda: [rng.choice(pick)
+                                           for _ in range(n)])
+        for rep in (RepSpec("adjoint", cand, n, adjoint_rows(cand)),
+                    RepSpec("trivial", cand, 1, ([{}],) * n)):
+            first = first_nonzero_composite(rep)
+            assert first in (0, 1, None)
+            assert CEComplex(rep).d_squared_defect() == first
+            seen.add(first)
+    assert seen == {0, 1, None}
+
+
+# ---------------------------------------------------------------------------
+# rank forms of int systems: told, not scanned
+
+def _int_reps():
+    reps = [rep for rep in _catalog_reps() + _family_reps() if rep.all_ints]
+    assert len(reps) > 20
+    return reps
+
+
+def _fraction_reps():
+    """The systems above with a Fraction entry, identities or not."""
+    rng = random.Random(2718)
+    pick = [0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 4)]
+    reps = [_rep(2, 1, [[0, Fraction(1, 2)]], [[[Fraction(3, 2)]], [[0]]]),
+            _rep(2, 1, [[0, Fraction(1, 2)]], [[[Fraction(1, 2)]], [[1]]]),
+            adjoint_rep(rescaled_algebra(filiform_algebra(6), [
+                1, Fraction(1, 2), -3, Fraction(2, 3), 5, Fraction(-1, 4)]))]
+    for n, m in ((4, 1), (5, 2)):
+        reps.append(_rep(n, m, [[rng.choice(pick) for _ in range(n)]
+                                for _ in range(n * (n - 1) // 2)],
+                         [[[rng.choice(pick) for _ in range(m)]
+                           for _ in range(m)] for _ in range(n)]))
+    assert not any(rep.all_ints for rep in reps)
+    return reps
+
+
+def test_the_int_flag_changes_no_form():
+    for rep in _int_reps():
+        cx = CEComplex(rep)
+        for k in range(cx.n + 1):
+            rows, which = cx.d(k).row_maps, cx.torus[0].get(k + 1)
+            plain, told = (RankForm(rows, which, keep=True, ints=ints)
+                           for ints in (False, True))
+            assert (told.kept, told.rows) == (plain.kept, plain.rows)
+            assert told.pivots == plain.pivots
+            assert told.rows == cx.rank_form(k).rows
+
+
+def test_the_int_flag_is_passed_only_for_int_rows(monkeypatch):
+    told = []  # (where, whether every entry handed in is an int)
+
+    class Spied(RankForm):
+        def __init__(self, rows, which=None, keep=False, ints=False):
+            if ints:
+                told.append(("rows", all(type(x) is int for row in rows
+                                         for x in row.values())))
+            super().__init__(rows, which, keep, ints)
+
+        def reduce(self, v, ints=False):
+            if ints:
+                told.append(("reduce", all(type(x) is int
+                                           for x in v.values())))
+            return super().reduce(v, ints)
+
+    monkeypatch.setattr(cecomplex, "RankForm", Spied)
+    for rep in _fraction_reps():
+        cx = CEComplex(rep)
+        for k in range(cx.n + 1):
+            cx.rank_form(k)
+            cx.basis_form(k)
+            if k:
+                cx.class_form(k).reduce({0: Fraction(1, 2)})
+    assert told == []
+    for rep in _int_reps():
+        report = cohomology(rep)
+        for d in report.degrees:
+            for j, z in enumerate(d.h_representatives):
+                assert d.class_coords(z) == [int(i == j)
+                                             for i in range(d.dim_h)]
+    assert {where for where, _ in told} == {"rows", "reduce"}
+    assert all(ints for _, ints in told)
+
+
+def test_class_coords_of_a_fraction_cocycle():
+    # an int system's representative at half scale, plus a Fraction
+    # coboundary: the class form scans the cocycle and reads 1/2
+    for rep in _int_reps():
+        report = cohomology(rep)
+        cx = report.complex
+        for d in report.degrees:
+            b = cx.apply_d(AltMap.of(d.k - 1, cx.n, cx.carrier_dim,
+                                     {0: Fraction(1, 3)})).nonzeros if (
+                d.k and cx.dim_cochains(d.k - 1)) else {}
+            for j, z in enumerate(d.h_representatives):
+                half = {i: Fraction(z.get(i, 0)) / 2 + b.get(i, 0)
+                        for i in {*z, *b}}
+                half = {i: x for i, x in half.items() if x}
+                assert d.class_coords(half) == [
+                    Fraction(1, 2) if i == j else 0 for i in range(d.dim_h)]
+
+
+# ---------------------------------------------------------------------------
+# a report keeps d_0, d_1 and d_2 only, and its bases rebuild none
+
+def test_a_dims_only_report_keeps_the_checked_differentials_only(
+        monkeypatch):
+    fam = bench_families()
+    for g in (fam.filiform(7), fam.heisenberg(3), fam.borel(3)):
+        report = cohomology(adjoint_rep(g))
+        cx = report.complex
+        assert sorted(cx._d) == [0, 1, 2]
+        builds = []
+        monkeypatch.setattr(cecomplex, "differential_matrix",
+                            lambda *args: builds.append(args))
+        reps = [d.h_representatives for d in report.degrees]
+        assert builds == []
+        monkeypatch.undo()
+        # the representatives of a basis form built from all of d_k
+        for k, got in enumerate(reps):
+            form = RankForm(differential_matrix(k, cx.rep).row_maps,
+                            cx.rank_form(k).rows[::-1], keep=True)
+            d = report.degree(k)
+            assert got == tuple(form.null_vector(f) for f in d.free
+                                if f not in d.classes)
+        assert sum(map(len, reps)) == sum(report.dims_h())
 
 
 def test_composed_zero_of_the_les():
