@@ -225,10 +225,12 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
 # ---------------------------------------------------------------------------
 # Newton machinery
 
-# the central-difference step of ``numeric_jacobian``; the residual ratio
-# above which chord Newton refreshes its chord; the structure defect an
-# outside value may carry (its Jacobi defect, curvature or closure defect)
+# the central-difference steps of ``numeric_jacobian`` and of
+# ``vertical_derivative_fd_check``; the residual ratio above which chord
+# Newton refreshes its chord; the structure defect an outside value may carry
+# (its Jacobi defect, curvature or closure defect)
 JACOBIAN_STEP = 1e-6
+FD_CHECK_STEP = 1e-3
 STALL_RATIO = 0.9
 INPUT_DEFECT_TOL = 1e-8
 
@@ -417,15 +419,16 @@ class SubFrames:
 
 
 def sub_frames(w: SubalgebraWitness) -> SubFrames:
-    n, k, q = w.ambient.dim, w.dim, w.quotient_dim
-    rows = [dict(r) for r in w.coords.sub_rows]  # the basis vectors' nonzeros
-    basis = np.array([[float(r.get(i, 0)) for r in rows]
-                      for i in range(n)]).reshape(n, k)
-    section = float_matrix(w.coords.section)
-    m = np.hstack([basis, section.reshape(n, q)])
-    minv = np.linalg.inv(m)
-    return SubFrames(basis, section, minv[:k, :].reshape(k, n),
-                     minv[k:, :].reshape(q, n))
+    """The exact quotient coordinates as floats: the inclusion matrix, the
+    section, and as readers the subalgebra coordinates and the projection.
+    Stacked, the readers are exactly the inverse of [basis | section]: each
+    basis vector is 1 at its own pivot and 0 at the others, the section is
+    the unit vectors at the complement, the projection kills the basis, and
+    projection @ section = I."""
+    c = w.coords
+    return SubFrames(float_matrix(Problem.of(w).inclusion.obj.matrix),
+                     float_matrix(c.section), float_matrix(c.sub_coords),
+                     float_matrix(c.projection))
 
 
 _OUTSIDE = "plane is outside the graph chart around the witness"
@@ -663,7 +666,7 @@ class _HomChart(_Chart):
 
     def __init__(self, p: Problem):
         super().__init__(p, p.obj.target)
-        self.source = FloatBracket.from_exact(p.obj.source)
+        self.source = _chart(p.obj.source, "bracket").mu
         self.base = self.origin = float_matrix(p.obj.matrix)
 
     def structure(self, point: np.ndarray, c=None) -> np.ndarray:
@@ -698,9 +701,7 @@ class _SubChart(_Chart):
                                  self.mu.c if c is None else c)
 
     def orbit_linearization(self) -> np.ndarray:
-        d0 = float_matrix(self.p.complex.d(0))
-        proj = float_matrix(self.p.obj.coords.projection)
-        return -(d0 @ proj)
+        return -(float_matrix(self.p.complex.d(0)) @ self.frames.q_reader)
 
     def action(self, c: np.ndarray) -> tuple:
         # action = quotient part of c(basis_b, section_s); acting bracket =
@@ -999,22 +1000,21 @@ class FDCheckReport:
     ok: bool
 
 
-def vertical_derivative_fd_check(kind: str, base, direction,
-                                 h: float = 1e-3) -> FDCheckReport:
+def vertical_derivative_fd_check(kind: str, base, direction) -> FDCheckReport:
     """Finite-difference verification that the derivative of the structure
     map (Jacobiator, curvature, chart closure defect) along ``direction`` at
     the base object equals the matching differential of the direction.
 
-    Two quantities are reported at steps h and h/2: the defect of the
-    symmetric difference against the exact derivative, and the sup of the
-    first-order Taylor remainder F(x + h d) - F(x) - h dF(d).  The remainder
-    scales as h^2 whenever the quadratic term along d is nonzero, so its
-    ratio between the two steps sits near 4; for the purely quadratic maps
-    (bracket and hom kinds) the symmetric difference is exact and its defect
-    is round-off noise, which is why the h^2 assertion rides on the
+    Two quantities are reported at steps h = ``FD_CHECK_STEP`` and h/2: the
+    defect of the symmetric difference against the exact derivative, and the
+    sup of the first-order Taylor remainder F(x + h d) - F(x) - h dF(d).  The
+    remainder scales as h^2 whenever the quadratic term along d is nonzero,
+    so its ratio between the two steps sits near 4; for the purely quadratic
+    maps (bracket and hom kinds) the symmetric difference is exact and its
+    defect is round-off noise, which is why the h^2 assertion rides on the
     remainder.
     """
-    chart = _chart(base, kind)
+    chart, h = _chart(base, kind), FD_CHECK_STEP
     d = chart.array(direction)
 
     def value(s):

@@ -7,12 +7,13 @@ fraction-free reduction of a matrix's rows, each an integer vector (a
 rational row is first scaled by its common denominator) reduced by one
 method, ``reduce``, that keeps its integer scale.  Ranks are read from its
 kept columns and kernel vectors by back-substitution; ``rref`` from the
-kernel vectors of the free columns; ``solve`` and ``solve_particular`` from
-the form of the rows augmented with -b, and ``invert`` with -I.  All of it is
-exact, with no tolerance, so ranks agree with those over the reals.
-Matrices act on column vectors; ``Matrix.apply`` and ``solve`` take and give
-{position: value} nonzeros, ``solve_particular`` plain lists.  Values are
-treated as immutable once built.
+kernel vectors of the free columns, and a subspace's quotient coordinates
+(``quotient_coords``) from the ``rref`` of its basis; ``solve`` and
+``solve_particular`` from the form of the rows augmented with -b, and
+``invert`` with -I.  All of it is exact, with no tolerance, so ranks agree
+with those over the reals.  Matrices act on column vectors; ``Matrix.apply``
+and ``solve`` take and give {position: value} nonzeros, ``solve_particular``
+plain lists.  Values are treated as immutable once built.
 """
 
 from __future__ import annotations
@@ -393,19 +394,6 @@ def invert(m: Matrix) -> Matrix:
     return Matrix.of_rows(n, n, rows)
 
 
-def reduced_basis(sub: Subspace):
-    """(rows, pivots) for the basis of ``sub`` in reduced echelon form:
-    ``rows[t]`` holds the {position: value} nonzeros of its t-th vector,
-    ints where integral, 1 at ``pivots[t]`` and zero at the other pivots."""
-    if sub.dim == 0:
-        return [], []
-    m = Matrix.from_rows([list(v) for v in sub.basis])
-    r, pivots = rref(m)
-    if len(pivots) != sub.dim:
-        raise ValueError("subspace basis is linearly dependent")
-    return r.row_maps[:len(pivots)], pivots
-
-
 @record
 class QuotientCoords:
     """Coordinates on ambient/sub from the standard-basis complement.
@@ -441,11 +429,16 @@ class QuotientCoords:
 
 
 def quotient_coords(sub: Subspace) -> QuotientCoords:
-    """Quotient coordinates: the complement of the reduced echelon basis is
-    spanned by the standard basis vectors off its pivots, and the projection
-    subtracts the unique subspace component."""
-    n = sub.ambient_dim
-    rows, pivots = reduced_basis(sub)
+    """Quotient coordinates, read from the ``rref`` of the basis (refused,
+    ValueError, when dependent): the complement of the reduced echelon basis
+    is spanned by the standard basis vectors off its pivots, and the
+    projection subtracts the unique subspace component."""
+    n, rows, pivots = sub.ambient_dim, [], []
+    if sub.dim:  # no basis, no reduction
+        r, pivots = rref(Matrix.from_rows([list(v) for v in sub.basis]))
+        if len(pivots) != sub.dim:
+            raise ValueError("subspace basis is linearly dependent")
+        rows = r.row_maps[:sub.dim]
     pivot_set = set(pivots)
     complement = [j for j in range(n) if j not in pivot_set]
     proj = Matrix.of_rows(len(complement), n, [
@@ -454,11 +447,5 @@ def quotient_coords(sub: Subspace) -> QuotientCoords:
     at = {q: r_i for r_i, q in enumerate(complement)}
     sect = Matrix.of_rows(n, len(complement),
                           [{at[i]: 1} if i in at else {} for i in range(n)])
-    return QuotientCoords(
-        ambient_dim=n,
-        sub_rows=tuple(tuple(sorted(r.items())) for r in rows),
-        pivots=tuple(pivots),
-        complement=tuple(complement),
-        projection=proj,
-        section=sect,
-    )
+    return QuotientCoords(n, tuple(tuple(sorted(r.items())) for r in rows),
+                          tuple(pivots), tuple(complement), proj, sect)

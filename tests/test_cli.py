@@ -17,7 +17,11 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
+from liedeform.algebras import Homomorphism, SubalgebraWitness
 from liedeform.cli import run
+from liedeform.deformlab import run_experiment
+from liedeform.documents import (parse_algebra_doc, parse_experiment_doc,
+                                 parse_hom_doc, parse_sub_doc)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -659,6 +663,27 @@ def output_pattern(expected: str):
 
 
 README_EXAMPLES = readme_console_examples()
+
+
+def readme_documents() -> list:
+    """The documents of the README's ``jsonc`` block, in order: its ``//``
+    comments stripped, one document per blank-line-separated group."""
+    block = re.search(r"^```jsonc\n(.*?)^```", README.read_text(),
+                      re.M | re.S).group(1)
+    text = re.sub(r"//.*", "", block).strip()
+    return [json.loads(doc) for doc in re.split(r"\n\s*\n", text)]
+
+
+def test_readme_documents_parse_and_the_experiment_runs():
+    algebra, hom, sub, experiment = readme_documents()
+    assert parse_algebra_doc(algebra).name == "heis3"
+    assert isinstance(parse_hom_doc(hom), Homomorphism)
+    assert isinstance(parse_sub_doc(sub), SubalgebraWitness)
+    exp = parse_experiment_doc(experiment)
+    assert exp["kind"] == "sub-recovery"
+    records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
+                             exp["scale"], exp["config"])
+    assert len(records) == 3
 
 
 @pytest.mark.parametrize("command, expected", README_EXAMPLES,

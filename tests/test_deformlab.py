@@ -3,10 +3,13 @@ curve/finite-difference checks, and the seeded experiment driver."""
 
 import json
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedeform.algebras import (Matrix, catalog_algebra, hom_preset,
                                 hom_preset_names, sub_preset, sub_preset_names,
@@ -30,7 +33,7 @@ from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  run_experiment, sub_frames,
                                  vertical_derivative_fd_check)
 from helpers import (act_on_bracket_einsum, act_on_bracket_exact,
-                     acted_pairs_tensordot, chart_defect_loop,
+                     acted_pairs_tensordot, bench_families, chart_defect_loop,
                      curvature_loop, frame_brackets_tensordot,
                      jacobiator_loop, linearization_loop, pairs_loop,
                      run_single_experiment)
@@ -246,6 +249,69 @@ class TestChart:
         plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # span{e,f}
         with pytest.raises(ChartError):
             lab._chart(w, "sub").coords(plane)
+
+
+def frames_match_the_inverse(w):
+    """The exact identities behind ``sub_frames``, and its readers against
+    the float inverse of [basis | section]: within 1e-14, and bit for bit
+    when every basis vector is a unit vector."""
+    qc, basis = w.coords, Problem.of(w).inclusion.obj.matrix
+    assert qc.sub_coords.mul(basis) == Matrix.identity(w.dim)
+    assert qc.sub_coords.mul(qc.section).is_zero()
+    assert qc.projection.mul(basis).is_zero()
+    assert qc.projection.mul(qc.section) == Matrix.identity(w.quotient_dim)
+    f = sub_frames(w)
+    assert np.array_equal(f.basis, np.array(qc.sub_basis, dtype=float)
+                          .reshape(w.dim, w.ambient.dim).T)
+    oracle = np.linalg.inv(np.hstack([f.basis, f.section]))
+    readers = np.vstack([f.h_reader, f.q_reader])
+    assert np.abs(readers - oracle).max(initial=0.0) <= 1e-14
+    if all(r == ((p, 1),) for r, p in zip(qc.sub_rows, qc.pivots)):
+        assert readers.tobytes() == oracle.tobytes()
+
+
+@st.composite
+def rational_subspaces(draw):
+    """(n, reduced echelon basis, drawn basis) of a subspace of Q^n, n <= 6,
+    of any dimension 0..n: the echelon entries at free columns are p/q with
+    |p| <= 5 and q <= 7, and the drawn basis mixes the echelon rows by a
+    triangular change of basis with rational diagonal."""
+    n = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1))))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    echelon = [[Fraction(int(j == p)) if j <= p or j in pivots
+                else draw(entry) for j in range(n)] for p in pivots]
+    basis = [[c * x for x in row] for c, row in zip(
+        draw(st.lists(entry.filter(bool), min_size=len(pivots),
+                      max_size=len(pivots))), echelon)]
+    for i in range(len(basis)):
+        for row in echelon[i + 1:]:
+            a = draw(entry)
+            basis[i] = [x + a * y for x, y in zip(basis[i], row)]
+    return n, echelon, basis
+
+
+FAMILIES = bench_families()
+
+
+class TestSubFrames:
+    """The frames are the exact quotient coordinates read as floats; the
+    float inverse of [basis | section] they replace is the oracle."""
+
+    @pytest.mark.parametrize("w", [
+        *map(sub_preset, sub_preset_names()), FAMILIES.centre_of_heis(2),
+        FAMILIES.centre_of_heis(3), FAMILIES.nilradical_of_borel3(),
+        FAMILIES.borel3_in_sl3()], ids=lambda w: w.name)
+    def test_presets_and_bench_subalgebras(self, w):
+        frames_match_the_inverse(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_subspaces())
+    def test_drawn_rational_subspaces(self, drawn):
+        n, echelon, basis = drawn
+        w = subalgebra_witness(FAMILIES.abelian(n), basis)
+        assert [list(v) for v in w.coords.sub_basis] == echelon
+        frames_match_the_inverse(w)
 
 
 class TestCurveCheck:
@@ -732,17 +798,19 @@ class TestSharedChart:
         assert len(built) <= len(seeds) + 1
         assert sum(r["iterations"] for r in records) > 10 * len(seeds)
 
-    def test_one_conversion_per_algebra(self, monkeypatch):
-        # the hom chart reads the target's bracket from its acting chart
+    @pytest.mark.parametrize("name", ["borel-incl", "id-sl2"])
+    def test_one_conversion_per_algebra(self, name, monkeypatch):
+        # the hom chart reads the target's bracket from its acting chart and
+        # the source's from the source's own chart: id-sl2 converts sl2 once
         converted = []
         from_exact = FloatBracket.from_exact.__func__
         monkeypatch.setattr(FloatBracket, "from_exact", classmethod(
             lambda cls, g, *args: converted.append(getattr(g, "candidate", g))
             or from_exact(cls, g, *args)))
-        rho = hom_preset("borel-incl")
+        rho = hom_preset(name)
         assert len(run_experiment("hom-continuation", rho, [0, 1])) == 2
         assert sorted(map(id, converted)) == sorted(
-            map(id, (rho.source.candidate, rho.target.candidate)))
+            {id(rho.source.candidate), id(rho.target.candidate)})
 
 
 class TestNoWarnings:

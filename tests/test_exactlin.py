@@ -13,9 +13,8 @@ from liedeform.algebras import (adjoint_rep, catalog_algebra, catalog_names,
                                 quotient_rep, sub_preset, sub_preset_names)
 from liedeform.cecomplex import cohomology
 from liedeform.exactlin import (Matrix, RankForm, format_scalar, invert,
-                                parse_scalar, quotient_coords, rank,
-                                reduced_basis, rref, solve, solve_particular,
-                                Subspace, _subspace)
+                                parse_scalar, quotient_coords, rank, rref,
+                                solve, solve_particular, Subspace, _subspace)
 
 
 def F(x, y=1):
@@ -150,9 +149,8 @@ class TestSubspaces:
     def test_reduced_basis_is_canonical(self):
         s1 = _subspace(3, [[1, 0, 1], [0, 1, 0]])
         s2 = _subspace(3, [[1, 1, 1], [2, 1, 2]])
-        rows1, piv1 = reduced_basis(s1)
-        rows2, piv2 = reduced_basis(s2)
-        assert rows1 == rows2 and piv1 == piv2
+        qc1, qc2 = quotient_coords(s1), quotient_coords(s2)
+        assert qc1.sub_rows == qc2.sub_rows and qc1.pivots == qc2.pivots
 
 
 class TestQuotientCoords:

@@ -453,7 +453,9 @@ def test_hom_continuation_acts_by_the_target_algebras_kept_chart(
     assert chart.acting.p is target is Problem.of(rho).target
     # the target's report (rigidity) and the hom's (stability), once each
     assert len(cohomology_calls) == 2
-    assert charts_made == [chart, chart.acting]
+    # the source's float bracket is read from the source's own chart
+    assert charts_made == [chart, lab._chart(rho.source, "bracket"),
+                           chart.acting]
 
 
 @pytest.mark.parametrize("kind", sorted(MAKERS))

@@ -1,6 +1,8 @@
 """Inputs of the wrong shape, size or kind are refused, each with its own
 message."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,10 @@ REFUSALS = {
         lambda: curve_cocycle_check("hom", hom_preset("id-sl2"), [
             (-0.1, np.eye(3)), (0.1, np.eye(3)), (0.3, np.eye(2))]),
         "inconsistent sample dimensions"),
+    "sub curve sample of the wrong shape": (
+        lambda: curve_cocycle_check("sub", sub_preset("borel-in-sl2"), [
+            (0.0, np.eye(3))]),
+        "plane matrix has wrong shape"),
 }
 
 
@@ -148,6 +154,24 @@ def test_cli_refusals_exit_2_with_their_message(capsys, argv, message):
     assert run(argv) == 2
     out = capsys.readouterr().out
     assert out.startswith("malformed input: ") and message in out
+
+
+def test_a_defect_past_the_digit_limit_is_reported_by_bit_lengths(
+        capsys, tmp_path):
+    # [e0,e1] = B e1 and [e1,e2] = B e2 with B = 10^2200: the Jacobiator on
+    # (e0,e1,e2) is B^2 e2, whose 4401 digits pass the integer-string limit
+    big = "1" + "0" * 2200
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "coeffs": ["0", big, "0"]},
+        {"i": 1, "j": 2, "coeffs": ["0", "0", big]}]}))
+    assert run(["verify", "--algebra", str(doc), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "defect": ["0", "0", "<14617-bit/1-bit rational>"],
+        "error": "validation-failure", "kind": "jacobi", "location": [0, 1, 2]}
+    assert run(["verify", "--algebra", str(doc)]) == 1
+    assert capsys.readouterr().out == (
+        "validation failure: Jacobi identity fails on (e0,e1,e2)\n")
 
 
 def test_newton_input_with_a_non_finite_entry_is_refused():
