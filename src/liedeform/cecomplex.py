@@ -17,14 +17,15 @@ H-representatives, which are passed as {position: value} dicts; d_k acts on
 a cochain through its ``Matrix``'s kept column view (``Matrix.apply``).
 Dimensions and bases are read from one ``RankForm`` of the rows of d_k per
 degree, which keeps those rows, not d_k (see ``DegreeData``); class
-coordinates from one ``RankForm`` of the columns of d_(k-1), only those of
-zero weight under an inner torus (``CEComplex.class_form``).
+coordinates from one ``RankForm`` of the columns of d_(k-1).  Each reads one
+``CEComplex.block``, the zero weight one under an inner torus.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from operator import add
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
@@ -107,47 +108,53 @@ class CEComplex:
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d, self._classes = {}, {}
+        self._d, self._classes, self._blocks = {}, {}, []
         self._ranks, self._degrees, self._kept = {}, {}, {}
+        self._walk = self._weights()
 
     def d(self, k: int) -> Matrix:
         if k not in self._d:
             self._d[k] = differential_matrix(k, self.rep)
         return self._d[k]
 
-    @cached_property
-    def torus(self) -> tuple:
-        """({k: the zero weight k-cochains}, {k: rank of d_k off them}) for
-        the inner torus, the acting basis elements x with ad x and r(x)
-        diagonal, not both zero; ({}, {}) without one.  x acts on the
-        cochain e^S (x) v_a by the weight r(x)_aa - sum_(i in S) ad(x)_ii:
-        the sum over S is its top element's ad weight added to the sum over
-        the rest, read from the level below (one level is kept at a time),
-        and the carrier vectors of that weight are one lookup away."""
+    def block(self, k: int) -> tuple:
+        """(the zero weight k-cochain positions, ascending, rank of d_k off
+        them), from the walk ``_weights``, taken no further than k."""
+        while len(self._blocks) <= k:
+            self._blocks.append(next(self._walk))
+        return self._blocks[k]
+
+    def _weights(self):
+        """Yields each degree's block, from degree 0 up, for the inner torus,
+        the acting basis elements x with ad x and r(x) diagonal, not both
+        zero; without one, the one block, all of C^k with rank 0.  x
+        acts on the cochain e^S (x) v_a by the weight r(x)_aa - sum_(i in S)
+        ad(x)_ii: the sum over S is its top element's ad weight added to the
+        sum over the rest, read from the level below (one level is kept at a
+        time), and the carrier vectors of that weight are one lookup away."""
         n, m = self.n, self.carrier_dim
         terms, act = self.rep.acting.terms, self.rep.rows
         xs = [x for x in range(n)
               if all(l == j for j in range(n) for l, _ in terms[x][j])
               and all(b == a for a, row in enumerate(act[x]) for b in row)
               and (any(terms[x]) or any(act[x]))]
-        if not xs:
-            return {}, {}
+        if not xs:  # the one block in every degree; this never returns
+            yield from ((range(self.dim_cochains(k)), 0) for k in count())
         ad = {1 << j: tuple(dict(terms[x][j]).get(j, 0) for x in xs)
               for j in range(n)}  # {bit of j: the weights ad(x)_jj}
         carriers = {}  # {weight of r: its carrier indices, ascending}
         for a in range(m):
             carriers.setdefault(tuple(act[x][a].get(a, 0) for x in xs),
                                 []).append(a)
-        zero, acyclic, off = {}, {}, 0
-        level = {0: (0,) * len(xs)}  # {mask: the ad weight of its subset}
-        for k in range(n + 1):
-            zero[k] = [p * m + a for p, w in enumerate(level.values())
-                       for a in carriers.get(w, ())]
-            acyclic[k] = off = self.dim_cochains(k) - len(zero[k]) - off
+        # {mask: the ad weight of its subset}, and the last rank off zero
+        level, off = {0: (0,) * len(xs)}, 0
+        for k in count():
+            zero = [p * m + a for p, w in enumerate(level.values())
+                    for a in carriers.get(w, ())]
+            yield zero, (off := self.dim_cochains(k) - len(zero) - off)
             level = {s: tuple(map(add, level[s ^ top], ad[top]))
                      for s in mask_positions(n, k + 1)
                      for top in [1 << (s.bit_length() - 1)]}
-        return zero, acyclic
 
     def rank_form(self, k: int) -> RankForm:
         """The ``RankForm`` of d_k's zero weight rows, as ints if the system
@@ -155,7 +162,7 @@ class CEComplex:
         or built and dropped, and only the rows kept are held (``_kept``)."""
         if k not in self._ranks:
             rows = (self._d.get(k) or differential_matrix(k, self.rep)).row_maps
-            form = self._ranks[k] = RankForm(rows, self.torus[0].get(k + 1),
+            form = self._ranks[k] = RankForm(rows, self.block(k + 1)[0],
                                              ints=self.rep.all_ints)
             self._kept[k] = [rows[i] for i in reversed(form.rows)]
         return self._ranks[k]
@@ -168,8 +175,8 @@ class CEComplex:
         return RankForm(self._kept[k], keep=True, ints=self.rep.all_ints)
 
     def class_form(self, k: int) -> RankForm:
-        """The kept ``RankForm`` of d_(k-1)'s columns (of zero weight only:
-        the other weight blocks are acyclic), each position p taken as ~p so
+        """The kept ``RankForm`` of d_(k-1)'s columns in ``block(k - 1)``
+        (the other weight blocks are acyclic), each position p taken as ~p so
         that its pivots are the last nonzero positions, ``classes``.  Listed
         last first, the columns are taken first to last, which halves the
         form's nonzeros on L_11."""
@@ -177,7 +184,7 @@ class CEComplex:
             cols = self.d(k - 1).columns()
             self._classes[k] = RankForm([
                 {~i: x for i, x in cols[j].items()}
-                for j in reversed(self.torus[0].get(k - 1, range(len(cols))))],
+                for j in reversed(self.block(k - 1)[0])],
                 keep=True)
         return self._classes[k]
 
@@ -186,7 +193,7 @@ class CEComplex:
         L_x = d i_x + i_x d, d keeps each joint eigenspace of the torus, and
         one where some x acts by w != 0 is acyclic (i_x / w contracts it):
         its ranks are alternating sums of its cochain counts."""
-        return len(self.rank_form(k).kept) + self.torus[1].get(k, 0)
+        return len(self.rank_form(k).kept) + self.block(k)[1]
 
     def degree(self, k: int) -> "DegreeData":
         """Degree k >= 0 of the cohomology; zero above the acting dimension."""
@@ -224,8 +231,8 @@ class DegreeData:
     by its entries at the ``free`` columns, those d_k's form did not keep,
     and a coboundary's last nonzero entry is at a row d_(k-1)'s form kept;
     these ``classes`` are free, and the representatives are the kernel
-    vectors at the other free columns (under a torus, all in the zero weight
-    block).  ``cocycles`` is a dense basis for readers outside the package."""
+    vectors at the other free columns, all in the degree's ``block``.
+    ``cocycles`` is a dense basis for readers outside the package."""
 
     def __init__(self, cx: CEComplex, k: int):
         self.complex = cx
@@ -238,7 +245,7 @@ class DegreeData:
     @cached_property
     def free(self) -> tuple:
         return tuple(self.complex.rank_form(self.k).free(
-            self.complex.torus[0].get(self.k, range(self.dim_cochains))))
+            self.complex.block(self.k)[0]))
 
     @cached_property
     def cocycles(self) -> Subspace:
@@ -456,10 +463,6 @@ class InducedMap:
         return self.matrix.is_zero()
 
 
-def _square_commutes(f_k, f_k1, d_src: Matrix, d_tgt: Matrix) -> bool:
-    return f_k1.mul(d_src) == d_tgt.mul(f_k)
-
-
 def _map_on_h(f, source: DegreeData, target: DegreeData) -> Matrix:
     """The map on cohomology of f, {position: value} nonzeros in and out:
     column j is the class coordinates of f(z) for the j-th H-representative
@@ -477,8 +480,8 @@ def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
     for j in range(max(k - 1, 0), k + 1):
         if j not in chain_maps or (j + 1) not in chain_maps:
             raise ChainMapError(f"chain map matrices needed at degrees {j} and {j+1}")
-        if not _square_commutes(chain_maps[j], chain_maps[j + 1],
-                                source.complex.d(j), target.complex.d(j)):
+        if (chain_maps[j + 1].mul(source.complex.d(j))
+                != target.complex.d(j).mul(chain_maps[j])):
             raise ChainMapError(f"square at degree {j} does not commute")
     sdeg, tdeg = source.degree(k), target.degree(k)
     matrix = _map_on_h(chain_maps[k].apply, sdeg, tdeg)

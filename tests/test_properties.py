@@ -755,16 +755,16 @@ def test_weight_blocks_give_the_full_elimination_table(seed):
         report = cohomology(rep)
         assert (report.to_json_dict()["degrees"]
                 == full_elimination_table(report.complex)), rep.label
-        tori += bool(report.complex.torus[0])
+        tori += type(report.complex.block(0)[0]) is list
     assert tori >= 12  # gl_n, sl_n and b(sl_n) act through an inner torus
 
 
 def scanned_torus(rep) -> tuple:
-    """({k: zero weight positions}, {k: acyclic rank}) from a scan of every
-    weight: the torus elements are read from the dense structure constants
-    and action matrices, each k-subset's weight is summed afresh, and the
-    rank off the zero block is the alternating sum of the nonzero weight
-    cochain counts of degrees k, k - 1, .., 0."""
+    """({k: zero weight positions}, {k: acyclic rank}) for k = 0..n + 1, from
+    a scan of every weight: the torus elements are read from the dense
+    structure constants and action matrices, each k-subset's weight is
+    summed afresh, and the rank off the zero block is the alternating sum of
+    the nonzero weight cochain counts of degrees k, k - 1, .., 0."""
     n, m, c = rep.acting.dim, rep.carrier_dim, rep.acting.c
     act = [Matrix.of_rows(m, m, rows).data for rows in rep.rows]
     xs = [x for x in range(n)
@@ -775,7 +775,7 @@ def scanned_torus(rep) -> tuple:
     if not xs:
         return {}, {}
     zero, acyclic, off_counts = {}, {}, []
-    for k in range(n + 1):
+    for k in range(n + 2):
         zero[k] = [p * m + a for p, S in enumerate(combinations(range(n), k))
                    for a in range(m)
                    if all(act[x][a][a] == sum((c[x][i][i] for i in S),
@@ -785,19 +785,52 @@ def scanned_torus(rep) -> tuple:
     return zero, acyclic
 
 
+def catalog_or_weight_systems(seed) -> list:
+    """The systems of the catalog and the presets for seed None, else
+    ``weight_systems`` in the bases signed by the seed."""
+    return (weight_systems(Signs(seed)) if seed is not None else
+            [adjoint_rep(catalog_algebra(n)) for n in catalog_names()]
+            + [pullback_rep(hom_preset(n)) for n in hom_preset_names()]
+            + [quotient_rep(sub_preset(n)) for n in sub_preset_names()])
+
+
 @pytest.mark.parametrize("seed", [None, 5, 3407])
 def test_torus_matches_a_weight_scan(seed):
-    systems = (weight_systems(Signs(seed)) if seed is not None else
-               [adjoint_rep(catalog_algebra(n)) for n in catalog_names()]
-               + [pullback_rep(hom_preset(n)) for n in hom_preset_names()]
-               + [quotient_rep(sub_preset(n)) for n in sub_preset_names()])
     tori = 0
-    for rep in systems:
-        got, want = CEComplex(rep).torus, scanned_torus(rep)
-        assert got == want, rep.label
-        assert all(type(zero) is list for zero in got[0].values())
-        tori += bool(want[0])
+    for rep in catalog_or_weight_systems(seed):
+        cx, (zero, acyclic) = CEComplex(rep), scanned_torus(rep)
+        for k in range(cx.n + 2):
+            got = cx.block(k)
+            if zero:
+                assert got == (zero[k], acyclic[k]), (rep.label, k)
+                assert type(got[0]) is list
+            else:  # no torus: the one block
+                assert got == (range(cx.dim_cochains(k)), 0), (rep.label, k)
+        tori += bool(zero)
     assert tori >= (3 if seed is None else 12)
+
+
+@pytest.mark.parametrize("seed", [None, 5, 3407])
+def test_degrees_read_in_any_order_match_the_full_report(seed):
+    # a fresh complex read from its top degree down, or in a shuffled order,
+    # resumes the walk over the weight blocks where the last read left it
+    rng = random.Random(seed)
+    for rep in catalog_or_weight_systems(seed):
+        want = [(d.dim_cochains, d.dim_cocycles, d.dim_coboundaries, d.dim_h,
+                 d.h_representatives) for d in cohomology(rep).degrees]
+        n = rep.acting.dim
+        for order in (range(n, -1, -1), rng.sample(range(n + 1), n + 1)):
+            cx = CEComplex(rep)
+            got = {k: cx.degree(k) for k in order}
+            assert [(d.dim_cochains, d.dim_cocycles, d.dim_coboundaries,
+                     d.dim_h, d.h_representatives)
+                    for d in map(got.get, range(n + 1))] == want, rep.label
+
+
+def test_a_degree_read_walks_no_block_above_the_next():
+    cx = CEComplex(adjoint_rep(dense.gl_algebra(3)))
+    assert cx.degree(2).dim_h == 0 and cx.n == 9
+    assert len(cx._blocks) == 4  # degrees 0..3: d_2 has rows in degree 3
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +896,7 @@ def test_first_quotient_cocycle_may_have_nonzero_weight():
         kernel = kernel_basis(cx.d(1)).basis
         assert got.nonzeros == (dense.nonzeros(kernel[0]) if kernel else {})
         if w.name == "borel-in-sl2":
-            assert cx.torus[0][1] == [] and got.nonzeros
+            assert cx.block(1)[0] == [] and got.nonzeros
             assert report.degree(1).free == ()
 
 
@@ -872,7 +905,7 @@ def test_class_coords_drop_coboundaries_of_nonzero_weight():
     # nonzero weight is still the unit vector of its class
     report = cohomology(adjoint_rep(dense.gl_algebra(2)))
     cx, seen = report.complex, 0
-    zero = cx.torus[0]
+    zero = [cx.block(k)[0] for k in range(cx.n + 1)]
     for d in report.degrees[1:]:
         for j in range(cx.dim_cochains(d.k - 1)):
             b = cx.apply_d(AltMap.of(d.k - 1, cx.n, cx.carrier_dim, {j: 3}))
@@ -884,7 +917,7 @@ def test_class_coords_drop_coboundaries_of_nonzero_weight():
                          if (x := z.get(t, 0) + b.nonzeros.get(t, 0))}
                 assert d.class_coords(moved) == [int(i == t)
                                                  for t in range(d.dim_h)]
-    assert seen and zero
+    assert seen and type(zero[0]) is list
 
 
 def random_cocycle(cx, d, data) -> tuple:

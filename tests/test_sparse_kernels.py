@@ -395,7 +395,7 @@ def test_the_int_flag_changes_no_form():
     for rep in _int_reps():
         cx = CEComplex(rep)
         for k in range(cx.n + 1):
-            rows, which = cx.d(k).row_maps, cx.torus[0].get(k + 1)
+            rows, which = cx.d(k).row_maps, cx.block(k + 1)[0]
             plain, told = (RankForm(rows, which, keep=True, ints=ints)
                            for ints in (False, True))
             assert (told.kept, told.rows) == (plain.kept, plain.rows)
