@@ -11,7 +11,8 @@ homomorphism and a subalgebra are each the zero of a quadratic map, whose
 defect is a cochain built from the nonzero terms (the Jacobiator, the
 curvature, the closure defect), and the three validators share one rule:
 refuse at the defect's first nonzero block, reporting its location and its
-exact dense defect vector.
+exact dense defect vector.  The catalog is one table of structure constants,
+each call validated afresh.
 """
 
 from __future__ import annotations
@@ -249,12 +250,16 @@ class Homomorphism:
             raise ValueError("homomorphism matrix has wrong shape")
 
 
+def _column_brackets(g: LieAlgebra, m: Matrix) -> AltMap:
+    """The 2-cochain (u, v) -> [m(u), m(v)] with values in g."""
+    return g.candidate.pair_brackets([tuple(c.items()) for c in m.columns()])
+
+
 def curvature(hom: Homomorphism) -> AltMap:
     """K(phi)(u,v) = [phi(u),phi(v)] - phi([u,v]); zero iff phi is a
     homomorphism.  Defined for arbitrary linear maps: the brackets of phi's
     columns, less phi of the source's bracket, over the nonzeros."""
-    cols = [tuple(col.items()) for col in hom.matrix.columns()]
-    return hom.target.candidate.pair_brackets(cols).sub(
+    return _column_brackets(hom.target, hom.matrix).sub(
         hom.source.candidate.as_altmap().post_compose(hom.matrix))
 
 
@@ -270,20 +275,17 @@ def validate_homomorphism(hom: Homomorphism) -> Homomorphism:
 
 @record
 class SubalgebraWitness:
-    """A subspace certified closed under the ambient bracket.
-
-    Downstream coordinates use the reduced echelon basis of the subspace and
-    the standard-basis complement for the quotient.
-    """
+    """A subspace certified closed under the ambient bracket, kept once, as
+    its quotient coordinates: the reduced echelon basis of the subspace and
+    the standard-basis complement for the quotient."""
 
     ambient: LieAlgebra
-    subspace: Subspace
     coords: QuotientCoords
     name: str = "anonymous"
 
     @property
     def dim(self) -> int:
-        return self.subspace.dim
+        return len(self.coords.pivots)
 
     @property
     def quotient_dim(self) -> int:
@@ -323,11 +325,7 @@ def subalgebra_defect(g: LieAlgebra, sub: Subspace) -> AltMap:
 def subalgebra_witness(g: LieAlgebra, vectors, name: str = "anonymous") -> SubalgebraWitness:
     """Validate independence and closure; raise ValidationError otherwise.
     The basis is reduced once, into the witness's quotient coordinates."""
-    vecs = [[_frac(x) for x in v] for v in vectors]
-    for v in vecs:
-        if len(v) != g.dim:
-            raise ValueError("subalgebra basis vector has wrong length")
-    sub = _subspace(g.dim, vecs)
+    sub = _subspace(g.dim, vectors)
     try:
         qc = quotient_coords(sub)
     except ValueError:
@@ -335,8 +333,7 @@ def subalgebra_witness(g: LieAlgebra, vectors, name: str = "anonymous") -> Subal
                               "independence", (), []) from None
     _refuse_nonzero(_closure_defect(g, qc), "closure", lambda loc: (
         f"bracket of subspace basis pair ({loc[0]},{loc[1]}) leaves the subspace"))
-    canonical = Subspace(g.dim, qc.sub_basis)
-    return SubalgebraWitness(ambient=g, subspace=canonical, coords=qc, name=name)
+    return SubalgebraWitness(ambient=g, coords=qc, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +371,17 @@ class RepSpec:
             *chain(*self.acting.terms), *self.action_cells))
 
     def check_identity(self):
-        """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs:
-        each row of sum_k c_uv^k r_k - r_u r_v + r_v r_u must cancel."""
-        r, terms = self.rows, self.acting.terms
+        """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs in
+        ``subsets`` order: sum_k c_uv^k r_k against r_u r_v - r_v r_u."""
+        q, terms = self.carrier_dim, self.acting.terms
+        r = [Matrix.of_rows(q, q, rows) for rows in self.rows]
         for (i, j) in subsets(self.acting.dim, 2):
-            ri, rj = r[i], r[j]
-            for a in range(self.carrier_dim):
-                acc = {}
-                for k, c in terms[i][j]:
-                    for b, y in r[k][a].items():
-                        acc[b] = acc.get(b, 0) + c * y
-                for b, x in ri[a].items():
-                    for e, y in rj[b].items():
-                        acc[e] = acc.get(e, 0) - x * y
-                for b, x in rj[a].items():
-                    for e, y in ri[b].items():
-                        acc[e] = acc.get(e, 0) + x * y
-                if any(acc.values()):
-                    raise RepresentationError(
-                        f"representation identity fails on pair ({i},{j})")
+            lhs = Matrix.zeros(q, q)
+            for k, c in terms[i][j]:
+                lhs = lhs.add_scaled(r[k], c)
+            if lhs != r[i].mul(r[j]).add_scaled(r[j].mul(r[i]), -1):
+                raise RepresentationError(
+                    f"representation identity fails on pair ({i},{j})")
         return self
 
 
@@ -446,48 +435,22 @@ def abelian(n: int, name=None) -> LieAlgebra:
     return validate_bracket(BracketCandidate.zero(n), name=name or f"abelian{n}")
 
 
-def _build_aff1() -> LieAlgebra:
-    cand = BracketCandidate.from_entries(2, {(0, 1): [0, 1]})
-    return validate_bracket(cand, basis=("x", "y"), name="aff1")
-
-
-def _build_heis3() -> LieAlgebra:
-    cand = BracketCandidate.from_entries(3, {(0, 1): [0, 0, 1]})
-    return validate_bracket(cand, basis=("p", "q", "z"), name="heis3")
-
-
-def _build_sl2() -> LieAlgebra:
-    cand = BracketCandidate.from_entries(3, {
+# name -> (basis names, {(i, j): [e_i, e_j]} for i < j)
+_CATALOG = {
+    "abelian2": (("e0", "e1"), {}),
+    "abelian3": (("e0", "e1", "e2"), {}),
+    "aff1": (("x", "y"), {(0, 1): [0, 1]}),
+    "heis3": (("p", "q", "z"), {(0, 1): [0, 0, 1]}),
+    "sl2": (("h", "e", "f"), {
         (0, 1): [0, 2, 0],       # [h,e] = 2e
         (0, 2): [0, 0, -2],      # [h,f] = -2f
-        (1, 2): [1, 0, 0],       # [e,f] = h
-    })
-    return validate_bracket(cand, basis=("h", "e", "f"), name="sl2")
-
-
-def _build_so3() -> LieAlgebra:
-    cand = BracketCandidate.from_entries(3, {
+        (1, 2): [1, 0, 0]}),     # [e,f] = h
+    "so3": (("e1", "e2", "e3"), {
         (0, 1): [0, 0, 1],       # [e1,e2] = e3
         (1, 2): [1, 0, 0],       # [e2,e3] = e1
-        (0, 2): [0, -1, 0],      # [e3,e1] = e2
-    })
-    return validate_bracket(cand, basis=("e1", "e2", "e3"), name="so3")
-
-
-def _build_borel() -> LieAlgebra:
+        (0, 2): [0, -1, 0]}),    # [e3,e1] = e2
     # span{h, e} inside sl2, as a standalone algebra: [h,e] = 2e
-    cand = BracketCandidate.from_entries(2, {(0, 1): [0, 2]})
-    return validate_bracket(cand, basis=("h", "e"), name="borel")
-
-
-_CATALOG_BUILDERS = {
-    "abelian2": lambda: abelian(2),
-    "abelian3": lambda: abelian(3),
-    "aff1": _build_aff1,
-    "heis3": _build_heis3,
-    "sl2": _build_sl2,
-    "so3": _build_so3,
-    "borel": _build_borel,
+    "borel": (("h", "e"), {(0, 1): [0, 2]}),
 }
 
 
@@ -514,24 +477,25 @@ _SUB_BUILDERS = {
 }
 
 
-def _build(builders: dict, noun: str, name: str):
-    try:
-        return builders[name]()
-    except KeyError:
+def _lookup(table: dict, noun: str, name: str):
+    if name not in table:
         raise KeyError(f"unknown {noun} {name!r}; "
-                       f"available: {', '.join(sorted(builders))}") from None
+                       f"available: {', '.join(sorted(table))}")
+    return table[name]
 
 
 def catalog_names():
-    return sorted(_CATALOG_BUILDERS)
+    return sorted(_CATALOG)
 
 
 def catalog_algebra(name: str) -> LieAlgebra:
-    return _build(_CATALOG_BUILDERS, "catalog algebra", name)
+    basis, brackets = _lookup(_CATALOG, "catalog algebra", name)
+    return validate_bracket(BracketCandidate.from_entries(len(basis), brackets),
+                            basis, name)
 
 
 def hom_preset(name: str) -> Homomorphism:
-    return _build(_HOM_BUILDERS, "homomorphism preset", name)
+    return _lookup(_HOM_BUILDERS, "homomorphism preset", name)()
 
 
 def hom_preset_names():
@@ -539,7 +503,7 @@ def hom_preset_names():
 
 
 def sub_preset(name: str) -> SubalgebraWitness:
-    return _build(_SUB_BUILDERS, "subalgebra preset", name)
+    return _lookup(_SUB_BUILDERS, "subalgebra preset", name)()
 
 
 def sub_preset_names():

@@ -513,7 +513,7 @@ class LESReport:
 
     @property
     def all_exact(self) -> bool:
-        return all(n.exact and n.membership_ok for n in self.nodes)
+        return all(n.exact for n in self.nodes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -521,7 +521,7 @@ class LESReport:
             "nodes": [
                 {"label": n.label, "k": n.degree, "dimH": n.dim,
                  "rank_in": n.rank_in, "rank_out": n.rank_out,
-                 "exact": n.exact and n.membership_ok}
+                 "exact": n.exact}
                 for n in self.nodes
             ],
             "all_exact": self.all_exact,

@@ -737,8 +737,6 @@ _CHARTS = {"bracket": _BracketChart, "hom": _HomChart, "sub": _SubChart}
 def _chart(obj, kind: str) -> _Chart:
     """``obj`` itself when it is a chart, else the chart kept in the problem
     of ``obj``, made on first use; refuses (TypeError) another kind."""
-    if kind not in _CHARTS:
-        raise ValueError(f"unknown kind {kind!r}")
     if isinstance(obj, _Chart):
         Problem.of(obj.p, kind)
         return obj
@@ -941,20 +939,21 @@ class CurveCheckReport:
     ok: bool
 
 
-def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
+def curve_cocycle_check(base, samples) -> CurveCheckReport:
     """Central-difference derivative of a curve through the base object at
     t = 0, checked to be a cocycle up to O(h^2).
 
     ``base`` is the exact object (LieAlgebra, Homomorphism or
-    SubalgebraWitness) the curve passes through at t = 0; ``samples`` is a
-    list of (t, value) pairs with values of the matching kind (structure
-    tensors / FloatBrackets, matrices, or k-plane frames) containing at
-    least one symmetric pair; with two symmetric pairs the O(h^2) scaling of
-    the delta-defect is verified, otherwise an absolute bound is used.  The
+    SubalgebraWitness), or its ``Problem``, that the curve passes through at
+    t = 0; its kind names the chart.  ``samples`` is a list of (t, value)
+    pairs with values of that kind (structure tensors / FloatBrackets,
+    matrices, or k-plane frames) containing at least one symmetric pair;
+    with two symmetric pairs the O(h^2) scaling of the delta-defect is
+    verified, otherwise an absolute bound is used.  The
     report also carries the least-squares residual of the derivative against
     the coboundaries (its distance from class zero).
     """
-    chart = _chart(base, kind)
+    chart = _chart(base, Problem.of(base).kind)
     p, degree = chart.p, chart.p.tangent_degree
     by_t = {float(t): chart.coords(value) for t, value in samples}
     if len(by_t) < 3 or min(by_t) >= 0 or max(by_t) <= 0:
@@ -983,7 +982,7 @@ def curve_cocycle_check(kind: str, base, samples) -> CurveCheckReport:
         class_residual = _sup(derivative - d_in @ sol)
     else:
         class_residual = _sup(derivative)
-    return CurveCheckReport(kind=kind, steps=tuple(hs[:2]),
+    return CurveCheckReport(kind=p.kind, steps=tuple(hs[:2]),
                             derivative=derivative,
                             delta_defects=tuple(defects),
                             defect_ratio=ratio, class_residual=class_residual,
@@ -1000,7 +999,7 @@ class FDCheckReport:
     ok: bool
 
 
-def vertical_derivative_fd_check(kind: str, base, direction) -> FDCheckReport:
+def vertical_derivative_fd_check(base, direction) -> FDCheckReport:
     """Finite-difference verification that the derivative of the structure
     map (Jacobiator, curvature, chart closure defect) along ``direction`` at
     the base object equals the matching differential of the direction.
@@ -1014,7 +1013,7 @@ def vertical_derivative_fd_check(kind: str, base, direction) -> FDCheckReport:
     defect is round-off noise, which is why the h^2 assertion rides on the
     remainder.
     """
-    chart, h = _chart(base, kind), FD_CHECK_STEP
+    chart, h = _chart(base, Problem.of(base).kind), FD_CHECK_STEP
     d = chart.array(direction)
 
     def value(s):
@@ -1040,7 +1039,7 @@ def vertical_derivative_fd_check(kind: str, base, direction) -> FDCheckReport:
         ratio_ok = remainder_sups[0] <= 1e-13
     c_est = central_defects[0] / h ** 2 if central_defects[0] > 0 else 0.0
     central_ok = central_defects[1] <= max(1e-9, 1.5 * c_est * (h / 2) ** 2)
-    return FDCheckReport(kind=kind, step=h,
+    return FDCheckReport(kind=p.kind, step=h,
                          central_defects=tuple(central_defects),
                          remainder_sups=tuple(remainder_sups),
                          remainder_ratio=remainder_ratio,

@@ -25,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
-                       SubalgebraWitness, ad_rows, adjoint_rows, curvature)
+                       SubalgebraWitness, _column_brackets, ad_rows,
+                       adjoint_rows, curvature)
 from .cecomplex import Problem, differential_matrix, snake_lift
 from .cochains import AltMap
 from .exactlin import Matrix, invert, solve
@@ -53,11 +54,6 @@ def _as_candidate(mu) -> BracketCandidate:
 def jacobiator(mu) -> AltMap:
     """J(eta)(u,v,w) = eta(eta(u,v),w) + eta(eta(v,w),u) + eta(eta(w,u),v)."""
     return _as_candidate(mu).jacobiator()
-
-
-def _pair_brackets(g: LieAlgebra, m: Matrix) -> AltMap:
-    """The 2-cochain (u, v) -> [m(u), m(v)] with values in g."""
-    return g.candidate.pair_brackets([tuple(c.items()) for c in m.columns()])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
         ("t^0: K(rho)", curvature(rho)),
         ("t^1: d(xi)", AltMap(2, kh, ng, d1.apply(
             matrix_as_one_cochain(xi_matrix).nonzeros))),
-        ("t^2: [xi,xi]/2", _pair_brackets(g, xi_matrix)),
+        ("t^2: [xi,xi]/2", _column_brackets(g, xi_matrix)),
     ]
     return _compare_expansion(expected, coeffs)
 
@@ -228,7 +224,7 @@ def kuranishi_hom(rho: Homomorphism | Problem, xi: AltMap) -> ObstructionClass:
         raise ValueError("direction must be a 1-cochain on the source with "
                          "values in the target")
 
-    return _obstruction(p, xi, lambda xi: _pair_brackets(g, eta_matrix(xi)),
+    return _obstruction(p, xi, lambda xi: _column_brackets(g, eta_matrix(xi)),
                         "direction is not a 1-cocycle")
 
 
@@ -331,7 +327,7 @@ def _sub_representative(sp: Splitting, eta: AltMap) -> AltMap:
     w = sp.witness
     _check_eta_shape(w, eta)
     em = eta_matrix(eta)
-    return _pair_brackets(w.ambient, sp.section.mul(em)).post_compose(
+    return _column_brackets(w.ambient, sp.section.mul(em)).post_compose(
         w.coords.projection).sub(_omega(sp, eta).post_compose(em))
 
 

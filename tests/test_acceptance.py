@@ -254,21 +254,21 @@ def test_criterion_12_finite_difference_ratio_all_kinds():
     ok = True
     for _ in range(10):
         d = rng.normal(size=(3, 3, 3))
-        rep = vertical_derivative_fd_check("bracket", catalog_algebra("sl2"), d)
+        rep = vertical_derivative_fd_check(catalog_algebra("sl2"), d)
         if not rep.ok or (rep.remainder_ratio is not None
                           and not 3.5 <= rep.remainder_ratio <= 4.5):
             ok = False
     rho = hom_preset("borel-incl")
     for _ in range(10):
         d = rng.normal(size=(3, 2))
-        rep = vertical_derivative_fd_check("hom", rho, d)
+        rep = vertical_derivative_fd_check(rho, d)
         if not rep.ok or (rep.remainder_ratio is not None
                           and not 3.5 <= rep.remainder_ratio <= 4.5):
             ok = False
     w = sub_preset("borel-in-sl2")
     for _ in range(10):
         d = rng.normal(size=(1, 2))
-        rep = vertical_derivative_fd_check("sub", w, d)
+        rep = vertical_derivative_fd_check(w, d)
         if not rep.ok or (rep.remainder_ratio is not None
                           and not 3.5 <= rep.remainder_ratio <= 4.5):
             ok = False

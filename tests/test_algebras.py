@@ -304,6 +304,43 @@ def test_catalog_contents():
         catalog_algebra("nope")
 
 
+def test_each_catalog_call_is_validated_and_fresh(monkeypatch):
+    validated, validate = [], algebras.validate_bracket
+    monkeypatch.setattr(algebras, "validate_bracket", lambda *a, **kw: (
+        validated.append(a), validate(*a, **kw))[1])
+    first, second = catalog_algebra("sl2"), catalog_algebra("sl2")
+    assert first == second and first is not second
+    assert len(validated) == 2
+
+
+@pytest.mark.parametrize("build, name", [(catalog_algebra, "sl2"),
+                                         (hom_preset, "id-sl2"),
+                                         (sub_preset, "borel-in-sl2")])
+def test_a_key_error_inside_a_builder_is_not_an_unknown_name(
+        monkeypatch, build, name):
+    # a known name is looked up before it is built, so a KeyError raised
+    # while building (here by the validation of sl2, which each of these
+    # builds) propagates as it is
+    def broken(*args, **kwargs):
+        raise KeyError("raised while building")
+
+    monkeypatch.setattr(algebras, "validate_bracket", broken)
+    with pytest.raises(KeyError) as exc:
+        build(name)
+    assert exc.value.args == ("raised while building",)
+
+
+@pytest.mark.parametrize("build, noun, names", [
+    (catalog_algebra, "catalog algebra", catalog_names),
+    (hom_preset, "homomorphism preset", algebras.hom_preset_names),
+    (sub_preset, "subalgebra preset", algebras.sub_preset_names)])
+def test_unknown_name_lists_the_available_ones(build, noun, names):
+    with pytest.raises(KeyError) as exc:
+        build("nope")
+    assert exc.value.args == (
+        f"unknown {noun} 'nope'; available: {', '.join(names())}",)
+
+
 class TestSparseActionRows:
     SYSTEMS = {"adjoint": lambda: adjoint_rep(catalog_algebra("sl2")),
                "pullback": lambda: pullback_rep(hom_preset("borel-incl")),

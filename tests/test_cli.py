@@ -349,6 +349,39 @@ class TestLes:
             "  H^1(h,h): dimH=0 rank_in=0 rank_out=0 exact\n"
             "all interior nodes exact\n")
 
+    def test_a_non_exact_node_is_reported_and_exits_zero(self, capsys,
+                                                         monkeypatch):
+        # exactness is a computed answer, not a refusal: one node forced
+        # non-exact is printed as such, and the run still exits 0
+        from liedeform import cecomplex
+        exact_at = cecomplex._exact_at
+
+        def first_not_exact(label, *args):
+            node = exact_at(label, *args)
+            if label != "H^0(h,g)":
+                return node
+            return cecomplex.LESNode(node.label, node.degree, node.dim,
+                                     node.rank_in, node.rank_out, False,
+                                     node.membership_ok)
+
+        monkeypatch.setattr(cecomplex, "_exact_at", first_not_exact)
+        code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
+                               "--max-degree", "0")
+        assert code == 0
+        assert out == (
+            "long exact sequence through degree 0 for 'borel-in-sl2':\n"
+            "  H^0(h,h): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "  H^0(h,g): dimH=0 rank_in=0 rank_out=0 NOT EXACT\n"
+            "  H^0(h,g/h): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "  H^1(h,h): dimH=0 rank_in=0 rank_out=0 exact\n"
+            "EXACTNESS FAILURE\n")
+        code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
+                               "--max-degree", "0", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_exact"] is False
+        assert [n["exact"] for n in doc["nodes"]] == [True, False, True, True]
+
     def test_negative_max_degree_is_malformed(self, capsys):
         code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
                                "--max-degree", "-1", "--json")

@@ -325,7 +325,7 @@ class TestCurveCheck:
         return out
 
     def test_orbit_curve_has_coboundary_derivative(self):
-        rep = curve_cocycle_check("bracket", SL2, self.orbit_samples(1e-3))
+        rep = curve_cocycle_check(SL2, self.orbit_samples(1e-3))
         assert rep.ok
         # the derivative of an orbit curve is an exact coboundary: both the
         # cocycle defect and the class residual sit at round-off level
@@ -335,7 +335,7 @@ class TestCurveCheck:
     def test_one_symmetric_pair_uses_the_absolute_bound(self):
         # samples at -h, 0 and h: no second step to compare the delta-defect
         # with, so no ratio, and the defect is held to the absolute bound
-        rep = curve_cocycle_check("bracket", SL2, self.orbit_samples(1e-3)[1:4])
+        rep = curve_cocycle_check(SL2, self.orbit_samples(1e-3)[1:4])
         assert rep.steps == (1e-3,) and len(rep.delta_defects) == 1
         assert rep.defect_ratio is None
         assert rep.ok and rep.delta_defects[0] <= 1e-6
@@ -343,7 +343,7 @@ class TestCurveCheck:
     def test_requires_bracketing_samples(self):
         mu = FloatBracket.from_exact(SL2)
         with pytest.raises(ValueError):
-            curve_cocycle_check("bracket", SL2,
+            curve_cocycle_check(SL2,
                                 [(0.0, mu), (1e-3, mu), (2e-3, mu)])
 
     def test_hom_curve(self):
@@ -358,7 +358,7 @@ class TestCurveCheck:
         adx = ad_float(mu.c, x)
         samples = [(t, base + t * (adx @ base))
                    for t in (-2 * h, -h, 0.0, h, 2 * h)]
-        rep = curve_cocycle_check("hom", rho, samples)
+        rep = curve_cocycle_check(rho, samples)
         assert rep.ok and rep.class_residual <= 1e-6
 
     def test_sub_curve(self):
@@ -368,7 +368,7 @@ class TestCurveCheck:
         eta_dir = np.array([[1.0, 0.0]])  # the quotient 1-cocycle direction
         samples = [(t, graph_basis(frames, t * eta_dir))
                    for t in (-2 * h, -h, 0.0, h, 2 * h)]
-        rep = curve_cocycle_check("sub", w, samples)
+        rep = curve_cocycle_check(w, samples)
         assert rep.ok
 
     def test_sub_curve_flags_non_cocycle_direction(self):
@@ -378,7 +378,7 @@ class TestCurveCheck:
         eta_dir = np.array([[0.0, 1.0]])  # not a cocycle: d(eta) != 0
         samples = [(t, graph_basis(frames, t * eta_dir))
                    for t in (-2 * h, -h, 0.0, h, 2 * h)]
-        rep = curve_cocycle_check("sub", w, samples)
+        rep = curve_cocycle_check(w, samples)
         assert not rep.ok
         assert max(rep.delta_defects) > 1.0
 
@@ -390,31 +390,33 @@ class TestFDCheck:
         d[1, 0, 0] = -0.4
         d[0, 2, 2] = -0.7
         d[2, 0, 2] = 0.7
-        rep = vertical_derivative_fd_check("bracket", SL2, d)
-        assert rep.ok
+        rep = vertical_derivative_fd_check(SL2, d)
+        assert rep.ok and rep.kind == "bracket"
         assert rep.remainder_ratio is None or 3.5 <= rep.remainder_ratio <= 4.5
 
     def test_hom_kind(self):
         rho = hom_preset("borel-incl")
         d = np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.0]])
-        rep = vertical_derivative_fd_check("hom", rho, d)
-        assert rep.ok
+        rep = vertical_derivative_fd_check(rho, d)
+        assert rep.ok and rep.kind == "hom"
 
     def test_sub_kind(self):
         w = sub_preset("borel-in-sl2")
-        rep = vertical_derivative_fd_check("sub", w, np.array([[0.8, -0.3]]))
-        assert rep.ok
+        rep = vertical_derivative_fd_check(w, np.array([[0.8, -0.3]]))
+        assert rep.ok and rep.kind == "sub"
 
     def test_zero_direction_has_no_remainder_ratio(self):
         # F(x + h 0) - F(x) is exactly zero at both steps: the remainder has
         # no ratio, and the check holds on the absolute bound
-        rep = vertical_derivative_fd_check("bracket", SL2, np.zeros((3, 3, 3)))
+        rep = vertical_derivative_fd_check(SL2, np.zeros((3, 3, 3)))
         assert rep.remainder_sups == (0.0, 0.0)
         assert rep.remainder_ratio is None and rep.ok
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            vertical_derivative_fd_check("nope", SL2, np.zeros((3, 3, 3)))
+    def test_non_object_base(self):
+        # the chart is read from the base's problem: a base that is no Lie
+        # algebra, homomorphism or subalgebra witness has none
+        with pytest.raises(TypeError):
+            vertical_derivative_fd_check(SL2.candidate, np.zeros((3, 3, 3)))
 
     def test_problem_matches_raw_object(self):
         d = np.zeros((3, 3, 3))
@@ -422,13 +424,13 @@ class TestFDCheck:
         d[1, 0, 0] = -0.4
         d[0, 2, 2] = -0.7
         d[2, 0, 2] = 0.7
-        for kind, obj, direction in (
-                ("bracket", SL2, d),
-                ("hom", hom_preset("borel-incl"),
+        for obj, direction in (
+                (SL2, d),
+                (hom_preset("borel-incl"),
                  np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.0]])),
-                ("sub", sub_preset("borel-in-sl2"), np.array([[0.8, -0.3]]))):
-            raw = vertical_derivative_fd_check(kind, obj, direction)
-            via = vertical_derivative_fd_check(kind, Problem(obj), direction)
+                (sub_preset("borel-in-sl2"), np.array([[0.8, -0.3]]))):
+            raw = vertical_derivative_fd_check(obj, direction)
+            via = vertical_derivative_fd_check(Problem(obj), direction)
             assert via == raw  # a record of floats: field by field
 
 

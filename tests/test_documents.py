@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from helpers import bench_families
-from liedeform.algebras import (ValidationError, catalog_algebra, hom_preset,
+from liedeform.algebras import (ValidationError, catalog_algebra,
+                                catalog_names, hom_preset, hom_preset_names,
                                 sub_preset, sub_preset_names)
 from liedeform.documents import (EXPERIMENT_KINDS, MalformedDocumentError,
                                  NewtonConfig, algebra_to_doc, hom_to_doc,
@@ -277,3 +278,28 @@ def test_sub_docs_are_pinned_byte_for_byte():
     # pinned when every basis vector read rebuilt the whole dense basis;
     # keeping it must not change a byte
     assert sub_docs() == json.loads(GOLDEN_SUB_DOCS.read_text())
+
+
+GOLDEN_CATALOG = Path(__file__).with_name("golden_catalog.json")
+
+
+def catalog_docs() -> dict:
+    """Name -> the ``algebra_to_doc`` JSON and ``terms`` repr of every
+    catalog algebra, and the ``hom_to_doc`` JSON of every homomorphism
+    preset (the subalgebra presets are pinned in golden_sub_docs.json)."""
+    out = {}
+    for name in catalog_names():
+        g = catalog_algebra(name)
+        out[name] = {"doc": json.dumps(algebra_to_doc(g), sort_keys=True),
+                     "terms": repr(g.candidate.terms)}
+    for name in hom_preset_names():
+        out[name] = {"doc": json.dumps(hom_to_doc(hom_preset(name)),
+                                       sort_keys=True)}
+    return out
+
+
+def test_catalog_and_hom_presets_are_pinned_byte_for_byte():
+    # pinned when each catalog algebra had its own builder function; the
+    # one table of structure constants must not change a byte, nor an int
+    # into a Fraction
+    assert catalog_docs() == json.loads(GOLDEN_CATALOG.read_text())

@@ -118,15 +118,15 @@ REFUSALS = {
                                       np.zeros((2, 2, 2))),
         "structure tensor has wrong shape"),
     "curve with no symmetric pair": (
-        lambda: curve_cocycle_check("hom", hom_preset("id-sl2"), [
+        lambda: curve_cocycle_check(hom_preset("id-sl2"), [
             (-0.1, np.eye(3)), (0.2, np.eye(3)), (0.3, np.eye(3))]),
         "symmetric sample pair"),
     "curve samples of two sizes": (
-        lambda: curve_cocycle_check("hom", hom_preset("id-sl2"), [
+        lambda: curve_cocycle_check(hom_preset("id-sl2"), [
             (-0.1, np.eye(3)), (0.1, np.eye(3)), (0.3, np.eye(2))]),
         "inconsistent sample dimensions"),
     "sub curve sample of the wrong shape": (
-        lambda: curve_cocycle_check("sub", sub_preset("borel-in-sl2"), [
+        lambda: curve_cocycle_check(sub_preset("borel-in-sl2"), [
             (0.0, np.eye(3))]),
         "plane matrix has wrong shape"),
 }
@@ -191,7 +191,7 @@ def test_curve_of_the_whole_algebra_has_no_coboundary_columns():
     # and the curve's derivative is the empty vector, in class zero
     sl2 = catalog_algebra("sl2")
     whole = subalgebra_witness(sl2, np.eye(3, dtype=int).tolist(), name="all")
-    report = curve_cocycle_check("sub", whole, [
+    report = curve_cocycle_check(whole, [
         (-0.1, np.eye(3)), (0.1, np.eye(3)), (0.2, np.eye(3))])
     assert report.ok and report.class_residual == 0.0
     assert report.derivative.size == 0

@@ -284,7 +284,7 @@ def test_homomorphism_check_agrees_with_the_dense_curvature(drawn):
 def assert_restricts(g_tensor, w):
     """``w.as_subalgebra()`` is the dense restriction, in equal terms."""
     sub = w.as_subalgebra()
-    want = ref_restriction(g_tensor, w.subspace.basis)
+    want = ref_restriction(g_tensor, w.coords.sub_basis)
     assert sub.candidate.c == tuple(tuple(tuple(r) for r in p) for p in want)
     assert sub.candidate == BracketCandidate.from_tensor(want)
     assert hash(sub.candidate) == hash(BracketCandidate.from_tensor(want))

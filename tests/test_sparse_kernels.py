@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform import cecomplex
-from liedeform.algebras import (BracketCandidate, RepSpec, adjoint_rows,
+from liedeform.algebras import (BracketCandidate, RepSpec,
+                                RepresentationError, adjoint_rows,
                                 adjoint_rep, catalog_algebra, catalog_names,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
@@ -22,7 +23,7 @@ from liedeform.cecomplex import (CEComplex, CohomologyUndefinedError,
                                  _exact_at, adjoint_cohomology, cohomology,
                                  differential_matrix)
 from liedeform.cli import run
-from liedeform.cochains import AltMap, cochain_dim
+from liedeform.cochains import AltMap, cochain_dim, subsets
 from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
@@ -256,6 +257,37 @@ def test_dd_defect_names_the_first_nonzero_composite(drawn):
     first = next((k for k in range(cx.n)
                   if not cx.d(k + 1).mul(cx.d(k)).is_zero()), None)
     assert cx.d_squared_defect() == first
+
+
+# the systems of the catalog and the presets, each a representation
+VALID_SYSTEMS = ([adjoint_rep(catalog_algebra(n)) for n in catalog_names()]
+                 + [pullback_rep(hom_preset(n)) for n in hom_preset_names()]
+                 + [quotient_rep(sub_preset(n)) for n in sub_preset_names()])
+
+
+def identity_refusal(rep):
+    """The message ``check_identity`` refuses ``rep`` with, or None."""
+    try:
+        rep.check_identity()
+    except RepresentationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rep_specs().map(lambda drawn: drawn[0]),
+                 st.sampled_from(VALID_SYSTEMS)))
+def test_identity_check_names_the_first_nonzero_row_of_d1_d0(rep):
+    # (d_1 d_0 v)(u_i, u_j) is minus the identity's defect on (u_i, u_j)
+    # applied to v, and d_1's rows run pair by pair, so the product's first
+    # nonzero row lies in the block of the first failing pair
+    dd = differential_matrix(1, rep).mul(differential_matrix(0, rep))
+    first = next((t for t, row in enumerate(dd.row_maps) if row), None)
+    want = None
+    if first is not None:
+        i, j = subsets(rep.acting.dim, 2)[first // rep.carrier_dim]
+        want = f"representation identity fails on pair ({i},{j})"
+    assert identity_refusal(rep) == want
 
 
 def test_refusal_names_the_first_bad_degree():
