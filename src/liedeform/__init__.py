@@ -18,9 +18,9 @@ Layers, from the ground up:
 - ``verdicts``: rigidity/stability conclusions with evidence.
 - ``documents``: JSON documents, ``NewtonConfig`` and the Newton errors.
 - ``deformlab``: floating-point Newton orbit recovery, zero continuation and
-  finite-difference checks; it alone needs NumPy and SciPy, so it is
-  imported lazily, when one of its names here is first read, and it imports
-  NumPy only on its first float computation and SciPy on its first solve.
+  finite-difference checks; it alone needs NumPy, so it is imported
+  lazily, when one of its names here is first read, and it imports NumPy
+  only on its first float computation.
 - ``cli``: the command line.
 
 Each module imports package modules only from the layers listed before it.

@@ -265,7 +265,7 @@ def _cmd_deform(args) -> int:
                    if getattr(args, flag))
     exp = parse_experiment_doc(doc)
     # only a well-formed experiment loads the Newton lab, which imports
-    # NumPy on its first float computation and SciPy on its first solve
+    # NumPy on its first float computation
     from .deformlab import run_experiment
     records = run_experiment(exp["kind"], exp["object"], exp["seeds"],
                              scale=exp["scale"], cfg=exp["config"])

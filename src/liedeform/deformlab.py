@@ -21,10 +21,10 @@ residual, iteration count and chord.  The bracket chart's orbit residual
 is one array kernel from (A, c) to flat pair coordinates
 (``_acted_pairs``), so Newton builds no FloatBracket per iterate.
 
-Importing the module loads no float stack: NumPy is imported on the first
-float computation, and SciPy (``expm`` for every group chart,
-``subspace_angles`` for one subalgebra diagnostic) on the first call that
-needs it, so float records and kernels alone never load it.
+Importing the module loads no float stack: NumPy, its one dependency, is
+imported on the first float computation.  The group map of every chart is
+``expm``, a stacked Pade exponential, and the subalgebra recovery diagnostic
+reads ``largest_principal_angle``; both are NumPy code here.
 
 Flattening follows the cochain convention throughout: a k-cochain value
 block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
@@ -34,6 +34,7 @@ block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 from __future__ import annotations
 
 from functools import cache, cached_property, wraps
+from math import acos, asin, ceil, factorial, isfinite, log2
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem
@@ -47,7 +48,7 @@ from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
 
 class _FirstUse:
     """Stands in for the module name ``name`` until it is first used: the
-    first attribute read or call imports the object ``load()`` returns and
+    first attribute read imports the object ``load()`` returns and
     rebinds ``name`` to it, so every later read goes straight there.  Its
     own names are private, so that they hide no attribute of the object
     (``numpy.load``)."""
@@ -64,25 +65,13 @@ class _FirstUse:
     def __getattr__(self, attr):
         return getattr(self._bind(), attr)
 
-    def __call__(self, *args):
-        return self._bind()(*args)
-
 
 def _numpy():
     import numpy
     return numpy
 
 
-def _scipy_linalg(name: str) -> _FirstUse:
-    def load():
-        import scipy.linalg
-        return getattr(scipy.linalg, name)
-    return _FirstUse(name, load)
-
-
 np = _FirstUse("np", _numpy)
-expm = _scipy_linalg("expm")
-subspace_angles = _scipy_linalg("subspace_angles")
 
 
 def _ignoring_overflow(fn):
@@ -123,6 +112,92 @@ def ad_float(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix of u -> bracket(x, u) for a float structure tensor; x and the
     tensor may be stacks, whose leading axes broadcast."""
     return np.einsum("...i,...ijk->...kj", x, c)
+
+
+# Higham (2005), Table 2.3: for each Pade degree m, the largest 1-norm of A
+# at which the degree-m approximant of exp(A) meets double precision
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
+
+
+@cache
+def _pade_terms(m: int, n: int) -> tuple:
+    """The degree-m Pade numerator of exp, sum b_j A^j, as U + V with U = A
+    p_odd(A^2) and V = p_even(A^2), both polynomials of degree (m - 1)/2:
+    shared read-only (lead, terms) for Horner's rule on the two at once,
+    the pair (b_m, b_(m-1)) as scalars, then each lower pair (b_(2i+1),
+    b_(2i)) times the n x n identity."""
+    b = [factorial(2 * m - j) * factorial(m)
+         / (factorial(2 * m) * factorial(j) * factorial(m - j))
+         for j in range(m + 1)]
+    pairs = np.array([(b[j], b[j - 1]) for j in range(m, 0, -2)])
+    out = (pairs[0, :, None, None, None],
+           pairs[1:, :, None, None, None] * np.eye(n))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _pade_squared(b: np.ndarray, m: int, s: int) -> np.ndarray:
+    """exp of each matrix of the stack ``b``: the degree-m Pade approximant
+    in 2^-s b, squared s times."""
+    lead, terms = _pade_terms(m, b.shape[-1])
+    if s:
+        b = b * 2.0 ** -s
+    a2 = b @ b
+    w = lead * a2 + terms[0]  # [p_odd, p_even] by Horner's rule in A^2
+    for term in terms[1:]:
+        w = a2 @ w + term
+    u = b @ w[0]
+    x = np.linalg.solve(w[1] - u, w[1] + u)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
+# a power may overflow as it is squared; its entries then read inf or NaN
+@_ignoring_overflow
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of one square matrix, or of each of a stack: scaling and squaring
+    on a Pade approximant (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
+    The degree m and the scaling s are read from each matrix's 1-norm alone,
+    so a matrix's exponential does not depend on the stack it is in; each
+    (m, s) group of the stack is evaluated at once.  A matrix whose 1-norm
+    is not finite gives NaN."""
+    a = np.ascontiguousarray(a, dtype=float)
+    if not a.size:
+        return a.copy()
+    stack = a.reshape((-1,) + a.shape[-2:])
+    groups = {}
+    for i, norm in enumerate(np.abs(stack).sum(axis=-2).max(axis=-1).tolist()):
+        key = next(((m, 0) for m, theta in _PADE_THETA if norm <= theta), None)
+        if key is None and isfinite(norm):
+            key = (13, ceil(log2(norm / _PADE_THETA[-1][1])))
+        groups.setdefault(key, []).append(i)
+    if len(groups) == 1 and None not in groups:
+        (m, s), = groups
+        return _pade_squared(stack, m, s).reshape(a.shape)
+    out = np.full(stack.shape, np.nan)
+    for key, rows in groups.items():
+        if key is not None:
+            out[rows] = _pade_squared(stack[rows], *key)
+    return out.reshape(a.shape)
+
+
+def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest principal angle between the column spans of two finite
+    frames of full column rank, read as SciPy's ``subspace_angles`` reads
+    it (Knyazev and Argentati, SIAM J. Sci. Comput. 23 (2002)): the arccos
+    of the smallest cosine, or, when that cosine squared is at least 1/2,
+    the arcsin of the largest sine, which is accurate for small angles."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    cosines = qa.T @ qb
+    c = float(np.linalg.svd(cosines, compute_uv=False)[-1])
+    if c * c < 0.5:
+        return acos(c)
+    sine = float(np.linalg.svd(qb - qa @ cosines, compute_uv=False)[0])
+    return asin(min(sine, 1.0))
 
 
 @cache
@@ -588,7 +663,7 @@ class _Chart:
                              f"expected {self.value_shape}")
         finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
         points, outside = self.point(arr)
-        defects = _row_sup(self.structure(points))
+        defects = self.input_defects(arr, points)
         ok = finite & ~outside & (defects <= INPUT_DEFECT_TOL)
         if not ok.all():
             s = ok.argmin()  # the first refused value
@@ -599,6 +674,10 @@ class _Chart:
             raise InputDefectError(f"{label} is not a {self.name} to round-off "
                                    f"({self.defect_name} {defects[s]:.3e})")
         return points, defects
+
+    def input_defects(self, arr: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The structure defect of each value that ``checked`` bounds."""
+        return _row_sup(self.structure(points))
 
     def recovery_diagnostics(self, amat: np.ndarray, value) -> dict:
         return {}
@@ -703,6 +782,14 @@ class _SubChart(_Chart):
     def orbit_linearization(self) -> np.ndarray:
         return -(float_matrix(self.p.complex.d(0)) @ self.frames.q_reader)
 
+    def input_defects(self, arr: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The closure defect of an orthonormal frame q of each plane: the
+        part of each bracket [q_i, q_j] outside the plane.  Unlike the chart
+        defect, it does not grow with the plane's distance from h."""
+        q = np.linalg.qr(arr)[0]
+        z = _frame_brackets(self.mu.c, q)
+        return _row_sup(_flat(z - z @ q @ q.swapaxes(-1, -2)))
+
     def action(self, c: np.ndarray) -> tuple:
         # action = quotient part of c(basis_b, section_s); acting bracket =
         # subalgebra part of c(basis_a, basis_b).  Each reader meets the
@@ -718,14 +805,14 @@ class _SubChart(_Chart):
         n, k = self.base.shape
         recovered = amat @ self.base
         if not (k and k < n):
-            angles = np.zeros(0)
+            angle = 0.0
         elif np.all(np.isfinite(recovered)):
-            angles = subspace_angles(recovered, np.asarray(value, float))
+            angle = largest_principal_angle(recovered, value)
         else:
             # a diverged iterate can overflow the exponential; the plane
             # distance is then meaningless, not merely large
-            angles = np.array([np.inf])
-        return {"principal_angle_sup": _sup(angles)}
+            angle = float("inf")
+        return {"principal_angle_sup": angle}
 
     def continuation_diagnostics(self, point: np.ndarray) -> dict:
         return {"plane": graph_basis(self.frames, point).tolist()}

@@ -552,21 +552,21 @@ class TestDeform:
         assert caught == []
 
     def test_records_are_strict_json(self, capsys):
-        # seed 15 diverges and its group element overflows: the determinant
+        # seed 9 diverges and its group element overflows: the determinant
         # is infinite, which JSON cannot write, so the record says null
         def refuse(token):
             raise ValueError(f"non-JSON constant {token}")
 
         code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",
-                               "--algebra", "sl2", "--seeds", "16",
-                               "--scale", "1.0")
+                               "--algebra", "sl2", "--seeds", "10",
+                               "--scale", "0.5")
         assert code == 0
         records = [json.loads(line, parse_constant=refuse)
                    for line in out.strip().splitlines()]
-        assert [r["seed"] for r in records] == list(range(16))
-        assert records[15]["determinant"] is None
-        assert not records[15]["converged"]
-        assert all(isinstance(r["determinant"], float) for r in records[:15])
+        assert [r["seed"] for r in records] == list(range(10))
+        assert records[9]["determinant"] is None
+        assert not records[9]["converged"]
+        assert all(isinstance(r["determinant"], float) for r in records[:9])
 
 
 class TestArgHandling:
@@ -590,7 +590,7 @@ def test_module_entry_point():
 
 
 def test_diverging_newton_leaves_stderr_empty():
-    # at scale 0.5 some seeds diverge until exp(a) overflows (seed 73 among
+    # at scale 0.5 some seeds diverge until exp(a) overflows (seed 61 among
     # them); the record says so, and no NumPy warning reaches stderr
     out = subprocess.run([sys.executable, "-m", "liedeform", "deform",
                           "--kind", "bracket-recovery", "--algebra", "sl2",
@@ -598,13 +598,13 @@ def test_diverging_newton_leaves_stderr_empty():
                          capture_output=True, text=True)
     assert out.returncode == 0
     records = [json.loads(line) for line in out.stdout.splitlines()]
-    assert len(records) == 80 and not records[73]["converged"]
+    assert len(records) == 80 and not records[61]["converged"]
     assert out.stderr == ""
 
 
 def test_wide_band_recovery_is_deterministic_across_processes():
-    # at scale 0.3 stalls refresh the Jacobian and seeds 0 and 5 end
-    # unconverged; two fresh processes must still print the same bytes
+    # at scale 0.3 stalls refresh the Jacobian and seed 0 ends unconverged;
+    # two fresh processes must still print the same bytes
     argv = [sys.executable, "-m", "liedeform", "deform", "--kind",
             "bracket-recovery", "--algebra", "sl2", "--seeds", "20",
             "--scale", "0.3"]
@@ -612,7 +612,7 @@ def test_wide_band_recovery_is_deterministic_across_processes():
                      for _ in range(2))
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    assert first.stdout.count(b'"converged": false') == 2
+    assert first.stdout.count(b'"converged": false') == 1
 
 
 @pytest.mark.parametrize("argv", [

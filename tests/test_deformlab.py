@@ -178,6 +178,28 @@ class TestSubRecovery:
         with pytest.raises(InputDefectError):
             recover_sub_orbit(w, plane)
 
+    def test_refuses_far_out_plane_that_is_not_closed(self):
+        # span{h + 50 f, e + 3 f} is far out in the chart, and its bracket
+        # escapes it: a genuine subalgebra there has eta = [2t, t^2]
+        w = sub_preset("borel-in-sl2")
+        plane = graph_basis(sub_frames(w), np.array([[50.0, 3.0]]))
+        with pytest.raises(InputDefectError, match="closure defect 9.89"):
+            recover_sub_orbit(w, plane)
+
+    def test_far_out_subalgebra_is_measured_on_an_orthonormal_frame(self):
+        # seed 1 at scale 2 carries b to a genuine subalgebra far out in the
+        # chart, where round-off in its graph coordinates leaves a chart
+        # closure defect above the input tolerance; on an orthonormal frame
+        # of the plane the defect is round-off, so the plane is accepted
+        w = sub_preset("borel-in-sl2")
+        plane, _ = perturbed_plane(w, 2.0, 1)
+        chart = lab._chart(w, "sub")
+        eta, outside = chart.point(plane[None])
+        assert not outside.any()
+        assert lab._row_sup(chart.structure(eta))[0] > lab.INPUT_DEFECT_TOL
+        assert chart.input_defects(plane[None], eta)[0] < 1e-14
+        assert isinstance(recover_sub_orbit(w, plane), lab.RecoveryResult)
+
     def test_transverse_plane_leaves_chart(self):
         w = sub_preset("borel-in-sl2")
         plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # span{e,f}
@@ -516,12 +538,31 @@ class TestExperimentDriver:
         with pytest.raises(ValueError):
             run_single_experiment("bracket", SL2, 0.05, 0, NewtonConfig())
 
-    def test_singular_group_element_ends_newton_not_the_experiment(self):
-        # at scale 0.3 seed 61 diverges until a Jacobian refresh evaluates
-        # the bracket action at a singular exp(a)
-        records = run_experiment("bracket-recovery", SL2, [61], scale=0.3)
+    def test_singular_group_element_ends_newton_not_the_experiment(
+            self, monkeypatch):
+        # at scale 0.3 seed 285 diverges until a Jacobian refresh evaluates
+        # the bracket action at a singular exp(a), which the spies see
+        refreshing, singular = [], []
+        regular, jacobian = lab._regular, lab.numeric_jacobian
+
+        def spied_regular(x, tol):
+            out = regular(x, tol)
+            singular.append(bool(refreshing and out[2].any()))
+            return out
+
+        def spied_jacobian(*args):
+            refreshing.append(True)
+            try:
+                return jacobian(*args)
+            finally:
+                refreshing.pop()
+
+        monkeypatch.setattr(lab, "_regular", spied_regular)
+        monkeypatch.setattr(lab, "numeric_jacobian", spied_jacobian)
+        records = run_experiment("bracket-recovery", SL2, [285], scale=0.3)
+        assert any(singular)
         assert len(records) == 1
-        assert records[0]["seed"] == 61
+        assert records[0]["seed"] == 285
         assert records[0]["converged"] is False
 
     def test_all_kinds_run(self):
@@ -823,12 +864,26 @@ class TestNoWarnings:
             with pytest.raises(np.linalg.LinAlgError):
                 act_on_bracket(np.full((3, 3), np.nan), mu)
 
-    @pytest.mark.parametrize("scale, seed", [(0.5, 73), (1.0, 15)])
-    def test_overflowing_iterate_is_silent_nonconvergence(self, scale, seed):
-        # at scale 0.5 seed 73 diverges until exp(a) overflows; at scale 1.0
-        # seed 15 ends on an iterate whose determinant overflows
+    @pytest.mark.parametrize("scale, seed, overflows", [
+        (0.5, 61, "group"), (1.0, 42, "determinant")])
+    def test_overflowing_iterate_is_silent_nonconvergence(self, scale, seed,
+                                                         overflows,
+                                                         monkeypatch):
+        # at scale 0.5 seed 61 diverges until exp(a) overflows; at scale 1.0
+        # seed 42 ends on an iterate whose determinant overflows
+        overflowed, group = [], lab._BracketChart.group
+
+        def spied_group(self, x):
+            a = group(self, x)
+            overflowed.append(not np.isfinite(a).all())
+            return a
+
+        monkeypatch.setattr(lab._BracketChart, "group", spied_group)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = run_experiment("bracket-recovery", SL2, [seed],
                                      scale=scale)
         assert records[0]["converged"] is False
+        assert any(overflowed) == (overflows == "group")
+        assert (records[0]["determinant"] is None) == (
+            overflows == "determinant")
