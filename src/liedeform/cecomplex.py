@@ -7,10 +7,10 @@ The differential on a k-cochain omega with values in a module (V, r) is
 
 in the flat coordinates of `cochains`.  `differential_matrix`, the one
 builder of these matrices, assumes neither Jacobi nor the representation
-identity, so it also serves the expansion identities of `kuranishi`;
-`cohomology` refuses inputs whose composed differentials are nonzero in
-degree 0 or 1, the only degrees where they can first be (see
-``CEComplex.d_squared_defect``).  Only nonzeros are visited: of the actions
+identity, so it also serves the expansion identities of `kuranishi`; a
+complex refuses its first degree read if its composed differentials are
+nonzero in degree 0 or 1, the only degrees where they can first be (see
+``CEComplex.degree``).  Only nonzeros are visited: of the actions
 and structure constants when d_k is built, of each row of d_(k+1) d_k when
 it is checked (without keeping it), and of the cochains, kernel vectors and
 H-representatives, which are passed as {position: value} dicts; d_k acts on
@@ -196,9 +196,14 @@ class CEComplex:
         return len(self.rank_form(k).kept) + self.block(k)[1]
 
     def degree(self, k: int) -> "DegreeData":
-        """Degree k >= 0 of the cohomology; zero above the acting dimension."""
+        """Degree k >= 0 of the cohomology, zero above the acting dimension;
+        the first one made checks d o d = 0 (``d_squared_defect``) and
+        refuses (CohomologyUndefinedError) a complex that fails it."""
         if k < 0:
             raise KeyError(f"degree {k} not in report")
+        if not self._degrees and (bad := self.d_squared_defect()) is not None:
+            raise CohomologyUndefinedError(
+                f"d o d is nonzero at degree {bad}; cohomology undefined")
         if k not in self._degrees:
             self._degrees[k] = DegreeData(self, k)
         return self._degrees[k]
@@ -232,7 +237,8 @@ class DegreeData:
     and a coboundary's last nonzero entry is at a row d_(k-1)'s form kept;
     these ``classes`` are free, and the representatives are the kernel
     vectors at the other free columns, all in the degree's ``block``.
-    ``cocycles`` is a dense basis for readers outside the package."""
+    ``cocycle_vectors``, a basis of Z^k from one form of all rows of d_k,
+    has ``cocycles`` as its dense view for readers outside the package."""
 
     def __init__(self, cx: CEComplex, k: int):
         self.complex = cx
@@ -248,11 +254,14 @@ class DegreeData:
             self.complex.block(self.k)[0]))
 
     @cached_property
-    def cocycles(self) -> Subspace:
+    def cocycle_vectors(self) -> tuple:
         form = RankForm(self.complex.d(self.k).row_maps, keep=True)
+        return tuple(map(form.null_vector, form.free(range(self.dim_cochains))))
+
+    @cached_property
+    def cocycles(self) -> Subspace:
         return Subspace(self.dim_cochains, tuple(
-            tuple(_dense(form.null_vector(f), self.dim_cochains))
-            for f in form.free(range(self.dim_cochains))))
+            tuple(_dense(v, self.dim_cochains)) for v in self.cocycle_vectors))
 
     @cached_property
     def classes(self) -> frozenset:
@@ -302,15 +311,11 @@ class CohomologyReport:
 
 
 def cohomology(rep: RepSpec | CEComplex) -> CohomologyReport:
-    """Exact cohomology of a coefficient system, degrees 0..n, kept with its
-    complex; only ranks are read, and no basis, nor d_k above d_2, is kept.
-    Refuses (CohomologyUndefinedError) when d o d != 0, which happens exactly
-    when the bracket or the action fails its identity, first in degree 0 or 1."""
+    """Exact cohomology of a coefficient system, every degree 0..n ranked
+    before it returns, kept with its complex; no basis, nor d_k above d_2,
+    is kept.  Refuses (CohomologyUndefinedError) when d o d != 0, exactly
+    when the bracket or the action fails its identity (``CEComplex.degree``)."""
     cx = rep if isinstance(rep, CEComplex) else CEComplex(rep)
-    bad = cx.d_squared_defect()
-    if bad is not None:
-        raise CohomologyUndefinedError(
-            f"d o d is nonzero at degree {bad}; cohomology undefined")
     return CohomologyReport(label=cx.rep.label or cx.rep.variant,
                             acting_dim=cx.n, carrier_dim=cx.carrier_dim,
                             degrees=tuple(map(cx.degree, range(cx.n + 1))),
@@ -339,13 +344,14 @@ class Problem:
     subalgebra witness, with its coefficient system (adjoint, pullback or
     quotient) and its tangent degree (2, 1 or 1).
 
-    The coefficient system, its complex and the cohomology report reduced from
-    that complex are built on first use and kept, so every verdict, obstruction
-    class and Newton seed asked of one problem shares one differential per
-    degree.  ``of`` keeps one problem per object (validated objects are treated
-    as immutable), so the raw object shares them.  A homomorphism has
-    ``source`` and ``target``, the bracket problems of its two algebras; a
-    subalgebra has ``inclusion``, the homomorphism problem of h -> g.
+    The coefficient system and its complex are built on first use and kept,
+    so every verdict, obstruction class and Newton seed asked of one problem
+    shares each degree (``degree``), made only where asked; ``report``
+    gathers them all.  ``of`` keeps one problem per object (validated
+    objects are treated as immutable), so the raw object shares them.  A
+    homomorphism has ``source`` and ``target``, the bracket problems of its
+    two algebras; a subalgebra has ``inclusion``, the homomorphism problem
+    of h -> g.
     """
 
     def __init__(self, obj):
@@ -404,13 +410,9 @@ class Problem:
         return Problem(Homomorphism(w.as_subalgebra(), w.ambient, Matrix.of_rows(
             n, w.dim, rows.columns()), name=f"{w.name}-incl"))
 
-    def h_dim(self, k: int) -> int:
-        """dim H^k from the report's ranks; 0 above the acting dimension."""
-        return self.report.degree(k).dim_h
-
-    def z_dim(self, k: int) -> int:
-        """dim Z^k from the report's ranks; 0 above the acting dimension."""
-        return self.report.degree(k).dim_cocycles
+    def degree(self, k: int) -> DegreeData:
+        """Degree k of the complex, made on first read."""
+        return self.complex.degree(k)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +474,11 @@ def _map_on_h(f, source: DegreeData, target: DegreeData) -> Matrix:
         rows=target.dim_h)
 
 
-def induced_map_on_h(chain_maps: dict, source: CohomologyReport,
-                     target: CohomologyReport, k: int) -> InducedMap:
+def induced_map_on_h(chain_maps: dict, source, target, k: int) -> InducedMap:
     """Map induced on degree-k cohomology by per-degree matrices that commute
     with the differentials, read by ``_map_on_h`` once the squares at degrees
-    k - 1 and k are checked; refuses non-chain-maps."""
+    k - 1 and k are checked; refuses non-chain-maps.  ``source`` and
+    ``target`` are problems or reports: their ``complex`` and ``degree(k)``."""
     for j in range(max(k - 1, 0), k + 1):
         if j not in chain_maps or (j + 1) not in chain_maps:
             raise ChainMapError(f"chain map matrices needed at degrees {j} and {j+1}")

@@ -22,7 +22,7 @@ from .documents import (EXPERIMENT_KINDS, ChartError, InputDefectError,
                         MalformedDocumentError, PreconditionError,
                         load_json_file, parse_direction_doc,
                         parse_experiment_doc, resolve_object, resolve_sub)
-from .exactlin import Matrix, RankForm
+from .exactlin import Matrix
 from . import kuranishi as K
 from . import verdicts as V
 
@@ -105,14 +105,11 @@ def _check_sub(problem: Problem, seed: int):
 
 
 def _first_quotient_cocycle(problem: Problem) -> AltMap:
-    """A deterministic element of Z^1(h, g/h): the null vector of all rows
-    of d_1 at their first free column, or zero when the space is trivial."""
+    """A deterministic element of Z^1(h, g/h): the first vector of the
+    degree's cocycle basis, or zero when the space is trivial."""
     k, q = problem.obj.dim, problem.obj.quotient_dim
-    if problem.z_dim(1) == 0:
-        return AltMap.zero(1, k, q)
-    form = RankForm(problem.complex.d(1).row_maps, keep=True)
-    return AltMap.of(1, k, q, form.null_vector(
-        form.free(range(problem.complex.dim_cochains(1)))[0]))
+    basis = problem.degree(1).cocycle_vectors
+    return AltMap.of(1, k, q, basis[0]) if basis else AltMap.zero(1, k, q)
 
 
 def _sub_obstruction(problem: Problem, eta: AltMap):
@@ -199,7 +196,8 @@ def _cmd_verdict(args) -> int:
                 f"question {args.question!r} needs --{want}")
         questions = [args.question]
     verdicts = [_QUESTIONS[q][1](problem) for q in sorted(questions)]
-    # the evidence, a whole report among it, is serialized for --json only
+    # a text verdict reads only the degrees it names: the whole report a
+    # vanishing verdict cites is built and serialized for --json only
     payload = args.json and {"verdicts": [v.to_json_dict() for v in verdicts]}
     _emit(payload, args.json, [_verdict_line(v) for v in verdicts])
     return 0

@@ -25,14 +25,19 @@ class Verdict:
     conclusion: str
     citation: str
     evidence: dict = field(compare=False)
+    # the problem whose whole report JSON adds to the evidence, or None
+    problem: Problem | None = field(default_factory=lambda: None,
+                                    compare=False)
 
     @property
     def holds(self) -> bool:
         return self.conclusion == HOLDS
 
     def to_json_dict(self) -> dict:
+        evidence = self.evidence if self.problem is None else {
+            **self.evidence, "report": self.problem.report.to_json_dict()}
         return {"criterion": self.criterion, "conclusion": self.conclusion,
-                "citation": self.citation, "evidence": self.evidence}
+                "citation": self.citation, "evidence": evidence}
 
 
 # kind (the criterion prefix) -> (name of the H^(t+1) rule, citation of the
@@ -49,13 +54,9 @@ _CRITERIA = {
 
 def _vanishing(p: Problem, k: int, criterion: str, citation: str,
                **evidence) -> Verdict:
-    h = p.h_dim(k)
-    return Verdict(
-        criterion=criterion,
-        conclusion=HOLDS if h == 0 else FAILS,
-        citation=citation,
-        evidence={f"dim_h{k}": h, **evidence, "report": p.report.to_json_dict()},
-    )
+    h = p.degree(k).dim_h
+    return Verdict(criterion, HOLDS if h == 0 else FAILS, citation,
+                   {f"dim_h{k}": h, **evidence}, problem=p)
 
 
 def _rigidity(obj, kind: str) -> Verdict:
@@ -72,7 +73,7 @@ def _stability(obj, kind: str) -> Verdict:
     rule, _, citation = _CRITERIA[kind]
     t = p.tangent_degree
     return _vanishing(p, t + 1, f"{kind}-{rule}", citation,
-                      local_manifold_dim=p.z_dim(t))
+                      local_manifold_dim=p.degree(t).dim_cocycles)
 
 
 def bracket_rigidity(g: LieAlgebra | Problem) -> Verdict:
@@ -95,7 +96,7 @@ def _induced_pullback_map(p: Problem, k: int) -> InducedMap:
     """H^k(rho*): H^k(g,g) -> H^k(h,g) for the homomorphism problem ``p``."""
     chain_maps = {j: pullback_cochain_map(p.obj, j)
                   for j in range(max(0, k - 1), k + 2)}
-    return induced_map_on_h(chain_maps, p.target.report, p.report, k)
+    return induced_map_on_h(chain_maps, p.target, p, k)
 
 
 def hom_aut_rigidity(rho: Homomorphism | Problem) -> Verdict:
@@ -112,7 +113,7 @@ def hom_aut_rigidity(rho: Homomorphism | Problem) -> Verdict:
             "induced_rank": induced.rank,
             "dim_h1_source_system": induced.source_dim,
             "dim_h1_target_system": induced.target_dim,
-            "derivation_algebra_dim": p.target.z_dim(1),
+            "derivation_algebra_dim": p.target.degree(1).dim_cocycles,
         },
     )
 
@@ -132,8 +133,8 @@ def hom_infinitesimal_stability_indicator(
     already settled by H^2(h,g)=0 or by rigidity of the target bracket."""
     p = Problem.of(rho, "hom")
     induced = _induced_pullback_map(p, 2)
-    h2_target_bracket = p.target.h_dim(2)
-    h2_pullback = p.h_dim(2)
+    h2_target_bracket = p.target.degree(2).dim_h
+    h2_pullback = p.degree(2).dim_h
     evidence = {
         "indicator_is_zero_map": induced.is_zero,
         "induced_rank": induced.rank,
@@ -190,7 +191,7 @@ class KuranishiModelDims:
 
 
 def _degree_dims(p: Problem, k: int) -> dict:
-    d = p.report.degree(k)
+    d = p.degree(k)
     return {"k": k, "dim_cochains": d.dim_cochains, "dim_cocycles": d.dim_cocycles,
             "dim_coboundaries": d.dim_coboundaries, "dim_h": d.dim_h}
 
@@ -204,11 +205,11 @@ def kuranishi_model_dims(problem) -> KuranishiModelDims:
     t = p.tangent_degree
     aut_model_dim = None
     if p.kind == "hom":
-        aut_model_dim = p.h_dim(1) - _induced_pullback_map(p, 1).rank
+        aut_model_dim = p.degree(1).dim_h - _induced_pullback_map(p, 1).rank
     return KuranishiModelDims(
         kind=p.kind,
-        tangent_dim=p.h_dim(t),
-        obstruction_dim=p.h_dim(t + 1),
+        tangent_dim=p.degree(t).dim_h,
+        obstruction_dim=p.degree(t + 1).dim_h,
         orbit_slice_dims=_degree_dims(p, t),
         aut_model_dim=aut_model_dim,
     )

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from liedeform.algebras import (BracketCandidate, LieAlgebra, RepSpec,
-                                subalgebra_witness, validate_bracket)
+from liedeform.algebras import (BracketCandidate, Homomorphism, LieAlgebra,
+                                RepSpec, subalgebra_witness, validate_bracket,
+                                validate_homomorphism)
 from liedeform.cecomplex import CEComplex, CohomologyReport
 from liedeform.cochains import mask_positions, subsets
 from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
@@ -466,3 +467,21 @@ def bench_families():
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
     return families
+
+
+def principal_sl2(n: int) -> Homomorphism:
+    """The principal sl_2 -> sl_n: H -> sum i(n-i) H_i, E -> sum E_(i,i+1),
+    F -> sum i(n-i) E_(i+1,i) (i = 1..n-1), from families.sl(2), whose basis
+    is H, E, F, to families.sl(n), whose basis is H_i = E_ii - E_(i+1)(i+1),
+    then E_ab for a != b in row order (``bench/families.py``)."""
+    families = bench_families()
+    source, target = families.sl(2), families.sl(n)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    at = {pair: n - 1 + t for t, pair in enumerate(pairs)}
+    h, e, f = ([0] * target.dim for _ in range(3))
+    for i in range(1, n):
+        h[i - 1] = f[at[i, i - 1]] = i * (n - i)
+        e[at[i - 1, i]] = 1
+    return validate_homomorphism(Homomorphism(
+        source, target, Matrix.from_columns([h, e, f], rows=target.dim),
+        name=f"principal-sl2-in-sl{n}"))

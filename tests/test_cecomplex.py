@@ -107,6 +107,33 @@ class TestRefusal:
         with pytest.raises(CohomologyUndefinedError):
             cohomology(self.bad_rep())
 
+    def test_every_degree_refuses(self):
+        # the complex refuses its first degree read, in any degree, and the
+        # report refuses with the same text
+        rep = self.bad_rep()
+        text = r"^d o d is nonzero at degree 0; cohomology undefined$"
+        for k in range(rep.acting.dim + 1):
+            with pytest.raises(CohomologyUndefinedError, match=text):
+                CEComplex(rep).degree(k)
+        with pytest.raises(CohomologyUndefinedError, match=text):
+            cohomology(rep)
+
+    def test_the_check_runs_once_per_complex(self, monkeypatch):
+        checked, orig = [], CEComplex.d_squared_defect
+
+        def counted(cx):
+            checked.append(cx)
+            return orig(cx)
+
+        monkeypatch.setattr(CEComplex, "d_squared_defect", counted)
+        cx = CEComplex(adjoint_rep(catalog_algebra("heis3")))
+        for k in (2, 0, 3, 1, 4):
+            cx.degree(k)
+        cohomology(cx)
+        assert checked == [cx]
+        cohomology(adjoint_rep(catalog_algebra("heis3")))
+        assert len(checked) == 2
+
     def test_differential_matrix_does_not_refuse(self):
         m = differential_matrix(1, self.bad_rep())
         assert m.rows == 9 and m.cols == 9

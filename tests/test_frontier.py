@@ -1,0 +1,132 @@
+"""Verdicts at the frontier, checked against closed forms: the principal
+sl_2 in sl_n and the Borel subalgebra of sl_n, n = 3..6.  A verdict reads
+only the degrees it names, so each answers in well under a second where a
+whole report of the target's adjoint system would not fit in memory."""
+
+import time
+
+import pytest
+
+from liedeform import cecomplex
+from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
+                                hom_preset_names, sub_preset, sub_preset_names)
+from liedeform.cecomplex import CEComplex, DegreeData, Problem
+from liedeform.cli import run
+from liedeform.deformlab import run_experiment
+from liedeform import verdicts as V
+from helpers import borel_in_sl, principal_sl2
+
+HOM_VERDICTS = (V.hom_rigidity, V.hom_aut_rigidity, V.hom_stability,
+                V.hom_infinitesimal_stability_indicator)
+SUB_VERDICTS = (V.sub_rigidity, V.sub_stability)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every degree made and every rank form of a d_k built, as (coefficient
+    system, k), and every whole report built."""
+    made, ranked, reports = [], [], []
+    init, rank_form = DegreeData.__init__, CEComplex.rank_form
+    report_init = cecomplex.CohomologyReport.__init__
+
+    def made_degree(self, cx, k):
+        made.append((cx.rep.variant, k))
+        init(self, cx, k)
+
+    def ranked_form(cx, k):
+        if k not in cx._ranks:
+            ranked.append((cx.rep.variant, k))
+        return rank_form(cx, k)
+
+    def built_report(self, *args, **kwargs):
+        reports.append(self)
+        report_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DegreeData, "__init__", made_degree)
+    monkeypatch.setattr(CEComplex, "rank_form", ranked_form)
+    monkeypatch.setattr(cecomplex.CohomologyReport, "__init__", built_report)
+    return made, ranked, reports
+
+
+def assert_within(reads, highest: dict):
+    """No whole report, and no degree made or d_k ranked above the highest
+    degree of its system, each made and ranked once, something made."""
+    made, ranked, reports = reads
+    assert reports == []
+    for seen in (made, ranked):
+        assert seen and len(set(seen)) == len(seen)
+        assert all(k <= highest[system] for system, k in seen), seen
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_principal_sl2_is_rigid_and_stable(reads, n):
+    rho = principal_sl2(n)
+    start = time.perf_counter()
+    verdicts = [verdict(rho) for verdict in HOM_VERDICTS]
+    dims = V.kuranishi_model_dims(rho)
+    assert time.perf_counter() - start <= 2
+    # Whitehead: H^1 and H^2 of a semisimple algebra vanish in every
+    # finite-dimensional module, here sl_n under sl_2, and Der(sl_n) =
+    # ad(sl_n); Kostant gives the whole pullback system (zero in every degree)
+    assert all(v.holds for v in verdicts), verdicts
+    assert verdicts[1].evidence["derivation_algebra_dim"] == n * n - 1
+    assert (dims.tangent_dim, dims.obstruction_dim, dims.aut_model_dim) == (
+        0, 0, 0)
+    # t = 1 in the pullback system; the target's adjoint system is read
+    # for Der(sl_n) = Z^1 and for H^2, no higher
+    assert_within(reads, {"pullback": 2, "adjoint": 2})
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_borel_in_sl_is_rigid_and_stable(reads, n):
+    w = borel_in_sl(n)
+    start = time.perf_counter()
+    verdicts = [verdict(w) for verdict in SUB_VERDICTS]
+    dims = V.kuranishi_model_dims(w)
+    assert time.perf_counter() - start <= 2
+    # a parabolic subalgebra has H^k(b, g/b) = 0 for k = 1, 2 (Leger and
+    # Luks)
+    assert all(v.holds for v in verdicts), verdicts
+    assert (dims.tangent_dim, dims.obstruction_dim) == (0, 0)
+    assert_within(reads, {"quotient": 2})
+
+
+def test_the_report_is_added_for_json_only(reads):
+    # the evidence holds no report; JSON adds the problem's whole report
+    rho = principal_sl2(3)
+    v = V.hom_rigidity(rho)
+    assert "report" not in v.evidence and v.problem is Problem.of(rho)
+    assert reads[2] == []
+    report = v.to_json_dict()["evidence"]["report"]
+    assert reads[2] == [Problem.of(rho).report]
+    assert [d["dimH"] for d in report["degrees"]] == [0, 0, 0, 0]
+
+
+# (coefficient system, highest degree read) per problem kind: t + 1 of its
+# own system, and for a homomorphism, Z^1 and H^2 of the target's adjoint
+# system (the Aut(g) question and the indicator)
+HIGHEST = {"bracket": {"adjoint": 3}, "hom": {"pullback": 2, "adjoint": 2},
+           "sub": {"quotient": 2}}
+OBJECTS = ([("--algebra", n, "bracket") for n in catalog_names()]
+           + [("--hom", n, "hom") for n in hom_preset_names()]
+           + [("--sub", n, "sub") for n in sub_preset_names()])
+
+
+@pytest.mark.parametrize("flag, name, kind", OBJECTS)
+@pytest.mark.parametrize("question", ["all", "kuranishi-model-dims"])
+def test_text_verdicts_read_up_to_the_next_degree(reads, capsys, flag, name,
+                                                  kind, question):
+    assert run(["verdict", "--question", question, flag, name]) == 0
+    capsys.readouterr()
+    assert_within(reads, HIGHEST[kind])
+
+
+@pytest.mark.parametrize("experiment, obj", [
+    ("bracket-recovery", catalog_algebra("sl2")),
+    ("hom-recovery", hom_preset("id-sl2")),
+    ("hom-continuation", hom_preset("borel-incl")),
+    ("sub-recovery", sub_preset("borel-in-sl2")),
+    ("sub-continuation", sub_preset("borel-in-sl2"))])
+def test_preconditions_read_up_to_the_next_degree(reads, experiment, obj):
+    run_experiment(experiment, obj, [0])
+    assert_within(reads, HIGHEST[Problem.of(obj).kind])

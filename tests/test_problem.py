@@ -1,5 +1,6 @@
-"""One problem object per kind: its cohomology is computed once and shared
-by every verdict, CLI verb and Newton seed that asks for it."""
+"""One problem object per kind: each degree of its cohomology is made once
+and shared by every verdict, CLI verb and Newton seed that asks for it, and
+a verdict makes only the degrees it names."""
 
 import copy
 from collections import Counter
@@ -58,22 +59,28 @@ def cohomology_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["verdict", "--hom", "borel-incl"], 2),
+    # the pullback report; the target's adjoint system is read by degree only
+    (["verdict", "--hom", "borel-incl"], 1),
     (["verdict", "--algebra", "sl2"], 1),
     (["verdict", "--sub", "borel-in-sl2"], 1),
 ])
 def test_verdict_command_computes_each_report_once(cohomology_calls, capsys,
                                                    argv, expected):
+    # a text verdict reads degrees only; --json adds each report it cites
     assert run(argv) == 0
+    assert cohomology_calls == []
+    assert run([*argv, "--json"]) == 0
     capsys.readouterr()
     assert len(cohomology_calls) == expected
 
 
-def test_experiment_computes_the_report_once(cohomology_calls):
+def test_experiment_computes_the_report_once(cohomology_calls, degree_views):
+    # the precondition reads H^2 once for all seeds, and no whole report
     records = run_experiment("bracket-recovery", catalog_algebra("sl2"),
                              range(5))
     assert [r["seed"] for r in records] == [0, 1, 2, 3, 4]
-    assert len(cohomology_calls) == 1
+    assert cohomology_calls == []
+    assert [v.k for v in degree_views] == [2]
 
 
 def test_empty_seed_list_computes_nothing(cohomology_calls):
@@ -106,9 +113,10 @@ def test_kind_and_tangent_degree():
 
 def test_h_dim_is_zero_above_the_acting_dimension():
     p = Problem(catalog_algebra("heis3"))
-    assert [p.h_dim(k) for k in range(5)] == p.report.dims_h() + [0]
-    assert p.z_dim(4) == 0
+    assert [p.degree(k).dim_h for k in range(5)] == p.report.dims_h() + [0]
+    assert p.degree(4).dim_cocycles == 0
     d = p.report.degree(4)
+    assert d is p.degree(4)
     assert (d.dim_cochains, d.dim_cocycles, d.dim_coboundaries,
             d.dim_h) == (0, 0, 0, 0)
     assert d.cocycles.basis == ()
@@ -131,7 +139,7 @@ def degree_views(monkeypatch):
     return views
 
 
-LAZY = {"free", "cocycles", "classes", "h_representatives"}
+LAZY = {"free", "cocycle_vectors", "cocycles", "classes", "h_representatives"}
 
 
 def built(view) -> set:
@@ -184,9 +192,10 @@ def per_degree(counts, role) -> dict:
 
 
 def assert_dims_only(counts, degree_views):
-    """One rank form per degree of every report made, and no other form."""
-    made = {(v.complex.rep.variant, v.complex.rep.label, v.k)
-            for v in degree_views}
+    """One rank form of d_k and one of d_(k-1) for every degree k made, each
+    built once, and no other form."""
+    made = {(v.complex.rep.variant, v.complex.rep.label, j)
+            for v in degree_views for j in range(max(v.k - 1, 0), v.k + 1)}
     assert per_degree(counts, "rank_form") == dict.fromkeys(made, 1)
     assert {r for key, r in counts if key is not None} <= {"rank_form"}
 
@@ -310,12 +319,13 @@ def differential_builds(monkeypatch):
 @pytest.mark.parametrize("argv, builds, reports", [
     # d_0, d_1 and d_2 of the quotient system and d_1 of the inclusion's:
     # the snake lift is closed in the subalgebra's system by d o d = 0 in
-    # the inclusion's, so no d_2 of the subalgebra's is built to check it
-    (["kuranishi", "--sub", "borel-in-sl2"], 4, 1),
+    # the inclusion's, so no d_2 of the subalgebra's is built to check it;
+    # the cocycle checked is read from degree 1, with no whole report
+    (["kuranishi", "--sub", "borel-in-sl2"], 4, 0),
     # d_0 and d_1 of the quotient system and d_1 of the inclusion's: the
     # splitting check does not re-prove that its representatives are closed,
     # which read d_2 of the quotient system
-    (["kuranishi", "--sub", "center-in-heis3"], 3, 1),
+    (["kuranishi", "--sub", "center-in-heis3"], 3, 0),
     (["les", "--sub", "borel-in-sl2"], 9, 3),
 ])
 def test_command_builds_each_differential_once(differential_builds,
@@ -430,19 +440,22 @@ def charts_made(monkeypatch):
 
 
 def test_calls_on_one_object_share_one_report_and_chart(cohomology_calls,
+                                                        degree_views,
                                                         charts_made):
+    # the rigidity precondition reads H^2 once and no whole report
     g = catalog_algebra("sl2")
     for seed in range(20):
         assert run_experiment("bracket-recovery", g, [seed])[0]["converged"]
     for seed in range(20):
         mu_prime, _ = perturbed_bracket(g, 0.05, seed)
         assert recover_bracket_orbit(g, mu_prime).converged
-    assert len(cohomology_calls) == 1
+    assert cohomology_calls == []
+    assert [v.k for v in degree_views] == [2]
     assert charts_made == [lab._chart(g, "bracket")]
 
 
 def test_hom_continuation_acts_by_the_target_algebras_kept_chart(
-        cohomology_calls, charts_made):
+        cohomology_calls, degree_views, charts_made):
     rho = hom_preset("borel-incl")
     target = Problem.of(rho.target)
     assert V.bracket_rigidity(rho.target).holds
@@ -451,8 +464,11 @@ def test_hom_continuation_acts_by_the_target_algebras_kept_chart(
     chart = lab._chart(rho, "hom")
     assert chart.acting is lab._chart(rho.target, "bracket")
     assert chart.acting.p is target is Problem.of(rho).target
-    # the target's report (rigidity) and the hom's (stability), once each
-    assert len(cohomology_calls) == 2
+    # H^2 of the target (rigidity), Z^1 and H^2 of the hom (stability), once
+    # each, and no whole report
+    assert cohomology_calls == []
+    assert [(v.complex.rep.variant, v.k) for v in degree_views] == [
+        ("adjoint", 2), ("pullback", 1), ("pullback", 2)]
     # the source's float bracket is read from the source's own chart
     assert charts_made == [chart, lab._chart(rho.source, "bracket"),
                            chart.acting]

@@ -29,7 +29,7 @@ def test_verdict_compares_without_its_evidence():
     assert v != Verdict("c", "fails-criterion", "ref", {"dim_h2": 0})
     assert v != ("c", "holds", "ref", {"dim_h2": 0})
     assert repr(v) == ("Verdict(criterion='c', conclusion='holds', "
-                       "citation='ref', evidence={'dim_h2': 0})")
+                       "citation='ref', evidence={'dim_h2': 0}, problem=None)")
     with pytest.raises(TypeError, match="evidence"):
         Verdict("c", "holds", "ref")
 
