@@ -350,8 +350,8 @@ class Problem:
     gathers them all.  ``of`` keeps one problem per object (validated
     objects are treated as immutable), so the raw object shares them.  A
     homomorphism has ``source`` and ``target``, the bracket problems of its
-    two algebras; a subalgebra has ``inclusion``, the homomorphism problem
-    of h -> g.
+    two algebras, and its maps on cohomology (``pullback_map_on_h``); a
+    subalgebra has ``inclusion``, the homomorphism problem of h -> g.
     """
 
     def __init__(self, obj):
@@ -365,6 +365,9 @@ class Problem:
         self.kind = kind
         self.tangent_degree = degree
         self._rep_of = rep_of
+        # a homomorphism's chain maps and maps on cohomology by degree, and
+        # the degrees of the squares checked (``pullback_map_on_h``)
+        self._chain_maps, self._maps_on_h, self._squares = {}, {}, set()
 
     @classmethod
     def of(cls, obj, kind: str | None = None) -> "Problem":
@@ -413,6 +416,18 @@ class Problem:
     def degree(self, k: int) -> DegreeData:
         """Degree k of the complex, made on first read."""
         return self.complex.degree(k)
+
+    def pullback_map_on_h(self, k: int) -> "InducedMap":
+        """H^k(rho*): H^k(g,g) -> H^k(h,g) of a homomorphism problem, made on
+        first read and kept; each chain map it reads is built once, and each
+        square checked once, for all degrees."""
+        if k not in self._maps_on_h:
+            for j in range(max(0, k - 1), k + 2):
+                if j not in self._chain_maps:
+                    self._chain_maps[j] = pullback_cochain_map(self.obj, j)
+            self._maps_on_h[k] = induced_map_on_h(
+                self._chain_maps, self.target, self, k, checked=self._squares)
+        return self._maps_on_h[k]
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +489,23 @@ def _map_on_h(f, source: DegreeData, target: DegreeData) -> Matrix:
         rows=target.dim_h)
 
 
-def induced_map_on_h(chain_maps: dict, source, target, k: int) -> InducedMap:
+def induced_map_on_h(chain_maps: dict, source, target, k: int,
+                     checked: set | None = None) -> InducedMap:
     """Map induced on degree-k cohomology by per-degree matrices that commute
     with the differentials, read by ``_map_on_h`` once the squares at degrees
     k - 1 and k are checked; refuses non-chain-maps.  ``source`` and
-    ``target`` are problems or reports: their ``complex`` and ``degree(k)``."""
+    ``target`` are problems or reports: their ``complex`` and ``degree(k)``.
+    A square whose degree is in ``checked`` is taken as checked, and each
+    square checked here joins it, so calls sharing it check each once."""
+    checked = set() if checked is None else checked
     for j in range(max(k - 1, 0), k + 1):
         if j not in chain_maps or (j + 1) not in chain_maps:
             raise ChainMapError(f"chain map matrices needed at degrees {j} and {j+1}")
-        if (chain_maps[j + 1].mul(source.complex.d(j))
-                != target.complex.d(j).mul(chain_maps[j])):
-            raise ChainMapError(f"square at degree {j} does not commute")
+        if j not in checked:
+            if (chain_maps[j + 1].mul(source.complex.d(j))
+                    != target.complex.d(j).mul(chain_maps[j])):
+                raise ChainMapError(f"square at degree {j} does not commute")
+            checked.add(j)
     sdeg, tdeg = source.degree(k), target.degree(k)
     matrix = _map_on_h(chain_maps[k].apply, sdeg, tdeg)
     return InducedMap(degree=k, matrix=matrix, source_dim=sdeg.dim_h,

@@ -7,7 +7,8 @@ exponentials: A = exp(a) acting on brackets, Ad_{exp(x)} = exp(ad_x) acting
 on homomorphisms and subspaces.  Newton uses a chord iteration: the
 least-squares pseudoinverse of the linearization at the base point is
 computed once (for recovery, once per chart) and reused, refreshed from a
-numerical Jacobian only on a stall that leaves its seed another round.
+numerical Jacobian only on a stall (a round that does not halve the
+residual) that leaves its seed another round.
 The seeds of a call are perturbed as one stack, exp(x0) . base, refusing as
 input defects an overflowed exp(x0) and, on brackets, a singular one.
 
@@ -33,6 +34,7 @@ block for the p-th basis subset occupies flat indices [p*m, (p+1)*m); a
 
 from __future__ import annotations
 
+import sys
 from functools import cache, cached_property, wraps
 from math import acos, asin, ceil, factorial, isfinite, log2
 
@@ -306,8 +308,13 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
 # (its Jacobi defect, curvature or closure defect)
 JACOBIAN_STEP = 1e-6
 FD_CHECK_STEP = 1e-3
-STALL_RATIO = 0.9
+STALL_RATIO = 1 / 2
 INPUT_DEFECT_TOL = 1e-8
+# a central difference errs by about eps/h relative to the Jacobian, so a
+# refreshed chord inverts no singular value below 100 times that: those are
+# difference noise (the stabilizer directions), not the Jacobian.
+# ``sys.float_info``, since NumPy loads only on first use
+REFRESH_CUT = 100 * sys.float_info.epsilon / JACOBIAN_STEP
 
 
 def numeric_jacobian(fn, u: np.ndarray) -> np.ndarray:
@@ -333,7 +340,11 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
                   cfg: NewtonConfig) -> tuple:
     """Chord Newton on the seeds (rows) of ``u0`` in lockstep, each with a
     fixed pseudoinverse (``chord``: one for all, or one per seed), refreshed
-    on stall.  ``residual(u, seeds)`` evaluates in one call the rows of
+    on stall: a round that leaves a seed's residual sup above ``STALL_RATIO``
+    (1/2) of the last gives that seed the pseudoinverse of a central-
+    difference Jacobian at its new iterate, cut at ``REFRESH_CUT`` relative
+    to its largest singular value, so that no direction of difference noise
+    is inverted.  ``residual(u, seeds)`` evaluates in one call the rows of
     ``u``, iterates of the seeds ``seeds`` picks (a slice, an index array,
     or one seed, an int, for every row), and returns (residuals, *kept): a
     row outside the chart of the residual comes back non-finite, and each
@@ -378,7 +389,7 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
                 continue
             if p.ndim == 2:
                 p = np.repeat(p[None], len(seeds), axis=0)
-            p[i] = np.linalg.pinv(refreshed)
+            p[i] = np.linalg.pinv(refreshed, rcond=REFRESH_CUT)
         for v, w in zip((x, rs, *ox), (step, new_res, *out)):
             v[moved] = w[moved]
         ended = seeds[done]

@@ -10,8 +10,7 @@ sufficiency is an open question.
 from __future__ import annotations
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
-from .cecomplex import (InducedMap, Problem, induced_map_on_h,
-                        pullback_cochain_map)
+from .cecomplex import Problem
 from .records import field, record
 
 HOLDS = "holds"
@@ -92,19 +91,12 @@ def hom_rigidity(rho: Homomorphism | Problem) -> Verdict:
     return _rigidity(rho, "hom")
 
 
-def _induced_pullback_map(p: Problem, k: int) -> InducedMap:
-    """H^k(rho*): H^k(g,g) -> H^k(h,g) for the homomorphism problem ``p``."""
-    chain_maps = {j: pullback_cochain_map(p.obj, j)
-                  for j in range(max(0, k - 1), k + 2)}
-    return induced_map_on_h(chain_maps, p.target, p, k)
-
-
 def hom_aut_rigidity(rho: Homomorphism | Problem) -> Verdict:
     """Surjectivity of H^1(rho*): H^1(g,g) -> H^1(h,g) forces every nearby
     homomorphism into the Aut(g)-orbit.  Evidence also records dim Z^1(g,g),
     the dimension of the derivation algebra of g."""
     p = Problem.of(rho, "hom")
-    induced = _induced_pullback_map(p, 1)
+    induced = p.pullback_map_on_h(1)
     return Verdict(
         criterion="hom-aut-rigidity",
         conclusion=HOLDS if induced.surjective else FAILS,
@@ -132,7 +124,7 @@ def hom_infinitesimal_stability_indicator(
     open question), so the conclusion stays inconclusive unless stability is
     already settled by H^2(h,g)=0 or by rigidity of the target bracket."""
     p = Problem.of(rho, "hom")
-    induced = _induced_pullback_map(p, 2)
+    induced = p.pullback_map_on_h(2)
     h2_target_bracket = p.target.degree(2).dim_h
     h2_pullback = p.degree(2).dim_h
     evidence = {
@@ -205,7 +197,7 @@ def kuranishi_model_dims(problem) -> KuranishiModelDims:
     t = p.tangent_degree
     aut_model_dim = None
     if p.kind == "hom":
-        aut_model_dim = p.degree(1).dim_h - _induced_pullback_map(p, 1).rank
+        aut_model_dim = p.degree(1).dim_h - p.pullback_map_on_h(1).rank
     return KuranishiModelDims(
         kind=p.kind,
         tangent_dim=p.degree(t).dim_h,

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
+from liedeform import deformlab
 from liedeform.algebras import (BracketCandidate, Homomorphism, LieAlgebra,
-                                RepSpec, subalgebra_witness, validate_bracket,
-                                validate_homomorphism)
+                                RepSpec, catalog_algebra, hom_preset,
+                                sub_preset, subalgebra_witness,
+                                validate_bracket, validate_homomorphism)
 from liedeform.cecomplex import CEComplex, CohomologyReport
 from liedeform.cochains import mask_positions, subsets
 from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
@@ -467,6 +469,34 @@ def bench_families():
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
     return families
+
+
+def newton_seeds_objects() -> dict:
+    """The objects of the benchmark's newton-seeds bands, by name."""
+    return {"sl2": catalog_algebra("sl2"), "aff1": catalog_algebra("aff1"),
+            "b(sl_3)": bench_families().borel(3),
+            "id-sl2": hom_preset("id-sl2"),
+            "borel-incl": hom_preset("borel-incl"),
+            "borel-in-sl2": sub_preset("borel-in-sl2")}
+
+
+# the newton-seeds core bands: (kind, object name)
+NEWTON_SEEDS_BANDS = [
+    ("bracket-recovery", "sl2"), ("bracket-recovery", "aff1"),
+    ("bracket-recovery", "b(sl_3)"), ("hom-recovery", "id-sl2"),
+    ("hom-recovery", "borel-incl"), ("hom-continuation", "id-sl2"),
+    ("hom-continuation", "borel-incl"), ("sub-recovery", "borel-in-sl2"),
+    ("sub-continuation", "borel-in-sl2")]
+
+
+def counting_refreshes(monkeypatch) -> list:
+    """A list that gains an entry at each chord refresh, that is at each
+    ``deformlab.numeric_jacobian`` call, for the rest of the test."""
+    count = []
+    jacobian = deformlab.numeric_jacobian
+    monkeypatch.setattr(deformlab, "numeric_jacobian",
+                        lambda *a: count.append(1) or jacobian(*a))
+    return count
 
 
 def principal_sl2(n: int) -> Homomorphism:

@@ -13,6 +13,7 @@ from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
 from liedeform.cecomplex import CEComplex, DegreeData, Problem
 from liedeform.cli import run
 from liedeform.deformlab import run_experiment
+from liedeform.exactlin import Matrix
 from liedeform import verdicts as V
 from helpers import borel_in_sl, principal_sl2
 
@@ -89,6 +90,33 @@ def test_borel_in_sl_is_rigid_and_stable(reads, n):
     assert all(v.holds for v in verdicts), verdicts
     assert (dims.tangent_dim, dims.obstruction_dim) == (0, 0)
     assert_within(reads, {"quotient": 2})
+
+
+def test_each_chain_map_is_built_and_checked_once(monkeypatch):
+    # the Aut(g) question, the indicator and the Kuranishi model read H^1 and
+    # H^2 of rho*: chain maps at degrees 0-3, and the squares at degrees 0-2,
+    # each chain_maps[j + 1] d_j = d_j chain_maps[j] multiplied once
+    built, products = {}, []
+    build, mul = cecomplex.pullback_cochain_map, Matrix.mul
+
+    def spied_build(hom, k):
+        built[k] = build(hom, k)
+        return built[k]
+
+    def spied_mul(self, other):
+        for k, m in built.items():
+            if m is self or m is other:
+                products.append((k, "right" if m is self else "left"))
+        return mul(self, other)
+
+    monkeypatch.setattr(cecomplex, "pullback_cochain_map", spied_build)
+    monkeypatch.setattr(Matrix, "mul", spied_mul)
+    rho = principal_sl2(5)
+    assert all(verdict(rho).holds for verdict in HOM_VERDICTS)
+    assert V.kuranishi_model_dims(rho).aut_model_dim == 0
+    assert list(built) == [0, 1, 2, 3]
+    assert products == [(1, "right"), (0, "left"), (2, "right"), (1, "left"),
+                        (3, "right"), (2, "left")]
 
 
 def test_the_report_is_added_for_json_only(reads):

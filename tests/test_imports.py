@@ -179,9 +179,9 @@ def test_deform_output_does_not_depend_on_when_the_float_stack_loads():
                ("sub-continuation", "--sub", "borel-in-sl2"))
     commands = [["deform", "--json", "--kind", *obj, "--seeds", "5"]
                 for obj in objects]
-    # scale 0.3 refreshes Jacobians and leaves some seeds unconverged
+    # scale 1.0 refreshes Jacobians and leaves some seeds unconverged
     commands.append(["deform", "--json", "--kind", "bracket-recovery",
-                     "--algebra", "sl2", "--scale", "0.3", "--seeds", "20"])
+                     "--algebra", "sl2", "--scale", "1.0", "--seeds", "20"])
     orders = ("scipy-first", "numpy-first", "lazy")
     runs = [subprocess.run(
         [sys.executable, "-c", FRESH_DEFORM, order, json.dumps(commands)],

@@ -3,10 +3,8 @@ Newton iteration: its records, as JSON text, and its refusals must equal
 those of one call per seed, and a stacked entry call must equal one call
 per value."""
 
-import importlib.util
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,37 +16,25 @@ from liedeform.deformlab import (FloatBracket, continue_hom, continue_sub,
                                  perturbed_plane, recover_bracket_orbit,
                                  recover_hom_orbit, recover_sub_orbit,
                                  run_experiment)
+from helpers import (NEWTON_SEEDS_BANDS, counting_refreshes,
+                     newton_seeds_objects)
 
-
-def bench_borel3():
-    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    return families.borel(3)
-
-
-# the newton-seeds objects, by name
-OBJECTS = {"sl2": catalog_algebra("sl2"), "aff1": catalog_algebra("aff1"),
-           "b(sl_3)": bench_borel3(), "id-sl2": hom_preset("id-sl2"),
-           "borel-incl": hom_preset("borel-incl"),
-           "borel-in-sl2": sub_preset("borel-in-sl2")}
-BANDS = [("bracket-recovery", "sl2"), ("bracket-recovery", "aff1"),
-         ("bracket-recovery", "b(sl_3)"), ("hom-recovery", "id-sl2"),
-         ("hom-recovery", "borel-incl"), ("hom-continuation", "id-sl2"),
-         ("hom-continuation", "borel-incl"), ("sub-recovery", "borel-in-sl2"),
-         ("sub-continuation", "borel-in-sl2")]
-# at scale 0.3: sl2 seeds 3, 5, 12, 13 and 61 refresh their chord, 0 runs
-# out of iterations, 42 and 285 meet a group element the bracket action
-# refuses (285 in a refresh); b(sl_3) seeds 4, 7, 8 and 11-13 refresh and
-# meet one too; borel-incl seeds 4 and 13 run out of iterations.  3 and 285
-# repeat.
+# the newton-seeds objects, by name, and its bands
+OBJECTS = newton_seeds_objects()
+BANDS = NEWTON_SEEDS_BANDS
+# at scale 0.3: sl2 seeds 0, 2, 3, 5, 9-13, 42, 61 and 285 refresh their
+# chord once, b(sl_3) every seed but 1, borel-incl recovery 4, 9, 10 and 13,
+# id-sl2 continuation 4, 9 and 13; every seed converges, at its own round,
+# so the seeds that end otherwise are WILD's.  3 and 285 repeat.
 SEEDS = [*range(14), 42, 61, 285, 3, 3, 285]
-# divergence: sl2 at 0.5 seeds 61 and 0 iterate until exp(a) overflows, at
-# 1.0 seed 42 ends on an iterate whose determinant overflows; borel-in-sl2
-# at 8.0 seed 53 leaves the graph chart, 11 and 25 refresh their chord
-WILD = [("bracket-recovery", "sl2", 0.5, [61, 0, 7, 30, 61]),
-        ("bracket-recovery", "sl2", 1.0, [42, 0, 1, 4]),
+# divergence, sl2 at 1.0: seeds 30 and 35 iterate until exp(a) overflows,
+# 11 steps to a singular exp(a), 52 and 168 meet one in a refresh and 168's
+# last iterate has an overflowing determinant, 19 runs out of iterations;
+# 0, 4 and 7 converge.  borel-in-sl2 at 8.0: 53 converges after a refresh,
+# 11 and 25 refresh most rounds and run out of iterations (no seed of
+# 0-399 leaves the graph chart at this scale)
+WILD = [("bracket-recovery", "sl2", 1.0, [30, 0, 11, 35, 30]),
+        ("bracket-recovery", "sl2", 1.0, [168, 0, 19, 52, 4, 7]),
         ("sub-recovery", "borel-in-sl2", 8.0, [53, 11, 25, 0])]
 
 
@@ -58,14 +44,6 @@ def one_call_per_seed(kind, obj, seeds, scale):
     for seed in seeds:
         records += run_experiment(kind, obj, [seed], scale=scale)
     return records
-
-
-def counting_refreshes(monkeypatch):
-    count = []
-    jacobian = lab.numeric_jacobian
-    monkeypatch.setattr(lab, "numeric_jacobian",
-                        lambda *a: count.append(1) or jacobian(*a))
-    return count
 
 
 @pytest.mark.parametrize("scale", [0.05, 0.3])
