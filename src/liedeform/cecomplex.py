@@ -494,7 +494,7 @@ def induced_map_on_h(chain_maps: dict, source, target, k: int,
     """Map induced on degree-k cohomology by per-degree matrices that commute
     with the differentials, read by ``_map_on_h`` once the squares at degrees
     k - 1 and k are checked; refuses non-chain-maps.  ``source`` and
-    ``target`` are problems or reports: their ``complex`` and ``degree(k)``.
+    ``target`` are problems, read through ``complex`` and ``degree(k)`` only.
     A square whose degree is in ``checked`` is taken as checked, and each
     square checked here joins it, so calls sharing it check each once."""
     checked = set() if checked is None else checked
@@ -528,9 +528,6 @@ class LESNode:
 
 @record
 class LESReport:
-    sub_report: CohomologyReport
-    ambient_report: CohomologyReport
-    quotient_report: CohomologyReport
     nodes: tuple
     max_degree: int
 
@@ -571,47 +568,47 @@ def snake_lift(w: SubalgebraWitness, section: Matrix, eta: AltMap,
         w.coords.sub_coords)
 
 
-def connecting_map_on_h(w: SubalgebraWitness, quotient_report: CohomologyReport,
-                        ambient_report: CohomologyReport,
-                        sub_report: CohomologyReport, k: int) -> Matrix:
-    """Snake connecting map H^k(h, g/h) -> H^{k+1}(h, h), read by
-    ``_map_on_h``: the class of the snake lift of each quotient
-    representative through the standard section."""
-    qdeg = quotient_report.degree(k)
+def connecting_map_on_h(w: SubalgebraWitness | Problem, k: int) -> Matrix:
+    """Snake connecting map H^k(h, g/h) -> H^{k+1}(h, h) of a subalgebra
+    witness or its problem, read by ``_map_on_h``: the class of the snake
+    lift of each quotient representative through the standard section, in
+    the complex of the inclusion."""
+    p = Problem.of(w, "sub")
+    w, incl, qdeg = p.obj, p.inclusion, p.degree(k)
     if k + 1 > w.dim:
         return Matrix.zeros(0, qdeg.dim_h)
     return _map_on_h(lambda eta: snake_lift(
         w, w.coords.section, AltMap.of(k, w.dim, w.quotient_dim, eta),
-        ambient_report.complex).nonzeros, qdeg, sub_report.degree(k + 1))
+        incl.complex).nonzeros, qdeg, incl.source.degree(k + 1))
 
 
 def les_subalgebra(w: SubalgebraWitness | Problem, max_degree: int) -> LESReport:
     """The long exact sequence H^k(h,h) -> H^k(h,g) -> H^k(h,g/h) ->
     H^{k+1}(h,h) -> ..., with exactness certified at every node that has both
-    maps inside the computed window.  The three reports are those of the sub
-    problem, its inclusion and the inclusion's source.  iota and pi map each
+    maps inside the computed window, each degree read from the problems of
+    h, of the inclusion h -> g and of the subalgebra (``Problem.degree``), so
+    none above min(max_degree, dim h) + 1 is made.  iota and pi map each
     representative by post-composing it with the inclusion matrix or the
     projection, unchecked: both are h-module maps, as h is closed (see
     ``quotient_rep``), and post-composing with one commutes with d."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     p = Problem.of(w, "sub")
-    w, incl = p.obj, p.inclusion
-    rA, rB, rC = incl.source.report, incl.report, p.report
+    w, incl, hh = p.obj, p.inclusion, p.inclusion.source
     kh, top = w.dim, min(max_degree, w.dim)
 
     def on_h(a: Matrix, source, target, k: int) -> Matrix:
         return _map_on_h(lambda z: AltMap(k, kh, a.cols, z).post_compose(
             a).nonzeros, source.degree(k), target.degree(k))
 
-    i_on_h = {k: on_h(incl.obj.matrix, rA, rB, k)
+    i_on_h = {k: on_h(incl.obj.matrix, hh, incl, k)
               for k in range(min(top + 1, kh) + 1)}
-    p_on_h = {k: on_h(w.coords.projection, rB, rC, k) for k in range(top + 1)}
-    conn = {k: connecting_map_on_h(w, rC, rB, rA, k) for k in range(top + 1)}
+    p_on_h = {k: on_h(w.coords.projection, incl, p, k) for k in range(top + 1)}
+    conn = {k: connecting_map_on_h(p, k) for k in range(top + 1)}
 
     nodes = []
     for k in range(top + 1):
-        incoming = conn[k - 1] if k > 0 else Matrix.zeros(rA.degree(0).dim_h, 0)
+        incoming = conn[k - 1] if k > 0 else Matrix.zeros(hh.degree(0).dim_h, 0)
         nodes += [_exact_at(f"H^{k}(h,h)", k, incoming, i_on_h[k]),
                   _exact_at(f"H^{k}(h,g)", k, i_on_h[k], p_on_h[k]),
                   _exact_at(f"H^{k}(h,g/h)", k, p_on_h[k], conn[k])]
@@ -619,5 +616,4 @@ def les_subalgebra(w: SubalgebraWitness | Problem, max_degree: int) -> LESReport
     if top + 1 <= kh:
         nodes.append(_exact_at(f"H^{top+1}(h,h)", top + 1, conn[top],
                                i_on_h[top + 1]))
-    return LESReport(sub_report=rA, ambient_report=rB, quotient_report=rC,
-                     nodes=tuple(nodes), max_degree=max_degree)
+    return LESReport(nodes=tuple(nodes), max_degree=max_degree)

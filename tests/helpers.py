@@ -499,19 +499,49 @@ def counting_refreshes(monkeypatch) -> list:
     return count
 
 
+def _sl2_into(target: LieAlgebra, images, name: str) -> Homomorphism:
+    """families.sl(2), whose basis is H, E, F, -> ``target``, sending them
+    to the three {target index: value} maps ``images``."""
+    columns = [[image.get(r, 0) for r in range(target.dim)]
+               for image in images]
+    return validate_homomorphism(Homomorphism(
+        bench_families().sl(2), target,
+        Matrix.from_columns(columns, rows=target.dim), name=name))
+
+
+def _sl_units(n: int) -> dict:
+    """{(a, b): index of E_ab} in families.sl(n), whose basis is
+    H_i = E_ii - E_(i+1)(i+1) (index i - 1), then E_ab for a != b in row
+    order (``bench/families.py``)."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return {pair: n - 1 + t for t, pair in enumerate(pairs)}
+
+
 def principal_sl2(n: int) -> Homomorphism:
     """The principal sl_2 -> sl_n: H -> sum i(n-i) H_i, E -> sum E_(i,i+1),
-    F -> sum i(n-i) E_(i+1,i) (i = 1..n-1), from families.sl(2), whose basis
-    is H, E, F, to families.sl(n), whose basis is H_i = E_ii - E_(i+1)(i+1),
-    then E_ab for a != b in row order (``bench/families.py``)."""
-    families = bench_families()
-    source, target = families.sl(2), families.sl(n)
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    at = {pair: n - 1 + t for t, pair in enumerate(pairs)}
-    h, e, f = ([0] * target.dim for _ in range(3))
-    for i in range(1, n):
-        h[i - 1] = f[at[i, i - 1]] = i * (n - i)
-        e[at[i - 1, i]] = 1
-    return validate_homomorphism(Homomorphism(
-        source, target, Matrix.from_columns([h, e, f], rows=target.dim),
-        name=f"principal-sl2-in-sl{n}"))
+    F -> sum i(n-i) E_(i+1,i) (i = 1..n-1)."""
+    at = _sl_units(n)
+    return _sl2_into(bench_families().sl(n), [
+        {i - 1: i * (n - i) for i in range(1, n)},
+        {at[i - 1, i]: 1 for i in range(1, n)},
+        {at[i, i - 1]: i * (n - i) for i in range(1, n)}],
+        f"principal-sl2-in-sl{n}")
+
+
+def principal_sl2_in_gl(n: int) -> Homomorphism:
+    """The principal sl_2 -> gl_n: H -> diag(n-1, n-3, .., 1-n),
+    E -> sum E_(i,i+1), F -> sum i(n-i) E_(i+1,i) (i = 1..n-1), in
+    families.gl(n), whose basis is E_ab at index a*n + b (0-based)."""
+    return _sl2_into(bench_families().gl(n), [
+        {a * n + a: n - 1 - 2 * a for a in range(n)},
+        {(a - 1) * n + a: 1 for a in range(1, n)},
+        {a * n + a - 1: a * (n - a) for a in range(1, n)}],
+        f"principal-sl2-in-gl{n}")
+
+
+def corner_sl2(n: int) -> Homomorphism:
+    """The corner sl_2 -> sl_n: H -> H_1, E -> E_12, F -> E_21."""
+    at = _sl_units(n)
+    return _sl2_into(bench_families().sl(n),
+                     [{0: 1}, {at[0, 1]: 1}, {at[1, 0]: 1}],
+                     f"corner-sl2-in-sl{n}")

@@ -31,8 +31,10 @@ SEEDS = [*range(14), 42, 61, 285, 3, 3, 285]
 # 11 steps to a singular exp(a), 52 and 168 meet one in a refresh and 168's
 # last iterate has an overflowing determinant, 19 runs out of iterations;
 # 0, 4 and 7 converge.  borel-in-sl2 at 8.0: 53 converges after a refresh,
-# 11 and 25 refresh most rounds and run out of iterations (no seed of
-# 0-399 leaves the graph chart at this scale)
+# 11 and 25 refresh most rounds and run out of iterations.  No iterate
+# leaves the graph chart: none of seeds 0-299 of borel-in-sl2 at scales 1 to
+# 256, nor of b(sl_3) in sl_3 at 0.3 to 4, so the chart exit is tested on
+# the synthetic residual of ``test_a_chart_exit_stays_with_its_seed``
 WILD = [("bracket-recovery", "sl2", 1.0, [30, 0, 11, 35, 30]),
         ("bracket-recovery", "sl2", 1.0, [168, 0, 19, 52, 4, 7]),
         ("sub-recovery", "borel-in-sl2", 8.0, [53, 11, 25, 0])]
@@ -60,8 +62,8 @@ def test_experiment_equals_one_call_per_seed(kind, name, scale, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, name, scale, seeds", WILD)
-def test_divergence_and_chart_exits_stay_with_their_seed(kind, name, scale,
-                                                         seeds, monkeypatch):
+def test_divergence_stays_with_its_seed(kind, name, scale, seeds,
+                                        monkeypatch):
     refreshes = counting_refreshes(monkeypatch)
     obj = OBJECTS[name]
     together = run_experiment(kind, obj, seeds, scale=scale)
@@ -70,6 +72,41 @@ def test_divergence_and_chart_exits_stay_with_their_seed(kind, name, scale,
         one_call_per_seed(kind, obj, seeds, scale))
     assert batched and 2 * batched == len(refreshes)
     assert not all(r["converged"] for r in together)
+
+
+def test_a_chart_exit_stays_with_its_seed(monkeypatch):
+    # a synthetic chart, the half-plane u_0 < 1, outside which the residual
+    # u - target is NaN, as a plane outside the graph chart reads; the
+    # shared chord diag(0.6, 0.3) cuts the error along u_0 by 0.4 a round
+    # and along u_1 by 0.7, a stall.  Rows, by target: (1.5, 0) steps to
+    # u_0 = 0.9 and then leaves the chart at round 2; (0.5, 0) converges in
+    # 25 rounds; (0, 0.5) stalls, refreshes and converges; (0, 0) is
+    # converged at u = 0; the first comes again last
+    refreshes = counting_refreshes(monkeypatch)
+    targets = np.array([[1.5, 0], [0.5, 0], [0, 0.5], [0, 0], [1.5, 0]])
+    chord = np.diag([0.6, 0.3])
+
+    def run(rows):
+        def residual(u, seeds):
+            inside = u[..., :1] < 1
+            return np.where(inside, u - rows[seeds], np.nan), 2 * u
+        return lab._chord_newton(residual, np.zeros(rows.shape), chord,
+                                 lab.NewtonConfig())
+
+    together = run(targets)
+    batched = len(refreshes)
+    alone = [run(targets[i:i + 1]) for i in range(len(targets))]
+    for j, stacked in enumerate(together):
+        np.testing.assert_array_equal(
+            stacked, np.concatenate([out[j] for out in alone]))
+    u, kept, res, iters, converged = together
+    assert batched == 1 and len(refreshes) == 2
+    assert iters.tolist() == [2, 25, 2, 0, 2]
+    assert converged.tolist() == [False, True, True, True, False]
+    # the exit ends its seed at its last iterate inside the chart
+    np.testing.assert_allclose(u[0], [0.9, 0])
+    np.testing.assert_allclose(res[0], 0.6)
+    np.testing.assert_array_equal(kept[0], 2 * u[0])
 
 
 @pytest.mark.parametrize("kind, name", BANDS)
