@@ -387,6 +387,7 @@ class RepSpec:
 
 def adjoint_rows(candidate: BracketCandidate) -> tuple:
     """ad(e_x) per basis vector: ``rows[x][a][j] = c_xj^a``."""
+    # copies each constant: cheaper than ad_rows of each e_x, which sums
     rows = tuple([{} for _ in plane] for plane in candidate.terms)
     for x, plane in enumerate(candidate.terms):
         for j, col in enumerate(plane):

@@ -162,6 +162,7 @@ class CEComplex:
         or built and dropped, and only the rows kept are held (``_kept``)."""
         if k not in self._ranks:
             rows = (self._d.get(k) or differential_matrix(k, self.rep)).row_maps
+            # an int system's rows are not scanned for a Fraction
             form = self._ranks[k] = RankForm(rows, self.block(k + 1)[0],
                                              ints=self.rep.all_ints)
             self._kept[k] = [rows[i] for i in reversed(form.rows)]

@@ -18,9 +18,10 @@ linearization, kept in its problem, so one per object.  Its maps take one
 value or a stack of values (leading axes), so one Newton loop
 (``_chord_newton``) runs the seeds of a call in lockstep: one residual call
 per round on every running seed, each seed keeping its own iterate,
-residual, iteration count and chord.  The bracket chart's orbit residual
-is one array kernel from (A, c) to flat pair coordinates
-(``_acted_pairs``), so Newton builds no FloatBracket per iterate.
+residual, iteration count and chord, in one stack of chords per call.  The
+bracket chart's orbit residual is one array kernel from (A, c) to flat pair
+coordinates (``_acted_pairs``), so Newton builds no FloatBracket per
+iterate.
 
 Importing the module loads no float stack: NumPy, its one dependency, is
 imported on the first float computation.  The group map of every chart is
@@ -49,31 +50,20 @@ from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
 
 
 class _FirstUse:
-    """Stands in for the module name ``name`` until it is first used: the
-    first attribute read imports the object ``load()`` returns and
-    rebinds ``name`` to it, so every later read goes straight there.  Its
-    own names are private, so that they hide no attribute of the object
-    (``numpy.load``)."""
+    """Stands in for NumPy as the module name ``np`` until it is first used:
+    the first attribute read imports NumPy and rebinds ``np`` to it, so
+    every later read goes straight there.  It has no attribute of its own
+    to hide one of NumPy's."""
 
-    __slots__ = ("_name", "_load")
-
-    def __init__(self, name: str, load):
-        self._name, self._load = name, load
-
-    def _bind(self):
-        globals()[self._name] = real = self._load()
-        return real
+    __slots__ = ()
 
     def __getattr__(self, attr):
-        return getattr(self._bind(), attr)
+        import numpy
+        globals()["np"] = numpy
+        return getattr(numpy, attr)
 
 
-def _numpy():
-    import numpy
-    return numpy
-
-
-np = _FirstUse("np", _numpy)
+np = _FirstUse()
 
 
 def _ignoring_overflow(fn):
@@ -177,6 +167,7 @@ def expm(a: np.ndarray) -> np.ndarray:
         if key is None and isfinite(norm):
             key = (13, ceil(log2(norm / _PADE_THETA[-1][1])))
         groups.setdefault(key, []).append(i)
+    # the usual stack, one (m, s) group, skips the NaN stack and its scatter
     if len(groups) == 1 and None not in groups:
         (m, s), = groups
         return _pade_squared(stack, m, s).reshape(a.shape)
@@ -327,28 +318,22 @@ def numeric_jacobian(fn, u: np.ndarray) -> np.ndarray:
     return ((r[0::2] - r[1::2]) / (2 * JACOBIAN_STEP)).T
 
 
-def _seed_index(seeds: np.ndarray):
-    """``seeds`` as a slice, which reads without a copy, when consecutive."""
-    if seeds.size and seeds[-1] - seeds[0] + 1 == seeds.size:
-        return slice(seeds[0], seeds[-1] + 1)
-    return seeds
-
-
 # a diverging iterate may overflow; the checks below read its result
 @_ignoring_overflow
 def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
                   cfg: NewtonConfig) -> tuple:
     """Chord Newton on the seeds (rows) of ``u0`` in lockstep, each with a
-    fixed pseudoinverse (``chord``: one for all, or one per seed), refreshed
+    fixed pseudoinverse (``chord``, a stack of one per seed), refreshed
     on stall: a round that leaves a seed's residual sup above ``STALL_RATIO``
     (1/2) of the last gives that seed the pseudoinverse of a central-
     difference Jacobian at its new iterate, cut at ``REFRESH_CUT`` relative
     to its largest singular value, so that no direction of difference noise
     is inverted.  ``residual(u, seeds)`` evaluates in one call the rows of
-    ``u``, iterates of the seeds ``seeds`` picks (a slice, an index array,
-    or one seed, an int, for every row), and returns (residuals, *kept): a
-    row outside the chart of the residual comes back non-finite, and each
-    kept array holds a row per row of ``u`` (such as its group element).
+    ``u``, iterates of the seeds ``seeds`` picks (an index array, one seed
+    per row, or one seed, an int, for every row), and returns (residuals,
+    *kept): a row outside the chart of the residual comes back non-finite,
+    and each kept array holds a row per row of ``u`` (such as its group
+    element).
 
     Returns (u, *kept, residual, iterations, converged), one entry per
     seed, at the last iterate a lone run of that seed accepts.
@@ -357,7 +342,7 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
     its own seed's chord only.
     """
     u = np.array(u0, dtype=float)
-    out = residual(u, slice(None))
+    out = residual(u, np.arange(len(u)))
     res, kept = _row_sup(out[0]), out[1:]
     iters = np.zeros(len(u), dtype=int)
     converged = res <= cfg.tol
@@ -365,12 +350,12 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
     # (residuals, then kept rows) and chords
     seeds = np.flatnonzero(~converged)
     x, rs, ox = u[seeds], res[seeds], tuple(v[seeds] for v in out)
-    p = chord[seeds] if chord.ndim == 3 else chord
-    rounds, at = 0, _seed_index(seeds)
+    p = chord[seeds]
+    rounds = 0
     while seeds.size:
         step = x - cfg.damping * np.matmul(p, ox[0][..., None])[..., 0]
         rounds += 1
-        out = residual(step, at)
+        out = residual(step, seeds)
         new_res = _row_sup(out[0])
         # Python floats: cheaper than NumPy calls on a few seeds
         if rounds < cfg.max_iter and all(
@@ -387,8 +372,6 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
             if not np.all(np.isfinite(refreshed)):
                 done[i] = True
                 continue
-            if p.ndim == 2:
-                p = np.repeat(p[None], len(seeds), axis=0)
             p[i] = np.linalg.pinv(refreshed, rcond=REFRESH_CUT)
         for v, w in zip((x, rs, *ox), (step, new_res, *out)):
             v[moved] = w[moved]
@@ -398,10 +381,7 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
         iters[ended], converged[ended] = rounds, new_res[done] <= cfg.tol
         going = ~done
         seeds, x, rs = seeds[going], x[going], rs[going]
-        ox = tuple(v[going] for v in ox)
-        if p.ndim == 3:
-            p = p[going]
-        at = _seed_index(seeds)
+        ox, p = tuple(v[going] for v in ox), p[going]
     return (u, *kept, res, iters, converged)
 
 
@@ -663,7 +643,6 @@ class _Chart:
         jac[..., carrier, carrier] -= c_source[..., i, j, :, None]
         return jac.swapaxes(-3, -2).reshape(lead + (len(i) * m, n * m))
 
-    @_ignoring_overflow  # on values it refuses
     def checked(self, arr: np.ndarray, label: str) -> tuple:
         """(chart points, structure defects) of a stack of outside values;
         refuses a shape other than a value's, then, at the first value that
@@ -870,7 +849,8 @@ def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
 
     pinv = chart.orbit_pinv
     u, amat, res, iters, ok = _chord_newton(
-        residual, np.zeros((len(arr), pinv.shape[0])), pinv, cfg)
+        residual, np.zeros((len(arr), pinv.shape[0])),
+        np.repeat(pinv[None], len(arr), axis=0), cfg)
     x, det = chart.log(u), np.linalg.det(amat)
     results = [RecoveryResult(
         kind=p.kind, log_solution=x[s], group_matrix=amat[s],
@@ -1024,6 +1004,14 @@ def perturbed_plane(w: SubalgebraWitness, scale: float,
 # ---------------------------------------------------------------------------
 # finite-difference checks
 
+def _within_h2(small: float, big: float, h_small: float, h_big: float,
+               floor: float) -> bool:
+    """Whether the defect ``small`` at step ``h_small`` is within ``floor``
+    or 1.5 times the defect ``big`` at ``h_big`` scaled as h^2."""
+    c_est = big / h_big ** 2 if big > 0 else 0.0
+    return small <= max(floor, 1.5 * c_est * h_small ** 2)
+
+
 @record
 class CurveCheckReport:
     __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: by identity
@@ -1067,10 +1055,8 @@ def curve_cocycle_check(base, samples) -> CurveCheckReport:
     defects = [_sup(d_out @ deriv) for deriv in derivs]
     derivative = derivs[0]
     if len(hs) >= 2:
-        h_big, h_small = hs[1], hs[0]
-        d_big, d_small = defects[1], defects[0]
-        c_est = d_big / h_big ** 2 if d_big > 0 else 0.0
-        ok = d_small <= max(1e-10, 1.5 * c_est * h_small ** 2)
+        d_small, d_big = defects
+        ok = _within_h2(d_small, d_big, hs[0], hs[1], 1e-10)
         ratio = d_big / d_small if d_small > 1e-15 else None
     else:
         ok = defects[0] <= 1e-6
@@ -1135,8 +1121,8 @@ def vertical_derivative_fd_check(base, direction) -> FDCheckReport:
     else:
         remainder_ratio = None
         ratio_ok = remainder_sups[0] <= 1e-13
-    c_est = central_defects[0] / h ** 2 if central_defects[0] > 0 else 0.0
-    central_ok = central_defects[1] <= max(1e-9, 1.5 * c_est * (h / 2) ** 2)
+    central_ok = _within_h2(central_defects[1], central_defects[0], h / 2, h,
+                            1e-9)
     return FDCheckReport(kind=p.kind, step=h,
                          central_defects=tuple(central_defects),
                          remainder_sups=tuple(remainder_sups),

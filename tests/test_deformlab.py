@@ -481,8 +481,8 @@ class TestNewtonDivergence:
             with np.errstate(over="ignore"):
                 return (np.exp(u) - 2.0,)
 
-        u, res, iters, ok = _chord_newton(residual, np.zeros((1, 1)),
-                                          np.array([[1e300]]), NewtonConfig())
+        u, res, iters, ok = _chord_newton(
+            residual, np.zeros((1, 1)), np.array([[[1e300]]]), NewtonConfig())
         assert not ok[0] and iters[0] == 1
         assert np.all(np.isfinite(u)) and np.isfinite(res[0])
 
@@ -492,7 +492,7 @@ class TestNewtonDivergence:
             return (np.where(u != 0.0, np.nan, 1.0),)
 
         u, res, iters, ok = _chord_newton(residual, np.zeros((1, 1)),
-                                          np.array([[1.0]]), NewtonConfig())
+                                          np.array([[[1.0]]]), NewtonConfig())
         assert not ok[0] and iters[0] == 1
         assert np.all(u == 0.0) and res[0] == 1.0
 
@@ -509,7 +509,7 @@ class TestNewtonDivergence:
                             lambda *a: calls.append(1) or jacobian(*a))
         cfg = NewtonConfig(max_iter=max_iter)
         u, res, iters, ok = _chord_newton(lambda u, seeds: (u,), np.ones((1, 1)),
-                                          np.array([[0.05]]), cfg)
+                                          np.array([[[0.05]]]), cfg)
         assert len(calls) == refreshes
         assert iters[0] == max_iter and ok[0] == (max_iter == 2)
 

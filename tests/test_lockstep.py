@@ -52,6 +52,15 @@ def one_call_per_seed(kind, obj, seeds, scale):
 @pytest.mark.parametrize("kind, name", BANDS)
 def test_experiment_equals_one_call_per_seed(kind, name, scale, monkeypatch):
     refreshes = counting_refreshes(monkeypatch)
+    picks, newton = [], lab._chord_newton
+
+    def spied_newton(residual, *args):
+        def seen(u, seeds):
+            picks.append((len(u), seeds))
+            return residual(u, seeds)
+        return newton(seen, *args)
+
+    monkeypatch.setattr(lab, "_chord_newton", spied_newton)
     obj = OBJECTS[name]
     together = json.dumps(run_experiment(kind, obj, SEEDS, scale=scale))
     batched = len(refreshes)
@@ -59,6 +68,17 @@ def test_experiment_equals_one_call_per_seed(kind, name, scale, monkeypatch):
     assert together == alone
     # a refresh stays with its seed: the same refreshes, once per stall
     assert 2 * batched == len(refreshes)
+    # a residual call names its rows' seeds as an index array, one per row,
+    # or, in a refresh, as one int for every row: never as a slice, even
+    # where the running seeds are consecutive
+    arrays = [(rows, seeds) for rows, seeds in picks
+              if isinstance(seeds, np.ndarray)]
+    ints = [seeds for _, seeds in picks
+            if isinstance(seeds, (int, np.integer))]
+    assert arrays and len(arrays) + len(ints) == len(picks)
+    assert len(ints) == len(refreshes)
+    assert all(seeds.dtype.kind == "i" and seeds.shape == (rows,)
+               for rows, seeds in arrays)
 
 
 @pytest.mark.parametrize("kind, name, scale, seeds", WILD)
@@ -76,8 +96,8 @@ def test_divergence_stays_with_its_seed(kind, name, scale, seeds,
 
 def test_a_chart_exit_stays_with_its_seed(monkeypatch):
     # a synthetic chart, the half-plane u_0 < 1, outside which the residual
-    # u - target is NaN, as a plane outside the graph chart reads; the
-    # shared chord diag(0.6, 0.3) cuts the error along u_0 by 0.4 a round
+    # u - target is NaN, as a plane outside the graph chart reads; each
+    # row's chord diag(0.6, 0.3) cuts the error along u_0 by 0.4 a round
     # and along u_1 by 0.7, a stall.  Rows, by target: (1.5, 0) steps to
     # u_0 = 0.9 and then leaves the chart at round 2; (0.5, 0) converges in
     # 25 rounds; (0, 0.5) stalls, refreshes and converges; (0, 0) is
@@ -90,7 +110,8 @@ def test_a_chart_exit_stays_with_its_seed(monkeypatch):
         def residual(u, seeds):
             inside = u[..., :1] < 1
             return np.where(inside, u - rows[seeds], np.nan), 2 * u
-        return lab._chord_newton(residual, np.zeros(rows.shape), chord,
+        chords = np.repeat(chord[None], len(rows), axis=0)
+        return lab._chord_newton(residual, np.zeros(rows.shape), chords,
                                  lab.NewtonConfig())
 
     together = run(targets)
