@@ -15,10 +15,10 @@ and structure constants when d_k is built, of each row of d_(k+1) d_k when
 it is checked (without keeping it), and of the cochains, kernel vectors and
 H-representatives, which are passed as {position: value} dicts; d_k acts on
 a cochain through its ``Matrix``'s kept column view (``Matrix.apply``).
-Dimensions and bases are read from one ``RankForm`` of the rows of d_k per
-degree, which keeps those rows, not d_k (see ``DegreeData``); class
-coordinates from one ``RankForm`` of the columns of d_(k-1).  Each reads one
-``CEComplex.block``, the zero weight one under an inner torus.
+Each degree's dimensions and bases are read from one ``RankForm`` of the
+rows of d_k, and its class coordinates from one of the columns of d_(k-1),
+in the zero weight ``CEComplex.block`` under an inner torus: only the rows a
+form reads are built, and none is held once it is made (see ``DegreeData``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from operator import add
+from types import MappingProxyType
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
@@ -43,23 +44,32 @@ class ChainMapError(ValueError):
     """Raised when per-degree matrices do not commute with the differentials."""
 
 
-def differential_matrix(k: int, rep: RepSpec) -> Matrix:
+_NO_ROW = MappingProxyType({})  # every row a partial build skips
+
+
+def differential_matrix(k: int, rep: RepSpec, rows=None) -> Matrix:
     """Exact matrix of the degree-k differential, built row by row as the
-    {column: value} nonzeros of its ``row_maps``; only the nonzero action
-    cells (``rep.action_cells``, read once per system, not per degree) and
-    the nonzero structure constants (``rep.acting.terms``) are visited; a
-    cell is deleted when its sum cancels, and made an int where integral
-    only if some input is not an int (``rep.all_ints``).  A row subset T is
-    read both as its tuple and as its bit mask, the key of ``mask_positions``
-    in the same place (see ``cochains``): its face T - u_i is
-    ``T ^ (1 << u_i)``, and e_l goes into the rest R of T as ``R | (1 << l)``
-    with the sign of the number of elements of R below l."""
+    {column: value} nonzeros of its ``row_maps`` (only the ascending ``rows``
+    if given; each other row is ``_NO_ROW``); only the nonzero action cells
+    (``rep.action_cells``, read once per system) and structure constants
+    (``rep.acting.terms``) are visited; a cell is deleted when its sum
+    cancels, and made an int where integral only if some input is not one
+    (``rep.all_ints``).  A row subset T is read as its tuple and its bit
+    mask, the key of ``mask_positions`` in the same place (see ``cochains``):
+    its face T - u_i is ``T ^ (1 << u_i)``, and e_l goes into the rest R of
+    T as ``R | (1 << l)``, signed by the number of elements of R below l."""
     n, m = rep.acting.dim, rep.carrier_dim
-    cols_pos = mask_positions(n, k)
-    terms, action = rep.acting.terms, rep.action_cells
-    out = [{} for _ in range(cochain_dim(n, k + 1, m))]
-    for t_pos, (T, tmask) in enumerate(zip(subsets(n, k + 1),
-                                           mask_positions(n, k + 1))):
+    cols_pos, sets = mask_positions(n, k), subsets(n, k + 1)
+    terms, action, size = rep.acting.terms, rep.action_cells, len(sets) * m
+    if rows is None or len(rows) == size:
+        out, picks = [{} for _ in range(size)], range(len(sets))
+    else:  # the positions of the row subsets holding a row built
+        out, picks = [_NO_ROW] * size, dict.fromkeys(r // m for r in rows)
+        for r in rows:
+            out[r] = {}
+    masks = tuple(mask_positions(n, k + 1))
+    for t_pos in picks:
+        T, tmask = sets[t_pos], masks[t_pos]
         block = out[t_pos * m:(t_pos + 1) * m]
         # action terms
         for i, ui in enumerate(T):
@@ -70,7 +80,8 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
             # the columns of T - u_i are apart for distinct i, so each
             # action cell is written once
             for b, a, v in action[ui]:
-                block[b][col_base + a] = sign * v
+                if (row := block[b]) is not _NO_ROW:
+                    row[col_base + a] = sign * v
         # bracket-insertion terms: e_l goes in at its place q in the rest of
         # T, with sign (-1)^q for the q elements of the rest below l, and
         # vanishes on an element of the rest
@@ -90,26 +101,28 @@ def differential_matrix(k: int, rep: RepSpec) -> Matrix:
                     q = (rest & (bit - 1)).bit_count()
                     factor = -sign_ij * coeff if q % 2 else sign_ij * coeff
                     for c, orow in enumerate(block, col_base):
+                        if orow is _NO_ROW:
+                            continue
                         if y := orow.get(c, 0) + factor:
                             orow[c] = y
                         else:
                             del orow[c]
     if not rep.all_ints:
-        out = [{j: _exact(x) for j, x in row.items()} for row in out]
-    return Matrix.of_rows(len(out), cochain_dim(n, k, m), out)
+        out = [row and {j: _exact(x) for j, x in row.items()} for row in out]
+    return Matrix.of_rows(size, cochain_dim(n, k, m), out)
 
 
 class CEComplex:
-    """Caches the exact differentials d_k of a coefficient system that a
-    reader built (``d``; each ``Matrix`` keeps its column view), its rank
-    forms, which keep no d_k they built, and its class forms."""
+    """Caches the whole differentials d_k of a coefficient system that a
+    reader asked for (``d``; each ``Matrix`` keeps its column view), and its
+    rank and class forms, which hold none of the rows they built."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
         self._d, self._classes, self._blocks = {}, {}, []
-        self._ranks, self._degrees, self._kept = {}, {}, {}
+        self._ranks, self._degrees = {}, {}
         self._walk = self._weights()
 
     def d(self, k: int) -> Matrix:
@@ -157,36 +170,37 @@ class CEComplex:
                      for top in [1 << (s.bit_length() - 1)]}
 
     def rank_form(self, k: int) -> RankForm:
-        """The ``RankForm`` of d_k's zero weight rows, as ints if the system
-        is (``rep.all_ints``), keeping no reduced row: d_k is the cached one
-        or built and dropped, and only the rows kept are held (``_kept``)."""
+        """The ``RankForm`` of d_k's zero weight rows, the cached d_k's or
+        those alone built, as ints if ``rep.all_ints``: it keeps no row."""
         if k not in self._ranks:
-            rows = (self._d.get(k) or differential_matrix(k, self.rep)).row_maps
+            zero = self.block(k + 1)[0]
+            d = self._d.get(k) or differential_matrix(k, self.rep, zero)
             # an int system's rows are not scanned for a Fraction
-            form = self._ranks[k] = RankForm(rows, self.block(k + 1)[0],
-                                             ints=self.rep.all_ints)
-            self._kept[k] = [rows[i] for i in reversed(form.rows)]
+            self._ranks[k] = RankForm(d.row_maps, zero, ints=self.rep.all_ints)
         return self._ranks[k]
 
     def basis_form(self, k: int) -> RankForm:
         """``rank_form(k)`` with its reduced rows, built anew from only the
-        rows it kept, in the same order: the rows it dropped added no
-        pivot.  Its ``rows`` index those kept rows, not d_k's."""
-        self.rank_form(k)
-        return RankForm(self._kept[k], keep=True, ints=self.rep.all_ints)
+        rows it kept, in the same order: the rows it dropped added no pivot."""
+        kept = self.rank_form(k).rows[::-1]
+        return RankForm(differential_matrix(k, self.rep, kept).row_maps, kept,
+                        keep=True, ints=self.rep.all_ints)
 
     def class_form(self, k: int) -> RankForm:
         """The kept ``RankForm`` of d_(k-1)'s columns in ``block(k - 1)``
-        (the other weight blocks are acyclic), each position p taken as ~p so
-        that its pivots are the last nonzero positions, ``classes``.  Listed
-        last first, the columns are taken first to last, which halves the
+        (the other weight blocks are acyclic), read from its rows in
+        ``block(k)``, the only ones built, as d keeps weight; each position p
+        is taken as ~p so that its pivots are the last nonzero positions,
+        ``classes``, and the columns are listed last first, which halves the
         form's nonzeros on L_11."""
         if k not in self._classes:
-            cols = self.d(k - 1).columns()
-            self._classes[k] = RankForm([
-                {~i: x for i, x in cols[j].items()}
-                for j in reversed(self.block(k - 1)[0])],
-                keep=True)
+            zero = self.block(k)[0]
+            rows = differential_matrix(k - 1, self.rep, zero).row_maps
+            cols = {j: {} for j in reversed(self.block(k - 1)[0])}
+            for i in zero:  # rows[i] lies in cols where d o d = 0
+                for j in rows[i].keys() & cols.keys():
+                    cols[j][~i] = rows[i][j]
+            self._classes[k] = RankForm(list(cols.values()), keep=True)
         return self._classes[k]
 
     def rank(self, k: int) -> int:
@@ -351,9 +365,9 @@ class Problem:
     gathers them all.  ``of`` keeps one problem per object (validated
     objects are treated as immutable), so the raw object shares them.  A
     homomorphism has ``source`` and ``target``, the bracket problems of its
-    two algebras, and its maps on cohomology (``pullback_map_on_h``); a
-    subalgebra has ``inclusion``, the homomorphism problem of h -> g.
-    """
+    two algebras, and its maps on cohomology, each from one chain map of
+    rho* (``pullback_map_on_h``); a subalgebra has ``inclusion``, the
+    homomorphism problem of h -> g."""
 
     def __init__(self, obj):
         for cls, (kind, rep_of, degree) in _PROBLEM_KINDS.items():
@@ -366,9 +380,7 @@ class Problem:
         self.kind = kind
         self.tangent_degree = degree
         self._rep_of = rep_of
-        # a homomorphism's chain maps and maps on cohomology by degree, and
-        # the degrees of the squares checked (``pullback_map_on_h``)
-        self._chain_maps, self._maps_on_h, self._squares = {}, {}, set()
+        self._maps_on_h = {}  # a homomorphism's maps on cohomology by degree
 
     @classmethod
     def of(cls, obj, kind: str | None = None) -> "Problem":
@@ -420,14 +432,11 @@ class Problem:
 
     def pullback_map_on_h(self, k: int) -> "InducedMap":
         """H^k(rho*): H^k(g,g) -> H^k(h,g) of a homomorphism problem, made on
-        first read and kept; each chain map it reads is built once, and each
-        square checked once, for all degrees."""
+        first read and kept, from ``pullback_cochain_map(obj, k)`` unchecked:
+        rho is validated, and rho* of a homomorphism commutes with d."""
         if k not in self._maps_on_h:
-            for j in range(max(0, k - 1), k + 2):
-                if j not in self._chain_maps:
-                    self._chain_maps[j] = pullback_cochain_map(self.obj, j)
-            self._maps_on_h[k] = induced_map_on_h(
-                self._chain_maps, self.target, self, k, checked=self._squares)
+            self._maps_on_h[k] = _induced(
+                pullback_cochain_map(self.obj, k).apply, self.target, self, k)
         return self._maps_on_h[k]
 
 
@@ -490,27 +499,25 @@ def _map_on_h(f, source: DegreeData, target: DegreeData) -> Matrix:
         rows=target.dim_h)
 
 
-def induced_map_on_h(chain_maps: dict, source, target, k: int,
-                     checked: set | None = None) -> InducedMap:
+def _induced(f, source, target, k: int) -> InducedMap:
+    """f on H^k, read by ``_map_on_h`` from the problems' ``degree(k)``."""
+    sdeg, tdeg = source.degree(k), target.degree(k)
+    matrix = _map_on_h(f, sdeg, tdeg)
+    return InducedMap(k, matrix, sdeg.dim_h, tdeg.dim_h, rank(matrix))
+
+
+def induced_map_on_h(chain_maps: dict, source, target, k: int) -> InducedMap:
     """Map induced on degree-k cohomology by per-degree matrices that commute
-    with the differentials, read by ``_map_on_h`` once the squares at degrees
+    with the differentials, read by ``_induced`` once the squares at degrees
     k - 1 and k are checked; refuses non-chain-maps.  ``source`` and
-    ``target`` are problems, read through ``complex`` and ``degree(k)`` only.
-    A square whose degree is in ``checked`` is taken as checked, and each
-    square checked here joins it, so calls sharing it check each once."""
-    checked = set() if checked is None else checked
+    ``target`` are problems, read through ``complex`` and ``degree(k)``."""
     for j in range(max(k - 1, 0), k + 1):
         if j not in chain_maps or (j + 1) not in chain_maps:
             raise ChainMapError(f"chain map matrices needed at degrees {j} and {j+1}")
-        if j not in checked:
-            if (chain_maps[j + 1].mul(source.complex.d(j))
-                    != target.complex.d(j).mul(chain_maps[j])):
-                raise ChainMapError(f"square at degree {j} does not commute")
-            checked.add(j)
-    sdeg, tdeg = source.degree(k), target.degree(k)
-    matrix = _map_on_h(chain_maps[k].apply, sdeg, tdeg)
-    return InducedMap(degree=k, matrix=matrix, source_dim=sdeg.dim_h,
-                      target_dim=tdeg.dim_h, rank=rank(matrix))
+        if (chain_maps[j + 1].mul(source.complex.d(j))
+                != target.complex.d(j).mul(chain_maps[j])):
+            raise ChainMapError(f"square at degree {j} does not commute")
+    return _induced(chain_maps[k].apply, source, target, k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ import pytest
 from liedeform import cecomplex
 from liedeform.algebras import (catalog_algebra, catalog_names, hom_preset,
                                 hom_preset_names, sub_preset, sub_preset_names)
-from liedeform.cecomplex import CEComplex, DegreeData, Problem, les_subalgebra
+from liedeform.cecomplex import (CEComplex, DegreeData, Problem,
+                                 induced_map_on_h, les_subalgebra)
 from liedeform.cli import run
 from liedeform.deformlab import run_experiment
 from liedeform.exactlin import Matrix
 from liedeform import verdicts as V
 from elimination_oracle import bareiss_rank, differential_entries
-from helpers import (borel_in_sl, corner_sl2, dense_adjoint_rows,
-                     dense_pullback_rows, dense_quotient_rows, principal_sl2,
-                     principal_sl2_in_gl)
+from helpers import (bench_families, borel_in_sl, corner_sl2,
+                     dense_adjoint_rows, dense_pullback_rows,
+                     dense_quotient_rows, principal_sl2, principal_sl2_in_gl)
 
 HOM_VERDICTS = (V.hom_rigidity, V.hom_aut_rigidity, V.hom_stability,
                 V.hom_infinitesimal_stability_indicator)
@@ -174,21 +175,20 @@ def test_borel_identity_matches_the_oracle():
         assert dims == oracle_dims(b.c, rows) == [0] * (w.dim + 1)
 
 
-def test_each_chain_map_is_built_and_checked_once(monkeypatch):
+def test_each_chain_map_is_built_once_and_no_square_is_rechecked(
+        monkeypatch):
     # the Aut(g) question, the indicator and the Kuranishi model read H^1 and
-    # H^2 of rho*: chain maps at degrees 0-3, and the squares at degrees 0-2,
-    # each chain_maps[j + 1] d_j = d_j chain_maps[j] multiplied once
-    built, products = {}, []
+    # H^2 of rho*: its chain maps in degrees 1 and 2, each built once, and no
+    # square multiplied, since validating rho proved that rho* commutes with d
+    built, products = [], []
     build, mul = cecomplex.pullback_cochain_map, Matrix.mul
 
     def spied_build(hom, k):
-        built[k] = build(hom, k)
-        return built[k]
+        built.append((k, build(hom, k)))
+        return built[-1][1]
 
     def spied_mul(self, other):
-        for k, m in built.items():
-            if m is self or m is other:
-                products.append((k, "right" if m is self else "left"))
+        products.extend(k for k, m in built if m is self or m is other)
         return mul(self, other)
 
     monkeypatch.setattr(cecomplex, "pullback_cochain_map", spied_build)
@@ -196,9 +196,30 @@ def test_each_chain_map_is_built_and_checked_once(monkeypatch):
     rho = principal_sl2(5)
     assert all(verdict(rho).holds for verdict in HOM_VERDICTS)
     assert V.kuranishi_model_dims(rho).aut_model_dim == 0
-    assert list(built) == [0, 1, 2, 3]
-    assert products == [(1, "right"), (0, "left"), (2, "right"), (1, "left"),
-                        (3, "right"), (2, "left")]
+    assert [k for k, _ in built] == [1, 2]
+    assert products == []
+
+
+def _homomorphisms():
+    """Every hom preset, the benchmark's homomorphisms in a signed basis, and
+    the principal sl_2 in sl_n for n <= 4."""
+    fam = bench_families()
+    signs = fam.Signs(5)
+    return ([hom_preset(n) for n in hom_preset_names()]
+            + [fam.heis3_to_heis5(signs), fam.borel2_to_borel3(signs),
+               fam.sl2_to_gl2(signs)]
+            + [principal_sl2(n) for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("hom", _homomorphisms(), ids=lambda hom: hom.name)
+def test_the_unchecked_map_on_h_is_the_checked_one(hom):
+    # rho*'s one chain map per degree gives the map that induced_map_on_h
+    # gives once it has checked the squares at degrees k - 1 and k
+    problem = Problem(hom)
+    maps = {j: cecomplex.pullback_cochain_map(hom, j) for j in range(4)}
+    for k in range(3):
+        assert problem.pullback_map_on_h(k) == induced_map_on_h(
+            maps, problem.target, problem, k)
 
 
 def test_the_report_is_added_for_json_only(reads):

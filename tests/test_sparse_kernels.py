@@ -489,21 +489,29 @@ def test_class_coords_of_a_fraction_cocycle():
 
 
 # ---------------------------------------------------------------------------
-# a report keeps d_0, d_1 and d_2 only, and its bases rebuild none
+# a report keeps d_0, d_1 and d_2 only, and a basis read builds only the rows
+# its rank form kept
 
-def test_a_dims_only_report_keeps_the_checked_differentials_only(
-        monkeypatch):
-    fam = bench_families()
+def test_a_basis_read_builds_only_its_kept_rows(monkeypatch):
+    fam, partial = bench_families(), 0
     for g in (fam.filiform(7), fam.heisenberg(3), fam.borel(3)):
         report = cohomology(adjoint_rep(g))
         cx = report.complex
         assert sorted(cx._d) == [0, 1, 2]
         builds = []
-        monkeypatch.setattr(cecomplex, "differential_matrix",
-                            lambda *args: builds.append(args))
+
+        def spied(k, rep, rows=None):
+            builds.append((k, rows))
+            return differential_matrix(k, rep, rows)
+
+        monkeypatch.setattr(cecomplex, "differential_matrix", spied)
         reps = [d.h_representatives for d in report.degrees]
-        assert builds == []
         monkeypatch.undo()
+        # each degree with a representative builds the rows its rank form
+        # kept, ascending, even where d_k is cached, and holds none of them
+        assert builds == [(k, cx.rank_form(k).rows[::-1])
+                          for k in range(cx.n + 1) if reps[k]]
+        assert sorted(cx._d) == [0, 1, 2]
         # the representatives of a basis form built from all of d_k
         for k, got in enumerate(reps):
             form = RankForm(differential_matrix(k, cx.rep).row_maps,
@@ -512,6 +520,59 @@ def test_a_dims_only_report_keeps_the_checked_differentials_only(
             assert got == tuple(form.null_vector(f) for f in d.free
                                 if f not in d.classes)
         assert sum(map(len, reps)) == sum(report.dims_h())
+        partial += len(builds)
+    assert partial
+
+
+@pytest.mark.parametrize("rep", _lie_systems(), ids=lambda rep: rep.label)
+def test_forms_of_the_rows_built_equal_forms_of_the_whole_differential(rep):
+    # every form reads only the rows it builds, and matches the form of the
+    # same rows or columns taken from all of d_k, as do the representatives
+    # and their class coordinates
+    cx, whole = CEComplex(rep), [differential_matrix(k, rep)
+                                 for k in range(rep.acting.dim + 1)]
+    for k, d in enumerate(whole):
+        form = RankForm(d.row_maps, cx.block(k + 1)[0], ints=rep.all_ints)
+        assert (cx.rank_form(k).rows, cx.rank_form(k).kept) == (
+            form.rows, form.kept)
+        basis = RankForm(d.row_maps, form.rows[::-1], keep=True)
+        built = cx.basis_form(k)
+        assert (built.kept, built.pivots) == (basis.kept, basis.pivots)
+        degree = cx.degree(k)
+        reps = degree.h_representatives
+        assert reps == tuple(basis.null_vector(f) for f in degree.free
+                             if f not in degree.classes)
+        if k:
+            cols = whole[k - 1].columns()
+            classes = RankForm([{~i: x for i, x in cols[j].items()}
+                                for j in reversed(cx.block(k - 1)[0])],
+                               keep=True)
+            assert (cx.class_form(k).rows, cx.class_form(k).pivots) == (
+                classes.rows, classes.pivots)
+        assert [degree.class_coords(z) for z in reps] == [
+            [int(i == j) for i in range(len(reps))] for j in range(len(reps))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rep_specs().map(lambda drawn: drawn[0]), unchecked_systems()),
+       st.data())
+def test_a_build_over_a_row_list_builds_those_rows_only(rep, data):
+    # on systems that need satisfy no identity: each listed row is the whole
+    # build's row, cell for cell in the same order, and every other row is
+    # the one shared empty row, never written
+    for k in range(rep.acting.dim + 1):
+        whole = differential_matrix(k, rep)
+        listed = sorted(data.draw(st.sets(st.integers(0, whole.rows - 1)))
+                        if whole.rows else ())
+        part = differential_matrix(k, rep, listed)
+        assert (part.rows, part.cols) == (whole.rows, whole.cols)
+        for i, (row, want) in enumerate(zip(part.row_maps, whole.row_maps)):
+            if i in listed:
+                assert list(row.items()) == list(want.items())
+                assert type(row) is dict
+            else:
+                assert row is cecomplex._NO_ROW
+    assert dict(cecomplex._NO_ROW) == {}
 
 
 def test_composed_zero_of_the_les():
@@ -573,8 +634,9 @@ def test_apply_d_matches_the_dense_product():
 
 
 def test_apply_d_keeps_one_column_view_per_degree():
-    # every read of d_1's columns, by apply_d and the class form, gets the
-    # one view built on the first
+    # every read of d_1's columns by apply_d gets the one view built on the
+    # first; the class form of degree 2 reads d_1's zero weight rows, not
+    # its column view
     cx = CEComplex(adjoint_rep(catalog_algebra("sl2")))
     d, columns, views = cx.d(1), Matrix.columns, []
 
@@ -586,7 +648,7 @@ def test_apply_d_keeps_one_column_view_per_degree():
         for j in range(9):
             cx.apply_d(AltMap.of(1, 3, 3, {j: 1}))
         cx.class_form(2)
-    assert len(views) == 10 and all(v is views[0] for v in views)
+    assert len(views) == 9 and all(v is views[0] for v in views)
     assert d.columns() is d.columns() is views[0]
 
 
