@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
-from operator import add
+from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
@@ -113,78 +113,80 @@ def differential_matrix(k: int, rep: RepSpec, rows=None) -> Matrix:
 
 
 class CEComplex:
-    """Caches the whole differentials d_k of a coefficient system that a
-    reader asked for (``d``; each ``Matrix`` keeps its column view), and its
-    rank and class forms, which hold none of the rows they built."""
+    """Caches the d_k a reader asked for whole (``d``; each ``Matrix`` keeps
+    its column view), the weight blocks, and the rank and class forms, which
+    read a cached d_k's rows and hold none they built (``_rows``)."""
 
     def __init__(self, rep: RepSpec):
         self.rep = rep
         self.n = rep.acting.dim
         self.carrier_dim = rep.carrier_dim
-        self._d, self._classes, self._blocks = {}, {}, []
+        self._d, self._classes, self._blocks = {}, {}, {}
         self._ranks, self._degrees = {}, {}
-        self._walk = self._weights()
 
     def d(self, k: int) -> Matrix:
         if k not in self._d:
             self._d[k] = differential_matrix(k, self.rep)
         return self._d[k]
 
-    def block(self, k: int) -> tuple:
-        """(the zero weight k-cochain positions, ascending, rank of d_k off
-        them), from the walk ``_weights``, taken no further than k."""
-        while len(self._blocks) <= k:
-            self._blocks.append(next(self._walk))
-        return self._blocks[k]
+    def _rows(self, k: int, which) -> list:
+        """d_k's rows: the cached d_k's, or only those in ``which`` built."""
+        return (self._d.get(k) or differential_matrix(k, self.rep, which)).row_maps
 
-    def _weights(self):
-        """Yields each degree's block, from degree 0 up, for the inner torus,
-        the acting basis elements x with ad x and r(x) diagonal, not both
-        zero; without one, the one block, all of C^k with rank 0.  x
-        acts on the cochain e^S (x) v_a by the weight r(x)_aa - sum_(i in S)
-        ad(x)_ii: the sum over S is its top element's ad weight added to the
-        sum over the rest, read from the level below (one level is kept at a
-        time), and the carrier vectors of that weight are one lookup away."""
-        n, m = self.n, self.carrier_dim
-        terms, act = self.rep.acting.terms, self.rep.rows
+    @cached_property
+    def generic(self):
+        """(each acting basis element's weight, {weight: its carriers}) at the
+        generic element sum_i b^i x_i of the inner torus (the x_i with ad x_i
+        and r(x_i) diagonal, not both zero), or None.  The weights, made ints
+        by the lcm s of their denominators, of a subset less a carrier are
+        below b/2 = (n+1)s max|weight| + 1/2: zero iff their generic one is."""
+        n, terms, act = self.n, self.rep.acting.terms, self.rep.rows
         xs = [x for x in range(n)
               if all(l == j for j in range(n) for l, _ in terms[x][j])
               and all(b == a for a, row in enumerate(act[x]) for b in row)
               and (any(terms[x]) or any(act[x]))]
-        if not xs:  # the one block in every degree; this never returns
-            yield from ((range(self.dim_cochains(k)), 0) for k in count())
-        ad = {1 << j: tuple(dict(terms[x][j]).get(j, 0) for x in xs)
-              for j in range(n)}  # {bit of j: the weights ad(x)_jj}
-        carriers = {}  # {weight of r: its carrier indices, ascending}
-        for a in range(m):
-            carriers.setdefault(tuple(act[x][a].get(a, 0) for x in xs),
-                                []).append(a)
-        # {mask: the ad weight of its subset}, and the last rank off zero
-        level, off = {0: (0,) * len(xs)}, 0
-        for k in count():
-            zero = [p * m + a for p, w in enumerate(level.values())
-                    for a in carriers.get(w, ())]
-            yield zero, (off := self.dim_cochains(k) - len(zero) - off)
-            level = {s: tuple(map(add, level[s ^ top], ad[top]))
-                     for s in mask_positions(n, k + 1)
-                     for top in [1 << (s.bit_length() - 1)]}
+        if not xs:
+            return None
+        ws = [[dict(terms[x][j]).get(j, 0) for x in xs] for j in range(n)] + [
+            [act[x][a].get(a, 0) for x in xs] for a in range(self.carrier_dim)]
+        s = lcm(*(w.denominator for r in ws for w in r))
+        b = 2 * (n + 1) * int(s * max(abs(w) for r in ws for w in r)) + 1
+        ws, carriers = [sum(int(w * s) * b ** i for i, w in enumerate(r))
+                        for r in ws], {}
+        for a, w in enumerate(ws[n:]):
+            carriers.setdefault(w, []).append(a)
+        return ws[:n], carriers
+
+    def block(self, k: int) -> tuple:
+        """(the zero weight k-cochain positions, ascending, rank of d_k off
+        them), made on first read from the blocks below: e^S (x) v_a is in it
+        where S's ``generic`` weights sum to a's (without a torus, all of C^k)."""
+        if k not in self._blocks:
+            zero = range(self.dim_cochains(k))
+            if self.generic is not None:
+                ad, carriers = self.generic
+                zero = [p * self.carrier_dim + a for p, w in enumerate(
+                    map(sum, combinations(ad, k))) for a in carriers.get(w, ())]
+            self._blocks[k] = zero, self.dim_cochains(k) - len(zero) - (
+                self.block(k - 1)[1] if k else 0)
+        return self._blocks[k]
 
     def rank_form(self, k: int) -> RankForm:
         """The ``RankForm`` of d_k's zero weight rows, the cached d_k's or
         those alone built, as ints if ``rep.all_ints``: it keeps no row."""
         if k not in self._ranks:
             zero = self.block(k + 1)[0]
-            d = self._d.get(k) or differential_matrix(k, self.rep, zero)
             # an int system's rows are not scanned for a Fraction
-            self._ranks[k] = RankForm(d.row_maps, zero, ints=self.rep.all_ints)
+            self._ranks[k] = RankForm(self._rows(k, zero), zero,
+                                      ints=self.rep.all_ints)
         return self._ranks[k]
 
     def basis_form(self, k: int) -> RankForm:
         """``rank_form(k)`` with its reduced rows, built anew from only the
         rows it kept, in the same order: the rows it dropped added no pivot."""
         kept = self.rank_form(k).rows[::-1]
-        return RankForm(differential_matrix(k, self.rep, kept).row_maps, kept,
-                        keep=True, ints=self.rep.all_ints)
+        return RankForm(self._rows(k, kept), kept, keep=True,
+                        ints=self.rep.all_ints)
 
     def class_form(self, k: int) -> RankForm:
         """The kept ``RankForm`` of d_(k-1)'s columns in ``block(k - 1)``
@@ -195,7 +197,7 @@ class CEComplex:
         form's nonzeros on L_11."""
         if k not in self._classes:
             zero = self.block(k)[0]
-            rows = differential_matrix(k - 1, self.rep, zero).row_maps
+            rows = self._rows(k - 1, zero)
             cols = {j: {} for j in reversed(self.block(k - 1)[0])}
             for i in zero:  # rows[i] lies in cols where d o d = 0
                 for j in rows[i].keys() & cols.keys():

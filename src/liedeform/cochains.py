@@ -5,11 +5,11 @@ is indexed by (k-subset, carrier index): subsets of {0..n-1} are enumerated in
 lexicographic order and the carrier index varies fastest, i.e. flat index =
 subset_position * m + carrier_index, in the one enumeration ``subsets``.
 A subset's position is read from its bit mask, sum(1 << i for i in S), the
-one integer encoding of a subset, in ``mask_positions``, built from
-``subsets`` so that its keys enumerate the masks in the same order: the
-kernels that walk subsets (the differential, the torus weights, the pullback
-map) take a face as ``M ^ (1 << i)``, test membership with ``M & bit``, and
-count the elements below i with ``(M & ((1 << i) - 1)).bit_count()``.  An
+one integer encoding of a subset, in ``mask_positions``, whose keys, sums
+over ``combinations`` of the bits 1 << i, run in the order of ``subsets``:
+the differential and the pullback map take a face as ``M ^ (1 << i)``, test
+membership with ``M & bit``, and count the elements below i with
+``(M & ((1 << i) - 1)).bit_count()``.  An
 ``AltMap`` keeps only its nonzeros, {flat index: value}, as a ``Matrix``
 keeps the nonzeros of its rows; the dense values of one subset are read with
 ``value``.
@@ -39,10 +39,10 @@ def subsets(n: int, k: int) -> tuple:
 
 @cache
 def mask_positions(n: int, k: int) -> MappingProxyType:
-    """{bit mask of a k-subset: its position in ``subsets(n, k)``}, built
-    from that table: its keys enumerate the masks in the same order."""
-    return MappingProxyType({sum(1 << i for i in s): p
-                             for p, s in enumerate(subsets(n, k))})
+    """{bit mask of a k-subset: its position in ``subsets(n, k)``}, each key
+    one sum over ``combinations`` of the bits 1 << i, in that table's order."""
+    return MappingProxyType(dict(zip(map(sum, combinations(
+        [1 << i for i in range(n)], k)), range(comb(n, k)))))
 
 
 def subset_position(n: int, subset) -> int:

@@ -350,7 +350,7 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
     # (residuals, then kept rows) and chords
     seeds = np.flatnonzero(~converged)
     x, rs, ox = u[seeds], res[seeds], tuple(v[seeds] for v in out)
-    p = chord[seeds]
+    p = chord[seeds]  # the loop's own copy: ``chord`` may be a read-only view
     rounds = 0
     while seeds.size:
         step = x - cfg.damping * np.matmul(p, ox[0][..., None])[..., 0]
@@ -850,7 +850,7 @@ def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
     pinv = chart.orbit_pinv
     u, amat, res, iters, ok = _chord_newton(
         residual, np.zeros((len(arr), pinv.shape[0])),
-        np.repeat(pinv[None], len(arr), axis=0), cfg)
+        np.broadcast_to(pinv, (len(arr),) + pinv.shape), cfg)
     x, det = chart.log(u), np.linalg.det(amat)
     results = [RecoveryResult(
         kind=p.kind, log_solution=x[s], group_matrix=amat[s],

@@ -794,10 +794,20 @@ def catalog_or_weight_systems(seed) -> list:
             + [quotient_rep(sub_preset(n)) for n in sub_preset_names()])
 
 
+def rational_weight_systems() -> list:
+    """Systems whose torus weights are not all ints: the pullback along
+    abelian(1) -> sl2, x -> (2/3)h, and sl2 in the basis (h/3, e, f)."""
+    sl2 = catalog_algebra("sl2")
+    rho = Homomorphism(abelian(1, name="abelian1"), sl2, Matrix.from_rows(
+        [[Fraction(2, 3)], [0], [0]]), name="two-thirds-h")
+    return [pullback_rep(rho), adjoint_rep(dense.rescaled_algebra(
+        sl2, [Fraction(1, 3), 1, 1]))]
+
+
 @pytest.mark.parametrize("seed", [None, 5, 3407])
 def test_torus_matches_a_weight_scan(seed):
-    tori = 0
-    for rep in catalog_or_weight_systems(seed):
+    tori, rational = 0, rational_weight_systems() if seed is None else []
+    for rep in catalog_or_weight_systems(seed) + rational:
         cx, (zero, acyclic) = CEComplex(rep), scanned_torus(rep)
         for k in range(cx.n + 2):
             got = cx.block(k)
@@ -807,13 +817,28 @@ def test_torus_matches_a_weight_scan(seed):
             else:  # no torus: the one block
                 assert got == (range(cx.dim_cochains(k)), 0), (rep.label, k)
         tori += bool(zero)
-    assert tori >= (3 if seed is None else 12)
+    assert tori >= (5 if seed is None else 12)
+    for rep in rational:  # each weight is scaled to an int, and so is b
+        ad, carriers = CEComplex(rep).generic
+        assert all(type(w) is int for w in [*ad, *carriers]), rep.label
+
+
+def test_a_generic_weight_keeps_apart_what_a_small_base_merges():
+    # in gl_5 the 6-subset {E12, E32, E42, E52, E14, E15} has weight
+    # (3, -4, 1, 0, 0) under the E_ii, which the base 3 sends to 0, the
+    # weight of the carriers E_ii; the generic element keeps it off them
+    cx = CEComplex(adjoint_rep(dense.gl_algebra(5)))
+    ad, carriers = cx.generic
+    subset = [a * 5 + b for a, b in ((0, 1), (2, 1), (3, 1), (4, 1), (0, 3),
+                                     (0, 4))]
+    assert sum(ad[i] for i in subset) not in carriers
+    assert carriers[0] == [a * 5 + a for a in range(5)]
 
 
 @pytest.mark.parametrize("seed", [None, 5, 3407])
 def test_degrees_read_in_any_order_match_the_full_report(seed):
     # a fresh complex read from its top degree down, or in a shuffled order,
-    # resumes the walk over the weight blocks where the last read left it
+    # makes each weight block on first read from the blocks below it
     rng = random.Random(seed)
     for rep in catalog_or_weight_systems(seed):
         want = [(d.dim_cochains, d.dim_cocycles, d.dim_coboundaries, d.dim_h,

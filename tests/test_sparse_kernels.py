@@ -493,7 +493,7 @@ def test_class_coords_of_a_fraction_cocycle():
 # its rank form kept
 
 def test_a_basis_read_builds_only_its_kept_rows(monkeypatch):
-    fam, partial = bench_families(), 0
+    fam, partial, cached = bench_families(), 0, 0
     for g in (fam.filiform(7), fam.heisenberg(3), fam.borel(3)):
         report = cohomology(adjoint_rep(g))
         cx = report.complex
@@ -507,10 +507,11 @@ def test_a_basis_read_builds_only_its_kept_rows(monkeypatch):
         monkeypatch.setattr(cecomplex, "differential_matrix", spied)
         reps = [d.h_representatives for d in report.degrees]
         monkeypatch.undo()
-        # each degree with a representative builds the rows its rank form
-        # kept, ascending, even where d_k is cached, and holds none of them
+        # each degree with a representative and no cached d_k builds the
+        # rows its rank form kept, ascending, and holds none of them; one
+        # with a cached d_k reads that d_k's rows and builds none
         assert builds == [(k, cx.rank_form(k).rows[::-1])
-                          for k in range(cx.n + 1) if reps[k]]
+                          for k in range(cx.n + 1) if reps[k] and k not in cx._d]
         assert sorted(cx._d) == [0, 1, 2]
         # the representatives of a basis form built from all of d_k
         for k, got in enumerate(reps):
@@ -521,7 +522,8 @@ def test_a_basis_read_builds_only_its_kept_rows(monkeypatch):
                                 if f not in d.classes)
         assert sum(map(len, reps)) == sum(report.dims_h())
         partial += len(builds)
-    assert partial
+        cached += sum(bool(reps[k]) for k in cx._d)
+    assert partial and cached
 
 
 @pytest.mark.parametrize("rep", _lie_systems(), ids=lambda rep: rep.label)
