@@ -18,9 +18,9 @@ each call validated afresh.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
-from .cochains import AltMap, subsets
+from .cochains import AltMap
 from .exactlin import (Matrix, QuotientCoords, Subspace, _add_scaled, _dense,
                        _exact, _frac, _subspace, format_scalar, quotient_coords)
 from .records import record
@@ -145,26 +145,26 @@ class BracketCandidate:
             return acc
 
         return AltMap.from_blocks(3, self.dim, self.dim, (
-            block(*t) for t in subsets(self.dim, 3)))
+            block(*t) for t in combinations(range(self.dim), 3)))
 
     def pair_brackets(self, vectors) -> AltMap:
         """The 2-cochain (i, j) -> [v_i, v_j] on the vectors v_i, each given
         as its (index, coefficient) nonzeros, summed over ``terms``."""
         return AltMap.from_blocks(2, len(vectors), self.dim, (
             _bracket_into({}, self.terms, vectors[i], vectors[j])
-            for i, j in subsets(len(vectors), 2)))
+            for i, j in combinations(range(len(vectors)), 2)))
 
     def as_altmap(self) -> AltMap:
         n = self.dim
         return AltMap(2, n, n, {p * n + k: x for p, (i, j)
-                                in enumerate(subsets(n, 2))
+                                in enumerate(combinations(range(n), 2))
                                 for k, x in self.terms[i][j]})
 
     @classmethod
     def from_altmap(cls, m: AltMap) -> "BracketCandidate":
         if m.degree != 2 or m.domain_dim != m.carrier_dim:
             raise ValueError("need a 2-cochain with carrier equal to the domain")
-        n, pairs = m.domain_dim, subsets(m.domain_dim, 2)
+        n, pairs = m.domain_dim, list(combinations(range(m.domain_dim), 2))
         planes, cols = [[()] * n for _ in range(n)], {}
         for f, x in m.nonzeros.items():
             cols.setdefault(pairs[f // n], {})[f % n] = x
@@ -372,10 +372,10 @@ class RepSpec:
 
     def check_identity(self):
         """r([u,v]) = r(u) r(v) - r(v) r(u), exactly, on all basis pairs in
-        ``subsets`` order: sum_k c_uv^k r_k against r_u r_v - r_v r_u."""
+        ``combinations`` order: sum_k c_uv^k r_k against r_u r_v - r_v r_u."""
         q, terms = self.carrier_dim, self.acting.terms
         r = [Matrix.of_rows(q, q, rows) for rows in self.rows]
-        for (i, j) in subsets(self.acting.dim, 2):
+        for (i, j) in combinations(range(self.acting.dim), 2):
             lhs = Matrix.zeros(q, q)
             for k, c in terms[i][j]:
                 lhs = lhs.add_scaled(r[k], c)

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import lcm
 from types import MappingProxyType
 
 from .algebras import (Homomorphism, LieAlgebra, RepSpec, SubalgebraWitness,
                        adjoint_rep, pullback_rep, quotient_rep)
-from .cochains import AltMap, cochain_dim, mask_positions, subsets
+from .cochains import AltMap, cochain_dim
 from .exactlin import ZERO, Matrix, RankForm, Subspace, _dense, _exact, rank
 from .records import record
 
@@ -54,22 +54,27 @@ def differential_matrix(k: int, rep: RepSpec, rows=None) -> Matrix:
     (``rep.action_cells``, read once per system) and structure constants
     (``rep.acting.terms``) are visited; a cell is deleted when its sum
     cancels, and made an int where integral only if some input is not one
-    (``rep.all_ints``).  A row subset T is read as its tuple and its bit
-    mask, the key of ``mask_positions`` in the same place (see ``cochains``):
-    its face T - u_i is ``T ^ (1 << u_i)``, and e_l goes into the rest R of
-    T as ``R | (1 << l)``, signed by the number of elements of R below l."""
+    (``rep.all_ints``).  The (k+1)-subsets T are walked in ``combinations``
+    order as (position, tuple, bit mask), a partial build taking only those
+    that hold a row built; a column's k-subset is read from its bit mask in
+    a {mask: position} dict made for this call (see ``cochains``): the face
+    T - u_i is ``T ^ (1 << u_i)``, and e_l goes into the rest R of T as
+    ``R | (1 << l)``, signed by the number of elements of R below l."""
     n, m = rep.acting.dim, rep.carrier_dim
-    cols_pos, sets = mask_positions(n, k), subsets(n, k + 1)
-    terms, action, size = rep.acting.terms, rep.action_cells, len(sets) * m
+    bits = [1 << i for i in range(n)]
+    cols_pos = dict(zip(map(sum, combinations(bits, k)), count()))
+    terms, action = rep.acting.terms, rep.action_cells
+    size = cochain_dim(n, k + 1, m)
+    sets = zip(count(), combinations(range(n), k + 1),
+               map(sum, combinations(bits, k + 1)))
     if rows is None or len(rows) == size:
-        out, picks = [{} for _ in range(size)], range(len(sets))
-    else:  # the positions of the row subsets holding a row built
-        out, picks = [_NO_ROW] * size, dict.fromkeys(r // m for r in rows)
+        out = [{} for _ in range(size)]
+    else:  # only the row subsets holding a row built
+        out, picked = [_NO_ROW] * size, bytearray(size // m)
         for r in rows:
-            out[r] = {}
-    masks = tuple(mask_positions(n, k + 1))
-    for t_pos in picks:
-        T, tmask = sets[t_pos], masks[t_pos]
+            out[r], picked[r // m] = {}, 1
+        sets = compress(sets, picked)
+    for t_pos, T, tmask in sets:
         block = out[t_pos * m:(t_pos + 1) * m]
         # action terms
         for i, ui in enumerate(T):
@@ -452,10 +457,11 @@ def pullback_cochain_map(hom: Homomorphism, k: int) -> Matrix:
     nonzeros of rho's columns, with each wedge term keyed by the bit mask of
     its subset T (see ``cochains``); the carrier index is untouched."""
     m = hom.target.dim
-    src_pos = mask_positions(m, k)
+    src_pos = dict(zip(map(sum, combinations([1 << i for i in range(m)], k)),
+                       count()))
     cols = hom.matrix.columns()
     out = []
-    for S in subsets(hom.source.dim, k):
+    for S in combinations(range(hom.source.dim), k):
         wedge = {0: 1}
         for s in reversed(S):  # each factor is prepended
             acc = {}

@@ -1,15 +1,15 @@
 """Alternating multilinear maps in coordinates.
 
 A k-cochain on an n-dimensional space with values in an m-dimensional carrier
-is indexed by (k-subset, carrier index): subsets of {0..n-1} are enumerated in
-lexicographic order and the carrier index varies fastest, i.e. flat index =
-subset_position * m + carrier_index, in the one enumeration ``subsets``.
-A subset's position is read from its bit mask, sum(1 << i for i in S), the
-one integer encoding of a subset, in ``mask_positions``, whose keys, sums
-over ``combinations`` of the bits 1 << i, run in the order of ``subsets``:
-the differential and the pullback map take a face as ``M ^ (1 << i)``, test
-membership with ``M & bit``, and count the elements below i with
-``(M & ((1 << i) - 1)).bit_count()``.  An
+is indexed by (k-subset, carrier index): subsets of {0..n-1} are numbered in
+the lexicographic order ``itertools.combinations(range(n), k)`` walks them,
+read back by arithmetic in ``subset_position``, and the carrier index varies
+fastest, i.e. flat index = subset_position * m + carrier_index.  No table of
+subsets outlives the call that walks them: the differential and the pullback
+map number a subset's bit mask, sum(1 << i for i in S), in a {mask: position}
+dict of their own, made from sums over ``combinations`` of the bits 1 << i;
+they take a face as ``M ^ (1 << i)``, test membership with ``M & bit``, and
+count the elements below i with ``(M & ((1 << i) - 1)).bit_count()``.  An
 ``AltMap`` keeps only its nonzeros, {flat index: value}, as a ``Matrix``
 keeps the nonzeros of its rows; the dense values of one subset are read with
 ``value``.
@@ -18,37 +18,17 @@ keeps the nonzeros of its rows; the dense values of one subset are read with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb
-from types import MappingProxyType
 
 from .exactlin import ZERO, _add_scaled, _exact, _frac
 from .records import record
 
 
-# the tables are built once per (n, k) and shared, so all are read-only
-
-@cache
-def subsets(n: int, k: int) -> tuple:
-    """All k-subsets of {0..n-1} as sorted tuples, in lexicographic order."""
-    if k < 0 or k > n:
-        return ()
-    return tuple(combinations(range(n), k))
-
-
-@cache
-def mask_positions(n: int, k: int) -> MappingProxyType:
-    """{bit mask of a k-subset: its position in ``subsets(n, k)``}, each key
-    one sum over ``combinations`` of the bits 1 << i, in that table's order."""
-    return MappingProxyType(dict(zip(map(sum, combinations(
-        [1 << i for i in range(n)], k)), range(comb(n, k)))))
-
-
 def subset_position(n: int, subset) -> int:
-    """Position of a sorted subset of {0..n-1} in ``subsets(n, len(subset))``,
-    counted without the table: C(n, k) - 1 minus the subsets that follow it.
-    KeyError for a tuple that is not such a subset."""
+    """Position of a sorted subset of {0..n-1} among the subsets of its size,
+    in ``combinations`` order, counted as C(n, k) - 1 minus the subsets that
+    follow it.  KeyError for a tuple that is not such a subset."""
     s, k = tuple(subset), len(subset)
     if any(b <= a for a, b in zip(s, s[1:])) or s and not 0 <= s[0] <= s[-1] < n:
         raise KeyError(s)
@@ -108,18 +88,24 @@ class AltMap:
 
     @classmethod
     def from_values(cls, degree: int, domain_dim: int, carrier_dim: int, values: dict) -> "AltMap":
-        """Build from a {sorted_subset: value_vector} dict; omitted subsets are zero."""
+        """Build from a {sorted_subset: value_vector} dict; omitted subsets are
+        zero.  KeyError for a subset that is not a sorted degree-subset."""
         vec = {}
         for s, v in values.items():
             if len(v) != carrier_dim:
                 raise ValueError("value vector has wrong carrier length")
+            if len(s) != degree:
+                raise KeyError(tuple(s))
             base = subset_position(domain_dim, s) * carrier_dim
             vec.update((base + a, _frac(x)) for a, x in enumerate(v))
         return cls.of(degree, domain_dim, carrier_dim, vec)
 
     def value(self, subset) -> list:
         """Value on the basis tuple given by a sorted index subset, as a dense
-        vector of Fractions."""
+        vector of Fractions.  KeyError for a subset that is not a sorted
+        degree-subset."""
+        if len(subset) != self.degree:
+            raise KeyError(tuple(subset))
         base = subset_position(self.domain_dim, subset) * self.carrier_dim
         get = self.nonzeros.get
         return [_frac(get(base + a, ZERO)) for a in range(self.carrier_dim)]
@@ -163,6 +149,6 @@ class AltMap:
     def nonzero_entries(self):
         """(subset, carrier_index, value) triples for every nonzero
         coefficient, in flat order."""
-        table, m = subsets(self.domain_dim, self.degree), self.carrier_dim
-        return [(table[i // m], i % m, x)
-                for i, x in sorted(self.nonzeros.items())]
+        m, nonzeros = self.carrier_dim, sorted(self.nonzeros.items())
+        table = list(combinations(range(self.domain_dim), self.degree))
+        return [(table[i // m], i % m, x) for i, x in nonzeros]

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import sys
 from functools import cache, cached_property, wraps
+from itertools import combinations
 from math import acos, asin, ceil, factorial, isfinite, log2
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem
-from .cochains import subsets
 from .documents import (ChartError, InputDefectError, NewtonConfig,
                         PreconditionError)
 from .records import field, record
@@ -196,7 +196,7 @@ def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
 @cache
 def _subset_index(n: int, k: int) -> tuple:
     """Shared read-only index arrays of the k-subsets, in subset order."""
-    index = np.array(subsets(n, k), dtype=int).reshape(-1, k).T
+    index = np.array(list(combinations(range(n), k)), dtype=int).reshape(-1, k).T
     index.flags.writeable = False
     return tuple(index)
 

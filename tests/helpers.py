@@ -15,7 +15,6 @@ from liedeform.algebras import (BracketCandidate, Homomorphism, LieAlgebra,
                                 sub_preset, subalgebra_witness,
                                 validate_bracket, validate_homomorphism)
 from liedeform.cecomplex import CEComplex, CohomologyReport
-from liedeform.cochains import mask_positions, subsets
 from liedeform.deformlab import (FloatBracket, NewtonConfig, _pairs_flat,
                                  graph_basis, run_experiment)
 from liedeform.exactlin import (Matrix, QuotientCoords, Subspace, _frac,
@@ -136,8 +135,8 @@ def mask_insert(element: int, rest) -> tuple:
     mask, bit = sum(1 << i for i in rest), 1 << element
     if mask & bit:
         return 0, None
-    n, k = max((element, *rest)) + 1, len(rest) + 1
-    merged = subsets(n, k)[mask_positions(n, k)[mask | bit]]
+    union = mask | bit
+    merged = tuple(i for i in range(union.bit_length()) if union >> i & 1)
     return (-1) ** (mask & (bit - 1)).bit_count(), merged
 
 
@@ -358,6 +357,25 @@ def heisenberg_algebra(m: int) -> LieAlgebra:
                for i in range(m)}
     return validate_bracket(BracketCandidate.from_entries(n, entries),
                             name=f"heis{n}")
+
+
+def nilradical(n: int) -> LieAlgebra:
+    """n_n, the nilradical of b(sl_n): the E_ij with i < j, in the order of
+    ``combinations(range(n), 2)``, with
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
+    units = list(combinations(range(n), 2))
+    at = {pair: t for t, pair in enumerate(units)}
+    entries = {}
+    for s, t in combinations(range(len(units)), 2):
+        (i, j), (k, l) = units[s], units[t]
+        v = [0] * len(units)
+        if j == k:
+            v[at[i, l]] += 1
+        if l == i:
+            v[at[k, j]] -= 1
+        entries[(s, t)] = v
+    return validate_bracket(BracketCandidate.from_entries(len(units), entries),
+                            name=f"n{n}")
 
 
 def rescaled_algebra(g: LieAlgebra, scales) -> LieAlgebra:

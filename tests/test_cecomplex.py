@@ -1,14 +1,20 @@
 """Differentials, cohomology reports, induced maps, and the long exact
 sequence for a subalgebra."""
 
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                RepSpec, adjoint_rep, catalog_algebra,
+                                RepSpec, abelian, adjoint_rep, catalog_algebra,
                                 catalog_names, hom_preset, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
                                 subalgebra_witness, validate_bracket)
@@ -20,8 +26,8 @@ from liedeform.cecomplex import (CEComplex, ChainMapError,
                                  induced_map_on_h, les_subalgebra,
                                  pullback_cochain_map)
 from helpers import (bench_families, dense, dense_apply, dense_report_tuples, flat, filiform_algebra, gl_algebra,
-                     heisenberg_algebra, identity_chain_maps, rescaled_algebra,
-                     sl_algebra)
+                     heisenberg_algebra, identity_chain_maps, nilradical,
+                     rescaled_algebra, sl_algebra)
 from liedeform.cochains import AltMap
 from liedeform import cecomplex, exactlin
 
@@ -463,3 +469,68 @@ class TestClosedFormsAtDimensionEightAndNine:
         report = adjoint_cohomology(gl_algebra(3))
         assert report.dims_h() == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
         assert euler_characteristic(report) == 0
+
+
+def trivial_rep(g) -> RepSpec:
+    """g acting on C by zero: the pullback system of the zero homomorphism
+    to abelian(1)."""
+    return pullback_rep(Homomorphism(g, abelian(1), Matrix.zeros(1, g.dim)))
+
+
+class TestKostant:
+    # H^k(n_n, C) holds one weight w.rho - rho for each permutation w of
+    # length k (Kostant, 1961): dim H^k is the number of permutations of n
+    # letters with k inversions; with the torus added, Hochschild-Serre
+    # leaves only w = 1, so H^k(b(sl_n), C) is Lambda^k of the torus's dual
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_nilradical_gives_the_mahonian_numbers(self, n):
+        inversions = Counter(sum(a > b for a, b in combinations(w, 2))
+                             for w in permutations(range(n)))
+        t = time.perf_counter()
+        # no inner torus acts: every d_k is built whole
+        cx = CEComplex(trivial_rep(nilradical(n)))
+        report = cohomology(cx)
+        assert cx.generic is None
+        assert report.dims_h() == [inversions[k] for k in range(cx.n + 1)]
+        assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 2
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_borel_gives_the_torus_exterior_algebra(self, n):
+        t = time.perf_counter()
+        # the Cartan elements act diagonally: only zero-weight rows are built
+        cx = CEComplex(trivial_rep(bench_families().borel(n)))
+        report = cohomology(cx)
+        assert cx.generic is not None
+        assert report.dims_h() == [comb(n - 1, k) for k in range(cx.n + 1)]
+        assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 2
+
+
+DROPPED_REPORT = """
+import gc, tracemalloc
+import families
+from liedeform import adjoint_rep, cohomology
+cohomology(adjoint_rep(families.borel(4)))
+gc.collect()
+tracemalloc.start()
+report = cohomology(adjoint_rep(families.borel(5)))
+del report
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_dropped_report_leaves_nothing_behind():
+    # in a fresh process, which no earlier test has warmed: after a warm-up
+    # on b(sl_4), b(sl_5)'s report, once dropped, leaves nothing behind, as
+    # no table of its subsets outlives the call that read it (a table per
+    # (n, k) kept 3.2 MiB here)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "bench")]))
+    out = subprocess.run([sys.executable, "-c", DROPPED_REPORT], cwd=root,
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    kept = int(out.stdout)
+    assert kept < 2 ** 19, f"{kept / 2 ** 20:.2f} MiB kept"

@@ -1,7 +1,8 @@
 """Flat coordinates for alternating multilinear maps."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,44 +10,44 @@ from hypothesis import strategies as st
 
 from helpers import flat, flat_index, gl_algebra, mask_insert
 from liedeform import cochains
-from liedeform.cochains import (AltMap, cochain_dim, mask_positions,
-                                subset_position, subsets)
+from liedeform.cochains import AltMap, cochain_dim, subset_position
+
+
+def masks(n: int, k: int) -> dict:
+    """{bit mask: position} of the k-subsets of {0..n-1}, made as the
+    differential and the pullback map make theirs."""
+    return dict(zip(map(sum, combinations([1 << i for i in range(n)], k)),
+                    count()))
 
 
 def test_subsets_lexicographic():
-    assert subsets(4, 2) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    assert subsets(3, 0) == ((),)
-    assert subsets(3, 4) == ()
-    assert subsets(-1, 0) == ()
+    # the one numbering: combinations order, read back by subset_position
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert list(combinations(range(4), 2)) == pairs
+    assert [subset_position(4, s) for s in pairs] == list(range(6))
+    # one empty subset in degree 0, none above the dimension
+    assert subset_position(3, ()) == 0
+    assert AltMap.from_values(0, 3, 1, {(): [5]}).nonzeros == {0: 5}
+    assert list(combinations(range(3), 4)) == [] and cochain_dim(3, 4, 1) == 0
 
 
 def test_subset_masks_follow_the_enumeration():
-    # the position table's keys run in the order of subsets(n, k)
-    assert tuple(mask_positions(4, 2)) == (
-        0b11, 0b101, 0b1001, 0b110, 0b1010, 0b1100)
-    assert tuple(mask_positions(3, 0)) == (0,)
-    assert tuple(mask_positions(3, 4)) == ()
+    # the masks' sums over combinations of the bits run in the order of the
+    # subsets they encode
+    assert tuple(masks(4, 2)) == (0b11, 0b101, 0b1001, 0b110, 0b1010, 0b1100)
+    assert tuple(masks(3, 0)) == (0,)
+    assert tuple(masks(3, 4)) == ()
     for n in range(8):
         for k in range(n + 1):
-            assert tuple(mask_positions(n, k)) == tuple(
-                sum(1 << i for i in s) for s in subsets(n, k))
+            assert tuple(masks(n, k)) == tuple(
+                sum(1 << i for i in s) for s in combinations(range(n), k))
 
 
 def test_mask_positions_invert_enumeration():
-    pos = mask_positions(5, 3)
-    for p, s in enumerate(subsets(5, 3)):
-        assert pos[sum(1 << i for i in s)] == p
-    assert len(pos) == len(subsets(5, 3))
-
-
-def test_subset_tables_are_shared_and_read_only():
-    # one table of each kind per (n, k), which no caller can change
-    assert subsets(5, 3) is subsets(5, 3)
-    pos = mask_positions(5, 3)
-    assert pos is mask_positions(5, 3)
-    with pytest.raises(TypeError):
-        pos[0b111] = 7
-    assert pos[0b111] == 0
+    pos = masks(5, 3)
+    for p, s in enumerate(combinations(range(5), 3)):
+        assert pos[sum(1 << i for i in s)] == p == subset_position(5, s)
+    assert len(pos) == comb(5, 3)
 
 
 def test_cochain_dim():
@@ -57,10 +58,11 @@ def test_cochain_dim():
 
 def test_flat_index_layout():
     # carrier index varies fastest within a subset block
-    pos = mask_positions(4, 2)
-    assert flat_index(pos[0b11], 3, 0) == 0
-    assert flat_index(pos[0b11], 3, 2) == 2
-    assert flat_index(pos[0b101], 3, 0) == 3
+    assert flat_index(subset_position(4, (0, 1)), 3, 0) == 0
+    assert flat_index(subset_position(4, (0, 1)), 3, 2) == 2
+    assert flat_index(subset_position(4, (0, 2)), 3, 0) == 3
+    m = AltMap.from_values(2, 4, 3, {(0, 1): [0, 0, 7], (0, 2): [8, 0, 0]})
+    assert m.nonzeros == {2: 7, 3: 8}
 
 
 class TestMaskInsertion:
@@ -82,10 +84,11 @@ class TestMaskInsertion:
 
 def test_mask_faces_drop_one_element():
     # T - u_i is T ^ (1 << u_i), at the position of the tuple face
-    for T, mask in zip(subsets(6, 3), tuple(mask_positions(6, 3))):
+    faces = masks(6, 2)
+    for T, mask in zip(combinations(range(6), 3), masks(6, 3)):
         for u in T:
             face = tuple(x for x in T if x != u)
-            assert subsets(6, 2)[mask_positions(6, 2)[mask ^ (1 << u)]] == face
+            assert faces[mask ^ (1 << u)] == subset_position(6, face)
 
 
 class TestAltMap:
@@ -133,20 +136,29 @@ def test_subset_position_counts_without_the_table():
             subset_position(3, bad)
         with pytest.raises(KeyError):
             AltMap.zero(2, 3, 1).value(bad)
+        with pytest.raises(KeyError):
+            AltMap.from_values(2, 3, 1, {bad: [5]})
+    # sorted subsets whose size is not the degree
+    for bad in ((0, 1, 2), (1,), ()):
+        with pytest.raises(KeyError):
+            AltMap.zero(2, 3, 1).value(bad)
+        with pytest.raises(KeyError):
+            AltMap.from_values(2, 3, 1, {bad: [5]})
 
 
 def test_value_builds_no_subset_table(monkeypatch):
-    # reading every pair block of gl_4's bracket cochain once
+    # reading every pair block of gl_4's bracket cochain once counts each
+    # position, walking no subsets
     jac = gl_algebra(4).candidate.as_altmap()
-    calls, real = [], cochains.mask_positions
+    walks = []
 
-    def counted(n, k):
-        calls.append((n, k))
-        return real(n, k)
+    def counted(*args):
+        walks.append(args)
+        return combinations(*args)
 
-    monkeypatch.setattr(cochains, "mask_positions", counted)
+    monkeypatch.setattr(cochains, "combinations", counted)
     blocks = [jac.value(s) for s in combinations(range(16), 2)]
-    assert len(blocks) == 120 and len(calls) <= 1
+    assert len(blocks) == 120 and walks == []
     assert [x for block in blocks for x in block] == flat(jac)
 
 

@@ -6,6 +6,7 @@ vectors."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -23,7 +24,7 @@ from liedeform.cecomplex import (CEComplex, CohomologyUndefinedError,
                                  _exact_at, adjoint_cohomology, cohomology,
                                  differential_matrix)
 from liedeform.cli import run
-from liedeform.cochains import AltMap, cochain_dim, subsets
+from liedeform.cochains import AltMap, cochain_dim
 from liedeform.exactlin import Matrix, QuotientCoords, RankForm, _exact
 from liedeform.kuranishi import curvature_expansion_check
 from elimination_oracle import differential_entries
@@ -285,7 +286,7 @@ def test_identity_check_names_the_first_nonzero_row_of_d1_d0(rep):
     first = next((t for t, row in enumerate(dd.row_maps) if row), None)
     want = None
     if first is not None:
-        i, j = subsets(rep.acting.dim, 2)[first // rep.carrier_dim]
+        i, j = list(combinations(range(rep.acting.dim), 2))[first // rep.carrier_dim]
         want = f"representation identity fails on pair ({i},{j})"
     assert identity_refusal(rep) == want
 
