@@ -406,7 +406,11 @@ def adjoint_rep(g: LieAlgebra) -> RepSpec:
 def pullback_rep(hom: Homomorphism) -> RepSpec:
     """Source acts on the target through r = ad o rho, for a validated rho;
     r([u,v]) = ad[rho u, rho v] = [ad rho u, ad rho v] by g's Jacobi."""
-    validate_homomorphism(hom)
+    return _pullback(validate_homomorphism(hom))
+
+
+def _pullback(hom: Homomorphism) -> RepSpec:
+    """``pullback_rep``'s system for any linear map rho, unvalidated."""
     h, g = hom.source, hom.target
     rows = tuple(ad_rows(g.candidate, col.items())
                  for col in hom.matrix.columns())

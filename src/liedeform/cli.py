@@ -18,9 +18,9 @@ from .algebras import (ValidationError, catalog_names, hom_preset_names,
                        sub_preset_names)
 from .cecomplex import CohomologyUndefinedError, Problem, les_subalgebra
 from .cochains import AltMap, cochain_dim
-from .documents import (EXPERIMENT_KINDS, ChartError, InputDefectError,
-                        MalformedDocumentError, PreconditionError,
-                        load_json_file, parse_direction_doc,
+from .documents import (DEFAULT_SCALE, DEFAULT_SEED_COUNT, EXPERIMENT_KINDS,
+                        ChartError, InputDefectError, MalformedDocumentError,
+                        PreconditionError, load_json_file, parse_direction_doc,
                         parse_experiment_doc, resolve_object, resolve_sub)
 from .exactlin import Matrix
 from . import kuranishi as K
@@ -253,8 +253,8 @@ def _cmd_deform(args) -> int:
         if not args.kind:
             raise MalformedDocumentError(
                 "deform needs --experiment FILE or --kind with an object flag")
-        seeds = 10 if args.seeds is None else args.seeds
-        scale = 0.05 if args.scale is None else args.scale
+        seeds = DEFAULT_SEED_COUNT if args.seeds is None else args.seeds
+        scale = DEFAULT_SCALE if args.scale is None else args.scale
         if seeds < 0:
             raise MalformedDocumentError("--seeds must be >= 0")
         doc = {"kind": args.kind,

@@ -4,11 +4,11 @@ Newton orbit recovery and zero continuation for brackets, homomorphisms and
 subalgebras, plus finite-difference checks of the curve-derivative and
 vertical-derivative identities.  Group elements are parametrized as
 exponentials: A = exp(a) acting on brackets, Ad_{exp(x)} = exp(ad_x) acting
-on homomorphisms and subspaces.  Newton uses a chord iteration: the
-least-squares pseudoinverse of the linearization at the base point is
-computed once (for recovery, once per chart) and reused, refreshed from a
-numerical Jacobian only on a stall (a round that does not halve the
-residual) that leaves its seed another round.
+on homomorphisms and subspaces.  Newton steps x - P r(x), a chord
+iteration: the least-squares pseudoinverse P of the linearization at the
+base point is computed once (for recovery, once per chart) and reused,
+refreshed from a numerical Jacobian only on a stall (a round that does not
+halve the residual) that leaves its seed another round.
 The seeds of a call are perturbed as one stack, exp(x0) . base, refusing as
 input defects an overflowed exp(x0) and, on brackets, a singular one.
 
@@ -42,8 +42,8 @@ from math import acos, asin, ceil, factorial, isfinite, log2
 
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem
-from .documents import (ChartError, InputDefectError, NewtonConfig,
-                        PreconditionError)
+from .documents import (DEFAULT_SCALE, ChartError, InputDefectError,
+                        NewtonConfig, PreconditionError)
 from .records import field, record
 from .verdicts import (bracket_rigidity, hom_rigidity, hom_stability,
                        sub_rigidity, sub_stability)
@@ -256,8 +256,8 @@ def _acted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     n, refused = c.shape[-1], None
     # the common case, every matrix finite and regular, read in Python floats
     if a.size and not (np.isfinite(a).all() and min(
-            map(abs, np.linalg.det(a).reshape(-1).tolist())) >= 1e-12):
-        a, finite, singular = _regular(a, 1e-12)
+            map(abs, np.linalg.det(a).reshape(-1).tolist())) >= SINGULAR_DET):
+        a, finite, singular = _regular(a, SINGULAR_DET)
         if a.ndim == 2:
             raise np.linalg.LinAlgError(
                 "matrix acting on the bracket is "
@@ -296,11 +296,13 @@ def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
 # the central-difference steps of ``numeric_jacobian`` and of
 # ``vertical_derivative_fd_check``; the residual ratio above which chord
 # Newton refreshes its chord; the structure defect an outside value may carry
-# (its Jacobi defect, curvature or closure defect)
+# (its Jacobi defect, curvature or closure defect); the |det| below which the
+# bracket action refuses a matrix, one bound for the action and the chart
 JACOBIAN_STEP = 1e-6
 FD_CHECK_STEP = 1e-3
 STALL_RATIO = 1 / 2
 INPUT_DEFECT_TOL = 1e-8
+SINGULAR_DET = 1e-12
 # a central difference errs by about eps/h relative to the Jacobian, so a
 # refreshed chord inverts no singular value below 100 times that: those are
 # difference noise (the stabilizer directions), not the Jacobian.
@@ -322,18 +324,18 @@ def numeric_jacobian(fn, u: np.ndarray) -> np.ndarray:
 @_ignoring_overflow
 def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
                   cfg: NewtonConfig) -> tuple:
-    """Chord Newton on the seeds (rows) of ``u0`` in lockstep, each with a
-    fixed pseudoinverse (``chord``, a stack of one per seed), refreshed
-    on stall: a round that leaves a seed's residual sup above ``STALL_RATIO``
-    (1/2) of the last gives that seed the pseudoinverse of a central-
-    difference Jacobian at its new iterate, cut at ``REFRESH_CUT`` relative
-    to its largest singular value, so that no direction of difference noise
-    is inverted.  ``residual(u, seeds)`` evaluates in one call the rows of
-    ``u``, iterates of the seeds ``seeds`` picks (an index array, one seed
-    per row, or one seed, an int, for every row), and returns (residuals,
-    *kept): a row outside the chart of the residual comes back non-finite,
-    and each kept array holds a row per row of ``u`` (such as its group
-    element).
+    """Chord Newton on the seeds (rows) of ``u0`` in lockstep, each stepping
+    x - P r(x) with its pseudoinverse P (``chord``, a stack of one per seed)
+    until ``cfg`` stops it.  P is refreshed on stall: a round that leaves a
+    seed's residual sup above ``STALL_RATIO`` (1/2) of the last gives that
+    seed the pseudoinverse of a central-difference Jacobian at its new
+    iterate, cut at ``REFRESH_CUT`` relative to its largest singular value,
+    so that no direction of difference noise is inverted.
+    ``residual(u, seeds)`` evaluates in one call the rows of ``u``, iterates
+    of the seeds ``seeds`` picks (an index array, one seed per row, or one
+    seed, an int, for every row), and returns (residuals, *kept): a row
+    outside the chart of the residual comes back non-finite, and each kept
+    array holds a row per row of ``u`` (such as its group element).
 
     Returns (u, *kept, residual, iterations, converged), one entry per
     seed, at the last iterate a lone run of that seed accepts.
@@ -353,7 +355,7 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
     p = chord[seeds]  # the loop's own copy: ``chord`` may be a read-only view
     rounds = 0
     while seeds.size:
-        step = x - cfg.damping * np.matmul(p, ox[0][..., None])[..., 0]
+        step = x - np.matmul(p, ox[0][..., None])[..., 0]
         rounds += 1
         out = residual(step, seeds)
         new_res = _row_sup(out[0])
@@ -721,7 +723,7 @@ class _BracketChart(_Chart):
         return self.stack(_acted(a, value.c))[0]
 
     def singular(self, a: np.ndarray) -> np.ndarray:
-        return ~(abs(np.linalg.det(a)) >= 1e-12)
+        return ~(abs(np.linalg.det(a)) >= SINGULAR_DET)
 
     def orbit_coords(self, a: np.ndarray) -> np.ndarray:
         return _acted_pairs(a, self.origin)
@@ -1144,7 +1146,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(kind: str, obj, seeds, scale: float = 0.05,
+def run_experiment(kind: str, obj, seeds, scale: float = DEFAULT_SCALE,
                    cfg: NewtonConfig = NewtonConfig()) -> list:
     """Run one recovery/continuation per seed; records return in seed order.
 

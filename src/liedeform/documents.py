@@ -49,6 +49,14 @@ def _require(cond: bool, message: str, location: str = ""):
         raise MalformedDocumentError(message, location)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _scalar(value, location: str):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise MalformedDocumentError(
@@ -80,8 +88,8 @@ def _bracket_entries(items, n: int, location: str) -> dict:
             _require(key in item, f"missing '{key}'", loc)
         i, j = item["i"], item["j"]
         for key, val in (("i", i), ("j", j)):
-            _require(isinstance(val, int) and not isinstance(val, bool)
-                     and 0 <= val < n, f"'{key}' must be an index in [0, {n})", loc)
+            _require(_is_int(val) and 0 <= val < n,
+                     f"'{key}' must be an index in [0, {n})", loc)
         _require((i, j) not in entries, f"duplicate entry for ({i}, {j})", loc)
         entries[(i, j)] = _vector(item["coeffs"], n, f"{loc}.coeffs")
     return entries
@@ -94,8 +102,7 @@ def parse_algebra_doc(doc) -> LieAlgebra:
     _require(isinstance(doc, dict), "algebra document must be an object")
     _require("dim" in doc, "missing 'dim'")
     n = doc["dim"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0,
-             "'dim' must be a nonnegative integer", "dim")
+    _require(_is_int(n) and n >= 0, "'dim' must be a nonnegative integer", "dim")
     name = doc.get("name", "algebra")
     _require(isinstance(name, str), "'name' must be a string", "name")
     basis = doc.get("basis")
@@ -138,9 +145,7 @@ def parse_hom_doc(doc) -> Homomorphism:
     matrix = Matrix(target.dim, source.dim, data)
     name = doc.get("name", "hom")
     _require(isinstance(name, str), "'name' must be a string", "name")
-    rho = Homomorphism(source, target, matrix, name=name)
-    validate_homomorphism(rho)
-    return rho
+    return validate_homomorphism(Homomorphism(source, target, matrix, name))
 
 
 def hom_to_doc(rho: Homomorphism) -> dict:
@@ -268,27 +273,32 @@ def resolve_object(key: str, spec):
 # experiment documents
 
 # experiment kind -> document key of the object it perturbs.  The kinds,
-# NewtonConfig and the Newton errors live here and not in deformlab, so that
-# parsing or refusing an experiment never loads numpy.
+# the experiment defaults, NewtonConfig and the Newton errors live here and
+# not in deformlab, so that parsing or refusing an experiment never loads
+# numpy.
 EXPERIMENT_KEYS = {"bracket-recovery": "algebra", "hom-recovery": "hom",
                    "sub-recovery": "sub", "hom-continuation": "hom",
                    "sub-continuation": "sub"}
 EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
+# the perturbation of an experiment that names no scale or seeds: seeds
+# 0 .. DEFAULT_SEED_COUNT - 1, each drawing from uniform(-scale, scale)
+DEFAULT_SCALE = 0.05
+DEFAULT_SEED_COUNT = 10
 
 
 @record
 class NewtonConfig:
+    """When Newton stops a seed: converged at residual sup <= ``tol``, a
+    finite number > 0, or after ``max_iter`` rounds, an int >= 1 (no bool)."""
+
     tol: float = 1e-10
     max_iter: int = 50
-    damping: float = 1.0
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
+        if not (_is_number(self.tol) and 0 < self.tol <= sys.float_info.max):
+            raise ValueError("tolerance must be a finite positive number")
+        if not (_is_int(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("need at least one iteration, as an int")
 
 
 def parse_experiment_doc(doc) -> dict:
@@ -304,17 +314,15 @@ def parse_experiment_doc(doc) -> dict:
     pert = doc.get("perturbation", {})
     _require(isinstance(pert, dict), "'perturbation' must be an object",
              "perturbation")
-    scale = pert.get("scale", 0.05)
+    scale = pert.get("scale", DEFAULT_SCALE)
     # perturbations draw from uniform(-scale, scale), whose width 2 * scale
     # must be a finite float; seeds seed numpy generators, which refuse
     # negative integers
-    _require(isinstance(scale, (int, float)) and not isinstance(scale, bool)
-             and 0 <= scale <= sys.float_info.max / 2,
+    _require(_is_number(scale) and 0 <= scale <= sys.float_info.max / 2,
              "'scale' must be a finite nonnegative number", "perturbation.scale")
-    seeds = pert.get("seeds", list(range(10)))
+    seeds = pert.get("seeds", list(range(DEFAULT_SEED_COUNT)))
     _require(isinstance(seeds, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 0
-        for s in seeds),
+        _is_int(s) and s >= 0 for s in seeds),
         "'seeds' must be a list of nonnegative integers", "perturbation.seeds")
     newton = doc.get("newton", {})
     _require(isinstance(newton, dict), "'newton' must be an object", "newton")

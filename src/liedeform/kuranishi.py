@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import (BracketCandidate, Homomorphism, LieAlgebra, RepSpec,
-                       SubalgebraWitness, _column_brackets, ad_rows,
+                       SubalgebraWitness, _column_brackets, _pullback,
                        adjoint_rows, curvature)
 from .cecomplex import Problem, differential_matrix, snake_lift
 from .cochains import AltMap
@@ -133,12 +133,11 @@ def jacobiator_expansion_check(mu, xi: AltMap, eta: AltMap) -> ExpansionReport:
 def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> ExpansionReport:
     """Verify K(rho + t xi) = K(rho) + t d(xi) + t^2 [xi,xi]/2 exactly.
 
-    Holds for arbitrary linear maps rho; d is built from ad(rho(.)) without
-    assuming rho is a homomorphism.
+    Holds for arbitrary linear maps rho; d is built by ``_pullback``, which
+    does not assume rho is a homomorphism.
     """
     h, g = rho.source, rho.target
-    kh, ng = h.dim, g.dim
-    if xi_matrix.rows != ng or xi_matrix.cols != kh:
+    if xi_matrix.rows != g.dim or xi_matrix.cols != h.dim:
         raise ValueError("direction matrix has wrong shape")
 
     ts = [-1, 0, 1]
@@ -146,12 +145,10 @@ def curvature_expansion_check(rho: Homomorphism, xi_matrix: Matrix) -> Expansion
         curvature(Homomorphism(h, g, rho.matrix.add_scaled(xi_matrix, t)))
         for t in ts], ts)
 
-    rows = tuple(ad_rows(g.candidate, col.items())
-                 for col in rho.matrix.columns())
-    d1 = differential_matrix(1, RepSpec("pullback", h.candidate, ng, rows))
+    d1 = differential_matrix(1, _pullback(rho))
     expected = [
         ("t^0: K(rho)", curvature(rho)),
-        ("t^1: d(xi)", AltMap(2, kh, ng, d1.apply(
+        ("t^1: d(xi)", AltMap(2, h.dim, g.dim, d1.apply(
             matrix_as_one_cochain(xi_matrix).nonzeros))),
         ("t^2: [xi,xi]/2", _column_brackets(g, xi_matrix)),
     ]

@@ -444,13 +444,9 @@ class TestClosedFormsAtTheRankFormFrontier:
     def test_gl_n_poincare_polynomial(self, n):
         # H(gl_n, gl_n) = H(gl_n) (x) centre, and H(gl_n) is an exterior
         # algebra on generators of degrees 1, 3, .., 2n - 1
-        poly = [1]
-        for d in range(1, 2 * n, 2):
-            poly = [a + (poly[i - d] if i >= d else 0)
-                    for i, a in enumerate(poly + [0] * d)]
         t = time.perf_counter()
         report = adjoint_cohomology(gl_algebra(n))
-        assert report.dims_h() == poly
+        assert report.dims_h() == exterior_dims(range(1, 2 * n, 2))
         assert euler_characteristic(report) == 0
         assert time.perf_counter() - t < 5
 
@@ -469,6 +465,16 @@ class TestClosedFormsAtDimensionEightAndNine:
         report = adjoint_cohomology(gl_algebra(3))
         assert report.dims_h() == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
         assert euler_characteristic(report) == 0
+
+
+def exterior_dims(degrees) -> list:
+    """Coefficients of prod (1 + t^d) over ``degrees``: the dimensions of an
+    exterior algebra on generators of those degrees."""
+    poly = [1]
+    for d in degrees:
+        poly = [a + (poly[i - d] if i >= d else 0)
+                for i, a in enumerate(poly + [0] * d)]
+    return poly
 
 
 def trivial_rep(g) -> RepSpec:
@@ -505,6 +511,25 @@ class TestKostant:
         assert report.dims_h() == [comb(n - 1, k) for k in range(cx.n + 1)]
         assert euler_characteristic(report) == 0
         assert time.perf_counter() - t < 2
+
+
+class TestReductiveTrivialCoefficients:
+    # H*(g, C) of a reductive g is the exterior algebra on its primitive
+    # classes, one of degree 2i - 1 for each i = 2..n on sl_n and i = 1..n on
+    # gl_n (Chevalley and Eilenberg, 1948; Koszul, 1950).  The inner torus
+    # acts, so each rank form builds partial rows, here at acting indices
+    # past those of the Kostant cases above
+    @pytest.mark.parametrize("family, first", [("sl", 2), ("gl", 1)])
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_poincare_polynomial_is_the_primitive_exterior_algebra(
+            self, family, first, n):
+        t = time.perf_counter()
+        cx = CEComplex(trivial_rep(getattr(bench_families(), family)(n)))
+        report = cohomology(cx)
+        assert cx.generic is not None
+        assert report.dims_h() == exterior_dims(range(2 * first - 1, 2 * n, 2))
+        assert euler_characteristic(report) == 0
+        assert time.perf_counter() - t < 1
 
 
 DROPPED_REPORT = """

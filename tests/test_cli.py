@@ -432,6 +432,22 @@ class TestDeform:
                 "error": "malformed-input",
                 "message": f"newton: unknown newton keys [{key!r}]"}
 
+    @pytest.mark.parametrize("newton", ['{"damping": 1.0}',
+                                        '{"max_iter": 2.5}',
+                                        '{"max_iter": true}',
+                                        '{"tol": Infinity}'])
+    def test_newton_settings_the_loop_cannot_honour_exit_two(self, capsys,
+                                                             tmp_path, newton):
+        # damping is gone (every step is the full chord step); a float or
+        # bool cap and an infinite tolerance ran, but not as written
+        p = tmp_path / "exp.json"
+        p.write_text('{"kind": "bracket-recovery", "algebra": "sl2", '
+                     f'"perturbation": {{"seeds": [0]}}, "newton": {newton}}}')
+        code, out, _ = run_cli(capsys, "deform", "--experiment", str(p),
+                               "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed-input"
+
     def test_precondition_failure_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "deform", "--kind", "bracket-recovery",
                                "--algebra", "heis3", "--seeds", "1")

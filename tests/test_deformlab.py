@@ -462,12 +462,46 @@ class TestNewtonConfig:
             NewtonConfig(tol=-1.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(damping=0.0)
+        # an int is a number, and a float the largest finite one
+        assert NewtonConfig(tol=1).tol == 1
+        assert NewtonConfig(tol=1.7976931348623157e308).max_iter == 50
 
     def test_defaults(self):
         cfg = NewtonConfig()
         assert cfg.tol == 1e-10 and cfg.max_iter == 50
+        assert NewtonConfig.__match_args__ == ("tol", "max_iter")
+
+    def test_there_is_no_damping(self):
+        # every step is the full chord step x - P r(x)
+        with pytest.raises(TypeError, match="takes the fields tol, max_iter"):
+            NewtonConfig(damping=1.0)
+
+    # Each was accepted, and run as the loop could not honour it: on sl2
+    # bracket recovery, seeds 0-9 at scale 1.0, a float cap (2.5, 1e300) is
+    # never equal to a round count, so it ran as the default cap did (up to
+    # 33 rounds, all 10 converged; a seed that neither converged nor diverged
+    # would never stop); True ran one round; an infinite tolerance marked
+    # all 10 seeds converged at iteration 0.
+    @pytest.mark.parametrize("bad", [
+        {"max_iter": 2.5}, {"max_iter": 1e300}, {"max_iter": True},
+        {"max_iter": 3.0}, {"max_iter": "3"}, {"tol": float("inf")},
+        {"tol": float("nan")}, {"tol": True}, {"tol": 10 ** 400},
+        {"tol": "1e-10"}],
+        ids=lambda bad: "{}={!r:.12}".format(*bad, *bad.values()))
+    def test_a_value_the_loop_cannot_honour_is_refused(self, bad):
+        with pytest.raises(ValueError):
+            NewtonConfig(**bad)
+
+    def test_an_int_cap_stops_every_seed_at_it(self):
+        # the control of the cases above: the default cap converges all 10
+        # seeds, in up to 33 rounds; a cap of 3 stops each of them at 3
+        default, capped = (run_experiment("bracket-recovery", SL2, range(10),
+                                          1.0, cfg)
+                           for cfg in (NewtonConfig(), NewtonConfig(max_iter=3)))
+        assert all(r["converged"] for r in default)
+        assert max(r["iterations"] for r in default) == 33
+        assert [(r["iterations"], r["converged"]) for r in capped] == [
+            (3, False)] * 10
 
 
 class TestNewtonDivergence:

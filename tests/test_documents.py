@@ -235,7 +235,7 @@ class TestExperimentDocs:
                                                         "seeds": [0, -1]}))
 
     def test_a_document_sets_each_newton_field(self):
-        values = {"tol": 1e-9, "max_iter": 7, "damping": 0.5}
+        values = {"tol": 1e-9, "max_iter": 7}
         assert tuple(values) == NewtonConfig.__match_args__
         for key, value in values.items():
             cfg = parse_experiment_doc(self.doc(newton={key: value}))["config"]
@@ -245,6 +245,49 @@ class TestExperimentDocs:
         for newton in ({"tol": -1.0}, {"seed": 0}):
             with pytest.raises(MalformedDocumentError):
                 parse_experiment_doc(self.doc(newton=newton))
+
+    def test_damping_is_not_a_newton_key(self):
+        # every Newton step is the full chord step
+        with pytest.raises(MalformedDocumentError,
+                           match=r"newton: unknown newton keys \['damping'\]"):
+            parse_experiment_doc(self.doc(newton={"damping": 1.0}))
+
+    # Each was accepted and run as the loop could not honour it (sl2
+    # bracket recovery, seeds 0-9 at scale 1.0): a max_iter of 2.5 or 1e300
+    # never equals a round count and ran as the default cap (up to 33 rounds,
+    # all 10 converged); true ran one round; an infinite tol marked all 10
+    # seeds converged at iteration 0.  JSON text, as a document file gives it.
+    @pytest.mark.parametrize("newton", [
+        '{"max_iter": 2.5}', '{"max_iter": 1e300}', '{"max_iter": true}',
+        '{"max_iter": 3.0}', '{"max_iter": "3"}', '{"max_iter": null}',
+        '{"tol": Infinity}', '{"tol": NaN}', '{"tol": true}', '{"tol": 0}',
+        '{"tol": "1e-10"}'])
+    def test_newton_values_the_loop_cannot_honour_are_malformed(self, newton):
+        doc = json.loads('{"kind": "bracket-recovery", "algebra": "sl2", '
+                         f'"perturbation": {{"seeds": [0]}}, "newton": {newton}}}')
+        with pytest.raises(MalformedDocumentError, match="^newton: bad newton"):
+            parse_experiment_doc(doc)
+
+    def test_an_int_newton_value_is_kept_as_given(self):
+        cfg = parse_experiment_doc(json.loads(
+            '{"kind": "bracket-recovery", "algebra": "sl2", '
+            '"newton": {"tol": 1, "max_iter": 3}}'))["config"]
+        assert cfg == NewtonConfig(1, 3)
+
+    def test_defaults_have_one_owner(self):
+        # a document that names no perturbation draws the defaults that
+        # ``deform`` without --seeds and --scale draws, and run_experiment's
+        # scale
+        import inspect
+        from liedeform import documents
+        from liedeform.deformlab import run_experiment
+        parsed = parse_experiment_doc({"kind": "bracket-recovery",
+                                       "algebra": "sl2"})
+        assert parsed["scale"] == documents.DEFAULT_SCALE == 0.05
+        assert parsed["seeds"] == list(range(documents.DEFAULT_SEED_COUNT))
+        assert documents.DEFAULT_SEED_COUNT == 10
+        assert (inspect.signature(run_experiment).parameters["scale"].default
+                == documents.DEFAULT_SCALE)
 
     def test_kind_list_is_frozen(self):
         assert EXPERIMENT_KINDS == ("bracket-recovery", "hom-recovery",

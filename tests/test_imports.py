@@ -35,7 +35,7 @@ def call(*argv):
         return cli.run(list(argv))
 
 
-direction, malformed = sys.argv[1:]
+direction, *malformed = sys.argv[1:]
 codes = {}
 for flag, name in (("--algebra", "heis3"), ("--hom", "borel-incl"),
                    ("--sub", "borel-in-sl2")):
@@ -45,8 +45,8 @@ for flag, name in (("--algebra", "heis3"), ("--hom", "borel-incl"),
 codes["kuranishi --direction"] = call("kuranishi", "--sub", "borel-in-sl2",
                                       "--direction", direction)
 codes["les"] = call("les", "--sub", "borel-in-sl2")
-codes["deform --experiment malformed"] = call("deform", "--experiment",
-                                              malformed)
+for path in malformed:
+    codes[f"deform --experiment {path}"] = call("deform", "--experiment", path)
 exact = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 startup = sorted(m for m in ("dataclasses", "inspect")
                  if m in set(sys.modules) - before)
@@ -60,16 +60,26 @@ print(json.dumps({"codes": codes, "exact": exact, "startup": startup,
 def test_exact_verbs_never_load_numpy_or_scipy(tmp_path):
     direction = tmp_path / "dir.json"
     direction.write_text('[["1", "0"]]')
-    malformed = tmp_path / "exp.json"
-    malformed.write_text('{"kind": "bracket-recovery"}')
+    # no object, then Newton settings the loop cannot honour, each refused
+    # before the Newton lab loads NumPy
+    docs = ['{"kind": "bracket-recovery"}'] + [
+        '{"kind": "bracket-recovery", "algebra": "sl2", "newton": %s}' % newton
+        for newton in ('{"damping": 1.0}', '{"max_iter": 2.5}',
+                       '{"max_iter": true}', '{"tol": Infinity}')]
+    malformed = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"exp{i}.json"
+        path.write_text(doc)
+        malformed.append(str(path))
     out = subprocess.run(
-        [sys.executable, "-c", FRESH_CLI, str(direction), str(malformed)],
+        [sys.executable, "-c", FRESH_CLI, str(direction), *malformed],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
     codes = result["codes"]
-    assert codes.pop("deform --experiment malformed") == 2
+    assert [codes.pop(f"deform --experiment {p}") for p in malformed] == [
+        2] * len(docs)
     assert set(codes.values()) == {0}, codes
     assert result["exact"] == []
     assert result["startup"] == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform.algebras import (BracketCandidate, Homomorphism, Matrix,
-                                RepSpec, ValidationError, abelian, ad_rows,
+                                ValidationError, abelian, ad_rows,
                                 adjoint_rows, catalog_algebra, catalog_names,
                                 hom_preset, hom_preset_names, pullback_rep,
                                 quotient_rep, sub_preset, sub_preset_names,
@@ -497,14 +497,15 @@ def rescaled_catalog():
 
 
 def built_reps(check, *args):
-    """The coefficient systems ``check(*args)`` builds, in order."""
-    built = []
+    """The coefficient systems ``check(*args)`` builds a differential of, in
+    order."""
+    built, build = [], kuranishi.differential_matrix
 
-    def spy(*a, **k):
-        built.append(RepSpec(*a, **k))
-        return built[-1]
+    def spy(k, rep, *a):
+        built.append(rep)
+        return build(k, rep, *a)
 
-    with mock.patch.object(kuranishi, "RepSpec", spy):
+    with mock.patch.object(kuranishi, "differential_matrix", spy):
         check(*args)
     return built
 

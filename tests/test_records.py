@@ -78,15 +78,17 @@ def test_homomorphism_default_name_and_shape_check():
 
 def test_newton_config_defaults_and_refusals():
     cfg = NewtonConfig()
-    assert cfg == NewtonConfig(1e-10, 50, 1.0)
+    assert cfg == NewtonConfig(1e-10, 50)
     assert hash(cfg) == hash(NewtonConfig(tol=1e-10))
     assert NewtonConfig(max_iter=7).max_iter == 7
-    assert repr(cfg) == "NewtonConfig(tol=1e-10, max_iter=50, damping=1.0)"
+    assert repr(cfg) == "NewtonConfig(tol=1e-10, max_iter=50)"
     for bad, message in (({"tol": 0}, "positive"),
                          ({"max_iter": 0}, "one iteration"),
-                         ({"damping": 1.5}, "damping")):
+                         ({"max_iter": 2.5}, "one iteration")):
         with pytest.raises(ValueError, match=message):
             NewtonConfig(**bad)
+    with pytest.raises(TypeError, match="takes the fields tol, max_iter"):
+        NewtonConfig(1e-10, 50, 1.0)
 
 
 def test_float_bracket_factory_and_post_init_assignment():
