@@ -17,6 +17,10 @@ Layers, from the ground up:
   classes.
 - ``verdicts``: rigidity/stability conclusions with evidence.
 - ``documents``: JSON documents, ``NewtonConfig`` and the Newton errors.
+- ``pcg64``: NumPy's ``default_rng(seed)`` stream (``SeedSequence`` mixing,
+  PCG64 seeding and its LCG step) in Python ints, a band of seeds at once,
+  with no package import and no NumPy, so that seeded perturbations load no
+  ``numpy.random``.
 - ``deformlab``: floating-point Newton orbit recovery, zero continuation and
   finite-difference checks; it alone needs NumPy, so it is imported
   lazily, when one of its names here is first read, and it imports NumPy

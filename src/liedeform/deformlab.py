@@ -38,8 +38,9 @@ from __future__ import annotations
 import sys
 from functools import cache, cached_property, wraps
 from itertools import combinations
-from math import acos, asin, ceil, factorial, isfinite, log2
+from math import acos, asin, ceil, copysign, factorial, isfinite, log2, prod
 
+from . import pcg64
 from .algebras import Homomorphism, LieAlgebra, SubalgebraWitness
 from .cecomplex import Problem
 from .documents import (DEFAULT_SCALE, ChartError, InputDefectError,
@@ -947,23 +948,50 @@ def continue_sub(w: SubalgebraWitness | Problem, mu_prime,
 # ---------------------------------------------------------------------------
 # seeded perturbations
 
+def _uniform(seeds: list, scale: float, shape: tuple) -> tuple:
+    """(x0s, refusal): for each seed before the first refused one,
+    ``np.random.default_rng(seed).uniform(-scale, scale, shape)``, bit for
+    bit, drawn from ``pcg64``'s stream with no ``numpy.random``, stacked;
+    and the refusal NumPy raises at that seed, of its type and text, or
+    None.  As in NumPy, the scale is read once the first seed is seeded:
+    a seed is refused before the scale, and a refused scale refuses the
+    first seed."""
+    entropies, refused = pcg64.entropy(seeds)
+    low = span = 0.0
+    if entropies:
+        try:
+            low = float(-scale)
+            span = float(scale) - low
+            if not isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
+            if copysign(1.0, span) < 0:
+                raise ValueError("high - low < 0")
+        except (TypeError, ValueError, OverflowError) as exc:
+            entropies, refused = [], exc
+    count = prod(shape)
+    # (draw, seed, lane word): a state's low and high 64 bits are the
+    # first two words of its lane
+    state = np.frombuffer(pcg64.states(entropies, count), dtype="<u8")
+    state = state.reshape(count, len(entropies), pcg64.LANE_WORDS)
+    lo, hi = state[..., 0], state[..., 1]
+    # Generator.uniform of PCG64: the XSL-RR output of each state, its top
+    # 53 bits times 2^-53, then low + span * u, rounded twice (no FMA)
+    xor, rot = lo ^ hi, hi >> 58
+    out = xor >> rot | xor << ((64 - rot) & 63)
+    u = (out >> 11) * (1.0 / 9007199254740992.0)
+    return (low + span * u).T.reshape((len(entropies),) + shape), refused
+
+
 # an exp(x0) or a value may overflow; both are checked, here and as input
 @_ignoring_overflow
 def _perturbation(chart: _Chart, scale: float, seed: int | list) -> tuple:
-    """(exp(x0) . base, x0), x0 uniform entrywise from the seed's generator,
-    refusing a draw that raises, an overflowed exp(x0) and, on the bracket
-    chart, a singular one.  Of a list of seeds, in one group call and one
-    action: (values, x0s) before the first refused seed, its refusal or None."""
+    """(exp(x0) . base, x0), x0 uniform entrywise from the seed's stream,
+    refusing a seed or scale that NumPy's generator refuses, an overflowed
+    exp(x0) and, on the bracket chart, a singular one.  Of a list of seeds,
+    in one draw, one group call and one action: (values, x0s) before the
+    first refused seed, its refusal or None."""
     seeds = seed if isinstance(seed, list) else [seed]
-    x0, refused = [], None
-    for s in seeds:
-        try:
-            x0.append(np.random.default_rng(s).uniform(
-                -scale, scale, chart.log_shape))
-        except Exception as exc:  # raised once the seeds before it have run
-            refused = exc
-            break
-    x0 = np.array(x0).reshape((len(x0),) + chart.log_shape)
+    x0, refused = _uniform(seeds, scale, chart.log_shape)
     a = chart.group(x0)
     # k: the first seed refused, or len(a); a False ends each mask
     finite = np.isfinite(a).all(axis=(-2, -1)).tolist()
@@ -1150,14 +1178,18 @@ def run_experiment(kind: str, obj, seeds, scale: float = DEFAULT_SCALE,
                    cfg: NewtonConfig = NewtonConfig()) -> list:
     """Run one recovery/continuation per seed; records return in seed order.
 
-    Each seed draws its x0 from its own generator, in seed order; one group
-    call and one action perturb them all, and the kind's entry runs once on
-    the stack.  A call raises what one call per seed would raise first: a
-    failing precondition, else the first refused draw, exp(x0) or input in
-    seed order, after the entry has run on the seeds before it.  The object
-    keeps its problem and chart (validated objects are treated as
-    immutable), so its cohomology (behind every precondition verdict), float
-    base point and recovery chord are computed once per object, in any call.
+    Each seed's x0 is ``np.random.default_rng(seed).uniform(-scale, scale,
+    shape)`` bit for bit, read from ``pcg64``'s stream without
+    ``numpy.random``: one draw makes the x0 of every seed, one group call
+    and one action perturb them all, and the kind's entry runs once on the
+    stack.  A seed is an integer (``operator.index``): None, a float or a
+    string is refused with a TypeError.  A call raises what one call per
+    seed would raise first: a failing precondition, else the first refused
+    seed, scale, exp(x0) or input in seed order, after the entry has run on
+    the seeds before it.  The object keeps its problem and chart (validated
+    objects are treated as immutable), so its cohomology (behind every
+    precondition verdict), float base point and recovery chord are computed
+    once per object, in any call.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")

@@ -316,8 +316,8 @@ def parse_experiment_doc(doc) -> dict:
              "perturbation")
     scale = pert.get("scale", DEFAULT_SCALE)
     # perturbations draw from uniform(-scale, scale), whose width 2 * scale
-    # must be a finite float; seeds seed numpy generators, which refuse
-    # negative integers
+    # must be a finite float; each seed starts its own stream, NumPy's
+    # default_rng(seed) stream, which refuses negative integers
     _require(_is_number(scale) and 0 <= scale <= sys.float_info.max / 2,
              "'scale' must be a finite nonnegative number", "perturbation.scale")
     seeds = pert.get("seeds", list(range(DEFAULT_SEED_COUNT)))

@@ -1,13 +1,17 @@
 """The Newton lab's NumPy kernels against SciPy, which the tests alone use as
 an oracle: the stacked Padé exponential ``expm`` and the largest principal
-angle between two planes."""
+angle between two planes.  And its seeded perturbation stream against
+``numpy.random``, which the tests alone load, as an oracle, and against a
+table of its own."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import liedeform.deformlab as lab
+from liedeform import catalog_algebra
 
 
 def random_matrices(rng, n, count):
@@ -114,3 +118,125 @@ class TestLargestPrincipalAngle:
         # the same plane in another frame
         swapped = 3.0 * e[:, 1::-1]
         assert lab.largest_principal_angle(e[:, :2], swapped) <= 1e-15
+
+
+def numpy_draws(seeds, scale, shape):
+    """The oracle: ``default_rng(seed).uniform(-scale, scale, shape)`` of
+    each seed, up to the first that raises, stacked, and the type and text
+    of what it raised, or None."""
+    rows, refused = [], None
+    for seed in seeds:
+        try:
+            rows.append(np.random.default_rng(seed).uniform(-scale, scale,
+                                                            shape))
+        except Exception as exc:  # the type and text of NumPy's refusal
+            refused = (type(exc), str(exc))
+            break
+    return np.array(rows).reshape((len(rows),) + shape), refused
+
+
+def refusal(exc):
+    return exc and (type(exc), str(exc))
+
+
+# seeds of one entropy word, and of two, three, five and seven
+BIG_SEEDS = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**128 + 5,
+             2**200 + 7]
+# (seed, scale, draws as hex floats), from NumPy 2.4.6's default_rng: a
+# NumPy release may change its Generator streams (NEP 19), and the records
+# stay reproducible by this table
+GOLDEN = [
+    (0, 0.05, ["0x1.c0cbca647ced0p-7", "-0x1.792e736320f47p-6",
+               "-0x1.7808d4489d6d2p-5"]),
+    (9, 0.3, ["0x1.c6f6542b9f98ep-3", "-0x1.05f581e82fde6p-3",
+              "0x1.fafe68d5654c0p-5", "0x1.5508ac6e6772ep-3"]),
+    (2**32, 1.0, ["0x1.8f17af8a16b04p-1", "0x1.d4132d1fc63b0p-4"]),
+    (2**200 + 7, 40.0, ["0x1.e6867bb171380p+4", "-0x1.7b20f989c445cp+3",
+                        "0x1.7f399c4a144b0p+1"]),
+    (2**64 - 1, 1e300, ["0x1.13457cb256138p+995", "0x1.080044857096ap+996"]),
+]
+
+
+NEGATIVE_SEED = (ValueError, "expected non-negative integer")
+NEGATIVE_WIDTH = (ValueError, "high - low < 0")
+WIDE = (OverflowError, "high - low range exceeds valid bounds")
+
+
+class TestSeededStream:
+    """``deformlab._uniform``, the x0 of every seed of a band in one draw,
+    equals ``np.random.default_rng(seed).uniform(-scale, scale, shape)``
+    byte for byte, and refuses what it refuses, at the same seed."""
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (3, 3), (5, 5),
+                                       (100,)])
+    @pytest.mark.parametrize("scale", [0.0, 0.05, 0.3, 40.0, 1e300,
+                                       sys.float_info.max / 2])
+    def test_band_equals_numpy(self, scale, shape):
+        seeds = [*range(3000), *BIG_SEEDS]
+        got, refused = lab._uniform(seeds, scale, shape)
+        want, _ = numpy_draws(seeds, scale, shape)
+        assert refused is None and got.shape == (len(seeds),) + shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (5, 5)])
+    def test_band_equals_its_one_seed_draws(self, shape):
+        seeds = [*range(0, 3000, 97), *BIG_SEEDS, 5, 5]
+        band, _ = lab._uniform(seeds, 0.3, shape)
+        for seed, row in zip(seeds, band):
+            one, refused = lab._uniform([seed], 0.3, shape)
+            assert refused is None and one.shape == (1,) + shape
+            assert one[0].tobytes() == row.tobytes()
+
+    def test_numpy_integer_and_bool_seeds(self):
+        seeds = [np.int64(7), np.uint64(2**64 - 1), np.int32(3), True, False]
+        got, refused = lab._uniform(seeds, 0.05, (25,))
+        assert refused is None
+        assert got.tobytes() == numpy_draws(seeds, 0.05, (25,))[0].tobytes()
+        assert got[3].tobytes() == lab._uniform([1], 0.05, (25,))[0].tobytes()
+
+    @pytest.mark.parametrize("seed, scale, hexes", GOLDEN)
+    def test_golden_draws(self, seed, scale, hexes):
+        # independent of NumPy's own stream
+        got, refused = lab._uniform([seed], scale, (len(hexes),))
+        assert refused is None
+        assert [float.fromhex(h) for h in hexes] == got[0].tolist()
+
+    @pytest.mark.parametrize("seeds, scale, want", [
+        ([0, 1, -1, 2], 0.3, NEGATIVE_SEED),
+        ([4, np.int64(-2)], 0.3, NEGATIVE_SEED),
+        ([0], -0.05, NEGATIVE_WIDTH),
+        # a negative zero width has its sign bit set
+        ([0], -0.0, NEGATIVE_WIDTH),
+        ([0, 1], float("inf"), WIDE),
+        ([0], float("nan"), WIDE),
+        ([0], -float("inf"), WIDE),
+        ([0], sys.float_info.max, WIDE),
+        # the seed is refused before the width
+        ([-1, 0], -1.0, NEGATIVE_SEED),
+        ([-1], float("inf"), NEGATIVE_SEED),
+        # a refused width refuses the first seed; no seed, no refusal
+        ([5, -1], float("inf"), WIDE),
+        ([], float("nan"), None),
+        # a scale that is no float is read, and refused, as NumPy reads it
+        ([0, 1], "0.3", (TypeError, "bad operand type for unary -: 'str'")),
+        ([-1], "0.3", NEGATIVE_SEED),
+        ([0], 10**400, (OverflowError, "int too large to convert to float")),
+        ([], None, None),
+    ])
+    def test_refusals_equal_numpy(self, seeds, scale, want):
+        got, refused = lab._uniform(seeds, scale, (3,))
+        oracle, numpy_refused = numpy_draws(seeds, scale, (3,))
+        assert refusal(refused) == numpy_refused == want
+        assert got.shape == oracle.shape
+        assert got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, 1.0, 2.5, "3", np.float64(4.0),
+                                      [1, 2]])
+    def test_a_seed_that_is_no_integer_is_a_type_error(self, seed):
+        # NumPy read None as fresh entropy from the OS, which no seeded
+        # record should use
+        got, refused = lab._uniform([0, seed, 1], 0.05, (3,))
+        assert len(got) == 1 and isinstance(refused, TypeError)
+        with pytest.raises(TypeError):
+            lab.run_experiment("bracket-recovery", catalog_algebra("sl2"),
+                               [seed])

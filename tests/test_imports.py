@@ -1,9 +1,9 @@
 """The exact layers never import the float stack: `import liedeform` and
 every exact verb leave numpy and SciPy unloaded, and the Newton names of the
 package load on first access; the Newton lab itself loads NumPy only on its
-first float computation, and no module loads SciPy, not even to solve.  Nor
-do the
-exact layers load ``dataclasses`` (or the ``inspect`` it pulls in): the
+first float computation, and no module loads SciPy, not even to solve, nor
+``numpy.random``, not even to draw a seeded perturbation.  Nor do the exact
+layers load ``dataclasses`` (or the ``inspect`` it pulls in): the
 records are made by ``liedeform.records``.  And the package keeps one
 rational matrix storage, ``exactlin.Matrix``."""
 
@@ -101,8 +101,9 @@ kind = sys.argv[1]
 obj = {"bracket": catalog_algebra("sl2"), "hom": hom_preset("borel-incl"),
        "sub": sub_preset("borel-in-sl2")}[kind.split("-")[0]]
 record, = run_experiment(kind, obj, [0])
+after_solve = sorted(m for m in ("scipy", "numpy.random") if m in sys.modules)
 print(json.dumps({"defect": defect, "before_solve": loaded,
-                  "after_solve": "scipy" in sys.modules, "record": record}))
+                  "after_solve": after_solve, "record": record}))
 """
 
 
@@ -118,9 +119,10 @@ def test_newton_lab_solves_without_scipy(kind):
     result = json.loads(out.stdout)
     assert result["defect"] < 1e-12
     # float records and kernels need numpy only, and so does a solve in
-    # each chart: its exponential and its plane angle are NumPy code
+    # each chart: its exponential and its plane angle are NumPy code, and
+    # its perturbation is drawn from the package's own seeded stream
     assert result["before_solve"] == {"numpy": True, "scipy": False}
-    assert result["after_solve"] is False
+    assert result["after_solve"] == []
     record = result["record"]
     assert record["converged"]
     if kind == "sub-recovery":
@@ -287,6 +289,18 @@ def test_no_module_imports_scipy():
     # SciPy is a test oracle only: no module imports it, not even inside a
     # function
     assert absolute_imports("scipy") == []
+
+
+def test_the_seeded_stream_imports_the_standard_library_only():
+    # the Newton lab draws perturbations without NumPy's generators
+    path = ROOT / "src" / "liedeform" / "pcg64.py"
+    tree = ast.parse(path.read_text())
+    names = {alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module.split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module}
+    assert package_imports(path) == set()
+    assert names <= set(sys.stdlib_module_names), names
 
 
 def test_no_module_imports_numpy_at_module_level():
