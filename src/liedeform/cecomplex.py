@@ -165,7 +165,10 @@ class CEComplex:
     def block(self, k: int) -> tuple:
         """(the zero weight k-cochain positions, ascending, rank of d_k off
         them), made on first read from the blocks below: e^S (x) v_a is in it
-        where S's ``generic`` weights sum to a's (without a torus, all of C^k)."""
+        where S's ``generic`` weights sum to a's (without a torus, all of C^k);
+        ((), 0) above n + 1, as C^k = 0 above n, read from no block below."""
+        if k > self.n + 1:
+            return (), 0
         if k not in self._blocks:
             zero = range(self.dim_cochains(k))
             if self.generic is not None:

@@ -334,58 +334,55 @@ def _chord_newton(residual, u0: np.ndarray, chord: np.ndarray,
     so that no direction of difference noise is inverted.
     ``residual(u, seeds)`` evaluates in one call the rows of ``u``, iterates
     of the seeds ``seeds`` picks (an index array, one seed per row, or one
-    seed, an int, for every row), and returns (residuals, *kept): a row
-    outside the chart of the residual comes back non-finite, and each kept
-    array holds a row per row of ``u`` (such as its group element).
+    seed, an int, for every row), and returns their residuals, one row per
+    row of ``u``: a row outside the chart of the residual comes back
+    non-finite.
 
-    Returns (u, *kept, residual, iterations, converged), one entry per
-    seed, at the last iterate a lone run of that seed accepts.
+    Returns (u, residual, iterations, converged), one entry per seed, at the
+    last iterate a lone run of that seed accepts.
     Non-convergence is a result, not an exception: a step with a non-finite
     residual ends its seed at the last finite iterate.  A refresh replaces
     its own seed's chord only.
     """
     u = np.array(u0, dtype=float)
-    out = residual(u, np.arange(len(u)))
-    res, kept = _row_sup(out[0]), out[1:]
+    r = residual(u, np.arange(len(u)))
+    res = _row_sup(r)
     iters = np.zeros(len(u), dtype=int)
     converged = res <= cfg.tol
-    # the running seeds, and their iterates, residual sups, residual outputs
-    # (residuals, then kept rows) and chords
+    # the running seeds, and their iterates, residual sups, residuals and
+    # chords
     seeds = np.flatnonzero(~converged)
-    x, rs, ox = u[seeds], res[seeds], tuple(v[seeds] for v in out)
+    x, rs, rx = u[seeds], res[seeds], r[seeds]
     p = chord[seeds]  # the loop's own copy: ``chord`` may be a read-only view
     rounds = 0
     while seeds.size:
-        step = x - np.matmul(p, ox[0][..., None])[..., 0]
+        step = x - np.matmul(p, rx[..., None])[..., 0]
         rounds += 1
-        out = residual(step, seeds)
-        new_res = _row_sup(out[0])
+        r = residual(step, seeds)
+        new_res = _row_sup(r)
         # Python floats: cheaper than NumPy calls on a few seeds
         if rounds < cfg.max_iter and all(
                 cfg.tol < v <= STALL_RATIO * w
                 for v, w in zip(new_res.tolist(), rs.tolist())):
-            x, rs, ox = step, new_res, out  # no seed ends or stalls
+            x, rs, rx = step, new_res, r  # no seed ends or stalls
             continue
         moved = np.isfinite(new_res)
         # a seed ending in this round keeps its chord: no later step reads it
         done = ~moved | (new_res <= cfg.tol) | (rounds == cfg.max_iter)
         for i in np.flatnonzero(~done & (new_res > STALL_RATIO * rs)):
             refreshed = numeric_jacobian(
-                lambda v, seed=seeds[i]: residual(v, seed)[0], step[i])
+                lambda v, seed=seeds[i]: residual(v, seed), step[i])
             if not np.all(np.isfinite(refreshed)):
                 done[i] = True
                 continue
             p[i] = np.linalg.pinv(refreshed, rcond=REFRESH_CUT)
-        for v, w in zip((x, rs, *ox), (step, new_res, *out)):
-            v[moved] = w[moved]
+        x[moved], rs[moved], rx[moved] = step[moved], new_res[moved], r[moved]
         ended = seeds[done]
-        for v, w in zip((u, res, *kept), (x, rs, *ox[1:])):
-            v[ended] = w[done]
+        u[ended], res[ended] = x[done], rs[done]
         iters[ended], converged[ended] = rounds, new_res[done] <= cfg.tol
         going = ~done
-        seeds, x, rs = seeds[going], x[going], rs[going]
-        ox, p = tuple(v[going] for v in ox), p[going]
-    return (u, *kept, res, iters, converged)
+        seeds, x, rs, rx, p = (v[going] for v in (seeds, x, rs, rx, p))
+    return u, res, iters, converged
 
 
 def _json_record(record: dict) -> dict:
@@ -847,13 +844,16 @@ def _recover(chart: _Chart, values, cfg: NewtonConfig, rigidity):
     targets = chart.flat(chart.checked(arr, "input")[0])
 
     def residual(u, seeds):
-        a = chart.group(chart.log(u))  # kept with its iterate
-        return chart.orbit_coords(a) - targets[seeds], a
+        return chart.orbit_coords(chart.group(chart.log(u))) - targets[seeds]
 
     pinv = chart.orbit_pinv
-    u, amat, res, iters, ok = _chord_newton(
+    u, res, iters, ok = _chord_newton(
         residual, np.zeros((len(arr), pinv.shape[0])),
         np.broadcast_to(pinv, (len(arr),) + pinv.shape), cfg)
+    # the group elements of the last accepted iterates, one stacked call as
+    # in the residual: expm reads each matrix alone, so each is the one the
+    # residual call of its seed's iterate made, bit for bit
+    amat = chart.group(chart.log(u))
     x, det = chart.log(u), np.linalg.det(amat)
     results = [RecoveryResult(
         kind=p.kind, log_solution=x[s], group_matrix=amat[s],
@@ -883,7 +883,7 @@ def _continue(chart: _Chart, mu_primes, cfg: NewtonConfig, stability):
     defects = chart.acting.checked(arr, "perturbed bracket")[1]
 
     def residual(u, seeds):
-        return (chart.structure(chart.unflat(u), arr[seeds]),)
+        return chart.structure(chart.unflat(u), arr[seeds])
 
     chords = np.linalg.pinv(chart.linearization(arr))
     u0 = np.repeat(chart.flat(chart.origin)[None], len(arr), axis=0)

@@ -189,6 +189,32 @@ class TestFrozenDimensions:
         report = cohomology(rep)
         assert report.degree(2).dim_cocycles == 6
 
+    @pytest.mark.parametrize("read", [
+        lambda: CEComplex(adjoint_rep(catalog_algebra("sl2"))).degree(3000),
+        lambda: Problem.of(catalog_algebra("heis3")).degree(5000),  # no torus
+        lambda: connecting_map_on_h(sub_preset("borel-in-sl2"), 5000)],
+        ids=["sl2-adjoint", "heis3-problem", "borel-in-sl2-connecting-map"])
+    def test_a_degree_far_above_the_dimension_is_zero(self, read):
+        # C^k = 0 above the acting dimension n, so above n + 1 its block is
+        # ((), 0) with no block below read: a walk down through every lower
+        # degree overflowed the recursion limit here
+        start = time.perf_counter()
+        out = read()
+        assert time.perf_counter() - start < 1
+        if isinstance(out, Matrix):
+            assert (out.rows, out.cols) == (0, 0)
+        else:
+            assert (out.dim_cochains, out.dim_cocycles, out.dim_coboundaries,
+                    out.dim_h, out.h_representatives) == (0, 0, 0, 0, ())
+
+    @pytest.mark.parametrize("name", ["sl2", "heis3"])
+    def test_blocks_above_the_dimension_are_empty(self, name):
+        cx = CEComplex(adjoint_rep(catalog_algebra(name)))
+        zero, rank_off = cx.block(cx.n + 1)  # made from the blocks below
+        assert not zero and rank_off == 0
+        for k in (cx.n + 2, 3000):
+            assert cx.block(k) == ((), 0)
+
 
 class TestInducedMaps:
     def test_identity_maps_induce_identity(self):

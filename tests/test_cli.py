@@ -683,16 +683,18 @@ def test_console_script_runs(capsys):
 
 def test_ci_tests_the_oldest_supported_python():
     # the exact layer counts insertion signs with int.bit_count, new in
-    # Python 3.10: CI's oldest interpreter is requires-python's floor
+    # Python 3.10, and parses scalars under sys.get_int_max_str_digits, new
+    # in 3.10.7: CI's oldest interpreter is requires-python's floor, named
+    # by major.minor, which setup-python resolves to its newest patch
     with open(PYPROJECT, "rb") as fh:
         floor = tomllib.load(fh)["project"]["requires-python"]
-    floor = tuple(map(int, re.fullmatch(r">=\s*(\d+)\.(\d+)",
-                                        floor).groups()))
+    floor = tuple(map(int, re.fullmatch(r">=\s*(\d+)\.(\d+)(?:\.(\d+))?",
+                                        floor).groups("0")))
     versions = re.search(r"^\s*python-version:\s*\[([^\]]*)\]",
                          WORKFLOW.read_text(), re.M).group(1)
     oldest = min(tuple(map(int, v.split(".")))
                  for v in re.findall(r"[\"']([\d.]+)[\"']", versions))
-    assert oldest == floor and floor >= (3, 10)
+    assert oldest == floor[:2] and floor >= (3, 10, 7)
 
 
 def readme_console_examples() -> list:

@@ -513,7 +513,7 @@ class TestNewtonDivergence:
         # at the finite start
         def residual(u, seeds):
             with np.errstate(over="ignore"):
-                return (np.exp(u) - 2.0,)
+                return np.exp(u) - 2.0
 
         u, res, iters, ok = _chord_newton(
             residual, np.zeros((1, 1)), np.array([[[1e300]]]), NewtonConfig())
@@ -523,7 +523,7 @@ class TestNewtonDivergence:
     def test_chart_exit_mid_iteration_is_nonconvergence(self):
         # a row that leaves the chart comes back non-finite
         def residual(u, seeds):
-            return (np.where(u != 0.0, np.nan, 1.0),)
+            return np.where(u != 0.0, np.nan, 1.0)
 
         u, res, iters, ok = _chord_newton(residual, np.zeros((1, 1)),
                                           np.array([[[1.0]]]), NewtonConfig())
@@ -542,7 +542,7 @@ class TestNewtonDivergence:
         monkeypatch.setattr(lab, "numeric_jacobian",
                             lambda *a: calls.append(1) or jacobian(*a))
         cfg = NewtonConfig(max_iter=max_iter)
-        u, res, iters, ok = _chord_newton(lambda u, seeds: (u,), np.ones((1, 1)),
+        u, res, iters, ok = _chord_newton(lambda u, seeds: u, np.ones((1, 1)),
                                           np.array([[[0.05]]]), cfg)
         assert len(calls) == refreshes
         assert iters[0] == max_iter and ok[0] == (max_iter == 2)

@@ -109,7 +109,7 @@ def test_a_chart_exit_stays_with_its_seed(monkeypatch):
     def run(rows):
         def residual(u, seeds):
             inside = u[..., :1] < 1
-            return np.where(inside, u - rows[seeds], np.nan), 2 * u
+            return np.where(inside, u - rows[seeds], np.nan)
         chords = np.repeat(chord[None], len(rows), axis=0)
         return lab._chord_newton(residual, np.zeros(rows.shape), chords,
                                  lab.NewtonConfig())
@@ -120,14 +120,13 @@ def test_a_chart_exit_stays_with_its_seed(monkeypatch):
     for j, stacked in enumerate(together):
         np.testing.assert_array_equal(
             stacked, np.concatenate([out[j] for out in alone]))
-    u, kept, res, iters, converged = together
+    u, res, iters, converged = together
     assert batched == 1 and len(refreshes) == 2
     assert iters.tolist() == [2, 25, 2, 0, 2]
     assert converged.tolist() == [False, True, True, True, False]
     # the exit ends its seed at its last iterate inside the chart
     np.testing.assert_allclose(u[0], [0.9, 0])
     np.testing.assert_allclose(res[0], 0.6)
-    np.testing.assert_array_equal(kept[0], 2 * u[0])
 
 
 @pytest.mark.parametrize("kind, name", BANDS)
@@ -276,10 +275,10 @@ def test_middle_refusal_raises_what_one_call_per_seed_raises(kind, name, scale,
     assert want is not None and got == want
 
 
-def test_recovery_groups_once_per_stack_and_per_residual(monkeypatch):
+def test_recovery_groups_per_residual_and_once_after_newton(monkeypatch):
     # one group call exponentiates the perturbation stack, one runs in each
-    # residual call (refreshes too), and each seed keeps the group element
-    # of its last accepted iterate: none is computed after Newton
+    # residual call (refreshes too), and one stacked call after Newton makes
+    # every seed's group element at its last accepted iterate
     events = []
     group, newton = lab._BracketChart.group, lab._chord_newton
     monkeypatch.setattr(lab._BracketChart, "group", lambda self, x: (
@@ -301,7 +300,30 @@ def test_recovery_groups_once_per_stack_and_per_residual(monkeypatch):
     assert len(records) == len(SEEDS) and refreshes
     calls = events.count("residual")
     assert events == ["group", "newton", *["residual", "group"] * calls,
-                      "end"]
+                      "end", "group"]
+
+
+@pytest.mark.parametrize("kind, name, scale, seeds", [
+    ("bracket-recovery", "b(sl_3)", 0.3, SEEDS),
+    ("hom-recovery", "borel-incl", 0.3, SEEDS), *WILD])
+def test_recovered_group_elements_are_the_residual_calls_bits(
+        kind, name, scale, seeds, monkeypatch):
+    # the stacked group call after Newton gives each seed, bit for bit, the
+    # element a residual call made at its last accepted iterate, since expm
+    # reads each matrix alone; diverged seeds too
+    perturb, solve = lab.EXPERIMENTS[kind]
+    chart = lab._chart(OBJECTS[name], lab.Problem.of(OBJECTS[name]).kind)
+    values = perturb(chart, scale, seeds)[0]
+    calls, group = [], type(chart).group
+    monkeypatch.setattr(type(chart), "group", lambda self, x: (
+        calls.append((np.array(x), group(self, x))) or calls[-1][1]))
+    results = solve(chart, values, lab.NewtonConfig())
+    made = {x.tobytes(): a.tobytes()
+            for xs, gs in calls[:-1] for x, a in zip(xs, gs)}
+    assert all(r.converged for r in results) == (scale < 1)
+    for r in results:
+        x = np.ascontiguousarray(r.log_solution).tobytes()
+        assert r.group_matrix.tobytes() == made[x]
 
 
 @pytest.mark.parametrize("kind, name", [
