@@ -348,8 +348,8 @@ class RepSpec:
     """A coefficient system: the acting algebra's bracket plus, per acting
     basis vector, its action on the carrier as the {column: value} nonzeros
     of each row, in column order and ints where integral, as a ``Matrix``
-    keeps its ``row_maps``; ``action_cells`` and ``all_ints``, read by the
-    differential of every degree, are kept on first read."""
+    keeps its ``row_maps``.  ``action_cells`` (each vector's (b, a, r_ba),
+    made with the system) and ``all_ints`` (on first read) are kept."""
 
     variant: str
     acting: BracketCandidate
@@ -357,11 +357,20 @@ class RepSpec:
     rows: tuple
     label: str = ""
 
-    @cached_property
-    def action_cells(self) -> list:
-        """Per acting basis vector, the (b, a, r_ba) nonzeros of its action."""
-        return [[(b, a, v) for b, row in enumerate(rows) for a, v in row.items()]
-                for rows in self.rows]
+    def __post_init__(self):
+        """Gather ``action_cells``, refusing rows the differential cannot read."""
+        q, n = self.carrier_dim, self.acting.dim
+        cells = [[(b, a, v) for b, row in enumerate(rows) for a, v in row.items()]
+                 for rows in self.rows if len(rows) == q]
+        if not len(cells) == len(self.rows) == n:
+            raise ValueError(f"need {n} row lists, one per acting basis "
+                             f"vector, each of carrier_dim = {q} rows")
+        for b, a, v in chain(*cells):
+            if not 0 <= a < q:
+                raise ValueError(f"action row {b}: column {a} outside [0, {q})")
+            if not v:
+                raise ValueError(f"action row {b} holds a 0 at column {a}")
+        object.__setattr__(self, "action_cells", cells)
 
     @cached_property
     def all_ints(self) -> bool:

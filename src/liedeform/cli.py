@@ -18,9 +18,9 @@ from .algebras import (ValidationError, catalog_names, hom_preset_names,
                        sub_preset_names)
 from .cecomplex import CohomologyUndefinedError, Problem, les_subalgebra
 from .cochains import AltMap, cochain_dim
-from .documents import (DEFAULT_SCALE, DEFAULT_SEED_COUNT, EXPERIMENT_KINDS,
-                        ChartError, InputDefectError, MalformedDocumentError,
-                        PreconditionError, load_json_file, parse_direction_doc,
+from .documents import (EXPERIMENT_KINDS, ChartError, InputDefectError,
+                        MalformedDocumentError, PreconditionError,
+                        load_json_file, parse_direction_doc,
                         parse_experiment_doc, resolve_object, resolve_sub)
 from .exactlin import Matrix
 from . import kuranishi as K
@@ -35,7 +35,10 @@ def _emit(payload, as_json: bool, text_lines):
             print(line)
 
 
-_OBJECT_FLAGS = ("algebra", "hom", "sub")
+# object flag -> (what its names are, their list)
+_OBJECT_FLAGS = {"algebra": ("catalog name", catalog_names),
+                 "hom": ("preset", hom_preset_names),
+                 "sub": ("preset", sub_preset_names)}
 
 
 def _resolve_object(args):
@@ -163,6 +166,7 @@ _QUESTIONS = {
     "sub-rigidity": ("sub", V.sub_rigidity),
     "sub-stability": ("sub", V.sub_stability),
 }
+_QUESTION_NAMES = ", ".join([*sorted(_QUESTIONS), "kuranishi-model-dims", "all"])
 
 
 def _verdict_line(v) -> str:
@@ -188,8 +192,7 @@ def _cmd_verdict(args) -> int:
     else:
         if args.question not in _QUESTIONS:
             raise MalformedDocumentError(
-                f"unknown question {args.question!r}; choose from "
-                f"{', '.join([*sorted(_QUESTIONS), 'kuranishi-model-dims', 'all'])}")
+                f"unknown question {args.question!r}; choose from {_QUESTION_NAMES}")
         want, _ = _QUESTIONS[args.question]
         if want != kind:
             raise MalformedDocumentError(
@@ -253,12 +256,13 @@ def _cmd_deform(args) -> int:
         if not args.kind:
             raise MalformedDocumentError(
                 "deform needs --experiment FILE or --kind with an object flag")
-        seeds = DEFAULT_SEED_COUNT if args.seeds is None else args.seeds
-        scale = DEFAULT_SCALE if args.scale is None else args.scale
-        if seeds < 0:
-            raise MalformedDocumentError("--seeds must be >= 0")
-        doc = {"kind": args.kind,
-               "perturbation": {"scale": scale, "seeds": list(range(seeds))}}
+        # an absent flag is left out: the experiment's defaults apply
+        pert = {} if args.scale is None else {"scale": args.scale}
+        if args.seeds is not None:
+            if args.seeds < 0:
+                raise MalformedDocumentError("--seeds must be >= 0")
+            pert["seeds"] = list(range(args.seeds))
+        doc = {"kind": args.kind, "perturbation": pert}
         doc.update((flag, getattr(args, flag)) for flag in _OBJECT_FLAGS
                    if getattr(args, flag))
     exp = parse_experiment_doc(doc)
@@ -283,21 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments for finite-dimensional Lie algebras.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, algebra=True, hom=True, sub_flag=True):
+    def add_common(p, flags=tuple(_OBJECT_FLAGS)):
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON output")
-        if algebra:
-            p.add_argument("--algebra", metavar="NAME_OR_PATH",
-                           help=f"catalog name ({', '.join(catalog_names())}) "
-                                "or JSON document path")
-        if hom:
-            p.add_argument("--hom", metavar="NAME_OR_PATH",
-                           help=f"preset ({', '.join(hom_preset_names())}) "
-                                "or JSON document path")
-        if sub_flag:
-            p.add_argument("--sub", metavar="NAME_OR_PATH",
-                           help=f"preset ({', '.join(sub_preset_names())}) "
-                                "or JSON document path")
+        for flag in flags:
+            what, names = _OBJECT_FLAGS[flag]
+            p.add_argument(f"--{flag}", metavar="NAME_OR_PATH",
+                           help=f"{what} ({', '.join(names())}) or JSON "
+                                "document path")
 
     p = sub.add_parser("verify", help="validate an algebra, homomorphism or "
                                       "subalgebra document")
@@ -312,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="rigidity/stability verdicts")
     add_common(p)
     p.add_argument("--question", default="all",
-                   help="one of " + ", ".join(
-                       [*sorted(_QUESTIONS), "kuranishi-model-dims", "all"]))
+                   help=f"one of {_QUESTION_NAMES}")
     p.set_defaults(func=_cmd_verdict)
 
     p = sub.add_parser("kuranishi", help="obstruction classes and exact "
@@ -328,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kuranishi)
 
     p = sub.add_parser("les", help="long exact sequence of a subalgebra")
-    add_common(p, algebra=False, hom=False)
+    add_common(p, ("sub",))
     p.add_argument("--max-degree", type=int, default=2)
     p.set_defaults(func=_cmd_les)
 

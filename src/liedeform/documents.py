@@ -1,10 +1,13 @@
 """JSON documents for algebras, homomorphisms, subalgebras and experiments.
 
-Two failure layers are kept apart: structural problems (wrong keys, types,
-shapes, unparsable scalars, unknown names) raise MalformedDocumentError,
-while mathematically invalid content in a well-formed document (antisymmetry,
-Jacobi, curvature, closure) surfaces as ValidationError from the validators.
-The command line maps these to exit codes 2 and 1 respectively.
+Every object in a document is read by one rule: it must be an object with
+every key its format requires, and a key the format does not name is
+refused, never dropped.  Two failure layers are kept apart: structural
+problems (wrong or unknown keys, types, shapes, unparsable scalars, unknown
+names) raise MalformedDocumentError, while mathematically invalid content
+in a well-formed document (antisymmetry, Jacobi, curvature, closure)
+surfaces as ValidationError from the validators.  The command line maps
+these to exit codes 2 and 1 respectively.
 """
 
 from __future__ import annotations
@@ -49,6 +52,22 @@ def _require(cond: bool, message: str, location: str = ""):
         raise MalformedDocumentError(message, location)
 
 
+def _object(doc, what: str, required=(), optional=(), location: str = ""):
+    """``doc``: an object with every ``required`` key and no key unlisted."""
+    _require(isinstance(doc, dict), f"{what} must be an object", location)
+    unknown = sorted(set(doc).difference(required, optional), key=str)
+    _require(not unknown, f"unknown keys {unknown}", location)
+    for key in required:
+        _require(key in doc, f"missing '{key}'", location)
+    return doc
+
+
+def _name(doc, default: str) -> str:
+    name = doc.get("name", default)
+    _require(isinstance(name, str), "'name' must be a string", "name")
+    return name
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -74,6 +93,13 @@ def _vector(values, length: int, location: str):
     return [_scalar(v, f"{location}[{p}]") for p, v in enumerate(values)]
 
 
+def _rows(values, count, length: int, location: str, message: str) -> list:
+    """A list of ``count`` (any number if None) ``length``-vectors."""
+    _require(isinstance(values, list)
+             and (count is None or len(values) == count), message, location)
+    return [_vector(v, length, f"{location}[{p}]") for p, v in enumerate(values)]
+
+
 def _bracket_entries(items, n: int, location: str) -> dict:
     """{(i, j): coeffs} of a list of {i, j, coeffs} entries with indices in
     [0, n), each pair given once."""
@@ -81,11 +107,7 @@ def _bracket_entries(items, n: int, location: str) -> dict:
     entries = {}
     for pos, item in enumerate(items):
         loc = f"{location}[{pos}]"
-        _require(isinstance(item, dict), "entry must be an object", loc)
-        _require(set(item) <= {"i", "j", "coeffs"},
-                 f"unknown keys {sorted(set(item) - {'i', 'j', 'coeffs'})}", loc)
-        for key in ("i", "j", "coeffs"):
-            _require(key in item, f"missing '{key}'", loc)
+        _object(item, "entry", ("i", "j", "coeffs"), (), loc)
         i, j = item["i"], item["j"]
         for key, val in (("i", i), ("j", j)):
             _require(_is_int(val) and 0 <= val < n,
@@ -99,21 +121,18 @@ def _bracket_entries(items, n: int, location: str) -> dict:
 # algebra documents
 
 def parse_algebra_doc(doc) -> LieAlgebra:
-    _require(isinstance(doc, dict), "algebra document must be an object")
-    _require("dim" in doc, "missing 'dim'")
+    _object(doc, "algebra document", ("dim",), ("name", "basis", "brackets"))
     n = doc["dim"]
     _require(_is_int(n) and n >= 0, "'dim' must be a nonnegative integer", "dim")
-    name = doc.get("name", "algebra")
-    _require(isinstance(name, str), "'name' must be a string", "name")
+    name = _name(doc, "algebra")
+    # no basis: validate_bracket names the basis e0, e1, ..
     basis = doc.get("basis")
-    if basis is None:
-        basis = [f"e{i}" for i in range(n)]
-    _require(isinstance(basis, list) and len(basis) == n
-             and all(isinstance(b, str) for b in basis),
+    _require(basis is None or (isinstance(basis, list) and len(basis) == n
+                               and all(isinstance(b, str) for b in basis)),
              f"'basis' must be a list of {n} names", "basis")
     entries = _bracket_entries(doc.get("brackets", []), n, "brackets")
     cand = BracketCandidate.from_entries(n, entries)
-    return validate_bracket(cand, name=name, basis=tuple(basis))
+    return validate_bracket(cand, name=name, basis=basis)
 
 
 def algebra_to_doc(g: LieAlgebra) -> dict:
@@ -132,20 +151,16 @@ def algebra_to_doc(g: LieAlgebra) -> dict:
 # homomorphism and subalgebra documents
 
 def parse_hom_doc(doc) -> Homomorphism:
-    _require(isinstance(doc, dict), "homomorphism document must be an object")
-    for key in ("source", "target", "matrix"):
-        _require(key in doc, f"missing '{key}'")
+    _object(doc, "homomorphism document", ("source", "target", "matrix"),
+            ("name",))
     source = resolve_algebra(doc["source"])
     target = resolve_algebra(doc["target"])
-    rows = doc["matrix"]
-    _require(isinstance(rows, list) and len(rows) == target.dim,
-             f"'matrix' must have {target.dim} rows (one per target basis "
-             "vector); columns are the images of the source basis", "matrix")
-    data = [_vector(row, source.dim, f"matrix[{r}]") for r, row in enumerate(rows)]
+    data = _rows(doc["matrix"], target.dim, source.dim, "matrix",
+                 f"'matrix' must have {target.dim} rows (one per target basis "
+                 "vector); columns are the images of the source basis")
     matrix = Matrix(target.dim, source.dim, data)
-    name = doc.get("name", "hom")
-    _require(isinstance(name, str), "'name' must be a string", "name")
-    return validate_homomorphism(Homomorphism(source, target, matrix, name))
+    return validate_homomorphism(Homomorphism(source, target, matrix,
+                                              _name(doc, "hom")))
 
 
 def hom_to_doc(rho: Homomorphism) -> dict:
@@ -156,18 +171,11 @@ def hom_to_doc(rho: Homomorphism) -> dict:
 
 
 def parse_sub_doc(doc) -> SubalgebraWitness:
-    _require(isinstance(doc, dict), "subalgebra document must be an object")
-    for key in ("ambient", "basis_vectors"):
-        _require(key in doc, f"missing '{key}'")
+    _object(doc, "subalgebra document", ("ambient", "basis_vectors"), ("name",))
     ambient = resolve_algebra(doc["ambient"])
-    vecs = doc["basis_vectors"]
-    _require(isinstance(vecs, list), "'basis_vectors' must be a list",
-             "basis_vectors")
-    vectors = [_vector(v, ambient.dim, f"basis_vectors[{p}]")
-               for p, v in enumerate(vecs)]
-    name = doc.get("name", "sub")
-    _require(isinstance(name, str), "'name' must be a string", "name")
-    return subalgebra_witness(ambient, vectors, name=name)
+    vectors = _rows(doc["basis_vectors"], None, ambient.dim, "basis_vectors",
+                    "'basis_vectors' must be a list")
+    return subalgebra_witness(ambient, vectors, name=_name(doc, "sub"))
 
 
 def sub_to_doc(w: SubalgebraWitness) -> dict:
@@ -186,15 +194,14 @@ def parse_direction_doc(doc, degree: int, n: int, m: int) -> AltMap:
     under 'brackets'; degree 1 is a matrix with m rows and n columns (column
     j the value on basis vector j), or an object with it under 'matrix'."""
     key = "brackets" if degree == 2 else "matrix"
-    body = doc.get(key, doc) if isinstance(doc, dict) else doc
+    body = (_object(doc, "direction", (key,), (), "direction")[key]
+            if isinstance(doc, dict) else doc)
     if degree == 2:
         entries = _bracket_entries(body, n, "direction")
         _require(all(i < j for i, j in entries),
                  "bracket direction entries need i < j", "direction")
         return AltMap.from_values(2, n, m, entries)
-    _require(isinstance(body, list) and len(body) == m,
-             f"direction matrix must have {m} rows", "direction")
-    rows = [_vector(row, n, f"direction[{r}]") for r, row in enumerate(body)]
+    rows = _rows(body, m, n, "direction", f"direction matrix must have {m} rows")
     return AltMap.from_flat(1, n, m, [row[j] for j in range(n) for row in rows])
 
 
@@ -303,17 +310,18 @@ class NewtonConfig:
 
 def parse_experiment_doc(doc) -> dict:
     """Normalized experiment: kind, resolved object, seeds, scale, config."""
-    _require(isinstance(doc, dict), "experiment document must be an object")
-    _require("kind" in doc, "missing 'kind'")
-    kind = doc["kind"]
+    blocks = ("perturbation", "newton")
+    kind = _object(doc, "experiment document", ("kind",),
+                   (*EXPERIMENT_KEYS.values(), *blocks))["kind"]
     _require(kind in EXPERIMENT_KINDS,
              f"'kind' must be one of {', '.join(EXPERIMENT_KINDS)}", "kind")
     key = EXPERIMENT_KEYS[kind]
     _require(key in doc, f"{kind} experiments need '{key}'")
+    # of the three object keys, an experiment names only its kind's
+    _object(doc, "experiment document", ("kind", key), blocks)
     obj = resolve_object(key, doc[key])
-    pert = doc.get("perturbation", {})
-    _require(isinstance(pert, dict), "'perturbation' must be an object",
-             "perturbation")
+    pert = _object(doc.get("perturbation", {}), "'perturbation'", (),
+                   ("scale", "seeds"), "perturbation")
     scale = pert.get("scale", DEFAULT_SCALE)
     # perturbations draw from uniform(-scale, scale), whose width 2 * scale
     # must be a finite float; each seed starts its own stream, NumPy's
@@ -324,14 +332,11 @@ def parse_experiment_doc(doc) -> dict:
     _require(isinstance(seeds, list) and all(
         _is_int(s) and s >= 0 for s in seeds),
         "'seeds' must be a list of nonnegative integers", "perturbation.seeds")
-    newton = doc.get("newton", {})
-    _require(isinstance(newton, dict), "'newton' must be an object", "newton")
-    allowed = set(NewtonConfig.__match_args__)
-    _require(set(newton) <= allowed,
-             f"unknown newton keys {sorted(set(newton) - allowed)}", "newton")
+    newton = _object(doc.get("newton", {}), "'newton'", (),
+                     NewtonConfig.__match_args__, "newton")
     try:
         cfg = NewtonConfig(**newton)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedDocumentError(f"bad newton config: {exc}", "newton")
     return {"kind": kind, "object": obj, "seeds": list(seeds),
             "scale": float(scale), "config": cfg}

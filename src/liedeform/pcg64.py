@@ -92,7 +92,7 @@ def _lanes(values) -> int:
                                    for v in values), "little")
 
 
-def states(entropies: list, count: int) -> bytes:
+def states(entropies: list, count: int) -> bytearray:
     """The LCG states of the first ``count`` draws of NumPy's PCG64, seeded
     from ``SeedSequence`` of each entropy: for each draw, one lane of
     ``LANE_WORDS`` 64-bit words per entropy, in order, holding its state in
@@ -135,8 +135,9 @@ def states(entropies: list, count: int) -> bytes:
            | ones) & m128
     # pcg64_srandom: step from 0, add the seed, step again
     state = ((inc + seed) * _PCG_MULT + inc) & m128
-    draws = []
+    # grown in place, so that each draw's bytes are held once
+    draws = bytearray()
     for _ in range(count):
         state = (state * _PCG_MULT + inc) & m128
-        draws.append(state.to_bytes(_LANE_BYTES * n, "little"))
-    return b"".join(draws)
+        draws += state.to_bytes(_LANE_BYTES * n, "little")
+    return draws

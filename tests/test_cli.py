@@ -382,6 +382,13 @@ class TestLes:
         assert doc["all_exact"] is False
         assert [n["exact"] for n in doc["nodes"]] == [True, False, True, True]
 
+    def test_help_offers_only_the_sub_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["les", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--sub NAME_OR_PATH" in out
+        assert "--algebra" not in out and "--hom" not in out
+
     def test_negative_max_degree_is_malformed(self, capsys):
         code, out, _ = run_cli(capsys, "les", "--sub", "borel-in-sl2",
                                "--max-degree", "-1", "--json")
@@ -430,7 +437,7 @@ class TestDeform:
             assert code == 2
             assert json.loads(out) == {
                 "error": "malformed-input",
-                "message": f"newton: unknown newton keys [{key!r}]"}
+                "message": f"newton: unknown keys [{key!r}]"}
 
     @pytest.mark.parametrize("newton", ['{"damping": 1.0}',
                                         '{"max_iter": 2.5}',
@@ -491,7 +498,7 @@ class TestDeform:
                                "--json")
         assert code == 0 and len(out.splitlines()) == 1
 
-    def test_default_seeds_and_scale(self, capsys):
+    def test_default_seeds_and_scale(self, capsys, tmp_path):
         # --seeds and --scale default to None so that --experiment can tell
         # them given; the flags path still runs seeds 0..9 at scale 0.05
         defaults = run_cli(capsys, "deform", "--kind", "sub-recovery",
@@ -502,6 +509,12 @@ class TestDeform:
         assert defaults == explicit
         assert [json.loads(line)["seed"] for line in
                 defaults[1].splitlines()] == list(range(10))
+        # the flags leave absent settings to the experiment's defaults, as a
+        # document without a perturbation block does
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({"kind": "sub-recovery", "sub": "borel-in-sl2"}))
+        assert run_cli(capsys, "deform", "--experiment", str(p),
+                       "--json") == defaults
 
     def test_dim_zero_objects_run(self, capsys, tmp_path):
         empty = {"dim": 0}
@@ -599,6 +612,60 @@ class TestArgHandling:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+
+_SL2_HOM = {"source": "aff1", "target": "sl2",
+            "matrix": [[1, 0], [0, 0], [0, 0]]}
+_EXPERIMENT = {"kind": "bracket-recovery", "algebra": "sl2"}
+
+
+# Each misspelt key was dropped and the rest of the document read as if it
+# were absent: the abelian algebra's cohomology, the default seeds, scale
+# and Newton settings, the default name.  verb, object flag, document, the
+# key's location and the key.
+@pytest.mark.parametrize("verb, flag, doc, where, key", [
+    ("cohomology", "--algebra", {"dim": 2, "brakets": [
+        {"i": 0, "j": 1, "coeffs": [0, 1]}]}, "", "brakets"),
+    ("verify", "--algebra", {"dim": 2, "brackets": [
+        {"i": 0, "j": 1, "coefs": [0, 1]}]}, "brackets[0]: ", "coefs"),
+    ("verify", "--hom", {**_SL2_HOM, "nmae": "mine"}, "", "nmae"),
+    ("verify", "--hom", {**_SL2_HOM, "source": {"dim": 2, "nmae": "x"}}, "",
+     "nmae"),
+    ("verify", "--sub", {"ambient": "sl2", "basis_vector": [[1, 0, 0]]}, "",
+     "basis_vector"),
+    ("deform", "--experiment", {**_EXPERIMENT, "perturbaton": {
+        "seeds": [0], "scale": 0.3}}, "", "perturbaton"),
+    ("deform", "--experiment", {**_EXPERIMENT, "perturbation": {
+        "seed": [0], "scales": 0.3}}, "perturbation: ", "scales', 'seed"),
+    ("deform", "--experiment", {**_EXPERIMENT, "neton": {"max_iter": 1}}, "",
+     "neton"),
+    ("deform", "--experiment", {**_EXPERIMENT, "newton": {"maxiter": 1}},
+     "newton: ", "maxiter"),
+    # an object key of another kind
+    ("deform", "--experiment", {**_EXPERIMENT, "hom": "id-sl2"}, "", "hom"),
+    ("kuranishi", "--direction", {"bracket": [
+        {"i": 0, "j": 1, "coeffs": [0, 0, 0]}]}, "direction: ", "bracket"),
+])
+def test_a_misspelt_key_is_refused(capsys, tmp_path, verb, flag, doc, where,
+                                   key):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    argv = [verb, flag, str(p), "--json"]
+    if verb == "kuranishi":
+        argv += ["--algebra", "abelian3"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "malformed-input",
+                               "message": f"{where}unknown keys ['{key}']"}
+
+
+def test_deform_flags_name_one_object(capsys):
+    # --hom was dropped: bracket recovery of sl2 ran
+    code, out, _ = run_cli(capsys, "deform", "--kind", "bracket-recovery",
+                           "--algebra", "sl2", "--hom", "id-sl2", "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": "malformed-input",
+                               "message": "unknown keys ['hom']"}
 
 
 def test_module_entry_point():

@@ -249,7 +249,7 @@ class TestExperimentDocs:
     def test_damping_is_not_a_newton_key(self):
         # every Newton step is the full chord step
         with pytest.raises(MalformedDocumentError,
-                           match=r"newton: unknown newton keys \['damping'\]"):
+                           match=r"newton: unknown keys \['damping'\]"):
             parse_experiment_doc(self.doc(newton={"damping": 1.0}))
 
     # Each was accepted and run as the loop could not honour it (sl2

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from liedeform.algebras import (BracketCandidate, catalog_algebra, hom_preset,
-                                sub_preset, subalgebra_witness,
+from liedeform.algebras import (BracketCandidate, RepSpec, catalog_algebra,
+                                hom_preset, sub_preset, subalgebra_witness,
                                 validate_bracket)
 from liedeform.cecomplex import (CohomologyReport, adjoint_cohomology,
                                  euler_characteristic)
@@ -29,6 +29,10 @@ def _report_missing_a_degree():
     r = adjoint_cohomology(catalog_algebra("sl2"))
     return CohomologyReport(r.label, r.acting_dim, r.carrier_dim,
                             r.degrees[:2], r.complex)
+
+
+def _sl2_system(carrier_dim: int, rows: tuple) -> RepSpec:
+    return RepSpec("x", catalog_algebra("sl2").candidate, carrier_dim, rows)
 
 
 def _splittings_of_two_witnesses():
@@ -60,6 +64,19 @@ REFUSALS = {
     "basis names of the wrong number": (
         lambda: validate_bracket(BracketCandidate.zero(2), basis=("x",)),
         "basis name list"),
+    # each crashed cohomology with an IndexError, or ZeroDivisionError when
+    # elimination took the explicit 0 as a pivot
+    "action rows for 1 of 3 acting basis vectors": (
+        lambda: _sl2_system(2, ([{}, {}],)), "need 3 row lists"),
+    "action rows of the wrong number": (
+        lambda: _sl2_system(1, ([{0: 1}, {0: 1}],) * 3),
+        "carrier_dim = 1 rows"),
+    "action column out of range": (
+        lambda: _sl2_system(2, ([{5: 1}, {}], [{}, {}], [{}, {}])),
+        r"column 5 outside \[0, 2\)"),
+    "action row holding a zero": (
+        lambda: _sl2_system(2, ([{0: 0}, {}], [{}, {}], [{}, {}])),
+        "holds a 0 at column 0"),
     "subalgebra vector of the wrong length": (
         lambda: subalgebra_witness(catalog_algebra("sl2"), [[1, 0]]),
         "wrong length"),
