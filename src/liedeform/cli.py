@@ -21,7 +21,7 @@ from .cochains import AltMap, cochain_dim
 from .documents import (EXPERIMENT_KINDS, ChartError, InputDefectError,
                         MalformedDocumentError, PreconditionError,
                         load_json_file, parse_direction_doc,
-                        parse_experiment_doc, resolve_object, resolve_sub)
+                        parse_experiment_doc, resolve_object)
 from .exactlin import Matrix
 from . import kuranishi as K
 from . import verdicts as V
@@ -42,11 +42,15 @@ _OBJECT_FLAGS = {"algebra": ("catalog name", catalog_names),
 
 
 def _resolve_object(args):
-    """The object flag given and the problem of the object it names."""
-    given = [f for f in _OBJECT_FLAGS if getattr(args, f, None)]
+    """The object flag given and the problem of the object it names; a flag
+    is given when it is not None, so an empty one names the empty name."""
+    flags = [f for f in _OBJECT_FLAGS if hasattr(args, f)]
+    given = [f for f in flags if getattr(args, f) is not None]
     if len(given) != 1:
+        named = ", ".join(f"--{f}" for f in flags)
         raise MalformedDocumentError(
-            "exactly one of --algebra, --hom, --sub is required")
+            f"exactly one of {named} is required" if len(flags) > 1
+            else f"{named} is required")
     which = given[0]
     return which, Problem.of(resolve_object(which, getattr(args, which)))
 
@@ -229,7 +233,7 @@ def _cmd_kuranishi(args) -> int:
 def _cmd_les(args) -> int:
     if args.max_degree < 0:
         raise MalformedDocumentError("--max-degree must be >= 0")
-    w = resolve_sub(args.sub)
+    w = _resolve_object(args)[1].obj
     report = les_subalgebra(w, args.max_degree)
     payload = report.to_json_dict()
     lines = [f"long exact sequence through degree {report.max_degree} "
@@ -264,7 +268,7 @@ def _cmd_deform(args) -> int:
             pert["seeds"] = list(range(args.seeds))
         doc = {"kind": args.kind, "perturbation": pert}
         doc.update((flag, getattr(args, flag)) for flag in _OBJECT_FLAGS
-                   if getattr(args, flag))
+                   if getattr(args, flag) is not None)
     exp = parse_experiment_doc(doc)
     # only a well-formed experiment loads the Newton lab, which imports
     # NumPy on its first float computation

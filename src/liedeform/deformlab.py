@@ -18,10 +18,10 @@ linearization, kept in its problem, so one per object.  Its maps take one
 value or a stack of values (leading axes), so one Newton loop
 (``_chord_newton``) runs the seeds of a call in lockstep: one residual call
 per round on every running seed, each seed keeping its own iterate,
-residual, iteration count and chord, in one stack of chords per call.  The
-bracket chart's orbit residual is one array kernel from (A, c) to flat pair
-coordinates (``_acted_pairs``), so Newton builds no FloatBracket per
-iterate.
+residual, iteration count and chord, in one stack of chords per call.
+Every chart reads its orbit residual the same way, as the flat coordinates
+of its action on the base; the bracket chart acts on plain tensors, so
+Newton builds no FloatBracket per iterate.
 
 Importing the module loads no float stack: NumPy, its one dependency, is
 imported on the first float computation.  The group map of every chart is
@@ -274,19 +274,9 @@ def _acted(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return t
 
 
-def _acted_pairs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Flat pair coordinates of A . c (the orbit kernel), no record built,
-    for one matrix or a stack (refused as ``_acted`` refuses): the blocks
-    (t[i, j] - t[j, i]) / 2 of the acted tensor t, read by flat position."""
-    t = _acted(a, c)
-    t = t.reshape(t.shape[:-3] + (-1,))
-    ij, ji = _pair_cells(c.shape[-1])
-    return (t.take(ij, axis=-1) - t.take(ji, axis=-1)) / 2.0
-
-
 def act_on_bracket(a_matrix: np.ndarray, mu: FloatBracket) -> FloatBracket:
     """(A . mu)(u, v) = A mu(A^-1 u, A^-1 v), on structure constants: the
-    kernel of ``_acted_pairs`` before its pair read, in one record."""
+    tensor of ``_acted``, the bracket chart's action, in one record."""
     c = _acted(np.asarray(a_matrix, dtype=float), mu.c)
     return FloatBracket(mu.dim, c)
 
@@ -437,17 +427,16 @@ class ContinuationResult:
 
 
 @cache
-def _pair_cells(n: int) -> tuple:
-    """Flat positions in an n x n x n tensor of the blocks [i, j, :], and of
-    the blocks [j, i, :], of the pairs i<j in subset order."""
-    i, j, k = *_subset_index(n, 2), np.arange(n)
-    return tuple(((a[:, None] * n + b[:, None]) * n + k).ravel()
-                 for a, b in ((i, j), (j, i)))
+def _pair_cells(n: int) -> np.ndarray:
+    """Flat positions in an n x n x n tensor of the blocks [i, j, :] of the
+    pairs i<j in subset order."""
+    i, j = _subset_index(n, 2)
+    return ((i[:, None] * n + j[:, None]) * n + np.arange(n)).ravel()
 
 
 def _pairs_flat(c: np.ndarray) -> np.ndarray:
     n = c.shape[-1]
-    return c.reshape(c.shape[:-3] + (n ** 3,)).take(_pair_cells(n)[0], axis=-1)
+    return c.reshape(c.shape[:-3] + (n ** 3,)).take(_pair_cells(n), axis=-1)
 
 
 def _frame_brackets(c: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -679,8 +668,8 @@ class _Chart:
 class _BracketChart(_Chart):
     """GL(g) acting on structure tensors: a value is a FloatBracket or its
     tensor, the tensor is its own chart point, log coordinates are a in
-    gl(g), and the structure map is the Jacobiator; orbit coordinates are
-    read by the kernel ``_acted_pairs``, with no record per iterate."""
+    gl(g), and the structure map is the Jacobiator.  Its action returns
+    plain tensors, so orbit coordinates build no record per iterate."""
 
     name, defect_name = "bracket", "Jacobi defect"
     sign = -1.0  # J(mu + s xi) = J(mu) - s d(xi) + O(s^2)
@@ -722,9 +711,6 @@ class _BracketChart(_Chart):
 
     def singular(self, a: np.ndarray) -> np.ndarray:
         return ~(abs(np.linalg.det(a)) >= SINGULAR_DET)
-
-    def orbit_coords(self, a: np.ndarray) -> np.ndarray:
-        return _acted_pairs(a, self.origin)
 
 
 class _HomChart(_Chart):
@@ -811,15 +797,16 @@ class _SubChart(_Chart):
 _CHARTS = {"bracket": _BracketChart, "hom": _HomChart, "sub": _SubChart}
 
 
-def _chart(obj, kind: str) -> _Chart:
+def _chart(obj, kind: str | None = None) -> _Chart:
     """``obj`` itself when it is a chart, else the chart kept in the problem
-    of ``obj``, made on first use; refuses (TypeError) another kind."""
+    of ``obj``, made on first use; refuses (TypeError) a kind other than
+    ``kind``, when one is named."""
     if isinstance(obj, _Chart):
         Problem.of(obj.p, kind)
         return obj
     p = Problem.of(obj, kind)
     if "_chart" not in vars(p):
-        vars(p)["_chart"] = _CHARTS[kind](p)
+        vars(p)["_chart"] = _CHARTS[p.kind](p)
     return vars(p)["_chart"]
 
 
@@ -1069,7 +1056,7 @@ def curve_cocycle_check(base, samples) -> CurveCheckReport:
     report also carries the least-squares residual of the derivative against
     the coboundaries (its distance from class zero).
     """
-    chart = _chart(base, Problem.of(base).kind)
+    chart = _chart(base)
     p, degree = chart.p, chart.p.tangent_degree
     by_t = {float(t): chart.coords(value) for t, value in samples}
     if len(by_t) < 3 or min(by_t) >= 0 or max(by_t) <= 0:
@@ -1127,7 +1114,7 @@ def vertical_derivative_fd_check(base, direction) -> FDCheckReport:
     defect is round-off noise, which is why the h^2 assertion rides on the
     remainder.
     """
-    chart, h = _chart(base, Problem.of(base).kind), FD_CHECK_STEP
+    chart, h = _chart(base), FD_CHECK_STEP
     d = chart.array(direction)
 
     def value(s):
@@ -1194,7 +1181,7 @@ def run_experiment(kind: str, obj, seeds, scale: float = DEFAULT_SCALE,
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     perturb, solve = EXPERIMENTS[kind]
-    chart = _chart(obj, Problem.of(obj).kind)
+    chart = _chart(obj)
     seeds = list(seeds)
     values, x0, refused = perturb(chart, scale, seeds)
     results = solve(chart, values, cfg) if len(values) else []

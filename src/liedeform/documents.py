@@ -127,8 +127,8 @@ def parse_algebra_doc(doc) -> LieAlgebra:
     name = _name(doc, "algebra")
     # no basis: validate_bracket names the basis e0, e1, ..
     basis = doc.get("basis")
-    _require(basis is None or (isinstance(basis, list) and len(basis) == n
-                               and all(isinstance(b, str) for b in basis)),
+    _require("basis" not in doc or (isinstance(basis, list) and len(basis) == n
+                                    and all(isinstance(b, str) for b in basis)),
              f"'basis' must be a list of {n} names", "basis")
     entries = _bracket_entries(doc.get("brackets", []), n, "brackets")
     cand = BracketCandidate.from_entries(n, entries)
@@ -236,7 +236,8 @@ def _resolve(key: str, spec):
     if isinstance(spec, str):
         if spec in names():
             return preset(spec)
-        if _looks_like_path(spec):
+        # the empty name is no path, though Path("") is the working directory
+        if spec and _looks_like_path(spec):
             return parse(load_json_file(spec))
         raise MalformedDocumentError(
             f"unknown {noun} {spec!r}; {listing}: {', '.join(names())}")

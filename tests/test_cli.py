@@ -17,7 +17,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
-from liedeform.algebras import Homomorphism, SubalgebraWitness
+from liedeform.algebras import (Homomorphism, SubalgebraWitness,
+                                catalog_names, hom_preset_names,
+                                sub_preset_names)
 from liedeform.cli import run
 from liedeform.deformlab import run_experiment
 from liedeform.documents import (parse_algebra_doc, parse_experiment_doc,
@@ -666,6 +668,39 @@ def test_deform_flags_name_one_object(capsys):
     assert code == 2
     assert json.loads(out) == {"error": "malformed-input",
                                "message": "unknown keys ['hom']"}
+
+
+# An empty object flag was read as no flag, and an empty name as the working
+# directory: "exactly one of --algebra, --hom, --sub is required", "unreadable
+# document ." or "bracket-recovery experiments need 'algebra'".  The empty
+# name is refused as an unknown name, and a missing flag names the verb's.
+_UNKNOWN = {
+    "algebra": f"unknown algebra ''; catalog: {', '.join(catalog_names())}",
+    "hom": "unknown homomorphism ''; presets: "
+           f"{', '.join(hom_preset_names())}",
+    "sub": f"unknown subalgebra ''; presets: {', '.join(sub_preset_names())}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--algebra", ""], _UNKNOWN["algebra"]),
+    (["cohomology", "--hom", ""], _UNKNOWN["hom"]),
+    (["verdict", "--sub", ""], _UNKNOWN["sub"]),
+    (["les", "--sub", ""], _UNKNOWN["sub"]),
+    (["deform", "--experiment", {"kind": "sub-recovery", "sub": ""}],
+     _UNKNOWN["sub"]),
+    (["deform", "--kind", "bracket-recovery", "--algebra", ""],
+     _UNKNOWN["algebra"]),
+    (["les"], "--sub is required"),
+], ids=["verify", "cohomology", "verdict", "les", "experiment", "deform",
+        "les-without-sub"])
+def test_an_empty_object_name_is_refused_as_unknown(capsys, tmp_path, argv,
+                                                    message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(argv[-1]))
+    argv = [str(p) if isinstance(a, dict) else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": "malformed-input", "message": message}
 
 
 def test_module_entry_point():

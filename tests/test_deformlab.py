@@ -19,7 +19,7 @@ import liedeform.deformlab as lab
 from liedeform.deformlab import (ChartError, FloatBracket, InputDefectError,
                                  NewtonConfig, PreconditionError,
                                  RecoveryResult, SubFrames,
-                                 _Chart, _acted_pairs, _chord_newton,
+                                 _Chart, _chord_newton,
                                  _curvature_flat, _frame_brackets,
                                  _pairs_flat, _sup, act_on_bracket, ad_float,
                                  chart_defect_flat,
@@ -729,9 +729,15 @@ class TestKernelsMatchLoops:
                                   linearization_loop(c, mats, m))
 
 
+# one non-abelian algebra of each dimension 2..6, for the bracket chart
+ORBIT_ALGEBRAS = {2: AFF1, 3: SL2, 4: FAMILIES.gl(2), 5: FAMILIES.borel(3),
+                  6: FAMILIES.filiform(6)}
+
+
 class TestOrbitKernel:
-    """The bracket orbit kernel and the frame brackets keep every float
-    operation of their tensordot forms, so they equal them bit for bit."""
+    """The bracket chart's orbit coordinates and the frame brackets keep
+    every float operation of their tensordot forms, so they equal them bit
+    for bit."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_acted_pairs_match_the_tensordot_form(self, n):
@@ -740,9 +746,31 @@ class TestOrbitKernel:
             c = FloatBracket(n, rng.normal(size=(n, n, n))).c
             a = np.eye(n) + rng.uniform(0.05, 1.0) * rng.normal(size=(n, n))
             want = acted_pairs_tensordot(a, c)
-            assert np.array_equal(_acted_pairs(a, c), want)
             acted = act_on_bracket(a, FloatBracket(n, c))
             assert np.array_equal(_pairs_flat(acted.c), want)
+        # Newton's residual: the chart reads a stack of A acting on its base
+        chart = lab._chart(ORBIT_ALGEBRAS[n], "bracket")
+        a = np.eye(n) + rng.uniform(0.05, 1.0, size=(40, 1, 1)) * rng.normal(
+            size=(40, n, n))
+        got = chart.orbit_coords(a)
+        for s in range(len(a)):
+            assert np.array_equal(got[s],
+                                  acted_pairs_tensordot(a[s], chart.origin))
+
+    def test_refused_group_elements_give_nan_rows(self):
+        # a singular and a non-finite A make their own rows NaN, and leave
+        # every other row as its lone call gives it
+        chart = lab._chart(SL2, "bracket")
+        rng = np.random.default_rng(5)
+        a = np.eye(3) + 0.3 * rng.normal(size=(5, 3, 3))
+        a[1], a[3] = np.ones((3, 3)), np.full((3, 3), np.nan)
+        got = chart.orbit_coords(a)
+        for s in range(len(a)):
+            if s in (1, 3):
+                assert np.isnan(got[s]).all()
+            else:
+                lone = chart.orbit_coords(a[s:s + 1])[0]
+                assert np.array_equal(got[s], lone)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_frame_brackets_match_the_tensordot_form(self, n):
@@ -759,11 +787,9 @@ class TestOrbitKernel:
         (np.ones((3, 3)), "matrix acting on the bracket is singular")])
     def test_refusals_keep_their_texts(self, a, text):
         mu = FloatBracket.from_exact(SL2)
-        for act in (lambda: _acted_pairs(a, mu.c),
-                    lambda: act_on_bracket(a, mu)):
-            with pytest.raises(np.linalg.LinAlgError) as exc:
-                act()
-            assert str(exc.value) == text
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            act_on_bracket(a, mu)
+        assert str(exc.value) == text
 
     def test_sup(self):
         rng = np.random.default_rng(7)

@@ -65,6 +65,12 @@ class TestAlgebraDocs:
         with pytest.raises(MalformedDocumentError):
             parse_algebra_doc(doc)
 
+    def test_null_basis_is_malformed(self):
+        # it was read as the default basis e0, e1, as no other null value is
+        with pytest.raises(MalformedDocumentError,
+                           match="'basis' must be a list of 2 names"):
+            parse_algebra_doc({"dim": 2, "basis": None})
+
     def test_index_out_of_range_is_malformed(self):
         doc = {"name": "bad", "dim": 2, "basis": ["x", "y"],
                "brackets": [{"i": 0, "j": 5, "coeffs": ["0", "0"]}]}
